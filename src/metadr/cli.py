@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from importlib import resources
+from pathlib import Path
 
 from . import evalmodel, simnet, verify
 from .report import FORMATS, ReportDocument, render
@@ -212,7 +213,7 @@ def cmd_simulate(args) -> int:
             return EXIT_USAGE
         path = bundled
     try:
-        scenario = simnet.load_scenario(path)
+        scenario = simnet.load_scenario(Path(path))
     except simnet.ScenarioValidation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -228,18 +229,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_soak(args) -> int:
-    if args.config:
-        try:
-            config = simnet.load_soak_config(args.config)
-        except (simnet.ScenarioValidation, OSError, KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        preset = _bundled_scenario_path(args.preset)
-        if preset is None:
-            print(f"error: unknown preset {args.preset!r}", file=sys.stderr)
-            return EXIT_USAGE
-        config = simnet.load_soak_config(preset)
+    path = args.config or _bundled_scenario_path(args.preset)
+    if path is None:
+        print(f"error: unknown preset {args.preset!r}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        config = simnet.load_soak_config(Path(path))
+    except simnet.ScenarioValidation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.seed is not None:
         config.seed = args.seed
     report = simnet.soak(config)

@@ -97,6 +97,13 @@ class CompositeId:
         return self.sort_key <= other.sort_key
 
 
+def lww_key(cid: CompositeId) -> tuple[int, bytes]:
+    """Last-writer-wins order among one user key's versions: the highest
+    lcv wins, ties broken by the greater nid. Every replica applies it,
+    so a key resolves to the same version wherever it is read."""
+    return (cid.lcv, cid.nid.value)
+
+
 @dataclass(frozen=True, slots=True)
 class WalRecord:
     lcv: int
@@ -293,10 +300,6 @@ class LogicalClock:
             self.last_committed = candidate
             self.last_exposed = candidate
             return CompositeId(nid, candidate, nst)
-
-
-def next_id(clock: LogicalClock, nid: NodeId, nst: int = 0) -> CompositeId:
-    return clock.next_id(nid, nst)
 
 
 def recover_clock(wal) -> LogicalClock:

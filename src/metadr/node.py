@@ -8,8 +8,9 @@ zero content hashing, which the instrumented counters make checkable.
 
 Blocks are immutable once an id is bound; mutation means a fresh
 ingestion under the same user key, with reads resolving to the highest
-lcv. Integrity is a separate concern from identity: every block carries
-a CRC-32C verified at read time and by background scrubbing.
+lcv (ties to the greater nid) on every replica. Integrity is a separate
+concern from identity: every block carries a CRC-32C verified at read
+time and by background scrubbing.
 
 Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table. It is structurally barred from running
@@ -25,7 +26,7 @@ from enum import Enum
 
 from .crc32c import crc32c
 from .hashline import HashIndex, PipelineState, crash_interrupt, payload_digest
-from .identity import CompositeId, MemoryWal, NodeId, recover_clock
+from .identity import CompositeId, MemoryWal, NodeId, lww_key, recover_clock
 from .index import IdentifierIndex, IndexEntry
 
 
@@ -43,6 +44,9 @@ class CorruptionDetected(RuntimeError):
 
 class ImmutabilityViolation(RuntimeError):
     pass
+
+
+RESTART_FAULT_KINDS = ("none", "index_loss", "pipeline_crash")
 
 
 class NodeStatus(Enum):
@@ -208,7 +212,7 @@ class StorageNode:
         )
         if user_key is not None:
             current = self.by_user_key.get(user_key)
-            if current is None or cid.lcv > current.lcv:
+            if current is None or lww_key(cid) > lww_key(current):
                 self.by_user_key[user_key] = cid
         if self.baseline is not None:
             self.baseline.pipeline.enqueue(locator, block.payload, block.byte_len)
@@ -248,7 +252,7 @@ class StorageNode:
         key = entry.user_key
         if key is not None:
             current = self.by_user_key.get(key)
-            if current is None or entry.id.sort_key > current.sort_key:
+            if current is None or lww_key(entry.id) > lww_key(current):
                 self.by_user_key[key] = entry.id
         if self.baseline is not None:
             self.baseline.pipeline.enqueue(locator, block.payload, block.byte_len)
@@ -289,7 +293,7 @@ class StorageNode:
         return raw
 
     def read(self, user_key: str) -> bytes:
-        """Read the key's current value: highest lcv wins locally."""
+        """Read the key's current value, the version `lww_key` orders last."""
         cid = self.by_user_key.get(user_key)
         if cid is None:
             raise NotFound(f"user_key {user_key!r} unknown")
@@ -346,31 +350,33 @@ class StorageNode:
         self.status = NodeStatus.CRASHED
 
     def restart(self, fault_kind: str = "none", wal_replay_seconds: float = 18.0) -> float:
-        """Replay the WAL and come back up.
-
-        fault_kind "index_loss" destroys the baseline hash index (and
-        legacy index if present): Condition 3 on the next baseline DR.
-        fault_kind "pipeline_crash" rolls the hashing pipeline back to
-        its checkpoint: Condition 2. Returns the replay latency charged
-        to the virtual clock.
+        """Replay the WAL and come back up with `fault_kind`'s damage (see
+        `inject_fault`). Returns the replay latency charged to the
+        virtual clock.
         """
         if self.status is not NodeStatus.CRASHED:
             raise RuntimeError(f"restart on node in state {self.status.value}")
-        if fault_kind not in ("none", "index_loss", "pipeline_crash"):
+        if fault_kind not in RESTART_FAULT_KINDS:
             raise ValueError(f"unknown fault_kind {fault_kind!r}")
         self.status = NodeStatus.RECOVERING
         self.clock = recover_clock(self.wal)
+        self.inject_fault(fault_kind)
+        self.pending_wal_replay_s += wal_replay_seconds
+        self.status = NodeStatus.UP
+        return wal_replay_seconds
+
+    def inject_fault(self, fault_kind: str) -> None:
+        """Apply a fault kind's damage in place. "index_loss" destroys the
+        baseline hash index (and the legacy index if present): condition 3
+        on the next baseline DR. "pipeline_crash" rolls the hashing
+        pipeline back to its checkpoint: condition 2. "none" does nothing."""
         if fault_kind == "index_loss":
             if self.baseline is not None:
                 self.baseline.hash_index.mark_lost()
             if self.legacy_hash_index is not None:
                 self.legacy_hash_index = {}
-        elif fault_kind == "pipeline_crash":
-            if self.baseline is not None:
-                crash_interrupt(self.baseline.pipeline)
-        self.pending_wal_replay_s += wal_replay_seconds
-        self.status = NodeStatus.UP
-        return wal_replay_seconds
+        elif fault_kind == "pipeline_crash" and self.baseline is not None:
+            crash_interrupt(self.baseline.pipeline)
 
     def take_pending_wal_replay(self) -> float:
         seconds = self.pending_wal_replay_s

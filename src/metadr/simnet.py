@@ -13,25 +13,31 @@ charged through the cost model from declared volumetrics (blocks, data
 bytes, delta bytes) so hours-long rehash windows are reproduced in
 milliseconds of wall time.
 
-Scenario files are YAML (key/value with nested mappings); see
-`load_scenario` for the schema. The soak driver reproduces the
-seven-day cadence: planned failover/failback cycles every 12 hours plus
-crash injections (with index loss, i.e. condition 3) on configured
-days.
+Scenario files are YAML whose sections mirror the `Scenario`
+dataclasses; one loader builds both scenarios and soak configs. The soak
+runs on the same `SimRuntime` and reproduces the seven-day cadence:
+planned failover/failback cycles every 12 hours plus crash injections
+on configured days.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import os
+import sys
+from dataclasses import dataclass, field, is_dataclass, replace
+from functools import cache
+from pathlib import Path
 from random import Random
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .costs import CostMeter, CostModel, account_hash_cost, account_transfer  # noqa: F401
+from .costs import CostMeter, CostModel
 from .discovery import DnsRecordSet, Registry, rebind_cname, resolve
 from .identity import new_node_id
-from .node import NodeStatus, StorageNode
+from .node import RESTART_FAULT_KINDS, NodeStatus, StorageNode
 from .sync import (
     Cluster,
     ConditionState,
@@ -42,11 +48,9 @@ from .sync import (
     ensure_baseline_consistent,
     execute_failback,
     execute_failover,
+    report_from_meter,
     volumetric_report,
 )
-
-HOURS = 3600.0
-
 
 class ScenarioValidation(ValueError):
     pass
@@ -54,6 +58,12 @@ class ScenarioValidation(ValueError):
 
 # ---------------------------------------------------------------------------
 # scenario definition
+
+
+@dataclass
+class ClusterSpec:
+    nodes: int = 2
+    replica_factor: int = 2
 
 
 @dataclass
@@ -72,6 +82,11 @@ class InventorySpec:
 
 
 @dataclass
+class DiscoverySpec:
+    zone: list[str] = field(default_factory=list)
+
+
+@dataclass
 class FaultSpec:
     kind: str
     at_hours: float
@@ -81,8 +96,8 @@ class FaultSpec:
     substitute: int | None = None
     a: int | None = None
     b: int | None = None
-    side_a: tuple = ()
-    side_b: tuple = ()
+    side_a: tuple[int, ...] = ()
+    side_b: tuple[int, ...] = ()
     fault_kind: str = "none"
     torn_bytes: int | None = None
 
@@ -94,94 +109,105 @@ class Scenario:
     fidelity: str = "concrete"  # concrete | virtual
     framework: str = "meta"  # meta | hash | both
     horizon_hours: float = 8.0
-    nodes: int = 2
-    replica_factor: int = 2
+    cluster: ClusterSpec = field(default_factory=ClusterSpec)
     inventory: InventorySpec = field(default_factory=InventorySpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     cost: CostModel = field(default_factory=CostModel)
     volumetrics: Volumetrics | None = None
+    discovery: DiscoverySpec = field(default_factory=DiscoverySpec)
     faults: list[FaultSpec] = field(default_factory=list)
-    zone_lines: list[str] = field(default_factory=list)
 
 
-_FAULT_KINDS = {
-    "crash", "restart", "index_loss", "pipeline_crash",
-    "partition", "failover", "failback", "converge",
+# fields each fault kind must set
+_FAULT_FIELDS = {
+    "crash": ("node",),
+    "restart": ("node",),
+    "index_loss": ("node",),
+    "pipeline_crash": ("node",),
+    "partition": ("until_hours",),
+    "failover": ("failed", "substitute"),
+    "failback": ("node",),
+    "converge": ("a", "b"),
 }
 
 
-def load_scenario(source) -> Scenario:
-    """Build a Scenario from a YAML path, YAML text, or a dict."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = source
-        if "\n" not in str(source):
-            with open(source, "r", encoding="utf-8") as f:
-                text = f.read()
-        raw = yaml.safe_load(text)
+# ---------------------------------------------------------------------------
+# config loading: one mapping -> dataclass loader for scenarios and soak configs
+
+
+def _read_mapping(source):
+    """The raw config behind `source`: YAML text, a YAML file path
+    (`os.PathLike`), or else `source` itself, which should be a dict."""
+    try:
+        if isinstance(source, os.PathLike):
+            source = Path(source).read_text(encoding="utf-8")
+        return yaml.safe_load(source) if isinstance(source, str) else source
+    except (OSError, yaml.YAMLError) as exc:
+        raise ScenarioValidation(str(exc)) from exc
+
+
+_field_types = cache(get_type_hints)  # resolved once per dataclass
+
+
+def _build(cls, raw, default=None, where: str = ""):
+    """Build dataclass `cls` from the mapping `raw`.
+
+    Keys absent from `raw` keep their value in `default`, the parent's
+    default instance of this section, else the class default. Unknown
+    keys, values of the wrong type and values the class rejects raise
+    ScenarioValidation.
+    """
     if not isinstance(raw, dict):
-        raise ScenarioValidation("scenario must be a mapping")
-    cluster = raw.get("cluster", {})
-    inventory = raw.get("inventory", {})
-    workload = raw.get("workload", {})
-    cost = raw.get("cost", {})
-    vol = raw.get("volumetrics")
-    scenario = Scenario(
-        name=str(raw.get("name", "scenario")),
-        seed=int(raw.get("seed", 0)),
-        fidelity=str(raw.get("fidelity", "concrete")),
-        framework=str(raw.get("framework", "meta")),
-        horizon_hours=float(raw.get("horizon_hours", 8.0)),
-        nodes=int(cluster.get("nodes", 2)),
-        replica_factor=int(cluster.get("replica_factor", 2)),
-        inventory=InventorySpec(
-            blocks_per_node=int(inventory.get("blocks_per_node", 0)),
-            block_bytes_min=int(inventory.get("block_bytes_min", 1024)),
-            block_bytes_max=int(inventory.get("block_bytes_max", 4096)),
-        ),
-        workload=WorkloadSpec(
-            blocks_per_hour_per_node=int(workload.get("blocks_per_hour_per_node", 0)),
-            duplicate_ratio=float(workload.get("duplicate_ratio", 0.0)),
-            sequential_fraction=float(workload.get("sequential_fraction", 0.7)),
-            keyed_fraction=float(workload.get("keyed_fraction", 1.0)),
-        ),
-        cost=CostModel(
-            hash_throughput=float(cost.get("hash_throughput", 5.0e8)),
-            cores=int(cost.get("cores", 16)),
-            bandwidth=float(cost.get("bandwidth", 1.25e9)),
-            index_entry_bytes=int(cost.get("index_entry_bytes", 32)),
-            wal_replay_seconds=float(cost.get("wal_replay_seconds", 18.0)),
-            rto_jitter_cv=float(cost.get("rto_jitter_cv", 0.012)),
-            fragmentation_factor=float(cost.get("fragmentation_factor", 0.0)),
-            link_latency_seconds=float(cost.get("link_latency_seconds", 0.0)),
-        ),
-        volumetrics=Volumetrics(
-            data_bytes=float(vol["data_bytes"]),
-            blocks=int(float(vol["blocks"])),
-            delta_bytes=float(vol["delta_bytes"]),
+        raise ScenarioValidation(
+            f"{where.rstrip('.') or 'config'} must be a mapping, got {type(raw).__name__}"
         )
-        if vol
-        else None,
-        faults=[
-            FaultSpec(
-                kind=str(f["kind"]),
-                at_hours=float(f["at_hours"]),
-                until_hours=float(f["until_hours"]) if "until_hours" in f else None,
-                node=f.get("node"),
-                failed=f.get("failed"),
-                substitute=f.get("substitute"),
-                a=f.get("a"),
-                b=f.get("b"),
-                side_a=tuple(f.get("side_a", ())),
-                side_b=tuple(f.get("side_b", ())),
-                fault_kind=str(f.get("fault_kind", "none")),
-                torn_bytes=f.get("torn_bytes"),
+    hints = _field_types(cls)
+    values = {}
+    for key, value in raw.items():
+        if key not in hints:
+            raise ScenarioValidation(f"unknown key {where}{key}")
+        values[key] = _typed(hints[key], value, getattr(default, key, None), f"{where}{key}")
+    try:
+        return replace(default, **values) if default is not None else cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioValidation(f"{where.rstrip('.') or cls.__name__}: {exc}") from exc
+
+
+def _typed(tp, value, default, where: str):
+    """`value` checked against the field type `tp` (an int field takes an
+    integral float such as 1.0e+9; a float field takes an int)."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:
+        if value is None and type(None) in args:
+            return None
+        (tp,) = (arg for arg in args if arg is not type(None))
+        return _typed(tp, value, default, where)
+    if is_dataclass(tp):
+        return _build(tp, value, default, f"{where}.")
+    if origin in (list, tuple):
+        fixed = origin is tuple and args[-1] is not Ellipsis  # e.g. tuple[float, float]
+        if not isinstance(value, (list, tuple)) or fixed and len(value) != len(args):
+            raise ScenarioValidation(
+                f"{where} must be a list{f' of {len(args)}' if fixed else ''}, got {value!r}"
             )
-            for f in raw.get("faults", [])
-        ],
-        zone_lines=[str(line) for line in raw.get("discovery", {}).get("zone", [])],
-    )
+        items = [
+            _typed(args[i] if fixed else args[0], item, None, f"{where}[{i}]")
+            for i, item in enumerate(value)
+        ]
+        return items if origin is list else tuple(items)
+    if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if tp is int and type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is tp:
+        return value
+    raise ScenarioValidation(f"{where} must be {tp.__name__}, got {value!r}")
+
+
+def load_scenario(source) -> Scenario:
+    """Build and validate a Scenario from a dict, YAML text or a YAML file
+    path (`os.PathLike`). The file's sections mirror the dataclasses."""
+    scenario = _build(Scenario, _read_mapping(source), Scenario())
     validate_scenario(scenario)
     return scenario
 
@@ -191,35 +217,69 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioValidation(f"fidelity must be concrete|virtual, got {s.fidelity!r}")
     if s.framework not in ("meta", "hash", "both"):
         raise ScenarioValidation(f"framework must be meta|hash|both, got {s.framework!r}")
-    if s.nodes < 1:
+    nodes = s.cluster.nodes
+    if nodes < 1:
         raise ScenarioValidation("cluster needs at least one node")
-    if not 1 <= s.replica_factor <= s.nodes:
+    if not 1 <= s.cluster.replica_factor <= nodes:
         raise ScenarioValidation("replica_factor must be within [1, nodes]")
     if s.horizon_hours <= 0:
         raise ScenarioValidation("horizon_hours must be positive")
+    if not 0 < s.inventory.block_bytes_min <= s.inventory.block_bytes_max:
+        raise ScenarioValidation("inventory needs 0 < block_bytes_min <= block_bytes_max")
+    try:
+        DnsRecordSet.from_zone_lines(s.discovery.zone)
+    except ValueError as exc:
+        raise ScenarioValidation(f"discovery.zone: {exc}") from exc
     windows: list[tuple[float, float, frozenset]] = []
-    for f in s.faults:
-        if f.kind not in _FAULT_KINDS:
+    crashed: set[int] = set()  # lifecycle replay; every other node is up
+    for f in sorted(s.faults, key=lambda f: f.at_hours):  # stable: run order
+        if f.kind not in _FAULT_FIELDS:
             raise ScenarioValidation(f"unknown fault kind {f.kind!r}")
+        event = f"{f.kind} at {f.at_hours}h"
+        missing = [name for name in _FAULT_FIELDS[f.kind] if getattr(f, name) is None]
+        if missing:
+            raise ScenarioValidation(f"{event} needs {', '.join(missing)}")
         if not 0 <= f.at_hours <= s.horizon_hours:
             raise ScenarioValidation(f"fault at {f.at_hours}h outside horizon")
-        for ordinal in (f.node, f.failed, f.substitute, f.a, f.b):
-            if ordinal is not None and not 0 <= int(ordinal) < s.nodes:
+        for ordinal in (f.node, f.failed, f.substitute, f.a, f.b, *f.side_a, *f.side_b):
+            if ordinal is not None and not 0 <= ordinal < nodes:
                 raise ScenarioValidation(f"node ordinal {ordinal} out of range")
         if f.kind == "partition":
-            if f.until_hours is None or f.until_hours <= f.at_hours:
+            if f.until_hours <= f.at_hours:
                 raise ScenarioValidation("partition needs until_hours > at_hours")
             members = frozenset(f.side_a) | frozenset(f.side_b)
             if not f.side_a or not f.side_b or frozenset(f.side_a) & frozenset(f.side_b):
                 raise ScenarioValidation("partition sides must be disjoint and non-empty")
-            if any(not 0 <= int(m) < s.nodes for m in members):
-                raise ScenarioValidation("partition member out of range")
             for start, end, other in windows:
                 if f.at_hours < end and start < f.until_hours and members & other:
                     raise ScenarioValidation("overlapping partitions share nodes")
             windows.append((f.at_hours, f.until_hours, members))
-        if f.kind == "failover" and f.failed == f.substitute:
-            raise ScenarioValidation("failover substitute must differ from failed node")
+        elif f.kind == "crash":  # any fault_kind but "none" tears the WAL tail
+            if f.node in crashed:
+                raise ScenarioValidation(f"{event}: node {f.node} is already down")
+            crashed.add(f.node)
+        elif f.kind == "restart":
+            if f.node not in crashed:
+                raise ScenarioValidation(f"{event}: node {f.node} is not down")
+            if f.fault_kind not in RESTART_FAULT_KINDS:
+                raise ScenarioValidation(
+                    f"{event}: fault_kind must be one of {'|'.join(RESTART_FAULT_KINDS)}"
+                )
+            crashed.remove(f.node)
+        elif f.kind == "failover":
+            if f.failed == f.substitute:
+                raise ScenarioValidation("failover substitute must differ from failed node")
+            if f.failed not in crashed:
+                raise ScenarioValidation(f"{event}: node {f.failed} is not down")
+            if f.substitute in crashed:
+                raise ScenarioValidation(f"{event}: substitute {f.substitute} is down")
+            replicas = {(f.failed + k) % nodes for k in range(1, s.cluster.replica_factor)}
+            if not replicas - crashed - {f.substitute}:
+                raise ScenarioValidation(
+                    f"{event}: no up replica of node {f.failed} besides the substitute"
+                )
+        elif f.kind == "failback" and f.node in crashed:
+            raise ScenarioValidation(f"{event}: node {f.node} is down")
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +329,11 @@ def _content_bytes(seed: int, size: int) -> bytes:
     return (pattern * reps)[:size]
 
 
+# blocks per node the end-of-run integrity pass verifies: budgeted
+# round-robin sampling, as a background scrub would be
+_SCRUB_BUDGET_BLOCKS = 20_000
+
+
 class SimRuntime:
     """Executes one scenario on a virtual clock."""
 
@@ -278,7 +343,6 @@ class SimRuntime:
         self.rng_work = Random(f"{self.seed}:workload")
         self.rng_sizes = Random(f"{self.seed}:sizes")
         self.rng_faults = Random(f"{self.seed}:faults")
-        self.now_hours = 0.0
         self.metrics = Metrics(scenario=scenario.name, seed=self.seed)
         self._content_counter = 0
         self._dup_pool: list[tuple[int, int]] = []
@@ -287,32 +351,26 @@ class SimRuntime:
 
         baseline = scenario.framework in ("hash", "both")
         rng_ids = Random(f"{self.seed}:nid")
-        self.sim_nodes: list[StorageNode] = []
-        for _ in range(scenario.nodes):
-            node = StorageNode(
+        n = scenario.cluster.nodes
+        self.sim_nodes: list[StorageNode] = [
+            StorageNode(
                 new_node_id(rng_ids),
                 baseline=baseline,
                 fragmentation_factor=scenario.cost.fragmentation_factor,
             )
-            self.sim_nodes.append(node)
-        replica_map = None
-        if scenario.replica_factor > 1:
-            replica_map = {}
-            n = scenario.nodes
-            for i, node in enumerate(self.sim_nodes):
-                peers = {
-                    self.sim_nodes[(i + k) % n].nid
-                    for k in range(1, scenario.replica_factor)
-                }
-                replica_map[node.nid] = peers
-        self.cluster = Cluster(self.sim_nodes, scenario.cost, replica_map=None)
-        self.replica_peers = replica_map or {}
+            for _ in range(n)
+        ]
+        # ring placement: node i replicates to nodes i+1 .. i+rf-1
+        self.replica_peers = {
+            node.nid: {
+                self.sim_nodes[(i + k) % n].nid
+                for k in range(1, scenario.cluster.replica_factor)
+            }
+            for i, node in enumerate(self.sim_nodes)
+        }
+        self.cluster = Cluster(self.sim_nodes, scenario.cost, replica_map=self.replica_peers)
 
-        self.records = (
-            DnsRecordSet.from_zone_lines(scenario.zone_lines)
-            if scenario.zone_lines
-            else DnsRecordSet()
-        )
+        self.records = DnsRecordSet.from_zone_lines(scenario.discovery.zone)
         self.registry = Registry(records=self.records)
         for i, node in enumerate(self.sim_nodes):
             service = f"service-{i}"
@@ -404,12 +462,8 @@ class SimRuntime:
             self.metrics.notes.append(
                 f"restart node {f.node} at {f.at_hours}h: wal replay {seconds:g}s"
             )
-        elif f.kind == "index_loss":
-            inject_index_loss(self, f.node)
-        elif f.kind == "pipeline_crash":
-            node = nodes[f.node]
-            if node.baseline is not None:
-                crash_interrupt(node.baseline.pipeline)
+        elif f.kind in ("index_loss", "pipeline_crash"):
+            nodes[f.node].inject_fault(f.kind)
         elif f.kind == "partition":
             side_a = frozenset(nodes[i].nid for i in f.side_a)
             side_b = frozenset(nodes[i].nid for i in f.side_b)
@@ -422,19 +476,9 @@ class SimRuntime:
             meter = CostMeter(self.scenario.cost)
             rounds = converge(nodes[f.a], nodes[f.b], self.cluster, meter)
             self.metrics.converge_rounds.append(rounds)
-            event = DrEvent(at_hours=f.at_hours, label=f"converge {f.a}<->{f.b}")
-            event.reports.append(
-                DrReport(
-                    kind="converge",
-                    framework="meta",
-                    t_index=meter.t_index,
-                    t_delta=meter.t_delta,
-                    comparisons=meter.comparisons,
-                    network_bytes=meter.network_bytes,
-                    note=f"rounds={rounds}",
-                )
-            )
-            self.metrics.events.append(event)
+            report = report_from_meter("converge", "meta", meter)
+            report.note = f"rounds={rounds}"
+            self.metrics.events.append(DrEvent(f.at_hours, f"converge {f.a}<->{f.b}", [report]))
 
     def _dr_failover(self, f: FaultSpec) -> None:
         event = DrEvent(at_hours=f.at_hours, label=f"failover {f.failed}->{f.substitute}")
@@ -445,24 +489,18 @@ class SimRuntime:
             rebind_cname(self.records, service, f"host-{f.substitute}")
             resolved = resolve(self.records, service).endpoint
             event.label += f" via {resolved}"
-        frameworks = self.frameworks()
-        reports: dict[str, DrReport] = {}
-        if frameworks == ["hash"]:
-            reports["hash"] = execute_failover(
-                self.cluster, failed.nid, substitute.nid, "hash",
-                volumetrics=self.scenario.volumetrics,
-            )
-        else:
-            # shadow mode: the hash plan must observe the pre-transfer
-            # state, so it is accounted first; the metadata framework
-            # then performs the one actual transfer
-            if "hash" in frameworks:
-                reports["hash"] = self._shadow_hash_failover(failed, substitute)
-            reports["meta"] = execute_failover(
-                self.cluster, failed.nid, substitute.nid, "meta",
-                volumetrics=self.scenario.volumetrics,
-            )
-        event.reports.extend(reports[fw] for fw in frameworks)
+        # shadow mode: the hash plan must observe the pre-transfer state,
+        # so it is accounted first; the metadata framework then performs
+        # the one actual transfer
+        shadow = None
+        if self.scenario.framework == "both":
+            shadow = self._shadow_hash_failover(failed, substitute)
+        event.reports.append(execute_failover(
+            self.cluster, failed.nid, substitute.nid, self.frameworks()[0],
+            volumetrics=self.scenario.volumetrics,
+        ))
+        if shadow is not None:
+            event.reports.append(shadow)
         self.metrics.events.append(event)
 
     def _shadow_hash_failover(self, failed, substitute) -> DrReport:
@@ -489,23 +527,11 @@ class SimRuntime:
                 moved += substitute.block_store[locator].byte_len
         if moved:
             meter.charge_delta_transfer(moved)
-        report = DrReport(
-            kind="failover",
-            framework="hash",
-            t_hash=meter.t_hash,
-            t_index=meter.t_index,
-            t_delta=meter.t_delta,
-            t_wal_replay=0.0,
-            hash_ops=meter.hash_ops,
-            content_reads=meter.content_reads,
-            comparisons=meter.comparisons,
-            network_bytes=meter.network_bytes,
-        )
         if self.scenario.volumetrics is not None:
-            report = volumetric_report(
+            return volumetric_report(
                 "failover", "hash", self.scenario.cost, self.scenario.volumetrics
             )
-        return report
+        return report_from_meter("failover", "hash", meter)
 
     def _dr_failback(self, f: FaultSpec) -> None:
         event = DrEvent(at_hours=f.at_hours, label=f"failback {f.node}")
@@ -551,7 +577,6 @@ class SimRuntime:
         schedule.sort(key=lambda item: (item[0], item[1]))
 
         for at, _seq, kind, payload in schedule:
-            self.now_hours = at
             if kind == "workload":
                 for node in self.sim_nodes:
                     if node.status is NodeStatus.UP:
@@ -577,12 +602,11 @@ class SimRuntime:
             violations.lcv_reuse += node.counters.lcv_order_violations
             violations.immutability += node.counters.immutability_violations
             if node.status is NodeStatus.UP:
-                report = node.scrub(len(node.block_store))
+                report = node.scrub(min(len(node.block_store), _SCRUB_BUDGET_BLOCKS))
                 violations.corruption += len(report.findings)
-        self.metrics.total_entries = sum(n.id_index.entry_count for n in self.sim_nodes)
-        self.metrics.physical_index_bytes = (
-            32 * self.metrics.total_entries
-            * (1.0 + self.scenario.cost.fragmentation_factor)
+        self._sample(self.scenario.horizon_hours)
+        _, self.metrics.total_entries, self.metrics.physical_index_bytes = (
+            self.metrics.index_series[-1]
         )
 
 
@@ -623,11 +647,7 @@ def inject_index_loss(runtime: SimRuntime, node_ordinal: int,
         )
         validate_scenario(runtime.scenario)
         return
-    node = runtime.sim_nodes[node_ordinal]
-    if node.baseline is not None:
-        node.baseline.hash_index.mark_lost()
-    if node.legacy_hash_index is not None:
-        node.legacy_hash_index = {}
+    runtime.sim_nodes[node_ordinal].inject_fault("index_loss")
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +676,7 @@ class SoakConfig:
     seed: int = 42
     days: int = 7
     planned_every_hours: float = 12.0
-    crash_days: tuple = (2, 4, 6)
+    crash_days: tuple[int, ...] = (2, 4, 6)
     crash_hour_offset: float = 6.5
     nodes: int = 12
     replica_factor: int = 3
@@ -675,7 +695,7 @@ class SoakConfig:
             data_bytes=1.1e14, blocks=1_000_000_000, delta_bytes=1.0e12
         )
     )
-    crash_rehash_extra: tuple = (0.025, 0.029)
+    crash_rehash_extra: tuple[float, float] = (0.025, 0.029)
     cpu_basis_cores: int = 40
     rehash_engaged_cores: float = 37.88
     sync_engaged_cores_meta: float = 1.28
@@ -684,51 +704,20 @@ class SoakConfig:
 
 
 def load_soak_config(source) -> SoakConfig:
-    """SoakConfig from a YAML path/text/dict (see bundled paper-soak.yaml)."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = source
-        if "\n" not in str(source):
-            with open(source, "r", encoding="utf-8") as f:
-                text = f.read()
-        raw = yaml.safe_load(text)
-    cost = raw.get("cost", {})
-    vol = raw.get("volumetrics", {})
-    cfg = SoakConfig(
-        name=str(raw.get("name", "soak")),
-        seed=int(raw.get("seed", 42)),
-        days=int(raw.get("days", 7)),
-        planned_every_hours=float(raw.get("planned_every_hours", 12.0)),
-        crash_days=tuple(raw.get("crash_days", (2, 4, 6))),
-        crash_hour_offset=float(raw.get("crash_hour_offset", 6.5)),
-        nodes=int(raw.get("nodes", 12)),
-        replica_factor=int(raw.get("replica_factor", 3)),
-        total_ingest_blocks=int(raw.get("total_ingest_blocks", 1_050_000)),
-        intervals_per_day=int(raw.get("intervals_per_day", 144)),
-        block_bytes_min=int(raw.get("block_bytes_min", 4096)),
-        block_bytes_max=int(raw.get("block_bytes_max", 65536)),
-        duplicate_ratio=float(raw.get("duplicate_ratio", 0.0)),
-        sequential_fraction=float(raw.get("sequential_fraction", 0.7)),
-        keyed_fraction=float(raw.get("keyed_fraction", 0.0625)),
-        cost=CostModel(
-            hash_throughput=float(cost.get("hash_throughput", 5.0e8)),
-            cores=int(cost.get("cores", 16)),
-            bandwidth=float(cost.get("bandwidth", 1.25e9)),
-            index_entry_bytes=int(cost.get("index_entry_bytes", 32)),
-            wal_replay_seconds=float(cost.get("wal_replay_seconds", 18.0)),
-            rto_jitter_cv=float(cost.get("rto_jitter_cv", 0.012)),
-            fragmentation_factor=float(cost.get("fragmentation_factor", 0.011)),
-        ),
-        volumetrics=Volumetrics(
-            data_bytes=float(vol.get("data_bytes", 1.1e14)),
-            blocks=int(float(vol.get("blocks", 1_000_000_000))),
-            delta_bytes=float(vol.get("delta_bytes", 1.0e12)),
-        ),
-        crash_rehash_extra=tuple(raw.get("crash_rehash_extra", (0.025, 0.029))),
-    )
-    if cfg.nodes % cfg.replica_factor:
-        raise ScenarioValidation("soak nodes must split into whole replica groups")
+    """SoakConfig from a dict, YAML text or a YAML file path (`os.PathLike`);
+    see the bundled paper-soak.yaml."""
+    cfg = _build(SoakConfig, _read_mapping(source), SoakConfig())
+    if not 2 <= cfg.replica_factor < cfg.nodes:
+        raise ScenarioValidation(
+            "soak needs 2 <= replica_factor < nodes: each failover takes a "
+            "substitute outside the failed node's replica set and a surviving replica"
+        )
+    if cfg.days < 1 or cfg.intervals_per_day < 1 or cfg.planned_every_hours <= 0:
+        raise ScenarioValidation(
+            "soak needs days >= 1, intervals_per_day >= 1 and planned_every_hours > 0"
+        )
+    if not 0 < cfg.block_bytes_min <= cfg.block_bytes_max:
+        raise ScenarioValidation("soak needs 0 < block_bytes_min <= block_bytes_max")
     return cfg
 
 
@@ -805,6 +794,12 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
     """Run the scaled soak: live ingestion with violation monitoring,
     DR cadence with per-event volumetric RTO accounting.
 
+    The live cluster is one virtual, metadata-framework SimRuntime, fed
+    one (interval, node) slot at a time through `ingest_batch`. Each DR
+    event crashes a node, fails it over to the first node past its
+    replica set, restarts it and fails it back, with every session
+    scoped to the nids involved.
+
     Planned events share one multiplicative jitter draw across both
     frameworks (the shadow instance ran on identical workloads, so
     event-local variation is common-mode); the draws are mean-normalized
@@ -815,239 +810,137 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
     cfg = config or SoakConfig()
     model = cfg.cost
     vol = cfg.volumetrics
+    n, rf = cfg.nodes, cfg.replica_factor
     rng_jitter = Random(f"{cfg.seed}:jitter")
     rng_replay = Random(f"{cfg.seed}:replay")
     rng_rehash = Random(f"{cfg.seed}:rehash")
-    rng_ids = Random(f"{cfg.seed}:nid")
-    rng_work = Random(f"{cfg.seed}:workload")
-    rng_sizes = Random(f"{cfg.seed}:sizes")
-    rng_faults = Random(f"{cfg.seed}:faults")
 
-    nodes = [
-        StorageNode(new_node_id(rng_ids), baseline=True,
-                    fragmentation_factor=model.fragmentation_factor)
-        for _ in range(cfg.nodes)
-    ]
-    rf = cfg.replica_factor
-    groups = [nodes[i : i + rf] for i in range(0, cfg.nodes, rf)]
-    group_of = {}
-    for group in groups:
-        for member in group:
-            group_of[member.nid] = group
-    replica_map = {
-        n.nid: {m.nid for m in group_of[n.nid] if m.nid != n.nid} for n in nodes
-    }
-    cluster = Cluster(nodes, model, replica_map=replica_map)
+    rt = SimRuntime(Scenario(
+        name=cfg.name,
+        seed=cfg.seed,
+        fidelity="virtual",
+        framework="meta",
+        horizon_hours=cfg.days * 24.0,
+        cluster=ClusterSpec(nodes=n, replica_factor=rf),
+        inventory=InventorySpec(
+            block_bytes_min=cfg.block_bytes_min, block_bytes_max=cfg.block_bytes_max
+        ),
+        workload=WorkloadSpec(
+            duplicate_ratio=cfg.duplicate_ratio,
+            sequential_fraction=cfg.sequential_fraction,
+            keyed_fraction=cfg.keyed_fraction,
+        ),
+        cost=model,
+        volumetrics=vol,
+    ))
+    nodes = rt.sim_nodes
+    # the nids each node holds by placement: its own and those replicating to it
+    hosted = {node.nid: {node.nid} for node in nodes}
+    for source, peers in rt.replica_peers.items():
+        for peer in peers:
+            hosted[peer].add(source)
 
-    records = DnsRecordSet()
-    for i in range(cfg.nodes):
-        records.add_endpoint(f"host-{i}", f"10.0.0.{10 + i}:7000")
-        records.add_cname(f"service-{i}", f"host-{i}")
-    registry = Registry(records=records)
-    registry.bulk_register([(n.nid, f"service-{i}") for i, n in enumerate(nodes)])
-    ordinal = {n.nid: i for i, n in enumerate(nodes)}
-
-    # DR cadence
+    # DR cadence: planned events rotate through the nodes; the i-th crash
+    # hits node (i + 1) * replica_factor
     horizon = cfg.days * 24.0
     planned_times = []
     t = cfg.planned_every_hours
     while t <= horizon + 1e-9:
         planned_times.append(t)
         t += cfg.planned_every_hours
-    crash_times = [(d - 1) * 24.0 + cfg.crash_hour_offset for d in cfg.crash_days]
+    crash_times = sorted((d - 1) * 24.0 + cfg.crash_hour_offset for d in cfg.crash_days)
     events = sorted(
-        [(t, "planned") for t in planned_times] + [(t, "crash") for t in crash_times]
+        [(t, "Planned", i % n) for i, t in enumerate(planned_times)]
+        + [(t, "Crash", (i + 1) * rf % n) for i, t in enumerate(crash_times)]
     )
 
     # mean-normalized common-mode jitter for planned events
     raw = [_clipped_normal(rng_jitter, model.rto_jitter_cv) for _ in planned_times]
     mean_raw = sum(raw) / len(raw) if raw else 1.0
-    planned_jitter = [j / mean_raw for j in raw]
+    planned_jitter = iter([j / mean_raw for j in raw])
 
     # workload slots: exact total, spread across (interval, node) slots
     intervals = cfg.days * cfg.intervals_per_day
-    slots = intervals * cfg.nodes
-    base_per_slot, remainder = divmod(cfg.total_ingest_blocks, slots)
+    base_per_slot, remainder = divmod(cfg.total_ingest_blocks, intervals * n)
     interval_hours = 24.0 / cfg.intervals_per_day
 
-    content_counter = 0
-    dup_pool: list[tuple[int, int]] = []
-    keys: list[str] = []
-    key_counter = 0
-    log_lo, log_hi = math.log(cfg.block_bytes_min), math.log(cfg.block_bytes_max)
+    def live_event(f: int, kind: str, at_hours: float) -> None:
+        s = (f + rf) % n  # the first node past the failed node's replica set
+        failed, substitute = nodes[f], nodes[s]
+        rebind_cname(rt.records, f"service-{f}", f"host-{s}")
+        assert rt.registry.lookup_endpoint(failed.nid) == resolve(
+            rt.records, f"host-{s}"
+        ).endpoint
+        rt.apply_fault(FaultSpec(
+            "crash", at_hours, node=f, fault_kind="torn" if kind == "Crash" else "none"
+        ))
+        execute_failover(
+            rt.cluster, failed.nid, substitute.nid, "meta", scope_to_failed=True
+        )
+        rt.apply_fault(FaultSpec("restart", at_hours, node=f))
+        # re-join every replica set the failed node belongs to
+        for peer in nodes:
+            shared = hosted[failed.nid] & hosted[peer.nid]
+            if peer is not failed and shared:
+                execute_failback(
+                    rt.cluster, failed.nid, "meta", peers=[peer], scope_nids=sorted(shared)
+                )
+        rebind_cname(rt.records, f"service-{f}", f"host-{f}")
 
-    def next_payload() -> tuple[int, int]:
-        nonlocal content_counter
-        if cfg.duplicate_ratio > 0 and dup_pool and rng_work.random() < cfg.duplicate_ratio:
-            return dup_pool[rng_work.randrange(len(dup_pool))]
-        seed = content_counter
-        content_counter += 1
-        size = int(math.exp(rng_sizes.uniform(log_lo, log_hi)))
-        if len(dup_pool) < 10000:
-            dup_pool.append((size, seed))
-        return (size, seed)
-
-    def next_key() -> str | None:
-        nonlocal key_counter
-        if cfg.keyed_fraction <= 0 or rng_work.random() >= cfg.keyed_fraction:
-            return None
-        if keys and rng_work.random() >= cfg.sequential_fraction:
-            return keys[rng_work.randrange(len(keys))]
-        key = f"k{key_counter}"
-        key_counter += 1
-        if len(keys) < 50000:
-            keys.append(key)
-        return key
-
-    def replicate_batch(owner: StorageNode) -> None:
-        for peer_nid in sorted(replica_map[owner.nid], key=lambda n: n.value):
-            peer = cluster.node(peer_nid)
-            if peer.status is not NodeStatus.UP:
-                continue
-            ckpt = cluster.checkpoint(owner.nid, peer_nid)
-            for entry in owner.id_index.entries_above(owner.nid, ckpt.watermark(owner.nid)):
-                peer.replicate_in(entry, owner.block_store[entry.location])
-            ckpt.advance(owner.nid, owner.id_index.max_lcv(owner.nid))
-
-    total_ingested = 0
-
-    def run_interval(interval_idx: int) -> None:
-        nonlocal total_ingested
-        for node_idx, node in enumerate(nodes):
-            slot = interval_idx * cfg.nodes + node_idx
-            count = base_per_slot + (1 if slot < remainder else 0)
-            if count == 0 or node.status is not NodeStatus.UP:
-                continue
-            for _ in range(count):
-                node.ingest(next_payload(), user_key=next_key())
-            total_ingested += count
-            replicate_batch(node)
-
-    # live + volumetric event execution
+    # merged timeline: ingest intervals and DR events in time order
     dr_reports: list[DrReport] = []
     event_rows: list[SoakEventRow] = []
     drift_rows: list[SoakDriftRow] = []
-    crash_excesses_w: list[float] = []
-    planned_seen = 0
-    event_no = 0
-    substitute_shift = rf  # substitute comes from the next replica group
-
-    def live_event(failed: StorageNode, kind: str) -> None:
-        f_idx = ordinal[failed.nid]
-        s_idx = (f_idx + substitute_shift) % cfg.nodes
-        substitute = nodes[s_idx]
-        group_nids = [m.nid for m in group_of[failed.nid]]
-        rebind_cname(records, f"service-{f_idx}", f"host-{s_idx}")
-        assert registry.lookup_endpoint(failed.nid) == resolve(
-            records, f"host-{s_idx}"
-        ).endpoint
-        if kind == "planned":
-            failed.crash()
-        else:
-            failed.crash(torn_wal_bytes=rng_faults.randrange(1, 16))
-        # baseline shadow keeps itself honest: participants pay their
-        # hashing backlog (condition 1) before the event's exchange
-        side_meter = CostMeter(model)
-        for participant in [substitute] + cluster.survivors_for(failed.nid, substitute.nid):
-            ensure_baseline_consistent(participant, side_meter)
-        execute_failover(
-            cluster, failed.nid, substitute.nid, "meta", scope_to_failed=True
-        )
-        if kind == "planned":
-            failed.restart("none", wal_replay_seconds=0.0)
-        else:
-            failed.restart("index_loss", wal_replay_seconds=model.wal_replay_seconds)
-            ensure_baseline_consistent(failed, side_meter)  # condition 3 paid live
-        peers = [m for m in group_of[failed.nid] if m.nid != failed.nid]
-        # two scoped sessions: re-join the replica group, then acquire
-        # whatever the substitute wrote on the failed node's behalf
-        execute_failback(cluster, failed.nid, "meta", peers=peers, scope_nids=group_nids)
-        execute_failback(
-            cluster, failed.nid, "meta", peers=[substitute], scope_nids=[substitute.nid]
-        )
-        rebind_cname(records, f"service-{f_idx}", f"host-{f_idx}")
-
-    def volumetric_rows(kind: str, at_hours: float) -> SoakEventRow:
-        nonlocal planned_seen
-        day = int(math.ceil(at_hours / 24.0))
-        if kind == "planned":
-            jitter = planned_jitter[planned_seen]
-            planned_seen += 1
-            meta_r = volumetric_report("failover", "meta", model, vol).scaled(jitter)
-            hash_r = volumetric_report("failover", "hash", model, vol).scaled(jitter)
-        else:
-            w = model.wal_replay_seconds * _clipped_normal(rng_replay, model.rto_jitter_cv)
-            g = rng_rehash.uniform(*cfg.crash_rehash_extra)
-            crash_excesses_w.append(w)
-            meta_r = volumetric_report("failback", "meta", model, vol, wal_replay_s=w)
-            hash_r = volumetric_report(
-                "failback", "hash", model, replace(vol, extra_rehash_fraction=g)
-            )
-        dr_reports.extend([meta_r, hash_r])
-        return SoakEventRow(
-            event_no=event_no,
-            day=day,
-            kind="Planned" if kind == "planned" else "Crash",
-            meta_seconds=meta_r.virtual_rto_seconds,
-            hash_seconds=hash_r.virtual_rto_seconds,
-        )
-
-    # merged timeline: ingest intervals and DR events in time order
-    event_iter = iter(events)
-    next_event = next(event_iter, None)
-    rotation = 0
-    crash_targets = [groups[(i + 1) % len(groups)][0] for i in range(len(cfg.crash_days))]
-    crash_seen = 0
-    day_marks = {d: None for d in range(1, cfg.days + 1)}
+    pending = iter(events)
+    next_event = next(pending, None)
     prev_day_physical = 0.0
-
-    def record_day(day: int) -> None:
-        nonlocal prev_day_physical
-        total_entries = sum(n.id_index.entry_count for n in nodes)
-        physical = 32 * total_entries * (1.0 + model.fragmentation_factor)
-        growth = (physical - prev_day_physical) / 1e9 / 24.0
-        assign_rate = total_ingested / (day * 24.0 * 3600.0)
-        drift_rows.append(
-            SoakDriftRow(
-                day=day,
-                entries=total_entries,
-                physical_gb=physical / 1e9,
-                growth_gb_per_hour=growth,
-                assign_rate_per_s=assign_rate,
-                lcv_violations=sum(n.counters.lcv_order_violations for n in nodes),
-                modeled_assign_latency_us=cfg.modeled_assign_latency_us,
-            )
-        )
-        prev_day_physical = physical
-
     for interval_idx in range(intervals):
         t_end = (interval_idx + 1) * interval_hours
         while next_event is not None and next_event[0] <= t_end + 1e-9:
-            at, kind = next_event
-            event_no += 1
-            if kind == "planned":
-                failed = nodes[rotation % cfg.nodes]
-                rotation += 1
+            at, kind, failed = next_event
+            live_event(failed, kind, at)
+            if kind == "Planned":
+                jitter = next(planned_jitter)
+                meta_r = volumetric_report("failover", "meta", model, vol).scaled(jitter)
+                hash_r = volumetric_report("failover", "hash", model, vol).scaled(jitter)
             else:
-                failed = crash_targets[crash_seen % len(crash_targets)]
-                crash_seen += 1
-            live_event(failed, kind)
-            event_rows.append(volumetric_rows(kind, at))
-            next_event = next(event_iter, None)
-        run_interval(interval_idx)
-        day = int(math.ceil(t_end / 24.0))
-        if abs(t_end - day * 24.0) < 1e-9 and day_marks.get(day) is None:
-            day_marks[day] = True
-            record_day(day)
+                w = model.wal_replay_seconds * _clipped_normal(rng_replay, model.rto_jitter_cv)
+                g = rng_rehash.uniform(*cfg.crash_rehash_extra)
+                meta_r = volumetric_report("failback", "meta", model, vol, wal_replay_s=w)
+                hash_r = volumetric_report(
+                    "failback", "hash", model, replace(vol, extra_rehash_fraction=g)
+                )
+            dr_reports += [meta_r, hash_r]
+            event_rows.append(SoakEventRow(
+                event_no=len(event_rows) + 1,
+                day=int(math.ceil(at / 24.0)),
+                kind=kind,
+                meta_seconds=meta_r.virtual_rto_seconds,
+                hash_seconds=hash_r.virtual_rto_seconds,
+            ))
+            next_event = next(pending, None)
+        for node_idx, node in enumerate(nodes):
+            slot = interval_idx * n + node_idx
+            rt.ingest_batch(node, base_per_slot + (1 if slot < remainder else 0))
+        if (interval_idx + 1) % cfg.intervals_per_day == 0:
+            day = (interval_idx + 1) // cfg.intervals_per_day
+            rt._sample(day * 24.0)
+            _, entries, physical = rt.metrics.index_series[-1]
+            drift_rows.append(
+                SoakDriftRow(
+                    day=day,
+                    entries=entries,
+                    physical_gb=physical / 1e9,
+                    growth_gb_per_hour=(physical - prev_day_physical) / 1e9 / 24.0,
+                    assign_rate_per_s=rt.metrics.ingests / (day * 24.0 * 3600.0),
+                    lcv_violations=sum(node.counters.lcv_order_violations for node in nodes),
+                    modeled_assign_latency_us=cfg.modeled_assign_latency_us,
+                )
+            )
+            prev_day_physical = physical
 
-    # correctness counters; scrubbing is budgeted round-robin sampling,
-    # as a background integrity pass would be
-    violations = Violations()
-    for n in nodes:
-        violations.lcv_reuse += n.counters.lcv_order_violations
-        violations.immutability += n.counters.immutability_violations
-        violations.corruption += len(n.scrub(min(len(n.block_store), 20000)).findings)
-
+    rt._finalize()
+    metrics = rt.metrics
     metas = [r.meta_seconds for r in event_rows]
     hashes = [r.hash_seconds for r in event_rows]
     planned_metas = [r.meta_seconds for r in event_rows if r.kind == "Planned"]
@@ -1057,8 +950,6 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
     std_meta = math.sqrt(sum((m - mean_meta) ** 2 for m in metas) / len(metas))
     std_hash = math.sqrt(sum((h - mean_hash) ** 2 for h in hashes) / len(hashes))
     planned_mean = sum(planned_metas) / len(planned_metas)
-    total_entries = sum(n.id_index.entry_count for n in nodes)
-    physical = 32 * total_entries * (1.0 + model.fragmentation_factor)
 
     summary = SoakSummary(
         mean_meta_s=mean_meta,
@@ -1070,11 +961,11 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
         factor_max=max(r.factor for r in event_rows),
         crash_excess_seconds=[m - planned_mean for m in crash_metas],
         planned_mean_meta_s=planned_mean,
-        violations=violations,
-        ingests=total_ingested,
-        total_entries=total_entries,
-        physical_index_bytes=physical,
-        theoretical_index_bytes=32 * total_entries,
+        violations=metrics.violations,
+        ingests=metrics.ingests,
+        total_entries=metrics.total_entries,
+        physical_index_bytes=metrics.physical_index_bytes,
+        theoretical_index_bytes=32 * metrics.total_entries,
     )
 
     resources = _resource_rows(cfg, model, vol, mean_meta, mean_hash)

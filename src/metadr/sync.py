@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from .costs import CostMeter, CostModel
 from .hashline import PipelineState, hash_delta, pipeline_tick, rebuild_index
-from .identity import CompositeId, NodeId
+from .identity import CompositeId, NodeId, lww_key
 from .index import (
     WIRE_HEADER_BYTES,
     Checkpoint,
@@ -447,7 +447,7 @@ def execute_failover(
     finally:
         for n in participants:
             n.dr_active = False
-    report = _report_from_meter("failover", framework, meter)
+    report = report_from_meter("failover", framework, meter)
     if volumetrics is not None:
         report = volumetric_report(
             "failover", framework, cluster.model, volumetrics, wal_replay_s=0.0
@@ -489,7 +489,7 @@ def execute_failback(
     finally:
         for n in peers + [node]:
             n.dr_active = False
-    report = _report_from_meter("failback", framework, meter)
+    report = report_from_meter("failback", framework, meter)
     if volumetrics is not None:
         report = volumetric_report(
             "failback", framework, cluster.model, volumetrics, wal_replay_s=replay
@@ -592,11 +592,11 @@ def reconcile_split_brain(
         new_b = ids_b - ids_a
         if not new_a or not new_b:
             continue  # written on at most one side; not a conflict
-        head_a = max(new_a, key=lambda c: (c.lcv, c.nid.value))
-        head_b = max(new_b, key=lambda c: (c.lcv, c.nid.value))
-        candidates = tuple(sorted(ids_a | ids_b, key=lambda c: (c.lcv, c.nid.value)))
+        head_a = max(new_a, key=lww_key)
+        head_b = max(new_b, key=lww_key)
+        candidates = tuple(sorted(ids_a | ids_b, key=lww_key))
         if policy.mode == "application_merge_hook" and policy.merge_hook is not None:
-            low, high = sorted((head_a, head_b), key=lambda c: (c.lcv, c.nid.value))
+            low, high = sorted((head_a, head_b), key=lww_key)
             winner = policy.merge_hook(user_key, low, high)
         else:
             winner = candidates[-1]  # lww by lcv, nid tie-break
@@ -604,7 +604,8 @@ def reconcile_split_brain(
     return merged, conflicts
 
 
-def _report_from_meter(kind: str, framework: str, meter: CostMeter) -> DrReport:
+def report_from_meter(kind: str, framework: str, meter: CostMeter) -> DrReport:
+    """One event's report from the meter its live sessions charged."""
     return DrReport(
         kind=kind,
         framework=framework,
@@ -649,6 +650,6 @@ def volumetric_report(
     if wal_replay_s and framework == "meta":
         meter.charge_wal_replay(wal_replay_s)
     meter.add_comparisons(2 * blocks)
-    report = _report_from_meter(kind, framework, meter)
+    report = report_from_meter(kind, framework, meter)
     report.note = "volumetric"
     return report

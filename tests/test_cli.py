@@ -126,6 +126,34 @@ def test_simulate_unknown_scenario_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    # failover of a node that is up
+    "cluster: {nodes: 3, replica_factor: 2}\n"
+    "faults:\n  - {kind: failover, at_hours: 1.0, failed: 0, substitute: 2}\n",
+    # a string node ordinal beside a misspelled section
+    "inventroy: {blocks_per_node: 10}\n"
+    "faults:\n  - {kind: crash, at_hours: 1.0, node: \"1\"}\n",
+])
+def test_simulate_bad_scenario_exits_2_with_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "simulate", str(path))
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_soak_bad_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "soak.yaml"
+    path.write_text("nodes: 3\nreplica_factor: 3\n")
+    code, _, err = run_cli(capsys, "soak", "--config", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+    code, _, err = run_cli(capsys, "soak", "--config", str(tmp_path / "missing.yaml"))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_simulate_repeated_seed_writes_identical_files(tmp_path, capsys):
     for d in ("a", "b"):
         code, _, _ = run_cli(

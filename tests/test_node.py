@@ -4,7 +4,7 @@ import pytest
 
 from metadr.crc32c import crc32c
 from metadr.hashline import InconsistentIndex, hash_delta
-from metadr.identity import new_node_id
+from metadr.identity import NodeId, new_node_id
 from metadr.node import (
     Block,
     CorruptionDetected,
@@ -67,6 +67,22 @@ def test_mutate_assigns_fresh_higher_id():
     assert second.lcv > first.lcv
     assert node.read("key") == b"v2"
     assert node.read_verify(first) == b"v1"  # prior block untouched
+
+
+def test_key_written_on_two_nodes_reads_the_same_on_both():
+    # a: higher lcv, lower nid. b receives a's write before writing the
+    # key itself, a receives b's write after: both must pick a's version
+    a = StorageNode(NodeId(b"\x01" * 16))
+    b = StorageNode(NodeId(b"\x02" * 16))
+    for i in range(4):
+        a.ingest(f"filler {i}".encode())
+    a.ingest(b"from a", user_key="k")
+    for entry in a.id_index.entries_above(a.nid, 0):
+        b.replicate_in(entry, a.block_store[entry.location])
+    b.ingest(b"from b", user_key="k")
+    for entry in b.id_index.entries_above(b.nid, 0):
+        a.replicate_in(entry, b.block_store[entry.location])
+    assert a.read("k") == b.read("k") == b"from a"
 
 
 def test_in_place_overwrite_raises():

@@ -1,12 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metadr.costs import CostMeter, CostModel
+from metadr import simnet
+from metadr.costs import CostMeter, CostModel, account_hash_cost, account_transfer
 from metadr.simnet import (
     ScenarioValidation,
     SimRuntime,
     SoakConfig,
-    account_hash_cost,
-    account_transfer,
     load_scenario,
     load_soak_config,
     run_scenario,
@@ -61,8 +62,109 @@ def test_meter_accumulates_phases():
 
 def test_load_scenario_from_dict():
     scenario = load_scenario(PARTITION_SCENARIO)
-    assert scenario.nodes == 2
+    assert scenario.cluster.nodes == 2
     assert scenario.faults[0].kind == "partition"
+
+
+def test_loader_rejects_unknown_keys():
+    for bad in (
+        dict(PARTITION_SCENARIO, inventroy={"blocks_per_node": 5}),
+        dict(PARTITION_SCENARIO, cluster={"nodes": 2, "replicas": 2}),
+        dict(PARTITION_SCENARIO, faults=[{"kind": "crash", "at_hours": 1.0, "nod": 0}]),
+    ):
+        with pytest.raises(ScenarioValidation, match="unknown key"):
+            load_scenario(bad)
+    with pytest.raises(ScenarioValidation, match="unknown key"):
+        load_soak_config({"cost": {"fragmentation": 0.02}})
+
+
+def test_loader_checks_field_types():
+    for bad in (
+        dict(PARTITION_SCENARIO, seed="5"),
+        dict(PARTITION_SCENARIO, cluster={"nodes": 2.5}),
+        dict(PARTITION_SCENARIO, faults=[{"kind": "crash", "at_hours": 1.0, "node": "1"}]),
+        dict(PARTITION_SCENARIO, faults=[{"kind": "crash", "at_hours": 1.0, "node": True}]),
+        dict(PARTITION_SCENARIO, horizon_hours=float("nan")),
+        dict(PARTITION_SCENARIO, volumetrics={"data_bytes": 1e12}),  # missing fields
+        dict(PARTITION_SCENARIO, cost={"cores": 0}),  # CostModel rejects it
+        dict(PARTITION_SCENARIO, discovery={"zone": ["A host-0 10.0.0.1:7000"]}),
+    ):
+        with pytest.raises(ScenarioValidation):
+            load_scenario(bad)
+    with pytest.raises(ScenarioValidation, match="crash_rehash_extra"):
+        load_soak_config({"crash_rehash_extra": [0.1]})
+
+
+def test_loader_accepts_integral_floats_and_keeps_section_defaults():
+    scenario = load_scenario(dict(
+        PARTITION_SCENARIO,
+        volumetrics={"data_bytes": 1.1e14, "blocks": 1.0e9, "delta_bytes": 1e12},
+    ))
+    assert scenario.volumetrics.blocks == 1_000_000_000
+    assert type(scenario.volumetrics.blocks) is int
+    cfg = load_soak_config("cost:\n  cores: 8\nvolumetrics:\n  blocks: 2.0e+9\n")
+    assert cfg.cost.cores == 8
+    assert cfg.cost.fragmentation_factor == 0.011  # SoakConfig's own default
+    assert cfg.volumetrics.blocks == 2_000_000_000
+    assert cfg.volumetrics.data_bytes == 1.1e14
+
+
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["1", "meta", "crash", "CNAME s h", "bad zone line"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=10,
+)
+
+
+def _maybe(strategy):
+    """Mostly well-formed values, sometimes anything at all."""
+    return st.integers(0, 9).flatmap(lambda i: _ANY if i == 9 else strategy)
+
+
+_ORDINAL = _maybe(st.integers(-1, 3))
+_FAULT = _maybe(st.fixed_dictionaries(
+    {"kind": _maybe(st.sampled_from(sorted(simnet._FAULT_FIELDS) + ["meteor"])),
+     "at_hours": _maybe(st.floats(0, 0.5))},
+    optional={
+        "node": _ORDINAL, "failed": _ORDINAL, "substitute": _ORDINAL, "a": _ORDINAL,
+        "b": _ORDINAL, "until_hours": _maybe(st.floats(0, 0.5)),
+        "side_a": _maybe(st.lists(st.integers(-1, 3), max_size=2)),
+        "side_b": _maybe(st.lists(st.integers(-1, 3), max_size=2)),
+        "fault_kind": _maybe(st.sampled_from(["none", "torn", "index_loss"])),
+        "torn_bytes": _maybe(st.integers(0, 20)),
+    },
+))
+_SCENARIO_MAPPING = st.fixed_dictionaries({
+    "horizon_hours": _maybe(st.floats(0.5, 6)),
+    "cluster": _maybe(st.fixed_dictionaries({}, optional={
+        "nodes": _maybe(st.integers(0, 4)), "replica_factor": _maybe(st.integers(0, 4))})),
+    "faults": _maybe(st.lists(_FAULT, max_size=6)),
+}, optional={
+    "name": _maybe(st.text(max_size=5)),
+    "seed": _maybe(st.integers(0, 9)),
+    "fidelity": _maybe(st.sampled_from(["concrete", "virtual"])),
+    "framework": _maybe(st.sampled_from(["meta", "hash", "both"])),
+    "cost": _maybe(st.dictionaries(
+        st.sampled_from(["cores", "bandwidth", "fragmentation_factor", "typo"]), _ANY,
+        max_size=2)),
+    "volumetrics": _maybe(st.fixed_dictionaries(
+        {"data_bytes": _maybe(st.floats(0, 1e15)), "blocks": _maybe(st.floats(0, 1e9)),
+         "delta_bytes": _maybe(st.floats(0, 1e12))})),
+    "discovery": _maybe(st.fixed_dictionaries({"zone": _maybe(st.lists(
+        st.sampled_from(["ENDPT host-9 10.0.0.9:7000", "CNAME svc host-9", "bad"]),
+        max_size=2))})),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_maybe(_SCENARIO_MAPPING).filter(lambda raw: isinstance(raw, dict)))
+def test_load_scenario_returns_or_raises_validation_only(raw):
+    try:
+        load_scenario(raw)
+    except ScenarioValidation:
+        pass
 
 
 def test_validation_rejects_unknown_fault():
@@ -95,6 +197,37 @@ def test_validation_rejects_bad_ordinals():
     bad = dict(PARTITION_SCENARIO, faults=[{"kind": "crash", "at_hours": 1.0, "node": 7}])
     with pytest.raises(ScenarioValidation):
         load_scenario(bad)
+
+
+@pytest.mark.parametrize("faults, message", [
+    ([{"kind": "failover", "at_hours": 1.0, "failed": 0, "substitute": 1}], "not down"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0},
+      {"kind": "crash", "at_hours": 2.0, "node": 0}], "already down"),
+    ([{"kind": "restart", "at_hours": 1.0, "node": 0}], "not down"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0},
+      {"kind": "restart", "at_hours": 2.0, "node": 0, "fault_kind": "torn"}], "fault_kind"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0},
+      {"kind": "failback", "at_hours": 2.0, "node": 0}], "is down"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0},
+      {"kind": "crash", "at_hours": 1.5, "node": 1},
+      {"kind": "failover", "at_hours": 2.0, "failed": 0, "substitute": 2}], "no up replica"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0},
+      {"kind": "crash", "at_hours": 1.5, "node": 2},
+      {"kind": "failover", "at_hours": 2.0, "failed": 0, "substitute": 2}], "substitute 2"),
+    ([{"kind": "crash", "at_hours": 1.0}], "needs node"),
+])
+def test_validation_replays_node_lifecycle(faults, message):
+    bad = dict(PARTITION_SCENARIO, cluster={"nodes": 3, "replica_factor": 3}, faults=faults)
+    with pytest.raises(ScenarioValidation, match=message):
+        load_scenario(bad)
+
+
+def test_validation_follows_run_order_not_list_order():
+    scenario = load_scenario(dict(PARTITION_SCENARIO, faults=[
+        {"kind": "restart", "at_hours": 2.0, "node": 0},
+        {"kind": "crash", "at_hours": 1.0, "node": 0, "fault_kind": "torn"},
+    ]))
+    assert [f.kind for f in scenario.faults] == ["restart", "crash"]
 
 
 def test_validation_rejects_self_failover():
@@ -182,6 +315,17 @@ def test_condition3_failover_contrasts_frameworks():
     assert by_framework["meta"].content_reads == 0
 
 
+def test_pipeline_crash_fault_rolls_back_the_hash_pipeline():
+    runtime = SimRuntime(load_scenario({
+        "name": "pipeline", "framework": "hash", "horizon_hours": 2.0,
+        "inventory": {"blocks_per_node": 10},
+        "faults": [{"kind": "pipeline_crash", "at_hours": 1.0, "node": 0}],
+    }))
+    metrics = runtime.run()
+    assert metrics.violations.total == 0
+    assert runtime.sim_nodes[0].baseline.hash_index.stale
+
+
 def test_partitioned_nodes_do_not_replicate():
     # partition covers every workload batch; replication resumes only at
     # heal time, after the last write, so divergence persists at the end
@@ -197,8 +341,40 @@ def test_partitioned_nodes_do_not_replicate():
 
 
 @pytest.fixture(scope="module")
-def small_soak():
-    return soak(SoakConfig(total_ingest_blocks=24_000, intervals_per_day=24))
+def small_soak_run():
+    """The small soak's report and the SimRuntime it ran on."""
+    runtimes = []
+
+    class Recorded(SimRuntime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runtimes.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "SimRuntime", Recorded)
+        report = soak(SoakConfig(total_ingest_blocks=24_000, intervals_per_day=24))
+    (runtime,) = runtimes
+    return report, runtime
+
+
+@pytest.fixture(scope="module")
+def small_soak(small_soak_run):
+    return small_soak_run[0]
+
+
+def test_soak_ring_replicas_hold_every_id(small_soak_run):
+    report, rt = small_soak_run
+    assert rt.scenario.framework == "meta"
+    assert all(node.baseline is None for node in rt.sim_nodes)
+    for owner in rt.sim_nodes:
+        own = {e.id for e in owner.id_index.entries_above(owner.nid, 0)}
+        assert own
+        for peer_nid in rt.replica_peers[owner.nid]:
+            peer = rt.cluster.node(peer_nid)
+            assert own <= {e.id for e in peer.id_index.entries_above(owner.nid, 0)}
+    assert report.summary.ingests == sum(
+        len(n.id_index.entries_above(n.nid, 0)) for n in rt.sim_nodes
+    )
 
 
 def test_soak_emits_seventeen_events(small_soak):
@@ -256,15 +432,23 @@ def test_soak_config_from_yaml(tmp_path):
         "name: mini\nseed: 9\ndays: 7\ntotal_ingest_blocks: 5000\n"
         "intervals_per_day: 12\ncost: {fragmentation_factor: 0.011}\n"
     )
-    cfg = load_soak_config(str(path))
+    cfg = load_soak_config(path)
     assert cfg.name == "mini" and cfg.seed == 9
     report = soak(cfg)
     assert len(report.events) == 17
 
 
-def test_soak_rejects_ragged_replica_groups():
-    with pytest.raises(ScenarioValidation):
-        load_soak_config({"nodes": 10, "replica_factor": 3})
+def test_soak_accepts_ragged_ring_and_rejects_configs_without_a_substitute():
+    # ring placement needs no whole replica groups
+    report = soak(load_soak_config({
+        "nodes": 10, "replica_factor": 3, "total_ingest_blocks": 3_000, "intervals_per_day": 6,
+    }))
+    assert len(report.events) == 17
+    assert report.summary.violations.total == 0
+    for bad in ({"nodes": 3, "replica_factor": 3}, {"replica_factor": 1},
+                {"planned_every_hours": 0.0}, {"block_bytes_min": 0}):
+        with pytest.raises(ScenarioValidation):
+            load_soak_config(bad)
 
 
 def test_live_shadow_delta_parity_and_incremental_index_advantage():
