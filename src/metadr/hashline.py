@@ -22,6 +22,8 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
+from .identity import CompositeId
+
 DIGEST_BYTES = 32
 EMPTY_LEAF = b"\x00" * DIGEST_BYTES  # pad sentinel for unequal leaf counts
 EMPTY_TREE_ROOT = hashlib.sha256(b"").digest()
@@ -69,7 +71,7 @@ def payload_len(payload) -> int:
 
 
 class MerkleTree:
-    """Binary hash tree over leaf digests in block-locator order.
+    """Binary hash tree over leaf digests in block-store order.
 
     Fanout 2 with odd-node promotion: a level's odd trailing node is
     carried up unchanged (no hash charged). The empty tree's root is the
@@ -97,10 +99,6 @@ class MerkleTree:
             count += len(lower) // 2
             assert len(upper) == (len(lower) + 1) // 2
         return count
-
-    @property
-    def height(self) -> int:
-        return len(self.levels)
 
 
 def merkle_build(leaves: list[bytes], meter=None) -> MerkleTree:
@@ -173,13 +171,15 @@ def merkle_diff(a: MerkleTree, b: MerkleTree) -> MerkleDiff:
 class HashIndex:
     """Content-digest index: digest -> block locators, plus coverage state.
 
-    consistent_flag gates delta service; it is true only when every
-    ingested block is covered and the store has not been lost.
+    A locator is the block's key in the node's store, its composite id;
+    by_locator keeps the order blocks were hashed in. consistent_flag
+    gates delta service; it is true only when every ingested block is
+    covered and the store has not been lost.
     """
 
     def __init__(self) -> None:
-        self.by_digest: dict[bytes, set[int]] = {}
-        self.by_locator: dict[int, bytes] = {}
+        self.by_digest: dict[bytes, set[CompositeId]] = {}
+        self.by_locator: dict[CompositeId, bytes] = {}
         self.coverage_watermark = 0  # highest ingest sequence hashed
         self.lost = False
         self.stale = False  # uncovered ingests exist
@@ -188,17 +188,13 @@ class HashIndex:
     def consistent_flag(self) -> bool:
         return not self.lost and not self.stale
 
-    @property
-    def digest_count(self) -> int:
-        return len(self.by_digest)
-
-    def add(self, locator: int, digest: bytes, seq: int) -> None:
+    def add(self, locator: CompositeId, digest: bytes, seq: int) -> None:
         self.by_digest.setdefault(digest, set()).add(locator)
         self.by_locator[locator] = digest
         if seq > self.coverage_watermark:
             self.coverage_watermark = seq
 
-    def remove(self, locator: int) -> None:
+    def remove(self, locator: CompositeId) -> None:
         digest = self.by_locator.pop(locator, None)
         if digest is None:
             return
@@ -218,7 +214,7 @@ class HashIndex:
 @dataclass(slots=True)
 class PendingBlock:
     seq: int
-    locator: int
+    locator: CompositeId
     byte_len: int
     payload: object  # bytes or (byte_len, seed)
 
@@ -247,7 +243,7 @@ class PipelineState:
     def lag_bytes(self) -> int:
         return sum(p.byte_len for p in self.pending)
 
-    def enqueue(self, locator: int, payload, byte_len: int | None = None) -> None:
+    def enqueue(self, locator: CompositeId, payload, byte_len: int | None = None) -> None:
         self.ingested += 1
         if byte_len is None:
             byte_len = payload_len(payload)
@@ -308,7 +304,7 @@ def crash_interrupt(state: PipelineState) -> int:
 def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
     """Condition 3 recovery: full hash scan of the inventory.
 
-    `blocks` is an iterable of (locator, payload) in locator order. The
+    `blocks` is an iterable of (locator, payload) in store order. The
     meter is charged every content byte (virtual seconds = bytes/(H*C))
     plus one hash op per block and per internal tree node, and one
     content read per block.
@@ -329,24 +325,19 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
     return index, tree
 
 
-def hash_delta(local: HashIndex, remote: HashIndex) -> tuple[list[int], list[int]]:
+def hash_delta(
+    local: HashIndex, remote: HashIndex
+) -> tuple[list[CompositeId], list[CompositeId]]:
     """Digest-set symmetric difference mapped back to locators.
 
     Returns (missing_remote, missing_local): local locators whose digest
-    the remote lacks, and remote locators whose digest the local lacks.
-    Raises InconsistentIndex unless both indexes are trustworthy; paying
-    the rebuild/drain cost first is exactly the bottleneck under test.
+    the remote lacks, and remote locators whose digest the local lacks,
+    each in the order its index hashed them. Raises InconsistentIndex
+    unless both indexes are trustworthy; paying the rebuild/drain cost
+    first is exactly the bottleneck under test.
     """
     if not local.consistent_flag or not remote.consistent_flag:
         raise InconsistentIndex("hash index stale, interrupted, or lost; rehash required")
-    missing_remote: list[int] = []
-    missing_local: list[int] = []
-    for digest, locators in local.by_digest.items():
-        if digest not in remote.by_digest:
-            missing_remote.extend(locators)
-    for digest, locators in remote.by_digest.items():
-        if digest not in local.by_digest:
-            missing_local.extend(locators)
-    missing_remote.sort()
-    missing_local.sort()
+    missing_remote = [loc for loc, d in local.by_locator.items() if d not in remote.by_digest]
+    missing_local = [loc for loc, d in remote.by_locator.items() if d not in local.by_digest]
     return missing_remote, missing_local

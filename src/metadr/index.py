@@ -3,7 +3,9 @@
 Entries are kept in per-nid sequences sorted by lcv. Local ingests are
 appends (amortized O(1)); entries arriving via replication insert into
 foreign-nid sequences with binary search. Incremental range queries and
-the sorted set-difference delta computation both ride on that order.
+the sorted set-difference delta computation both ride on that order: a
+sync window (the entries above a checkpoint) is a suffix of each run,
+found by bisection and diffed in place.
 
 Wire format (bit-exact): a 16-byte header (magic ``MDRI``, u32 version,
 u64 entry count, all big-endian) followed by 32-byte encoded ids. Stream
@@ -45,10 +47,13 @@ class TruncatedStream(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class IndexEntry:
-    """Identifier-to-block mapping. 32 logical bytes on the wire."""
+    """A block's id and integrity metadata. 32 logical bytes on the wire.
+
+    The id is also the block's key in every node's store, so an entry
+    means the same thing on every replica and travels unchanged.
+    """
 
     id: CompositeId
-    location: int
     byte_len: int
     crc: int
     user_key: str | None = None
@@ -68,25 +73,19 @@ class _NidRun:
         self.entries: list[IndexEntry] = []
 
 
+_EMPTY_RUN = _NidRun()
+
+
 class IdentifierIndex:
     """Sorted per-nid identifier index with instrumented size accounting."""
 
-    def __init__(self, fragmentation_factor: float = 0.0) -> None:
+    def __init__(self) -> None:
         self._runs: dict[NodeId, _NidRun] = {}
         self.entry_count = 0
-        self.fragmentation_factor = fragmentation_factor
 
     @property
     def logical_size_bytes(self) -> int:
         return ENCODED_ID_BYTES * self.entry_count
-
-    @property
-    def fragmentation_overhead_bytes(self) -> float:
-        return ENCODED_ID_BYTES * self.entry_count * self.fragmentation_factor
-
-    @property
-    def physical_size(self) -> float:
-        return physical_size_bytes(self, self.fragmentation_factor)
 
     def nids(self) -> list[NodeId]:
         return sorted(self._runs, key=lambda n: n.value)
@@ -100,8 +99,7 @@ class IdentifierIndex:
 
         Re-inserting the same id is a no-op when the content identity
         (crc, byte_len) matches; a mismatch raises ConflictingEntry,
-        signaling corruption or an immutability violation. Locations are
-        node-local bookkeeping and do not participate in the check.
+        signaling corruption or an immutability violation.
         """
         nid = entry.id.nid
         lcv = entry.id.lcv
@@ -187,35 +185,40 @@ class Checkpoint:
 
 
 def set_difference(
-    a: IdentifierIndex, b: IdentifierIndex, meter=None
+    a: IdentifierIndex,
+    b: IdentifierIndex,
+    meter=None,
+    since: Checkpoint | None = None,
+    nids: list[NodeId] | None = None,
 ) -> tuple[list[CompositeId], list[CompositeId]]:
     """Symmetric difference of two indexes, partitioned by direction.
 
     Returns (missing_in_b, missing_in_a) in (nid, lcv) order, computed
-    by a single merge pass over the sorted structures. The instrumented
-    count is the number of merge-pass steps (head comparisons plus tail
-    drains, one per consumed element); every step advances at least one
-    cursor, so the count is at most |a| + |b|, and at fixed delta it
-    scales linearly with index size.
+    by a single merge pass over the sorted structures. `since` and
+    `nids` select the same window `serialize_index` streams: only
+    entries above each nid's watermark, only the given source nids.
+    Each run's window is found by bisection and diffed in place. The
+    instrumented count is the number of merge-pass steps (head
+    comparisons plus tail drains, one per consumed window element);
+    every step advances at least one cursor, so the count is at most
+    the two window sizes summed, and at fixed delta it scales linearly
+    with window size.
     """
     missing_in_b: list[CompositeId] = []
     missing_in_a: list[CompositeId] = []
     comparisons = 0
-    nids = sorted(set(a._runs) | set(b._runs), key=lambda n: n.value)
-    for nid in nids:
-        run_a = a._runs.get(nid)
-        run_b = b._runs.get(nid)
-        if run_a is None:
-            missing_in_a.extend(e.id for e in run_b.entries)
-            comparisons += len(run_b.entries)
-            continue
-        if run_b is None:
-            missing_in_b.extend(e.id for e in run_a.entries)
-            comparisons += len(run_a.entries)
-            continue
+    selected = set(a._runs) | set(b._runs) if nids is None else set(nids)
+    for nid in sorted(selected, key=lambda n: n.value):
+        run_a = a._runs.get(nid, _EMPTY_RUN)
+        run_b = b._runs.get(nid, _EMPTY_RUN)
         la, lb = run_a.lcvs, run_b.lcvs
         ea, eb = run_a.entries, run_b.entries
-        i = j = 0
+        if since is None:
+            i = j = 0
+        else:
+            floor = since.watermark(nid)
+            i = bisect_right(la, floor)
+            j = bisect_right(lb, floor)
         na, nb = len(la), len(lb)
         while i < na and j < nb:
             comparisons += 1
@@ -230,12 +233,8 @@ def set_difference(
                 missing_in_a.append(eb[j].id)
                 j += 1
         comparisons += (na - i) + (nb - j)
-        while i < na:
-            missing_in_b.append(ea[i].id)
-            i += 1
-        while j < nb:
-            missing_in_a.append(eb[j].id)
-            j += 1
+        missing_in_b.extend(e.id for e in ea[i:])
+        missing_in_a.extend(e.id for e in eb[j:])
     if meter is not None:
         meter.add_comparisons(comparisons)
     return missing_in_b, missing_in_a

@@ -6,6 +6,8 @@ legacy hash index for migration. Ingestion assigns identity *before*
 any content analysis: the whole metadata identification path performs
 zero content hashing, which the instrumented counters make checkable.
 
+The block store is keyed by the block's composite id, the same key the
+index and the DR delta use; dict order is the order blocks arrived.
 Blocks are immutable once an id is bound; mutation means a fresh
 ingestion under the same user key, with reads resolving to the highest
 lcv (ties to the greater nid) on every replica. Integrity is a separate
@@ -13,15 +15,16 @@ concern from identity: every block carries a CRC-32C verified at read
 time and by background scrubbing.
 
 Layer 2 deduplication consolidates content-equal blocks behind a
-transparent indirection table. It is structurally barred from running
-while a DR event is active, and its hashing is charged to a background
-meter so DR critical-path counters stay clean.
+transparent indirection table (id -> id of the kept copy). It is
+structurally barred from running while a DR event is active, and its
+hashing is charged to a background meter so DR critical-path counters
+stay clean.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .crc32c import crc32c
@@ -75,7 +78,7 @@ class Block:
 
 @dataclass
 class CorruptionReport:
-    findings: list[tuple[int, int, int]] = field(default_factory=list)  # locator, expected, found
+    findings: list[tuple[CompositeId, int, int]] = field(default_factory=list)  # id, expected, found
 
     @property
     def clean(self) -> bool:
@@ -87,7 +90,7 @@ class LookupResult:
     tier: str  # "identifier" | "legacy"
     id: CompositeId | None = None
     digest: bytes | None = None
-    locator: int | None = None
+    locator: CompositeId | None = None  # store key of the legacy block
 
 
 def _descriptor_crc(byte_len: int, seed: int) -> int:
@@ -145,15 +148,14 @@ class StorageNode:
         *,
         baseline: bool = False,
         migration: bool = False,
-        fragmentation_factor: float = 0.0,
     ) -> None:
         self.nid = nid
         self.wal = wal if wal is not None else MemoryWal()
         self.clock = recover_clock(self.wal)
         self.status = NodeStatus.UP
-        self.id_index = IdentifierIndex(fragmentation_factor)
-        self.block_store: dict[int, Block] = {}
-        self.indirection_table: dict[CompositeId, int] = {}
+        self.id_index = IdentifierIndex()
+        self.block_store: dict[CompositeId, Block] = {}
+        self.indirection_table: dict[CompositeId, CompositeId] = {}
         self.by_user_key: dict[str, CompositeId] = {}
         self.counters = PathCounters()
         self.background_meter = _BackgroundMeter(self.counters)
@@ -164,12 +166,10 @@ class StorageNode:
         self.dr_active = False
         self.dedup_deferrals = 0
         self.pending_wal_replay_s = 0.0
-        self._next_locator = 0
         self._scrub_cursor = 0
         self._dedup_cursor = 0
-        self._dedup_seen: dict[bytes, int] = {}
+        self._dedup_seen: dict[bytes, CompositeId] = {}
         self._max_exposed_lcv = 0
-        self.ingest_count = 0
 
     # -- ingestion -----------------------------------------------------
 
@@ -204,28 +204,23 @@ class StorageNode:
                 user_key=user_key,
                 content_seed=seed,
             )
-        locator = self._next_locator
-        self._next_locator += 1
-        self.bind_block(locator, block)
-        self.id_index.insert(
-            IndexEntry(cid, locator, block.byte_len, block.crc, user_key)
-        )
+        self.bind_block(block)
+        self.id_index.insert(IndexEntry(cid, block.byte_len, block.crc, user_key))
         if user_key is not None:
             current = self.by_user_key.get(user_key)
             if current is None or lww_key(cid) > lww_key(current):
                 self.by_user_key[user_key] = cid
         if self.baseline is not None:
-            self.baseline.pipeline.enqueue(locator, block.payload, block.byte_len)
-        self.ingest_count += 1
+            self.baseline.pipeline.enqueue(cid, block.payload, block.byte_len)
         return cid
 
-    def bind_block(self, locator: int, block: Block) -> None:
-        """Low-level store write; rebinding an occupied locator is the
+    def bind_block(self, block: Block) -> None:
+        """Low-level store write; rebinding an id already bound is the
         in-place-overwrite misuse path."""
-        if locator in self.block_store:
+        if block.id in self.block_store:
             self.counters.immutability_violations += 1
-            raise ImmutabilityViolation(f"locator {locator} already bound")
-        self.block_store[locator] = block
+            raise ImmutabilityViolation(f"id {block.id} already bound")
+        self.block_store[block.id] = block
 
     def mutate(self, user_key: str, payload) -> CompositeId:
         """Mutation = new ingestion event with a fresh identifier.
@@ -240,32 +235,24 @@ class StorageNode:
     def replicate_in(self, entry: IndexEntry, block: Block) -> None:
         """Accept a foreign block + entry during replication or sync.
 
-        Locators are node-local, so the incoming entry is re-homed to a
-        fresh local locator. Re-replication of a known id is a no-op.
+        The entry is the source's own: it carries only the id and the
+        block's integrity metadata, so it is inserted as it arrives and
+        the block is stored under its id. Re-replication of a known id
+        is a no-op.
         """
         if entry.id in self.id_index:
             return
-        locator = self._next_locator
-        self._next_locator += 1
-        self.block_store[locator] = block
-        self.id_index.insert(replace(entry, location=locator))
+        self.block_store[entry.id] = block
+        self.id_index.insert(entry)
         key = entry.user_key
         if key is not None:
             current = self.by_user_key.get(key)
             if current is None or lww_key(entry.id) > lww_key(current):
                 self.by_user_key[key] = entry.id
         if self.baseline is not None:
-            self.baseline.pipeline.enqueue(locator, block.payload, block.byte_len)
+            self.baseline.pipeline.enqueue(entry.id, block.payload, block.byte_len)
 
     # -- reads and integrity -------------------------------------------
-
-    def locate(self, cid: CompositeId) -> int:
-        entry = self.id_index.get(cid)
-        if entry is None:
-            raise NotFound(f"id {cid} not present")
-        # Layer-2 indirection is transparent to readers and is never
-        # consulted during DR identification (which uses ids only).
-        return self.indirection_table.get(cid, entry.location)
 
     def read_verify(self, cid: CompositeId) -> bytes:
         """Return the block's bytes after CRC-32C verification.
@@ -276,8 +263,10 @@ class StorageNode:
         entry = self.id_index.get(cid)
         if entry is None:
             raise NotFound(f"id {cid} not present")
-        locator = self.indirection_table.get(cid, entry.location)
-        block = self.block_store.get(locator)
+        # Layer-2 indirection is transparent to readers and is never
+        # consulted during DR identification (which uses ids only)
+        key = self.indirection_table.get(cid, cid)
+        block = self.block_store.get(key)
         if block is None:
             raise NotFound(f"block for id {cid} missing from store")
         if block.content is not None:
@@ -288,7 +277,7 @@ class StorageNode:
             found = crc32c(raw)
         if found != entry.crc:
             raise CorruptionDetected(
-                f"crc mismatch at locator {locator}: expected {entry.crc:#010x}, found {found:#010x}"
+                f"crc mismatch at {key}: expected {entry.crc:#010x}, found {found:#010x}"
             )
         return raw
 
@@ -299,9 +288,9 @@ class StorageNode:
             raise NotFound(f"user_key {user_key!r} unknown")
         return self.read_verify(cid)
 
-    def corrupt_block(self, locator: int) -> None:
+    def corrupt_block(self, key: CompositeId) -> None:
         """Test hook: flip a stored byte (silent corruption injection)."""
-        block = self.block_store[locator]
+        block = self.block_store[key]
         if block.content is not None:
             mutated = bytearray(block.content)
             mutated[0] ^= 0xFF
@@ -310,27 +299,27 @@ class StorageNode:
         else:
             tampered = Block(block.id, block.byte_len, block.crc, block.user_key,
                              content_seed=(block.content_seed or 0) ^ 0x1)
-        self.block_store[locator] = tampered
+        self.block_store[key] = tampered
 
     def scrub(self, budget_blocks: int) -> CorruptionReport:
         """Verify up to budget blocks round-robin; never mutates data."""
         report = CorruptionReport()
         if budget_blocks <= 0 or not self.block_store:
             return report
-        locators = sorted(self.block_store)
-        n = len(locators)
+        keys = list(self.block_store)
+        n = len(keys)
         start = self._scrub_cursor % n
         for i in range(min(budget_blocks, n)):
-            locator = locators[(start + i) % n]
-            block = self.block_store[locator]
-            expected = self.id_index.get(block.id)
+            key = keys[(start + i) % n]
+            block = self.block_store[key]
+            expected = self.id_index.get(key)
             expected_crc = expected.crc if expected is not None else block.crc
             if block.content is not None:
                 found = crc32c(block.content)
             else:
                 found = _descriptor_crc(block.byte_len, block.content_seed or 0)
             if found != expected_crc:
-                report.findings.append((locator, expected_crc, found))
+                report.findings.append((key, expected_crc, found))
         self._scrub_cursor = (start + min(budget_blocks, n)) % n
         return report
 
@@ -389,18 +378,18 @@ class StorageNode:
         """Pre-migration data: present only in the legacy hash index."""
         if self.legacy_hash_index is None:
             raise RuntimeError("migration mode not enabled")
-        locator = self._next_locator
-        self._next_locator += 1
         digest = payload_digest(content, self.background_meter)
-        # Legacy blocks have no composite id yet; store under a sentinel.
-        self.block_store[locator] = Block(
-            id=CompositeId(self.nid, 0, 0),
+        # Legacy blocks have no composite id yet. They key as lcv 0, which a
+        # clock never hands out, numbered in the namespace-tag field.
+        key = CompositeId(self.nid, 0, self._legacy_seeded)
+        self.block_store[key] = Block(
+            id=key,
             byte_len=len(content),
             crc=crc32c(content),
             user_key=user_key,
             content=content,
         )
-        self.legacy_hash_index[user_key] = (locator, digest)
+        self.legacy_hash_index[user_key] = (key, digest)
         self._legacy_seeded += 1
 
     def dual_lookup(self, user_key: str) -> LookupResult:
@@ -412,8 +401,8 @@ class StorageNode:
             return LookupResult(tier="identifier", id=cid)
         legacy = self.legacy_hash_index.get(user_key)
         if legacy is not None:
-            locator, digest = legacy
-            return LookupResult(tier="legacy", digest=digest, locator=locator)
+            key, digest = legacy
+            return LookupResult(tier="legacy", digest=digest, locator=key)
         raise NotFound(f"user_key {user_key!r} in neither tier")
 
     def migrate_on_access(self, user_key: str) -> CompositeId:
@@ -427,8 +416,8 @@ class StorageNode:
         legacy = self.legacy_hash_index.get(user_key)
         if legacy is None:
             raise NotFound(f"user_key {user_key!r} not in legacy tier")
-        locator, _digest = legacy
-        block = self.block_store.pop(locator)
+        key, _digest = legacy
+        block = self.block_store.pop(key)
         cid = self.ingest(block.content, user_key=user_key)
         del self.legacy_hash_index[user_key]
         self._migrated_keys += 1
@@ -455,24 +444,24 @@ class StorageNode:
         if budget_blocks <= 0 or not self.block_store:
             return 0
         consolidated = 0
-        locators = sorted(self.block_store)
-        n = len(locators)
+        keys = list(self.block_store)
+        n = len(keys)
         scanned = 0
         i = self._dedup_cursor % n
         while scanned < min(budget_blocks, n):
-            locator = locators[i % n]
+            key = keys[i % n]
             i += 1
             scanned += 1
-            block = self.block_store.get(locator)
-            if block is None or block.id.lcv == 0:
+            block = self.block_store.get(key)
+            if block is None or key.lcv == 0:
                 continue
             digest = payload_digest(block.payload, self.background_meter)
             canonical = self._dedup_seen.get(digest)
-            if canonical is None or canonical == locator or canonical not in self.block_store:
-                self._dedup_seen[digest] = locator
+            if canonical is None or canonical == key or canonical not in self.block_store:
+                self._dedup_seen[digest] = key
                 continue
-            self.indirection_table[block.id] = canonical
-            del self.block_store[locator]
+            self.indirection_table[key] = canonical
+            del self.block_store[key]
             consolidated += 1
         self._dedup_cursor = i % n if self.block_store else 0
         return consolidated

@@ -227,12 +227,16 @@ def validate_scenario(s: Scenario) -> None:
     if not 0 < s.inventory.block_bytes_min <= s.inventory.block_bytes_max:
         raise ScenarioValidation("inventory needs 0 < block_bytes_min <= block_bytes_max")
     try:
-        DnsRecordSet.from_zone_lines(s.discovery.zone)
+        records = DnsRecordSet.from_zone_lines(s.discovery.zone)
     except ValueError as exc:
         raise ScenarioValidation(f"discovery.zone: {exc}") from exc
+    for i in range(nodes):  # the runtime binds host-i as an endpoint
+        if f"host-{i}" in records.cname_records:
+            raise ScenarioValidation(
+                f"discovery.zone: host-{i} is node {i}'s endpoint name, not a CNAME"
+            )
     windows: list[tuple[float, float, frozenset]] = []
-    crashed: set[int] = set()  # lifecycle replay; every other node is up
-    for f in sorted(s.faults, key=lambda f: f.at_hours):  # stable: run order
+    for f in s.faults:
         if f.kind not in _FAULT_FIELDS:
             raise ScenarioValidation(f"unknown fault kind {f.kind!r}")
         event = f"{f.kind} at {f.at_hours}h"
@@ -254,6 +258,15 @@ def validate_scenario(s: Scenario) -> None:
                 if f.at_hours < end and start < f.until_hours and members & other:
                     raise ScenarioValidation("overlapping partitions share nodes")
             windows.append((f.at_hours, f.until_hours, members))
+    # replay in run order: each node's up/crashed state, the open partitions
+    crashed: set[int] = set()  # every other node is up
+    partitions: list[FaultSpec] = []
+    for _at, _seq, kind, f in _fault_schedule(s.faults):
+        event = f"{f.kind} at {f.at_hours}h"
+        if kind == "heal":
+            partitions.remove(f)
+        elif f.kind == "partition":
+            partitions.append(f)
         elif f.kind == "crash":  # any fault_kind but "none" tears the WAL tail
             if f.node in crashed:
                 raise ScenarioValidation(f"{event}: node {f.node} is already down")
@@ -274,12 +287,36 @@ def validate_scenario(s: Scenario) -> None:
             if f.substitute in crashed:
                 raise ScenarioValidation(f"{event}: substitute {f.substitute} is down")
             replicas = {(f.failed + k) % nodes for k in range(1, s.cluster.replica_factor)}
-            if not replicas - crashed - {f.substitute}:
+            if not any(
+                _reachable(partitions, f.substitute, r)
+                for r in replicas - crashed - {f.substitute}
+            ):
                 raise ScenarioValidation(
-                    f"{event}: no up replica of node {f.failed} besides the substitute"
+                    f"{event}: no up replica of node {f.failed} that substitute "
+                    f"{f.substitute} can reach"
                 )
         elif f.kind == "failback" and f.node in crashed:
             raise ScenarioValidation(f"{event}: node {f.node} is down")
+
+
+def _reachable(partitions: list[FaultSpec], a: int, b: int) -> bool:
+    return not any(
+        (a in p.side_a and b in p.side_b) or (a in p.side_b and b in p.side_a)
+        for p in partitions
+    )
+
+
+def _fault_schedule(faults: list[FaultSpec]) -> list[tuple[float, int, str, FaultSpec]]:
+    """(at_hours, seq, "fault" | "heal", fault) for each fault and each
+    partition's end, in run order: by time, then by list position, with a
+    partition's heal ordered right after the partition itself."""
+    schedule = []
+    for seq, f in enumerate(faults):
+        schedule.append((f.at_hours, 2 * seq, "fault", f))
+        if f.kind == "partition":
+            schedule.append((f.until_hours, 2 * seq + 1, "heal", f))
+    schedule.sort(key=lambda item: item[:2])
+    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +390,7 @@ class SimRuntime:
         rng_ids = Random(f"{self.seed}:nid")
         n = scenario.cluster.nodes
         self.sim_nodes: list[StorageNode] = [
-            StorageNode(
-                new_node_id(rng_ids),
-                baseline=baseline,
-                fragmentation_factor=scenario.cost.fragmentation_factor,
-            )
-            for _ in range(n)
+            StorageNode(new_node_id(rng_ids), baseline=baseline) for _ in range(n)
         ]
         # ring placement: node i replicates to nodes i+1 .. i+rf-1
         self.replica_peers = {
@@ -372,14 +404,15 @@ class SimRuntime:
 
         self.records = DnsRecordSet.from_zone_lines(scenario.discovery.zone)
         self.registry = Registry(records=self.records)
-        for i, node in enumerate(self.sim_nodes):
-            service = f"service-{i}"
+        # node i answers at host-i (a failover rebinds service-i to the
+        # substitute's host-j); the zone may pin either name beforehand
+        for i in range(n):
+            host, service = f"host-{i}", f"service-{i}"
+            if host not in self.records.endpoint_records:
+                self.records.add_endpoint(host, f"10.0.0.{10 + i}:7000")
             if service not in self.records.cname_records and (
                 service not in self.records.endpoint_records
             ):
-                host = f"host-{i}"
-                if host not in self.records.endpoint_records:
-                    self.records.add_endpoint(host, f"10.0.0.{10 + i}:7000")
                 self.records.add_cname(service, host)
         self.registry.bulk_register(
             [(node.nid, f"service-{i}") for i, node in enumerate(self.sim_nodes)]
@@ -438,7 +471,7 @@ class SimRuntime:
                 continue
             ckpt = self.cluster.checkpoint(node.nid, peer.nid)
             for entry in node.id_index.entries_above(node.nid, ckpt.watermark(node.nid)):
-                peer.replicate_in(entry, node.block_store[entry.location])
+                peer.replicate_in(entry, node.block_store[entry.id])
             ckpt.advance(node.nid, node.id_index.max_lcv(node.nid))
 
     # -- fault handlers --------------------------------------------------
@@ -521,10 +554,8 @@ class SimRuntime:
                 meter,
             )
             meter.charge_index_transfer(plan.index_bytes_exchanged)
-            for locator in plan.ids_to_pull:
-                moved += survivor.block_store[locator].byte_len
-            for locator in plan.ids_to_push:
-                moved += substitute.block_store[locator].byte_len
+            moved += sum(survivor.block_store[cid].byte_len for cid in plan.ids_to_pull)
+            moved += sum(substitute.block_store[cid].byte_len for cid in plan.ids_to_push)
         if moved:
             meter.charge_delta_transfer(moved)
         if self.scenario.volumetrics is not None:
@@ -557,36 +588,26 @@ class SimRuntime:
                 self.ingest_batch(node, s.inventory.blocks_per_node)
         self._sample(0.0)
 
-        schedule: list[tuple[float, int, str, object]] = []
-        seq = 0
+        # each hour's workload runs ahead of the faults at that hour
         rate = s.workload.blocks_per_hour_per_node
-        if rate > 0:
-            hours = int(math.floor(s.horizon_hours))
-            for h in range(1, hours + 1):
-                schedule.append((float(h), seq, "workload", rate))
-                seq += 1
-        for f in s.faults:
-            schedule.append((f.at_hours, seq, "fault", f))
-            seq += 1
-            if f.kind == "partition":
-                schedule.append(
-                    (f.until_hours, seq, "heal", (frozenset(self.sim_nodes[i].nid for i in f.side_a),
-                                                  frozenset(self.sim_nodes[i].nid for i in f.side_b)))
-                )
-                seq += 1
-        schedule.sort(key=lambda item: (item[0], item[1]))
+        hours = int(math.floor(s.horizon_hours)) if rate > 0 else 0
+        schedule = [(float(h), -1, "workload", None) for h in range(1, hours + 1)]
+        schedule.extend(_fault_schedule(s.faults))
+        schedule.sort(key=lambda item: item[:2])
 
-        for at, _seq, kind, payload in schedule:
+        for at, _seq, kind, f in schedule:
             if kind == "workload":
                 for node in self.sim_nodes:
                     if node.status is NodeStatus.UP:
-                        self.ingest_batch(node, payload)
+                        self.ingest_batch(node, rate)
                 self._sample(at)
             elif kind == "heal":
-                if payload in self.cluster.partitions:
-                    self.cluster.partitions.remove(payload)
+                sides = (frozenset(self.sim_nodes[i].nid for i in f.side_a),
+                         frozenset(self.sim_nodes[i].nid for i in f.side_b))
+                if sides in self.cluster.partitions:
+                    self.cluster.partitions.remove(sides)
             else:
-                self.apply_fault(payload)
+                self.apply_fault(f)
 
         self._finalize()
         return self.metrics

@@ -4,7 +4,10 @@ Synchronization is an incremental index exchange. Each node pair shares
 a checkpoint (per-source-nid watermarks of the highest mutually
 synchronized lcv); a session exchanges only the windows above the
 checkpoint, diffs them with a single merge pass, transfers the missing
-blocks in both directions, and advances the checkpoint. Because every
+blocks in both directions, and advances the checkpoint. A window is the
+suffix of each per-nid run above its watermark: the wire stream of each
+side is serialized for its size, and the diff bisects both indexes to
+their windows in place. Because every
 pull takes the peer's whole window, per-source holdings remain prefixes
 of the source's emission order, which keeps max-based watermarks sound.
 
@@ -49,8 +52,9 @@ class NodeStatusError(RuntimeError):
 class DeltaPlan:
     """What a sync session decided to move.
 
-    ids_to_pull / ids_to_push hold CompositeIds for the metadata
-    framework and block locators for the hash baseline. A nonzero
+    ids_to_pull / ids_to_push hold CompositeIds under both frameworks:
+    the metadata framework finds them by id, the hash baseline by
+    digest (its locator is the block's id). A nonzero
     rehash_required_bytes means the plan is not serviceable until that
     hashing cost has been paid (the baseline's bottleneck).
     """
@@ -168,19 +172,6 @@ class Cluster:
         return sorted(eligible, key=lambda n: n.nid.value)
 
 
-def _window(
-    idx: IdentifierIndex, ckpt: Checkpoint, scope_nids=None
-) -> tuple[IdentifierIndex, int]:
-    """Build the above-checkpoint window and its wire size."""
-    window = IdentifierIndex()
-    nids = idx.nids() if scope_nids is None else [n for n in scope_nids if n in idx._runs]
-    for nid in nids:
-        for entry in idx.entries_above(nid, ckpt.watermark(nid)):
-            window.insert(entry)
-    stream = serialize_index(idx, since=ckpt, nids=scope_nids)
-    return window, len(stream)
-
-
 def compute_delta_meta(
     local: IdentifierIndex,
     peer_checkpoint: Checkpoint,
@@ -190,20 +181,25 @@ def compute_delta_meta(
 ) -> DeltaPlan:
     """Plan a metadata-framework sync from the incremental windows.
 
-    Both sides contribute only entries above the shared checkpoint; the
-    windows are diffed with one merge pass. No hashing is ever required:
+    Both sides contribute only entries above the shared checkpoint: each
+    side's window is the wire stream it sends, and the two windows are
+    diffed in place with one merge pass. No hashing is ever required:
     rehash_required_bytes is 0 by construction. scope_nids restricts the
     session to the given source nids (e.g. just the failed node's data).
     """
-    local_window, local_bytes = _window(local, peer_checkpoint, scope_nids)
-    peer_window, peer_bytes = _window(peer_index, peer_checkpoint, scope_nids)
-    missing_in_peer, missing_in_local = set_difference(local_window, peer_window, meter)
-    pull_bytes = sum(peer_window.get(cid).byte_len for cid in missing_in_local)
-    push_bytes = sum(local_window.get(cid).byte_len for cid in missing_in_peer)
+    exchanged = sum(
+        len(serialize_index(idx, since=peer_checkpoint, nids=scope_nids))
+        for idx in (local, peer_index)
+    )
+    missing_in_peer, missing_in_local = set_difference(
+        local, peer_index, meter, since=peer_checkpoint, nids=scope_nids
+    )
+    pull_bytes = sum(peer_index.get(cid).byte_len for cid in missing_in_local)
+    push_bytes = sum(local.get(cid).byte_len for cid in missing_in_peer)
     return DeltaPlan(
         ids_to_pull=missing_in_local,
         ids_to_push=missing_in_peer,
-        index_bytes_exchanged=local_bytes + peer_bytes,
+        index_bytes_exchanged=exchanged,
         content_bytes_to_transfer=pull_bytes + push_bytes,
         rehash_required_bytes=0,
     )
@@ -275,8 +271,7 @@ def _transfer_meta(puller: StorageNode, source: StorageNode, ids: list[Composite
     moved = 0
     for cid in ids:
         entry = source.id_index.get(cid)
-        locator = source.indirection_table.get(cid, entry.location)
-        block = source.block_store[locator]
+        block = source.block_store[source.indirection_table.get(cid, cid)]
         puller.replicate_in(entry, block)
         moved += entry.byte_len
     return moved
@@ -326,9 +321,7 @@ def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None
     if baseline is None:
         return 0
     if baseline.hash_index.lost:
-        blocks = [
-            (locator, block.payload) for locator, block in sorted(node.block_store.items())
-        ]
+        blocks = [(cid, block.payload) for cid, block in node.block_store.items()]
         hashed = sum(block.byte_len for block in node.block_store.values())
         new_index, tree = rebuild_index(blocks, meter)
         ingested = baseline.pipeline.ingested
@@ -345,22 +338,20 @@ def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None
     return 0
 
 
-def _transfer_hash(puller: StorageNode, source: StorageNode, locators: list[int]) -> int:
+def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
     moved = 0
-    for locator in locators:
-        block = source.block_store[locator]
-        entry = source.id_index.get(block.id)
-        digest = source.baseline.hash_index.by_locator[locator]
-        puller.replicate_in(entry, block)
-        local_entry = puller.id_index.get(block.id)
+    for cid in ids:
+        block = source.block_store[cid]
+        digest = source.baseline.hash_index.by_locator[cid]
+        puller.replicate_in(source.id_index.get(cid), block)
         pipeline = puller.baseline.pipeline
         # The digest travels with the block; retire the pipeline entry
         # replicate_in just queued instead of rehashing on arrival.
-        if pipeline.pending and pipeline.pending[-1].locator == local_entry.location:
+        if pipeline.pending and pipeline.pending[-1].locator == cid:
             pending = pipeline.pending.pop()
             pipeline.hashed += 1
             pipeline.hashed_since_checkpoint.append(pending)
-            puller.baseline.hash_index.add(local_entry.location, digest, pending.seq)
+            puller.baseline.hash_index.add(cid, digest, pending.seq)
             if not pipeline.pending and not pipeline.index.lost:
                 pipeline.index.stale = False
         moved += block.byte_len
@@ -395,14 +386,9 @@ def verify_superset(
     """Identity-level superset check: nothing any survivor holds (within
     scope) may be missing from the substitute. No content comparison."""
     for survivor in survivors:
-        if scope_nids is None:
-            _, missing_in_sub = set_difference(substitute.id_index, survivor.id_index)
-        else:
-            missing_in_sub = []
-            for nid in scope_nids:
-                for entry in survivor.id_index.entries_above(nid, 0):
-                    if entry.id not in substitute.id_index:
-                        missing_in_sub.append(entry.id)
+        _, missing_in_sub = set_difference(
+            substitute.id_index, survivor.id_index, nids=scope_nids
+        )
         if missing_in_sub:
             raise RuntimeError(
                 f"superset verification failed: {len(missing_in_sub)} ids missing"

@@ -150,10 +150,8 @@ def _framework_equivalence_case(seed: int) -> tuple[bool, str]:
     missing_b, missing_a = hashline.hash_delta(
         a.baseline.hash_index, b.baseline.hash_index
     )
-    hash_pull_ids = {b.block_store[loc].id for loc in missing_a}
-    hash_push_ids = {a.block_store[loc].id for loc in missing_b}
     meta_push, meta_pull = set_difference(a.id_index, b.id_index)
-    if set(meta_pull) != hash_pull_ids or set(meta_push) != hash_push_ids:
+    if set(meta_pull) != set(missing_a) or set(meta_push) != set(missing_b):
         return False, "frameworks disagree on the delta block sets"
     sync_pair_meta(cluster, a, b)
     if not a.id_index.same_ids(b.id_index):

@@ -221,7 +221,7 @@ def test_criterion_7_oracle_equivalences(capsys):
         def build(pairs):
             idx = IdentifierIndex()
             for nid, lcv in pairs:
-                idx.insert(IndexEntry(identity.CompositeId(nid, lcv), lcv, 64, 0))
+                idx.insert(IndexEntry(identity.CompositeId(nid, lcv), 64, 0))
             return idx
 
         a, b = build(pairs_a), build(pairs_b)
@@ -320,7 +320,7 @@ def test_criterion_8_condition_instrumentation(paper_soak, capsys):
         a = IdentifierIndex()
         b = IdentifierIndex()
         for lcv in range(1, n_blocks + 1):
-            entry = IndexEntry(identity.CompositeId(nid, lcv), lcv, 64, 0)
+            entry = IndexEntry(identity.CompositeId(nid, lcv), 64, 0)
             a.insert(entry)
             if lcv <= n_blocks - 16:  # fixed delta of 16
                 b.insert(entry)

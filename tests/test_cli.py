@@ -133,6 +133,14 @@ def test_simulate_unknown_scenario_exits_2(capsys):
     # a string node ordinal beside a misspelled section
     "inventroy: {blocks_per_node: 10}\n"
     "faults:\n  - {kind: crash, at_hours: 1.0, node: \"1\"}\n",
+    # the failed node's only other replica is partitioned from the substitute
+    "faults:\n"
+    "  - {kind: partition, at_hours: 0.5, until_hours: 5.0, side_a: [1], side_b: [2]}\n"
+    "  - {kind: crash, at_hours: 1.0, node: 0}\n"
+    "  - {kind: failover, at_hours: 2.0, failed: 0, substitute: 2}\n"
+    "cluster: {nodes: 3, replica_factor: 2}\n",
+    # a zone line that turns the runtime's endpoint name into an alias
+    "discovery: {zone: [\"CNAME host-0 elsewhere\"]}\n",
 ])
 def test_simulate_bad_scenario_exits_2_with_one_error_line(tmp_path, capsys, text):
     path = tmp_path / "bad.yaml"
@@ -141,6 +149,36 @@ def test_simulate_bad_scenario_exits_2_with_one_error_line(tmp_path, capsys, tex
     assert code == 2
     (line,) = err.splitlines()
     assert line.startswith("error: ")
+
+
+def test_simulate_failover_after_partition_heals_runs(tmp_path, capsys):
+    path = tmp_path / "healed.yaml"
+    path.write_text(
+        "cluster: {nodes: 3, replica_factor: 2}\n"
+        "faults:\n"
+        "  - {kind: partition, at_hours: 0.5, until_hours: 2.0, side_a: [1], side_b: [2]}\n"
+        "  - {kind: crash, at_hours: 1.0, node: 0}\n"
+        "  - {kind: failover, at_hours: 2.0, failed: 0, substitute: 2}\n"
+    )
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--format", "csv")
+    assert code == 0
+    assert "failover 0->2" in out
+
+
+def test_simulate_zone_may_pin_a_service_name(tmp_path, capsys):
+    # service-1 is pinned, so the runtime binds no alias for it; a
+    # failover onto node 1 still rebinds service-0 to host-1
+    path = tmp_path / "pinned.yaml"
+    path.write_text(
+        "cluster: {nodes: 3, replica_factor: 3}\n"
+        "discovery: {zone: [\"ENDPT service-1 10.9.9.9:7000\"]}\n"
+        "faults:\n"
+        "  - {kind: crash, at_hours: 1.0, node: 0}\n"
+        "  - {kind: failover, at_hours: 2.0, failed: 0, substitute: 1}\n"
+    )
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--format", "csv")
+    assert code == 0
+    assert "via 10.0.0.11:7000" in out
 
 
 def test_soak_bad_config_exits_2(tmp_path, capsys):

@@ -24,9 +24,8 @@ N1 = NodeId(b"\x01" * 16)
 N2 = NodeId(b"\x02" * 16)
 
 
-def entry(nid, lcv, crc=0, location=None, user_key=None):
-    return IndexEntry(CompositeId(nid, lcv), location if location is not None else lcv,
-                      100, crc, user_key)
+def entry(nid, lcv, crc=0, user_key=None):
+    return IndexEntry(CompositeId(nid, lcv), 100, crc, user_key)
 
 
 def build_index(pairs):
@@ -69,7 +68,7 @@ def test_foreign_insert_keeps_order():
 
 def test_byte_len_must_be_positive():
     with pytest.raises(ValueError):
-        IndexEntry(CompositeId(N1, 1), 0, 0, 0)
+        IndexEntry(CompositeId(N1, 1), 0, 0)
 
 
 # -- entries_above --------------------------------------------------------------
@@ -174,6 +173,47 @@ def test_difference_property(lcvs_a, lcvs_b):
     missing_in_b, missing_in_a = set_difference(a, b)
     assert {c.lcv for c in missing_in_b} == lcvs_a - lcvs_b
     assert {c.lcv for c in missing_in_a} == lcvs_b - lcvs_a
+
+
+N3 = NodeId(b"\x03" * 16)
+_NIDS = (N1, N2, N3)
+
+
+def window_difference_oracle(a, b, meter, since, nids):
+    """The sync windows built the long way: each side's entries above the
+    watermark, for the selected nids, inserted into a fresh index, then
+    the two copies diffed."""
+    def window(idx):
+        copy = IdentifierIndex()
+        selected = idx.nids() if nids is None else [n for n in nids if n in idx._runs]
+        for nid in selected:
+            floor = since.watermark(nid) if since is not None else 0
+            for e in idx.entries_above(nid, floor):
+                copy.insert(e)
+        return copy
+
+    return set_difference(window(a), window(b), meter)
+
+
+_LCV_SETS = st.dictionaries(st.sampled_from(_NIDS), st.sets(st.integers(1, 60), max_size=25))
+
+
+@settings(max_examples=300)
+@given(
+    runs_a=_LCV_SETS,
+    runs_b=_LCV_SETS,
+    watermarks=st.none() | st.dictionaries(st.sampled_from(_NIDS), st.integers(0, 70)),
+    nids=st.none() | st.lists(st.sampled_from(_NIDS), max_size=4),
+)
+def test_windowed_difference_matches_window_copies(runs_a, runs_b, watermarks, nids):
+    a = build_index([(nid, lcv) for nid, lcvs in runs_a.items() for lcv in lcvs])
+    b = build_index([(nid, lcv) for nid, lcvs in runs_b.items() for lcv in lcvs])
+    since = None if watermarks is None else Checkpoint(peer=N2, watermarks=watermarks)
+    meter = CostMeter(CostModel())
+    oracle_meter = CostMeter(CostModel())
+    got = set_difference(a, b, meter, since=since, nids=nids)
+    assert got == window_difference_oracle(a, b, oracle_meter, since, nids)
+    assert meter.comparisons == oracle_meter.comparisons
 
 
 def test_partitioned_writes_split_cleanly_by_direction():

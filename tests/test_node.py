@@ -78,19 +78,18 @@ def test_key_written_on_two_nodes_reads_the_same_on_both():
         a.ingest(f"filler {i}".encode())
     a.ingest(b"from a", user_key="k")
     for entry in a.id_index.entries_above(a.nid, 0):
-        b.replicate_in(entry, a.block_store[entry.location])
+        b.replicate_in(entry, a.block_store[entry.id])
     b.ingest(b"from b", user_key="k")
     for entry in b.id_index.entries_above(b.nid, 0):
-        a.replicate_in(entry, b.block_store[entry.location])
+        a.replicate_in(entry, b.block_store[entry.id])
     assert a.read("k") == b.read("k") == b"from a"
 
 
 def test_in_place_overwrite_raises():
     node = fresh_node()
     cid = node.ingest(b"original")
-    entry = node.id_index.get(cid)
     with pytest.raises(ImmutabilityViolation):
-        node.bind_block(entry.location, Block(cid, 5, 0, None, content=b"evil!"))
+        node.bind_block(Block(cid, 5, 0, None, content=b"evil!"))
     assert node.counters.immutability_violations == 1
 
 
@@ -106,7 +105,7 @@ def test_read_verify_roundtrip():
 def test_corruption_detected_on_read():
     node = fresh_node()
     cid = node.ingest(b"precious data")
-    node.corrupt_block(node.id_index.get(cid).location)
+    node.corrupt_block(cid)
     with pytest.raises(CorruptionDetected):
         node.read_verify(cid)
 
@@ -134,7 +133,7 @@ def test_scrub_finds_injected_corruptions():
     node = fresh_node()
     ids = [node.ingest(f"block {i}".encode()) for i in range(50)]
     for cid in (ids[3], ids[17], ids[42]):
-        node.corrupt_block(node.id_index.get(cid).location)
+        node.corrupt_block(cid)
     report = node.scrub(1000)
     assert len(report.findings) == 3
 
@@ -150,7 +149,7 @@ def test_scrub_zero_budget():
 def test_scrub_round_robin_covers_store_across_calls():
     node = fresh_node()
     ids = [node.ingest(f"b{i}".encode()) for i in range(10)]
-    node.corrupt_block(node.id_index.get(ids[7]).location)
+    node.corrupt_block(ids[7])
     findings = []
     for _ in range(5):
         findings += node.scrub(2).findings
@@ -268,6 +267,21 @@ def test_migration_preserves_content():
     node = migration_node()
     cid = node.migrate_on_access("legacy2")
     assert node.read_verify(cid) == b"old content 2"
+
+
+def test_legacy_blocks_with_equal_content_keep_their_own_keys():
+    node = fresh_node(migration=True)
+    node.seed_legacy_block("twin-a", b"same old bytes")
+    node.seed_legacy_block("twin-b", b"same old bytes")
+    node.seed_legacy_block("other", b"different bytes")
+    assert node.physical_block_count == 3
+    assert node.scrub(10).clean
+    migrated = {key: node.migrate_on_access(key) for key in ("twin-b", "other", "twin-a")}
+    assert len(set(migrated.values())) == 3
+    assert node.read("twin-a") == node.read("twin-b") == b"same old bytes"
+    assert node.read("other") == b"different bytes"
+    assert node.physical_block_count == 3
+    assert node.scrub(10).clean
 
 
 def test_double_migrate_is_idempotent():

@@ -1,0 +1,67 @@
+"""Pinned outputs: the SHA-256 of the repr of fixed-seed runs.
+
+A refactor that must not change results (every virtual-seconds float
+included) keeps these digests. A deliberate change to the model updates
+them and says why.
+"""
+
+import hashlib
+from importlib import resources
+
+import pytest
+
+from metadr.simnet import SoakConfig, load_scenario, run_scenario, soak
+
+# One hash-framework run that restarts nodes with index_loss after
+# failover transfers: the rebuild hashes each store in its order, so the
+# order of the block store reaches the float sums of t_hash.
+HASH_RESTART_SCENARIO = {
+    "name": "hash-restart-index-loss", "seed": 5, "fidelity": "concrete",
+    "framework": "hash", "horizon_hours": 4.0,
+    "cluster": {"nodes": 3, "replica_factor": 2},
+    "inventory": {"blocks_per_node": 40, "block_bytes_min": 64, "block_bytes_max": 2048},
+    "workload": {"blocks_per_hour_per_node": 8},
+    "faults": [
+        {"kind": "crash", "at_hours": 1.0, "node": 0},
+        {"kind": "failover", "at_hours": 1.5, "failed": 0, "substitute": 2},
+        {"kind": "restart", "at_hours": 2.0, "node": 0, "fault_kind": "index_loss"},
+        {"kind": "failback", "at_hours": 2.5, "node": 0},
+        {"kind": "crash", "at_hours": 3.0, "node": 2},
+        {"kind": "restart", "at_hours": 3.25, "node": 2, "fault_kind": "index_loss"},
+        {"kind": "failback", "at_hours": 3.5, "node": 2},
+    ],
+}
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def bundled(name: str):
+    text = resources.files("metadr").joinpath("scenarios", f"{name}.yaml").read_text()
+    return load_scenario(text)
+
+
+def test_soak_output_is_pinned():
+    report = soak(SoakConfig(total_ingest_blocks=13_125, seed=101))
+    assert digest(report) == "e8cf0969e3bfbe257bf54104e7220aa2c2381662617cc4259150c8c7078d4cd4"
+
+
+@pytest.mark.parametrize("name,seed,expected", [
+    ("condition3-failover", 0,
+     "8c39443ead79dc70a721be4d0935594d4580624cfc9df45886a02b0943c9db83"),
+    ("condition3-failover", 7,
+     "cdfd77c257bd7110e1804d28e70df3f72cb5a204df768696df8609b5afe9d805"),
+    ("partition-converge", 0,
+     "7f0b73b977754293485170ef35b4540ce5aba3db3e937d241a27d713047755d5"),
+    ("partition-converge", 7,
+     "d048d99d246aa52ca6ee5cc68d2c73912823abd16a4418132af63e3b5ada7957"),
+])
+def test_bundled_scenario_metrics_are_pinned(name, seed, expected):
+    assert digest(run_scenario(bundled(name), seed)) == expected
+
+
+def test_hash_restart_after_transfers_is_pinned():
+    metrics = run_scenario(load_scenario(HASH_RESTART_SCENARIO))
+    assert [r.content_reads for e in metrics.events for r in e.reports] == [0, 96, 176]
+    assert digest(metrics) == "422ed8d6c0ad986546d8274d91bb68afe2202450b93c682afd3b3203f36453ed"

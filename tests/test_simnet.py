@@ -167,6 +167,50 @@ def test_load_scenario_returns_or_raises_validation_only(raw):
         pass
 
 
+_HOUR = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+_NODE = st.integers(0, 3)
+_RUN_FAULT = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["crash", "failback", "index_loss", "pipeline_crash"]),
+        "at_hours": _HOUR, "node": _NODE}),
+    st.fixed_dictionaries({
+        "kind": st.just("restart"), "at_hours": _HOUR, "node": _NODE,
+        "fault_kind": st.sampled_from(["none", "index_loss", "pipeline_crash"])}),
+    st.fixed_dictionaries({
+        "kind": st.just("failover"), "at_hours": _HOUR, "failed": _NODE, "substitute": _NODE}),
+    st.fixed_dictionaries({"kind": st.just("converge"), "at_hours": _HOUR, "a": _NODE, "b": _NODE}),
+    st.fixed_dictionaries({
+        "kind": st.just("partition"), "at_hours": _HOUR,
+        "until_hours": st.sampled_from([1.0, 2.0, 3.5]),
+        "side_a": st.lists(_NODE, min_size=1, max_size=2, unique=True),
+        "side_b": st.lists(_NODE, min_size=1, max_size=2, unique=True)}),
+)
+_RUNNABLE_SCENARIO = st.fixed_dictionaries({
+    "horizon_hours": st.just(4.0),
+    "framework": st.sampled_from(["meta", "hash", "both"]),
+    "cluster": st.fixed_dictionaries({
+        "nodes": st.integers(2, 4), "replica_factor": st.integers(2, 4)}),
+    "inventory": st.just({"blocks_per_node": 3, "block_bytes_min": 64, "block_bytes_max": 128}),
+    "workload": st.just({"blocks_per_hour_per_node": 2}),
+    "faults": st.lists(_RUN_FAULT, max_size=6),
+    "discovery": st.fixed_dictionaries({"zone": st.lists(st.sampled_from([
+        "ENDPT host-1 10.0.0.1:7000", "CNAME host-0 elsewhere",
+        "ENDPT service-1 10.9.9.9:7000", "CNAME service-2 host-0", "CNAME svc host-9",
+    ]), max_size=3)}),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_RUNNABLE_SCENARIO)
+def test_scenario_that_loads_also_runs(raw):
+    # validation is the only gate: a scenario it passes must not raise at run time
+    try:
+        scenario = load_scenario(raw)
+    except ScenarioValidation:
+        return
+    run_scenario(scenario)
+
+
 def test_validation_rejects_unknown_fault():
     bad = dict(PARTITION_SCENARIO, faults=[{"kind": "meteor", "at_hours": 1.0}])
     with pytest.raises(ScenarioValidation):
