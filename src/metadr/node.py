@@ -1,7 +1,7 @@
 """Storage-node state machine.
 
 A node owns a logical clock, an identifier index, a block store, and
-(optionally) the shadow baseline state (hash index + pipeline) and a
+(optionally) the hash baseline's state (hash index + pipeline) and a
 legacy hash index for migration. Ingestion assigns identity *before*
 any content analysis: the whole metadata identification path performs
 zero content hashing, which the instrumented counters make checkable.
@@ -18,7 +18,8 @@ Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
 structurally barred from running while a DR event is active, and its
 hashing is charged to a background meter so DR critical-path counters
-stay clean.
+stay clean. The hash baseline's sync binds a foreign id whose content
+the node already holds through the same table (`bind_alias`).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _descriptor_crc(byte_len: int, seed: int) -> int:
 
 @dataclass
 class BaselineState:
-    """Per-node shadow state for the hash-based framework."""
+    """Per-node state of the hash-based framework."""
 
     hash_index: HashIndex
     pipeline: PipelineState
@@ -205,11 +206,7 @@ class StorageNode:
                 content_seed=seed,
             )
         self.bind_block(block)
-        self.id_index.insert(IndexEntry(cid, block.byte_len, block.crc, user_key))
-        if user_key is not None:
-            current = self.by_user_key.get(user_key)
-            if current is None or lww_key(cid) > lww_key(current):
-                self.by_user_key[user_key] = cid
+        self._admit(IndexEntry(cid, block.byte_len, block.crc, user_key))
         if self.baseline is not None:
             self.baseline.pipeline.enqueue(cid, block.payload, block.byte_len)
         return cid
@@ -243,14 +240,27 @@ class StorageNode:
         if entry.id in self.id_index:
             return
         self.block_store[entry.id] = block
+        self._admit(entry)
+        if self.baseline is not None:
+            self.baseline.pipeline.enqueue(entry.id, block.payload, block.byte_len)
+
+    def bind_alias(self, entry: IndexEntry, kept: CompositeId) -> None:
+        """Accept a foreign id whose content this node already stores
+        under `kept`: the id reads through the indirection table and no
+        block is stored. A known id is a no-op."""
+        if entry.id in self.id_index:
+            return
+        self.indirection_table[entry.id] = self.indirection_table.get(kept, kept)
+        self._admit(entry)
+
+    def _admit(self, entry: IndexEntry) -> None:
+        """Index the entry; its key, if any, resolves by `lww_key`."""
         self.id_index.insert(entry)
         key = entry.user_key
         if key is not None:
             current = self.by_user_key.get(key)
             if current is None or lww_key(entry.id) > lww_key(current):
                 self.by_user_key[key] = entry.id
-        if self.baseline is not None:
-            self.baseline.pipeline.enqueue(entry.id, block.payload, block.byte_len)
 
     # -- reads and integrity -------------------------------------------
 

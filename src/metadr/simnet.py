@@ -40,12 +40,9 @@ from .identity import new_node_id
 from .node import RESTART_FAULT_KINDS, NodeStatus, StorageNode
 from .sync import (
     Cluster,
-    ConditionState,
     DrReport,
     Volumetrics,
-    compute_delta_hash,
     converge,
-    ensure_baseline_consistent,
     execute_failback,
     execute_failover,
     report_from_meter,
@@ -107,7 +104,7 @@ class Scenario:
     name: str = "scenario"
     seed: int = 0
     fidelity: str = "concrete"  # concrete | virtual
-    framework: str = "meta"  # meta | hash | both
+    framework: str = "meta"  # meta | hash | both (meta and hash twins from one seed)
     horizon_hours: float = 8.0
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     inventory: InventorySpec = field(default_factory=InventorySpec)
@@ -372,9 +369,13 @@ _SCRUB_BUDGET_BLOCKS = 20_000
 
 
 class SimRuntime:
-    """Executes one scenario on a virtual clock."""
+    """Executes one scenario under one framework on a virtual clock."""
 
     def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
+        if scenario.framework not in ("meta", "hash"):
+            raise ValueError(
+                f"a runtime runs framework meta or hash, not {scenario.framework!r}"
+            )
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.rng_work = Random(f"{self.seed}:workload")
@@ -386,7 +387,7 @@ class SimRuntime:
         self._key_counter = 0
         self._keys: list[str] = []
 
-        baseline = scenario.framework in ("hash", "both")
+        baseline = scenario.framework == "hash"
         rng_ids = Random(f"{self.seed}:nid")
         n = scenario.cluster.nodes
         self.sim_nodes: list[StorageNode] = [
@@ -476,11 +477,6 @@ class SimRuntime:
 
     # -- fault handlers --------------------------------------------------
 
-    def frameworks(self) -> list[str]:
-        if self.scenario.framework == "both":
-            return ["meta", "hash"]
-        return [self.scenario.framework]
-
     def apply_fault(self, f: FaultSpec) -> None:
         nodes = self.sim_nodes
         if f.kind == "crash":
@@ -522,47 +518,10 @@ class SimRuntime:
             rebind_cname(self.records, service, f"host-{f.substitute}")
             resolved = resolve(self.records, service).endpoint
             event.label += f" via {resolved}"
-        # shadow mode: the hash plan must observe the pre-transfer state,
-        # so it is accounted first; the metadata framework then performs
-        # the one actual transfer
-        shadow = None
-        if self.scenario.framework == "both":
-            shadow = self._shadow_hash_failover(failed, substitute)
-        event.reports.append(execute_failover(
-            self.cluster, failed.nid, substitute.nid, self.frameworks()[0],
-            volumetrics=self.scenario.volumetrics,
-        ))
-        if shadow is not None:
-            event.reports.append(shadow)
+        event.reports.append(self._event_report(execute_failover(
+            self.cluster, failed.nid, substitute.nid, self.scenario.framework
+        )))
         self.metrics.events.append(event)
-
-    def _shadow_hash_failover(self, failed, substitute) -> DrReport:
-        """Hash-framework accounting for the same event: pay whatever the
-        failure conditions owe, then plan against the consistent indexes.
-        Runs before the metadata transfer so both frameworks see the
-        same pre-event state."""
-        meter = CostMeter(self.scenario.cost)
-        survivors = self.cluster.survivors_for(failed.nid, substitute.nid)
-        for participant in [substitute] + survivors:
-            ensure_baseline_consistent(participant, meter)
-        moved = 0
-        for survivor in survivors:
-            plan = compute_delta_hash(
-                substitute.baseline.hash_index,
-                survivor.baseline.hash_index,
-                ConditionState(),
-                meter,
-            )
-            meter.charge_index_transfer(plan.index_bytes_exchanged)
-            moved += sum(survivor.block_store[cid].byte_len for cid in plan.ids_to_pull)
-            moved += sum(substitute.block_store[cid].byte_len for cid in plan.ids_to_push)
-        if moved:
-            meter.charge_delta_transfer(moved)
-        if self.scenario.volumetrics is not None:
-            return volumetric_report(
-                "failover", "hash", self.scenario.cost, self.scenario.volumetrics
-            )
-        return report_from_meter("failover", "hash", meter)
 
     def _dr_failback(self, f: FaultSpec) -> None:
         event = DrEvent(at_hours=f.at_hours, label=f"failback {f.node}")
@@ -570,13 +529,20 @@ class SimRuntime:
         service = f"service-{f.node}"
         if service in self.records.cname_records:
             rebind_cname(self.records, service, f"host-{f.node}")
-        for framework in self.frameworks():
-            report = execute_failback(
-                self.cluster, node.nid, framework,
-                volumetrics=self.scenario.volumetrics,
-            )
-            event.reports.append(report)
+        event.reports.append(self._event_report(
+            execute_failback(self.cluster, node.nid, self.scenario.framework)
+        ))
         self.metrics.events.append(event)
+
+    def _event_report(self, live: DrReport) -> DrReport:
+        """The event's report: the live one, or with declared volumetrics
+        the same event charged at production scale."""
+        vol = self.scenario.volumetrics
+        if vol is None:
+            return live
+        return volumetric_report(
+            live.kind, live.framework, self.scenario.cost, vol, wal_replay_s=live.t_wal_replay
+        )
 
     # -- main loop -------------------------------------------------------
 
@@ -633,8 +599,20 @@ class SimRuntime:
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> Metrics:
     """Execute the scenario's event script to completion; deterministic
-    for a fixed (scenario, seed)."""
-    return SimRuntime(scenario, seed).run()
+    for a fixed (scenario, seed).
+
+    `framework: both` runs a meta twin and a hash twin of the same
+    scenario and seed, and returns the meta twin's metrics with the hash
+    twin's failover and failback reports after the meta report of each
+    event.
+    """
+    if scenario.framework != "both":
+        return SimRuntime(scenario, seed).run()
+    metrics = SimRuntime(replace(scenario, framework="meta"), seed).run()
+    hashed = SimRuntime(replace(scenario, framework="hash"), seed).run()
+    for event, twin in zip(metrics.events, hashed.events, strict=True):
+        event.reports += [r for r in twin.reports if r.kind != "converge"]
+    return metrics
 
 
 # fault-injection entry points: schedule onto a runtime before run()
@@ -822,8 +800,8 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
     scoped to the nids involved.
 
     Planned events share one multiplicative jitter draw across both
-    frameworks (the shadow instance ran on identical workloads, so
-    event-local variation is common-mode); the draws are mean-normalized
+    frameworks (both reports describe the same event, so event-local
+    variation is common-mode); the draws are mean-normalized
     so aggregate means are seed-stable. Crash events carry explicit
     noise terms instead: a WAL-replay draw on the metadata side and a
     re-enqueued-rehash fraction on the baseline side.

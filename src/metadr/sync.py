@@ -15,11 +15,13 @@ Under the metadata framework the identification step touches ids only:
 no content is read and nothing is hashed, and the per-event report's
 counters prove it. Under the hash baseline, any active failure
 condition (stale, interrupted, or lost hash index) must be paid for in
-rehash time before a delta can even be computed.
+rehash time before a delta can even be computed. Both frameworks share
+one pair exchange and one DR session loop; they differ only in how a
+pair plans and moves its delta.
 
-Reports can be produced at two fidelities: live (costs from the bytes
-actually moved at desk scale) and volumetric (costs charged from
-declared production-scale parameters while the live mechanics still run).
+A DR event's report is live: its costs come from the bytes the session
+actually moved at desk scale. `volumetric_report` charges the same kind
+of event from declared production-scale parameters instead.
 """
 
 from __future__ import annotations
@@ -54,16 +56,13 @@ class DeltaPlan:
 
     ids_to_pull / ids_to_push hold CompositeIds under both frameworks:
     the metadata framework finds them by id, the hash baseline by
-    digest (its locator is the block's id). A nonzero
-    rehash_required_bytes means the plan is not serviceable until that
-    hashing cost has been paid (the baseline's bottleneck).
+    digest (its locator is the block's id).
     """
 
     ids_to_pull: list = field(default_factory=list)
     ids_to_push: list = field(default_factory=list)
     index_bytes_exchanged: int = 0
     content_bytes_to_transfer: int = 0
-    rehash_required_bytes: int = 0
 
 
 @dataclass
@@ -183,9 +182,9 @@ def compute_delta_meta(
 
     Both sides contribute only entries above the shared checkpoint: each
     side's window is the wire stream it sends, and the two windows are
-    diffed in place with one merge pass. No hashing is ever required:
-    rehash_required_bytes is 0 by construction. scope_nids restricts the
-    session to the given source nids (e.g. just the failed node's data).
+    diffed in place with one merge pass; nothing is hashed. scope_nids
+    restricts the session to the given source nids (e.g. just the failed
+    node's data).
     """
     exchanged = sum(
         len(serialize_index(idx, since=peer_checkpoint, nids=scope_nids))
@@ -201,20 +200,7 @@ def compute_delta_meta(
         ids_to_push=missing_in_peer,
         index_bytes_exchanged=exchanged,
         content_bytes_to_transfer=pull_bytes + push_bytes,
-        rehash_required_bytes=0,
     )
-
-
-@dataclass
-class ConditionState:
-    """How much rehashing the baseline owes before a delta is computable."""
-
-    local_rehash_bytes: int = 0
-    peer_rehash_bytes: int = 0
-
-    @property
-    def total_rehash_bytes(self) -> int:
-        return self.local_rehash_bytes + self.peer_rehash_bytes
 
 
 def baseline_rehash_bytes(node: StorageNode) -> int:
@@ -233,37 +219,33 @@ def baseline_rehash_bytes(node: StorageNode) -> int:
     return 0
 
 
-def assess_conditions(local: StorageNode, peer: StorageNode) -> ConditionState:
-    return ConditionState(
-        local_rehash_bytes=baseline_rehash_bytes(local),
-        peer_rehash_bytes=baseline_rehash_bytes(peer),
-    )
+def compute_delta_hash(local, peer, meter: CostMeter | None = None) -> DeltaPlan:
+    """Plan a baseline sync between two consistent hash indexes.
 
-
-def compute_delta_hash(
-    local, peer, condition_state: ConditionState, meter: CostMeter | None = None
-) -> DeltaPlan:
-    """Plan a baseline sync; conditions surface as rehash cost, not errors.
-
-    When either index is untrustworthy the plan carries the owed rehash
-    bytes and no block sets: it becomes serviceable only after the cost
-    is paid (rebuild or pipeline drain) and the plan is recomputed.
+    Each side lacks the other's locators whose digest it lacks, and
+    also the locators whose content it already holds under another id:
+    the transfer binds those to the local copy and moves no content (the
+    baseline's own dedup). Callers pay the owed rehash first
+    (`ensure_baseline_consistent`); `hash_delta` refuses stale indexes.
     """
-    rehash = condition_state.total_rehash_bytes
-    if rehash > 0:
-        return DeltaPlan(rehash_required_bytes=rehash)
     missing_remote, missing_local = hash_delta(local, peer)
     if meter is not None:
         # digest-set membership checks, one per entry on each side
         meter.add_comparisons(len(local.by_digest) + len(peer.by_digest))
     return DeltaPlan(
-        ids_to_pull=missing_local,
-        ids_to_push=missing_remote,
+        ids_to_pull=missing_local + _held_elsewhere(peer, local),
+        ids_to_push=missing_remote + _held_elsewhere(local, peer),
         index_bytes_exchanged=2 * WIRE_HEADER_BYTES
         + 32 * (len(local.by_locator) + len(peer.by_locator)),
         content_bytes_to_transfer=0,  # caller sums real block sizes at transfer
-        rehash_required_bytes=0,
     )
+
+
+def _held_elsewhere(source, puller) -> list[CompositeId]:
+    """Source locators the puller lacks although it holds their digest,
+    in id order. (The set difference reuses the dicts' stored hashes.)"""
+    lacking = set(source.by_locator).difference(puller.by_locator)
+    return sorted(loc for loc in lacking if source.by_locator[loc] in puller.by_digest)
 
 
 def _transfer_meta(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
@@ -290,6 +272,20 @@ def _advance_pair_checkpoint(
         ckpt.advance(nid, shared)
 
 
+def _exchange(a: StorageNode, b: StorageNode, plan: DeltaPlan, transfer,
+              meter: CostMeter | None) -> int:
+    """Carry out one pair plan under either framework: charge the index
+    exchange, move the blocks each side lacks with `transfer`, charge
+    the delta. Returns the content bytes moved."""
+    if meter is not None:
+        meter.charge_index_transfer(plan.index_bytes_exchanged)
+    moved = transfer(a, b, plan.ids_to_pull)
+    moved += transfer(b, a, plan.ids_to_push)
+    if meter is not None and moved:
+        meter.charge_delta_transfer(moved)
+    return moved
+
+
 def sync_pair_meta(
     cluster: Cluster,
     a: StorageNode,
@@ -300,12 +296,7 @@ def sync_pair_meta(
     """One bidirectional incremental exchange between two nodes."""
     ckpt = cluster.checkpoint(a.nid, b.nid)
     plan = compute_delta_meta(a.id_index, ckpt, b.id_index, meter, scope_nids)
-    if meter is not None:
-        meter.charge_index_transfer(plan.index_bytes_exchanged)
-    moved = _transfer_meta(a, b, plan.ids_to_pull)
-    moved += _transfer_meta(b, a, plan.ids_to_push)
-    if meter is not None and moved:
-        meter.charge_delta_transfer(moved)
+    _exchange(a, b, plan, _transfer_meta, meter)
     _advance_pair_checkpoint(ckpt, a, b, scope_nids)
     return plan
 
@@ -330,6 +321,8 @@ def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None
         baseline.pipeline.ingested = ingested
         baseline.pipeline.hashed = ingested
         baseline.merkle = tree
+        for alias, kept in node.indirection_table.items():  # digests need no rehash
+            new_index.add(alias, new_index.by_locator[kept], 0)
         return hashed
     if baseline.hash_index.stale:
         backlog = baseline.pipeline.lag_bytes
@@ -339,11 +332,21 @@ def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None
 
 
 def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
+    """Move the identified blocks with their digests; an id whose content
+    the puller already holds is bound to that copy instead. Returns
+    content bytes transferred."""
+    index = puller.baseline.hash_index
     moved = 0
     for cid in ids:
-        block = source.block_store[cid]
         digest = source.baseline.hash_index.by_locator[cid]
-        puller.replicate_in(source.id_index.get(cid), block)
+        entry = source.id_index.get(cid)
+        held = index.by_digest.get(digest)
+        if held:
+            puller.bind_alias(entry, min(held))
+            index.add(cid, digest, 0)  # the digest travelled; nothing is hashed
+            continue
+        block = source.block_store[source.indirection_table.get(cid, cid)]
+        puller.replicate_in(entry, block)
         pipeline = puller.baseline.pipeline
         # The digest travels with the block; retire the pipeline entry
         # replicate_in just queued instead of rehashing on arrival.
@@ -351,7 +354,7 @@ def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[Composite
             pending = pipeline.pending.pop()
             pipeline.hashed += 1
             pipeline.hashed_since_checkpoint.append(pending)
-            puller.baseline.hash_index.add(cid, digest, pending.seq)
+            index.add(cid, digest, pending.seq)
             if not pipeline.pending and not pipeline.index.lost:
                 pipeline.index.stale = False
         moved += block.byte_len
@@ -363,19 +366,9 @@ def sync_pair_hash(
 ) -> DeltaPlan:
     """Baseline exchange: pay conditions first, then digest-set difference."""
     for participant in (a, b):
-        owed = baseline_rehash_bytes(participant)
-        if owed:
-            ensure_baseline_consistent(participant, meter)
-    plan = compute_delta_hash(
-        a.baseline.hash_index, b.baseline.hash_index, ConditionState(), meter
-    )
-    if meter is not None:
-        meter.charge_index_transfer(plan.index_bytes_exchanged)
-    moved = _transfer_hash(a, b, plan.ids_to_pull)
-    moved += _transfer_hash(b, a, plan.ids_to_push)
-    plan.content_bytes_to_transfer = moved
-    if meter is not None and moved:
-        meter.charge_delta_transfer(moved)
+        ensure_baseline_consistent(participant, meter)
+    plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index, meter)
+    plan.content_bytes_to_transfer = _exchange(a, b, plan, _transfer_hash, meter)
     _advance_pair_checkpoint(cluster.checkpoint(a.nid, b.nid), a, b)
     return plan
 
@@ -395,12 +388,35 @@ def verify_superset(
             )
 
 
+def _session(
+    cluster: Cluster,
+    node: StorageNode,
+    peers: list[StorageNode],
+    framework: str,
+    meter: CostMeter,
+    scope_nids=None,
+) -> None:
+    """Sync `node` with each peer in turn under one framework. Layer-2
+    dedup is barred on every participant until the session ends."""
+    participants = [node] + peers
+    for n in participants:
+        n.dr_active = True
+    try:
+        for peer in peers:
+            if framework == "meta":
+                sync_pair_meta(cluster, node, peer, meter, scope_nids)
+            else:
+                sync_pair_hash(cluster, node, peer, meter)
+    finally:
+        for n in participants:
+            n.dr_active = False
+
+
 def execute_failover(
     cluster: Cluster,
     failed: NodeId,
     substitute: NodeId,
     framework: str,
-    volumetrics: Volumetrics | None = None,
     scope_to_failed: bool = False,
 ) -> DrReport:
     """Bring the substitute to a consistent superset of the failed
@@ -420,32 +436,15 @@ def execute_failover(
         raise NoSurvivingReplica(f"no surviving replica for {failed}")
     scope = [failed] if scope_to_failed else None
     meter = CostMeter(cluster.model)
-    participants = [sub] + survivors
-    for n in participants:
-        n.dr_active = True
-    try:
-        for survivor in survivors:
-            if framework == "meta":
-                sync_pair_meta(cluster, sub, survivor, meter, scope)
-            else:
-                sync_pair_hash(cluster, sub, survivor, meter)
-        verify_superset(sub, survivors, scope)
-    finally:
-        for n in participants:
-            n.dr_active = False
-    report = report_from_meter("failover", framework, meter)
-    if volumetrics is not None:
-        report = volumetric_report(
-            "failover", framework, cluster.model, volumetrics, wal_replay_s=0.0
-        )
-    return report
+    _session(cluster, sub, survivors, framework, meter, scope)
+    verify_superset(sub, survivors, scope)
+    return report_from_meter("failover", framework, meter)
 
 
 def execute_failback(
     cluster: Cluster,
     recovered: NodeId,
     framework: str,
-    volumetrics: Volumetrics | None = None,
     peers: list[StorageNode] | None = None,
     scope_nids=None,
 ) -> DrReport:
@@ -464,23 +463,9 @@ def execute_failback(
             for n in cluster.up_nodes()
             if n.nid != recovered and cluster.reachable(recovered, n.nid)
         ]
-    for n in peers + [node]:
-        n.dr_active = True
-    try:
-        for peer in sorted(peers, key=lambda n: n.nid.value):
-            if framework == "meta":
-                sync_pair_meta(cluster, node, peer, meter, scope_nids)
-            else:
-                sync_pair_hash(cluster, node, peer, meter)
-    finally:
-        for n in peers + [node]:
-            n.dr_active = False
-    report = report_from_meter("failback", framework, meter)
-    if volumetrics is not None:
-        report = volumetric_report(
-            "failback", framework, cluster.model, volumetrics, wal_replay_s=replay
-        )
-    return report
+    peers = sorted(peers, key=lambda n: n.nid.value)
+    _session(cluster, node, peers, framework, meter, scope_nids)
+    return report_from_meter("failback", framework, meter)
 
 
 def converge(
@@ -501,12 +486,7 @@ def converge(
         rounds += 1
         genesis = Checkpoint(peer=n2.nid)  # full-index exchange, not incremental
         plan = compute_delta_meta(n1.id_index, genesis, n2.id_index, meter)
-        if meter is not None:
-            meter.charge_index_transfer(plan.index_bytes_exchanged)
-        moved = _transfer_meta(n1, n2, plan.ids_to_pull)
-        moved += _transfer_meta(n2, n1, plan.ids_to_push)
-        if meter is not None and moved:
-            meter.charge_delta_transfer(moved)
+        _exchange(n1, n2, plan, _transfer_meta, meter)
         if n1.id_index.same_ids(n2.id_index):
             break
     _advance_pair_checkpoint(cluster.checkpoint(n1.nid, n2.nid), n1, n2)

@@ -22,7 +22,6 @@ from metadr.node import StorageNode
 from metadr.simnet import SoakConfig, soak
 from metadr.sync import (
     Cluster,
-    ConditionState,
     compute_delta_hash,
     compute_delta_meta,
     converge,
@@ -257,9 +256,7 @@ def test_criterion_7_oracle_equivalences(capsys):
             (a if rng.random() < 0.5 else b).ingest(f"payload {seed}:{i}".encode())
         ensure_baseline_consistent(a)
         ensure_baseline_consistent(b)
-        hash_plan = compute_delta_hash(
-            a.baseline.hash_index, b.baseline.hash_index, ConditionState()
-        )
+        hash_plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index)
         hash_pull = {b.block_store[loc].id for loc in hash_plan.ids_to_pull}
         hash_push = {a.block_store[loc].id for loc in hash_plan.ids_to_push}
         meta_plan = compute_delta_meta(a.id_index, Checkpoint(peer=b.nid), b.id_index)

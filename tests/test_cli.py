@@ -181,6 +181,37 @@ def test_simulate_zone_may_pin_a_service_name(tmp_path, capsys):
     assert "via 10.0.0.11:7000" in out
 
 
+_DUPLICATE_CONTENT = (
+    "fidelity: concrete\nhorizon_hours: 2.0\n"
+    "cluster: {nodes: 3, replica_factor: 2}\n"
+    "inventory: {blocks_per_node: 40, block_bytes_min: 64, block_bytes_max: 512}\n"
+    "workload: {duplicate_ratio: 0.2}\n"
+    "faults:\n"
+    "  - {kind: crash, at_hours: 1.0, node: 0}\n"
+    "  - {kind: failover, at_hours: 1.5, failed: 0, substitute: 2}\n"
+)
+
+
+@pytest.mark.parametrize("text", [
+    # survivor ids whose content the substitute holds under other ids
+    "framework: hash\n" + _DUPLICATE_CONTENT,
+    "framework: both\n" + _DUPLICATE_CONTENT,
+    # a lost hash index on a node that holds no blocks
+    "framework: hash\nhorizon_hours: 2.0\n"
+    "cluster: {nodes: 3, replica_factor: 3}\n"
+    "faults:\n"
+    "  - {kind: index_loss, at_hours: 0.5, node: 1}\n"
+    "  - {kind: crash, at_hours: 1.0, node: 0}\n"
+    "  - {kind: failover, at_hours: 1.5, failed: 0, substitute: 2}\n",
+])
+def test_simulate_hash_failover_runs(tmp_path, capsys, text):
+    path = tmp_path / "hash.yaml"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", str(path), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert "failover 0->2" in out and ",hash," in out
+
+
 def test_soak_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "soak.yaml"
     path.write_text("nodes: 3\nreplica_factor: 3\n")

@@ -168,36 +168,55 @@ def test_load_scenario_returns_or_raises_validation_only(raw):
 
 
 _HOUR = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
-_NODE = st.integers(0, 3)
-_RUN_FAULT = st.one_of(
-    st.fixed_dictionaries({
-        "kind": st.sampled_from(["crash", "failback", "index_loss", "pipeline_crash"]),
-        "at_hours": _HOUR, "node": _NODE}),
-    st.fixed_dictionaries({
-        "kind": st.just("restart"), "at_hours": _HOUR, "node": _NODE,
-        "fault_kind": st.sampled_from(["none", "index_loss", "pipeline_crash"])}),
-    st.fixed_dictionaries({
-        "kind": st.just("failover"), "at_hours": _HOUR, "failed": _NODE, "substitute": _NODE}),
-    st.fixed_dictionaries({"kind": st.just("converge"), "at_hours": _HOUR, "a": _NODE, "b": _NODE}),
-    st.fixed_dictionaries({
-        "kind": st.just("partition"), "at_hours": _HOUR,
-        "until_hours": st.sampled_from([1.0, 2.0, 3.5]),
-        "side_a": st.lists(_NODE, min_size=1, max_size=2, unique=True),
-        "side_b": st.lists(_NODE, min_size=1, max_size=2, unique=True)}),
-)
-_RUNNABLE_SCENARIO = st.fixed_dictionaries({
-    "horizon_hours": st.just(4.0),
-    "framework": st.sampled_from(["meta", "hash", "both"]),
-    "cluster": st.fixed_dictionaries({
-        "nodes": st.integers(2, 4), "replica_factor": st.integers(2, 4)}),
-    "inventory": st.just({"blocks_per_node": 3, "block_bytes_min": 64, "block_bytes_max": 128}),
-    "workload": st.just({"blocks_per_hour_per_node": 2}),
-    "faults": st.lists(_RUN_FAULT, max_size=6),
-    "discovery": st.fixed_dictionaries({"zone": st.lists(st.sampled_from([
-        "ENDPT host-1 10.0.0.1:7000", "CNAME host-0 elsewhere",
-        "ENDPT service-1 10.9.9.9:7000", "CNAME service-2 host-0", "CNAME svc host-9",
-    ]), max_size=3)}),
-})
+
+
+def _runnable_scenario(nodes: int):
+    node = st.integers(0, nodes - 1)
+    fault = st.one_of(
+        st.fixed_dictionaries({
+            "kind": st.sampled_from(["crash", "failback", "index_loss", "pipeline_crash"]),
+            "at_hours": _HOUR, "node": node}),
+        st.fixed_dictionaries({
+            "kind": st.just("restart"), "at_hours": _HOUR, "node": node,
+            "fault_kind": st.sampled_from(["none", "index_loss", "pipeline_crash"])}),
+        st.fixed_dictionaries({
+            "kind": st.just("failover"), "at_hours": _HOUR, "failed": node, "substitute": node}),
+        st.fixed_dictionaries({
+            "kind": st.just("converge"), "at_hours": _HOUR, "a": node, "b": node}),
+        st.fixed_dictionaries({
+            "kind": st.just("partition"), "at_hours": _HOUR,
+            "until_hours": st.sampled_from([1.0, 2.0, 3.5]),
+            "side_a": st.lists(node, min_size=1, max_size=2, unique=True),
+            "side_b": st.lists(node, min_size=1, max_size=2, unique=True)}),
+    )
+    # a crash and the failover of the crashed node to another: drawn fault
+    # by fault, the pair is too rare for the property to reach a failover
+    crash_failover = st.tuples(node, st.integers(1, nodes - 1), _HOUR).map(lambda t: [
+        {"kind": "crash", "at_hours": t[2], "node": t[0]},
+        {"kind": "failover", "at_hours": t[2] + 0.5, "failed": t[0],
+         "substitute": (t[0] + t[1]) % nodes},
+    ])
+    return st.fixed_dictionaries({
+        "horizon_hours": st.just(4.0),
+        "framework": st.sampled_from(["meta", "hash", "both"]),
+        "cluster": st.fixed_dictionaries({
+            "nodes": st.just(nodes), "replica_factor": st.integers(2, nodes)}),
+        "inventory": st.fixed_dictionaries({
+            "blocks_per_node": st.sampled_from([0, 3]),
+            "block_bytes_min": st.just(64), "block_bytes_max": st.just(128)}),
+        "workload": st.fixed_dictionaries({
+            "blocks_per_hour_per_node": st.just(2),
+            "duplicate_ratio": st.sampled_from([0.0, 0.3])}),
+        "faults": st.lists(st.one_of(fault.map(lambda f: [f]), crash_failover), max_size=4)
+        .map(lambda groups: [f for group in groups for f in group]),
+        "discovery": st.fixed_dictionaries({"zone": st.lists(st.sampled_from([
+            "ENDPT host-1 10.0.0.1:7000", "CNAME host-0 elsewhere",
+            "ENDPT service-1 10.9.9.9:7000", "CNAME service-2 host-0", "CNAME svc host-9",
+        ]), max_size=3)}),
+    })
+
+
+_RUNNABLE_SCENARIO = st.integers(2, 4).flatmap(_runnable_scenario)
 
 
 @settings(max_examples=150, deadline=None)
@@ -357,6 +376,34 @@ def test_condition3_failover_contrasts_frameworks():
     assert by_framework["meta"].t_hash == 0
     assert by_framework["meta"].hash_ops == 0
     assert by_framework["meta"].content_reads == 0
+
+
+@pytest.mark.parametrize("nodes, replica_factor, substitute", [(3, 2, 2), (4, 3, 3)])
+def test_both_reports_equal_the_meta_and_hash_runs(nodes, replica_factor, substitute):
+    # a failback after the meta twin moved the blocks, and two survivors
+    # that hold the same blocks: each hash report is the hash run's own
+    def run(framework):
+        return run_scenario(load_scenario({
+            "name": "twins", "seed": 3, "fidelity": "concrete", "framework": framework,
+            "horizon_hours": 4.0,
+            "cluster": {"nodes": nodes, "replica_factor": replica_factor},
+            "inventory": {"blocks_per_node": 40, "block_bytes_min": 64, "block_bytes_max": 512},
+            "workload": {"blocks_per_hour_per_node": 10},
+            "faults": [
+                {"kind": "crash", "at_hours": 1.0, "node": 0},
+                {"kind": "failover", "at_hours": 1.5, "failed": 0, "substitute": substitute},
+                {"kind": "restart", "at_hours": 2.0, "node": 0, "fault_kind": "index_loss"},
+                {"kind": "failback", "at_hours": 2.5, "node": 0},
+            ],
+        }))
+
+    both, meta, hashed = run("both"), run("meta"), run("hash")
+    with pytest.raises(ValueError):  # only run_scenario splits "both"
+        SimRuntime(load_scenario(dict(PARTITION_SCENARIO, framework="both")))
+    assert [e.label for e in both.events] == [e.label for e in meta.events]
+    assert len(both.events) == 2
+    for event, meta_event, hash_event in zip(both.events, meta.events, hashed.events):
+        assert repr(event.reports) == repr(meta_event.reports + hash_event.reports)
 
 
 def test_pipeline_crash_fault_rolls_back_the_hash_pipeline():
@@ -525,12 +572,7 @@ def test_genesis_pair_exchange_has_byte_identical_envelopes():
     from metadr.identity import new_node_id
     from metadr.index import Checkpoint
     from metadr.node import StorageNode
-    from metadr.sync import (
-        ConditionState,
-        compute_delta_hash,
-        compute_delta_meta,
-        ensure_baseline_consistent,
-    )
+    from metadr.sync import compute_delta_hash, compute_delta_meta, ensure_baseline_consistent
 
     rng = Random("parity")
     a = StorageNode(new_node_id(rng), baseline=True)
@@ -540,9 +582,7 @@ def test_genesis_pair_exchange_has_byte_identical_envelopes():
     ensure_baseline_consistent(a)
     ensure_baseline_consistent(b)
     meta_plan = compute_delta_meta(a.id_index, Checkpoint(peer=b.nid), b.id_index)
-    hash_plan = compute_delta_hash(
-        a.baseline.hash_index, b.baseline.hash_index, ConditionState()
-    )
+    hash_plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index)
     assert meta_plan.index_bytes_exchanged == hash_plan.index_bytes_exchanged
 
 

@@ -8,11 +8,10 @@ from metadr.index import Checkpoint, set_difference
 from metadr.node import StorageNode
 from metadr.sync import (
     Cluster,
-    ConditionState,
     NoSurvivingReplica,
     ReconciliationPolicy,
     Volumetrics,
-    assess_conditions,
+    baseline_rehash_bytes,
     compute_delta_hash,
     compute_delta_meta,
     converge,
@@ -20,11 +19,19 @@ from metadr.sync import (
     execute_failback,
     execute_failover,
     reconcile_split_brain,
+    sync_pair_hash,
     sync_pair_meta,
     volumetric_report,
 )
 
 REFERENCE_VOL = Volumetrics(data_bytes=1.1e14, blocks=1_000_000_000, delta_bytes=1.0e12)
+
+
+def at_reference_scale(live):
+    """The live report's event charged at the reference volumetrics."""
+    return volumetric_report(
+        live.kind, live.framework, CostModel(), REFERENCE_VOL, wal_replay_s=live.t_wal_replay
+    )
 
 
 def make_nodes(count, *, baseline=False, seed=0):
@@ -49,7 +56,6 @@ def test_synchronized_peer_yields_empty_plan_with_header_only_streams():
     plan = compute_delta_meta(a.id_index, ckpt, b.id_index)
     assert plan.ids_to_pull == [] and plan.ids_to_push == []
     assert plan.index_bytes_exchanged == 2 * 16  # two bare headers
-    assert plan.rehash_required_bytes == 0
 
 
 def test_peer_missing_delta_blocks():
@@ -100,30 +106,17 @@ def test_fresh_indexes_plan_equals_content_truth():
     fill(b, 9, tag=2)
     ensure_baseline_consistent(a)
     ensure_baseline_consistent(b)
-    plan = compute_delta_hash(
-        a.baseline.hash_index, b.baseline.hash_index, ConditionState()
-    )
-    assert plan.rehash_required_bytes == 0
+    plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index)
     assert len(plan.ids_to_pull) == 9
     assert len(plan.ids_to_push) == 12
-
-
-def test_condition3_surfaces_full_inventory_cost():
-    a, b = make_nodes(2, baseline=True)
-    fill(a, 10)
-    condition = ConditionState(local_rehash_bytes=int(1.1e14))
-    plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index, condition)
-    assert plan.rehash_required_bytes == int(1.1e14)
-    assert plan.ids_to_pull == [] and plan.ids_to_push == []
 
 
 def test_condition1_lag_cost_is_sum_of_lagged_blocks():
     a, b = make_nodes(2, baseline=True)
     fill(a, 25)  # pipeline never ticked: all 25 blocks lag
     ensure_baseline_consistent(b)
-    condition = assess_conditions(a, b)
-    assert condition.local_rehash_bytes == 25 * 128
-    assert condition.peer_rehash_bytes == 0
+    assert baseline_rehash_bytes(a) == 25 * 128
+    assert baseline_rehash_bytes(b) == 0
 
 
 def test_assess_conditions_after_index_loss():
@@ -131,8 +124,7 @@ def test_assess_conditions_after_index_loss():
     fill(a, 10)
     ensure_baseline_consistent(a)
     a.baseline.hash_index.mark_lost()
-    condition = assess_conditions(a, b)
-    assert condition.local_rehash_bytes == a.physical_bytes
+    assert baseline_rehash_bytes(a) == a.physical_bytes
 
 
 # -- failover ---------------------------------------------------------------------
@@ -188,12 +180,12 @@ def test_paper_scale_failover_rtos():
     for node in (a, b, c):
         ensure_baseline_consistent(node)
     a.crash()
-    hash_report = execute_failover(cluster, a.nid, c.nid, "hash", volumetrics=REFERENCE_VOL)
+    hash_report = at_reference_scale(execute_failover(cluster, a.nid, c.nid, "hash"))
     assert hash_report.virtual_rto_seconds == pytest.approx(14_575.6, abs=0.5)
     a.restart("none", wal_replay_seconds=0.0)
     replicate_all(cluster, [a, b, c])
     a.crash()
-    meta_report = execute_failover(cluster, a.nid, c.nid, "meta", volumetrics=REFERENCE_VOL)
+    meta_report = at_reference_scale(execute_failover(cluster, a.nid, c.nid, "meta"))
     assert meta_report.virtual_rto_seconds == pytest.approx(825.6, abs=0.5)
     assert meta_report.t_hash == 0.0
     factor = hash_report.virtual_rto_seconds / meta_report.virtual_rto_seconds
@@ -259,7 +251,7 @@ def test_crash_failback_includes_replay_in_report():
     replicate_all(cluster, [a, b, c])
     a.crash(torn_wal_bytes=5)
     a.restart("none")
-    report = execute_failback(cluster, a.nid, "meta", volumetrics=REFERENCE_VOL)
+    report = at_reference_scale(execute_failback(cluster, a.nid, "meta"))
     assert report.t_wal_replay == 18.0
     assert report.virtual_rto_seconds > 825.0
 
@@ -392,9 +384,7 @@ def test_frameworks_transfer_identical_block_sets():
             )
         ensure_baseline_consistent(a)
         ensure_baseline_consistent(b)
-        hash_plan = compute_delta_hash(
-            a.baseline.hash_index, b.baseline.hash_index, ConditionState()
-        )
+        hash_plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index)
         hash_pull = {b.block_store[loc].id for loc in hash_plan.ids_to_pull}
         hash_push = {a.block_store[loc].id for loc in hash_plan.ids_to_push}
         ckpt = Checkpoint(peer=b.nid)
@@ -405,6 +395,24 @@ def test_frameworks_transfer_identical_block_sets():
         assert sorted(bl.content for bl in a.block_store.values()) == sorted(
             bl.content for bl in b.block_store.values()
         )
+
+
+def test_hash_exchange_binds_ids_whose_content_the_puller_holds():
+    a, b = make_nodes(2, baseline=True)
+    cluster = Cluster([a, b])
+    shared_a = a.ingest(b"same bytes")
+    shared_b = b.ingest(b"same bytes")
+    a.ingest(b"only on a")
+    meter = CostMeter(CostModel())
+    plan = sync_pair_hash(cluster, a, b, meter)
+    assert plan.content_bytes_to_transfer == len(b"only on a")
+    assert a.id_index.same_ids(b.id_index) and a.id_index.entry_count == 3
+    assert a.physical_block_count == 2 and b.physical_block_count == 2
+    assert a.read_verify(shared_b) == b.read_verify(shared_a) == b"same bytes"
+    # a rebuilt index still lists the bound id: nothing is owed or moved
+    a.baseline.hash_index.mark_lost()
+    assert sync_pair_hash(cluster, a, b).content_bytes_to_transfer == 0
+    assert shared_b in a.baseline.hash_index.by_locator
 
 
 def test_k_node_gossip_converges_within_tournament_bound():
