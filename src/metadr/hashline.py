@@ -22,7 +22,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from .identity import CompositeId
+from .identity import CompositeId, NodeId
 
 DIGEST_BYTES = 32
 EMPTY_LEAF = b"\x00" * DIGEST_BYTES  # pad sentinel for unequal leaf counts
@@ -180,6 +180,9 @@ class HashIndex:
     def __init__(self) -> None:
         self.by_digest: dict[bytes, set[CompositeId]] = {}
         self.by_locator: dict[CompositeId, bytes] = {}
+        # by_locator split by source nid (None for a locator without one),
+        # so a session scoped to some nids lists only theirs
+        self.by_nid: dict[NodeId | None, dict[CompositeId, bytes]] = {}
         self.coverage_watermark = 0  # highest ingest sequence hashed
         self.lost = False
         self.stale = False  # uncovered ingests exist
@@ -191,13 +194,25 @@ class HashIndex:
     def add(self, locator: CompositeId, digest: bytes, seq: int) -> None:
         self.by_digest.setdefault(digest, set()).add(locator)
         self.by_locator[locator] = digest
+        self.by_nid.setdefault(getattr(locator, "nid", None), {})[locator] = digest
         if seq > self.coverage_watermark:
             self.coverage_watermark = seq
+
+    def locators(self, nids=None) -> dict[CompositeId, bytes]:
+        """by_locator, or only its locators from the given source nids,
+        nid by nid."""
+        if nids is None:
+            return self.by_locator
+        listed: dict[CompositeId, bytes] = {}
+        for nid in nids:
+            listed.update(self.by_nid.get(nid, {}))
+        return listed
 
     def remove(self, locator: CompositeId) -> None:
         digest = self.by_locator.pop(locator, None)
         if digest is None:
             return
+        del self.by_nid[getattr(locator, "nid", None)][locator]
         locators = self.by_digest.get(digest)
         if locators is not None:
             locators.discard(locator)
@@ -207,6 +222,7 @@ class HashIndex:
     def mark_lost(self) -> None:
         self.by_digest.clear()
         self.by_locator.clear()
+        self.by_nid.clear()
         self.coverage_watermark = 0
         self.lost = True
 
@@ -326,18 +342,19 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
 
 
 def hash_delta(
-    local: HashIndex, remote: HashIndex
+    local: HashIndex, remote: HashIndex, nids=None
 ) -> tuple[list[CompositeId], list[CompositeId]]:
     """Digest-set symmetric difference mapped back to locators.
 
     Returns (missing_remote, missing_local): local locators whose digest
     the remote lacks, and remote locators whose digest the local lacks,
-    each in the order its index hashed them. Raises InconsistentIndex
-    unless both indexes are trustworthy; paying the rebuild/drain cost
-    first is exactly the bottleneck under test.
+    each in the order its index hashed them; `nids` lists only locators
+    from those source nids, nid by nid. Raises InconsistentIndex unless
+    both indexes are trustworthy; paying the rebuild/drain cost first is
+    exactly the bottleneck under test.
     """
     if not local.consistent_flag or not remote.consistent_flag:
         raise InconsistentIndex("hash index stale, interrupted, or lost; rehash required")
-    missing_remote = [loc for loc, d in local.by_locator.items() if d not in remote.by_digest]
-    missing_local = [loc for loc, d in remote.by_locator.items() if d not in local.by_digest]
+    missing_remote = [loc for loc, d in local.locators(nids).items() if d not in remote.by_digest]
+    missing_local = [loc for loc, d in remote.locators(nids).items() if d not in local.by_digest]
     return missing_remote, missing_local

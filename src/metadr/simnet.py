@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import astuple, dataclass, field, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from random import Random
@@ -283,7 +283,7 @@ def validate_scenario(s: Scenario) -> None:
                 raise ScenarioValidation(f"{event}: node {f.failed} is not down")
             if f.substitute in crashed:
                 raise ScenarioValidation(f"{event}: substitute {f.substitute} is down")
-            replicas = {(f.failed + k) % nodes for k in range(1, s.cluster.replica_factor)}
+            replicas = set(ring_successors(f.failed, nodes, s.cluster.replica_factor - 1))
             if not any(
                 _reachable(partitions, f.substitute, r)
                 for r in replicas - crashed - {f.substitute}
@@ -294,6 +294,12 @@ def validate_scenario(s: Scenario) -> None:
                 )
         elif f.kind == "failback" and f.node in crashed:
             raise ScenarioValidation(f"{event}: node {f.node} is down")
+
+
+def ring_successors(node: int, nodes: int, count: int) -> list[int]:
+    """The `count` ordinals after `node` on the placement ring. Node i
+    replicates each write to `ring_successors(i, nodes, replica_factor - 1)`."""
+    return [(node + k) % nodes for k in range(1, count + 1)]
 
 
 def _reachable(partitions: list[FaultSpec], a: int, b: int) -> bool:
@@ -393,11 +399,10 @@ class SimRuntime:
         self.sim_nodes: list[StorageNode] = [
             StorageNode(new_node_id(rng_ids), baseline=baseline) for _ in range(n)
         ]
-        # ring placement: node i replicates to nodes i+1 .. i+rf-1
         self.replica_peers = {
             node.nid: {
-                self.sim_nodes[(i + k) % n].nid
-                for k in range(1, scenario.cluster.replica_factor)
+                self.sim_nodes[j].nid
+                for j in ring_successors(i, n, scenario.cluster.replica_factor - 1)
             }
             for i, node in enumerate(self.sim_nodes)
         }
@@ -604,7 +609,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> Metrics:
     `framework: both` runs a meta twin and a hash twin of the same
     scenario and seed, and returns the meta twin's metrics with the hash
     twin's failover and failback reports after the meta report of each
-    event.
+    event, and with both twins' violation counters summed.
     """
     if scenario.framework != "both":
         return SimRuntime(scenario, seed).run()
@@ -612,6 +617,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> Metrics:
     hashed = SimRuntime(replace(scenario, framework="hash"), seed).run()
     for event, twin in zip(metrics.events, hashed.events, strict=True):
         event.reports += [r for r in twin.reports if r.kind != "converge"]
+    counts = zip(astuple(metrics.violations), astuple(hashed.violations))
+    metrics.violations = Violations(*map(sum, counts))
     return metrics
 
 
@@ -795,9 +802,11 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
 
     The live cluster is one virtual, metadata-framework SimRuntime, fed
     one (interval, node) slot at a time through `ingest_batch`. Each DR
-    event crashes a node, fails it over to the first node past its
-    replica set, restarts it and fails it back, with every session
-    scoped to the nids involved.
+    event is four faults applied to that runtime, as a scenario's would
+    be: crash a node, fail it over to the first node past its replica
+    set, restart it, fail it back. The runtime's placement scopes each
+    session, and the failover and failback rebind the node's service
+    name to the substitute and back.
 
     Planned events share one multiplicative jitter draw across both
     frameworks (both reports describe the same event, so event-local
@@ -833,11 +842,6 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
         volumetrics=vol,
     ))
     nodes = rt.sim_nodes
-    # the nids each node holds by placement: its own and those replicating to it
-    hosted = {node.nid: {node.nid} for node in nodes}
-    for source, peers in rt.replica_peers.items():
-        for peer in peers:
-            hosted[peer].add(source)
 
     # DR cadence: planned events rotate through the nodes; the i-th crash
     # hits node (i + 1) * replica_factor
@@ -863,29 +867,6 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
     base_per_slot, remainder = divmod(cfg.total_ingest_blocks, intervals * n)
     interval_hours = 24.0 / cfg.intervals_per_day
 
-    def live_event(f: int, kind: str, at_hours: float) -> None:
-        s = (f + rf) % n  # the first node past the failed node's replica set
-        failed, substitute = nodes[f], nodes[s]
-        rebind_cname(rt.records, f"service-{f}", f"host-{s}")
-        assert rt.registry.lookup_endpoint(failed.nid) == resolve(
-            rt.records, f"host-{s}"
-        ).endpoint
-        rt.apply_fault(FaultSpec(
-            "crash", at_hours, node=f, fault_kind="torn" if kind == "Crash" else "none"
-        ))
-        execute_failover(
-            rt.cluster, failed.nid, substitute.nid, "meta", scope_to_failed=True
-        )
-        rt.apply_fault(FaultSpec("restart", at_hours, node=f))
-        # re-join every replica set the failed node belongs to
-        for peer in nodes:
-            shared = hosted[failed.nid] & hosted[peer.nid]
-            if peer is not failed and shared:
-                execute_failback(
-                    rt.cluster, failed.nid, "meta", peers=[peer], scope_nids=sorted(shared)
-                )
-        rebind_cname(rt.records, f"service-{f}", f"host-{f}")
-
     # merged timeline: ingest intervals and DR events in time order
     dr_reports: list[DrReport] = []
     event_rows: list[SoakEventRow] = []
@@ -896,8 +877,15 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
     for interval_idx in range(intervals):
         t_end = (interval_idx + 1) * interval_hours
         while next_event is not None and next_event[0] <= t_end + 1e-9:
-            at, kind, failed = next_event
-            live_event(failed, kind, at)
+            at, kind, f = next_event
+            # crash, fail over to the first node past f's replica set, restart, fail back
+            for fault in (
+                FaultSpec("crash", at, node=f, fault_kind="torn" if kind == "Crash" else "none"),
+                FaultSpec("failover", at, failed=f, substitute=ring_successors(f, n, rf)[-1]),
+                FaultSpec("restart", at, node=f),
+                FaultSpec("failback", at, node=f),
+            ):
+                rt.apply_fault(fault)
             if kind == "Planned":
                 jitter = next(planned_jitter)
                 meta_r = volumetric_report("failover", "meta", model, vol).scaled(jitter)

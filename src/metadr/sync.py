@@ -11,13 +11,18 @@ their windows in place. Because every
 pull takes the peer's whole window, per-source holdings remain prefixes
 of the source's emission order, which keeps max-based watermarks sound.
 
+Ring placement decides every DR session's peers and scope: a failover
+syncs the failed node's nid from its surviving replicas, a failback the
+nids the recovered node shares with each node of its replica sets.
+`converge` stays a full-index exchange.
+
 Under the metadata framework the identification step touches ids only:
 no content is read and nothing is hashed, and the per-event report's
 counters prove it. Under the hash baseline, any active failure
 condition (stale, interrupted, or lost hash index) must be paid for in
 rehash time before a delta can even be computed. Both frameworks share
-one pair exchange and one DR session loop; they differ only in how a
-pair plans and moves its delta.
+one pair exchange, one scope and one DR session loop; they differ only
+in how a pair plans and moves its delta.
 
 A DR event's report is live: its costs come from the bytes the session
 actually moved at desk scale. `volumetric_report` charges the same kind
@@ -134,7 +139,12 @@ class Cluster:
         if len(self.nodes) != len(nodes):
             raise ValueError("duplicate node ids in cluster")
         self.model = model if model is not None else CostModel()
-        self.replica_map = replica_map
+        # the nids each node hosts by placement (replica_map: node -> the
+        # nodes it replicates to); None: every nid
+        self.hosted = {nid: None if replica_map is None else {nid} for nid in self.nodes}
+        for source, peers in (replica_map or {}).items():
+            for peer in peers:
+                self.hosted[peer].add(source)
         self._checkpoints: dict[frozenset, Checkpoint] = {}
         self.partitions: list[tuple[frozenset, frozenset]] = []
 
@@ -154,21 +164,18 @@ class Cluster:
                 return False
         return True
 
-    def up_nodes(self) -> list[StorageNode]:
-        return [n for n in self.nodes.values() if n.status is NodeStatus.UP]
-
-    def survivors_for(self, failed: NodeId, from_node: NodeId) -> list[StorageNode]:
-        """Up, reachable nodes eligible to serve the failed node's data."""
-        eligible = []
+    def placement_peers(self, nid: NodeId, nids) -> list[tuple[StorageNode, list | None]]:
+        """The up nodes `nid` can reach that host any of `nids`, in cluster
+        (ring) order, each with those of `nids` it hosts (None: every nid)."""
+        peers = []
         for n in self.nodes.values():
-            if n.nid in (failed, from_node) or n.status is not NodeStatus.UP:
+            if n.nid == nid or n.status is not NodeStatus.UP or not self.reachable(nid, n.nid):
                 continue
-            if self.replica_map is not None and n.nid not in self.replica_map.get(failed, set()):
-                continue
-            if not self.reachable(from_node, n.nid):
-                continue
-            eligible.append(n)
-        return sorted(eligible, key=lambda n: n.nid.value)
+            hosts = self.hosted[n.nid]
+            scope = nids if hosts is None else sorted(hosts.intersection(nids))
+            if scope is None or scope:
+                peers.append((n, scope))
+        return peers
 
 
 def compute_delta_meta(
@@ -219,33 +226,35 @@ def baseline_rehash_bytes(node: StorageNode) -> int:
     return 0
 
 
-def compute_delta_hash(local, peer, meter: CostMeter | None = None) -> DeltaPlan:
+def compute_delta_hash(local, peer, meter: CostMeter | None = None, scope_nids=None) -> DeltaPlan:
     """Plan a baseline sync between two consistent hash indexes.
 
     Each side lacks the other's locators whose digest it lacks, and
     also the locators whose content it already holds under another id:
     the transfer binds those to the local copy and moves no content (the
-    baseline's own dedup). Callers pay the owed rehash first
+    baseline's own dedup). scope_nids lists and charges only locators of
+    those source nids; digests match against the whole other index.
+    Callers pay the owed rehash first
     (`ensure_baseline_consistent`); `hash_delta` refuses stale indexes.
     """
-    missing_remote, missing_local = hash_delta(local, peer)
+    missing_remote, missing_local = hash_delta(local, peer, scope_nids)
+    ours, theirs = local.locators(scope_nids), peer.locators(scope_nids)
     if meter is not None:
-        # digest-set membership checks, one per entry on each side
-        meter.add_comparisons(len(local.by_digest) + len(peer.by_digest))
+        # digest-set membership checks, one per listed locator on each side
+        meter.add_comparisons(len(ours) + len(theirs))
     return DeltaPlan(
-        ids_to_pull=missing_local + _held_elsewhere(peer, local),
-        ids_to_push=missing_remote + _held_elsewhere(local, peer),
-        index_bytes_exchanged=2 * WIRE_HEADER_BYTES
-        + 32 * (len(local.by_locator) + len(peer.by_locator)),
+        ids_to_pull=missing_local + _held_elsewhere(theirs, local),
+        ids_to_push=missing_remote + _held_elsewhere(ours, peer),
+        index_bytes_exchanged=2 * WIRE_HEADER_BYTES + 32 * (len(ours) + len(theirs)),
         content_bytes_to_transfer=0,  # caller sums real block sizes at transfer
     )
 
 
-def _held_elsewhere(source, puller) -> list[CompositeId]:
-    """Source locators the puller lacks although it holds their digest,
+def _held_elsewhere(listed: dict, puller) -> list[CompositeId]:
+    """Listed locators the puller lacks although it holds their digest,
     in id order. (The set difference reuses the dicts' stored hashes.)"""
-    lacking = set(source.by_locator).difference(puller.by_locator)
-    return sorted(loc for loc in lacking if source.by_locator[loc] in puller.by_digest)
+    lacking = set(listed).difference(puller.by_locator)
+    return sorted(loc for loc in lacking if listed[loc] in puller.by_digest)
 
 
 def _transfer_meta(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
@@ -361,15 +370,14 @@ def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[Composite
     return moved
 
 
-def sync_pair_hash(
-    cluster: Cluster, a: StorageNode, b: StorageNode, meter: CostMeter | None = None
-) -> DeltaPlan:
+def sync_pair_hash(cluster: Cluster, a: StorageNode, b: StorageNode,
+                   meter: CostMeter | None = None, scope_nids=None) -> DeltaPlan:
     """Baseline exchange: pay conditions first, then digest-set difference."""
     for participant in (a, b):
         ensure_baseline_consistent(participant, meter)
-    plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index, meter)
+    plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index, meter, scope_nids)
     plan.content_bytes_to_transfer = _exchange(a, b, plan, _transfer_hash, meter)
-    _advance_pair_checkpoint(cluster.checkpoint(a.nid, b.nid), a, b)
+    _advance_pair_checkpoint(cluster.checkpoint(a.nid, b.nid), a, b, scope_nids)
     return plan
 
 
@@ -391,65 +399,50 @@ def verify_superset(
 def _session(
     cluster: Cluster,
     node: StorageNode,
-    peers: list[StorageNode],
+    peers: list[tuple[StorageNode, list[NodeId] | None]],
     framework: str,
     meter: CostMeter,
-    scope_nids=None,
 ) -> None:
-    """Sync `node` with each peer in turn under one framework. Layer-2
-    dedup is barred on every participant until the session ends."""
-    participants = [node] + peers
+    """Sync `node` with each peer in turn, within its scope (None: every
+    nid), under one framework. Layer-2 dedup is barred on every
+    participant until the session ends."""
+    participants = [node] + [peer for peer, _ in peers]
+    sync_pair = sync_pair_meta if framework == "meta" else sync_pair_hash
     for n in participants:
         n.dr_active = True
     try:
-        for peer in peers:
-            if framework == "meta":
-                sync_pair_meta(cluster, node, peer, meter, scope_nids)
-            else:
-                sync_pair_hash(cluster, node, peer, meter)
+        for peer, scope in peers:
+            sync_pair(cluster, node, peer, meter, scope)
     finally:
         for n in participants:
             n.dr_active = False
 
 
-def execute_failover(
-    cluster: Cluster,
-    failed: NodeId,
-    substitute: NodeId,
-    framework: str,
-    scope_to_failed: bool = False,
-) -> DrReport:
+def execute_failover(cluster: Cluster, failed: NodeId, substitute: NodeId,
+                     framework: str) -> DrReport:
     """Bring the substitute to a consistent superset of the failed
-    node's last known state, relative to the surviving replicas.
-
-    scope_to_failed restricts the exchange to the failed node's own nid
-    (the usual production posture); otherwise survivors sync in full.
-    """
+    node's data on its surviving replicas: it syncs with each up replica
+    it can reach, in ring order, scoped to the failed node's nid."""
     failed_node = cluster.node(failed)
     sub = cluster.node(substitute)
     if failed_node.status is not NodeStatus.CRASHED:
         raise RuntimeError("failover requires the failed node to be down")
     if sub.status is not NodeStatus.UP:
         raise NodeStatusError(sub)
-    survivors = cluster.survivors_for(failed, substitute)
-    if not survivors:
+    peers = cluster.placement_peers(substitute, [failed])
+    if not peers:
         raise NoSurvivingReplica(f"no surviving replica for {failed}")
-    scope = [failed] if scope_to_failed else None
     meter = CostMeter(cluster.model)
-    _session(cluster, sub, survivors, framework, meter, scope)
-    verify_superset(sub, survivors, scope)
+    _session(cluster, sub, peers, framework, meter)
+    verify_superset(sub, [peer for peer, _ in peers], [failed])
     return report_from_meter("failover", framework, meter)
 
 
-def execute_failback(
-    cluster: Cluster,
-    recovered: NodeId,
-    framework: str,
-    peers: list[StorageNode] | None = None,
-    scope_nids=None,
-) -> DrReport:
+def execute_failback(cluster: Cluster, recovered: NodeId, framework: str) -> DrReport:
     """Re-integrate a restarted node: acquire everything written during
-    its absence, including the WAL replay cost of its own recovery."""
+    its absence, including the WAL replay cost of its own recovery. It
+    syncs with each up, reachable node it shares placement with, in ring
+    order, scoped to the nids the two host in common."""
     node = cluster.node(recovered)
     if node.status is not NodeStatus.UP:
         raise NodeStatusError(node)
@@ -457,14 +450,8 @@ def execute_failback(
     replay = node.take_pending_wal_replay()
     if replay:
         meter.charge_wal_replay(replay)
-    if peers is None:
-        peers = [
-            n
-            for n in cluster.up_nodes()
-            if n.nid != recovered and cluster.reachable(recovered, n.nid)
-        ]
-    peers = sorted(peers, key=lambda n: n.nid.value)
-    _session(cluster, node, peers, framework, meter, scope_nids)
+    peers = cluster.placement_peers(recovered, cluster.hosted[recovered])
+    _session(cluster, node, peers, framework, meter)
     return report_from_meter("failback", framework, meter)
 
 

@@ -212,6 +212,26 @@ def test_simulate_hash_failover_runs(tmp_path, capsys, text):
     assert "failover 0->2" in out and ",hash," in out
 
 
+def test_simulate_counts_the_hash_twins_violations(tmp_path, capsys, monkeypatch):
+    # only the hash twin's nodes report a finding; `both` must still exit 3
+    from metadr.node import StorageNode
+
+    scrub = StorageNode.scrub
+
+    def scrub_finding_on_baseline(self, budget_blocks):
+        report = scrub(self, budget_blocks)
+        if self.baseline is not None:
+            report.findings.append((next(iter(self.block_store)), 0, 1))
+        return report
+
+    monkeypatch.setattr(StorageNode, "scrub", scrub_finding_on_baseline)
+    path = tmp_path / "both.yaml"
+    path.write_text("framework: both\ncluster: {nodes: 2}\ninventory: {blocks_per_node: 5}\n")
+    code, _, err = run_cli(capsys, "simulate", str(path), "--format", "csv")
+    assert code == 3
+    assert "corruption=2" in err
+
+
 def test_soak_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "soak.yaml"
     path.write_text("nodes: 3\nreplica_factor: 3\n")

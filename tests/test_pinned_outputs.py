@@ -49,9 +49,9 @@ def test_soak_output_is_pinned():
 
 @pytest.mark.parametrize("name,seed,expected", [
     ("condition3-failover", 0,
-     "8c39443ead79dc70a721be4d0935594d4580624cfc9df45886a02b0943c9db83"),
+     "c92a959073fd0751e23715c720bd47236be230c6bc317e1b2a0d9893e6059917"),
     ("condition3-failover", 7,
-     "cdfd77c257bd7110e1804d28e70df3f72cb5a204df768696df8609b5afe9d805"),
+     "8476ce26b54af141fa09b2ed598f46ae522a9f4b48e30098bbcc5289124de275"),
     ("partition-converge", 0,
      "7f0b73b977754293485170ef35b4540ce5aba3db3e937d241a27d713047755d5"),
     ("partition-converge", 7,
@@ -64,4 +64,4 @@ def test_bundled_scenario_metrics_are_pinned(name, seed, expected):
 def test_hash_restart_after_transfers_is_pinned():
     metrics = run_scenario(load_scenario(HASH_RESTART_SCENARIO))
     assert [r.content_reads for e in metrics.events for r in e.reports] == [0, 96, 176]
-    assert digest(metrics) == "422ed8d6c0ad986546d8274d91bb68afe2202450b93c682afd3b3203f36453ed"
+    assert digest(metrics) == "f99197781943f26e3cf809b06031e3f11dcd4100670a3f4e288bf2e2345ecb5b"
