@@ -342,19 +342,22 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
 
 
 def hash_delta(
-    local: HashIndex, remote: HashIndex, nids=None
+    local: HashIndex, remote: HashIndex, ours=None, theirs=None
 ) -> tuple[list[CompositeId], list[CompositeId]]:
     """Digest-set symmetric difference mapped back to locators.
 
     Returns (missing_remote, missing_local): local locators whose digest
     the remote lacks, and remote locators whose digest the local lacks,
-    each in the order its index hashed them; `nids` lists only locators
-    from those source nids, nid by nid. Raises InconsistentIndex unless
-    both indexes are trustworthy; paying the rebuild/drain cost first is
-    exactly the bottleneck under test.
+    each in the order its index hashed them. `ours`/`theirs` are the
+    locators each side lists (e.g. `locators(nids)` for a scoped
+    session); by default its whole index. Raises InconsistentIndex
+    unless both indexes are trustworthy; paying the rebuild/drain cost
+    first is exactly the bottleneck under test.
     """
     if not local.consistent_flag or not remote.consistent_flag:
         raise InconsistentIndex("hash index stale, interrupted, or lost; rehash required")
-    missing_remote = [loc for loc, d in local.locators(nids).items() if d not in remote.by_digest]
-    missing_local = [loc for loc, d in remote.locators(nids).items() if d not in local.by_digest]
+    ours = local.by_locator if ours is None else ours
+    theirs = remote.by_locator if theirs is None else theirs
+    missing_remote = [loc for loc, d in ours.items() if d not in remote.by_digest]
+    missing_local = [loc for loc, d in theirs.items() if d not in local.by_digest]
     return missing_remote, missing_local

@@ -166,7 +166,8 @@ class Cluster:
 
     def placement_peers(self, nid: NodeId, nids) -> list[tuple[StorageNode, list | None]]:
         """The up nodes `nid` can reach that host any of `nids`, in cluster
-        (ring) order, each with those of `nids` it hosts (None: every nid)."""
+        (ordinal) order, each with those of `nids` it hosts (None: every
+        nid)."""
         peers = []
         for n in self.nodes.values():
             if n.nid == nid or n.status is not NodeStatus.UP or not self.reachable(nid, n.nid):
@@ -237,8 +238,8 @@ def compute_delta_hash(local, peer, meter: CostMeter | None = None, scope_nids=N
     Callers pay the owed rehash first
     (`ensure_baseline_consistent`); `hash_delta` refuses stale indexes.
     """
-    missing_remote, missing_local = hash_delta(local, peer, scope_nids)
     ours, theirs = local.locators(scope_nids), peer.locators(scope_nids)
+    missing_remote, missing_local = hash_delta(local, peer, ours, theirs)
     if meter is not None:
         # digest-set membership checks, one per listed locator on each side
         meter.add_comparisons(len(ours) + len(theirs))
@@ -422,7 +423,8 @@ def execute_failover(cluster: Cluster, failed: NodeId, substitute: NodeId,
                      framework: str) -> DrReport:
     """Bring the substitute to a consistent superset of the failed
     node's data on its surviving replicas: it syncs with each up replica
-    it can reach, in ring order, scoped to the failed node's nid."""
+    it can reach, in cluster (ordinal) order, scoped to the failed
+    node's nid."""
     failed_node = cluster.node(failed)
     sub = cluster.node(substitute)
     if failed_node.status is not NodeStatus.CRASHED:
@@ -441,8 +443,8 @@ def execute_failover(cluster: Cluster, failed: NodeId, substitute: NodeId,
 def execute_failback(cluster: Cluster, recovered: NodeId, framework: str) -> DrReport:
     """Re-integrate a restarted node: acquire everything written during
     its absence, including the WAL replay cost of its own recovery. It
-    syncs with each up, reachable node it shares placement with, in ring
-    order, scoped to the nids the two host in common."""
+    syncs with each up, reachable node it shares placement with, in
+    cluster (ordinal) order, scoped to the nids the two host in common."""
     node = cluster.node(recovered)
     if node.status is not NodeStatus.UP:
         raise NodeStatusError(node)

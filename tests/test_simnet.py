@@ -173,25 +173,44 @@ _HOUR = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
 
 def _runnable_scenario(nodes: int, replica_factor: int):
     node = st.integers(0, nodes - 1)
+
+    def partitions(t):
+        # disjoint, non-empty sides cut from a shuffled node list at i < j;
+        # the nodes past j stay outside, and may be split by a second
+        # partition in the same window
+        perm, (i, j), at, length, second = t
+        cut = [(perm[:i], perm[i:j])]
+        if second and nodes - j >= 2:
+            cut.append((perm[j:j + 1], perm[j + 1:]))
+        return [{"kind": "partition", "at_hours": at, "until_hours": at + length,
+                 "side_a": a, "side_b": b} for a, b in cut]
+
+    partition = st.tuples(
+        st.permutations(range(nodes)),
+        st.integers(2, nodes).flatmap(lambda j: st.tuples(st.integers(1, j - 1), st.just(j))),
+        _HOUR, st.sampled_from([0.5, 1.0, 2.0]), st.booleans(),
+    ).map(partitions)
     fault = st.one_of(
         st.fixed_dictionaries({
             "kind": st.sampled_from(["crash", "failback", "index_loss", "pipeline_crash"]),
             "at_hours": _HOUR, "node": node}),
         st.fixed_dictionaries({
             "kind": st.just("converge"), "at_hours": _HOUR, "a": node, "b": node}),
-        # disjoint, non-empty sides: a shuffled node list split in two
-        st.tuples(st.permutations(range(nodes)), st.integers(1, nodes - 1), _HOUR,
-                  st.sampled_from([0.5, 1.0, 2.0])).map(lambda t: {
-            "kind": "partition", "at_hours": t[2], "until_hours": t[2] + t[3],
-            "side_a": t[0][:t[1]], "side_b": t[0][t[1]:]}),
     )
+    # a crash and the restart of the crashed node, sometimes with its
+    # failback, and no failover in between
+    crash_restart = st.tuples(
+        node, _HOUR, st.sampled_from(["none", "index_loss", "pipeline_crash"]), st.booleans(),
+    ).map(lambda t: [
+        {"kind": "crash", "at_hours": t[1], "node": t[0]},
+        {"kind": "restart", "at_hours": t[1] + 0.25, "node": t[0], "fault_kind": t[2]},
+    ] + ([{"kind": "failback", "at_hours": t[1] + 0.5, "node": t[0]}] if t[3] else []))
     # a crash and the failover of the crashed node to a node that is not
     # its only other replica, sometimes with its restart and failback:
     # drawn fault by fault, the sequence is too rare for the property to
     # reach a failover or a scoped failback
     crash_failover = st.tuples(
-        # (on two nodes no failover is valid: the drawn one is rejected)
-        node, st.integers(2 if replica_factor == 2 else 1, max(nodes - 1, 2)), _HOUR,
+        node, st.integers(2 if replica_factor == 2 else 1, nodes - 1), _HOUR,
         st.sampled_from([None, "none", "index_loss", "pipeline_crash"]),
     ).map(lambda t: [
         {"kind": "crash", "at_hours": t[2], "node": t[0]},
@@ -201,6 +220,9 @@ def _runnable_scenario(nodes: int, replica_factor: int):
         {"kind": "restart", "at_hours": t[2] + 0.5, "node": t[0], "fault_kind": t[3]},
         {"kind": "failback", "at_hours": t[2] + 0.75, "node": t[0]},
     ]))
+    groups = [fault.map(lambda f: [f]), partition, crash_restart]
+    if nodes > 2:  # on two nodes no failover is valid
+        groups.append(crash_failover)
     return st.fixed_dictionaries({
         "horizon_hours": st.just(4.0),
         "framework": st.sampled_from(["meta", "hash", "both"]),
@@ -211,8 +233,8 @@ def _runnable_scenario(nodes: int, replica_factor: int):
         "workload": st.fixed_dictionaries({
             "blocks_per_hour_per_node": st.just(2),
             "duplicate_ratio": st.sampled_from([0.0, 0.3])}),
-        "faults": st.lists(st.one_of(fault.map(lambda f: [f]), crash_failover), max_size=4)
-        .map(lambda groups: [f for group in groups for f in group]),
+        "faults": st.lists(st.one_of(groups), max_size=4)
+        .map(lambda drawn: [f for group in drawn for f in group]),
         # valid zone lines only: the load-only property draws the invalid ones
         "discovery": st.fixed_dictionaries({"zone": st.lists(st.sampled_from([
             "ENDPT host-1 10.0.0.1:7000", "ENDPT service-1 10.9.9.9:7000",
