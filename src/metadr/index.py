@@ -157,11 +157,9 @@ class IdentifierIndex:
     def ids(self) -> list[CompositeId]:
         return [e.id for e in self.entries()]
 
-    def same_ids(self, other: "IdentifierIndex") -> bool:
-        if self.entry_count != other.entry_count:
-            return False
-        missing_b, missing_a = set_difference(self, other)
-        return not missing_b and not missing_a
+    def same_ids(self, other: "IdentifierIndex", nids: list[NodeId] | None = None) -> bool:
+        """Whether both hold the same ids of `nids` (None: every nid)."""
+        return set_difference(self, other, nids=nids) == ([], [])
 
 
 @dataclass

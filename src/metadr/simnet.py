@@ -294,6 +294,14 @@ def validate_scenario(s: Scenario) -> None:
                 )
         elif f.kind == "failback" and f.node in crashed:
             raise ScenarioValidation(f"{event}: node {f.node} is down")
+        elif f.kind == "converge":
+            if f.a == f.b:
+                raise ScenarioValidation(f"{event}: node {f.a} cannot converge with itself")
+            for ordinal in (f.a, f.b):
+                if ordinal in crashed:
+                    raise ScenarioValidation(f"{event}: node {ordinal} is down")
+            if not _reachable(partitions, f.a, f.b):
+                raise ScenarioValidation(f"{event}: nodes {f.a} and {f.b} are partitioned")
 
 
 def ring_successors(node: int, nodes: int, count: int) -> list[int]:
@@ -508,9 +516,10 @@ class SimRuntime:
             self._dr_failback(f)
         elif f.kind == "converge":
             meter = CostMeter(self.scenario.cost)
-            rounds = converge(nodes[f.a], nodes[f.b], self.cluster, meter)
+            framework = self.scenario.framework
+            rounds = converge(self.cluster, nodes[f.a], nodes[f.b], framework, meter)
             self.metrics.converge_rounds.append(rounds)
-            report = report_from_meter("converge", "meta", meter)
+            report = report_from_meter("converge", framework, meter)
             report.note = f"rounds={rounds}"
             self.metrics.events.append(DrEvent(f.at_hours, f"converge {f.a}<->{f.b}", [report]))
 
@@ -608,15 +617,15 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> Metrics:
 
     `framework: both` runs a meta twin and a hash twin of the same
     scenario and seed, and returns the meta twin's metrics with the hash
-    twin's failover and failback reports after the meta report of each
-    event, and with both twins' violation counters summed.
+    twin's report after the meta report of each event, converges
+    included, and with both twins' violation counters summed.
     """
     if scenario.framework != "both":
         return SimRuntime(scenario, seed).run()
     metrics = SimRuntime(replace(scenario, framework="meta"), seed).run()
     hashed = SimRuntime(replace(scenario, framework="hash"), seed).run()
     for event, twin in zip(metrics.events, hashed.events, strict=True):
-        event.reports += [r for r in twin.reports if r.kind != "converge"]
+        event.reports += twin.reports
     counts = zip(astuple(metrics.violations), astuple(hashed.violations))
     metrics.violations = Violations(*map(sum, counts))
     return metrics
@@ -839,7 +848,6 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
             keyed_fraction=cfg.keyed_fraction,
         ),
         cost=model,
-        volumetrics=vol,
     ))
     nodes = rt.sim_nodes
 

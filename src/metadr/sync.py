@@ -13,8 +13,9 @@ of the source's emission order, which keeps max-based watermarks sound.
 
 Ring placement decides every DR session's peers and scope: a failover
 syncs the failed node's nid from its surviving replicas, a failback the
-nids the recovered node shares with each node of its replica sets.
-`converge` stays a full-index exchange.
+nids the recovered node shares with each node of its replica sets, and
+a converge the nids its two nodes both host. Every exchange, converge
+included, is incremental from the pair's checkpoint.
 
 Under the metadata framework the identification step touches ids only:
 no content is read and nothing is hashed, and the per-event report's
@@ -164,16 +165,19 @@ class Cluster:
                 return False
         return True
 
+    def scope(self, nid: NodeId, nids) -> list | None:
+        """Those of `nids` that node `nid` hosts (None: every nid)."""
+        hosts = self.hosted[nid]
+        return nids if hosts is None else sorted(hosts.intersection(nids))
+
     def placement_peers(self, nid: NodeId, nids) -> list[tuple[StorageNode, list | None]]:
         """The up nodes `nid` can reach that host any of `nids`, in cluster
-        (ordinal) order, each with those of `nids` it hosts (None: every
-        nid)."""
+        (ordinal) order, each with its `scope` of `nids`."""
         peers = []
         for n in self.nodes.values():
             if n.nid == nid or n.status is not NodeStatus.UP or not self.reachable(nid, n.nid):
                 continue
-            hosts = self.hosted[n.nid]
-            scope = nids if hosts is None else sorted(hosts.intersection(nids))
+            scope = self.scope(n.nid, nids)
             if scope is None or scope:
                 peers.append((n, scope))
         return peers
@@ -402,7 +406,7 @@ def _session(
     node: StorageNode,
     peers: list[tuple[StorageNode, list[NodeId] | None]],
     framework: str,
-    meter: CostMeter,
+    meter: CostMeter | None,
 ) -> None:
     """Sync `node` with each peer in turn, within its scope (None: every
     nid), under one framework. Layer-2 dedup is barred on every
@@ -457,42 +461,34 @@ def execute_failback(cluster: Cluster, recovered: NodeId, framework: str) -> DrR
     return report_from_meter("failback", framework, meter)
 
 
-def converge(
-    n1: StorageNode, n2: StorageNode, cluster: Cluster | None = None,
-    meter: CostMeter | None = None,
-) -> int:
-    """Full-index exchange after a partition heals.
-
-    Returns the number of exchange rounds used; one round always
-    suffices for a pair (the union is commutative and idempotent), and
-    a repeat invocation transfers nothing.
-    """
-    if cluster is None:
-        cluster = Cluster([n1, n2])
-        # fresh cluster has a genesis checkpoint: full exchange
-    rounds = 0
-    for _ in range(4):  # safety bound; equality is reached in round 1
-        rounds += 1
-        genesis = Checkpoint(peer=n2.nid)  # full-index exchange, not incremental
-        plan = compute_delta_meta(n1.id_index, genesis, n2.id_index, meter)
-        _exchange(n1, n2, plan, _transfer_meta, meter)
-        if n1.id_index.same_ids(n2.id_index):
+def converge(cluster: Cluster, a: StorageNode, b: StorageNode, framework: str,
+             meter: CostMeter | None = None) -> int:
+    """One DR session between two healed nodes, scoped to the nids both
+    host (every nid without placement). Returns the rounds used, each a
+    session and a check that the scoped id sets agree; one always
+    suffices for a pair (the union is commutative and idempotent), and a
+    pair that shares no nid exchanges two empty index headers."""
+    for node in (a, b):
+        if node.status is not NodeStatus.UP:
+            raise NodeStatusError(node)
+    scope = cluster.scope(b.nid, cluster.hosted[a.nid])
+    for rounds in range(1, 5):  # safety bound; the scoped sets agree after round 1
+        _session(cluster, a, [(b, scope)], framework, meter)
+        if a.id_index.same_ids(b.id_index, scope):
             break
-    _advance_pair_checkpoint(cluster.checkpoint(n1.nid, n2.nid), n1, n2)
     return rounds
 
 
-def converge_cluster(nodes: list[StorageNode], cluster: Cluster | None = None) -> int:
+def converge_cluster(cluster: Cluster, nodes: list[StorageNode], framework: str) -> int:
     """Converge k healed nodes with a deterministic gossip schedule.
 
-    Rounds sweep adjacent pairs in nid order: the first (forward) sweep
-    gathers the union at the highest nid, the second (reversed) sweep
-    distributes it back down, so two rounds always suffice for any k
-    (within the k-1 pairwise-round bound for k >= 3). Returns the rounds
-    actually used; a repeat invocation uses one empty round.
+    Rounds sweep adjacent pairs in nid order, each pair a `converge`. On
+    a cluster without placement the first (forward) sweep gathers the
+    union at the highest nid and the second (reversed) sweep distributes
+    it back down, so two rounds always suffice for any k (within the k-1
+    pairwise-round bound for k >= 3), and a repeat invocation uses one
+    empty round. Returns the rounds actually used.
     """
-    if cluster is None:
-        cluster = Cluster(nodes)
     order = sorted(nodes, key=lambda n: n.nid.value)
     k = len(order)
     if k < 2:
@@ -504,7 +500,7 @@ def converge_cluster(nodes: list[StorageNode], cluster: Cluster | None = None) -
         if sweep % 2:
             pairs.reverse()
         for a, b in pairs:
-            converge(a, b, cluster)
+            converge(cluster, a, b, framework)
         if all(order[0].id_index.same_ids(n.id_index) for n in order[1:]):
             break
     return rounds

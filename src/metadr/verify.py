@@ -125,13 +125,13 @@ def _two_node_partition_case(seed: int) -> tuple[bool, str]:
         a.ingest((512, rng.randrange(1 << 30)))
     for _ in range(rng.randrange(1, 60)):
         b.ingest((512, rng.randrange(1 << 30)))
-    rounds = converge(a, b)
+    rounds = converge(Cluster([a, b]), a, b, "meta")
     if rounds != 1:
         return False, f"convergence took {rounds} rounds"
     if not a.id_index.same_ids(b.id_index):
         return False, "indexes differ after convergence"
     before = a.id_index.entry_count
-    rounds2 = converge(a, b)
+    rounds2 = converge(Cluster([a, b]), a, b, "meta")  # a full exchange again
     if rounds2 != 1 or a.id_index.entry_count != before:
         return False, "repeat convergence was not idempotent"
     return True, "union reached in 1 round, idempotent"

@@ -141,6 +141,11 @@ def test_simulate_unknown_scenario_exits_2(capsys):
     "cluster: {nodes: 3, replica_factor: 2}\n",
     # a zone line that turns the runtime's endpoint name into an alias
     "discovery: {zone: [\"CNAME host-0 elsewhere\"]}\n",
+    # a converge across an open partition
+    "cluster: {nodes: 3}\n"
+    "faults:\n"
+    "  - {kind: partition, at_hours: 0.5, until_hours: 5.0, side_a: [0], side_b: [1, 2]}\n"
+    "  - {kind: converge, at_hours: 1.0, a: 0, b: 1}\n",
 ])
 def test_simulate_bad_scenario_exits_2_with_one_error_line(tmp_path, capsys, text):
     path = tmp_path / "bad.yaml"

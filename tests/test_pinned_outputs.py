@@ -47,16 +47,21 @@ def test_soak_output_is_pinned():
     assert digest(report) == "e8cf0969e3bfbe257bf54104e7220aa2c2381662617cc4259150c8c7078d4cd4"
 
 
-@pytest.mark.parametrize("name,seed,expected", [
+_BUNDLED_PINS = [
     ("condition3-failover", 0,
      "c92a959073fd0751e23715c720bd47236be230c6bc317e1b2a0d9893e6059917"),
     ("condition3-failover", 7,
      "8476ce26b54af141fa09b2ed598f46ae522a9f4b48e30098bbcc5289124de275"),
     ("partition-converge", 0,
-     "7f0b73b977754293485170ef35b4540ce5aba3db3e937d241a27d713047755d5"),
+     "f1ffaa9991b27d611d3d31cc9b76ec502662ed1e054f3632ab90d970165dfd61"),
     ("partition-converge", 7,
-     "d048d99d246aa52ca6ee5cc68d2c73912823abd16a4418132af63e3b5ada7957"),
-])
+     "864d435d89b87ff82b734dd882f65d8f836999994460f755d52bcbfe8dad2d53"),
+]
+
+
+# ids are name-seed, so re-recording a digest keeps the case's name
+@pytest.mark.parametrize("name,seed,expected", _BUNDLED_PINS,
+                         ids=[f"{name}-{seed}" for name, seed, _ in _BUNDLED_PINS])
 def test_bundled_scenario_metrics_are_pinned(name, seed, expected):
     assert digest(run_scenario(bundled(name), seed)) == expected
 

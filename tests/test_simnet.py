@@ -194,8 +194,8 @@ def _runnable_scenario(nodes: int, replica_factor: int):
         st.fixed_dictionaries({
             "kind": st.sampled_from(["crash", "failback", "index_loss", "pipeline_crash"]),
             "at_hours": _HOUR, "node": node}),
-        st.fixed_dictionaries({
-            "kind": st.just("converge"), "at_hours": _HOUR, "a": node, "b": node}),
+        st.tuples(node, st.integers(1, nodes - 1), _HOUR).map(lambda t: {
+            "kind": "converge", "at_hours": t[2], "a": t[0], "b": (t[0] + t[1]) % nodes}),
     )
     # a crash and the restart of the crashed node, sometimes with its
     # failback, and no failover in between
@@ -307,6 +307,12 @@ def test_validation_rejects_bad_ordinals():
       {"kind": "crash", "at_hours": 1.5, "node": 2},
       {"kind": "failover", "at_hours": 2.0, "failed": 0, "substitute": 2}], "substitute 2"),
     ([{"kind": "crash", "at_hours": 1.0}], "needs node"),
+    ([{"kind": "converge", "at_hours": 1.0, "a": 0, "b": 0}], "itself"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 1},
+      {"kind": "converge", "at_hours": 2.0, "a": 0, "b": 1}], "node 1 is down"),
+    ([{"kind": "partition", "at_hours": 1.0, "until_hours": 3.0,
+       "side_a": [0], "side_b": [1, 2]},
+      {"kind": "converge", "at_hours": 2.0, "a": 2, "b": 0}], "partitioned"),
 ])
 def test_validation_replays_node_lifecycle(faults, message):
     bad = dict(PARTITION_SCENARIO, cluster={"nodes": 3, "replica_factor": 3}, faults=faults)
@@ -423,6 +429,7 @@ def test_both_reports_equal_the_meta_and_hash_runs(nodes, replica_factor, substi
                 {"kind": "failover", "at_hours": 1.5, "failed": 0, "substitute": substitute},
                 {"kind": "restart", "at_hours": 2.0, "node": 0, "fault_kind": "index_loss"},
                 {"kind": "failback", "at_hours": 2.5, "node": 0},
+                {"kind": "converge", "at_hours": 3.0, "a": 1, "b": 2},
             ],
         }))
 
@@ -430,16 +437,17 @@ def test_both_reports_equal_the_meta_and_hash_runs(nodes, replica_factor, substi
     with pytest.raises(ValueError):  # only run_scenario splits "both"
         SimRuntime(load_scenario(dict(PARTITION_SCENARIO, framework="both")))
     assert [e.label for e in both.events] == [e.label for e in meta.events]
-    assert len(both.events) == 2
+    assert len(both.events) == 3
+    assert [r.framework for r in hashed.events[-1].reports] == ["hash"]
     for event, meta_event, hash_event in zip(both.events, meta.events, hashed.events):
         assert repr(event.reports) == repr(meta_event.reports + hash_event.reports)
 
 
 @pytest.mark.parametrize("replica_factor", [2, 3])
 def test_dr_sessions_keep_ring_placement(replica_factor):
-    # a failover and a failback move only the ids placement puts on a
-    # node (plus the substitute's copy of the failed node's), and the
-    # meta and hash twins move the same ids
+    # a failover, a failback and a converge move only the ids placement
+    # puts on a node (plus the substitute's copy of the failed node's),
+    # and the meta and hash twins move the same ids
     nodes, failed = 5, 0
     substitute = replica_factor  # the first node past node 0's replica set
 
@@ -456,6 +464,7 @@ def test_dr_sessions_keep_ring_placement(replica_factor):
                  "substitute": substitute},
                 {"kind": "restart", "at_hours": 2.0, "node": failed},
                 {"kind": "failback", "at_hours": 2.5, "node": failed},
+                {"kind": "converge", "at_hours": 3.0, "a": 1, "b": 3},
             ],
         }))
         rt.run()

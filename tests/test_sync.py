@@ -8,6 +8,7 @@ from metadr.index import Checkpoint, set_difference
 from metadr.node import StorageNode
 from metadr.sync import (
     Cluster,
+    NodeStatusError,
     NoSurvivingReplica,
     ReconciliationPolicy,
     Volumetrics,
@@ -263,7 +264,7 @@ def test_disjoint_partition_writes_converge_in_one_round():
     a, b = make_nodes(2)
     fill(a, 40, tag=1)
     fill(b, 25, tag=2)
-    assert converge(a, b) == 1
+    assert converge(Cluster([a, b]), a, b, "meta") == 1
     assert a.id_index.same_ids(b.id_index)
     assert a.id_index.entry_count == 65
 
@@ -271,9 +272,10 @@ def test_disjoint_partition_writes_converge_in_one_round():
 def test_identical_indexes_converge_idempotently():
     a, b = make_nodes(2)
     fill(a, 10)
-    converge(a, b)
+    cluster = Cluster([a, b])
+    converge(cluster, a, b, "meta")
     meter = CostMeter(CostModel())
-    rounds = converge(a, b, meter=meter)
+    rounds = converge(cluster, a, b, "meta", meter)
     assert rounds == 1
     assert meter.t_delta == 0.0  # empty transfers on repeat
 
@@ -284,10 +286,35 @@ def test_converge_is_commutative_and_idempotent_across_seeds():
         a, b = make_nodes(2, seed=seed)
         fill(a, rng.randrange(1, 50), tag=1)
         fill(b, rng.randrange(1, 50), tag=2)
-        assert converge(a, b) == 1
+        cluster = Cluster([a, b])
+        assert converge(cluster, a, b, "meta") == 1
         before = (a.id_index.entry_count, b.id_index.entry_count)
-        assert converge(a, b) == 1
+        assert converge(cluster, b, a, "meta") == 1
         assert (a.id_index.entry_count, b.id_index.entry_count) == before
+
+
+@pytest.mark.parametrize("framework", ["meta", "hash"])
+def test_converge_moves_only_the_nids_both_nodes_host(framework):
+    # a 4-node ring at RF=2: a and b share a's nid, a and c share none
+    a, b, c, d = make_nodes(4, baseline=framework == "hash")
+    cluster = Cluster([a, b, c, d], replica_map={
+        a.nid: {b.nid}, b.nid: {c.nid}, c.nid: {d.nid}, d.nid: {a.nid}})
+    for tag, node in enumerate((a, b, c, d)):
+        fill(node, 10, tag=tag)
+    assert converge(cluster, a, b, framework) == 1
+    assert {cid.nid for cid in b.id_index.ids()} == {a.nid, b.nid}
+    assert {cid.nid for cid in a.id_index.ids()} == {a.nid}
+    meter = CostMeter(CostModel())
+    assert converge(cluster, a, c, framework, meter) == 1
+    assert meter.network_bytes == 2 * 16  # one empty index header per side
+    assert a.id_index.entry_count == c.id_index.entry_count == 10
+
+
+def test_converge_needs_both_nodes_up():
+    a, b = make_nodes(2)
+    b.crash()
+    with pytest.raises(NodeStatusError, match="crashed"):
+        converge(Cluster([a, b]), a, b, "meta")
 
 
 # -- split brain ---------------------------------------------------------------------
@@ -425,7 +452,7 @@ def test_k_node_gossip_converges_within_tournament_bound():
             for tag, node in enumerate(nodes):
                 for i in range(rng.randrange(1, 25)):
                     node.ingest((64, tag * 10_000 + i))
-            rounds = converge_cluster(nodes)
+            rounds = converge_cluster(Cluster(nodes), nodes, "meta")
             assert rounds <= k - 1
             union_size = sum(1 for _ in nodes[0].id_index.entries())
             for node in nodes[1:]:
