@@ -294,14 +294,12 @@ def validate_scenario(s: Scenario) -> None:
                 )
         elif f.kind == "failback" and f.node in crashed:
             raise ScenarioValidation(f"{event}: node {f.node} is down")
-        elif f.kind == "converge":
-            if f.a == f.b:
-                raise ScenarioValidation(f"{event}: node {f.a} cannot converge with itself")
-            for ordinal in (f.a, f.b):
-                if ordinal in crashed:
-                    raise ScenarioValidation(f"{event}: node {ordinal} is down")
-            if not _reachable(partitions, f.a, f.b):
-                raise ScenarioValidation(f"{event}: nodes {f.a} and {f.b} are partitioned")
+        elif f.kind == "converge" and f.a == f.b:
+            raise ScenarioValidation(f"{event}: node {f.a} cannot converge with itself")
+        elif f.kind == "converge" and {f.a, f.b} & crashed:
+            raise ScenarioValidation(f"{event}: node {f.a if f.a in crashed else f.b} is down")
+        elif f.kind == "converge" and not _reachable(partitions, f.a, f.b):
+            raise ScenarioValidation(f"{event}: nodes {f.a} and {f.b} are partitioned")
 
 
 def ring_successors(node: int, nodes: int, count: int) -> list[int]:

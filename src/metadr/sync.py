@@ -464,31 +464,30 @@ def execute_failback(cluster: Cluster, recovered: NodeId, framework: str) -> DrR
 def converge(cluster: Cluster, a: StorageNode, b: StorageNode, framework: str,
              meter: CostMeter | None = None) -> int:
     """One DR session between two healed nodes, scoped to the nids both
-    host (every nid without placement). Returns the rounds used, each a
-    session and a check that the scoped id sets agree; one always
-    suffices for a pair (the union is commutative and idempotent), and a
-    pair that shares no nid exchanges two empty index headers."""
+    host (every nid without placement); a pair sharing none exchanges two
+    empty index headers. Returns the rounds used: always one, since the
+    session leaves no window a second round could exchange, so a pair
+    whose scoped id sets still differ raises."""
     for node in (a, b):
         if node.status is not NodeStatus.UP:
             raise NodeStatusError(node)
     scope = cluster.scope(b.nid, cluster.hosted[a.nid])
-    for rounds in range(1, 5):  # safety bound; the scoped sets agree after round 1
-        _session(cluster, a, [(b, scope)], framework, meter)
-        if a.id_index.same_ids(b.id_index, scope):
-            break
-    return rounds
+    _session(cluster, a, [(b, scope)], framework, meter)
+    if not a.id_index.same_ids(b.id_index, scope):
+        raise RuntimeError(f"converge left {a.nid} and {b.nid} unequal")
+    return 1
 
 
-def converge_cluster(cluster: Cluster, nodes: list[StorageNode], framework: str) -> int:
-    """Converge k healed nodes with a deterministic gossip schedule.
+def converge_cluster(nodes: list[StorageNode]) -> int:
+    """Converge k healed nodes, each hosting every nid, by metadata gossip.
 
-    Rounds sweep adjacent pairs in nid order, each pair a `converge`. On
-    a cluster without placement the first (forward) sweep gathers the
-    union at the highest nid and the second (reversed) sweep distributes
-    it back down, so two rounds always suffice for any k (within the k-1
-    pairwise-round bound for k >= 3), and a repeat invocation uses one
-    empty round. Returns the rounds actually used.
+    Rounds sweep adjacent pairs in nid order, each a `converge`: the first
+    (forward) sweep gathers the union at the highest nid, the second
+    (reversed) sweep distributes it back down, so two rounds always
+    suffice for any k (within the k-1 pairwise-round bound for k >= 3).
+    Returns the rounds actually used; a repeat uses one that moves nothing.
     """
+    cluster = Cluster(nodes)
     order = sorted(nodes, key=lambda n: n.nid.value)
     k = len(order)
     if k < 2:
@@ -500,7 +499,7 @@ def converge_cluster(cluster: Cluster, nodes: list[StorageNode], framework: str)
         if sweep % 2:
             pairs.reverse()
         for a, b in pairs:
-            converge(cluster, a, b, framework)
+            converge(cluster, a, b, "meta")
         if all(order[0].id_index.same_ids(n.id_index) for n in order[1:]):
             break
     return rounds

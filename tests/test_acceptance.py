@@ -192,12 +192,11 @@ def test_criterion_6_convergence_property_suite(capsys):
             a.ingest((128, rng.randrange(1 << 30)))
         for _ in range(rng.randrange(1, 120)):
             b.ingest((128, rng.randrange(1 << 30)))
-        cluster = Cluster([a, b])
-        rounds = converge(cluster, a, b, "meta")
+        rounds = converge(Cluster([a, b]), a, b, "meta")
         assert rounds == 1
         assert a.id_index.same_ids(b.id_index)
         meter = CostMeter(CostModel())
-        assert converge(cluster, a, b, "meta", meter) == 1
+        assert converge(Cluster([a, b]), a, b, "meta", meter) == 1  # full exchange
         assert meter.t_delta == 0.0  # idempotent repeat moves nothing
     with capsys.disabled():
         ok(6, "100 partition scenarios: union in exactly 1 round, idempotent repeat")

@@ -275,9 +275,12 @@ def test_identical_indexes_converge_idempotently():
     cluster = Cluster([a, b])
     converge(cluster, a, b, "meta")
     meter = CostMeter(CostModel())
-    rounds = converge(cluster, a, b, "meta", meter)
-    assert rounds == 1
-    assert meter.t_delta == 0.0  # empty transfers on repeat
+    assert converge(cluster, a, b, "meta", meter) == 1
+    assert meter.network_bytes == 2 * 16  # incremental repeat: empty windows
+    meter = CostMeter(CostModel())
+    assert converge(Cluster([a, b]), a, b, "meta", meter) == 1
+    assert meter.network_bytes > 2 * 16  # fresh pair: the whole indexes compared
+    assert meter.t_delta == 0.0  # and nothing moves
 
 
 def test_converge_is_commutative_and_idempotent_across_seeds():
@@ -286,11 +289,11 @@ def test_converge_is_commutative_and_idempotent_across_seeds():
         a, b = make_nodes(2, seed=seed)
         fill(a, rng.randrange(1, 50), tag=1)
         fill(b, rng.randrange(1, 50), tag=2)
-        cluster = Cluster([a, b])
-        assert converge(cluster, a, b, "meta") == 1
+        assert converge(Cluster([a, b]), a, b, "meta") == 1
         before = (a.id_index.entry_count, b.id_index.entry_count)
-        assert converge(cluster, b, a, "meta") == 1
+        assert converge(Cluster([a, b]), b, a, "meta") == 1  # full exchange again
         assert (a.id_index.entry_count, b.id_index.entry_count) == before
+        assert a.id_index.same_ids(b.id_index)
 
 
 @pytest.mark.parametrize("framework", ["meta", "hash"])
@@ -308,6 +311,14 @@ def test_converge_moves_only_the_nids_both_nodes_host(framework):
     assert converge(cluster, a, c, framework, meter) == 1
     assert meter.network_bytes == 2 * 16  # one empty index header per side
     assert a.id_index.entry_count == c.id_index.entry_count == 10
+
+
+def test_converge_raises_when_the_pair_still_differs(monkeypatch):
+    a, b = make_nodes(2)
+    fill(a, 5)
+    monkeypatch.setattr("metadr.sync._session", lambda *args: None)
+    with pytest.raises(RuntimeError, match="unequal"):
+        converge(Cluster([a, b]), a, b, "meta")
 
 
 def test_converge_needs_both_nodes_up():
@@ -452,7 +463,7 @@ def test_k_node_gossip_converges_within_tournament_bound():
             for tag, node in enumerate(nodes):
                 for i in range(rng.randrange(1, 25)):
                     node.ingest((64, tag * 10_000 + i))
-            rounds = converge_cluster(Cluster(nodes), nodes, "meta")
+            rounds = converge_cluster(nodes)
             assert rounds <= k - 1
             union_size = sum(1 for _ in nodes[0].id_index.entries())
             for node in nodes[1:]:
