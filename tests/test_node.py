@@ -1,3 +1,4 @@
+import struct
 from random import Random
 
 import pytest
@@ -100,14 +101,18 @@ def test_read_verify_roundtrip():
     node = fresh_node()
     cid = node.ingest(b"some payload bytes")
     assert node.read_verify(cid) == b"some payload bytes"
+    # a virtual block reads back as its packed descriptor
+    cid = node.ingest((4096, 17))
+    assert node.read_verify(cid) == struct.pack(">QQ", 4096, 17)
 
 
 def test_corruption_detected_on_read():
     node = fresh_node()
-    cid = node.ingest(b"precious data")
-    node.corrupt_block(cid)
-    with pytest.raises(CorruptionDetected):
-        node.read_verify(cid)
+    for payload in (b"precious data", (4096, 17)):
+        cid = node.ingest(payload)
+        node.corrupt_block(cid)
+        with pytest.raises(CorruptionDetected):
+            node.read_verify(cid)
 
 
 def test_crc_vector_used_for_blocks():
@@ -132,10 +137,11 @@ def test_scrub_clean_store():
 def test_scrub_finds_injected_corruptions():
     node = fresh_node()
     ids = [node.ingest(f"block {i}".encode()) for i in range(50)]
-    for cid in (ids[3], ids[17], ids[42]):
+    ids += [node.ingest((4096, i)) for i in range(50)]
+    for cid in (ids[3], ids[17], ids[42], ids[61], ids[88]):
         node.corrupt_block(cid)
     report = node.scrub(1000)
-    assert len(report.findings) == 3
+    assert [key for key, _, _ in report.findings] == [ids[3], ids[17], ids[42], ids[61], ids[88]]
 
 
 def test_scrub_zero_budget():

@@ -33,6 +33,28 @@ HASH_RESTART_SCENARIO = {
 }
 
 
+# Both twins at virtual fidelity through every restart fault kind: the
+# hash twin drains, rolls back and rebuilds over descriptor-backed blocks,
+# and a fifth of the workload repeats earlier content.
+VIRTUAL_HASH_SCENARIO = {
+    "name": "virtual-hash-restarts", "seed": 9, "fidelity": "virtual",
+    "framework": "both", "horizon_hours": 5.0,
+    "cluster": {"nodes": 4, "replica_factor": 2},
+    "inventory": {"blocks_per_node": 60, "block_bytes_min": 4096, "block_bytes_max": 65536},
+    "workload": {"blocks_per_hour_per_node": 10, "duplicate_ratio": 0.2},
+    "faults": [
+        {"kind": "crash", "at_hours": 1.0, "node": 0, "fault_kind": "torn"},
+        {"kind": "failover", "at_hours": 1.5, "failed": 0, "substitute": 2},
+        {"kind": "restart", "at_hours": 2.0, "node": 0, "fault_kind": "pipeline_crash"},
+        {"kind": "failback", "at_hours": 2.5, "node": 0},
+        {"kind": "crash", "at_hours": 3.0, "node": 1},
+        {"kind": "failover", "at_hours": 3.25, "failed": 1, "substitute": 3},
+        {"kind": "restart", "at_hours": 3.5, "node": 1, "fault_kind": "index_loss"},
+        {"kind": "failback", "at_hours": 4.0, "node": 1},
+    ],
+}
+
+
 def digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -70,3 +92,11 @@ def test_hash_restart_after_transfers_is_pinned():
     metrics = run_scenario(load_scenario(HASH_RESTART_SCENARIO))
     assert [r.content_reads for e in metrics.events for r in e.reports] == [0, 96, 176]
     assert digest(metrics) == "f99197781943f26e3cf809b06031e3f11dcd4100670a3f4e288bf2e2345ecb5b"
+
+
+def test_virtual_hash_restarts_are_pinned():
+    metrics = run_scenario(load_scenario(VIRTUAL_HASH_SCENARIO))
+    hash_reports = [r for e in metrics.events for r in e.reports if r.framework == "hash"]
+    assert [r.hash_ops for r in hash_reports] == [280, 310, 60, 439]
+    assert [r.content_reads for r in hash_reports] == [0, 0, 0, 190]
+    assert digest(metrics) == "4de0a3390d194822fa6ef0d39b08fbab2dfccc1338d97412ffe4d62500f0bb8b"
