@@ -31,14 +31,12 @@ class CostModel:
     wal_replay_seconds: float = 18.0
     rto_jitter_cv: float = 0.012
     fragmentation_factor: float = 0.0
-    link_latency_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("hash_throughput", "cores", "bandwidth", "index_entry_bytes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        for name in ("wal_replay_seconds", "rto_jitter_cv", "fragmentation_factor",
-                     "link_latency_seconds"):
+        for name in ("wal_replay_seconds", "rto_jitter_cv", "fragmentation_factor"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 

@@ -9,16 +9,15 @@ lost outright (condition 3: full inventory rehash before any delta can
 be computed). All hashing is charged to a cost meter so the rebuild cost
 shows up in virtual recovery time.
 
-Virtual-fidelity blocks carry (byte_len, content_seed) descriptors
-instead of payloads; their fingerprint is a deterministic function of
-the descriptor, which preserves duplicate-detection semantics while the
+A block is hashed as its content bytes and charged as its byte_len.
+At virtual fidelity the content is the block's 16-byte descriptor, so
+equal descriptors collide exactly as equal payloads would, while the
 meter charges the modeled byte length.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,46 +27,19 @@ DIGEST_BYTES = 32
 EMPTY_LEAF = b"\x00" * DIGEST_BYTES  # pad sentinel for unequal leaf counts
 EMPTY_TREE_ROOT = hashlib.sha256(b"").digest()
 
-# Payloads are raw bytes in concrete mode, (byte_len, seed) tuples in
-# virtual mode; payload_digest/payload_len accept both.
-
 
 class InconsistentIndex(RuntimeError):
     """Delta service refused: the hash index cannot be trusted until the
     pipeline drains or the index is rebuilt."""
 
 
-def fingerprint_block(content: bytes, meter=None) -> bytes:
-    """SHA-256 of the block content, charged to the hash cost meter."""
-    if meter is not None:
-        meter.charge_hash(len(content), ops=1)
-    return hashlib.sha256(content).digest()
-
-
-def descriptor_digest(byte_len: int, content_seed: int, meter=None) -> bytes:
-    """Fingerprint of a virtual block.
-
-    Deterministic in the descriptor, so equal (byte_len, seed) pairs
-    collide exactly like equal payloads would. The meter is charged the
-    modeled byte length, not the 16 descriptor bytes.
-    """
+def payload_digest(content: bytes, byte_len: int, meter=None) -> bytes:
+    """SHA-256 of a block's content; the meter is charged byte_len, the
+    block's modeled length (for a virtual block, not its 16 descriptor
+    bytes), and one hash op."""
     if meter is not None:
         meter.charge_hash(byte_len, ops=1)
-    return hashlib.sha256(struct.pack(">QQ", byte_len, content_seed)).digest()
-
-
-def payload_digest(payload, meter=None) -> bytes:
-    """Fingerprint either payload form (bytes or descriptor tuple)."""
-    if isinstance(payload, (bytes, bytearray)):
-        return fingerprint_block(bytes(payload), meter)
-    byte_len, seed = payload
-    return descriptor_digest(byte_len, seed, meter)
-
-
-def payload_len(payload) -> int:
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    return payload[0]
+    return hashlib.sha256(content).digest()
 
 
 class MerkleTree:
@@ -169,7 +141,7 @@ def merkle_diff(a: MerkleTree, b: MerkleTree) -> MerkleDiff:
 
 
 class HashIndex:
-    """Content-digest index: digest -> block locators, plus coverage state.
+    """Content-digest index: digest -> block locators, plus trust state.
 
     A locator is the block's key in the node's store, its composite id;
     by_locator keeps the order blocks were hashed in. consistent_flag
@@ -183,7 +155,6 @@ class HashIndex:
         # by_locator split by source nid (None for a locator without one),
         # so a session scoped to some nids lists only theirs
         self.by_nid: dict[NodeId | None, dict[CompositeId, bytes]] = {}
-        self.coverage_watermark = 0  # highest ingest sequence hashed
         self.lost = False
         self.stale = False  # uncovered ingests exist
 
@@ -191,12 +162,10 @@ class HashIndex:
     def consistent_flag(self) -> bool:
         return not self.lost and not self.stale
 
-    def add(self, locator: CompositeId, digest: bytes, seq: int) -> None:
+    def add(self, locator: CompositeId, digest: bytes) -> None:
         self.by_digest.setdefault(digest, set()).add(locator)
         self.by_locator[locator] = digest
         self.by_nid.setdefault(getattr(locator, "nid", None), {})[locator] = digest
-        if seq > self.coverage_watermark:
-            self.coverage_watermark = seq
 
     def locators(self, nids=None) -> dict[CompositeId, bytes]:
         """by_locator, or only its locators from the given source nids,
@@ -223,33 +192,28 @@ class HashIndex:
         self.by_digest.clear()
         self.by_locator.clear()
         self.by_nid.clear()
-        self.coverage_watermark = 0
         self.lost = True
 
 
 @dataclass(slots=True)
 class PendingBlock:
-    seq: int
     locator: CompositeId
     byte_len: int
-    payload: object  # bytes or (byte_len, seed)
+    content: bytes
 
 
 class PipelineState:
     """Asynchronous hashing pipeline feeding a HashIndex.
 
-    lag_blocks = ingested - hashed. The checkpoint is the last ingest
-    sequence known durably consistent; a crash rolls coverage back to it
-    and re-enqueues everything above.
+    lag_blocks counts the blocks queued but not yet hashed. A crash
+    discards what was hashed since the last checkpoint and re-enqueues
+    it ahead of the queue.
     """
 
     def __init__(self, index: HashIndex) -> None:
         self.index = index
         self.pending: deque[PendingBlock] = deque()
         self.hashed_since_checkpoint: list[PendingBlock] = []
-        self.checkpoint_seq = 0
-        self.ingested = 0
-        self.hashed = 0
 
     @property
     def lag_blocks(self) -> int:
@@ -259,11 +223,8 @@ class PipelineState:
     def lag_bytes(self) -> int:
         return sum(p.byte_len for p in self.pending)
 
-    def enqueue(self, locator: CompositeId, payload, byte_len: int | None = None) -> None:
-        self.ingested += 1
-        if byte_len is None:
-            byte_len = payload_len(payload)
-        self.pending.append(PendingBlock(self.ingested, locator, byte_len, payload))
+    def enqueue(self, locator: CompositeId, content: bytes, byte_len: int) -> None:
+        self.pending.append(PendingBlock(locator, byte_len, content))
         self.index.stale = True
 
 
@@ -279,10 +240,9 @@ def pipeline_tick(state: PipelineState, hash_budget_bytes: int, meter=None) -> i
     done = 0
     while state.pending and state.pending[0].byte_len <= remaining:
         block = state.pending.popleft()
-        digest = payload_digest(block.payload, meter)
-        state.index.add(block.locator, digest, block.seq)
+        digest = payload_digest(block.content, block.byte_len, meter)
+        state.index.add(block.locator, digest)
         state.hashed_since_checkpoint.append(block)
-        state.hashed += 1
         remaining -= block.byte_len
         done += 1
     if not state.pending and not state.index.lost:
@@ -292,16 +252,14 @@ def pipeline_tick(state: PipelineState, hash_budget_bytes: int, meter=None) -> i
 
 def commit_checkpoint(state: PipelineState) -> None:
     """Mark everything hashed so far as durably consistent."""
-    if state.hashed_since_checkpoint:
-        state.checkpoint_seq = state.hashed_since_checkpoint[-1].seq
     state.hashed_since_checkpoint.clear()
 
 
 def crash_interrupt(state: PipelineState) -> int:
     """Condition 2: discard the incomplete index region.
 
-    Coverage rolls back to the last checkpoint; blocks hashed since then
-    are removed from the index and re-enqueued (in order) for rehash.
+    Blocks hashed since the last checkpoint are removed from the index
+    and re-enqueued (in order) for rehash.
     Returns the number of re-enqueued blocks.
     """
     rolled = state.hashed_since_checkpoint
@@ -309,9 +267,7 @@ def crash_interrupt(state: PipelineState) -> int:
         return 0
     for block in rolled:
         state.index.remove(block.locator)
-    state.index.coverage_watermark = state.checkpoint_seq
     state.index.stale = True
-    state.hashed -= len(rolled)
     state.pending.extendleft(reversed(rolled))
     state.hashed_since_checkpoint = []
     return len(rolled)
@@ -320,20 +276,18 @@ def crash_interrupt(state: PipelineState) -> int:
 def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
     """Condition 3 recovery: full hash scan of the inventory.
 
-    `blocks` is an iterable of (locator, payload) in store order. The
-    meter is charged every content byte (virtual seconds = bytes/(H*C))
-    plus one hash op per block and per internal tree node, and one
-    content read per block.
+    `blocks` is an iterable of (locator, content, byte_len) in store
+    order. The meter is charged every block's byte_len (virtual seconds =
+    bytes/(H*C)) plus one hash op per block and per internal tree node,
+    and one content read per block.
     """
     index = HashIndex()
     leaves: list[bytes] = []
-    seq = 0
-    for locator, payload in blocks:
-        seq += 1
-        digest = payload_digest(payload, meter)
+    for locator, content, byte_len in blocks:
+        digest = payload_digest(content, byte_len, meter)
         if meter is not None:
             meter.add_content_reads(1)
-        index.add(locator, digest, seq)
+        index.add(locator, digest)
         leaves.append(digest)
     tree = merkle_build(leaves, meter)
     index.lost = False

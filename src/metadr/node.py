@@ -14,6 +14,11 @@ lcv (ties to the greater nid) on every replica. Integrity is a separate
 concern from identity: every block carries a CRC-32C verified at read
 time and by background scrubbing.
 
+Every block holds content bytes and a byte_len. Ingest accepts bytes or
+a virtual (byte_len, seed) pair; it stores a pair's 16-byte packed
+descriptor as the content, with byte_len the modeled length, so no layer
+below ingest tells the two fidelities apart.
+
 Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
 structurally barred from running while a DR event is active, and its
@@ -25,7 +30,7 @@ the node already holds through the same table (`bind_alias`).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .crc32c import crc32c
@@ -61,20 +66,15 @@ class NodeStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Block:
-    """Immutable stored block; concrete (content) or virtual (descriptor)."""
+    """Immutable stored block. byte_len is the modeled length: a virtual
+    block's content is its 16-byte descriptor, its byte_len the length
+    the descriptor stands in for. crc is the CRC-32C of content."""
 
     id: CompositeId
     byte_len: int
     crc: int
-    user_key: str | None = None
-    content: bytes | None = None
-    content_seed: int | None = None
-
-    @property
-    def payload(self):
-        if self.content is not None:
-            return self.content
-        return (self.byte_len, self.content_seed)
+    user_key: str | None
+    content: bytes
 
 
 @dataclass
@@ -94,8 +94,8 @@ class LookupResult:
     locator: CompositeId | None = None  # store key of the legacy block
 
 
-def _descriptor_crc(byte_len: int, seed: int) -> int:
-    return crc32c(struct.pack(">QQ", byte_len, seed))
+# a virtual block's content: its (byte_len, seed) descriptor
+_DESCRIPTOR = struct.Struct(">QQ")
 
 
 @dataclass
@@ -189,26 +189,15 @@ class StorageNode:
         self._max_exposed_lcv = cid.lcv
         if isinstance(payload, (bytes, bytearray)):
             content = bytes(payload)
-            block = Block(
-                id=cid,
-                byte_len=len(content),
-                crc=crc32c(content),
-                user_key=user_key,
-                content=content,
-            )
+            byte_len = len(content)
         else:
             byte_len, seed = payload
-            block = Block(
-                id=cid,
-                byte_len=byte_len,
-                crc=_descriptor_crc(byte_len, seed),
-                user_key=user_key,
-                content_seed=seed,
-            )
+            content = _DESCRIPTOR.pack(byte_len, seed)
+        block = Block(cid, byte_len, crc32c(content), user_key, content)
         self.bind_block(block)
-        self._admit(IndexEntry(cid, block.byte_len, block.crc, user_key))
+        self._admit(IndexEntry(cid, byte_len, block.crc, user_key))
         if self.baseline is not None:
-            self.baseline.pipeline.enqueue(cid, block.payload, block.byte_len)
+            self.baseline.pipeline.enqueue(cid, content, byte_len)
         return cid
 
     def bind_block(self, block: Block) -> None:
@@ -242,7 +231,7 @@ class StorageNode:
         self.block_store[entry.id] = block
         self._admit(entry)
         if self.baseline is not None:
-            self.baseline.pipeline.enqueue(entry.id, block.payload, block.byte_len)
+            self.baseline.pipeline.enqueue(entry.id, block.content, block.byte_len)
 
     def bind_alias(self, entry: IndexEntry, kept: CompositeId) -> None:
         """Accept a foreign id whose content this node already stores
@@ -265,11 +254,8 @@ class StorageNode:
     # -- reads and integrity -------------------------------------------
 
     def read_verify(self, cid: CompositeId) -> bytes:
-        """Return the block's bytes after CRC-32C verification.
-
-        Virtual blocks return their packed descriptor (the checksummed
-        representation at this fidelity).
-        """
+        """Return the block's content after CRC-32C verification; a
+        virtual block's content is its packed descriptor."""
         entry = self.id_index.get(cid)
         if entry is None:
             raise NotFound(f"id {cid} not present")
@@ -279,17 +265,12 @@ class StorageNode:
         block = self.block_store.get(key)
         if block is None:
             raise NotFound(f"block for id {cid} missing from store")
-        if block.content is not None:
-            found = crc32c(block.content)
-            raw = block.content
-        else:
-            raw = struct.pack(">QQ", block.byte_len, block.content_seed)
-            found = crc32c(raw)
+        found = crc32c(block.content)
         if found != entry.crc:
             raise CorruptionDetected(
                 f"crc mismatch at {key}: expected {entry.crc:#010x}, found {found:#010x}"
             )
-        return raw
+        return block.content
 
     def read(self, user_key: str) -> bytes:
         """Read the key's current value, the version `lww_key` orders last."""
@@ -299,17 +280,12 @@ class StorageNode:
         return self.read_verify(cid)
 
     def corrupt_block(self, key: CompositeId) -> None:
-        """Test hook: flip a stored byte (silent corruption injection)."""
+        """Test hook: flip the first stored byte (silent corruption
+        injection)."""
         block = self.block_store[key]
-        if block.content is not None:
-            mutated = bytearray(block.content)
-            mutated[0] ^= 0xFF
-            tampered = Block(block.id, block.byte_len, block.crc, block.user_key,
-                             content=bytes(mutated))
-        else:
-            tampered = Block(block.id, block.byte_len, block.crc, block.user_key,
-                             content_seed=(block.content_seed or 0) ^ 0x1)
-        self.block_store[key] = tampered
+        mutated = bytearray(block.content)
+        mutated[0] ^= 0xFF
+        self.block_store[key] = replace(block, content=bytes(mutated))
 
     def scrub(self, budget_blocks: int) -> CorruptionReport:
         """Verify up to budget blocks round-robin; never mutates data."""
@@ -324,10 +300,7 @@ class StorageNode:
             block = self.block_store[key]
             expected = self.id_index.get(key)
             expected_crc = expected.crc if expected is not None else block.crc
-            if block.content is not None:
-                found = crc32c(block.content)
-            else:
-                found = _descriptor_crc(block.byte_len, block.content_seed or 0)
+            found = crc32c(block.content)
             if found != expected_crc:
                 report.findings.append((key, expected_crc, found))
         self._scrub_cursor = (start + min(budget_blocks, n)) % n
@@ -388,17 +361,11 @@ class StorageNode:
         """Pre-migration data: present only in the legacy hash index."""
         if self.legacy_hash_index is None:
             raise RuntimeError("migration mode not enabled")
-        digest = payload_digest(content, self.background_meter)
+        digest = payload_digest(content, len(content), self.background_meter)
         # Legacy blocks have no composite id yet. They key as lcv 0, which a
         # clock never hands out, numbered in the namespace-tag field.
         key = CompositeId(self.nid, 0, self._legacy_seeded)
-        self.block_store[key] = Block(
-            id=key,
-            byte_len=len(content),
-            crc=crc32c(content),
-            user_key=user_key,
-            content=content,
-        )
+        self.block_store[key] = Block(key, len(content), crc32c(content), user_key, content)
         self.legacy_hash_index[user_key] = (key, digest)
         self._legacy_seeded += 1
 
@@ -465,7 +432,7 @@ class StorageNode:
             block = self.block_store.get(key)
             if block is None or key.lcv == 0:
                 continue
-            digest = payload_digest(block.payload, self.background_meter)
+            digest = payload_digest(block.content, block.byte_len, self.background_meter)
             canonical = self._dedup_seen.get(digest)
             if canonical is None or canonical == key or canonical not in self.block_store:
                 self._dedup_seen[digest] = key

@@ -326,17 +326,14 @@ def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None
     if baseline is None:
         return 0
     if baseline.hash_index.lost:
-        blocks = [(cid, block.payload) for cid, block in node.block_store.items()]
+        blocks = [(cid, block.content, block.byte_len) for cid, block in node.block_store.items()]
         hashed = sum(block.byte_len for block in node.block_store.values())
         new_index, tree = rebuild_index(blocks, meter)
-        ingested = baseline.pipeline.ingested
         baseline.hash_index = new_index
         baseline.pipeline = PipelineState(new_index)
-        baseline.pipeline.ingested = ingested
-        baseline.pipeline.hashed = ingested
         baseline.merkle = tree
         for alias, kept in node.indirection_table.items():  # digests need no rehash
-            new_index.add(alias, new_index.by_locator[kept], 0)
+            new_index.add(alias, new_index.by_locator[kept])
         return hashed
     if baseline.hash_index.stale:
         backlog = baseline.pipeline.lag_bytes
@@ -357,7 +354,7 @@ def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[Composite
         held = index.by_digest.get(digest)
         if held:
             puller.bind_alias(entry, min(held))
-            index.add(cid, digest, 0)  # the digest travelled; nothing is hashed
+            index.add(cid, digest)  # the digest travelled; nothing is hashed
             continue
         block = source.block_store[source.indirection_table.get(cid, cid)]
         puller.replicate_in(entry, block)
@@ -365,10 +362,8 @@ def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[Composite
         # The digest travels with the block; retire the pipeline entry
         # replicate_in just queued instead of rehashing on arrival.
         if pipeline.pending and pipeline.pending[-1].locator == cid:
-            pending = pipeline.pending.pop()
-            pipeline.hashed += 1
-            pipeline.hashed_since_checkpoint.append(pending)
-            index.add(cid, digest, pending.seq)
+            pipeline.hashed_since_checkpoint.append(pipeline.pending.pop())
+            index.add(cid, digest)
             if not pipeline.pending and not pipeline.index.lost:
                 pipeline.index.stale = False
         moved += block.byte_len

@@ -15,6 +15,7 @@ import hashlib
 from random import Random
 
 from . import hashline, identity
+from .costs import CostMeter, CostModel
 from .crc32c import crc32c
 from .node import StorageNode
 from .index import set_difference
@@ -39,10 +40,11 @@ def _crc32c_bitwise(data: bytes) -> int:
     return crc ^ 0xFFFFFFFF
 
 
-def _chaos_uniqueness(seed: int, nodes: int, target_exposed: int) -> tuple[bool, str]:
+def _chaos_uniqueness(
+    rng: Random, nodes: int, target_exposed: int, byte_len: int
+) -> tuple[bool, str]:
     """Interleaved ingest plus crash/restart with torn WAL tails; every
     exposed id must be globally unique."""
-    rng = Random(f"verify:{seed}")
     cluster = [StorageNode(identity.new_node_id(rng)) for _ in range(nodes)]
     seen: set[tuple[bytes, int]] = set()
     exposed = 0
@@ -55,7 +57,7 @@ def _chaos_uniqueness(seed: int, nodes: int, target_exposed: int) -> tuple[bool,
         if rng.random() < 0.05:
             node.crash(torn_wal_bytes=rng.randrange(0, identity.WAL_RECORD_BYTES))
             continue
-        cid = node.ingest((1024, rng.randrange(1 << 30)))
+        cid = node.ingest((byte_len, rng.randrange(1 << 30)))
         key = (cid.nid.value, cid.lcv)
         if key in seen:
             return False, f"duplicate id {cid}"
@@ -64,12 +66,11 @@ def _chaos_uniqueness(seed: int, nodes: int, target_exposed: int) -> tuple[bool,
     return True, f"{exposed} exposed ids, all unique"
 
 
-def _truncation_enumeration() -> tuple[bool, str]:
+def _truncation_enumeration(nid: identity.NodeId) -> tuple[bool, str]:
     """Truncate a small WAL at every byte offset; recovery must never
     re-expose a committed value."""
     wal = identity.MemoryWal()
     clock = identity.LogicalClock(wal)
-    nid = identity.NodeId(b"\x01" * 16)
     for _ in range(10):
         clock.next_id(nid)
     data = wal.data()
@@ -87,14 +88,16 @@ def suite_identity(seed: int = 0) -> list[Check]:
     checks: list[Check] = []
     rng = Random(f"verify-id:{seed}")
 
-    ok, detail = _truncation_enumeration()
+    ok, detail = _truncation_enumeration(identity.NodeId(b"\x01" * 16))
     checks.append(("wal_truncation_every_offset_no_reuse", ok, detail))
 
     total_exposed = 0
     ok_all = True
     detail = ""
     for s in range(20):
-        ok, detail = _chaos_uniqueness(seed * 100 + s, nodes=8, target_exposed=5200)
+        ok, detail = _chaos_uniqueness(
+            Random(f"verify:{seed * 100 + s}"), nodes=8, target_exposed=5200, byte_len=1024
+        )
         if not ok:
             ok_all = False
             break
@@ -117,22 +120,24 @@ def suite_identity(seed: int = 0) -> list[Check]:
     return checks
 
 
-def _two_node_partition_case(seed: int) -> tuple[bool, str]:
-    rng = Random(f"verify-sync:{seed}")
+def _two_node_partition_case(rng: Random, max_blocks: int, byte_len: int) -> tuple[bool, str]:
+    """Two nodes ingest apart, then converge: the union in one round,
+    and a repeat full exchange moves nothing."""
     a = StorageNode(identity.new_node_id(rng))
     b = StorageNode(identity.new_node_id(rng))
-    for _ in range(rng.randrange(1, 60)):
-        a.ingest((512, rng.randrange(1 << 30)))
-    for _ in range(rng.randrange(1, 60)):
-        b.ingest((512, rng.randrange(1 << 30)))
+    for _ in range(rng.randrange(1, max_blocks)):
+        a.ingest((byte_len, rng.randrange(1 << 30)))
+    for _ in range(rng.randrange(1, max_blocks)):
+        b.ingest((byte_len, rng.randrange(1 << 30)))
     rounds = converge(Cluster([a, b]), a, b, "meta")
     if rounds != 1:
         return False, f"convergence took {rounds} rounds"
     if not a.id_index.same_ids(b.id_index):
         return False, "indexes differ after convergence"
     before = a.id_index.entry_count
-    rounds2 = converge(Cluster([a, b]), a, b, "meta")  # a full exchange again
-    if rounds2 != 1 or a.id_index.entry_count != before:
+    meter = CostMeter(CostModel())
+    rounds2 = converge(Cluster([a, b]), a, b, "meta", meter)  # a full exchange again
+    if rounds2 != 1 or a.id_index.entry_count != before or meter.t_delta != 0.0:
         return False, "repeat convergence was not idempotent"
     return True, "union reached in 1 round, idempotent"
 
@@ -167,7 +172,9 @@ def suite_sync(seed: int = 0) -> list[Check]:
     checks: list[Check] = []
     ok_all, detail = True, ""
     for s in range(25):
-        ok, detail = _two_node_partition_case(seed * 100 + s)
+        ok, detail = _two_node_partition_case(
+            Random(f"verify-sync:{seed * 100 + s}"), max_blocks=60, byte_len=512
+        )
         if not ok:
             ok_all = False
             break
@@ -218,7 +225,7 @@ def suite_baseline(seed: int = 0) -> list[Check]:
         (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
     ]
     ok = all(
-        hashline.fingerprint_block(data).hex() == expected
+        hashline.payload_digest(data, len(data)).hex() == expected
         and hashlib.sha256(data).hexdigest() == expected
         for data, expected in vectors
     )
@@ -261,7 +268,7 @@ def suite_baseline(seed: int = 0) -> list[Check]:
     index = hashline.HashIndex()
     pipeline = hashline.PipelineState(index)
     for i in range(100):
-        pipeline.enqueue(i, (100, i))
+        pipeline.enqueue(i, i.to_bytes(16, "big"), 100)
     hashline.pipeline_tick(pipeline, 100 * 50)
     grew = pipeline.lag_blocks == 50
     hashline.commit_checkpoint(pipeline)

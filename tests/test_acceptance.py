@@ -24,10 +24,15 @@ from metadr.sync import (
     Cluster,
     compute_delta_hash,
     compute_delta_meta,
-    converge,
     ensure_baseline_consistent,
     execute_failover,
     sync_pair_meta,
+)
+from metadr.verify import (
+    _chaos_uniqueness,
+    _crc32c_bitwise,
+    _truncation_enumeration,
+    _two_node_partition_case,
 )
 
 
@@ -142,42 +147,17 @@ def test_criterion_9_resource_and_network_parity(paper_soak, capsys):
 def test_criterion_5_uniqueness_property_suite(capsys):
     total_exposed = 0
     for seed in range(100):
-        rng = Random(f"accept5:{seed}")
-        nodes = [StorageNode(identity.new_node_id(rng)) for _ in range(8)]
-        seen: set[tuple[bytes, int]] = set()
-        target = 1_050
-        exposed = 0
-        while exposed < target:
-            node = nodes[rng.randrange(8)]
-            if node.status.value == "crashed":
-                if rng.random() < 0.6:
-                    node.restart("none", wal_replay_seconds=0.0)
-                continue
-            if rng.random() < 0.05:
-                node.crash(torn_wal_bytes=rng.randrange(0, identity.WAL_RECORD_BYTES))
-                continue
-            cid = node.ingest((256, rng.randrange(1 << 30)))
-            key = (cid.nid.value, cid.lcv)
-            assert key not in seen, f"duplicate id {cid} at seed {seed}"
-            seen.add(key)
-            exposed += 1
-        total_exposed += exposed
+        ok5, detail = _chaos_uniqueness(
+            Random(f"accept5:{seed}"), nodes=8, target_exposed=1_050, byte_len=256
+        )
+        assert ok5, f"{detail} at seed {seed}"
+        total_exposed += int(detail.split()[0])
     assert total_exposed >= 100_000
 
-    # WAL truncation at every byte offset for a small WAL
-    wal = identity.MemoryWal()
-    clock = identity.LogicalClock(wal)
-    nid = identity.NodeId(b"\x05" * 16)
-    for _ in range(10):
-        clock.next_id(nid)
-    data = wal.data()
-    for cut in range(len(data) + 1):
-        committed = {r.lcv for r in identity.read_wal(data[:cut])[0]}
-        recovered = identity.recover_clock(identity.MemoryWal(data[:cut]))
-        assert recovered.next_id(nid).lcv not in committed
+    ok5, truncation = _truncation_enumeration(identity.NodeId(b"\x05" * 16))
+    assert ok5, truncation
     with capsys.disabled():
-        ok(5, f"{total_exposed} ids across 100 chaos scenarios, zero duplicates; "
-              f"{len(data) + 1} WAL truncation points, no reuse")
+        ok(5, f"{total_exposed} ids across 100 chaos scenarios, zero duplicates; {truncation}")
 
 
 # -- criterion 6: partition convergence -----------------------------------------------
@@ -185,19 +165,10 @@ def test_criterion_5_uniqueness_property_suite(capsys):
 
 def test_criterion_6_convergence_property_suite(capsys):
     for seed in range(100):
-        rng = Random(f"accept6:{seed}")
-        a = StorageNode(identity.new_node_id(rng))
-        b = StorageNode(identity.new_node_id(rng))
-        for _ in range(rng.randrange(1, 120)):
-            a.ingest((128, rng.randrange(1 << 30)))
-        for _ in range(rng.randrange(1, 120)):
-            b.ingest((128, rng.randrange(1 << 30)))
-        rounds = converge(Cluster([a, b]), a, b, "meta")
-        assert rounds == 1
-        assert a.id_index.same_ids(b.id_index)
-        meter = CostMeter(CostModel())
-        assert converge(Cluster([a, b]), a, b, "meta", meter) == 1  # full exchange
-        assert meter.t_delta == 0.0  # idempotent repeat moves nothing
+        ok6, detail = _two_node_partition_case(
+            Random(f"accept6:{seed}"), max_blocks=120, byte_len=128
+        )
+        assert ok6, f"{detail} at seed {seed}"
     with capsys.disabled():
         ok(6, "100 partition scenarios: union in exactly 1 round, idempotent repeat")
 
@@ -353,18 +324,17 @@ def test_criterion_10_tco_reproduction(capsys):
 
 
 def test_criterion_11_primitives(capsys):
-    from test_crc32c import crc32c_bitwise
     from test_hashline import sha256_reference
 
-    assert hashline.fingerprint_block(b"").hex() == (
+    assert hashline.payload_digest(b"", 0).hex() == (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     )
-    assert hashline.fingerprint_block(b"abc").hex() == (
+    assert hashline.payload_digest(b"abc", 3).hex() == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
-    assert sha256_reference(b"") == hashline.fingerprint_block(b"")
-    assert sha256_reference(b"abc") == hashline.fingerprint_block(b"abc")
-    assert crc32c(b"123456789") == 0xE3069283 == crc32c_bitwise(b"123456789")
+    assert sha256_reference(b"") == hashline.payload_digest(b"", 0)
+    assert sha256_reference(b"abc") == hashline.payload_digest(b"abc", 3)
+    assert crc32c(b"123456789") == 0xE3069283 == _crc32c_bitwise(b"123456789")
     with capsys.disabled():
         ok(11, "SHA-256 vectors and CRC-32C check value hold against "
                "independent reference implementations")

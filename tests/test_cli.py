@@ -146,6 +146,8 @@ def test_simulate_unknown_scenario_exits_2(capsys):
     "faults:\n"
     "  - {kind: partition, at_hours: 0.5, until_hours: 5.0, side_a: [0], side_b: [1, 2]}\n"
     "  - {kind: converge, at_hours: 1.0, a: 0, b: 1}\n",
+    # a cost knob the model does not have
+    "cost: {link_latency_seconds: 0.5}\n",
 ])
 def test_simulate_bad_scenario_exits_2_with_one_error_line(tmp_path, capsys, text):
     path = tmp_path / "bad.yaml"

@@ -1,16 +1,7 @@
 from random import Random
 
 from metadr.crc32c import crc32c
-
-
-def crc32c_bitwise(data: bytes) -> int:
-    # independent bit-at-a-time implementation, no lookup table
-    crc = 0xFFFFFFFF
-    for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
-    return crc ^ 0xFFFFFFFF
+from metadr.verify import _crc32c_bitwise as crc32c_bitwise
 
 
 def test_castagnoli_check_value():

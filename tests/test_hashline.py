@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from random import Random
 
 import pytest
@@ -11,14 +12,19 @@ from metadr.hashline import (
     PipelineState,
     commit_checkpoint,
     crash_interrupt,
-    descriptor_digest,
-    fingerprint_block,
     hash_delta,
     merkle_build,
     merkle_diff,
+    payload_digest,
     pipeline_tick,
     rebuild_index,
 )
+
+
+def descriptor(byte_len: int, seed: int) -> bytes:
+    """A virtual block's content, as the node stores it."""
+    return struct.pack(">QQ", byte_len, seed)
+
 
 # ---------------------------------------------------------------------------
 # independent SHA-256 reference (FIPS 180-4, straight from the pseudocode),
@@ -81,24 +87,24 @@ def test_reference_implementation_matches_standard_vectors():
 
 
 def test_fingerprint_standard_vectors():
-    assert fingerprint_block(b"").hex() == EMPTY_SHA
-    assert fingerprint_block(b"abc").hex() == ABC_SHA
+    assert payload_digest(b"", 0).hex() == EMPTY_SHA
+    assert payload_digest(b"abc", 3).hex() == ABC_SHA
 
 
 def test_fingerprint_matches_reference_on_random_inputs():
     rng = Random(13)
     for _ in range(200):
         payload = rng.randbytes(rng.randrange(0, 300))
-        assert fingerprint_block(payload) == sha256_reference(payload)
+        assert payload_digest(payload, len(payload)) == sha256_reference(payload)
 
 
 def test_fingerprint_deterministic():
-    assert fingerprint_block(b"same content") == fingerprint_block(b"same content")
+    assert payload_digest(b"same content", 12) == payload_digest(b"same content", 12)
 
 
 def test_fingerprint_charges_meter():
     meter = CostMeter(CostModel())
-    fingerprint_block(b"x" * 1000, meter)
+    payload_digest(b"x" * 1000, 1000, meter)
     assert meter.hashed_bytes == 1000
     assert meter.hash_ops == 1
     assert meter.t_hash == pytest.approx(1000 / (5e8 * 16))
@@ -106,10 +112,11 @@ def test_fingerprint_charges_meter():
 
 def test_descriptor_digest_models_virtual_blocks():
     meter = CostMeter(CostModel())
-    d1 = descriptor_digest(4096, 17, meter)
-    d2 = descriptor_digest(4096, 17)
-    d3 = descriptor_digest(4096, 18)
+    d1 = payload_digest(descriptor(4096, 17), 4096, meter)
+    d2 = payload_digest(descriptor(4096, 17), 4096)
+    d3 = payload_digest(descriptor(4096, 18), 4096)
     assert d1 == d2 != d3
+    assert d1 == sha256_reference(descriptor(4096, 17))
     assert meter.hashed_bytes == 4096  # charged the modeled length
 
 
@@ -197,7 +204,7 @@ def make_pipeline(blocks=0, size=100):
     index = HashIndex()
     state = PipelineState(index)
     for i in range(blocks):
-        state.enqueue(i, (size, i), size)
+        state.enqueue(i, descriptor(size, i), size)
     return state
 
 
@@ -212,7 +219,7 @@ def test_zero_budget_starves():
     state = make_pipeline(10)
     pipeline_tick(state, 0)
     assert state.lag_blocks == 10
-    state.enqueue(99, (100, 99), 100)
+    state.enqueue(99, descriptor(100, 99), 100)
     assert state.lag_blocks == 11  # strictly grows under starvation
     assert not state.index.consistent_flag
 
@@ -223,11 +230,11 @@ def test_sustained_ingest_at_twice_budget_halves_coverage():
     locator = 0
     for _tick in range(40):
         for _ in range(2):
-            state.enqueue(locator, (100, locator), 100)
+            state.enqueue(locator, descriptor(100, locator), 100)
             locator += 1
         pipeline_tick(state, 100)
-    assert state.ingested == 80
-    assert state.lag_blocks == 40  # half of everything ingested
+    assert len(state.index.by_locator) == 40  # hashed half of the 80 ingested
+    assert state.lag_blocks == 40
 
 
 def test_negative_budget_rejected():
@@ -271,7 +278,7 @@ def test_crash_rollback_preserves_order():
 def test_rebuild_charges_full_inventory_bytes():
     # 1.1e14 bytes at H=5e8, C=16 -> 13,750 virtual seconds
     meter = CostMeter(CostModel())
-    blocks = [(0, (110_000_000_000_000, 1))]
+    blocks = [(0, descriptor(110_000_000_000_000, 1), 110_000_000_000_000)]
     rebuild_index(blocks, meter)
     assert meter.t_hash == pytest.approx(13_750.0)
 
@@ -285,13 +292,13 @@ def test_rebuild_empty_inventory_costs_nothing():
 
 def test_rebuild_16gb_costs_two_seconds():
     meter = CostMeter(CostModel())
-    rebuild_index([(0, (16_000_000_000, 1))], meter)
+    rebuild_index([(0, descriptor(16_000_000_000, 1), 16_000_000_000)], meter)
     assert meter.t_hash == pytest.approx(2.0)
 
 
 def test_rebuild_hash_ops_count_leaves_plus_internal_nodes():
     meter = CostMeter(CostModel())
-    blocks = [(i, (64, i)) for i in range(16)]
+    blocks = [(i, descriptor(64, i), 64) for i in range(16)]
     index, tree = rebuild_index(blocks, meter)
     assert meter.hash_ops == 16 + tree.internal_node_count == 16 + 15
     assert meter.content_reads == 16
@@ -299,14 +306,14 @@ def test_rebuild_hash_ops_count_leaves_plus_internal_nodes():
 
 
 def test_hash_delta_identical_inventories():
-    a, _ = rebuild_index([(i, (64, i)) for i in range(10)])
-    b, _ = rebuild_index([(i, (64, i)) for i in range(10)])
+    a, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(10)])
+    b, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(10)])
     assert hash_delta(a, b) == ([], [])
 
 
 def test_stale_index_refuses_delta_until_drained():
     state = make_pipeline(5)
-    fresh, _ = rebuild_index([(i, (64, i)) for i in range(5)])
+    fresh, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(5)])
     with pytest.raises(InconsistentIndex):
         hash_delta(state.index, fresh)
     pipeline_tick(state, 500)
@@ -314,9 +321,9 @@ def test_stale_index_refuses_delta_until_drained():
 
 
 def test_lost_index_refuses_delta():
-    index, _ = rebuild_index([(i, (64, i)) for i in range(5)])
+    index, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(5)])
     index.mark_lost()
-    other, _ = rebuild_index([(i, (64, i)) for i in range(5)])
+    other, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(5)])
     with pytest.raises(InconsistentIndex):
         hash_delta(index, other)
 
@@ -326,8 +333,10 @@ def test_hash_delta_matches_content_comparison_oracle():
     for _ in range(30):
         contents_a = {i: rng.randrange(20) for i in range(rng.randrange(1, 40))}
         contents_b = {i: rng.randrange(20) for i in range(rng.randrange(1, 40))}
-        a, _ = rebuild_index([(loc, (64, seed)) for loc, seed in sorted(contents_a.items())])
-        b, _ = rebuild_index([(loc, (64, seed)) for loc, seed in sorted(contents_b.items())])
+        a, _ = rebuild_index([(loc, descriptor(64, seed), 64)
+                              for loc, seed in sorted(contents_a.items())])
+        b, _ = rebuild_index([(loc, descriptor(64, seed), 64)
+                              for loc, seed in sorted(contents_b.items())])
         missing_b, missing_a = hash_delta(a, b)
         values_a = set(contents_a.values())
         values_b = set(contents_b.values())

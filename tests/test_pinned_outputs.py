@@ -34,8 +34,9 @@ HASH_RESTART_SCENARIO = {
 
 
 # Both twins at virtual fidelity through every restart fault kind: the
-# hash twin drains, rolls back and rebuilds over descriptor-backed blocks,
-# and a fifth of the workload repeats earlier content.
+# hash twin drains and rebuilds over descriptor-backed blocks, and a fifth
+# of the workload repeats earlier content. Node 0 has hashed nothing when
+# its pipeline_crash restart comes, so that restart rolls nothing back.
 VIRTUAL_HASH_SCENARIO = {
     "name": "virtual-hash-restarts", "seed": 9, "fidelity": "virtual",
     "framework": "both", "horizon_hours": 5.0,
