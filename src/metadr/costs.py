@@ -99,14 +99,3 @@ class CostMeter:
     def virtual_seconds(self) -> float:
         return self.t_hash + self.t_index + self.t_delta + self.t_wal_replay
 
-
-def account_hash_cost(meter: CostMeter, nbytes: float) -> float:
-    """Charge content hashing; returns bytes / (H * C) in virtual seconds."""
-    return meter.charge_hash(nbytes)
-
-
-def account_transfer(meter: CostMeter, nbytes: float, phase: str = "delta") -> float:
-    """Charge a network transfer; returns bytes / B in virtual seconds."""
-    if phase == "index":
-        return meter.charge_index_transfer(nbytes)
-    return meter.charge_delta_transfer(nbytes)

@@ -1,12 +1,16 @@
 """Hash-based baseline: SHA-256 fingerprints, Merkle trees, and the
 three failure conditions that force re-hashing.
 
-The baseline identifies blocks by content digest. Digests are computed
-by an asynchronous pipeline that lags ingestion (condition 1: stale
+The baseline identifies blocks by content digest. One `HashIndex` per
+node holds all of its state: the digest maps, the asynchronous pipeline
+that hashes stored blocks into them, the rollback list, the Merkle tree
+and the lost flag. The pipeline lags ingestion (condition 1: stale
 index), is not atomic across crashes (condition 2: work since the last
 checkpoint is discarded and re-hashed), and lives in a store that can be
 lost outright (condition 3: full inventory rehash before any delta can
-be computed). All hashing is charged to a cost meter so the rebuild cost
+be computed). `HashIndex.owed_bytes` says what the conditions cost and
+`settle` pays it: a rebuild or a drain, after which the checkpoint is
+committed. All hashing is charged to a cost meter so the rebuild cost
 shows up in virtual recovery time.
 
 A block is hashed as its content bytes and charged as its byte_len.
@@ -140,13 +144,26 @@ def merkle_diff(a: MerkleTree, b: MerkleTree) -> MerkleDiff:
     return MerkleDiff(positions, visits)
 
 
+@dataclass(slots=True)
+class PendingBlock:
+    locator: CompositeId
+    byte_len: int
+    content: bytes
+
+
 class HashIndex:
-    """Content-digest index: digest -> block locators, plus trust state.
+    """One node's hash baseline: digest -> block locators, the pipeline
+    that hashes into it, its Merkle tree and its failure conditions.
 
     A locator is the block's key in the node's store, its composite id;
-    by_locator keeps the order blocks were hashed in. consistent_flag
-    gates delta service; it is true only when every ingested block is
-    covered and the store has not been lost.
+    by_locator keeps the order blocks were hashed in. Stored blocks wait
+    in `pending` until `pipeline_tick` hashes them; a queue that is not
+    empty is a stale index (condition 1). Work hashed or adopted since
+    the last checkpoint sits in `hashed_since_checkpoint`, which a crash
+    rolls back into the queue (condition 2). `lost` marks a destroyed
+    index store (condition 3). consistent_flag gates delta service; it is
+    true only when the queue is empty and the store has not been lost.
+    `merkle` is the tree of the last rebuild (None before one).
     """
 
     def __init__(self) -> None:
@@ -155,17 +172,49 @@ class HashIndex:
         # by_locator split by source nid (None for a locator without one),
         # so a session scoped to some nids lists only theirs
         self.by_nid: dict[NodeId | None, dict[CompositeId, bytes]] = {}
+        self.pending: deque[PendingBlock] = deque()
+        self.hashed_since_checkpoint: list[PendingBlock] = []
+        self.merkle: MerkleTree | None = None
         self.lost = False
-        self.stale = False  # uncovered ingests exist
+
+    @property
+    def stale(self) -> bool:
+        """Stored blocks wait unhashed (condition 1, or 2 after a crash)."""
+        return bool(self.pending)
 
     @property
     def consistent_flag(self) -> bool:
-        return not self.lost and not self.stale
+        return not self.lost and not self.pending
+
+    @property
+    def lag_blocks(self) -> int:
+        return len(self.pending)
+
+    @property
+    def lag_bytes(self) -> int:
+        return sum(p.byte_len for p in self.pending)
+
+    def owed_bytes(self, inventory_bytes: int) -> int:
+        """Bytes to hash before the index can be trusted: the whole
+        inventory once the store is lost (condition 3), else the queued
+        backlog (conditions 1 and 2; zero when consistent)."""
+        return inventory_bytes if self.lost else self.lag_bytes
 
     def add(self, locator: CompositeId, digest: bytes) -> None:
         self.by_digest.setdefault(digest, set()).add(locator)
         self.by_locator[locator] = digest
         self.by_nid.setdefault(getattr(locator, "nid", None), {})[locator] = digest
+
+    def enqueue(self, locator: CompositeId, content: bytes, byte_len: int) -> None:
+        """Queue a stored block for hashing."""
+        self.pending.append(PendingBlock(locator, byte_len, content))
+
+    def adopt(self, locator: CompositeId, content: bytes, byte_len: int, digest: bytes) -> None:
+        """Index a stored block under the digest that travelled with it:
+        nothing is hashed, and a crash before the next checkpoint rolls
+        it back like hashed work."""
+        self.add(locator, digest)
+        self.hashed_since_checkpoint.append(PendingBlock(locator, byte_len, content))
 
     def locators(self, nids=None) -> dict[CompositeId, bytes]:
         """by_locator, or only its locators from the given source nids,
@@ -195,40 +244,7 @@ class HashIndex:
         self.lost = True
 
 
-@dataclass(slots=True)
-class PendingBlock:
-    locator: CompositeId
-    byte_len: int
-    content: bytes
-
-
-class PipelineState:
-    """Asynchronous hashing pipeline feeding a HashIndex.
-
-    lag_blocks counts the blocks queued but not yet hashed. A crash
-    discards what was hashed since the last checkpoint and re-enqueues
-    it ahead of the queue.
-    """
-
-    def __init__(self, index: HashIndex) -> None:
-        self.index = index
-        self.pending: deque[PendingBlock] = deque()
-        self.hashed_since_checkpoint: list[PendingBlock] = []
-
-    @property
-    def lag_blocks(self) -> int:
-        return len(self.pending)
-
-    @property
-    def lag_bytes(self) -> int:
-        return sum(p.byte_len for p in self.pending)
-
-    def enqueue(self, locator: CompositeId, content: bytes, byte_len: int) -> None:
-        self.pending.append(PendingBlock(locator, byte_len, content))
-        self.index.stale = True
-
-
-def pipeline_tick(state: PipelineState, hash_budget_bytes: int, meter=None) -> int:
+def pipeline_tick(index: HashIndex, hash_budget_bytes: int, meter=None) -> int:
     """Hash queued blocks until the byte budget is exhausted.
 
     Returns the number of blocks hashed this tick. Lag grows whenever
@@ -238,38 +254,35 @@ def pipeline_tick(state: PipelineState, hash_budget_bytes: int, meter=None) -> i
         raise ValueError("hash budget must be >= 0")
     remaining = hash_budget_bytes
     done = 0
-    while state.pending and state.pending[0].byte_len <= remaining:
-        block = state.pending.popleft()
+    while index.pending and index.pending[0].byte_len <= remaining:
+        block = index.pending.popleft()
         digest = payload_digest(block.content, block.byte_len, meter)
-        state.index.add(block.locator, digest)
-        state.hashed_since_checkpoint.append(block)
+        index.add(block.locator, digest)
+        index.hashed_since_checkpoint.append(block)
         remaining -= block.byte_len
         done += 1
-    if not state.pending and not state.index.lost:
-        state.index.stale = False
     return done
 
 
-def commit_checkpoint(state: PipelineState) -> None:
-    """Mark everything hashed so far as durably consistent."""
-    state.hashed_since_checkpoint.clear()
+def commit_checkpoint(index: HashIndex) -> None:
+    """Mark everything hashed or adopted so far as durably consistent."""
+    index.hashed_since_checkpoint.clear()
 
 
-def crash_interrupt(state: PipelineState) -> int:
+def crash_interrupt(index: HashIndex) -> int:
     """Condition 2: discard the incomplete index region.
 
-    Blocks hashed since the last checkpoint are removed from the index
-    and re-enqueued (in order) for rehash.
+    Blocks hashed or adopted since the last checkpoint are removed from
+    the index and re-enqueued (in order) for rehash.
     Returns the number of re-enqueued blocks.
     """
-    rolled = state.hashed_since_checkpoint
+    rolled = index.hashed_since_checkpoint
     if not rolled:
         return 0
     for block in rolled:
-        state.index.remove(block.locator)
-    state.index.stale = True
-    state.pending.extendleft(reversed(rolled))
-    state.hashed_since_checkpoint = []
+        index.remove(block.locator)
+    index.pending.extendleft(reversed(rolled))
+    index.hashed_since_checkpoint = []
     return len(rolled)
 
 
@@ -279,7 +292,7 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
     `blocks` is an iterable of (locator, content, byte_len) in store
     order. The meter is charged every block's byte_len (virtual seconds =
     bytes/(H*C)) plus one hash op per block and per internal tree node,
-    and one content read per block.
+    and one content read per block. The index holds the tree it returns.
     """
     index = HashIndex()
     leaves: list[bytes] = []
@@ -289,10 +302,30 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
             meter.add_content_reads(1)
         index.add(locator, digest)
         leaves.append(digest)
-    tree = merkle_build(leaves, meter)
-    index.lost = False
-    index.stale = False
-    return index, tree
+    index.merkle = merkle_build(leaves, meter)
+    return index, index.merkle
+
+
+def settle(index: HashIndex, blocks, aliases, meter=None) -> tuple[HashIndex, int]:
+    """Pay what the index owes (`owed_bytes`) and commit its checkpoint.
+
+    A lost index is rebuilt from `blocks` ((locator, content, byte_len)
+    in store order); each (alias, kept) pair of `aliases` then takes its
+    kept block's digest, which needs no rehash. Any other index drains
+    its queue. Returns the consistent index (a new one after a rebuild)
+    and the bytes hashed.
+    """
+    if index.lost:
+        blocks = list(blocks)
+        rebuilt, _tree = rebuild_index(blocks, meter)
+        for alias, kept in aliases:
+            rebuilt.add(alias, rebuilt.by_locator[kept])
+        return rebuilt, sum(byte_len for _, _, byte_len in blocks)
+    backlog = index.lag_bytes
+    if index.pending:
+        pipeline_tick(index, backlog, meter)
+    commit_checkpoint(index)
+    return index, backlog
 
 
 def hash_delta(

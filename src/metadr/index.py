@@ -164,13 +164,13 @@ class IdentifierIndex:
 
 @dataclass
 class Checkpoint:
-    """Per-peer synchronization watermarks: nid -> highest synced lcv.
+    """A node pair's synchronization watermarks: nid -> highest synced
+    lcv.
 
     Watermarks never decrease; lcv 0 is the genesis "never synchronized"
     floor.
     """
 
-    peer: NodeId
     watermarks: dict[NodeId, int] = field(default_factory=dict)
 
     def watermark(self, nid: NodeId) -> int:

@@ -1,10 +1,11 @@
 """Storage-node state machine.
 
 A node owns a logical clock, an identifier index, a block store, and
-(optionally) the hash baseline's state (hash index + pipeline) and a
-legacy hash index for migration. Ingestion assigns identity *before*
-any content analysis: the whole metadata identification path performs
-zero content hashing, which the instrumented counters make checkable.
+(optionally) the hash baseline, one `hashline.HashIndex` that holds its
+digests, pipeline and failure conditions, and a legacy hash index for
+migration. Ingestion assigns identity *before* any content analysis:
+the whole metadata identification path performs zero content hashing,
+which the instrumented counters make checkable.
 
 The block store is keyed by the block's composite id, the same key the
 index and the DR delta use; dict order is the order blocks arrived.
@@ -22,9 +23,10 @@ below ingest tells the two fidelities apart.
 Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
 structurally barred from running while a DR event is active, and its
-hashing is charged to a background meter so DR critical-path counters
-stay clean. The hash baseline's sync binds a foreign id whose content
-the node already holds through the same table (`bind_alias`).
+hashing is charged to the node's own background `CostMeter` so DR
+critical-path counters stay clean. The hash baseline's sync binds a
+foreign id whose content the node already holds through the same table
+(`bind_alias`).
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from .costs import CostMeter, CostModel
 from .crc32c import crc32c
-from .hashline import HashIndex, PipelineState, crash_interrupt, payload_digest
+from .hashline import HashIndex, crash_interrupt, payload_digest
 from .identity import CompositeId, MemoryWal, NodeId, lww_key, recover_clock
 from .index import IdentifierIndex, IndexEntry
 
@@ -99,44 +102,11 @@ _DESCRIPTOR = struct.Struct(">QQ")
 
 
 @dataclass
-class BaselineState:
-    """Per-node state of the hash-based framework."""
-
-    hash_index: HashIndex
-    pipeline: PipelineState
-
-    @classmethod
-    def fresh(cls) -> "BaselineState":
-        index = HashIndex()
-        return cls(hash_index=index, pipeline=PipelineState(index))
-
-
-@dataclass
 class PathCounters:
-    """Node-level correctness and background-work instrumentation."""
+    """Node-level correctness instrumentation."""
 
-    background_hash_ops: int = 0
     immutability_violations: int = 0
     lcv_order_violations: int = 0
-
-
-class _BackgroundMeter:
-    """Minimal meter for Layer-2 work; keeps DR counters untouched."""
-
-    def __init__(self, counters: PathCounters) -> None:
-        self._counters = counters
-        self.hashed_bytes = 0
-
-    def charge_hash(self, nbytes: float, ops: int = 0) -> float:
-        self._counters.background_hash_ops += ops
-        self.hashed_bytes += int(nbytes)
-        return 0.0
-
-    def add_hash_ops(self, n: int) -> None:
-        self._counters.background_hash_ops += n
-
-    def add_content_reads(self, n: int) -> None:
-        pass
 
 
 class StorageNode:
@@ -159,8 +129,8 @@ class StorageNode:
         self.indirection_table: dict[CompositeId, CompositeId] = {}
         self.by_user_key: dict[str, CompositeId] = {}
         self.counters = PathCounters()
-        self.background_meter = _BackgroundMeter(self.counters)
-        self.baseline: BaselineState | None = BaselineState.fresh() if baseline else None
+        self.background_meter = CostMeter(CostModel())  # Layer-2 hashing
+        self.baseline: HashIndex | None = HashIndex() if baseline else None
         self.legacy_hash_index: dict[str, tuple[int, bytes]] | None = {} if migration else None
         self._migrated_keys = 0
         self._legacy_seeded = 0
@@ -197,7 +167,7 @@ class StorageNode:
         self.bind_block(block)
         self._admit(IndexEntry(cid, byte_len, block.crc, user_key))
         if self.baseline is not None:
-            self.baseline.pipeline.enqueue(cid, content, byte_len)
+            self.baseline.enqueue(cid, content, byte_len)
         return cid
 
     def bind_block(self, block: Block) -> None:
@@ -218,20 +188,25 @@ class StorageNode:
             raise NodeDown(f"node {self.nid} is {self.status.value}")
         return self.ingest(payload, user_key=user_key)
 
-    def replicate_in(self, entry: IndexEntry, block: Block) -> None:
+    def replicate_in(self, entry: IndexEntry, block: Block, digest: bytes | None = None) -> None:
         """Accept a foreign block + entry during replication or sync.
 
         The entry is the source's own: it carries only the id and the
         block's integrity metadata, so it is inserted as it arrives and
-        the block is stored under its id. Re-replication of a known id
-        is a no-op.
+        the block is stored under its id. The baseline queues the block
+        for hashing, or adopts the digest that travelled with it.
+        Re-replication of a known id is a no-op.
         """
         if entry.id in self.id_index:
             return
         self.block_store[entry.id] = block
         self._admit(entry)
-        if self.baseline is not None:
-            self.baseline.pipeline.enqueue(entry.id, block.content, block.byte_len)
+        if self.baseline is None:
+            return
+        if digest is None:
+            self.baseline.enqueue(entry.id, block.content, block.byte_len)
+        else:
+            self.baseline.adopt(entry.id, block.content, block.byte_len, digest)
 
     def bind_alias(self, entry: IndexEntry, kept: CompositeId) -> None:
         """Accept a foreign id whose content this node already stores
@@ -252,6 +227,14 @@ class StorageNode:
                 self.by_user_key[key] = entry.id
 
     # -- reads and integrity -------------------------------------------
+
+    def stored_block(self, cid: CompositeId) -> Block:
+        """The block an id reads: its own, or the copy the indirection
+        table binds it to."""
+        block = self.block_store.get(cid)
+        if block is None:
+            block = self.block_store[self.indirection_table[cid]]
+        return block
 
     def read_verify(self, cid: CompositeId) -> bytes:
         """Return the block's content after CRC-32C verification; a
@@ -341,14 +324,15 @@ class StorageNode:
         """Apply a fault kind's damage in place. "index_loss" destroys the
         baseline hash index (and the legacy index if present): condition 3
         on the next baseline DR. "pipeline_crash" rolls the hashing
-        pipeline back to its checkpoint: condition 2. "none" does nothing."""
+        pipeline back to its checkpoint, the last drain: condition 2.
+        "none" does nothing."""
         if fault_kind == "index_loss":
             if self.baseline is not None:
-                self.baseline.hash_index.mark_lost()
+                self.baseline.mark_lost()
             if self.legacy_hash_index is not None:
                 self.legacy_hash_index = {}
         elif fault_kind == "pipeline_crash" and self.baseline is not None:
-            crash_interrupt(self.baseline.pipeline)
+            crash_interrupt(self.baseline)
 
     def take_pending_wal_replay(self) -> float:
         seconds = self.pending_wal_replay_s

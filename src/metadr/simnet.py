@@ -483,7 +483,7 @@ class SimRuntime:
                 continue
             ckpt = self.cluster.checkpoint(node.nid, peer.nid)
             for entry in node.id_index.entries_above(node.nid, ckpt.watermark(node.nid)):
-                peer.replicate_in(entry, node.block_store[entry.id])
+                peer.replicate_in(entry, node.stored_block(entry.id))
             ckpt.advance(node.nid, node.id_index.max_lcv(node.nid))
 
     # -- fault handlers --------------------------------------------------

@@ -21,9 +21,11 @@ Under the metadata framework the identification step touches ids only:
 no content is read and nothing is hashed, and the per-event report's
 counters prove it. Under the hash baseline, any active failure
 condition (stale, interrupted, or lost hash index) must be paid for in
-rehash time before a delta can even be computed. Both frameworks share
-one pair exchange, one scope and one DR session loop; they differ only
-in how a pair plans and moves its delta.
+rehash time before a delta can even be computed. `hashline` holds the
+rule for what a node's index owes and how it pays; a transferred
+block's digest travels with it into the puller's index. Both frameworks
+share one pair exchange, one scope and one DR session loop; they differ
+only in how a pair plans and moves its delta.
 
 A DR event's report is live: its costs come from the bytes the session
 actually moved at desk scale. `volumetric_report` charges the same kind
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .costs import CostMeter, CostModel
-from .hashline import PipelineState, hash_delta, pipeline_tick, rebuild_index
+from .hashline import hash_delta, settle
 from .identity import CompositeId, NodeId, lww_key
 from .index import (
     WIRE_HEADER_BYTES,
@@ -156,7 +158,7 @@ class Cluster:
         key = frozenset((a, b))
         ckpt = self._checkpoints.get(key)
         if ckpt is None:
-            ckpt = self._checkpoints[key] = Checkpoint(peer=max(a, b))
+            ckpt = self._checkpoints[key] = Checkpoint()
         return ckpt
 
     def reachable(self, a: NodeId, b: NodeId) -> bool:
@@ -216,19 +218,11 @@ def compute_delta_meta(
 
 
 def baseline_rehash_bytes(node: StorageNode) -> int:
-    """Bytes the node must hash before its baseline index is trustworthy.
-
-    Lost index store (condition 3): the full inventory. Stale or
-    interrupted pipeline (conditions 1 and 2): the unindexed backlog.
-    """
-    baseline = node.baseline
-    if baseline is None:
+    """Bytes the node must hash before its baseline index is trustworthy
+    (`HashIndex.owed_bytes` of its stored inventory)."""
+    if node.baseline is None:
         return 0
-    if baseline.hash_index.lost:
-        return node.physical_bytes
-    if baseline.hash_index.stale:
-        return baseline.pipeline.lag_bytes
-    return 0
+    return node.baseline.owed_bytes(node.physical_bytes)
 
 
 def compute_delta_hash(local, peer, meter: CostMeter | None = None, scope_nids=None) -> DeltaPlan:
@@ -267,8 +261,7 @@ def _transfer_meta(puller: StorageNode, source: StorageNode, ids: list[Composite
     moved = 0
     for cid in ids:
         entry = source.id_index.get(cid)
-        block = source.block_store[source.indirection_table.get(cid, cid)]
-        puller.replicate_in(entry, block)
+        puller.replicate_in(entry, source.stored_block(cid))
         moved += entry.byte_len
     return moved
 
@@ -316,56 +309,35 @@ def sync_pair_meta(
 
 
 def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None) -> int:
-    """Pay whatever the baseline owes: full rebuild or pipeline drain.
-
-    Returns the bytes hashed. Rebuild recreates the hash index and the
-    Merkle tree from the block inventory, charging content bytes plus
-    one hash op per leaf and per internal node.
+    """Pay what the baseline owes (`baseline_rehash_bytes`) with
+    `hashline.settle`: a full rebuild of a lost index from the block
+    inventory, else a pipeline drain; either way the checkpoint is
+    committed. Returns the bytes hashed. A rebuild charges content bytes
+    plus one hash op per leaf and per internal Merkle node.
     """
-    baseline = node.baseline
-    if baseline is None:
+    if node.baseline is None:
         return 0
-    if baseline.hash_index.lost:
-        blocks = [(cid, block.content, block.byte_len) for cid, block in node.block_store.items()]
-        hashed = sum(block.byte_len for block in node.block_store.values())
-        new_index, tree = rebuild_index(blocks, meter)
-        baseline.hash_index = new_index
-        baseline.pipeline = PipelineState(new_index)
-        baseline.merkle = tree
-        for alias, kept in node.indirection_table.items():  # digests need no rehash
-            new_index.add(alias, new_index.by_locator[kept])
-        return hashed
-    if baseline.hash_index.stale:
-        backlog = baseline.pipeline.lag_bytes
-        pipeline_tick(baseline.pipeline, backlog, meter)
-        return backlog
-    return 0
+    inventory = ((cid, block.content, block.byte_len) for cid, block in node.block_store.items())
+    node.baseline, hashed = settle(node.baseline, inventory, node.indirection_table.items(), meter)
+    return hashed
 
 
 def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
     """Move the identified blocks with their digests; an id whose content
     the puller already holds is bound to that copy instead. Returns
     content bytes transferred."""
-    index = puller.baseline.hash_index
+    index = puller.baseline
     moved = 0
     for cid in ids:
-        digest = source.baseline.hash_index.by_locator[cid]
+        digest = source.baseline.by_locator[cid]
         entry = source.id_index.get(cid)
         held = index.by_digest.get(digest)
         if held:
             puller.bind_alias(entry, min(held))
             index.add(cid, digest)  # the digest travelled; nothing is hashed
             continue
-        block = source.block_store[source.indirection_table.get(cid, cid)]
-        puller.replicate_in(entry, block)
-        pipeline = puller.baseline.pipeline
-        # The digest travels with the block; retire the pipeline entry
-        # replicate_in just queued instead of rehashing on arrival.
-        if pipeline.pending and pipeline.pending[-1].locator == cid:
-            pipeline.hashed_since_checkpoint.append(pipeline.pending.pop())
-            index.add(cid, digest)
-            if not pipeline.pending and not pipeline.index.lost:
-                pipeline.index.stale = False
+        block = source.stored_block(cid)
+        puller.replicate_in(entry, block, digest)  # adopted, not rehashed
         moved += block.byte_len
     return moved
 
@@ -375,7 +347,7 @@ def sync_pair_hash(cluster: Cluster, a: StorageNode, b: StorageNode,
     """Baseline exchange: pay conditions first, then digest-set difference."""
     for participant in (a, b):
         ensure_baseline_consistent(participant, meter)
-    plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index, meter, scope_nids)
+    plan = compute_delta_hash(a.baseline, b.baseline, meter, scope_nids)
     plan.content_bytes_to_transfer = _exchange(a, b, plan, _transfer_hash, meter)
     _advance_pair_checkpoint(cluster.checkpoint(a.nid, b.nid), a, b, scope_nids)
     return plan

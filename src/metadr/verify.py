@@ -151,10 +151,8 @@ def _framework_equivalence_case(seed: int) -> tuple[bool, str]:
     for i, payload in enumerate(payloads):
         (a if i % 2 else b).ingest(payload)
     for node in (a, b):
-        hashline.pipeline_tick(node.baseline.pipeline, 10**12)
-    missing_b, missing_a = hashline.hash_delta(
-        a.baseline.hash_index, b.baseline.hash_index
-    )
+        hashline.pipeline_tick(node.baseline, 10**12)
+    missing_b, missing_a = hashline.hash_delta(a.baseline, b.baseline)
     meta_push, meta_pull = set_difference(a.id_index, b.id_index)
     if set(meta_pull) != set(missing_a) or set(meta_push) != set(missing_b):
         return False, "frameworks disagree on the delta block sets"
@@ -266,15 +264,14 @@ def suite_baseline(seed: int = 0) -> list[Check]:
     checks.append(("merkle_diff_matches_exhaustive_compare", ok, detail))
 
     index = hashline.HashIndex()
-    pipeline = hashline.PipelineState(index)
     for i in range(100):
-        pipeline.enqueue(i, i.to_bytes(16, "big"), 100)
-    hashline.pipeline_tick(pipeline, 100 * 50)
-    grew = pipeline.lag_blocks == 50
-    hashline.commit_checkpoint(pipeline)
-    hashline.pipeline_tick(pipeline, 100 * 50)
-    drained = pipeline.lag_blocks == 0 and index.consistent_flag
-    rolled = hashline.crash_interrupt(pipeline)
+        index.enqueue(i, i.to_bytes(16, "big"), 100)
+    hashline.pipeline_tick(index, 100 * 50)
+    grew = index.lag_blocks == 50
+    hashline.commit_checkpoint(index)
+    hashline.pipeline_tick(index, 100 * 50)
+    drained = index.lag_blocks == 0 and index.consistent_flag
+    rolled = hashline.crash_interrupt(index)
     checks.append(
         ("pipeline_lag_and_crash_rollback", grew and drained and rolled == 50,
          f"lag grew to 50, drained, crash re-enqueued {rolled}")

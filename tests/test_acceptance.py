@@ -227,10 +227,10 @@ def test_criterion_7_oracle_equivalences(capsys):
             (a if rng.random() < 0.5 else b).ingest(f"payload {seed}:{i}".encode())
         ensure_baseline_consistent(a)
         ensure_baseline_consistent(b)
-        hash_plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index)
+        hash_plan = compute_delta_hash(a.baseline, b.baseline)
         hash_pull = {b.block_store[loc].id for loc in hash_plan.ids_to_pull}
         hash_push = {a.block_store[loc].id for loc in hash_plan.ids_to_push}
-        meta_plan = compute_delta_meta(a.id_index, Checkpoint(peer=b.nid), b.id_index)
+        meta_plan = compute_delta_meta(a.id_index, Checkpoint(), b.id_index)
         assert set(meta_plan.ids_to_pull) == hash_pull
         assert set(meta_plan.ids_to_push) == hash_push
         sync_pair_meta(cluster, a, b)
@@ -256,7 +256,7 @@ def test_criterion_8_condition_instrumentation(paper_soak, capsys):
         node.ingest((size, i))
         inventory_bytes += size
     ensure_baseline_consistent(node)
-    node.baseline.hash_index.mark_lost()
+    node.baseline.mark_lost()
     from metadr.sync import baseline_rehash_bytes
 
     assert baseline_rehash_bytes(node) == inventory_bytes == node.physical_bytes

@@ -9,7 +9,6 @@ from metadr.hashline import (
     EMPTY_TREE_ROOT,
     HashIndex,
     InconsistentIndex,
-    PipelineState,
     commit_checkpoint,
     crash_interrupt,
     hash_delta,
@@ -18,6 +17,7 @@ from metadr.hashline import (
     payload_digest,
     pipeline_tick,
     rebuild_index,
+    settle,
 )
 
 
@@ -201,8 +201,7 @@ def test_diff_pads_unequal_leaf_counts():
 
 
 def make_pipeline(blocks=0, size=100):
-    index = HashIndex()
-    state = PipelineState(index)
+    state = HashIndex()
     for i in range(blocks):
         state.enqueue(i, descriptor(size, i), size)
     return state
@@ -212,7 +211,7 @@ def test_budget_covering_everything_drains():
     state = make_pipeline(50)
     pipeline_tick(state, 50 * 100)
     assert state.lag_blocks == 0
-    assert state.index.consistent_flag
+    assert state.consistent_flag
 
 
 def test_zero_budget_starves():
@@ -221,7 +220,7 @@ def test_zero_budget_starves():
     assert state.lag_blocks == 10
     state.enqueue(99, descriptor(100, 99), 100)
     assert state.lag_blocks == 11  # strictly grows under starvation
-    assert not state.index.consistent_flag
+    assert not state.consistent_flag
 
 
 def test_sustained_ingest_at_twice_budget_halves_coverage():
@@ -233,7 +232,7 @@ def test_sustained_ingest_at_twice_budget_halves_coverage():
             state.enqueue(locator, descriptor(100, locator), 100)
             locator += 1
         pipeline_tick(state, 100)
-    assert len(state.index.by_locator) == 40  # hashed half of the 80 ingested
+    assert len(state.by_locator) == 40  # hashed half of the 80 ingested
     assert state.lag_blocks == 40
 
 
@@ -258,7 +257,7 @@ def test_crash_reenqueues_everything_past_checkpoint():
     rolled = crash_interrupt(state)
     assert rolled == 9900
     assert state.lag_blocks == 9900
-    assert not state.index.consistent_flag
+    assert not state.consistent_flag
     # post-crash rebuild cost equals the re-enqueued block count
     meter = CostMeter(CostModel())
     pipeline_tick(state, 9900 * 100, meter)
@@ -270,6 +269,26 @@ def test_crash_rollback_preserves_order():
     pipeline_tick(state, 800)
     crash_interrupt(state)
     assert [p.locator for p in state.pending] == list(range(8))
+
+
+def test_settle_drains_and_commits_the_checkpoint():
+    state = make_pipeline(5)
+    settled, hashed = settle(state, [], [])
+    assert settled is state and hashed == 500
+    assert state.consistent_flag and state.owed_bytes(10**6) == 0
+    assert crash_interrupt(state) == 0  # the drain was committed
+
+
+def test_settle_rebuilds_a_lost_index_and_its_aliases():
+    state = make_pipeline(3)
+    pipeline_tick(state, 300)
+    state.mark_lost()
+    blocks = [(i, descriptor(100, i), 100) for i in range(3)]
+    assert state.owed_bytes(300) == 300
+    rebuilt, hashed = settle(state, blocks, [(9, 1)])
+    assert rebuilt is not state and hashed == 300 and rebuilt.consistent_flag
+    assert rebuilt.by_locator[9] == rebuilt.by_locator[1]  # no rehash for an alias
+    assert rebuilt.merkle.leaf_count == 3
 
 
 # -- rebuild and delta -----------------------------------------------------------
@@ -315,9 +334,9 @@ def test_stale_index_refuses_delta_until_drained():
     state = make_pipeline(5)
     fresh, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(5)])
     with pytest.raises(InconsistentIndex):
-        hash_delta(state.index, fresh)
+        hash_delta(state, fresh)
     pipeline_tick(state, 500)
-    hash_delta(state.index, fresh)  # now serviceable
+    hash_delta(state, fresh)  # now serviceable
 
 
 def test_lost_index_refuses_delta():

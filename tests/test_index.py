@@ -208,7 +208,7 @@ _LCV_SETS = st.dictionaries(st.sampled_from(_NIDS), st.sets(st.integers(1, 60), 
 def test_windowed_difference_matches_window_copies(runs_a, runs_b, watermarks, nids):
     a = build_index([(nid, lcv) for nid, lcvs in runs_a.items() for lcv in lcvs])
     b = build_index([(nid, lcv) for nid, lcvs in runs_b.items() for lcv in lcvs])
-    since = None if watermarks is None else Checkpoint(peer=N2, watermarks=watermarks)
+    since = None if watermarks is None else Checkpoint(watermarks=watermarks)
     meter = CostMeter(CostModel())
     oracle_meter = CostMeter(CostModel())
     got = set_difference(a, b, meter, since=since, nids=nids)
@@ -251,7 +251,7 @@ def test_roundtrip_reproduces_id_sequence():
 
 def test_checkpointed_serialization_filters_by_watermark():
     idx = build_index([(N1, i) for i in range(1, 11)] + [(N2, i) for i in range(1, 6)])
-    ckpt = Checkpoint(peer=N2, watermarks={N1: 8})
+    ckpt = Checkpoint(watermarks={N1: 8})
     ids = deserialize_index(serialize_index(idx, since=ckpt))
     assert {(c.nid, c.lcv) for c in ids} == {(N1, 9), (N1, 10)} | {(N2, i) for i in range(1, 6)}
 
@@ -312,7 +312,7 @@ def test_physical_size_rejects_negative_factor():
 
 
 def test_checkpoint_watermarks_never_decrease():
-    ckpt = Checkpoint(peer=N1)
+    ckpt = Checkpoint()
     ckpt.advance(N1, 10)
     ckpt.advance(N1, 5)
     assert ckpt.watermark(N1) == 10

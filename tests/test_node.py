@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from metadr.crc32c import crc32c
-from metadr.hashline import InconsistentIndex, hash_delta
+from metadr.hashline import InconsistentIndex, hash_delta, pipeline_tick
 from metadr.identity import NodeId, new_node_id
 from metadr.node import (
     Block,
@@ -40,8 +40,8 @@ def test_many_ingests_distinct_ids_and_zero_hash_ops():
         seen.add((cid.nid, cid.lcv))
     # identification never hashes: the only permissible hashing lives in
     # the baseline pipeline and the background dedup meter
-    assert node.counters.background_hash_ops == 0
-    assert node.baseline.pipeline.lag_blocks == 100_000  # nothing drained yet
+    assert node.background_meter.hash_ops == 0
+    assert node.baseline.lag_blocks == 100_000  # nothing drained yet
     assert node.counters.lcv_order_violations == 0
 
 
@@ -55,7 +55,7 @@ def test_ingest_rejected_when_down():
 def test_virtual_ingest_charges_zero_hash_seconds():
     node = fresh_node()
     node.ingest((4096, 1))
-    assert node.counters.background_hash_ops == 0
+    assert node.background_meter.hash_ops == 0
 
 
 # -- mutation and immutability ---------------------------------------------------
@@ -193,23 +193,27 @@ def test_index_loss_gates_baseline_until_rebuild():
         for i in range(10):
             node.ingest((64, i))
         ensure_baseline_consistent(node)
-    hash_delta(a.baseline.hash_index, b.baseline.hash_index)  # serviceable
+    hash_delta(a.baseline, b.baseline)  # serviceable
     a.crash()
     a.restart("index_loss", wal_replay_seconds=0.0)
     with pytest.raises(InconsistentIndex):
-        hash_delta(a.baseline.hash_index, b.baseline.hash_index)
+        hash_delta(a.baseline, b.baseline)
     ensure_baseline_consistent(a)
-    hash_delta(a.baseline.hash_index, b.baseline.hash_index)
+    hash_delta(a.baseline, b.baseline)
 
 
 def test_pipeline_crash_fault_reenqueues():
     node = fresh_node(baseline=True)
     for i in range(30):
         node.ingest((64, i))
-    ensure_baseline_consistent(node)
+    ensure_baseline_consistent(node)  # the drain commits the checkpoint
+    for i in range(30, 35):
+        node.ingest((64, i))
+    pipeline_tick(node.baseline, 5 * 64)  # hashed past the checkpoint
     node.crash()
     node.restart("pipeline_crash", wal_replay_seconds=0.0)
-    assert node.baseline.pipeline.lag_blocks == 30  # nothing checkpointed yet
+    assert node.baseline.lag_blocks == 5  # only the work since the drain
+    assert len(node.baseline.by_locator) == 30
 
 
 def test_invalid_lifecycle_transitions():
@@ -361,7 +365,7 @@ def test_dedup_work_charged_to_background_meter():
     node.ingest(b"one")
     node.ingest(b"one")
     node.dedup_pass(10)
-    assert node.counters.background_hash_ops > 0
+    assert node.background_meter.hash_ops > 0
 
 
 def test_storage_amplification_without_dedup():
@@ -375,5 +379,5 @@ def test_storage_amplification_without_dedup():
     ensure_baseline_consistent(b)
     assert a.id_index.ids() != b.id_index.ids()  # distinct identities
     assert a.physical_block_count + b.physical_block_count == 2
-    digests = set(a.baseline.hash_index.by_digest) | set(b.baseline.hash_index.by_digest)
+    digests = set(a.baseline.by_digest) | set(b.baseline.by_digest)
     assert len(digests) == 1

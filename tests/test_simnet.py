@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metadr import simnet
-from metadr.costs import CostMeter, CostModel, account_hash_cost, account_transfer
+from metadr.costs import CostMeter, CostModel
 from metadr.simnet import (
     ScenarioValidation,
     SimRuntime,
@@ -36,20 +36,20 @@ PARTITION_SCENARIO = {
 
 def test_account_hash_cost_formula():
     meter = CostMeter(CostModel())
-    assert account_hash_cost(meter, 1.1e14) == pytest.approx(13_750.0)
+    assert meter.charge_hash(1.1e14) == pytest.approx(13_750.0)
 
 
 def test_account_transfer_formula():
     meter = CostMeter(CostModel())
-    assert account_transfer(meter, 3.2e10, phase="index") == pytest.approx(25.6)
-    assert account_transfer(meter, 0) == 0.0
+    assert meter.charge_index_transfer(3.2e10) == pytest.approx(25.6)
+    assert meter.charge_delta_transfer(0) == 0.0
 
 
 def test_meter_accumulates_phases():
     meter = CostMeter(CostModel())
-    account_hash_cost(meter, 8e9)
-    account_transfer(meter, 1.25e9, phase="index")
-    account_transfer(meter, 2.5e9)
+    meter.charge_hash(8e9)
+    meter.charge_index_transfer(1.25e9)
+    meter.charge_delta_transfer(2.5e9)
     assert meter.t_hash == pytest.approx(1.0)
     assert meter.t_index == pytest.approx(1.0)
     assert meter.t_delta == pytest.approx(2.0)
@@ -491,7 +491,51 @@ def test_pipeline_crash_fault_rolls_back_the_hash_pipeline():
     }))
     metrics = runtime.run()
     assert metrics.violations.total == 0
-    assert runtime.sim_nodes[0].baseline.hash_index.stale
+    assert runtime.sim_nodes[0].baseline.stale
+
+
+def test_pipeline_crash_rolls_back_only_the_work_since_the_last_drain():
+    # node 1's index is drained at node 0's failback; its pipeline_crash
+    # restart keeps those 95 digests and leaves the 20 later writes queued
+    runtime = SimRuntime(load_scenario({
+        "name": "drain-commits", "seed": 3, "fidelity": "concrete",
+        "framework": "hash", "horizon_hours": 4.0,
+        "cluster": {"nodes": 3, "replica_factor": 2},
+        "inventory": {"blocks_per_node": 40, "block_bytes_min": 64, "block_bytes_max": 512},
+        "workload": {"blocks_per_hour_per_node": 5},
+        "faults": [
+            {"kind": "crash", "at_hours": 1.0, "node": 0},
+            {"kind": "failover", "at_hours": 1.5, "failed": 0, "substitute": 2},
+            {"kind": "restart", "at_hours": 2.0, "node": 0},
+            {"kind": "failback", "at_hours": 2.5, "node": 0},
+            {"kind": "crash", "at_hours": 3.0, "node": 1},
+            {"kind": "restart", "at_hours": 3.5, "node": 1, "fault_kind": "pipeline_crash"},
+        ],
+    }))
+    assert runtime.run().violations.total == 0
+    node = runtime.sim_nodes[1]
+    assert len(node.baseline.by_locator) == 95
+    assert node.baseline.lag_blocks == node.id_index.entry_count - 95 == 20
+    assert not node.baseline.hashed_since_checkpoint
+    # the drain committed everything each node hashed; only digests node 0
+    # adopted in its failback's transfers are past its checkpoint
+    assert [len(n.baseline.hashed_since_checkpoint) for n in runtime.sim_nodes] == [5, 0, 0]
+
+
+def test_catch_up_replication_reads_deduplicated_blocks_through_indirection():
+    runtime = SimRuntime(load_scenario({
+        "name": "dedup-catch-up", "fidelity": "concrete",
+        "cluster": {"nodes": 3, "replica_factor": 2},
+        "workload": {"duplicate_ratio": 0.9},
+    }))
+    source, peer = runtime.sim_nodes[0], runtime.sim_nodes[1]
+    peer.crash()
+    runtime.ingest_batch(source, 40)
+    assert source.dedup_pass(1000) > 0
+    peer.restart()
+    runtime.ingest_batch(source, 1)  # catches the peer up on all 41
+    assert peer.id_index.same_ids(source.id_index)
+    assert all(peer.read_verify(cid) == source.read_verify(cid) for cid in source.id_index.ids())
 
 
 def test_partitioned_nodes_do_not_replicate():
@@ -675,8 +719,8 @@ def test_genesis_pair_exchange_has_byte_identical_envelopes():
         (a if i % 2 else b).ingest(f"content {i}".encode())
     ensure_baseline_consistent(a)
     ensure_baseline_consistent(b)
-    meta_plan = compute_delta_meta(a.id_index, Checkpoint(peer=b.nid), b.id_index)
-    hash_plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index)
+    meta_plan = compute_delta_meta(a.id_index, Checkpoint(), b.id_index)
+    hash_plan = compute_delta_hash(a.baseline, b.baseline)
     assert meta_plan.index_bytes_exchanged == hash_plan.index_bytes_exchanged
 
 
@@ -702,7 +746,7 @@ def test_injection_entry_points_schedule_and_validate():
     )
     metrics = runtime.run()
     assert metrics.violations.total == 0
-    assert runtime.sim_nodes[2].baseline.hash_index.lost
+    assert runtime.sim_nodes[2].baseline.lost
 
 
 def test_hash_only_framework_actually_transfers():

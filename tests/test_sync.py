@@ -1,8 +1,11 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metadr.costs import CostMeter, CostModel
+from metadr.hashline import payload_digest, pipeline_tick
 from metadr.identity import new_node_id
 from metadr.index import Checkpoint, set_difference
 from metadr.node import StorageNode
@@ -107,7 +110,7 @@ def test_fresh_indexes_plan_equals_content_truth():
     fill(b, 9, tag=2)
     ensure_baseline_consistent(a)
     ensure_baseline_consistent(b)
-    plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index)
+    plan = compute_delta_hash(a.baseline, b.baseline)
     assert len(plan.ids_to_pull) == 9
     assert len(plan.ids_to_push) == 12
 
@@ -124,7 +127,7 @@ def test_assess_conditions_after_index_loss():
     a, b = make_nodes(2, baseline=True)
     fill(a, 10)
     ensure_baseline_consistent(a)
-    a.baseline.hash_index.mark_lost()
+    a.baseline.mark_lost()
     assert baseline_rehash_bytes(a) == a.physical_bytes
 
 
@@ -422,10 +425,10 @@ def test_frameworks_transfer_identical_block_sets():
             )
         ensure_baseline_consistent(a)
         ensure_baseline_consistent(b)
-        hash_plan = compute_delta_hash(a.baseline.hash_index, b.baseline.hash_index)
+        hash_plan = compute_delta_hash(a.baseline, b.baseline)
         hash_pull = {b.block_store[loc].id for loc in hash_plan.ids_to_pull}
         hash_push = {a.block_store[loc].id for loc in hash_plan.ids_to_push}
-        ckpt = Checkpoint(peer=b.nid)
+        ckpt = Checkpoint()
         meta_plan = compute_delta_meta(a.id_index, ckpt, b.id_index)
         assert set(meta_plan.ids_to_pull) == hash_pull
         assert set(meta_plan.ids_to_push) == hash_push
@@ -448,9 +451,57 @@ def test_hash_exchange_binds_ids_whose_content_the_puller_holds():
     assert a.physical_block_count == 2 and b.physical_block_count == 2
     assert a.read_verify(shared_b) == b.read_verify(shared_a) == b"same bytes"
     # a rebuilt index still lists the bound id: nothing is owed or moved
-    a.baseline.hash_index.mark_lost()
+    a.baseline.mark_lost()
     assert sync_pair_hash(cluster, a, b).content_bytes_to_transfer == 0
-    assert shared_b in a.baseline.hash_index.by_locator
+    assert shared_b in a.baseline.by_locator
+
+
+def test_pipeline_crash_rolls_back_only_a_digest_adopted_after_the_drain():
+    a, b = make_nodes(2, baseline=True)
+    cluster = Cluster([a, b])
+    fill(a, 10, tag=1)
+    only_b = b.ingest((128, 7))
+    sync_pair_hash(cluster, a, b)  # drains both, then a adopts only_b's digest
+    a.crash()
+    a.restart("pipeline_crash", wal_replay_seconds=0.0)
+    assert a.baseline.lag_blocks == 1 and only_b not in a.baseline.by_locator
+    assert len(a.baseline.by_locator) == 10  # the drained digests survive
+    assert ensure_baseline_consistent(a) == 128  # rehash of the one rolled back
+    assert only_b in a.baseline.by_locator
+
+
+_BASELINE_OPS = ("ingest", "replicate_in", "tick", "adopt", "pipeline_crash",
+                 "index_loss", "drain")
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(_BASELINE_OPS), st.integers(0, 1_000)),
+                      max_size=40))
+def test_baseline_owes_what_its_drain_pays(steps):
+    node, source = make_nodes(2, baseline=True)
+    for op, n in steps:
+        if op == "ingest":
+            node.ingest((64 + n, n))
+        elif op in ("replicate_in", "adopt"):
+            cid = source.ingest((64 + n, n))
+            block = source.block_store[cid]
+            digest = payload_digest(block.content, block.byte_len) if op == "adopt" else None
+            node.replicate_in(source.id_index.get(cid), block, digest)
+        elif op == "tick":
+            pipeline_tick(node.baseline, n)
+        elif op in ("pipeline_crash", "index_loss"):
+            node.crash()
+            node.restart(op, wal_replay_seconds=0.0)
+        else:
+            owed = baseline_rehash_bytes(node)
+            assert ensure_baseline_consistent(node) == owed
+            assert baseline_rehash_bytes(node) == 0
+        index = node.baseline
+        assert index.consistent_flag == (not index.lost and index.lag_blocks == 0)
+        if not index.lost:  # every id is indexed or queued, never both
+            queued = [p.locator for p in index.pending]
+            assert set(index.by_locator).isdisjoint(queued)
+            assert set(index.by_locator) | set(queued) == set(node.id_index.ids())
 
 
 def test_k_node_gossip_converges_within_tournament_bound():
