@@ -47,10 +47,13 @@ class TruncatedStream(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class IndexEntry:
-    """A block's id and integrity metadata. 32 logical bytes on the wire.
+    """A block's record: its id, modeled byte_len, the CRC-32C of its
+    content and its user key. 32 logical bytes on the wire.
 
-    The id is also the block's key in every node's store, so an entry
-    means the same thing on every replica and travels unchanged.
+    It is the only metadata a node keeps per block: the store holds the
+    content bytes under the id, and nothing else. The id is the block's
+    key in every node's store, so an entry means the same thing on every
+    replica and travels unchanged.
     """
 
     id: CompositeId

@@ -7,18 +7,21 @@ migration. Ingestion assigns identity *before* any content analysis:
 the whole metadata identification path performs zero content hashing,
 which the instrumented counters make checkable.
 
-The block store is keyed by the block's composite id, the same key the
-index and the DR delta use; dict order is the order blocks arrived.
-Blocks are immutable once an id is bound; mutation means a fresh
+The block store maps the block's composite id, the same key the index
+and the DR delta use, to its content bytes; dict order is the order
+blocks arrived. The index entry is the block's only metadata record: its
+byte_len and CRC-32C travel with the id, and the store holds nothing
+else. Blocks are immutable once an id is bound; mutation means a fresh
 ingestion under the same user key, with reads resolving to the highest
 lcv (ties to the greater nid) on every replica. Integrity is a separate
-concern from identity: every block carries a CRC-32C verified at read
-time and by background scrubbing.
+concern from identity: the entry's CRC-32C is verified at read time and
+by background scrubbing. A legacy (pre-migration) block has no entry and
+keeps the CRC-32C recorded when it was seeded.
 
-Every block holds content bytes and a byte_len. Ingest accepts bytes or
-a virtual (byte_len, seed) pair; it stores a pair's 16-byte packed
-descriptor as the content, with byte_len the modeled length, so no layer
-below ingest tells the two fidelities apart.
+Ingest accepts bytes or a virtual (byte_len, seed) pair; it stores a
+pair's 16-byte packed descriptor as the content, with the entry's
+byte_len the modeled length, so no layer below ingest tells the two
+fidelities apart.
 
 Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
@@ -32,7 +35,7 @@ foreign id whose content the node already holds through the same table
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .costs import CostMeter, CostModel
@@ -65,19 +68,6 @@ class NodeStatus(Enum):
     UP = "up"
     CRASHED = "crashed"
     RECOVERING = "recovering"
-
-
-@dataclass(frozen=True, slots=True)
-class Block:
-    """Immutable stored block. byte_len is the modeled length: a virtual
-    block's content is its 16-byte descriptor, its byte_len the length
-    the descriptor stands in for. crc is the CRC-32C of content."""
-
-    id: CompositeId
-    byte_len: int
-    crc: int
-    user_key: str | None
-    content: bytes
 
 
 @dataclass
@@ -125,13 +115,16 @@ class StorageNode:
         self.clock = recover_clock(self.wal)
         self.status = NodeStatus.UP
         self.id_index = IdentifierIndex()
-        self.block_store: dict[CompositeId, Block] = {}
+        self.block_store: dict[CompositeId, bytes] = {}
         self.indirection_table: dict[CompositeId, CompositeId] = {}
         self.by_user_key: dict[str, CompositeId] = {}
         self.counters = PathCounters()
         self.background_meter = CostMeter(CostModel())  # Layer-2 hashing
         self.baseline: HashIndex | None = HashIndex() if baseline else None
-        self.legacy_hash_index: dict[str, tuple[int, bytes]] | None = {} if migration else None
+        self.legacy_hash_index: dict[str, tuple[CompositeId, bytes]] | None = (
+            {} if migration else None
+        )
+        self.legacy_crc: dict[CompositeId, int] = {}  # a legacy block's scrub reference
         self._migrated_keys = 0
         self._legacy_seeded = 0
         self.dr_active = False
@@ -163,20 +156,19 @@ class StorageNode:
         else:
             byte_len, seed = payload
             content = _DESCRIPTOR.pack(byte_len, seed)
-        block = Block(cid, byte_len, crc32c(content), user_key, content)
-        self.bind_block(block)
-        self._admit(IndexEntry(cid, byte_len, block.crc, user_key))
+        self.bind_block(cid, content)
+        self._admit(IndexEntry(cid, byte_len, crc32c(content), user_key))
         if self.baseline is not None:
             self.baseline.enqueue(cid, content, byte_len)
         return cid
 
-    def bind_block(self, block: Block) -> None:
+    def bind_block(self, cid: CompositeId, content: bytes) -> None:
         """Low-level store write; rebinding an id already bound is the
         in-place-overwrite misuse path."""
-        if block.id in self.block_store:
+        if cid in self.block_store:
             self.counters.immutability_violations += 1
-            raise ImmutabilityViolation(f"id {block.id} already bound")
-        self.block_store[block.id] = block
+            raise ImmutabilityViolation(f"id {cid} already bound")
+        self.block_store[cid] = content
 
     def mutate(self, user_key: str, payload) -> CompositeId:
         """Mutation = new ingestion event with a fresh identifier.
@@ -188,25 +180,26 @@ class StorageNode:
             raise NodeDown(f"node {self.nid} is {self.status.value}")
         return self.ingest(payload, user_key=user_key)
 
-    def replicate_in(self, entry: IndexEntry, block: Block, digest: bytes | None = None) -> None:
-        """Accept a foreign block + entry during replication or sync.
+    def replicate_in(self, entry: IndexEntry, content: bytes, digest: bytes | None = None) -> None:
+        """Accept a foreign block's entry and content during replication
+        or sync.
 
-        The entry is the source's own: it carries only the id and the
-        block's integrity metadata, so it is inserted as it arrives and
-        the block is stored under its id. The baseline queues the block
+        The entry is the source's own: it carries the id and the block's
+        integrity metadata, so it is inserted as it arrives and the
+        content is stored under its id. The baseline queues the block
         for hashing, or adopts the digest that travelled with it.
         Re-replication of a known id is a no-op.
         """
         if entry.id in self.id_index:
             return
-        self.block_store[entry.id] = block
+        self.block_store[entry.id] = content
         self._admit(entry)
         if self.baseline is None:
             return
         if digest is None:
-            self.baseline.enqueue(entry.id, block.content, block.byte_len)
+            self.baseline.enqueue(entry.id, content, entry.byte_len)
         else:
-            self.baseline.adopt(entry.id, block.content, block.byte_len, digest)
+            self.baseline.adopt(entry.id, content, entry.byte_len, digest)
 
     def bind_alias(self, entry: IndexEntry, kept: CompositeId) -> None:
         """Accept a foreign id whose content this node already stores
@@ -228,13 +221,21 @@ class StorageNode:
 
     # -- reads and integrity -------------------------------------------
 
-    def stored_block(self, cid: CompositeId) -> Block:
-        """The block an id reads: its own, or the copy the indirection
+    def stored_block(self, cid: CompositeId) -> bytes:
+        """The content an id reads: its own, or the copy the indirection
         table binds it to."""
-        block = self.block_store.get(cid)
-        if block is None:
-            block = self.block_store[self.indirection_table[cid]]
-        return block
+        content = self.block_store.get(cid)
+        if content is None:
+            content = self.block_store[self.indirection_table[cid]]
+        return content
+
+    def inventory(self):
+        """(id, content, byte_len) of every stored block, in store order.
+        A legacy block has no entry; its byte_len is its content's."""
+        entry_of = self.id_index.get
+        for cid, content in self.block_store.items():
+            entry = entry_of(cid)
+            yield cid, content, len(content) if entry is None else entry.byte_len
 
     def read_verify(self, cid: CompositeId) -> bytes:
         """Return the block's content after CRC-32C verification; a
@@ -245,15 +246,15 @@ class StorageNode:
         # Layer-2 indirection is transparent to readers and is never
         # consulted during DR identification (which uses ids only)
         key = self.indirection_table.get(cid, cid)
-        block = self.block_store.get(key)
-        if block is None:
+        content = self.block_store.get(key)
+        if content is None:
             raise NotFound(f"block for id {cid} missing from store")
-        found = crc32c(block.content)
+        found = crc32c(content)
         if found != entry.crc:
             raise CorruptionDetected(
                 f"crc mismatch at {key}: expected {entry.crc:#010x}, found {found:#010x}"
             )
-        return block.content
+        return content
 
     def read(self, user_key: str) -> bytes:
         """Read the key's current value, the version `lww_key` orders last."""
@@ -265,10 +266,9 @@ class StorageNode:
     def corrupt_block(self, key: CompositeId) -> None:
         """Test hook: flip the first stored byte (silent corruption
         injection)."""
-        block = self.block_store[key]
-        mutated = bytearray(block.content)
+        mutated = bytearray(self.block_store[key])
         mutated[0] ^= 0xFF
-        self.block_store[key] = replace(block, content=bytes(mutated))
+        self.block_store[key] = bytes(mutated)
 
     def scrub(self, budget_blocks: int) -> CorruptionReport:
         """Verify up to budget blocks round-robin; never mutates data."""
@@ -280,10 +280,9 @@ class StorageNode:
         start = self._scrub_cursor % n
         for i in range(min(budget_blocks, n)):
             key = keys[(start + i) % n]
-            block = self.block_store[key]
-            expected = self.id_index.get(key)
-            expected_crc = expected.crc if expected is not None else block.crc
-            found = crc32c(block.content)
+            entry = self.id_index.get(key)
+            expected_crc = self.legacy_crc[key] if entry is None else entry.crc
+            found = crc32c(self.block_store[key])
             if found != expected_crc:
                 report.findings.append((key, expected_crc, found))
         self._scrub_cursor = (start + min(budget_blocks, n)) % n
@@ -349,7 +348,8 @@ class StorageNode:
         # Legacy blocks have no composite id yet. They key as lcv 0, which a
         # clock never hands out, numbered in the namespace-tag field.
         key = CompositeId(self.nid, 0, self._legacy_seeded)
-        self.block_store[key] = Block(key, len(content), crc32c(content), user_key, content)
+        self.block_store[key] = content
+        self.legacy_crc[key] = crc32c(content)
         self.legacy_hash_index[user_key] = (key, digest)
         self._legacy_seeded += 1
 
@@ -378,8 +378,8 @@ class StorageNode:
         if legacy is None:
             raise NotFound(f"user_key {user_key!r} not in legacy tier")
         key, _digest = legacy
-        block = self.block_store.pop(key)
-        cid = self.ingest(block.content, user_key=user_key)
+        del self.legacy_crc[key]
+        cid = self.ingest(self.block_store.pop(key), user_key=user_key)
         del self.legacy_hash_index[user_key]
         self._migrated_keys += 1
         return cid
@@ -413,10 +413,11 @@ class StorageNode:
             key = keys[i % n]
             i += 1
             scanned += 1
-            block = self.block_store.get(key)
-            if block is None or key.lcv == 0:
+            content = self.block_store.get(key)
+            if content is None or key.lcv == 0:
                 continue
-            digest = payload_digest(block.content, block.byte_len, self.background_meter)
+            byte_len = self.id_index.get(key).byte_len
+            digest = payload_digest(content, byte_len, self.background_meter)
             canonical = self._dedup_seen.get(digest)
             if canonical is None or canonical == key or canonical not in self.block_store:
                 self._dedup_seen[digest] = key
@@ -433,4 +434,4 @@ class StorageNode:
 
     @property
     def physical_bytes(self) -> int:
-        return sum(b.byte_len for b in self.block_store.values())
+        return sum(byte_len for _, _, byte_len in self.inventory())

@@ -317,8 +317,9 @@ def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None
     """
     if node.baseline is None:
         return 0
-    inventory = ((cid, block.content, block.byte_len) for cid, block in node.block_store.items())
-    node.baseline, hashed = settle(node.baseline, inventory, node.indirection_table.items(), meter)
+    node.baseline, hashed = settle(
+        node.baseline, node.inventory(), node.indirection_table.items(), meter
+    )
     return hashed
 
 
@@ -336,9 +337,8 @@ def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[Composite
             puller.bind_alias(entry, min(held))
             index.add(cid, digest)  # the digest travelled; nothing is hashed
             continue
-        block = source.stored_block(cid)
-        puller.replicate_in(entry, block, digest)  # adopted, not rehashed
-        moved += block.byte_len
+        puller.replicate_in(entry, source.stored_block(cid), digest)  # adopted, not rehashed
+        moved += entry.byte_len
     return moved
 
 

@@ -17,12 +17,15 @@ from random import Random
 from . import hashline, identity
 from .costs import CostMeter, CostModel
 from .crc32c import crc32c
+from .index import Checkpoint
 from .node import StorageNode
-from .index import set_difference
 from .sync import (
     Cluster,
     ReconciliationPolicy,
+    compute_delta_hash,
+    compute_delta_meta,
     converge,
+    ensure_baseline_consistent,
     reconcile_split_brain,
     sync_pair_meta,
 )
@@ -142,25 +145,27 @@ def _two_node_partition_case(rng: Random, max_blocks: int, byte_len: int) -> tup
     return True, "union reached in 1 round, idempotent"
 
 
-def _framework_equivalence_case(seed: int) -> tuple[bool, str]:
-    rng = Random(f"verify-fw:{seed}")
+def _framework_equivalence_case(rng: Random, max_blocks: int) -> tuple[bool, str]:
+    """Two baseline nodes ingest distinct payloads apart: the hash plan
+    and the metadata plan must name the same blocks, and a metadata sync
+    must leave byte-identical stores."""
     a = StorageNode(identity.new_node_id(rng), baseline=True)
     b = StorageNode(identity.new_node_id(rng), baseline=True)
-    cluster = Cluster([a, b])
-    payloads = [rng.randbytes(rng.randrange(16, 200)) for _ in range(rng.randrange(5, 80))]
-    for i, payload in enumerate(payloads):
-        (a if i % 2 else b).ingest(payload)
+    for i in range(rng.randrange(2, max_blocks)):
+        payload = i.to_bytes(4, "big") + rng.randbytes(rng.randrange(12, 196))
+        (a if rng.random() < 0.5 else b).ingest(payload)
     for node in (a, b):
-        hashline.pipeline_tick(node.baseline, 10**12)
-    missing_b, missing_a = hashline.hash_delta(a.baseline, b.baseline)
-    meta_push, meta_pull = set_difference(a.id_index, b.id_index)
-    if set(meta_pull) != set(missing_a) or set(meta_push) != set(missing_b):
-        return False, "frameworks disagree on the delta block sets"
-    sync_pair_meta(cluster, a, b)
+        ensure_baseline_consistent(node)
+    hash_plan = compute_delta_hash(a.baseline, b.baseline)
+    meta_plan = compute_delta_meta(a.id_index, Checkpoint(), b.id_index)
+    for hashed, meta in ((hash_plan.ids_to_pull, meta_plan.ids_to_pull),
+                         (hash_plan.ids_to_push, meta_plan.ids_to_push)):
+        if set(hashed) != set(meta):
+            return False, "frameworks disagree on the delta block sets"
+    sync_pair_meta(Cluster([a, b]), a, b)
     if not a.id_index.same_ids(b.id_index):
         return False, "post-sync indexes differ"
-    contents_a = sorted(bl.content for bl in a.block_store.values())
-    contents_b = sorted(bl.content for bl in b.block_store.values())
+    contents_a, contents_b = (sorted(c for _, c, _ in n.inventory()) for n in (a, b))
     if contents_a != contents_b:
         return False, "post-sync stores are not byte-identical"
     return True, "identical delta sets and byte-identical stores"
@@ -181,7 +186,9 @@ def suite_sync(seed: int = 0) -> list[Check]:
 
     ok_all, detail = True, ""
     for s in range(15):
-        ok, detail = _framework_equivalence_case(seed * 100 + s)
+        ok, detail = _framework_equivalence_case(
+            Random(f"verify-fw:{seed * 100 + s}"), max_blocks=80
+        )
         if not ok:
             ok_all = False
             break
@@ -216,6 +223,21 @@ def suite_sync(seed: int = 0) -> list[Check]:
     return checks
 
 
+def _merkle_diff_case(rng: Random, trees: int, max_leaves: int) -> tuple[bool, str]:
+    """merkle_diff against an exhaustive leaf compare over random tree
+    pairs, each with about a fifth of its leaves replaced."""
+    for _ in range(trees):
+        n = rng.randrange(1, max_leaves)
+        leaves_a = [rng.randbytes(32) for _ in range(n)]
+        leaves_b = [rng.randbytes(32) if rng.random() < 0.2 else leaf for leaf in leaves_a]
+        diff = hashline.merkle_diff(
+            hashline.merkle_build(leaves_a), hashline.merkle_build(leaves_b)
+        )
+        if diff.positions != [i for i in range(n) if leaves_a[i] != leaves_b[i]]:
+            return False, f"merkle_diff mismatch at n={n}"
+    return True, f"{trees} randomized tree pairs vs exhaustive leaf compare"
+
+
 def suite_baseline(seed: int = 0) -> list[Check]:
     checks: list[Check] = []
     vectors = [
@@ -243,24 +265,7 @@ def suite_baseline(seed: int = 0) -> list[Check]:
     )
     checks.append(("crc32c_table_matches_bitwise_reference", ok, "300 random payloads"))
 
-    rng = Random(f"verify-merkle:{seed}")
-    ok = True
-    detail = "60 randomized tree pairs vs exhaustive leaf compare"
-    for _ in range(60):
-        n = rng.randrange(1, 64)
-        leaves_a = [rng.randbytes(32) for _ in range(n)]
-        leaves_b = list(leaves_a)
-        for pos in range(n):
-            if rng.random() < 0.2:
-                leaves_b[pos] = rng.randbytes(32)
-        diff = hashline.merkle_diff(
-            hashline.merkle_build(leaves_a), hashline.merkle_build(leaves_b)
-        )
-        expected = [i for i in range(n) if leaves_a[i] != leaves_b[i]]
-        if diff.positions != expected:
-            ok = False
-            detail = f"merkle_diff mismatch at n={n}"
-            break
+    ok, detail = _merkle_diff_case(Random(f"verify-merkle:{seed}"), trees=60, max_leaves=64)
     checks.append(("merkle_diff_matches_exhaustive_compare", ok, detail))
 
     index = hashline.HashIndex()

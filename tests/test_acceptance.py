@@ -17,13 +17,11 @@ from metadr import cli, hashline, identity
 from metadr.costs import CostMeter, CostModel
 from metadr.crc32c import crc32c
 from metadr.evalmodel import TcoParams, table2, tco
-from metadr.index import Checkpoint, IdentifierIndex, IndexEntry, set_difference
+from metadr.index import IdentifierIndex, IndexEntry, set_difference
 from metadr.node import StorageNode
 from metadr.simnet import SoakConfig, soak
 from metadr.sync import (
     Cluster,
-    compute_delta_hash,
-    compute_delta_meta,
     ensure_baseline_consistent,
     execute_failover,
     sync_pair_meta,
@@ -31,6 +29,8 @@ from metadr.sync import (
 from metadr.verify import (
     _chaos_uniqueness,
     _crc32c_bitwise,
+    _framework_equivalence_case,
+    _merkle_diff_case,
     _truncation_enumeration,
     _two_node_partition_case,
 )
@@ -205,38 +205,13 @@ def test_criterion_7_oracle_equivalences(capsys):
         assert got == expected
 
     # merkle_diff vs exhaustive leaf comparison
-    rng = Random("accept7:merkle")
-    for _ in range(60):
-        n = rng.randrange(1, 200)
-        leaves_a = [rng.randbytes(32) for _ in range(n)]
-        leaves_b = [leaf if rng.random() < 0.8 else rng.randbytes(32)
-                    for leaf in leaves_a]
-        diff = hashline.merkle_diff(
-            hashline.merkle_build(leaves_a), hashline.merkle_build(leaves_b)
-        )
-        assert diff.positions == [i for i in range(n) if leaves_a[i] != leaves_b[i]]
+    ok7, detail = _merkle_diff_case(Random("accept7:merkle"), trees=60, max_leaves=200)
+    assert ok7, detail
 
     # framework equivalence on concrete stores
     for seed in range(12):
-        rng = Random(f"accept7:fw:{seed}")
-        ids_rng = Random(f"accept7:fw-id:{seed}")
-        a = StorageNode(identity.new_node_id(ids_rng), baseline=True)
-        b = StorageNode(identity.new_node_id(ids_rng), baseline=True)
-        cluster = Cluster([a, b])
-        for i in range(rng.randrange(2, 400)):
-            (a if rng.random() < 0.5 else b).ingest(f"payload {seed}:{i}".encode())
-        ensure_baseline_consistent(a)
-        ensure_baseline_consistent(b)
-        hash_plan = compute_delta_hash(a.baseline, b.baseline)
-        hash_pull = {b.block_store[loc].id for loc in hash_plan.ids_to_pull}
-        hash_push = {a.block_store[loc].id for loc in hash_plan.ids_to_push}
-        meta_plan = compute_delta_meta(a.id_index, Checkpoint(), b.id_index)
-        assert set(meta_plan.ids_to_pull) == hash_pull
-        assert set(meta_plan.ids_to_push) == hash_push
-        sync_pair_meta(cluster, a, b)
-        assert sorted(bl.content for bl in a.block_store.values()) == sorted(
-            bl.content for bl in b.block_store.values()
-        )
+        ok7, detail = _framework_equivalence_case(Random(f"accept7:fw:{seed}"), max_blocks=400)
+        assert ok7, f"{detail} at seed {seed}"
     with capsys.disabled():
         ok(7, "diff/range/merkle oracles agree; frameworks transfer identical "
               "block sets with byte-identical post-sync stores")

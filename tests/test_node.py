@@ -7,7 +7,6 @@ from metadr.crc32c import crc32c
 from metadr.hashline import InconsistentIndex, hash_delta, pipeline_tick
 from metadr.identity import NodeId, new_node_id
 from metadr.node import (
-    Block,
     CorruptionDetected,
     ImmutabilityViolation,
     NodeDown,
@@ -79,10 +78,10 @@ def test_key_written_on_two_nodes_reads_the_same_on_both():
         a.ingest(f"filler {i}".encode())
     a.ingest(b"from a", user_key="k")
     for entry in a.id_index.entries_above(a.nid, 0):
-        b.replicate_in(entry, a.block_store[entry.id])
+        b.replicate_in(entry, a.stored_block(entry.id))
     b.ingest(b"from b", user_key="k")
     for entry in b.id_index.entries_above(b.nid, 0):
-        a.replicate_in(entry, b.block_store[entry.id])
+        a.replicate_in(entry, b.stored_block(entry.id))
     assert a.read("k") == b.read("k") == b"from a"
 
 
@@ -90,7 +89,7 @@ def test_in_place_overwrite_raises():
     node = fresh_node()
     cid = node.ingest(b"original")
     with pytest.raises(ImmutabilityViolation):
-        node.bind_block(Block(cid, 5, 0, None, content=b"evil!"))
+        node.bind_block(cid, b"evil!")
     assert node.counters.immutability_violations == 1
 
 
@@ -294,6 +293,22 @@ def test_legacy_blocks_with_equal_content_keep_their_own_keys():
     assert node.scrub(10).clean
 
 
+def test_scrub_finds_corrupted_legacy_and_indexed_blocks():
+    node = migration_node()
+    cid = node.ingest(b"indexed bytes")
+    legacy = node.dual_lookup("legacy1").locator
+    node.corrupt_block(legacy)
+    node.corrupt_block(cid)
+    # a legacy block has no entry: its reference is the CRC taken at seeding,
+    # which an index loss does not take with it
+    node.crash()
+    node.restart("index_loss", wal_replay_seconds=0.0)
+    report = node.scrub(10)
+    assert [(key, expected) for key, expected, _ in report.findings] == [
+        (legacy, crc32c(b"old content 1")), (cid, crc32c(b"indexed bytes"))
+    ]
+
+
 def test_double_migrate_is_idempotent():
     node = migration_node()
     first = node.migrate_on_access("legacy0")
@@ -358,6 +373,17 @@ def test_dedup_transparent_to_reads():
     contents_before = [node.read_verify(c) for c in ids]
     node.dedup_pass(100)
     assert [node.read_verify(c) for c in ids] == contents_before
+
+
+def test_deduplicated_id_replicates_under_its_own_id():
+    a, b = fresh_node(seed=1), fresh_node(seed=2)
+    first = a.ingest(b"same bytes")
+    second = a.ingest(b"same bytes")
+    assert a.dedup_pass(10) == 1
+    for entry in a.id_index.entries_above(a.nid, 0):
+        b.replicate_in(entry, a.stored_block(entry.id))
+    assert list(b.inventory()) == [(first, b"same bytes", 10), (second, b"same bytes", 10)]
+    assert b.read_verify(second) == b"same bytes"
 
 
 def test_dedup_work_charged_to_background_meter():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from metadr.costs import CostMeter, CostModel
 from metadr.hashline import payload_digest, pipeline_tick
 from metadr.identity import new_node_id
-from metadr.index import Checkpoint, set_difference
+from metadr.index import set_difference
 from metadr.node import StorageNode
+from metadr.verify import _framework_equivalence_case
 from metadr.sync import (
     Cluster,
     NodeStatusError,
@@ -416,26 +417,8 @@ def test_merge_never_loses_ids_and_conflicts_have_two_sources():
 
 def test_frameworks_transfer_identical_block_sets():
     for seed in range(10):
-        rng = Random(seed)
-        a, b = make_nodes(2, baseline=True, seed=seed)
-        cluster = Cluster([a, b])
-        for i in range(rng.randrange(2, 60)):
-            (a if rng.random() < 0.5 else b).ingest(
-                f"unique content {seed}:{i}".encode()
-            )
-        ensure_baseline_consistent(a)
-        ensure_baseline_consistent(b)
-        hash_plan = compute_delta_hash(a.baseline, b.baseline)
-        hash_pull = {b.block_store[loc].id for loc in hash_plan.ids_to_pull}
-        hash_push = {a.block_store[loc].id for loc in hash_plan.ids_to_push}
-        ckpt = Checkpoint()
-        meta_plan = compute_delta_meta(a.id_index, ckpt, b.id_index)
-        assert set(meta_plan.ids_to_pull) == hash_pull
-        assert set(meta_plan.ids_to_push) == hash_push
-        sync_pair_meta(cluster, a, b)
-        assert sorted(bl.content for bl in a.block_store.values()) == sorted(
-            bl.content for bl in b.block_store.values()
-        )
+        ok, detail = _framework_equivalence_case(Random(seed), max_blocks=60)
+        assert ok, f"{detail} at seed {seed}"
 
 
 def test_hash_exchange_binds_ids_whose_content_the_puller_holds():
@@ -484,9 +467,9 @@ def test_baseline_owes_what_its_drain_pays(steps):
             node.ingest((64 + n, n))
         elif op in ("replicate_in", "adopt"):
             cid = source.ingest((64 + n, n))
-            block = source.block_store[cid]
-            digest = payload_digest(block.content, block.byte_len) if op == "adopt" else None
-            node.replicate_in(source.id_index.get(cid), block, digest)
+            entry, content = source.id_index.get(cid), source.stored_block(cid)
+            digest = payload_digest(content, entry.byte_len) if op == "adopt" else None
+            node.replicate_in(entry, content, digest)
         elif op == "tick":
             pipeline_tick(node.baseline, n)
         elif op in ("pipeline_crash", "index_loss"):
