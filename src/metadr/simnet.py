@@ -8,10 +8,10 @@ so identical inputs produce bit-identical metrics.
 Two fidelities coexist. Live mechanics run at desk scale: real
 ingestion through the logical clocks and indexes, real WAL recovery,
 real index exchange and block transfer, with violation counters watched
-throughout. Recovery-time arithmetic for production-scale inventories is
-charged through the cost model from declared volumetrics (blocks, data
-bytes, delta bytes) so hours-long rehash windows are reproduced in
-milliseconds of wall time.
+throughout. The soak charges recovery-time arithmetic for
+production-scale inventories through the cost model from declared
+volumetrics (blocks, data bytes, delta bytes) so hours-long rehash
+windows are reproduced in milliseconds of wall time.
 
 Scenario files are YAML whose sections mirror the `Scenario`
 dataclasses; one loader builds both scenarios and soak configs. The soak
@@ -110,7 +110,6 @@ class Scenario:
     inventory: InventorySpec = field(default_factory=InventorySpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     cost: CostModel = field(default_factory=CostModel)
-    volumetrics: Volumetrics | None = None
     discovery: DiscoverySpec = field(default_factory=DiscoverySpec)
     faults: list[FaultSpec] = field(default_factory=list)
 
@@ -530,9 +529,9 @@ class SimRuntime:
             rebind_cname(self.records, service, f"host-{f.substitute}")
             resolved = resolve(self.records, service).endpoint
             event.label += f" via {resolved}"
-        event.reports.append(self._event_report(execute_failover(
+        event.reports.append(execute_failover(
             self.cluster, failed.nid, substitute.nid, self.scenario.framework
-        )))
+        ))
         self.metrics.events.append(event)
 
     def _dr_failback(self, f: FaultSpec) -> None:
@@ -541,20 +540,10 @@ class SimRuntime:
         service = f"service-{f.node}"
         if service in self.records.cname_records:
             rebind_cname(self.records, service, f"host-{f.node}")
-        event.reports.append(self._event_report(
+        event.reports.append(
             execute_failback(self.cluster, node.nid, self.scenario.framework)
-        ))
-        self.metrics.events.append(event)
-
-    def _event_report(self, live: DrReport) -> DrReport:
-        """The event's report: the live one, or with declared volumetrics
-        the same event charged at production scale."""
-        vol = self.scenario.volumetrics
-        if vol is None:
-            return live
-        return volumetric_report(
-            live.kind, live.framework, self.scenario.cost, vol, wal_replay_s=live.t_wal_replay
         )
+        self.metrics.events.append(event)
 
     # -- main loop -------------------------------------------------------
 
@@ -678,11 +667,6 @@ class SoakConfig:
     with that 10 GbE arithmetic, not with the testbed's nominal 100 GbE
     fabric; the preset reproduces the published numbers and the report
     annotates the tension rather than resolving it.
-
-    Engaged-core figures for the resource table are back-derived from
-    the published utilization rows (they are preset targets, not model
-    outputs); the computation itself is engaged-core-seconds over
-    basis-cores times phase duration.
     """
 
     name: str = "paper-soak"
@@ -709,10 +693,6 @@ class SoakConfig:
         )
     )
     crash_rehash_extra: tuple[float, float] = (0.025, 0.029)
-    cpu_basis_cores: int = 40
-    rehash_engaged_cores: float = 37.88
-    sync_engaged_cores_meta: float = 1.28
-    sync_engaged_cores_hash: float = 1.24
     modeled_assign_latency_us: float = 1.2
 
 
@@ -961,7 +941,7 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
         theoretical_index_bytes=32 * metrics.total_entries,
     )
 
-    resources = _resource_rows(cfg, model, vol, mean_meta, mean_hash)
+    resources = _resource_rows(model, vol, mean_meta, mean_hash)
     annotations = [
         "per-event RTO phases are volumetric: charged from the preset's declared "
         "production-scale inventory (D, N, delta) through the cost model",
@@ -985,12 +965,20 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
     )
 
 
-def _resource_rows(cfg: SoakConfig, model: CostModel, vol: Volumetrics,
+# Engaged-core figures of the resource table, back-derived from the
+# published utilization rows: preset targets, not model outputs. A row is
+# engaged-core-seconds over basis-cores times phase duration.
+_CPU_BASIS_CORES = 40
+_REHASH_ENGAGED_CORES = 37.88
+_SYNC_ENGAGED_CORES_META = 1.28
+_SYNC_ENGAGED_CORES_HASH = 1.24
+
+
+def _resource_rows(model: CostModel, vol: Volumetrics,
                    mean_meta: float, mean_hash: float) -> list[SoakResourceRow]:
-    basis = cfg.cpu_basis_cores
-    rehash_pct = 100.0 * cfg.rehash_engaged_cores / basis
-    meta_pct = 100.0 * cfg.sync_engaged_cores_meta / basis
-    hash_sync_pct = 100.0 * cfg.sync_engaged_cores_hash / basis
+    rehash_pct = 100.0 * _REHASH_ENGAGED_CORES / _CPU_BASIS_CORES
+    meta_pct = 100.0 * _SYNC_ENGAGED_CORES_META / _CPU_BASIS_CORES
+    hash_sync_pct = 100.0 * _SYNC_ENGAGED_CORES_HASH / _CPU_BASIS_CORES
     index_delta_bytes = vol.blocks * model.index_entry_bytes + vol.delta_bytes
     xfer_preset = index_delta_bytes / model.bandwidth
     xfer_100gbe = index_delta_bytes / 1.25e10

@@ -71,6 +71,7 @@ def test_loader_rejects_unknown_keys():
         dict(PARTITION_SCENARIO, inventroy={"blocks_per_node": 5}),
         dict(PARTITION_SCENARIO, cluster={"nodes": 2, "replicas": 2}),
         dict(PARTITION_SCENARIO, faults=[{"kind": "crash", "at_hours": 1.0, "nod": 0}]),
+        dict(PARTITION_SCENARIO, volumetrics={"blocks": 1.0e9}),  # soak configs only
     ):
         with pytest.raises(ScenarioValidation, match="unknown key"):
             load_scenario(bad)
@@ -85,7 +86,7 @@ def test_loader_checks_field_types():
         dict(PARTITION_SCENARIO, faults=[{"kind": "crash", "at_hours": 1.0, "node": "1"}]),
         dict(PARTITION_SCENARIO, faults=[{"kind": "crash", "at_hours": 1.0, "node": True}]),
         dict(PARTITION_SCENARIO, horizon_hours=float("nan")),
-        dict(PARTITION_SCENARIO, volumetrics={"data_bytes": 1e12}),  # missing fields
+        dict(PARTITION_SCENARIO, faults=[{"kind": "crash", "node": 0}]),  # missing at_hours
         dict(PARTITION_SCENARIO, cost={"cores": 0}),  # CostModel rejects it
         dict(PARTITION_SCENARIO, discovery={"zone": ["A host-0 10.0.0.1:7000"]}),
     ):
@@ -96,16 +97,11 @@ def test_loader_checks_field_types():
 
 
 def test_loader_accepts_integral_floats_and_keeps_section_defaults():
-    scenario = load_scenario(dict(
-        PARTITION_SCENARIO,
-        volumetrics={"data_bytes": 1.1e14, "blocks": 1.0e9, "delta_bytes": 1e12},
-    ))
-    assert scenario.volumetrics.blocks == 1_000_000_000
-    assert type(scenario.volumetrics.blocks) is int
     cfg = load_soak_config("cost:\n  cores: 8\nvolumetrics:\n  blocks: 2.0e+9\n")
     assert cfg.cost.cores == 8
     assert cfg.cost.fragmentation_factor == 0.011  # SoakConfig's own default
     assert cfg.volumetrics.blocks == 2_000_000_000
+    assert type(cfg.volumetrics.blocks) is int
     assert cfg.volumetrics.data_bytes == 1.1e14
 
 
@@ -149,9 +145,6 @@ _SCENARIO_MAPPING = st.fixed_dictionaries({
     "cost": _maybe(st.dictionaries(
         st.sampled_from(["cores", "bandwidth", "fragmentation_factor", "typo"]), _ANY,
         max_size=2)),
-    "volumetrics": _maybe(st.fixed_dictionaries(
-        {"data_bytes": _maybe(st.floats(0, 1e15)), "blocks": _maybe(st.floats(0, 1e9)),
-         "delta_bytes": _maybe(st.floats(0, 1e12))})),
     "discovery": _maybe(st.fixed_dictionaries({"zone": _maybe(st.lists(
         st.sampled_from(["ENDPT host-9 10.0.0.9:7000", "CNAME svc host-9", "bad",
                          "CNAME host-0 elsewhere"]),
