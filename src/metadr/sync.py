@@ -87,7 +87,6 @@ class DrReport:
     content_reads: int = 0
     comparisons: int = 0
     network_bytes: int = 0
-    blocks_transferred: int = 0
     note: str = ""
 
     @property

@@ -67,18 +67,18 @@ def bundled(name: str):
 
 def test_soak_output_is_pinned():
     report = soak(SoakConfig(total_ingest_blocks=13_125, seed=101))
-    assert digest(report) == "e8cf0969e3bfbe257bf54104e7220aa2c2381662617cc4259150c8c7078d4cd4"
+    assert digest(report) == "c6a0722ac963a73edf5700a5568285bf4c8e1fa20c649aab1ce0beb179c4fd81"
 
 
 _BUNDLED_PINS = [
     ("condition3-failover", 0,
-     "c92a959073fd0751e23715c720bd47236be230c6bc317e1b2a0d9893e6059917"),
+     "8557d7c17413b765bd8faa7b0a3f51b58fa852787ff6a3a73eb336edce9d77d9"),
     ("condition3-failover", 7,
-     "8476ce26b54af141fa09b2ed598f46ae522a9f4b48e30098bbcc5289124de275"),
+     "bf7fbbf27a3a5d2039a5d73167b5006f9ba1474769b13c15fc47ebe1c41557cd"),
     ("partition-converge", 0,
-     "f1ffaa9991b27d611d3d31cc9b76ec502662ed1e054f3632ab90d970165dfd61"),
+     "890b5c4d8df1112aacb25750e19d88226eccb58c745b4dd44eec7ba47c2ed877"),
     ("partition-converge", 7,
-     "864d435d89b87ff82b734dd882f65d8f836999994460f755d52bcbfe8dad2d53"),
+     "6dff3218b654ec4532e659e9c7c5b6ebb1355e267a460e1f111ac22fa6abc3ea"),
 ]
 
 
@@ -92,7 +92,7 @@ def test_bundled_scenario_metrics_are_pinned(name, seed, expected):
 def test_hash_restart_after_transfers_is_pinned():
     metrics = run_scenario(load_scenario(HASH_RESTART_SCENARIO))
     assert [r.content_reads for e in metrics.events for r in e.reports] == [0, 96, 176]
-    assert digest(metrics) == "f99197781943f26e3cf809b06031e3f11dcd4100670a3f4e288bf2e2345ecb5b"
+    assert digest(metrics) == "bf9931c3713efd42950ff3c9968099be2835834cd615cc155e8f43e6ef02f83f"
 
 
 def test_virtual_hash_restarts_are_pinned():
@@ -100,4 +100,4 @@ def test_virtual_hash_restarts_are_pinned():
     hash_reports = [r for e in metrics.events for r in e.reports if r.framework == "hash"]
     assert [r.hash_ops for r in hash_reports] == [280, 310, 60, 439]
     assert [r.content_reads for r in hash_reports] == [0, 0, 0, 190]
-    assert digest(metrics) == "4de0a3390d194822fa6ef0d39b08fbab2dfccc1338d97412ffe4d62500f0bb8b"
+    assert digest(metrics) == "b100aa3c71359951fa18e0cb0a83a67c921d78c3caa02723fe353afc2aa46283"
