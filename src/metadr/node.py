@@ -35,6 +35,7 @@ foreign id whose content the node already holds through the same table
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -229,7 +230,7 @@ class StorageNode:
             content = self.block_store[self.indirection_table[cid]]
         return content
 
-    def inventory(self):
+    def inventory(self) -> Iterator[tuple[CompositeId, bytes, int]]:
         """(id, content, byte_len) of every stored block, in store order.
         A legacy block has no entry; its byte_len is its content's."""
         entry_of = self.id_index.get
@@ -378,9 +379,8 @@ class StorageNode:
         if legacy is None:
             raise NotFound(f"user_key {user_key!r} not in legacy tier")
         key, _digest = legacy
-        del self.legacy_crc[key]
-        cid = self.ingest(self.block_store.pop(key), user_key=user_key)
-        del self.legacy_hash_index[user_key]
+        cid = self.ingest(self.block_store[key], user_key=user_key)  # NodeDown keeps it legacy
+        del self.block_store[key], self.legacy_crc[key], self.legacy_hash_index[user_key]
         self._migrated_keys += 1
         return cid
 

@@ -309,6 +309,17 @@ def test_scrub_finds_corrupted_legacy_and_indexed_blocks():
     ]
 
 
+def test_migrate_on_a_down_node_keeps_the_legacy_block():
+    node = migration_node()
+    node.crash()
+    with pytest.raises(NodeDown):
+        node.migrate_on_access("legacy0")
+    node.restart("none", wal_replay_seconds=0.0)
+    assert node.dual_lookup("legacy0").tier == "legacy"
+    assert node.read_verify(node.migrate_on_access("legacy0")) == b"old content 0"
+    assert node.physical_block_count == 4 and node.scrub(10).clean
+
+
 def test_double_migrate_is_idempotent():
     node = migration_node()
     first = node.migrate_on_access("legacy0")
