@@ -233,9 +233,8 @@ class StorageNode:
     def inventory(self) -> Iterator[tuple[CompositeId, bytes, int]]:
         """(id, content, byte_len) of every stored block, in store order.
         A legacy block has no entry; its byte_len is its content's."""
-        entry_of = self.id_index.get
         for cid, content in self.block_store.items():
-            entry = entry_of(cid)
+            entry = self.id_index.get(cid)
             yield cid, content, len(content) if entry is None else entry.byte_len
 
     def read_verify(self, cid: CompositeId) -> bytes:

@@ -9,7 +9,6 @@ from metadr.hashline import payload_digest, pipeline_tick
 from metadr.identity import new_node_id
 from metadr.index import set_difference
 from metadr.node import StorageNode
-from metadr.verify import _framework_equivalence_case
 from metadr.sync import (
     Cluster,
     NodeStatusError,
@@ -28,6 +27,7 @@ from metadr.sync import (
     sync_pair_meta,
     volumetric_report,
 )
+from metadr.verify import _framework_equivalence_case
 
 REFERENCE_VOL = Volumetrics(data_bytes=1.1e14, blocks=1_000_000_000, delta_bytes=1.0e12)
 
