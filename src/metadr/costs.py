@@ -94,8 +94,3 @@ class CostMeter:
 
     def add_comparisons(self, n: int) -> None:
         self.comparisons += n
-
-    @property
-    def virtual_seconds(self) -> float:
-        return self.t_hash + self.t_index + self.t_delta + self.t_wal_replay
-

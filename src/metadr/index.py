@@ -97,12 +97,14 @@ class IdentifierIndex:
         run = self._runs.get(nid)
         return run.lcvs[-1] if run is not None and run.lcvs else 0
 
-    def insert(self, entry: IndexEntry) -> None:
-        """Insert an entry, keeping per-nid lcv order.
+    def insert(self, entry: IndexEntry) -> bool:
+        """Insert an entry, keeping per-nid lcv order; returns whether it
+        was added.
 
-        Re-inserting the same id is a no-op when the content identity
-        (crc, byte_len) matches; a mismatch raises ConflictingEntry,
-        signaling corruption or an immutability violation.
+        Re-inserting the same id is a no-op (False) when the content
+        identity (crc, byte_len) matches; a mismatch raises
+        ConflictingEntry, signaling corruption or an immutability
+        violation.
         """
         nid = entry.id.nid
         lcv = entry.id.lcv
@@ -114,17 +116,18 @@ class IdentifierIndex:
             lcvs.append(lcv)
             run.entries.append(entry)
             self.entry_count += 1
-            return
+            return True
         pos = bisect_right(lcvs, lcv) - 1
         if pos >= 0 and lcvs[pos] == lcv:
             existing = run.entries[pos]
             if existing.crc != entry.crc or existing.byte_len != entry.byte_len:
                 raise ConflictingEntry(f"id {entry.id} already present with different content")
-            return  # idempotent duplicate
+            return False  # idempotent duplicate
         pos = bisect_right(lcvs, lcv)
         lcvs.insert(pos, lcv)
         run.entries.insert(pos, entry)
         self.entry_count += 1
+        return True
 
     def get(self, cid: CompositeId) -> IndexEntry | None:
         run = self._runs.get(cid.nid)

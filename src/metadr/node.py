@@ -1,11 +1,11 @@
 """Storage-node state machine.
 
-A node owns a logical clock, an identifier index, a block store, and
+A node owns a logical clock, an identifier index, a block store,
 (optionally) the hash baseline, one `hashline.HashIndex` that holds its
-digests, pipeline and failure conditions, and a legacy hash index for
-migration. Ingestion assigns identity *before* any content analysis:
-the whole metadata identification path performs zero content hashing,
-which the instrumented counters make checkable.
+digests, pipeline and failure conditions, and a legacy hash index of
+pre-migration blocks. Ingestion assigns identity *before* any content
+analysis: the whole metadata identification path performs zero content
+hashing, which the instrumented counters make checkable.
 
 The block store maps the block's composite id, the same key the index
 and the DR delta use, to its content bytes; dict order is the order
@@ -13,10 +13,14 @@ blocks arrived. The index entry is the block's only metadata record: its
 byte_len and CRC-32C travel with the id, and the store holds nothing
 else. Blocks are immutable once an id is bound; mutation means a fresh
 ingestion under the same user key, with reads resolving to the highest
-lcv (ties to the greater nid) on every replica. Integrity is a separate
-concern from identity: the entry's CRC-32C is verified at read time and
-by background scrubbing. A legacy (pre-migration) block has no entry and
-keeps the CRC-32C recorded when it was seeded.
+lcv (ties to the greater nid) on every replica. An id arrives once: a
+replica that already indexes it ignores the same entry again and
+raises `ConflictingEntry` for different metadata. Integrity is a
+separate concern from identity: the entry's CRC-32C is verified at read
+time and by background scrubbing. A legacy (pre-migration) block has no
+entry and keeps the CRC-32C recorded when it was seeded; an index loss
+takes neither it nor the legacy hash index. Legacy blocks live only on
+nodes without the baseline, which models the competing system.
 
 Ingest accepts bytes or a virtual (byte_len, seed) pair; it stores a
 pair's 16-byte packed descriptor as the content, with the entry's
@@ -109,7 +113,6 @@ class StorageNode:
         wal=None,
         *,
         baseline: bool = False,
-        migration: bool = False,
     ) -> None:
         self.nid = nid
         self.wal = wal if wal is not None else MemoryWal()
@@ -122,9 +125,7 @@ class StorageNode:
         self.counters = PathCounters()
         self.background_meter = CostMeter(CostModel())  # Layer-2 hashing
         self.baseline: HashIndex | None = HashIndex() if baseline else None
-        self.legacy_hash_index: dict[str, tuple[CompositeId, bytes]] | None = (
-            {} if migration else None
-        )
+        self.legacy_hash_index: dict[str, tuple[CompositeId, bytes]] = {}
         self.legacy_crc: dict[CompositeId, int] = {}  # a legacy block's scrub reference
         self._migrated_keys = 0
         self._legacy_seeded = 0
@@ -171,16 +172,6 @@ class StorageNode:
             raise ImmutabilityViolation(f"id {cid} already bound")
         self.block_store[cid] = content
 
-    def mutate(self, user_key: str, payload) -> CompositeId:
-        """Mutation = new ingestion event with a fresh identifier.
-
-        The prior block stays untouched; reads of the key now resolve to
-        the new id (higher lcv wins).
-        """
-        if self.status is not NodeStatus.UP:
-            raise NodeDown(f"node {self.nid} is {self.status.value}")
-        return self.ingest(payload, user_key=user_key)
-
     def replicate_in(self, entry: IndexEntry, content: bytes, digest: bytes | None = None) -> None:
         """Accept a foreign block's entry and content during replication
         or sync.
@@ -191,10 +182,9 @@ class StorageNode:
         for hashing, or adopts the digest that travelled with it.
         Re-replication of a known id is a no-op.
         """
-        if entry.id in self.id_index:
+        if not self._admit(entry):
             return
         self.block_store[entry.id] = content
-        self._admit(entry)
         if self.baseline is None:
             return
         if digest is None:
@@ -206,19 +196,20 @@ class StorageNode:
         """Accept a foreign id whose content this node already stores
         under `kept`: the id reads through the indirection table and no
         block is stored. A known id is a no-op."""
-        if entry.id in self.id_index:
-            return
-        self.indirection_table[entry.id] = self.indirection_table.get(kept, kept)
-        self._admit(entry)
+        if self._admit(entry):
+            self.indirection_table[entry.id] = self.indirection_table.get(kept, kept)
 
-    def _admit(self, entry: IndexEntry) -> None:
-        """Index the entry; its key, if any, resolves by `lww_key`."""
-        self.id_index.insert(entry)
+    def _admit(self, entry: IndexEntry) -> bool:
+        """Index the entry; its key, if any, resolves by `lww_key`.
+        Returns whether the entry is new (see `IdentifierIndex.insert`)."""
+        if not self.id_index.insert(entry):
+            return False
         key = entry.user_key
         if key is not None:
             current = self.by_user_key.get(key)
             if current is None or lww_key(entry.id) > lww_key(current):
                 self.by_user_key[key] = entry.id
+        return True
 
     # -- reads and integrity -------------------------------------------
 
@@ -321,15 +312,11 @@ class StorageNode:
 
     def inject_fault(self, fault_kind: str) -> None:
         """Apply a fault kind's damage in place. "index_loss" destroys the
-        baseline hash index (and the legacy index if present): condition 3
-        on the next baseline DR. "pipeline_crash" rolls the hashing
-        pipeline back to its checkpoint, the last drain: condition 2.
-        "none" does nothing."""
-        if fault_kind == "index_loss":
-            if self.baseline is not None:
-                self.baseline.mark_lost()
-            if self.legacy_hash_index is not None:
-                self.legacy_hash_index = {}
+        baseline hash index: condition 3 on the next baseline DR.
+        "pipeline_crash" rolls the hashing pipeline back to its
+        checkpoint, the last drain: condition 2. "none" does nothing."""
+        if fault_kind == "index_loss" and self.baseline is not None:
+            self.baseline.mark_lost()
         elif fault_kind == "pipeline_crash" and self.baseline is not None:
             crash_interrupt(self.baseline)
 
@@ -341,9 +328,11 @@ class StorageNode:
     # -- migration (dual lookup) ----------------------------------------
 
     def seed_legacy_block(self, user_key: str, content: bytes) -> None:
-        """Pre-migration data: present only in the legacy hash index."""
-        if self.legacy_hash_index is None:
-            raise RuntimeError("migration mode not enabled")
+        """Pre-migration data: present only in the legacy hash index. A
+        node with the baseline models the competing system and holds no
+        legacy blocks."""
+        if self.baseline is not None:
+            raise ValueError(f"node {self.nid} runs the hash baseline: no legacy tier")
         digest = payload_digest(content, len(content), self.background_meter)
         # Legacy blocks have no composite id yet. They key as lcv 0, which a
         # clock never hands out, numbered in the namespace-tag field.
@@ -355,8 +344,6 @@ class StorageNode:
 
     def dual_lookup(self, user_key: str) -> LookupResult:
         """Identifier index first; legacy hash index on miss."""
-        if self.legacy_hash_index is None:
-            raise RuntimeError("migration mode not enabled")
         cid = self.by_user_key.get(user_key)
         if cid is not None:
             return LookupResult(tier="identifier", id=cid)
@@ -368,8 +355,6 @@ class StorageNode:
 
     def migrate_on_access(self, user_key: str) -> CompositeId:
         """Re-register a legacy block under a fresh composite id."""
-        if self.legacy_hash_index is None:
-            raise RuntimeError("migration mode not enabled")
         existing = self.by_user_key.get(user_key)
         if existing is not None:
             self.legacy_hash_index.pop(user_key, None)

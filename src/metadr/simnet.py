@@ -14,7 +14,10 @@ volumetrics (blocks, data bytes, delta bytes) so hours-long rehash
 windows are reproduced in milliseconds of wall time.
 
 Scenario files are YAML whose sections mirror the `Scenario`
-dataclasses; one loader builds both scenarios and soak configs. The soak
+dataclasses; one loader builds both scenarios and soak configs. The
+runtime's `sync.Cluster` holds the ring placement: where each write is
+replicated and what every DR session syncs. Validation reads the same
+ring rule (`ring_successors`) on node ordinals. The soak
 runs on the same `SimRuntime` and reproduces the seven-day cadence:
 planned failover/failback cycles every 12 hours plus crash injections
 on configured days.
@@ -46,6 +49,7 @@ from .sync import (
     execute_failback,
     execute_failover,
     report_from_meter,
+    ring_successors,
     volumetric_report,
 )
 
@@ -301,12 +305,6 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioValidation(f"{event}: nodes {f.a} and {f.b} are partitioned")
 
 
-def ring_successors(node: int, nodes: int, count: int) -> list[int]:
-    """The `count` ordinals after `node` on the placement ring. Node i
-    replicates each write to `ring_successors(i, nodes, replica_factor - 1)`."""
-    return [(node + k) % nodes for k in range(1, count + 1)]
-
-
 def _reachable(partitions: list[FaultSpec], a: int, b: int) -> bool:
     return not any(
         (a in p.side_a and b in p.side_b) or (a in p.side_b and b in p.side_a)
@@ -404,14 +402,7 @@ class SimRuntime:
         self.sim_nodes: list[StorageNode] = [
             StorageNode(new_node_id(rng_ids), baseline=baseline) for _ in range(n)
         ]
-        self.replica_peers = {
-            node.nid: {
-                self.sim_nodes[j].nid
-                for j in ring_successors(i, n, scenario.cluster.replica_factor - 1)
-            }
-            for i, node in enumerate(self.sim_nodes)
-        }
-        self.cluster = Cluster(self.sim_nodes, scenario.cost, replica_map=self.replica_peers)
+        self.cluster = Cluster(self.sim_nodes, scenario.cost, scenario.cluster.replica_factor)
 
         self.records = DnsRecordSet.from_zone_lines(scenario.discovery.zone)
         self.registry = Registry(records=self.records)
@@ -466,16 +457,15 @@ class SimRuntime:
         return key
 
     def ingest_batch(self, node: StorageNode, count: int) -> None:
-        peers = [self.cluster.node(p) for p in sorted(
-            self.replica_peers.get(node.nid, ()), key=lambda n: n.value
-        )]
+        """Ingest `count` blocks on `node`, then push to its ring replicas
+        (`Cluster.replicas`) that are up and reachable."""
         for _ in range(count):
             payload, _size = self._next_payload()
             node.ingest(payload, user_key=self._next_user_key())
             self.metrics.ingests += 1
         # replicate everything above the pair watermark, not just this
         # batch: a peer that was down or partitioned catches up here
-        for peer in peers:
+        for peer in self.cluster.replicas[node.nid]:
             if peer.status is not NodeStatus.UP:
                 continue
             if not self.cluster.reachable(node.nid, peer.nid):
@@ -618,40 +608,6 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> Metrics:
     return metrics
 
 
-# fault-injection entry points: schedule onto a runtime before run()
-# (scripted faults go through the same validation as file-borne ones)
-
-
-def inject_crash(runtime: SimRuntime, node_ordinal: int, at_hours: float,
-                 fault_kind: str = "none") -> None:
-    runtime.scenario.faults.append(
-        FaultSpec(kind="crash", at_hours=at_hours, node=node_ordinal, fault_kind=fault_kind)
-    )
-    validate_scenario(runtime.scenario)
-
-
-def inject_partition(runtime: SimRuntime, side_a, side_b, from_hours: float,
-                     to_hours: float) -> None:
-    runtime.scenario.faults.append(
-        FaultSpec(kind="partition", at_hours=from_hours, until_hours=to_hours,
-                  side_a=tuple(side_a), side_b=tuple(side_b))
-    )
-    validate_scenario(runtime.scenario)
-
-
-def inject_index_loss(runtime: SimRuntime, node_ordinal: int,
-                      at_hours: float | None = None) -> None:
-    """Mark the node's baseline index store lost (condition 3). Applies
-    immediately when at_hours is None, else schedules."""
-    if at_hours is not None:
-        runtime.scenario.faults.append(
-            FaultSpec(kind="index_loss", at_hours=at_hours, node=node_ordinal)
-        )
-        validate_scenario(runtime.scenario)
-        return
-    runtime.sim_nodes[node_ordinal].inject_fault("index_loss")
-
-
 # ---------------------------------------------------------------------------
 # soak driver
 
@@ -791,9 +747,9 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
     one (interval, node) slot at a time through `ingest_batch`. Each DR
     event is four faults applied to that runtime, as a scenario's would
     be: crash a node, fail it over to the first node past its replica
-    set, restart it, fail it back. The runtime's placement scopes each
-    session, and the failover and failback rebind the node's service
-    name to the substitute and back.
+    set, restart it, fail it back. The cluster's ring placement scopes
+    each session, and the failover and failback rebind the node's
+    service name to the substitute and back.
 
     Planned events share one multiplicative jitter draw across both
     frameworks (both reports describe the same event, so event-local

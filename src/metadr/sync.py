@@ -11,11 +11,13 @@ their windows in place. Because every
 pull takes the peer's whole window, per-source holdings remain prefixes
 of the source's emission order, which keeps max-based watermarks sound.
 
-Ring placement decides every DR session's peers and scope: a failover
-syncs the failed node's nid from its surviving replicas, a failback the
-nids the recovered node shares with each node of its replica sets, and
-a converge the nids its two nodes both host. Every exchange, converge
-included, is incremental from the pair's checkpoint.
+Ring placement lives in `Cluster` and nowhere else: it decides where
+each write is replicated (`Cluster.replicas`) and every DR session's
+peers and scope (`Cluster.hosted`). A failover syncs the failed node's
+nid from its surviving replicas, a failback the nids the recovered node
+shares with each node of its replica sets, and a converge the nids its
+two nodes both host. Every exchange, converge included, is incremental
+from the pair's checkpoint.
 
 Under the metadata framework the identification step touches ids only:
 no content is read and nothing is hashed, and the per-event report's
@@ -64,7 +66,9 @@ class DeltaPlan:
 
     ids_to_pull / ids_to_push hold CompositeIds under both frameworks:
     the metadata framework finds them by id, the hash baseline by
-    digest (its locator is the block's id).
+    digest (its locator is the block's id). content_bytes_to_transfer is
+    what the exchange moved, set by `sync_pair_meta` and
+    `sync_pair_hash`; a plan that has not been exchanged leaves it 0.
     """
 
     ids_to_pull: list = field(default_factory=list)
@@ -106,12 +110,6 @@ class DrReport:
 
 
 @dataclass
-class ReconciliationPolicy:
-    mode: str = "lww_by_lcv"  # or "application_merge_hook"
-    merge_hook: object = None  # callable(user_key, head_a, head_b) -> CompositeId
-
-
-@dataclass
 class Conflict:
     user_key: str
     candidates: tuple
@@ -128,25 +126,41 @@ class Volumetrics:
     extra_rehash_fraction: float = 0.0  # condition-2 re-enqueued work
 
 
+def ring_successors(node: int, nodes: int, count: int) -> list[int]:
+    """The `count` ordinals after `node` on the placement ring. Node i
+    replicates each write to `ring_successors(i, nodes, replica_factor - 1)`."""
+    return [(node + k) % nodes for k in range(1, count + 1)]
+
+
 class Cluster:
-    """The DR engine's view of a cluster: nodes, cost model, pair state."""
+    """The DR engine's view of a cluster: nodes, cost model, pair state,
+    and ring placement over the node list. `replicas[nid]` lists the
+    nodes a write on `nid` goes to, in ring order; `hosted[nid]` is the
+    set of nids that node holds. Without a replica factor every node
+    replicates to every other and hosts every nid."""
 
     def __init__(
         self,
         nodes: list[StorageNode],
         model: CostModel | None = None,
-        replica_map: dict[NodeId, set[NodeId]] | None = None,
+        replica_factor: int | None = None,
     ) -> None:
         self.nodes: dict[NodeId, StorageNode] = {n.nid: n for n in nodes}
         if len(self.nodes) != len(nodes):
             raise ValueError("duplicate node ids in cluster")
         self.model = model if model is not None else CostModel()
-        # the nids each node hosts by placement (replica_map: node -> the
-        # nodes it replicates to); None: every nid
-        self.hosted = {nid: None if replica_map is None else {nid} for nid in self.nodes}
-        for source, peers in (replica_map or {}).items():
+        if replica_factor is None:
+            replica_factor = len(nodes)
+        elif not 1 <= replica_factor <= len(nodes):
+            raise ValueError(f"replica_factor must be within [1, {len(nodes)}]")
+        self.replicas: dict[NodeId, list[StorageNode]] = {
+            node.nid: [nodes[j] for j in ring_successors(i, len(nodes), replica_factor - 1)]
+            for i, node in enumerate(nodes)
+        }
+        self.hosted: dict[NodeId, set[NodeId]] = {nid: {nid} for nid in self.nodes}
+        for source, peers in self.replicas.items():
             for peer in peers:
-                self.hosted[peer].add(source)
+                self.hosted[peer.nid].add(source)
         self._checkpoints: dict[frozenset, Checkpoint] = {}
         self.partitions: list[tuple[frozenset, frozenset]] = []
 
@@ -166,12 +180,11 @@ class Cluster:
                 return False
         return True
 
-    def scope(self, nid: NodeId, nids) -> list | None:
-        """Those of `nids` that node `nid` hosts (None: every nid)."""
-        hosts = self.hosted[nid]
-        return nids if hosts is None else sorted(hosts.intersection(nids))
+    def scope(self, nid: NodeId, nids) -> list[NodeId]:
+        """Those of `nids` that node `nid` hosts, sorted."""
+        return sorted(self.hosted[nid].intersection(nids))
 
-    def placement_peers(self, nid: NodeId, nids) -> list[tuple[StorageNode, list | None]]:
+    def placement_peers(self, nid: NodeId, nids) -> list[tuple[StorageNode, list[NodeId]]]:
         """The up nodes `nid` can reach that host any of `nids`, in cluster
         (ordinal) order, each with its `scope` of `nids`."""
         peers = []
@@ -179,7 +192,7 @@ class Cluster:
             if n.nid == nid or n.status is not NodeStatus.UP or not self.reachable(nid, n.nid):
                 continue
             scope = self.scope(n.nid, nids)
-            if scope is None or scope:
+            if scope:
                 peers.append((n, scope))
         return peers
 
@@ -206,13 +219,10 @@ def compute_delta_meta(
     missing_in_peer, missing_in_local = set_difference(
         local, peer_index, meter, since=peer_checkpoint, nids=scope_nids
     )
-    pull_bytes = sum(peer_index.get(cid).byte_len for cid in missing_in_local)
-    push_bytes = sum(local.get(cid).byte_len for cid in missing_in_peer)
     return DeltaPlan(
         ids_to_pull=missing_in_local,
         ids_to_push=missing_in_peer,
         index_bytes_exchanged=exchanged,
-        content_bytes_to_transfer=pull_bytes + push_bytes,
     )
 
 
@@ -244,7 +254,6 @@ def compute_delta_hash(local, peer, meter: CostMeter | None = None, scope_nids=N
         ids_to_pull=missing_local + _held_elsewhere(theirs, local),
         ids_to_push=missing_remote + _held_elsewhere(ours, peer),
         index_bytes_exchanged=2 * WIRE_HEADER_BYTES + 32 * (len(ours) + len(theirs)),
-        content_bytes_to_transfer=0,  # caller sums real block sizes at transfer
     )
 
 
@@ -302,7 +311,7 @@ def sync_pair_meta(
     """One bidirectional incremental exchange between two nodes."""
     ckpt = cluster.checkpoint(a.nid, b.nid)
     plan = compute_delta_meta(a.id_index, ckpt, b.id_index, meter, scope_nids)
-    _exchange(a, b, plan, _transfer_meta, meter)
+    plan.content_bytes_to_transfer = _exchange(a, b, plan, _transfer_meta, meter)
     _advance_pair_checkpoint(ckpt, a, b, scope_nids)
     return plan
 
@@ -370,13 +379,13 @@ def verify_superset(
 def _session(
     cluster: Cluster,
     node: StorageNode,
-    peers: list[tuple[StorageNode, list[NodeId] | None]],
+    peers: list[tuple[StorageNode, list[NodeId]]],
     framework: str,
     meter: CostMeter | None,
 ) -> None:
-    """Sync `node` with each peer in turn, within its scope (None: every
-    nid), under one framework. Layer-2 dedup is barred on every
-    participant until the session ends."""
+    """Sync `node` with each peer in turn, within its scope, under one
+    framework. Layer-2 dedup is barred on every participant until the
+    session ends."""
     participants = [node] + [peer for peer, _ in peers]
     sync_pair = sync_pair_meta if framework == "meta" else sync_pair_hash
     for n in participants:
@@ -430,10 +439,10 @@ def execute_failback(cluster: Cluster, recovered: NodeId, framework: str) -> DrR
 def converge(cluster: Cluster, a: StorageNode, b: StorageNode, framework: str,
              meter: CostMeter | None = None) -> int:
     """One DR session between two healed nodes, scoped to the nids both
-    host (every nid without placement); a pair sharing none exchanges two
-    empty index headers. Returns the rounds used: always one, since the
-    session leaves no window a second round could exchange, so a pair
-    whose scoped id sets still differ raises."""
+    host; a pair sharing none exchanges two empty index headers. Returns
+    the rounds used: always one, since the session leaves no window a
+    second round could exchange, so a pair whose scoped id sets still
+    differ raises."""
     for node in (a, b):
         if node.status is not NodeStatus.UP:
             raise NodeStatusError(node)
@@ -474,18 +483,17 @@ def converge_cluster(nodes: list[StorageNode]) -> int:
 def reconcile_split_brain(
     a_view: IdentifierIndex,
     b_view: IdentifierIndex,
-    policy: ReconciliationPolicy | None = None,
+    merge_hook=None,
 ) -> tuple[IdentifierIndex, list[Conflict]]:
     """Merge two independently progressed views.
 
     Identifier sets union cleanly (ids cannot collide across nids); the
     only conflicts are user keys written on *both* sides during the
-    divergence. lww_by_lcv resolves each to the highest lcv, ties broken
-    by the lexicographically greater nid; application_merge_hook hands
-    the two divergent heads to a caller-supplied resolver.
+    divergence. Each resolves to the highest lcv, ties broken by the
+    lexicographically greater nid, unless a `merge_hook(user_key, low,
+    high)` is given: it receives the two divergent heads in `lww_key`
+    order and returns the winner.
     """
-    if policy is None:
-        policy = ReconciliationPolicy()
     merged = IdentifierIndex()
     for view in (a_view, b_view):
         for entry in view.entries():
@@ -511,9 +519,9 @@ def reconcile_split_brain(
         head_a = max(new_a, key=lww_key)
         head_b = max(new_b, key=lww_key)
         candidates = tuple(sorted(ids_a | ids_b, key=lww_key))
-        if policy.mode == "application_merge_hook" and policy.merge_hook is not None:
+        if merge_hook is not None:
             low, high = sorted((head_a, head_b), key=lww_key)
-            winner = policy.merge_hook(user_key, low, high)
+            winner = merge_hook(user_key, low, high)
         else:
             winner = candidates[-1]  # lww by lcv, nid tie-break
         conflicts.append(Conflict(user_key=user_key, candidates=candidates, winner=winner))

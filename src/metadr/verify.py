@@ -21,7 +21,6 @@ from .index import Checkpoint
 from .node import StorageNode
 from .sync import (
     Cluster,
-    ReconciliationPolicy,
     compute_delta_hash,
     compute_delta_meta,
     converge,
@@ -207,8 +206,8 @@ def suite_sync(seed: int = 0) -> list[Check]:
                 a.ingest((64, rng.randrange(1 << 20)), user_key=key)
             if rng.random() < 0.8:
                 b.ingest((64, rng.randrange(1 << 20)), user_key=key)
-        m1, c1 = reconcile_split_brain(a.id_index, b.id_index, ReconciliationPolicy())
-        m2, c2 = reconcile_split_brain(b.id_index, a.id_index, ReconciliationPolicy())
+        m1, c1 = reconcile_split_brain(a.id_index, b.id_index)
+        m2, c2 = reconcile_split_brain(b.id_index, a.id_index)
         if m1.entry_count != m2.entry_count or [c.winner for c in c1] != [c.winner for c in c2]:
             ok = False
             detail = "merge is order-sensitive"

@@ -52,6 +52,15 @@ def test_reinsert_identical_entry_is_idempotent():
     assert idx.entry_count == 1
 
 
+def test_insert_reports_whether_it_added_the_entry():
+    idx = IdentifierIndex()
+    assert idx.insert(entry(N1, 5)) is True  # append
+    assert idx.insert(entry(N1, 2)) is True  # foreign, inserted in order
+    assert idx.insert(entry(N1, 5)) is False
+    assert idx.insert(entry(N1, 2)) is False
+    assert idx.entry_count == 2
+
+
 def test_same_id_different_crc_conflicts():
     idx = IdentifierIndex()
     idx.insert(entry(N1, 1, crc=5))

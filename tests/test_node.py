@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from metadr.crc32c import crc32c
 from metadr.hashline import InconsistentIndex, hash_delta, pipeline_tick
 from metadr.identity import NodeId, new_node_id
+from metadr.index import ConflictingEntry
 from metadr.node import (
     CorruptionDetected,
     ImmutabilityViolation,
@@ -63,7 +65,7 @@ def test_virtual_ingest_charges_zero_hash_seconds():
 def test_mutate_assigns_fresh_higher_id():
     node = fresh_node()
     first = node.ingest(b"v1", user_key="key")
-    second = node.mutate("key", b"v2")
+    second = node.ingest(b"v2", user_key="key")
     assert second.lcv > first.lcv
     assert node.read("key") == b"v2"
     assert node.read_verify(first) == b"v1"  # prior block untouched
@@ -91,6 +93,21 @@ def test_in_place_overwrite_raises():
     with pytest.raises(ImmutabilityViolation):
         node.bind_block(cid, b"evil!")
     assert node.counters.immutability_violations == 1
+
+
+def test_replicating_a_known_id_with_other_metadata_conflicts():
+    source, replica = fresh_node(1), fresh_node(2)
+    cid = source.ingest(b"original")
+    entry = source.id_index.get(cid)
+    replica.replicate_in(entry, b"original")
+    replica.replicate_in(entry, b"original")  # the same entry again: a no-op
+    forged = replace(entry, crc=entry.crc ^ 1)
+    with pytest.raises(ConflictingEntry):
+        replica.replicate_in(forged, b"forged!!")
+    with pytest.raises(ConflictingEntry):
+        replica.bind_alias(forged, cid)
+    assert replica.id_index.entry_count == 1
+    assert replica.read_verify(cid) == b"original"
 
 
 # -- reads, integrity, scrubbing ---------------------------------------------------
@@ -230,7 +247,7 @@ def test_invalid_lifecycle_transitions():
 
 
 def migration_node():
-    node = fresh_node(migration=True)
+    node = fresh_node()
     for i in range(4):
         node.seed_legacy_block(f"legacy{i}", f"old content {i}".encode())
     return node
@@ -279,7 +296,7 @@ def test_migration_preserves_content():
 
 
 def test_legacy_blocks_with_equal_content_keep_their_own_keys():
-    node = fresh_node(migration=True)
+    node = fresh_node()
     node.seed_legacy_block("twin-a", b"same old bytes")
     node.seed_legacy_block("twin-b", b"same old bytes")
     node.seed_legacy_block("other", b"different bytes")
@@ -318,6 +335,25 @@ def test_migrate_on_a_down_node_keeps_the_legacy_block():
     assert node.dual_lookup("legacy0").tier == "legacy"
     assert node.read_verify(node.migrate_on_access("legacy0")) == b"old content 0"
     assert node.physical_block_count == 4 and node.scrub(10).clean
+
+
+def test_legacy_tier_survives_index_loss():
+    node = migration_node()
+    node.crash()
+    node.restart("index_loss", wal_replay_seconds=0.0)
+    assert node.dual_lookup("legacy0").tier == "legacy"
+    assert node.read_verify(node.migrate_on_access("legacy0")) == b"old content 0"
+    assert node.migration_progress == pytest.approx(1 / 4)
+    assert node.physical_block_count == 4 and node.scrub(10).clean
+
+
+def test_baseline_node_takes_no_legacy_blocks():
+    # the baseline models the competing system: its lost index would be
+    # rebuilt over legacy locators that no index entry describes
+    node = fresh_node(baseline=True)
+    with pytest.raises(ValueError, match="baseline"):
+        node.seed_legacy_block("legacy0", b"old content")
+    assert node.physical_block_count == 0 and not node.legacy_hash_index
 
 
 def test_double_migrate_is_idempotent():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from metadr import simnet
 from metadr.costs import CostMeter, CostModel
 from metadr.simnet import (
+    FaultSpec,
     ScenarioValidation,
     SimRuntime,
     SoakConfig,
@@ -12,7 +13,9 @@ from metadr.simnet import (
     load_soak_config,
     run_scenario,
     soak,
+    validate_scenario,
 )
+from metadr.sync import report_from_meter
 
 PARTITION_SCENARIO = {
     "name": "partition-test",
@@ -53,7 +56,7 @@ def test_meter_accumulates_phases():
     assert meter.t_hash == pytest.approx(1.0)
     assert meter.t_index == pytest.approx(1.0)
     assert meter.t_delta == pytest.approx(2.0)
-    assert meter.virtual_seconds == pytest.approx(4.0)
+    assert report_from_meter("failover", "meta", meter).virtual_rto_seconds == pytest.approx(4.0)
     assert meter.network_bytes == 1_250_000_000 + 2_500_000_000
 
 
@@ -574,8 +577,7 @@ def test_soak_ring_replicas_hold_every_id(small_soak_run):
     for owner in rt.sim_nodes:
         own = {e.id for e in owner.id_index.entries_above(owner.nid, 0)}
         assert own
-        for peer_nid in rt.replica_peers[owner.nid]:
-            peer = rt.cluster.node(peer_nid)
+        for peer in rt.cluster.replicas[owner.nid]:
             assert own <= {e.id for e in peer.id_index.entries_above(owner.nid, 0)}
     assert report.summary.ingests == sum(
         len(n.id_index.entries_above(n.nid, 0)) for n in rt.sim_nodes
@@ -718,25 +720,25 @@ def test_genesis_pair_exchange_has_byte_identical_envelopes():
 
 
 def test_injection_entry_points_schedule_and_validate():
-    from metadr.simnet import inject_crash, inject_index_loss, inject_partition
-
     runtime = SimRuntime(load_scenario({
         "name": "inject", "seed": 4, "framework": "hash", "horizon_hours": 5.0,
         "cluster": {"nodes": 3, "replica_factor": 2},
         "inventory": {"blocks_per_node": 10, "block_bytes_min": 64, "block_bytes_max": 64},
         "workload": {"blocks_per_hour_per_node": 5},
     }))
-    inject_crash(runtime, 1, at_hours=1.0)
-    inject_partition(runtime, [0], [2], from_hours=2.0, to_hours=3.0)
-    inject_index_loss(runtime, 2, at_hours=3.5)
+    faults = runtime.scenario.faults
+    for fault in (
+        FaultSpec(kind="crash", at_hours=1.0, node=1),
+        FaultSpec(kind="partition", at_hours=2.0, until_hours=3.0, side_a=(0,), side_b=(2,)),
+        FaultSpec(kind="index_loss", at_hours=3.5, node=2),
+    ):
+        faults.append(fault)
+        validate_scenario(runtime.scenario)
+    faults.append(FaultSpec(kind="crash", at_hours=1.0, node=9))
     with pytest.raises(ScenarioValidation):
-        inject_crash(runtime, 9, at_hours=1.0)
-    runtime.scenario.faults.pop()  # drop the invalid one
-    runtime.scenario.faults.append(
-        __import__("metadr.simnet", fromlist=["FaultSpec"]).FaultSpec(
-            kind="restart", at_hours=4.0, node=1
-        )
-    )
+        validate_scenario(runtime.scenario)
+    faults.pop()  # drop the invalid one
+    faults.append(FaultSpec(kind="restart", at_hours=4.0, node=1))
     metrics = runtime.run()
     assert metrics.violations.total == 0
     assert runtime.sim_nodes[2].baseline.lost

@@ -13,7 +13,6 @@ from metadr.sync import (
     Cluster,
     NodeStatusError,
     NoSurvivingReplica,
-    ReconciliationPolicy,
     Volumetrics,
     baseline_rehash_bytes,
     compute_delta_hash,
@@ -130,6 +129,30 @@ def test_assess_conditions_after_index_loss():
     ensure_baseline_consistent(a)
     a.baseline.mark_lost()
     assert baseline_rehash_bytes(a) == a.physical_bytes
+
+
+# -- placement --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ring_placement_matches_the_ring_formula(n):
+    nodes = make_nodes(n, seed=n)
+    for rf in range(1, n + 1):
+        cluster = Cluster(nodes, replica_factor=rf)
+        for i, node in enumerate(nodes):
+            # i writes to the rf - 1 nodes after it, in ring order, and
+            # hosts the nid of each node i - k for k < rf
+            assert cluster.replicas[node.nid] == [nodes[(i + k) % n] for k in range(1, rf)]
+            assert cluster.hosted[node.nid] == {
+                other.nid for j, other in enumerate(nodes) if (i - j) % n < rf
+            }
+    unplaced = Cluster(nodes)
+    every = {node.nid for node in nodes}
+    assert all(unplaced.hosted[nid] == every for nid in every)
+    for node in nodes:
+        assert set(unplaced.replicas[node.nid]) == set(nodes) - {node}
+    with pytest.raises(ValueError, match="replica_factor"):
+        Cluster(nodes, replica_factor=n + 1)
 
 
 # -- failover ---------------------------------------------------------------------
@@ -304,8 +327,7 @@ def test_converge_is_commutative_and_idempotent_across_seeds():
 def test_converge_moves_only_the_nids_both_nodes_host(framework):
     # a 4-node ring at RF=2: a and b share a's nid, a and c share none
     a, b, c, d = make_nodes(4, baseline=framework == "hash")
-    cluster = Cluster([a, b, c, d], replica_map={
-        a.nid: {b.nid}, b.nid: {c.nid}, c.nid: {d.nid}, d.nid: {a.nid}})
+    cluster = Cluster([a, b, c, d], replica_factor=2)
     for tag, node in enumerate((a, b, c, d)):
         fill(node, 10, tag=tag)
     assert converge(cluster, a, b, framework) == 1
@@ -377,8 +399,7 @@ def test_merge_hook_receives_both_heads():
         seen.append((user_key, low, high))
         return low
 
-    policy = ReconciliationPolicy(mode="application_merge_hook", merge_hook=hook)
-    _, conflicts = reconcile_split_brain(a.id_index, b.id_index, policy)
+    _, conflicts = reconcile_split_brain(a.id_index, b.id_index, merge_hook=hook)
     assert seen and conflicts[0].winner == seen[0][1]
 
 
