@@ -6,11 +6,15 @@ text (aligned), csv, md. Exit codes: 0 success, 1 verification failure,
 METADR_SEED environment variable supplies the default seed. Byte flags
 take raw numbers (scientific notation accepted); no unit suffixes are
 parsed, which sidesteps decimal/binary ambiguity at the interface.
+Count flags and METADR_SEED take whole numbers, integral floats such
+as 1.6e1 included; a fraction or a non-number exits 2, never truncated
+or ignored.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
@@ -25,12 +29,21 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("METADR_SEED", "0")
+def _whole(name: str, value: str | float) -> int:
+    """`value`, a number or its text, as an int; raises ValueError for a
+    fraction or a non-number."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
     try:
-        return int(raw)
+        number = float(value)
     except ValueError:
-        return 0
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 def _emit(doc: ReportDocument, fmt: str, out_dir: str | None, filename: str) -> None:
@@ -58,13 +71,13 @@ def cmd_rto(args) -> int:
             data_bytes=args.D,
             delta_bytes=args.delta,
             hash_throughput=args.H,
-            cores=int(args.C),
+            cores=_whole("--C", args.C),
             bandwidth=args.B,
-            entry_bytes=int(args.S),
+            entry_bytes=_whole("--S", args.S),
             blocks=args.N,
         )
         bd = evalmodel.rto_breakdown(params)
-    except evalmodel.DomainError as exc:
+    except (ValueError, evalmodel.DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     doc = ReportDocument(
@@ -120,8 +133,8 @@ def cmd_table2(args) -> int:
 def cmd_tco(args) -> int:
     try:
         params = evalmodel.TcoParams(
-            events_per_week=int(args.events),
-            node_cores=int(args.cores),
+            events_per_week=_whole("--events", args.events),
+            node_cores=_whole("--cores", args.cores),
             meta_core_fraction=args.meta_core_fraction,
             rto_hash_seconds=args.rto_hash,
             rto_meta_seconds=args.rto_meta,
@@ -131,7 +144,7 @@ def cmd_tco(args) -> int:
             price_per_gb_month=args.price_gb_month,
         )
         result = evalmodel.tco(params)
-    except evalmodel.DomainError as exc:
+    except (ValueError, evalmodel.DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     doc = ReportDocument(
@@ -360,8 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command in ("simulate", "soak", "verify"):
-        args.seed = _default_seed() if os.environ.get("METADR_SEED") else None
+    raw_seed = os.environ.get("METADR_SEED")
+    if raw_seed and getattr(args, "seed", None) is None and args.command in (
+        "simulate", "soak", "verify"
+    ):
+        try:
+            args.seed = _whole("METADR_SEED", raw_seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return args.func(args)
 
 

@@ -1,16 +1,10 @@
-"""Node discovery: CNAME-aware resolution over a simulated record set,
-plus a versioned registry with delta queries.
+"""Node discovery: CNAME-aware resolution over a simulated record set.
 
 The record set is an in-memory zone mutable by fault scripts (real DNS
 and RPC transport are out of scope). Resolution follows CNAME chains to
-an endpoint record with exact loop detection; registry lookups resolve
-by *service name* at session start, so identifier routing stays correct
-across rebinds during failover.
-
-The registry is event-sourced: every mutation (single or atomic bulk)
-bumps one version and is appended to a change log, and replaying the
-log reproduces the registry state. Delta queries return all mutations
-after a given version.
+an endpoint record with exact loop detection; a node is reached by its
+*service name*, resolved when needed, so routing stays correct across
+rebinds during failover.
 
 Zone snippets in scenario files use one record per line:
 ``CNAME <name> <target>`` or ``ENDPT <name> <address>``.
@@ -18,9 +12,7 @@ Zone snippets in scenario files use one record per line:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .identity import NodeId
+from dataclasses import dataclass
 
 
 class NameNotFound(KeyError):
@@ -32,10 +24,6 @@ class ChainTooDeep(RuntimeError):
 
 
 class CnameLoop(RuntimeError):
-    pass
-
-
-class FutureVersion(ValueError):
     pass
 
 
@@ -114,78 +102,3 @@ def rebind_cname(records: DnsRecordSet, name: str, new_target: str) -> None:
     if name not in records.cname_records:
         raise NameNotFound(f"no CNAME record for {name!r}")
     records.cname_records[name] = new_target
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    nid: NodeId
-    service_name: str
-    endpoint_at_registration: str | None
-
-
-@dataclass(frozen=True)
-class RegistryMutation:
-    version: int
-    entries: tuple  # RegistryEntry, ...
-
-
-@dataclass
-class Registry:
-    """NID-to-service registry with a versioned change log."""
-
-    records: DnsRecordSet | None = None
-    entries: dict = field(default_factory=dict)  # nid -> RegistryEntry
-    version: int = 0
-    change_log: list = field(default_factory=list)  # RegistryMutation
-
-    def _resolved(self, service_name: str) -> str | None:
-        if self.records is None:
-            return None
-        try:
-            return resolve(self.records, service_name).endpoint
-        except (NameNotFound, CnameLoop, ChainTooDeep):
-            return None
-
-    def register(self, nid: NodeId, service_name: str) -> int:
-        """Register or update one node; returns the new version."""
-        return self.bulk_register([(nid, service_name)])
-
-    def bulk_register(self, pairs) -> int:
-        """Atomically register a batch: exactly one version increment."""
-        batch = tuple(
-            RegistryEntry(nid, service_name, self._resolved(service_name))
-            for nid, service_name in pairs
-        )
-        self.version += 1
-        mutation = RegistryMutation(version=self.version, entries=batch)
-        self.change_log.append(mutation)
-        for entry in batch:
-            self.entries[entry.nid] = entry
-        return self.version
-
-    def delta_since(self, version: int) -> list[RegistryMutation]:
-        """Mutations with version strictly greater, in order."""
-        if version > self.version:
-            raise FutureVersion(f"version {version} is beyond current {self.version}")
-        return [m for m in self.change_log if m.version > version]
-
-    def lookup_endpoint(self, nid: NodeId) -> str:
-        """Resolve a node's *current* endpoint by its service name.
-
-        Resolution happens now, not at registration, so rebinds during
-        failover are always honored.
-        """
-        entry = self.entries.get(nid)
-        if entry is None:
-            raise NameNotFound(f"nid {nid} not registered")
-        if self.records is None:
-            raise NameNotFound("registry has no record set to resolve against")
-        return resolve(self.records, entry.service_name).endpoint
-
-    def replay(self) -> dict:
-        """Fold the change log into a state snapshot (event-sourcing check)."""
-        state: dict = {}
-        for mutation in self.change_log:
-            for entry in mutation.entries:
-                state[entry.nid] = entry
-        return state

@@ -169,9 +169,9 @@ class HashIndex:
     def __init__(self) -> None:
         self.by_digest: dict[bytes, set[CompositeId]] = {}
         self.by_locator: dict[CompositeId, bytes] = {}
-        # by_locator split by source nid (None for a locator without one),
-        # so a session scoped to some nids lists only theirs
-        self.by_nid: dict[NodeId | None, dict[CompositeId, bytes]] = {}
+        # by_locator split by source nid, so a session scoped to some
+        # nids lists only theirs
+        self.by_nid: dict[NodeId, dict[CompositeId, bytes]] = {}
         self.pending: deque[PendingBlock] = deque()
         self.hashed_since_checkpoint: list[PendingBlock] = []
         self.merkle: MerkleTree | None = None
@@ -203,7 +203,7 @@ class HashIndex:
     def add(self, locator: CompositeId, digest: bytes) -> None:
         self.by_digest.setdefault(digest, set()).add(locator)
         self.by_locator[locator] = digest
-        self.by_nid.setdefault(getattr(locator, "nid", None), {})[locator] = digest
+        self.by_nid.setdefault(locator.nid, {})[locator] = digest
 
     def enqueue(self, locator: CompositeId, content: bytes, byte_len: int) -> None:
         """Queue a stored block for hashing."""
@@ -230,7 +230,7 @@ class HashIndex:
         digest = self.by_locator.pop(locator, None)
         if digest is None:
             return
-        del self.by_nid[getattr(locator, "nid", None)][locator]
+        del self.by_nid[locator.nid][locator]
         locators = self.by_digest.get(digest)
         if locators is not None:
             locators.discard(locator)

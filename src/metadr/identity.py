@@ -15,7 +15,7 @@ across arbitrary crash/restart sequences.
 
 WAL on-disk format (bit-exact): repeated records of
 ``[len: u32 BE][lcv: u64 BE][crc32c of lcv bytes: u32 BE]`` where len is
-the payload length (always 8). Files are named ``wal-<node-id-hex>.log``.
+the payload length (always 8).
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class NodeId:
     def __post_init__(self) -> None:
         if len(self.value) != NODE_ID_BYTES:
             raise ValueError(f"NodeId must be {NODE_ID_BYTES} bytes, got {len(self.value)}")
-
-    def hex(self) -> str:
-        return self.value.hex()
 
     def __repr__(self) -> str:  # short form; full hex is rarely useful in logs
         return f"NodeId({self.value.hex()[:8]}..)"
@@ -131,10 +128,6 @@ def decode_id(token: bytes) -> CompositeId:
     (lcv,) = _LCV.unpack_from(token, NODE_ID_BYTES)
     (nst,) = _LCV.unpack_from(token, NODE_ID_BYTES + 8)
     return CompositeId(nid, lcv, nst)
-
-
-def wal_filename(nid: NodeId) -> str:
-    return f"wal-{nid.hex()}.log"
 
 
 def _pack_record(lcv: int) -> bytes:

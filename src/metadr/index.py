@@ -10,8 +10,7 @@ found by bisection and diffed in place.
 Wire format (bit-exact): a 16-byte header (magic ``MDRI``, u32 version,
 u64 entry count, all big-endian) followed by 32-byte encoded ids. Stream
 length is exactly 16 + 32 * entries, which feeds transfer-cost
-accounting directly. Index dump files use the same format with the
-extension ``.mdri``.
+accounting directly.
 """
 
 from __future__ import annotations
@@ -85,10 +84,6 @@ class IdentifierIndex:
     def __init__(self) -> None:
         self._runs: dict[NodeId, _NidRun] = {}
         self.entry_count = 0
-
-    @property
-    def logical_size_bytes(self) -> int:
-        return ENCODED_ID_BYTES * self.entry_count
 
     def nids(self) -> list[NodeId]:
         return sorted(self._runs, key=lambda n: n.value)
@@ -288,24 +283,3 @@ def deserialize_index(stream: bytes) -> list[CompositeId]:
         decode_id(body[i : i + ENCODED_ID_BYTES])
         for i in range(0, len(body), ENCODED_ID_BYTES)
     ]
-
-
-def physical_size_bytes(index: IdentifierIndex, fragmentation_factor: float) -> float:
-    """Modeled on-disk footprint: 32 * entries * (1 + fragmentation)."""
-    if fragmentation_factor < 0:
-        raise ValueError("fragmentation_factor must be >= 0")
-    return ENCODED_ID_BYTES * index.entry_count * (1.0 + fragmentation_factor)
-
-
-def dump_index(index: IdentifierIndex, path: str,
-               since: Checkpoint | None = None) -> int:
-    """Write the wire stream to a `.mdri` dump file; returns bytes written."""
-    stream = serialize_index(index, since=since)
-    with open(path, "wb") as f:
-        f.write(stream)
-    return len(stream)
-
-
-def load_index_dump(path: str) -> list[CompositeId]:
-    with open(path, "rb") as f:
-        return deserialize_index(f.read())

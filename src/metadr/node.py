@@ -2,10 +2,10 @@
 
 A node owns a logical clock, an identifier index, a block store,
 (optionally) the hash baseline, one `hashline.HashIndex` that holds its
-digests, pipeline and failure conditions, and a legacy hash index of
-pre-migration blocks. Ingestion assigns identity *before* any content
-analysis: the whole metadata identification path performs zero content
-hashing, which the instrumented counters make checkable.
+digests, pipeline and failure conditions. Ingestion assigns identity
+*before* any content analysis: the whole metadata identification path
+performs zero content hashing, which the instrumented counters make
+checkable.
 
 The block store maps the block's composite id, the same key the index
 and the DR delta use, to its content bytes; dict order is the order
@@ -17,10 +17,7 @@ lcv (ties to the greater nid) on every replica. An id arrives once: a
 replica that already indexes it ignores the same entry again and
 raises `ConflictingEntry` for different metadata. Integrity is a
 separate concern from identity: the entry's CRC-32C is verified at read
-time and by background scrubbing. A legacy (pre-migration) block has no
-entry and keeps the CRC-32C recorded when it was seeded; an index loss
-takes neither it nor the legacy hash index. Legacy blocks live only on
-nodes without the baseline, which models the competing system.
+time and by background scrubbing.
 
 Ingest accepts bytes or a virtual (byte_len, seed) pair; it stores a
 pair's 16-byte packed descriptor as the content, with the entry's
@@ -84,14 +81,6 @@ class CorruptionReport:
         return not self.findings
 
 
-@dataclass
-class LookupResult:
-    tier: str  # "identifier" | "legacy"
-    id: CompositeId | None = None
-    digest: bytes | None = None
-    locator: CompositeId | None = None  # store key of the legacy block
-
-
 # a virtual block's content: its (byte_len, seed) descriptor
 _DESCRIPTOR = struct.Struct(">QQ")
 
@@ -125,10 +114,6 @@ class StorageNode:
         self.counters = PathCounters()
         self.background_meter = CostMeter(CostModel())  # Layer-2 hashing
         self.baseline: HashIndex | None = HashIndex() if baseline else None
-        self.legacy_hash_index: dict[str, tuple[CompositeId, bytes]] = {}
-        self.legacy_crc: dict[CompositeId, int] = {}  # a legacy block's scrub reference
-        self._migrated_keys = 0
-        self._legacy_seeded = 0
         self.dr_active = False
         self.dedup_deferrals = 0
         self.pending_wal_replay_s = 0.0
@@ -222,11 +207,9 @@ class StorageNode:
         return content
 
     def inventory(self) -> Iterator[tuple[CompositeId, bytes, int]]:
-        """(id, content, byte_len) of every stored block, in store order.
-        A legacy block has no entry; its byte_len is its content's."""
+        """(id, content, byte_len) of every stored block, in store order."""
         for cid, content in self.block_store.items():
-            entry = self.id_index.get(cid)
-            yield cid, content, len(content) if entry is None else entry.byte_len
+            yield cid, content, self.id_index.get(cid).byte_len
 
     def read_verify(self, cid: CompositeId) -> bytes:
         """Return the block's content after CRC-32C verification; a
@@ -271,8 +254,7 @@ class StorageNode:
         start = self._scrub_cursor % n
         for i in range(min(budget_blocks, n)):
             key = keys[(start + i) % n]
-            entry = self.id_index.get(key)
-            expected_crc = self.legacy_crc[key] if entry is None else entry.crc
+            expected_crc = self.id_index.get(key).crc
             found = crc32c(self.block_store[key])
             if found != expected_crc:
                 report.findings.append((key, expected_crc, found))
@@ -325,55 +307,6 @@ class StorageNode:
         self.pending_wal_replay_s = 0.0
         return seconds
 
-    # -- migration (dual lookup) ----------------------------------------
-
-    def seed_legacy_block(self, user_key: str, content: bytes) -> None:
-        """Pre-migration data: present only in the legacy hash index. A
-        node with the baseline models the competing system and holds no
-        legacy blocks."""
-        if self.baseline is not None:
-            raise ValueError(f"node {self.nid} runs the hash baseline: no legacy tier")
-        digest = payload_digest(content, len(content), self.background_meter)
-        # Legacy blocks have no composite id yet. They key as lcv 0, which a
-        # clock never hands out, numbered in the namespace-tag field.
-        key = CompositeId(self.nid, 0, self._legacy_seeded)
-        self.block_store[key] = content
-        self.legacy_crc[key] = crc32c(content)
-        self.legacy_hash_index[user_key] = (key, digest)
-        self._legacy_seeded += 1
-
-    def dual_lookup(self, user_key: str) -> LookupResult:
-        """Identifier index first; legacy hash index on miss."""
-        cid = self.by_user_key.get(user_key)
-        if cid is not None:
-            return LookupResult(tier="identifier", id=cid)
-        legacy = self.legacy_hash_index.get(user_key)
-        if legacy is not None:
-            key, digest = legacy
-            return LookupResult(tier="legacy", digest=digest, locator=key)
-        raise NotFound(f"user_key {user_key!r} in neither tier")
-
-    def migrate_on_access(self, user_key: str) -> CompositeId:
-        """Re-register a legacy block under a fresh composite id."""
-        existing = self.by_user_key.get(user_key)
-        if existing is not None:
-            self.legacy_hash_index.pop(user_key, None)
-            return existing  # already migrated; idempotent
-        legacy = self.legacy_hash_index.get(user_key)
-        if legacy is None:
-            raise NotFound(f"user_key {user_key!r} not in legacy tier")
-        key, _digest = legacy
-        cid = self.ingest(self.block_store[key], user_key=user_key)  # NodeDown keeps it legacy
-        del self.block_store[key], self.legacy_crc[key], self.legacy_hash_index[user_key]
-        self._migrated_keys += 1
-        return cid
-
-    @property
-    def migration_progress(self) -> float:
-        if self._legacy_seeded == 0:
-            return 1.0
-        return self._migrated_keys / self._legacy_seeded
-
     # -- Layer 2: background deduplication -------------------------------
 
     def dedup_pass(self, budget_blocks: int) -> int:
@@ -381,7 +314,8 @@ class StorageNode:
 
         Refuses to run (returns 0, counts a deferral) while a DR event
         is active: Layer 2 is structurally off the DR critical path.
-        Every composite id remains readable with identical bytes.
+        Every composite id remains readable with identical bytes, and
+        every indirection-table value is a stored key.
         """
         if self.dr_active:
             self.dedup_deferrals += 1
@@ -397,15 +331,17 @@ class StorageNode:
             key = keys[i % n]
             i += 1
             scanned += 1
-            content = self.block_store.get(key)
-            if content is None or key.lcv == 0:
-                continue
+            content = self.block_store[key]
             byte_len = self.id_index.get(key).byte_len
             digest = payload_digest(content, byte_len, self.background_meter)
             canonical = self._dedup_seen.get(digest)
             if canonical is None or canonical == key or canonical not in self.block_store:
                 self._dedup_seen[digest] = key
                 continue
+            # every table value stays a stored key: aliases of `key` move on
+            for alias, target in self.indirection_table.items():
+                if target == key:
+                    self.indirection_table[alias] = canonical
             self.indirection_table[key] = canonical
             del self.block_store[key]
             consolidated += 1

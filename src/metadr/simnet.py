@@ -38,7 +38,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .costs import CostMeter, CostModel
-from .discovery import DnsRecordSet, Registry, rebind_cname, resolve
+from .discovery import DnsRecordSet, rebind_cname, resolve
 from .identity import new_node_id
 from .node import RESTART_FAULT_KINDS, NodeStatus, StorageNode
 from .sync import (
@@ -405,7 +405,6 @@ class SimRuntime:
         self.cluster = Cluster(self.sim_nodes, scenario.cost, scenario.cluster.replica_factor)
 
         self.records = DnsRecordSet.from_zone_lines(scenario.discovery.zone)
-        self.registry = Registry(records=self.records)
         # node i answers at host-i (a failover rebinds service-i to the
         # substitute's host-j); the zone may pin either name beforehand
         for i in range(n):
@@ -416,9 +415,6 @@ class SimRuntime:
                 service not in self.records.endpoint_records
             ):
                 self.records.add_cname(service, host)
-        self.registry.bulk_register(
-            [(node.nid, f"service-{i}") for i, node in enumerate(self.sim_nodes)]
-        )
 
     # -- workload ------------------------------------------------------
 

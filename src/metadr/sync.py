@@ -226,14 +226,6 @@ def compute_delta_meta(
     )
 
 
-def baseline_rehash_bytes(node: StorageNode) -> int:
-    """Bytes the node must hash before its baseline index is trustworthy
-    (`HashIndex.owed_bytes` of its stored inventory)."""
-    if node.baseline is None:
-        return 0
-    return node.baseline.owed_bytes(node.physical_bytes)
-
-
 def compute_delta_hash(local, peer, meter: CostMeter | None = None, scope_nids=None) -> DeltaPlan:
     """Plan a baseline sync between two consistent hash indexes.
 
@@ -317,11 +309,11 @@ def sync_pair_meta(
 
 
 def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None) -> int:
-    """Pay what the baseline owes (`baseline_rehash_bytes`) with
-    `hashline.settle`: a full rebuild of a lost index from the block
-    inventory, else a pipeline drain; either way the checkpoint is
-    committed. Returns the bytes hashed. A rebuild charges content bytes
-    plus one hash op per leaf and per internal Merkle node.
+    """Pay what the baseline owes (`HashIndex.owed_bytes` of the stored
+    inventory) with `hashline.settle`: a full rebuild of a lost index
+    from the block inventory, else a pipeline drain; either way the
+    checkpoint is committed. Returns the bytes hashed. A rebuild charges
+    content bytes plus one hash op per leaf and per internal Merkle node.
     """
     if node.baseline is None:
         return 0
@@ -453,46 +445,15 @@ def converge(cluster: Cluster, a: StorageNode, b: StorageNode, framework: str,
     return 1
 
 
-def converge_cluster(nodes: list[StorageNode]) -> int:
-    """Converge k healed nodes, each hosting every nid, by metadata gossip.
-
-    Rounds sweep adjacent pairs in nid order, each a `converge`: the first
-    (forward) sweep gathers the union at the highest nid, the second
-    (reversed) sweep distributes it back down, so two rounds always
-    suffice for any k (within the k-1 pairwise-round bound for k >= 3).
-    Returns the rounds actually used; a repeat uses one that moves nothing.
-    """
-    cluster = Cluster(nodes)
-    order = sorted(nodes, key=lambda n: n.nid.value)
-    k = len(order)
-    if k < 2:
-        return 0
-    rounds = 0
-    for sweep in range(max(2, k - 1)):
-        rounds += 1
-        pairs = list(zip(order, order[1:]))
-        if sweep % 2:
-            pairs.reverse()
-        for a, b in pairs:
-            converge(cluster, a, b, "meta")
-        if all(order[0].id_index.same_ids(n.id_index) for n in order[1:]):
-            break
-    return rounds
-
-
 def reconcile_split_brain(
-    a_view: IdentifierIndex,
-    b_view: IdentifierIndex,
-    merge_hook=None,
+    a_view: IdentifierIndex, b_view: IdentifierIndex
 ) -> tuple[IdentifierIndex, list[Conflict]]:
     """Merge two independently progressed views.
 
     Identifier sets union cleanly (ids cannot collide across nids); the
     only conflicts are user keys written on *both* sides during the
     divergence. Each resolves to the highest lcv, ties broken by the
-    lexicographically greater nid, unless a `merge_hook(user_key, low,
-    high)` is given: it receives the two divergent heads in `lww_key`
-    order and returns the winner.
+    lexicographically greater nid.
     """
     merged = IdentifierIndex()
     for view in (a_view, b_view):
@@ -512,19 +473,10 @@ def reconcile_split_brain(
     for user_key in sorted(set(keys_a) & set(keys_b)):
         ids_a = set(keys_a[user_key])
         ids_b = set(keys_b[user_key])
-        new_a = ids_a - ids_b
-        new_b = ids_b - ids_a
-        if not new_a or not new_b:
+        if not ids_a - ids_b or not ids_b - ids_a:
             continue  # written on at most one side; not a conflict
-        head_a = max(new_a, key=lww_key)
-        head_b = max(new_b, key=lww_key)
         candidates = tuple(sorted(ids_a | ids_b, key=lww_key))
-        if merge_hook is not None:
-            low, high = sorted((head_a, head_b), key=lww_key)
-            winner = merge_hook(user_key, low, high)
-        else:
-            winner = candidates[-1]  # lww by lcv, nid tie-break
-        conflicts.append(Conflict(user_key=user_key, candidates=candidates, winner=winner))
+        conflicts.append(Conflict(user_key, candidates, winner=candidates[-1]))
     return merged, conflicts
 
 

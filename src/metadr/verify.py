@@ -268,8 +268,9 @@ def suite_baseline(seed: int = 0) -> list[Check]:
     checks.append(("merkle_diff_matches_exhaustive_compare", ok, detail))
 
     index = hashline.HashIndex()
+    nid = identity.NodeId(b"\x01" * 16)
     for i in range(100):
-        index.enqueue(i, i.to_bytes(16, "big"), 100)
+        index.enqueue(identity.CompositeId(nid, i + 1), i.to_bytes(16, "big"), 100)
     hashline.pipeline_tick(index, 100 * 50)
     grew = index.lag_blocks == 50
     hashline.commit_checkpoint(index)

@@ -232,9 +232,7 @@ def test_criterion_8_condition_instrumentation(paper_soak, capsys):
         inventory_bytes += size
     ensure_baseline_consistent(node)
     node.baseline.mark_lost()
-    from metadr.sync import baseline_rehash_bytes
-
-    assert baseline_rehash_bytes(node) == inventory_bytes == node.physical_bytes
+    assert node.baseline.owed_bytes(node.physical_bytes) == inventory_bytes == node.physical_bytes
     meter = CostMeter(CostModel())
     ensure_baseline_consistent(node, meter)
     assert meter.hashed_bytes == inventory_bytes

@@ -100,6 +100,44 @@ def test_sensitivity_bad_sweep_exits_2(capsys):
     assert code == 2
 
 
+# -- whole-number inputs ------------------------------------------------------------
+
+RTO_EXAMPLE = ("rto", "--D", "1.1e14", "--delta", "1e12", "--N", "1e9")
+
+
+@pytest.mark.parametrize("argv", [
+    (*RTO_EXAMPLE, "--C", "16.9"),
+    (*RTO_EXAMPLE, "--S", "32.5"),
+    ("tco", "--events", "17.5"),
+    ("tco", "--cores", "40.5"),
+])
+def test_fractional_count_flag_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "whole number" in line
+
+
+def test_non_numeric_seed_variable_exits_2_with_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("METADR_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "--suite", "baseline")
+    assert code == 2 and not out
+    (line,) = err.splitlines()
+    assert line == "error: METADR_SEED must be a whole number, got 'abc'"
+
+
+def test_integral_floats_count_as_whole_numbers(capsys, monkeypatch):
+    assert run_cli(capsys, *RTO_EXAMPLE, "--C", "1.6e1", "--S", "32.0") == run_cli(
+        capsys, *RTO_EXAMPLE
+    )
+    assert run_cli(capsys, "tco", "--events", "1.7e1", "--cores", "40.0") == run_cli(
+        capsys, "tco"
+    )
+    expected = run_cli(capsys, "verify", "--suite", "baseline", "--seed", "7")
+    monkeypatch.setenv("METADR_SEED", "7.0")
+    assert run_cli(capsys, "verify", "--suite", "baseline") == expected
+
+
 # -- simulate -----------------------------------------------------------------------
 
 

@@ -1,18 +1,13 @@
-from random import Random
-
 import pytest
 
 from metadr.discovery import (
     ChainTooDeep,
     CnameLoop,
     DnsRecordSet,
-    FutureVersion,
     NameNotFound,
-    Registry,
     rebind_cname,
     resolve,
 )
-from metadr.identity import new_node_id
 
 
 def zone():
@@ -105,76 +100,3 @@ def test_rebind_into_loop_is_lazy():
     rebind_cname(records, "service-x", "alias")  # rebind itself succeeds
     with pytest.raises(CnameLoop):
         resolve(records, "alias")
-
-
-def test_registry_resolves_current_endpoint_after_rebind():
-    records = zone()
-    registry = Registry(records=records)
-    nid = new_node_id(Random(1))
-    registry.register(nid, "service-x")
-    assert registry.lookup_endpoint(nid) == "10.0.0.1:7000"
-    rebind_cname(records, "service-x", "host-b")
-    # keyed by service name, not cached endpoint
-    assert registry.lookup_endpoint(nid) == "10.0.0.2:7000"
-
-
-# -- registry versioning ----------------------------------------------------------
-
-
-def test_bulk_registration_is_one_version():
-    registry = Registry(records=zone())
-    rng = Random(2)
-    pairs = [(new_node_id(rng), "service-x") for _ in range(5)]
-    version = registry.bulk_register(pairs)
-    assert version == 1
-    assert registry.version == 1
-    assert len(registry.entries) == 5
-
-
-def test_reregistration_bumps_version_and_wins():
-    records = zone()
-    registry = Registry(records=records)
-    nid = new_node_id(Random(3))
-    v1 = registry.register(nid, "service-x")
-    rebind_cname(records, "service-x", "host-b")
-    v2 = registry.register(nid, "service-x")
-    assert (v1, v2) == (1, 2)
-    assert registry.entries[nid].endpoint_at_registration == "10.0.0.2:7000"
-
-
-def test_change_log_replay_reproduces_state():
-    registry = Registry(records=zone())
-    rng = Random(4)
-    nids = [new_node_id(rng) for _ in range(30)]
-    for _ in range(1000):
-        registry.register(nids[rng.randrange(len(nids))], "service-x")
-    assert registry.replay() == registry.entries
-
-
-def test_delta_since_current_is_empty():
-    registry = Registry(records=zone())
-    registry.register(new_node_id(Random(5)), "service-x")
-    assert registry.delta_since(registry.version) == []
-
-
-def test_delta_since_genesis_is_full_log():
-    registry = Registry(records=zone())
-    for _ in range(7):
-        registry.register(new_node_id(Random(6)), "service-x")
-    assert registry.delta_since(0) == registry.change_log
-
-
-def test_delta_split_concatenation_oracle():
-    registry = Registry(records=zone())
-    rng = Random(7)
-    for _ in range(50):
-        registry.register(new_node_id(rng), "service-x")
-    for _ in range(10):
-        cut = rng.randrange(0, registry.version + 1)
-        assert registry.delta_since(0) == registry.delta_since(0)[:cut] + registry.delta_since(cut)
-
-
-def test_future_version_rejected():
-    registry = Registry(records=zone())
-    with pytest.raises(FutureVersion):
-        registry.delta_since(99)

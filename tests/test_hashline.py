@@ -19,6 +19,12 @@ from metadr.hashline import (
     rebuild_index,
     settle,
 )
+from metadr.identity import CompositeId, NodeId
+
+
+def cid(i: int) -> CompositeId:
+    """The i-th block's id: hash-index locators are the store's keys."""
+    return CompositeId(NodeId(b"\x01" * 16), i + 1)
 
 
 def descriptor(byte_len: int, seed: int) -> bytes:
@@ -203,7 +209,7 @@ def test_diff_pads_unequal_leaf_counts():
 def make_pipeline(blocks=0, size=100):
     state = HashIndex()
     for i in range(blocks):
-        state.enqueue(i, descriptor(size, i), size)
+        state.enqueue(cid(i), descriptor(size, i), size)
     return state
 
 
@@ -218,7 +224,7 @@ def test_zero_budget_starves():
     state = make_pipeline(10)
     pipeline_tick(state, 0)
     assert state.lag_blocks == 10
-    state.enqueue(99, descriptor(100, 99), 100)
+    state.enqueue(cid(99), descriptor(100, 99), 100)
     assert state.lag_blocks == 11  # strictly grows under starvation
     assert not state.consistent_flag
 
@@ -229,7 +235,7 @@ def test_sustained_ingest_at_twice_budget_halves_coverage():
     locator = 0
     for _tick in range(40):
         for _ in range(2):
-            state.enqueue(locator, descriptor(100, locator), 100)
+            state.enqueue(cid(locator), descriptor(100, locator), 100)
             locator += 1
         pipeline_tick(state, 100)
     assert len(state.by_locator) == 40  # hashed half of the 80 ingested
@@ -268,7 +274,7 @@ def test_crash_rollback_preserves_order():
     state = make_pipeline(8)
     pipeline_tick(state, 800)
     crash_interrupt(state)
-    assert [p.locator for p in state.pending] == list(range(8))
+    assert [p.locator for p in state.pending] == [cid(i) for i in range(8)]
 
 
 def test_settle_drains_and_commits_the_checkpoint():
@@ -283,11 +289,11 @@ def test_settle_rebuilds_a_lost_index_and_its_aliases():
     state = make_pipeline(3)
     pipeline_tick(state, 300)
     state.mark_lost()
-    blocks = [(i, descriptor(100, i), 100) for i in range(3)]
+    blocks = [(cid(i), descriptor(100, i), 100) for i in range(3)]
     assert state.owed_bytes(300) == 300
-    rebuilt, hashed = settle(state, blocks, [(9, 1)])
+    rebuilt, hashed = settle(state, blocks, [(cid(9), cid(1))])
     assert rebuilt is not state and hashed == 300 and rebuilt.consistent_flag
-    assert rebuilt.by_locator[9] == rebuilt.by_locator[1]  # no rehash for an alias
+    assert rebuilt.by_locator[cid(9)] == rebuilt.by_locator[cid(1)]  # no rehash for an alias
     assert rebuilt.merkle.leaf_count == 3
 
 
@@ -297,7 +303,7 @@ def test_settle_rebuilds_a_lost_index_and_its_aliases():
 def test_rebuild_charges_full_inventory_bytes():
     # 1.1e14 bytes at H=5e8, C=16 -> 13,750 virtual seconds
     meter = CostMeter(CostModel())
-    blocks = [(0, descriptor(110_000_000_000_000, 1), 110_000_000_000_000)]
+    blocks = [(cid(0), descriptor(110_000_000_000_000, 1), 110_000_000_000_000)]
     rebuild_index(blocks, meter)
     assert meter.t_hash == pytest.approx(13_750.0)
 
@@ -311,13 +317,13 @@ def test_rebuild_empty_inventory_costs_nothing():
 
 def test_rebuild_16gb_costs_two_seconds():
     meter = CostMeter(CostModel())
-    rebuild_index([(0, descriptor(16_000_000_000, 1), 16_000_000_000)], meter)
+    rebuild_index([(cid(0), descriptor(16_000_000_000, 1), 16_000_000_000)], meter)
     assert meter.t_hash == pytest.approx(2.0)
 
 
 def test_rebuild_hash_ops_count_leaves_plus_internal_nodes():
     meter = CostMeter(CostModel())
-    blocks = [(i, descriptor(64, i), 64) for i in range(16)]
+    blocks = [(cid(i), descriptor(64, i), 64) for i in range(16)]
     index, tree = rebuild_index(blocks, meter)
     assert meter.hash_ops == 16 + tree.internal_node_count == 16 + 15
     assert meter.content_reads == 16
@@ -325,14 +331,14 @@ def test_rebuild_hash_ops_count_leaves_plus_internal_nodes():
 
 
 def test_hash_delta_identical_inventories():
-    a, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(10)])
-    b, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(10)])
+    a, _ = rebuild_index([(cid(i), descriptor(64, i), 64) for i in range(10)])
+    b, _ = rebuild_index([(cid(i), descriptor(64, i), 64) for i in range(10)])
     assert hash_delta(a, b) == ([], [])
 
 
 def test_stale_index_refuses_delta_until_drained():
     state = make_pipeline(5)
-    fresh, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(5)])
+    fresh, _ = rebuild_index([(cid(i), descriptor(64, i), 64) for i in range(5)])
     with pytest.raises(InconsistentIndex):
         hash_delta(state, fresh)
     pipeline_tick(state, 500)
@@ -340,9 +346,9 @@ def test_stale_index_refuses_delta_until_drained():
 
 
 def test_lost_index_refuses_delta():
-    index, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(5)])
+    index, _ = rebuild_index([(cid(i), descriptor(64, i), 64) for i in range(5)])
     index.mark_lost()
-    other, _ = rebuild_index([(i, descriptor(64, i), 64) for i in range(5)])
+    other, _ = rebuild_index([(cid(i), descriptor(64, i), 64) for i in range(5)])
     with pytest.raises(InconsistentIndex):
         hash_delta(index, other)
 
@@ -350,8 +356,8 @@ def test_lost_index_refuses_delta():
 def test_hash_delta_matches_content_comparison_oracle():
     rng = Random(31)
     for _ in range(30):
-        contents_a = {i: rng.randrange(20) for i in range(rng.randrange(1, 40))}
-        contents_b = {i: rng.randrange(20) for i in range(rng.randrange(1, 40))}
+        contents_a = {cid(i): rng.randrange(20) for i in range(rng.randrange(1, 40))}
+        contents_b = {cid(i): rng.randrange(20) for i in range(rng.randrange(1, 40))}
         a, _ = rebuild_index([(loc, descriptor(64, seed), 64)
                               for loc, seed in sorted(contents_a.items())])
         b, _ = rebuild_index([(loc, descriptor(64, seed), 64)

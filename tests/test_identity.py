@@ -20,7 +20,6 @@ from metadr.identity import (
     new_node_id,
     read_wal,
     recover_clock,
-    wal_filename,
 )
 
 NID = NodeId(b"\x01" * 16)
@@ -189,10 +188,6 @@ def test_wal_record_layout_bit_exact():
     assert data[12:16] == crc32c(data[4:12]).to_bytes(4, "big")
 
 
-def test_wal_filename_convention():
-    assert wal_filename(NID) == f"wal-{'01' * 16}.log"
-
-
 def test_recover_empty_wal_is_genesis():
     clock = recover_clock(MemoryWal())
     assert clock.last_committed == 0
@@ -248,7 +243,7 @@ def test_mid_stream_corruption_is_unrecoverable():
 
 
 def test_file_wal_roundtrip(tmp_path):
-    path = tmp_path / wal_filename(NID)
+    path = tmp_path / "node.wal"
     wal = FileWal(str(path))
     clock = LogicalClock(wal)
     for _ in range(25):

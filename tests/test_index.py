@@ -15,7 +15,6 @@ from metadr.index import (
     IndexEntry,
     TruncatedStream,
     deserialize_index,
-    physical_size_bytes,
     serialize_index,
     set_difference,
 )
@@ -42,7 +41,6 @@ def test_insert_into_empty_index():
     idx = IdentifierIndex()
     idx.insert(entry(N1, 1))
     assert idx.entry_count == 1
-    assert idx.logical_size_bytes == 32
 
 
 def test_reinsert_identical_entry_is_idempotent():
@@ -291,47 +289,8 @@ def test_full_index_transfer_cost_reproduces_25_6_seconds():
     assert seconds == pytest.approx(25.6)
 
 
-# -- physical size ------------------------------------------------------------------
-
-
-def test_physical_size_zero_entries():
-    assert physical_size_bytes(IdentifierIndex(), 0.011) == 0
-
-
-def test_physical_size_exact_at_zero_fragmentation():
-    idx = IdentifierIndex()
-    idx.entry_count = 1_000_000  # size model only; entries not materialized
-    assert physical_size_bytes(idx, 0.0) == 32_000_000
-
-
-def test_physical_size_fragmentation_ratio():
-    # formula check at the soak default; the published 2.0e9-block figure
-    # (647 GB) does not follow from 32 bytes/entry and is annotated in
-    # reports rather than asserted
-    idx = IdentifierIndex()
-    idx.entry_count = 2_000_000_000
-    physical = physical_size_bytes(idx, 0.011)
-    assert physical == 32 * 2_000_000_000 * 1.011
-    assert physical / (32 * idx.entry_count) == pytest.approx(1.011)
-
-
-def test_physical_size_rejects_negative_factor():
-    with pytest.raises(ValueError):
-        physical_size_bytes(IdentifierIndex(), -0.1)
-
-
 def test_checkpoint_watermarks_never_decrease():
     ckpt = Checkpoint()
     ckpt.advance(N1, 10)
     ckpt.advance(N1, 5)
     assert ckpt.watermark(N1) == 10
-
-
-def test_mdri_dump_roundtrip(tmp_path):
-    from metadr.index import dump_index, load_index_dump
-
-    idx = build_index([(N1, i) for i in range(1, 30)])
-    path = str(tmp_path / "snapshot.mdri")
-    written = dump_index(idx, path)
-    assert written == 16 + 32 * 29
-    assert load_index_dump(path) == idx.ids()

@@ -15,7 +15,7 @@ from metadr.node import (
     NotFound,
     StorageNode,
 )
-from metadr.sync import ensure_baseline_consistent
+from metadr.sync import Cluster, ensure_baseline_consistent, sync_pair_hash
 
 
 def fresh_node(seed=1, **kwargs):
@@ -243,127 +243,6 @@ def test_invalid_lifecycle_transitions():
         node.restart("bogus_fault")
 
 
-# -- migration (dual lookup) ----------------------------------------------------
-
-
-def migration_node():
-    node = fresh_node()
-    for i in range(4):
-        node.seed_legacy_block(f"legacy{i}", f"old content {i}".encode())
-    return node
-
-
-def test_dual_lookup_identifier_tier_wins():
-    node = migration_node()
-    node.ingest(b"new data", user_key="fresh")
-    assert node.dual_lookup("fresh").tier == "identifier"
-
-
-def test_dual_lookup_falls_back_to_legacy():
-    node = migration_node()
-    result = node.dual_lookup("legacy2")
-    assert result.tier == "legacy"
-    assert result.digest is not None
-
-
-def test_dual_lookup_miss_everywhere():
-    node = migration_node()
-    with pytest.raises(NotFound):
-        node.dual_lookup("nowhere")
-
-
-def test_dual_lookup_precedence_after_migration():
-    node = migration_node()
-    node.migrate_on_access("legacy1")
-    assert node.dual_lookup("legacy1").tier == "identifier"
-
-
-def test_migration_progress_counts_accessed_keys():
-    node = migration_node()
-    assert node.migration_progress == 0.0
-    node.migrate_on_access("legacy0")
-    node.migrate_on_access("legacy3")
-    assert node.migration_progress == pytest.approx(2 / 4)
-    for key in ("legacy1", "legacy2"):
-        node.migrate_on_access(key)
-    assert node.migration_progress == 1.0
-
-
-def test_migration_preserves_content():
-    node = migration_node()
-    cid = node.migrate_on_access("legacy2")
-    assert node.read_verify(cid) == b"old content 2"
-
-
-def test_legacy_blocks_with_equal_content_keep_their_own_keys():
-    node = fresh_node()
-    node.seed_legacy_block("twin-a", b"same old bytes")
-    node.seed_legacy_block("twin-b", b"same old bytes")
-    node.seed_legacy_block("other", b"different bytes")
-    assert node.physical_block_count == 3
-    assert node.scrub(10).clean
-    migrated = {key: node.migrate_on_access(key) for key in ("twin-b", "other", "twin-a")}
-    assert len(set(migrated.values())) == 3
-    assert node.read("twin-a") == node.read("twin-b") == b"same old bytes"
-    assert node.read("other") == b"different bytes"
-    assert node.physical_block_count == 3
-    assert node.scrub(10).clean
-
-
-def test_scrub_finds_corrupted_legacy_and_indexed_blocks():
-    node = migration_node()
-    cid = node.ingest(b"indexed bytes")
-    legacy = node.dual_lookup("legacy1").locator
-    node.corrupt_block(legacy)
-    node.corrupt_block(cid)
-    # a legacy block has no entry: its reference is the CRC taken at seeding,
-    # which an index loss does not take with it
-    node.crash()
-    node.restart("index_loss", wal_replay_seconds=0.0)
-    report = node.scrub(10)
-    assert [(key, expected) for key, expected, _ in report.findings] == [
-        (legacy, crc32c(b"old content 1")), (cid, crc32c(b"indexed bytes"))
-    ]
-
-
-def test_migrate_on_a_down_node_keeps_the_legacy_block():
-    node = migration_node()
-    node.crash()
-    with pytest.raises(NodeDown):
-        node.migrate_on_access("legacy0")
-    node.restart("none", wal_replay_seconds=0.0)
-    assert node.dual_lookup("legacy0").tier == "legacy"
-    assert node.read_verify(node.migrate_on_access("legacy0")) == b"old content 0"
-    assert node.physical_block_count == 4 and node.scrub(10).clean
-
-
-def test_legacy_tier_survives_index_loss():
-    node = migration_node()
-    node.crash()
-    node.restart("index_loss", wal_replay_seconds=0.0)
-    assert node.dual_lookup("legacy0").tier == "legacy"
-    assert node.read_verify(node.migrate_on_access("legacy0")) == b"old content 0"
-    assert node.migration_progress == pytest.approx(1 / 4)
-    assert node.physical_block_count == 4 and node.scrub(10).clean
-
-
-def test_baseline_node_takes_no_legacy_blocks():
-    # the baseline models the competing system: its lost index would be
-    # rebuilt over legacy locators that no index entry describes
-    node = fresh_node(baseline=True)
-    with pytest.raises(ValueError, match="baseline"):
-        node.seed_legacy_block("legacy0", b"old content")
-    assert node.physical_block_count == 0 and not node.legacy_hash_index
-
-
-def test_double_migrate_is_idempotent():
-    node = migration_node()
-    first = node.migrate_on_access("legacy0")
-    second = node.migrate_on_access("legacy0")
-    assert first == second
-    assert node.id_index.entry_count == 1
-
-
 # -- layer 2 dedup ----------------------------------------------------------------
 
 
@@ -431,6 +310,24 @@ def test_deduplicated_id_replicates_under_its_own_id():
         b.replicate_in(entry, a.stored_block(entry.id))
     assert list(b.inventory()) == [(first, b"same bytes", 10), (second, b"same bytes", 10)]
     assert b.read_verify(second) == b"same bytes"
+
+
+def test_dedup_keeps_a_hash_sync_alias_on_a_stored_block():
+    low, node, peer = (StorageNode(NodeId(bytes([k]) * 16), baseline=True) for k in (1, 2, 3))
+    node.ingest(b"same bytes")
+    replica = low.id_index.get(low.ingest(b"same bytes"))
+    node.replicate_in(replica, b"same bytes")
+    alias = peer.ingest(b"same bytes")
+    # the hash sync binds peer's id to the lowest id holding the digest: low's
+    sync_pair_hash(Cluster([node, peer]), node, peer)
+    assert node.indirection_table == {alias: replica.id}
+    assert node.dedup_pass(10) == 1  # low's copy goes behind node's own
+    assert node.read_verify(alias) == b"same bytes"
+    assert set(node.indirection_table.values()) <= set(node.block_store)
+    node.crash()
+    node.restart("index_loss", wal_replay_seconds=0.0)
+    ensure_baseline_consistent(node)
+    assert node.baseline.by_locator[alias] == node.baseline.by_locator[replica.id]
 
 
 def test_dedup_work_charged_to_background_meter():

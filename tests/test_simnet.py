@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from metadr import simnet
 from metadr.costs import CostMeter, CostModel
+from metadr.discovery import resolve
 from metadr.simnet import (
     FaultSpec,
     ScenarioValidation,
@@ -597,8 +598,8 @@ def test_soak_dr_events_rebind_the_service_name(small_soak_run):
         s = (f + rf) % n
         assert label == f"failover {f}->{s} via 10.0.0.{10 + s}:7000"
     assert sum(label.startswith("failback") for label in labels) == 17
-    for i, node in enumerate(rt.sim_nodes):
-        assert rt.registry.lookup_endpoint(node.nid) == f"10.0.0.{10 + i}:7000"
+    for i in range(n):
+        assert resolve(rt.records, f"service-{i}").endpoint == f"10.0.0.{10 + i}:7000"
 
 
 def test_soak_emits_seventeen_events(small_soak):

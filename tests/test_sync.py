@@ -14,7 +14,6 @@ from metadr.sync import (
     NodeStatusError,
     NoSurvivingReplica,
     Volumetrics,
-    baseline_rehash_bytes,
     compute_delta_hash,
     compute_delta_meta,
     converge,
@@ -119,8 +118,8 @@ def test_condition1_lag_cost_is_sum_of_lagged_blocks():
     a, b = make_nodes(2, baseline=True)
     fill(a, 25)  # pipeline never ticked: all 25 blocks lag
     ensure_baseline_consistent(b)
-    assert baseline_rehash_bytes(a) == 25 * 128
-    assert baseline_rehash_bytes(b) == 0
+    assert a.baseline.owed_bytes(a.physical_bytes) == 25 * 128
+    assert b.baseline.owed_bytes(b.physical_bytes) == 0
 
 
 def test_assess_conditions_after_index_loss():
@@ -128,7 +127,7 @@ def test_assess_conditions_after_index_loss():
     fill(a, 10)
     ensure_baseline_consistent(a)
     a.baseline.mark_lost()
-    assert baseline_rehash_bytes(a) == a.physical_bytes
+    assert a.baseline.owed_bytes(a.physical_bytes) == a.physical_bytes
 
 
 # -- placement --------------------------------------------------------------------
@@ -389,20 +388,6 @@ def test_lcv_tie_broken_by_greater_nid():
     assert conflicts[0].winner == expected
 
 
-def test_merge_hook_receives_both_heads():
-    a, b = make_nodes(2)
-    a.ingest(b"A", user_key="k")
-    b.ingest(b"B", user_key="k")
-    seen = []
-
-    def hook(user_key, low, high):
-        seen.append((user_key, low, high))
-        return low
-
-    _, conflicts = reconcile_split_brain(a.id_index, b.id_index, merge_hook=hook)
-    assert seen and conflicts[0].winner == seen[0][1]
-
-
 def test_reconcile_deterministic_across_argument_order():
     for seed in range(25):
         rng = Random(seed)
@@ -497,9 +482,9 @@ def test_baseline_owes_what_its_drain_pays(steps):
             node.crash()
             node.restart(op, wal_replay_seconds=0.0)
         else:
-            owed = baseline_rehash_bytes(node)
+            owed = node.baseline.owed_bytes(node.physical_bytes)
             assert ensure_baseline_consistent(node) == owed
-            assert baseline_rehash_bytes(node) == 0
+            assert node.baseline.owed_bytes(node.physical_bytes) == 0
         index = node.baseline
         assert index.consistent_flag == (not index.lost and index.lag_blocks == 0)
         if not index.lost:  # every id is indexed or queued, never both
@@ -509,18 +494,25 @@ def test_baseline_owes_what_its_drain_pays(steps):
 
 
 def test_k_node_gossip_converges_within_tournament_bound():
-    from metadr.sync import converge_cluster
-
+    # rounds sweep adjacent pairs, alternating direction: the forward sweep
+    # gathers the union at the last node and the reversed one spreads it
+    # back, so two rounds converge any k >= 3 within the k - 1 bound
     for k in (3, 4, 5, 8):
         for seed in range(5):
             rng = Random(f"gossip:{k}:{seed}")
             nodes = [StorageNode(new_node_id(rng)) for _ in range(k)]
+            ingested = 0
             for tag, node in enumerate(nodes):
                 for i in range(rng.randrange(1, 25)):
                     node.ingest((64, tag * 10_000 + i))
-            rounds = converge_cluster(nodes)
-            assert rounds <= k - 1
-            union_size = sum(1 for _ in nodes[0].id_index.entries())
-            for node in nodes[1:]:
-                assert node.id_index.same_ids(nodes[0].id_index)
-            assert union_size == nodes[0].id_index.entry_count
+                    ingested += 1
+            cluster = Cluster(nodes)
+            pairs = list(zip(nodes, nodes[1:]))
+            rounds = 0
+            while not all(n.id_index.same_ids(nodes[0].id_index) for n in nodes[1:]):
+                assert rounds < k - 1
+                for a, b in pairs if rounds % 2 == 0 else reversed(pairs):
+                    converge(cluster, a, b, "meta")
+                rounds += 1
+            assert rounds == 2
+            assert nodes[0].id_index.entry_count == ingested
