@@ -6,9 +6,9 @@ text (aligned), csv, md. Exit codes: 0 success, 1 verification failure,
 METADR_SEED environment variable supplies the default seed. Byte flags
 take raw numbers (scientific notation accepted); no unit suffixes are
 parsed, which sidesteps decimal/binary ambiguity at the interface.
-Count flags and METADR_SEED take whole numbers, integral floats such
-as 1.6e1 included; a fraction or a non-number exits 2, never truncated
-or ignored.
+Count flags, --seed and METADR_SEED take whole numbers, integral
+floats such as 1.6e1 included; a fraction or a non-number exits 2,
+never truncated or ignored.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def cmd_rto(args) -> int:
             cores=_whole("--C", args.C),
             bandwidth=args.B,
             entry_bytes=_whole("--S", args.S),
-            blocks=args.N,
+            blocks=_whole("--N", args.N),
         )
         bd = evalmodel.rto_breakdown(params)
     except (ValueError, evalmodel.DomainError) as exc:
@@ -351,20 +351,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a scenario file (or bundled name)")
     p.add_argument("scenario")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("soak", help="run the soak driver")
     p.add_argument("--preset", default="paper-soak")
     p.add_argument("--config", default=None, help="soak config YAML (overrides preset)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     add_common(p)
     p.set_defaults(func=cmd_soak)
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -373,15 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    raw_seed = os.environ.get("METADR_SEED")
-    if raw_seed and getattr(args, "seed", None) is None and args.command in (
-        "simulate", "soak", "verify"
-    ):
-        try:
-            args.seed = _whole("METADR_SEED", raw_seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    if args.command in ("simulate", "soak", "verify"):
+        name, raw_seed = "--seed", args.seed
+        if raw_seed is None:
+            name, raw_seed = "METADR_SEED", os.environ.get("METADR_SEED") or None
+        if raw_seed is not None:
+            try:
+                args.seed = _whole(name, raw_seed)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
     return args.func(args)
 
 

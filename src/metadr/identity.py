@@ -5,13 +5,15 @@ a 128-bit node id (NID), a per-node monotonically increasing 64-bit
 logical clock value (LCV), and a 64-bit namespace tag (NST). Encoded
 identifiers are exactly 32 bytes: nid(16) || lcv(8, big-endian) ||
 nst(8, big-endian), so byte-lexicographic order within one nid equals
-numeric lcv order.
+numeric lcv order. In memory an id is a tuple (nid, lcv, nst).
 
 The clock is durable: every value is appended to a write-ahead log
 *before* it is exposed to the caller. Recovery reads the log back,
 discards a torn trailing record, and burns (never reuses) the value the
 torn record may have carried, so no value is ever handed out twice even
-across arbitrary crash/restart sequences.
+across arbitrary crash/restart sequences. `Wal` holds the append rule
+and its lost/torn fault hooks once; `MemoryWal` (the simulator's) and
+`FileWal` (fsynced) supply only the medium.
 
 WAL on-disk format (bit-exact): repeated records of
 ``[len: u32 BE][lcv: u64 BE][crc32c of lcv bytes: u32 BE]`` where len is
@@ -25,6 +27,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .crc32c import crc32c
 
@@ -65,33 +68,28 @@ class NodeId:
         return f"NodeId({self.value.hex()[:8]}..)"
 
 
-@dataclass(frozen=True, slots=True)
-class CompositeId:
-    """Ingestion-time block identity: nid/lcv/nst, 32 bytes encoded.
-
-    Ordering is lexicographic on (nid, lcv); the namespace tag scopes
-    comparisons but does not participate in ordering.
-    """
-
+class _IdFields(NamedTuple):
     nid: NodeId
     lcv: int
     nst: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.lcv <= MAX_U64:
-            raise ValueError(f"lcv out of 64-bit range: {self.lcv}")
-        if not 0 <= self.nst <= MAX_U64:
-            raise ValueError(f"nst out of 64-bit range: {self.nst}")
 
-    @property
-    def sort_key(self) -> tuple[bytes, int]:
-        return (self.nid.value, self.lcv)
+class CompositeId(_IdFields):
+    """Ingestion-time block identity: nid/lcv/nst, 32 bytes encoded.
 
-    def __lt__(self, other: "CompositeId") -> bool:
-        return self.sort_key < other.sort_key
+    A tuple, so ids hash, compare and sort as (nid, lcv, nst). One nid
+    never issues an lcv twice, so the namespace tag scopes an id but
+    never decides its order.
+    """
 
-    def __le__(self, other: "CompositeId") -> bool:
-        return self.sort_key <= other.sort_key
+    __slots__ = ()
+
+    def __new__(cls, nid: NodeId, lcv: int, nst: int = 0) -> "CompositeId":
+        if not 0 <= lcv <= MAX_U64:
+            raise ValueError(f"lcv out of 64-bit range: {lcv}")
+        if not 0 <= nst <= MAX_U64:
+            raise ValueError(f"nst out of 64-bit range: {nst}")
+        return super().__new__(cls, nid, lcv, nst)
 
 
 def lww_key(cid: CompositeId) -> tuple[int, bytes]:
@@ -99,12 +97,6 @@ def lww_key(cid: CompositeId) -> tuple[int, bytes]:
     lcv wins, ties broken by the greater nid. Every replica applies it,
     so a key resolves to the same version wherever it is read."""
     return (cid.lcv, cid.nid.value)
-
-
-@dataclass(frozen=True, slots=True)
-class WalRecord:
-    lcv: int
-    committed: bool
 
 
 def new_node_id(entropy: Random) -> NodeId:
@@ -134,24 +126,24 @@ def _pack_record(lcv: int) -> bytes:
     return _RECORD.pack(_WAL_PAYLOAD_LEN, lcv, crc32c(_LCV.pack(lcv)))
 
 
-class MemoryWal:
-    """In-memory WAL with the bit-exact on-disk record layout.
+class Wal:
+    """The append rule every WAL medium shares; a subclass supplies the
+    medium: `_size`, `_write` (durable once it returns), `_cut` and
+    `data`.
 
-    Used by the simulator, where durability is modeled rather than real.
     Fault hooks: `fail_next_append` may be set to "lost" (nothing hits
     the log) or ("torn", n) (only the first n bytes of the record land),
     after which the append raises WalAppendFailure. A later successful
     append first truncates any torn garbage back to the last good offset.
     """
 
-    def __init__(self, data: bytes = b"") -> None:
-        self._buf = bytearray(data)
-        self._good_offset = len(data)
+    def __init__(self) -> None:
+        self._good_offset = self._size()
         self.fail_next_append: str | tuple[str, int] | None = None
 
     def append_lcv(self, lcv: int) -> None:
-        if len(self._buf) != self._good_offset:
-            del self._buf[self._good_offset :]
+        if self._size() != self._good_offset:
+            self._cut(self._good_offset)
         record = _pack_record(lcv)
         failure = self.fail_next_append
         if failure is not None:
@@ -161,79 +153,79 @@ class MemoryWal:
             kind, torn_bytes = failure
             if kind != "torn":
                 raise ValueError(f"unknown failure mode: {failure!r}")
-            self._buf += record[: max(0, min(torn_bytes, len(record)))]
+            self._write(record[: max(0, min(torn_bytes, len(record)))])
             raise WalAppendFailure(f"append torn after {torn_bytes} bytes")
-        self._buf += record
-        self._good_offset = len(self._buf)
+        self._write(record)
+        self._good_offset += len(record)
+
+    def truncate(self, nbytes: int) -> None:
+        """Crash hook: keep only the first nbytes of the log."""
+        self._cut(nbytes)
+        self._good_offset = min(self._good_offset, nbytes)
+
+    def reset_good_offset(self) -> None:
+        self._good_offset = self._size()
+
+
+class MemoryWal(Wal):
+    """In-memory WAL with the bit-exact on-disk record layout. Used by
+    the simulator, where durability is modeled rather than real."""
+
+    def __init__(self, data: bytes = b"") -> None:
+        self._buf = bytearray(data)
+        super().__init__()
+
+    def _size(self) -> int:
+        return len(self._buf)
+
+    def _write(self, data: bytes) -> None:
+        self._buf += data
+
+    def _cut(self, nbytes: int) -> None:
+        del self._buf[nbytes:]
 
     def data(self) -> bytes:
         return bytes(self._buf)
 
-    def truncate(self, nbytes: int) -> None:
-        """Crash hook: keep only the first nbytes of the log."""
-        del self._buf[nbytes:]
-        self._good_offset = min(self._good_offset, nbytes)
 
-    def reset_good_offset(self) -> None:
-        self._good_offset = len(self._buf)
-
-
-class FileWal:
-    """File-backed WAL, same record layout and failure semantics."""
+class FileWal(Wal):
+    """File-backed WAL: each write is fsynced before it returns, so a
+    record is durable before its value is exposed."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-        if not os.path.exists(path):
-            with open(path, "wb"):
-                pass
-        self._good_offset = os.path.getsize(path)
-        self.fail_next_append: str | tuple[str, int] | None = None
+        with open(path, "ab"):  # create the log if it is missing
+            pass
+        super().__init__()
 
-    def append_lcv(self, lcv: int) -> None:
-        if os.path.getsize(self.path) != self._good_offset:
-            with open(self.path, "r+b") as f:
-                f.truncate(self._good_offset)
-        record = _pack_record(lcv)
-        failure = self.fail_next_append
-        if failure is not None:
-            self.fail_next_append = None
-            if failure == "lost":
-                raise WalAppendFailure("append lost before reaching the log")
-            kind, torn_bytes = failure
-            if kind != "torn":
-                raise ValueError(f"unknown failure mode: {failure!r}")
-            with open(self.path, "ab") as f:
-                f.write(record[: max(0, min(torn_bytes, len(record)))])
-            raise WalAppendFailure(f"append torn after {torn_bytes} bytes")
+    def _size(self) -> int:
+        return os.path.getsize(self.path)
+
+    def _write(self, data: bytes) -> None:
         with open(self.path, "ab") as f:
-            f.write(record)
+            f.write(data)
             f.flush()
             os.fsync(f.fileno())
-        self._good_offset += len(record)
+
+    def _cut(self, nbytes: int) -> None:
+        with open(self.path, "r+b") as f:
+            f.truncate(nbytes)
 
     def data(self) -> bytes:
         with open(self.path, "rb") as f:
             return f.read()
 
-    def truncate(self, nbytes: int) -> None:
-        with open(self.path, "r+b") as f:
-            f.truncate(nbytes)
-        self._good_offset = min(self._good_offset, nbytes)
 
-    def reset_good_offset(self) -> None:
-        self._good_offset = os.path.getsize(self.path)
-
-
-def read_wal(data: bytes) -> tuple[list[WalRecord], int | None]:
+def read_wal(data: bytes) -> tuple[list[int], int | None]:
     """Parse a WAL byte stream.
 
-    Returns (complete records in order, burned lcv or None). A torn
-    trailing record yields a burned value: its own lcv when at least the
-    lcv field survived, otherwise the only value the append discipline
-    could have been writing (last committed + 1). Damage that is not a
-    pure tail truncation raises WalCorruption.
+    Returns (the lcvs of the complete records in order, burned lcv or
+    None). A torn trailing record yields a burned value: its own lcv
+    when at least the lcv field survived, otherwise the only value the
+    append discipline could have been writing (last committed + 1).
+    Damage that is not a pure tail truncation raises WalCorruption.
     """
-    records: list[WalRecord] = []
+    lcvs: list[int] = []
     last = 0
     offset = 0
     total = len(data)
@@ -250,20 +242,20 @@ def read_wal(data: bytes) -> tuple[list[WalRecord], int | None]:
                 burned = torn_lcv if torn_lcv > last else last + 1
             else:
                 burned = last + 1
-            return records, burned
+            return lcvs, burned
         length, lcv, crc = _RECORD.unpack_from(data, offset)
         if crc != crc32c(data[offset + 4 : offset + 12]):
             if offset + WAL_RECORD_BYTES >= total:
                 # Checksum-invalid final record: torn write of the crc field.
                 burned = lcv if lcv > last else last + 1
-                return records, burned
+                return lcvs, burned
             raise WalCorruption(f"checksum mismatch at offset {offset}")
         if lcv <= last:
             raise WalCorruption(f"non-increasing lcv {lcv} after {last} at offset {offset}")
-        records.append(WalRecord(lcv, committed=True))
+        lcvs.append(lcv)
         last = lcv
         offset += WAL_RECORD_BYTES
-    return records, None
+    return lcvs, None
 
 
 class LogicalClock:
@@ -273,10 +265,9 @@ class LogicalClock:
     value and the WAL append happens before any value is returned.
     """
 
-    def __init__(self, wal, last_committed: int = 0, floor: int | None = None) -> None:
+    def __init__(self, wal: Wal, last_committed: int = 0, floor: int | None = None) -> None:
         self.wal = wal
         self.last_committed = last_committed
-        self.last_exposed = last_committed
         self._floor = last_committed if floor is None else floor
         self._lock = threading.Lock()
 
@@ -291,11 +282,10 @@ class LogicalClock:
             self.wal.append_lcv(candidate)  # may raise; nothing exposed then
             self._floor = candidate
             self.last_committed = candidate
-            self.last_exposed = candidate
             return CompositeId(nid, candidate, nst)
 
 
-def recover_clock(wal) -> LogicalClock:
+def recover_clock(wal: Wal) -> LogicalClock:
     """Rebuild a clock from its WAL after a crash.
 
     last_committed is the highest complete record's lcv. A torn trailing
@@ -304,10 +294,10 @@ def recover_clock(wal) -> LogicalClock:
     written. Non-tail damage raises WalCorruption.
     """
     data = wal.data()
-    records, burned = read_wal(data)
-    last = records[-1].lcv if records else GENESIS_LCV
+    lcvs, burned = read_wal(data)
+    last = lcvs[-1] if lcvs else GENESIS_LCV
     if burned is not None:
-        wal.truncate(len(records) * WAL_RECORD_BYTES)
+        wal.truncate(len(lcvs) * WAL_RECORD_BYTES)
         floor = max(last, burned)
     else:
         floor = last

@@ -43,7 +43,7 @@ from enum import Enum
 from .costs import CostMeter, CostModel
 from .crc32c import crc32c
 from .hashline import HashIndex, crash_interrupt, payload_digest
-from .identity import CompositeId, MemoryWal, NodeId, lww_key, recover_clock
+from .identity import CompositeId, MemoryWal, NodeId, WalAppendFailure, lww_key, recover_clock
 from .index import IdentifierIndex, IndexEntry
 
 
@@ -272,7 +272,7 @@ class StorageNode:
             self.wal.fail_next_append = ("torn", torn_wal_bytes)
             try:
                 self.clock.next_id(self.nid)
-            except Exception:
+            except WalAppendFailure:
                 pass
         self.status = NodeStatus.CRASHED
 

@@ -48,6 +48,7 @@ from .sync import (
     converge,
     execute_failback,
     execute_failover,
+    reachable,
     report_from_meter,
     ring_successors,
     volumetric_report,
@@ -260,13 +261,13 @@ def validate_scenario(s: Scenario) -> None:
             windows.append((f.at_hours, f.until_hours, members))
     # replay in run order: each node's up/crashed state, the open partitions
     crashed: set[int] = set()  # every other node is up
-    partitions: list[FaultSpec] = []
+    partitions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for _at, _seq, kind, f in _fault_schedule(s.faults):
         event = f"{f.kind} at {f.at_hours}h"
         if kind == "heal":
-            partitions.remove(f)
+            partitions.remove((f.side_a, f.side_b))
         elif f.kind == "partition":
-            partitions.append(f)
+            partitions.append((f.side_a, f.side_b))
         elif f.kind == "crash":  # any fault_kind but "none" tears the WAL tail
             if f.node in crashed:
                 raise ScenarioValidation(f"{event}: node {f.node} is already down")
@@ -288,7 +289,7 @@ def validate_scenario(s: Scenario) -> None:
                 raise ScenarioValidation(f"{event}: substitute {f.substitute} is down")
             replicas = set(ring_successors(f.failed, nodes, s.cluster.replica_factor - 1))
             if not any(
-                _reachable(partitions, f.substitute, r)
+                reachable(partitions, f.substitute, r)
                 for r in replicas - crashed - {f.substitute}
             ):
                 raise ScenarioValidation(
@@ -301,15 +302,8 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioValidation(f"{event}: node {f.a} cannot converge with itself")
         elif f.kind == "converge" and {f.a, f.b} & crashed:
             raise ScenarioValidation(f"{event}: node {f.a if f.a in crashed else f.b} is down")
-        elif f.kind == "converge" and not _reachable(partitions, f.a, f.b):
+        elif f.kind == "converge" and not reachable(partitions, f.a, f.b):
             raise ScenarioValidation(f"{event}: nodes {f.a} and {f.b} are partitioned")
-
-
-def _reachable(partitions: list[FaultSpec], a: int, b: int) -> bool:
-    return not any(
-        (a in p.side_a and b in p.side_b) or (a in p.side_b and b in p.side_a)
-        for p in partitions
-    )
 
 
 def _fault_schedule(faults: list[FaultSpec]) -> list[tuple[float, int, str, FaultSpec]]:
@@ -464,7 +458,7 @@ class SimRuntime:
         for peer in self.cluster.replicas[node.nid]:
             if peer.status is not NodeStatus.UP:
                 continue
-            if not self.cluster.reachable(node.nid, peer.nid):
+            if not reachable(self.cluster.partitions, node.nid, peer.nid):
                 continue
             ckpt = self.cluster.checkpoint(node.nid, peer.nid)
             for entry in node.id_index.entries_above(node.nid, ckpt.watermark(node.nid)):
@@ -657,10 +651,18 @@ def load_soak_config(source) -> SoakConfig:
             "soak needs 2 <= replica_factor < nodes: each failover takes a "
             "substitute outside the failed node's replica set and a surviving replica"
         )
-    if cfg.days < 1 or cfg.intervals_per_day < 1 or cfg.planned_every_hours <= 0:
+    if cfg.days < 1 or cfg.intervals_per_day < 1:
+        raise ScenarioValidation("soak needs days >= 1 and intervals_per_day >= 1")
+    if not 0 < cfg.planned_every_hours <= 24.0 * cfg.days:
         raise ScenarioValidation(
-            "soak needs days >= 1, intervals_per_day >= 1 and planned_every_hours > 0"
+            "soak needs 0 < planned_every_hours <= 24 x days: at least one planned event"
         )
+    if not all(1 <= d <= cfg.days for d in cfg.crash_days):
+        raise ScenarioValidation(f"soak needs crash_days within [1, days] = [1, {cfg.days}]")
+    if not 0 <= cfg.crash_hour_offset < 24:
+        raise ScenarioValidation("soak needs 0 <= crash_hour_offset < 24")
+    if cfg.total_ingest_blocks < 0:
+        raise ScenarioValidation("soak needs total_ingest_blocks >= 0")
     if not 0 < cfg.block_bytes_min <= cfg.block_bytes_max:
         raise ScenarioValidation("soak needs 0 < block_bytes_min <= block_bytes_max")
     return cfg

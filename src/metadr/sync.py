@@ -1,4 +1,4 @@
-"""DR protocol engine: failover, failback, convergence, reconciliation.
+"""DR protocol engine: failover, failback and convergence.
 
 Synchronization is an incremental index exchange. Each node pair shares
 a checkpoint (per-source-nid watermarks of the highest mutually
@@ -17,7 +17,14 @@ peers and scope (`Cluster.hosted`). A failover syncs the failed node's
 nid from its surviving replicas, a failback the nids the recovered node
 shares with each node of its replica sets, and a converge the nids its
 two nodes both host. Every exchange, converge included, is incremental
-from the pair's checkpoint.
+from the pair's checkpoint. `reachable` is the one partition rule, for
+the live cluster and for scenario validation alike.
+
+A split brain needs no merge of its own. Ids of different nids never
+collide, so a converge after the partition heals unions the two sides'
+ids; a user key written on both sides resolves, on every node that
+admits its versions, to the one `identity.lww_key` orders last
+(`StorageNode._admit`). That is the merge `verify` checks.
 
 Under the metadata framework the identification step touches ids only:
 no content is read and nothing is hashed, and the per-event report's
@@ -40,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 from .costs import CostMeter, CostModel
 from .hashline import hash_delta, settle
-from .identity import CompositeId, NodeId, lww_key
+from .identity import CompositeId, NodeId
 from .index import (
     WIRE_HEADER_BYTES,
     Checkpoint,
@@ -110,13 +117,6 @@ class DrReport:
 
 
 @dataclass
-class Conflict:
-    user_key: str
-    candidates: tuple
-    winner: CompositeId
-
-
-@dataclass
 class Volumetrics:
     """Paper-scale per-event parameters for virtual cost accounting."""
 
@@ -130,6 +130,15 @@ def ring_successors(node: int, nodes: int, count: int) -> list[int]:
     """The `count` ordinals after `node` on the placement ring. Node i
     replicates each write to `ring_successors(i, nodes, replica_factor - 1)`."""
     return [(node + k) % nodes for k in range(1, count + 1)]
+
+
+def reachable(partitions, a, b) -> bool:
+    """Whether no partition in `partitions`, (side_a, side_b) pairs of
+    node keys, puts `a` and `b` on opposite sides."""
+    return not any(
+        (a in side_a and b in side_b) or (a in side_b and b in side_a)
+        for side_a, side_b in partitions
+    )
 
 
 class Cluster:
@@ -174,12 +183,6 @@ class Cluster:
             ckpt = self._checkpoints[key] = Checkpoint()
         return ckpt
 
-    def reachable(self, a: NodeId, b: NodeId) -> bool:
-        for side_a, side_b in self.partitions:
-            if (a in side_a and b in side_b) or (a in side_b and b in side_a):
-                return False
-        return True
-
     def scope(self, nid: NodeId, nids) -> list[NodeId]:
         """Those of `nids` that node `nid` hosts, sorted."""
         return sorted(self.hosted[nid].intersection(nids))
@@ -189,7 +192,8 @@ class Cluster:
         (ordinal) order, each with its `scope` of `nids`."""
         peers = []
         for n in self.nodes.values():
-            if n.nid == nid or n.status is not NodeStatus.UP or not self.reachable(nid, n.nid):
+            if (n.nid == nid or n.status is not NodeStatus.UP
+                    or not reachable(self.partitions, nid, n.nid)):
                 continue
             scope = self.scope(n.nid, nids)
             if scope:
@@ -443,41 +447,6 @@ def converge(cluster: Cluster, a: StorageNode, b: StorageNode, framework: str,
     if not a.id_index.same_ids(b.id_index, scope):
         raise RuntimeError(f"converge left {a.nid} and {b.nid} unequal")
     return 1
-
-
-def reconcile_split_brain(
-    a_view: IdentifierIndex, b_view: IdentifierIndex
-) -> tuple[IdentifierIndex, list[Conflict]]:
-    """Merge two independently progressed views.
-
-    Identifier sets union cleanly (ids cannot collide across nids); the
-    only conflicts are user keys written on *both* sides during the
-    divergence. Each resolves to the highest lcv, ties broken by the
-    lexicographically greater nid.
-    """
-    merged = IdentifierIndex()
-    for view in (a_view, b_view):
-        for entry in view.entries():
-            merged.insert(entry)
-
-    def keyed(view: IdentifierIndex) -> dict[str, list]:
-        by_key: dict[str, list] = {}
-        for entry in view.entries():
-            if entry.user_key is not None:
-                by_key.setdefault(entry.user_key, []).append(entry.id)
-        return by_key
-
-    keys_a = keyed(a_view)
-    keys_b = keyed(b_view)
-    conflicts: list[Conflict] = []
-    for user_key in sorted(set(keys_a) & set(keys_b)):
-        ids_a = set(keys_a[user_key])
-        ids_b = set(keys_b[user_key])
-        if not ids_a - ids_b or not ids_b - ids_a:
-            continue  # written on at most one side; not a conflict
-        candidates = tuple(sorted(ids_a | ids_b, key=lww_key))
-        conflicts.append(Conflict(user_key, candidates, winner=candidates[-1]))
-    return merged, conflicts
 
 
 def report_from_meter(kind: str, framework: str, meter: CostMeter) -> DrReport:

@@ -3,10 +3,11 @@
 Each suite returns (name, passed, detail) tuples. The identity suite
 covers global id uniqueness under crash/restart chaos and WAL
 truncation at every byte offset; the sync suite covers partition
-convergence, idempotence, framework equivalence, and split-brain
-determinism; the baseline suite pins the cryptographic primitives to
-independent references and the Merkle/pipeline machinery to brute-force
-oracles.
+convergence, idempotence, framework equivalence, and the split-brain
+merge the simulator runs (`converge` plus the nodes' last-writer-wins
+rule), in both argument orders; the baseline suite pins the
+cryptographic primitives to independent references and the
+Merkle/pipeline machinery to brute-force oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .sync import (
     compute_delta_meta,
     converge,
     ensure_baseline_consistent,
-    reconcile_split_brain,
     sync_pair_meta,
 )
 
@@ -79,7 +79,7 @@ def _truncation_enumeration(nid: identity.NodeId) -> tuple[bool, str]:
     for cut in range(len(data) + 1):
         torn = identity.MemoryWal(data[:cut])
         recovered = identity.recover_clock(torn)
-        committed = {r.lcv for r in identity.read_wal(data[:cut])[0]}
+        committed = set(identity.read_wal(data[:cut])[0])
         nxt = recovered.next_id(nid)
         if nxt.lcv in committed:
             return False, f"reused committed lcv {nxt.lcv} at cut {cut}"
@@ -170,6 +170,47 @@ def _framework_equivalence_case(rng: Random, max_blocks: int) -> tuple[bool, str
     return True, "identical delta sets and byte-identical stores"
 
 
+def _dual_write(seed: str) -> tuple[StorageNode, StorageNode]:
+    """Two nodes that each write some of the same user keys while apart;
+    one seed always builds the same pair, so two calls build twins."""
+    rng = Random(seed)
+    a = StorageNode(identity.new_node_id(rng))
+    b = StorageNode(identity.new_node_id(rng))
+    for key in [f"k{i}" for i in range(rng.randrange(1, 10))]:
+        if rng.random() < 0.8:
+            a.ingest((64, rng.randrange(1 << 20)), user_key=key)
+        if rng.random() < 0.8:
+            b.ingest((64, rng.randrange(1 << 20)), user_key=key)
+    return a, b
+
+
+def _split_brain_case(
+    pair: tuple[StorageNode, StorageNode], twin: tuple[StorageNode, StorageNode]
+) -> tuple[bool, str]:
+    """Heal a split brain the way the simulator does: `converge` the
+    pair as (a, b) and its twin as (b, a). Every node must then hold the
+    union of ids, and each user key must resolve, on all four nodes, to
+    its version with the greatest `lww_key`, and read the same bytes."""
+    entries = [e for node in pair for e in node.id_index.entries()]
+    converge(Cluster(list(pair)), pair[0], pair[1], "meta")
+    converge(Cluster(list(twin)), twin[1], twin[0], "meta")
+    nodes = (*pair, *twin)
+    union = {e.id for e in entries}
+    if any(set(node.id_index.ids()) != union for node in nodes):
+        return False, "a merge lost or invented ids"
+    versions: dict[str, list[identity.CompositeId]] = {}
+    for e in entries:
+        if e.user_key is not None:
+            versions.setdefault(e.user_key, []).append(e.id)
+    for key, ids in versions.items():
+        winner = max(ids, key=identity.lww_key)
+        if any(node.by_user_key[key] != winner for node in nodes):
+            return False, f"key {key!r} does not resolve to {winner} everywhere"
+        if len({node.read(key) for node in nodes}) != 1:
+            return False, f"key {key!r} reads different bytes on different nodes"
+    return True, f"{len(union)} ids, {len(versions)} keys"
+
+
 def suite_sync(seed: int = 0) -> list[Check]:
     checks: list[Check] = []
     ok_all, detail = True, ""
@@ -194,29 +235,12 @@ def suite_sync(seed: int = 0) -> list[Check]:
     checks.append(("framework_equivalence_fresh_indexes", ok_all,
                    detail if not ok_all else "15 randomized inventories"))
 
-    rng = Random(f"verify-sb:{seed}")
-    ok = True
-    detail = "20 dual-write workloads, deterministic and symmetric"
-    for _ in range(20):
-        a = StorageNode(identity.new_node_id(rng))
-        b = StorageNode(identity.new_node_id(rng))
-        shared = [f"k{i}" for i in range(rng.randrange(1, 10))]
-        for key in shared:
-            if rng.random() < 0.8:
-                a.ingest((64, rng.randrange(1 << 20)), user_key=key)
-            if rng.random() < 0.8:
-                b.ingest((64, rng.randrange(1 << 20)), user_key=key)
-        m1, c1 = reconcile_split_brain(a.id_index, b.id_index)
-        m2, c2 = reconcile_split_brain(b.id_index, a.id_index)
-        if m1.entry_count != m2.entry_count or [c.winner for c in c1] != [c.winner for c in c2]:
-            ok = False
-            detail = "merge is order-sensitive"
-            break
-        if m1.entry_count != a.id_index.entry_count + b.id_index.entry_count - len(
-            set(e.id for e in a.id_index.entries()) & set(e.id for e in b.id_index.entries())
-        ):
-            ok = False
-            detail = "merge lost or invented ids"
+    ok, detail = True, "20 dual-write workloads, converged both ways: union and LWW hold"
+    for s in range(20):
+        workload = f"verify-sb:{seed * 100 + s}"
+        ok, failure = _split_brain_case(_dual_write(workload), _dual_write(workload))
+        if not ok:
+            detail = failure
             break
     checks.append(("split_brain_merge_commutative_lossless", ok, detail))
     return checks

@@ -110,6 +110,7 @@ RTO_EXAMPLE = ("rto", "--D", "1.1e14", "--delta", "1e12", "--N", "1e9")
     (*RTO_EXAMPLE, "--S", "32.5"),
     ("tco", "--events", "17.5"),
     ("tco", "--cores", "40.5"),
+    ("rto", "--D", "1.1e14", "--delta", "1e12", "--N", "1000000000.5"),
 ])
 def test_fractional_count_flag_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -124,6 +125,14 @@ def test_non_numeric_seed_variable_exits_2_with_one_error_line(capsys, monkeypat
     assert code == 2 and not out
     (line,) = err.splitlines()
     assert line == "error: METADR_SEED must be a whole number, got 'abc'"
+    # --seed takes the same rule, and wins over the variable
+    for verb in (("verify", "--suite", "baseline"), ("simulate", "partition-converge"),
+                 ("soak",)):
+        for seed in ("abc", "7.5"):
+            code, out, err = run_cli(capsys, *verb, "--seed", seed)
+            assert code == 2 and not out
+            (line,) = err.splitlines()
+            assert line == f"error: --seed must be a whole number, got {seed!r}"
 
 
 def test_integral_floats_count_as_whole_numbers(capsys, monkeypatch):
@@ -134,8 +143,11 @@ def test_integral_floats_count_as_whole_numbers(capsys, monkeypatch):
         capsys, "tco"
     )
     expected = run_cli(capsys, "verify", "--suite", "baseline", "--seed", "7")
+    assert run_cli(capsys, "verify", "--suite", "baseline", "--seed", "7.0") == expected
     monkeypatch.setenv("METADR_SEED", "7.0")
     assert run_cli(capsys, "verify", "--suite", "baseline") == expected
+    simulate = ("simulate", "partition-converge", "--format", "csv")
+    assert run_cli(capsys, *simulate, "--seed", "7.0") == run_cli(capsys, *simulate, "--seed", "7")
 
 
 # -- simulate -----------------------------------------------------------------------
@@ -286,6 +298,15 @@ def test_soak_bad_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "soak", "--config", str(tmp_path / "missing.yaml"))
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_soak_config_without_a_planned_event_exits_2_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "soak.yaml"
+    path.write_text("planned_every_hours: 500.0\n")  # past the 7-day horizon
+    code, out, err = run_cli(capsys, "soak", "--config", str(path))
+    assert code == 2 and not out
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "planned event" in line
 
 
 def test_simulate_repeated_seed_writes_identical_files(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import threading
 from random import Random
 
@@ -23,6 +24,21 @@ from metadr.identity import (
 )
 
 NID = NodeId(b"\x01" * 16)
+
+
+@pytest.fixture(params=["MemoryWal", "FileWal"])
+def make_wal(request, tmp_path):
+    """A factory of WALs of one medium, each holding the given bytes."""
+    if request.param == "MemoryWal":
+        return MemoryWal
+    paths = (tmp_path / f"wal-{i}.log" for i in itertools.count())
+
+    def file_wal(data: bytes = b"") -> FileWal:
+        path = next(paths)
+        path.write_bytes(data)
+        return FileWal(str(path))
+
+    return file_wal
 
 
 # -- node ids ----------------------------------------------------------------
@@ -120,38 +136,39 @@ def test_ten_thousand_sequential_values_no_gaps():
     assert values == list(range(1, 10_001))
 
 
-def test_append_failure_leaves_clock_unchanged():
-    wal = MemoryWal()
+def test_append_failure_leaves_clock_unchanged(make_wal):
+    wal = make_wal()
     clock = LogicalClock(wal)
     clock.next_id(NID)
+    logged = wal.data()
     wal.fail_next_append = "lost"
     with pytest.raises(WalAppendFailure):
         clock.next_id(NID)
-    assert clock.last_exposed == 1
+    assert clock.last_committed == 1
+    assert wal.data() == logged
     assert clock.next_id(NID).lcv > 1
 
 
-def test_torn_append_failure_then_success():
-    wal = MemoryWal()
+def test_torn_append_failure_then_success(make_wal):
+    wal = make_wal()
     clock = LogicalClock(wal)
     clock.next_id(NID)
     wal.fail_next_append = ("torn", 7)
     with pytest.raises(WalAppendFailure):
         clock.next_id(NID)
+    assert read_wal(wal.data()) == ([1], 2)  # the torn prefix landed and burns lcv 2
     follow_up = clock.next_id(NID)
     assert follow_up.lcv == 2
     # torn bytes were truncated before the successful append
-    records, burned = read_wal(wal.data())
-    assert [r.lcv for r in records] == [1, 2]
-    assert burned is None
+    assert read_wal(wal.data()) == ([1, 2], None)
 
 
 def test_exposure_only_after_durable_append():
     wal = MemoryWal()
     clock = LogicalClock(wal)
     cid = clock.next_id(NID)
-    records, _ = read_wal(wal.data())
-    assert records[-1].lcv == cid.lcv
+    lcvs, _ = read_wal(wal.data())
+    assert lcvs[-1] == cid.lcv
 
 
 def test_concurrent_callers_get_distinct_values():
@@ -170,7 +187,7 @@ def test_concurrent_callers_get_distinct_values():
     for t in threads:
         t.join()
     assert len(out) == len(set(out)) == 4000
-    assert clock.last_exposed == 4000
+    assert clock.last_committed == 4000
 
 
 # -- WAL format and recovery --------------------------------------------------
@@ -217,17 +234,17 @@ def test_torn_tail_burns_the_value():
     assert nxt.lcv not in range(1, 501)
 
 
-def test_crash_point_enumeration_never_reuses():
+def test_crash_point_enumeration_never_reuses(make_wal):
     # truncate the WAL at every byte offset, recover, assert no reuse
-    wal = MemoryWal()
+    wal = make_wal()
     clock = LogicalClock(wal)
     for _ in range(12):
         clock.next_id(NID)
     data = wal.data()
     for cut in range(len(data) + 1):
         prefix = data[:cut]
-        committed = {r.lcv for r in read_wal(prefix)[0]}
-        recovered = recover_clock(MemoryWal(prefix))
+        committed = set(read_wal(prefix)[0])
+        recovered = recover_clock(make_wal(prefix))
         assert recovered.next_id(NID).lcv not in committed
 
 
@@ -251,21 +268,6 @@ def test_file_wal_roundtrip(tmp_path):
     recovered = recover_clock(FileWal(str(path)))
     assert recovered.last_committed == 25
     assert recovered.next_id(NID).lcv == 26
-
-
-def test_file_wal_truncation_recovery(tmp_path):
-    path = tmp_path / "wal-test.log"
-    wal = FileWal(str(path))
-    clock = LogicalClock(wal)
-    for _ in range(6):
-        clock.next_id(NID)
-    raw = path.read_bytes()
-    for cut in range(len(raw) + 1):
-        p = tmp_path / f"cut-{cut}.log"
-        p.write_bytes(raw[:cut])
-        committed = {r.lcv for r in read_wal(raw[:cut])[0]}
-        recovered = recover_clock(FileWal(str(p)))
-        assert recovered.next_id(NID).lcv not in committed
 
 
 def test_default_wal_replay_cost_is_18_seconds():

@@ -6,7 +6,7 @@ import pytest
 
 from metadr.crc32c import crc32c
 from metadr.hashline import InconsistentIndex, hash_delta, pipeline_tick
-from metadr.identity import NodeId, new_node_id
+from metadr.identity import MemoryWal, NodeId, new_node_id
 from metadr.index import ConflictingEntry
 from metadr.node import (
     CorruptionDetected,
@@ -200,6 +200,16 @@ def test_torn_crash_burns_value_and_never_reuses():
     nxt = node.ingest(b"next")
     assert nxt.lcv not in exposed
     assert nxt.lcv > max(exposed)
+
+
+def test_crash_passes_on_a_wal_error_other_than_the_torn_append():
+    class FailingWal(MemoryWal):
+        def _write(self, data):
+            raise OSError("log device gone")
+
+    node = StorageNode(new_node_id(Random(1)), FailingWal())
+    with pytest.raises(OSError, match="log device gone"):
+        node.crash(torn_wal_bytes=9)
 
 
 def test_index_loss_gates_baseline_until_rebuild():

@@ -671,7 +671,9 @@ def test_soak_accepts_ragged_ring_and_rejects_configs_without_a_substitute():
     assert len(report.events) == 17
     assert report.summary.violations.total == 0
     for bad in ({"nodes": 3, "replica_factor": 3}, {"replica_factor": 1},
-                {"planned_every_hours": 0.0}, {"block_bytes_min": 0}):
+                {"planned_every_hours": 0.0}, {"block_bytes_min": 0},
+                {"planned_every_hours": 500.0}, {"crash_days": [9]}, {"crash_days": [0]},
+                {"crash_hour_offset": -1.0}, {"total_ingest_blocks": -1}):
         with pytest.raises(ScenarioValidation):
             load_soak_config(bad)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from metadr.costs import CostMeter, CostModel
 from metadr.hashline import payload_digest, pipeline_tick
-from metadr.identity import new_node_id
+from metadr.identity import lww_key, new_node_id
 from metadr.index import set_difference
 from metadr.node import StorageNode
 from metadr.sync import (
@@ -20,12 +20,11 @@ from metadr.sync import (
     ensure_baseline_consistent,
     execute_failback,
     execute_failover,
-    reconcile_split_brain,
     sync_pair_hash,
     sync_pair_meta,
     volumetric_report,
 )
-from metadr.verify import _framework_equivalence_case
+from metadr.verify import _framework_equivalence_case, _split_brain_case
 
 REFERENCE_VOL = Volumetrics(data_bytes=1.1e14, blocks=1_000_000_000, delta_bytes=1.0e12)
 
@@ -356,66 +355,88 @@ def test_converge_needs_both_nodes_up():
 # -- split brain ---------------------------------------------------------------------
 
 
+def converged_twins(write, seed=0):
+    """Run `write(a, b)` on two twin node pairs, then heal the split
+    brain with `converge`, one pair as (a, b) and its twin as (b, a)
+    (`_split_brain_case`, which must pass). Returns the four nodes."""
+    pairs = []
+    for _ in range(2):
+        a, b = make_nodes(2, seed=seed)
+        write(a, b)
+        pairs.append((a, b))
+    ok, detail = _split_brain_case(*pairs)
+    assert ok, detail
+    return (*pairs[0], *pairs[1])
+
+
 def test_no_shared_keys_means_no_conflicts():
-    a, b = make_nodes(2)
-    a.ingest(b"1", user_key="left")
-    b.ingest(b"2", user_key="right")
-    merged, conflicts = reconcile_split_brain(a.id_index, b.id_index)
-    assert conflicts == []
-    assert merged.entry_count == 2
+    def write(a, b):
+        a.ingest(b"1", user_key="left")
+        b.ingest(b"2", user_key="right")
+
+    for node in converged_twins(write):
+        assert node.id_index.entry_count == 2
+        assert (node.read("left"), node.read("right")) == (b"1", b"2")
 
 
 def test_lww_by_lcv_picks_higher_value():
-    a, b = make_nodes(2)
-    for _ in range(16):
-        a.ingest(b"filler")  # advance a's clock to 17
-    a.ingest(b"a-write", user_key="shared")  # lcv 17
-    for _ in range(39):
-        b.ingest(b"filler")
-    b_write = b.ingest(b"b-write", user_key="shared")  # lcv 40
-    merged, conflicts = reconcile_split_brain(a.id_index, b.id_index)
-    assert len(conflicts) == 1
-    assert conflicts[0].winner == b_write
-    assert merged.entry_count == a.id_index.entry_count + b.id_index.entry_count
+    def write(a, b):
+        for _ in range(16):
+            a.ingest(b"filler")  # advance a's clock to 17
+        a.ingest(b"a-write", user_key="shared")  # lcv 17
+        for _ in range(39):
+            b.ingest(b"filler")
+        b.ingest(b"b-write", user_key="shared")  # lcv 40
+
+    for node in converged_twins(write):
+        assert node.read("shared") == b"b-write"
+        assert node.by_user_key["shared"].lcv == 40
+        assert node.id_index.entry_count == 17 + 40
 
 
 def test_lcv_tie_broken_by_greater_nid():
-    a, b = make_nodes(2)
-    wa = a.ingest(b"A", user_key="k")  # lcv 1 on both sides
-    wb = b.ingest(b"B", user_key="k")
-    _, conflicts = reconcile_split_brain(a.id_index, b.id_index)
-    expected = wa if wa.nid.value > wb.nid.value else wb
-    assert conflicts[0].winner == expected
+    def write(a, b):
+        a.ingest(b"A", user_key="k")  # lcv 1 on both sides
+        b.ingest(b"B", user_key="k")
+
+    a, b, *_ = nodes = converged_twins(write)
+    expected = b"A" if a.nid.value > b.nid.value else b"B"
+    assert [node.read("k") for node in nodes] == [expected] * 4
 
 
 def test_reconcile_deterministic_across_argument_order():
     for seed in range(25):
-        rng = Random(seed)
-        a, b = make_nodes(2, seed=seed)
-        for i in range(rng.randrange(1, 15)):
-            key = f"k{rng.randrange(6)}"
-            if rng.random() < 0.5:
-                a.ingest((64, i), user_key=key)
-            else:
-                b.ingest((64, i), user_key=key)
-        m1, c1 = reconcile_split_brain(a.id_index, b.id_index)
-        m2, c2 = reconcile_split_brain(b.id_index, a.id_index)
-        assert m1.ids() == m2.ids()
-        assert [(c.user_key, c.winner) for c in c1] == [(c.user_key, c.winner) for c in c2]
+        def write(a, b, seed=seed):
+            rng = Random(seed)
+            for i in range(rng.randrange(1, 15)):
+                key = f"k{rng.randrange(6)}"
+                (a if rng.random() < 0.5 else b).ingest((64, i), user_key=key)
+
+        a, b, twin_a, twin_b = converged_twins(write, seed=seed)
+        assert a.id_index.ids() == twin_b.id_index.ids()
+        assert a.by_user_key == b.by_user_key == twin_a.by_user_key == twin_b.by_user_key
 
 
 def test_merge_never_loses_ids_and_conflicts_have_two_sources():
     for seed in range(15):
-        rng = Random(seed + 500)
-        a, b = make_nodes(2, seed=seed + 500)
-        for i in range(rng.randrange(2, 25)):
-            key = f"k{rng.randrange(4)}"
-            (a if rng.random() < 0.5 else b).ingest((64, i), user_key=key)
-        ids_union = set(a.id_index.ids()) | set(b.id_index.ids())
-        merged, conflicts = reconcile_split_brain(a.id_index, b.id_index)
-        assert set(merged.ids()) == ids_union  # union cardinality check
-        for conflict in conflicts:
-            assert len({c.nid for c in conflict.candidates}) >= 2
+        written = {}
+
+        def write(a, b, seed=seed):
+            rng = Random(seed + 500)
+            for i in range(rng.randrange(2, 25)):
+                key = f"k{rng.randrange(4)}"
+                node = a if rng.random() < 0.5 else b
+                written[node.ingest((64, i), user_key=key)] = key
+
+        nodes = converged_twins(write, seed=seed + 500)
+        for node in nodes:
+            assert set(node.id_index.ids()) == set(written)  # union, nothing lost
+        for key in set(written.values()):
+            versions = [cid for cid, k in written.items() if k == key]
+            if len({cid.nid for cid in versions}) < 2:
+                continue  # written on one side only: no conflict
+            winner = max(versions, key=lww_key)
+            assert all(node.by_user_key[key] == winner for node in nodes)
 
 
 # -- framework equivalence -------------------------------------------------------------
