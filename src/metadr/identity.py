@@ -7,17 +7,23 @@ identifiers are exactly 32 bytes: nid(16) || lcv(8, big-endian) ||
 nst(8, big-endian), so byte-lexicographic order within one nid equals
 numeric lcv order. In memory an id is a tuple (nid, lcv, nst).
 
-The clock is durable: every value is appended to a write-ahead log
-*before* it is exposed to the caller. Recovery reads the log back,
-discards a torn trailing record, and burns (never reuses) the value the
-torn record may have carried, so no value is ever handed out twice even
-across arbitrary crash/restart sequences. `Wal` holds the append rule
-and its lost/torn fault hooks once; `MemoryWal` (the simulator's) and
-`FileWal` (fsynced) supply only the medium.
+The clock is durable by ceiling, as a timestamp oracle is: before it
+exposes any value above its logged ceiling c, it appends the new ceiling
+c + R to a write-ahead log, and it hands out the values up to that
+ceiling from memory. So one record covers R values (R = LCV_RESERVE,
+1,024), and no value is exposed that a logged ceiling does not cover.
+Recovery reads the log back, discards a torn trailing record and burns
+the value it may have carried, and resumes above the highest ceiling:
+the unexposed rest of the last range, up to R - 1 values, is skipped,
+never reused. It then rewrites the log atomically as that one ceiling
+record, so a restart replays one or two records, not one per id. `Wal`
+holds the append rule, its lost/torn fault hooks and the atomic rewrite
+once; `MemoryWal` (the simulator's) and `FileWal` (fsynced) supply only
+the medium.
 
 WAL on-disk format (bit-exact): repeated records of
 ``[len: u32 BE][lcv: u64 BE][crc32c of lcv bytes: u32 BE]`` where len is
-the payload length (always 8).
+the payload length (always 8) and lcv is a ceiling, strictly increasing.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from dataclasses import dataclass
 from random import Random
 from typing import NamedTuple
 
@@ -35,6 +40,7 @@ NODE_ID_BYTES = 16
 ENCODED_ID_BYTES = 32
 GENESIS_LCV = 0  # reserved "never synchronized" checkpoint floor; real LCVs start at 1
 MAX_U64 = 2**64 - 1
+LCV_RESERVE = 1024  # values one WAL ceiling record covers
 
 _WAL_PAYLOAD_LEN = 8
 WAL_RECORD_BYTES = 4 + _WAL_PAYLOAD_LEN + 4
@@ -54,18 +60,24 @@ class WalCorruption(RuntimeError):
     """Non-tail WAL damage; the log cannot be trusted (index-loss condition)."""
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class NodeId:
-    """128-bit opaque token, unique within the cluster."""
+class NodeId(bytes):
+    """128-bit opaque token, unique within the cluster.
 
-    value: bytes
+    A bytes subclass, so an id hashes, compares and sorts as its 16 raw
+    bytes, and a dict or set probe never runs Python code.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.value) != NODE_ID_BYTES:
-            raise ValueError(f"NodeId must be {NODE_ID_BYTES} bytes, got {len(self.value)}")
+    __slots__ = ()
+
+    def __new__(cls, value: bytes) -> "NodeId":
+        if len(value) != NODE_ID_BYTES:
+            raise ValueError(f"NodeId must be {NODE_ID_BYTES} bytes, got {len(value)}")
+        return super().__new__(cls, value)
 
     def __repr__(self) -> str:  # short form; full hex is rarely useful in logs
-        return f"NodeId({self.value.hex()[:8]}..)"
+        return f"NodeId({self.hex()[:8]}..)"
+
+    __str__ = __repr__
 
 
 class _IdFields(NamedTuple):
@@ -96,7 +108,7 @@ def lww_key(cid: CompositeId) -> tuple[int, bytes]:
     """Last-writer-wins order among one user key's versions: the highest
     lcv wins, ties broken by the greater nid. Every replica applies it,
     so a key resolves to the same version wherever it is read."""
-    return (cid.lcv, cid.nid.value)
+    return (cid.lcv, cid.nid)
 
 
 def new_node_id(entropy: Random) -> NodeId:
@@ -109,7 +121,7 @@ def new_node_id(entropy: Random) -> NodeId:
 
 def encode_id(cid: CompositeId) -> bytes:
     """Encode to the 32-byte wire token: nid || lcv(BE) || nst(BE)."""
-    return cid.nid.value + _LCV.pack(cid.lcv) + _LCV.pack(cid.nst)
+    return cid.nid + _LCV.pack(cid.lcv) + _LCV.pack(cid.nst)
 
 
 def decode_id(token: bytes) -> CompositeId:
@@ -128,8 +140,8 @@ def _pack_record(lcv: int) -> bytes:
 
 class Wal:
     """The append rule every WAL medium shares; a subclass supplies the
-    medium: `_size`, `_write` (durable once it returns), `_cut` and
-    `data`.
+    medium: `_size`, `_write` (durable once it returns), `_cut`,
+    `_replace` (atomic) and `data`.
 
     Fault hooks: `fail_next_append` may be set to "lost" (nothing hits
     the log) or ("torn", n) (only the first n bytes of the record land),
@@ -158,13 +170,11 @@ class Wal:
         self._write(record)
         self._good_offset += len(record)
 
-    def truncate(self, nbytes: int) -> None:
-        """Crash hook: keep only the first nbytes of the log."""
-        self._cut(nbytes)
-        self._good_offset = min(self._good_offset, nbytes)
-
-    def reset_good_offset(self) -> None:
-        self._good_offset = self._size()
+    def rewrite(self, data: bytes) -> None:
+        """Replace the whole log with `data` in one atomic step: a crash
+        leaves either the old log or the new one, never a mix."""
+        self._replace(data)
+        self._good_offset = len(data)
 
 
 class MemoryWal(Wal):
@@ -184,13 +194,17 @@ class MemoryWal(Wal):
     def _cut(self, nbytes: int) -> None:
         del self._buf[nbytes:]
 
+    def _replace(self, data: bytes) -> None:
+        self._buf = bytearray(data)
+
     def data(self) -> bytes:
         return bytes(self._buf)
 
 
 class FileWal(Wal):
     """File-backed WAL: each write is fsynced before it returns, so a
-    record is durable before its value is exposed."""
+    record is durable before its value is exposed. A rewrite goes to a
+    fsynced temp file that `os.replace` renames over the log."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -211,6 +225,19 @@ class FileWal(Wal):
         with open(self.path, "r+b") as f:
             f.truncate(nbytes)
 
+    def _replace(self, data: bytes) -> None:
+        tmp = self.path + ".tmp"
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, self.path)
+        directory = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)  # make the rename itself durable
+        finally:
+            os.close(directory)
+
     def data(self) -> bytes:
         with open(self.path, "rb") as f:
             return f.read()
@@ -221,9 +248,9 @@ def read_wal(data: bytes) -> tuple[list[int], int | None]:
 
     Returns (the lcvs of the complete records in order, burned lcv or
     None). A torn trailing record yields a burned value: its own lcv
-    when at least the lcv field survived, otherwise the only value the
-    append discipline could have been writing (last committed + 1).
-    Damage that is not a pure tail truncation raises WalCorruption.
+    when at least the lcv field survived, otherwise the lowest value the
+    torn append could have been logging (last complete lcv + 1). Damage
+    that is not a pure tail truncation raises WalCorruption.
     """
     lcvs: list[int] = []
     last = 0
@@ -261,45 +288,62 @@ def read_wal(data: bytes) -> tuple[list[int], int | None]:
 class LogicalClock:
     """Per-node monotonic value source with WAL-before-expose durability.
 
+    `floor` is the highest value exposed or burned, so the next value is
+    floor + 1; `ceiling` is the highest value the log covers. Before
+    next_id exposes a value above the ceiling c it appends the ceiling
+    c + `reserve`; values up to a logged ceiling come from memory.
+
     Thread-safe: concurrent next_id callers each receive a distinct
-    value and the WAL append happens before any value is returned.
+    value, and each value's ceiling is in the log before it is returned.
     """
 
-    def __init__(self, wal: Wal, last_committed: int = 0, floor: int | None = None) -> None:
+    def __init__(self, wal: Wal, floor: int = GENESIS_LCV, reserve: int = LCV_RESERVE) -> None:
         self.wal = wal
-        self.last_committed = last_committed
-        self._floor = last_committed if floor is None else floor
-        self._lock = threading.Lock()
+        self.floor = floor
+        self.ceiling = floor
+        self.reserve = reserve
+        self._lock = threading.RLock()
 
     def next_id(self, nid: NodeId, nst: int = 0) -> CompositeId:
-        """Reserve, durably log, then expose the next clock value.
+        """Expose the next clock value, first logging a new ceiling when
+        the value is above the logged one.
 
         Raises WalAppendFailure (clock unchanged, id not exposed) when
-        the log append does not complete.
+        that append does not complete.
         """
         with self._lock:
-            candidate = self._floor + 1
-            self.wal.append_lcv(candidate)  # may raise; nothing exposed then
-            self._floor = candidate
-            self.last_committed = candidate
+            candidate = self.floor + 1
+            if candidate > self.ceiling:
+                self.extend()  # may raise; nothing exposed then
+            self.floor = candidate
             return CompositeId(nid, candidate, nst)
 
+    def extend(self) -> None:
+        """Log the next ceiling, c + reserve. next_id calls it once the
+        logged range is used up; a crash hook calls it to tear that
+        append."""
+        with self._lock:
+            ceiling = self.ceiling + self.reserve
+            self.wal.append_lcv(ceiling)  # may raise; ceiling unchanged then
+            self.ceiling = ceiling
 
-def recover_clock(wal: Wal) -> LogicalClock:
+
+def recover_clock(wal: Wal, reserve: int = LCV_RESERVE) -> LogicalClock:
     """Rebuild a clock from its WAL after a crash.
 
-    last_committed is the highest complete record's lcv. A torn trailing
-    record is discarded from the log and its value is skipped forever,
-    so generation resumes strictly above anything that may have been
-    written. Non-tail damage raises WalCorruption.
+    The whole log is scanned: non-tail damage raises WalCorruption, and
+    a torn trailing record is discarded and the value it may carry is
+    burned. Generation resumes above the higher of the last complete
+    ceiling and the burned value, so the unexposed rest of the last
+    range (up to reserve - 1 values) is skipped, never reused. Unless
+    the log already is that one record, it is rewritten atomically as
+    the single ceiling record; a clean one-record or empty log is left
+    untouched.
     """
-    data = wal.data()
-    lcvs, burned = read_wal(data)
-    last = lcvs[-1] if lcvs else GENESIS_LCV
+    lcvs, burned = read_wal(wal.data())
+    floor = lcvs[-1] if lcvs else GENESIS_LCV
     if burned is not None:
-        wal.truncate(len(lcvs) * WAL_RECORD_BYTES)
-        floor = max(last, burned)
-    else:
-        floor = last
-    wal.reset_good_offset()
-    return LogicalClock(wal, last_committed=last, floor=floor)
+        floor = max(floor, burned)
+    if burned is not None or len(lcvs) > 1:
+        wal.rewrite(_pack_record(floor))
+    return LogicalClock(wal, floor=floor, reserve=reserve)

@@ -86,7 +86,7 @@ class IdentifierIndex:
         self.entry_count = 0
 
     def nids(self) -> list[NodeId]:
-        return sorted(self._runs, key=lambda n: n.value)
+        return sorted(self._runs)
 
     def max_lcv(self, nid: NodeId) -> int:
         run = self._runs.get(nid)
@@ -207,7 +207,7 @@ def set_difference(
     missing_in_a: list[CompositeId] = []
     comparisons = 0
     selected = set(a._runs) | set(b._runs) if nids is None else set(nids)
-    for nid in sorted(selected, key=lambda n: n.value):
+    for nid in sorted(selected):
         run_a = a._runs.get(nid, _EMPTY_RUN)
         run_b = b._runs.get(nid, _EMPTY_RUN)
         la, lb = run_a.lcvs, run_b.lcvs
@@ -251,9 +251,7 @@ def serialize_index(
     """
     chunks: list[bytes] = []
     count = 0
-    selected = index.nids() if nids is None else sorted(
-        (n for n in nids if n in index._runs), key=lambda n: n.value
-    )
+    selected = index.nids() if nids is None else sorted(n for n in nids if n in index._runs)
     for nid in selected:
         if since is None:
             run_entries = index._runs[nid].entries

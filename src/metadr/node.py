@@ -265,13 +265,15 @@ class StorageNode:
 
     def crash(self, torn_wal_bytes: int | None = None) -> None:
         """Freeze the node. Optionally leave a torn record tail in the
-        WAL, as a crash mid-append would."""
+        WAL, as a crash mid-append would: the log is appended to only
+        when the clock reserves its next lcv range, so the torn write is
+        that reservation's ceiling record."""
         if self.status is not NodeStatus.UP:
             raise RuntimeError(f"crash on node in state {self.status.value}")
         if torn_wal_bytes is not None:
             self.wal.fail_next_append = ("torn", torn_wal_bytes)
             try:
-                self.clock.next_id(self.nid)
+                self.clock.extend()
             except WalAppendFailure:
                 pass
         self.status = NodeStatus.CRASHED

@@ -39,7 +39,7 @@ import yaml
 
 from .costs import CostMeter, CostModel
 from .discovery import DnsRecordSet, rebind_cname, resolve
-from .identity import new_node_id
+from .identity import WAL_RECORD_BYTES, new_node_id
 from .node import RESTART_FAULT_KINDS, NodeStatus, StorageNode
 from .sync import (
     Cluster,
@@ -118,6 +118,9 @@ class Scenario:
     discovery: DiscoverySpec = field(default_factory=DiscoverySpec)
     faults: list[FaultSpec] = field(default_factory=list)
 
+
+# a crash's fault_kind: "torn" tears the WAL tail at a drawn byte
+CRASH_FAULT_KINDS = ("none", "torn")
 
 # fields each fault kind must set
 _FAULT_FIELDS = {
@@ -259,6 +262,15 @@ def validate_scenario(s: Scenario) -> None:
                 if f.at_hours < end and start < f.until_hours and members & other:
                     raise ScenarioValidation("overlapping partitions share nodes")
             windows.append((f.at_hours, f.until_hours, members))
+        elif f.kind == "crash":
+            if f.fault_kind not in CRASH_FAULT_KINDS:
+                raise ScenarioValidation(
+                    f"{event}: fault_kind must be one of {'|'.join(CRASH_FAULT_KINDS)}"
+                )
+            if f.torn_bytes is not None and not 0 <= f.torn_bytes < WAL_RECORD_BYTES:
+                raise ScenarioValidation(
+                    f"{event}: torn_bytes must be within [0, {WAL_RECORD_BYTES})"
+                )
     # replay in run order: each node's up/crashed state, the open partitions
     crashed: set[int] = set()  # every other node is up
     partitions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -268,7 +280,7 @@ def validate_scenario(s: Scenario) -> None:
             partitions.remove((f.side_a, f.side_b))
         elif f.kind == "partition":
             partitions.append((f.side_a, f.side_b))
-        elif f.kind == "crash":  # any fault_kind but "none" tears the WAL tail
+        elif f.kind == "crash":
             if f.node in crashed:
                 raise ScenarioValidation(f"{event}: node {f.node} is already down")
             crashed.add(f.node)
@@ -471,8 +483,8 @@ class SimRuntime:
         nodes = self.sim_nodes
         if f.kind == "crash":
             torn = f.torn_bytes
-            if torn is None and f.fault_kind != "none":
-                torn = self.rng_faults.randrange(1, 16)
+            if torn is None and f.fault_kind == "torn":
+                torn = self.rng_faults.randrange(1, WAL_RECORD_BYTES)
             nodes[f.node].crash(torn_wal_bytes=torn)
         elif f.kind == "restart":
             seconds = nodes[f.node].restart(

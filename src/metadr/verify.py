@@ -60,7 +60,7 @@ def _chaos_uniqueness(
             node.crash(torn_wal_bytes=rng.randrange(0, identity.WAL_RECORD_BYTES))
             continue
         cid = node.ingest((byte_len, rng.randrange(1 << 30)))
-        key = (cid.nid.value, cid.lcv)
+        key = (cid.nid, cid.lcv)
         if key in seen:
             return False, f"duplicate id {cid}"
         seen.add(key)
@@ -69,20 +69,24 @@ def _chaos_uniqueness(
 
 
 def _truncation_enumeration(nid: identity.NodeId) -> tuple[bool, str]:
-    """Truncate a small WAL at every byte offset; recovery must never
-    re-expose a committed value."""
+    """Truncate a WAL of 10 ceiling records at every byte offset; recovery
+    must never re-expose a value the clock exposed while its log was at
+    most that long."""
+    reserve = 3  # small, so a short run still logs 10 records
     wal = identity.MemoryWal()
-    clock = identity.LogicalClock(wal)
-    for _ in range(10):
-        clock.next_id(nid)
+    clock = identity.LogicalClock(wal, reserve=reserve)
+    exposed_at: list[tuple[int, int]] = []  # (log size when exposed, lcv)
+    for _ in range(10 * reserve):
+        lcv = clock.next_id(nid).lcv
+        exposed_at.append((len(wal.data()), lcv))
     data = wal.data()
     for cut in range(len(data) + 1):
-        torn = identity.MemoryWal(data[:cut])
-        recovered = identity.recover_clock(torn)
-        committed = set(identity.read_wal(data[:cut])[0])
-        nxt = recovered.next_id(nid)
-        if nxt.lcv in committed:
-            return False, f"reused committed lcv {nxt.lcv} at cut {cut}"
+        recovered = identity.recover_clock(identity.MemoryWal(data[:cut]), reserve=reserve)
+        highest = max((lcv for size, lcv in exposed_at if size <= cut), default=0)
+        for _ in range(2 * reserve):  # across the next reservation too
+            nxt = recovered.next_id(nid).lcv
+            if nxt <= highest:
+                return False, f"lcv {nxt} not above exposed lcv {highest} at cut {cut}"
     return True, f"{len(data) + 1} truncation points, no reuse"
 
 

@@ -198,6 +198,12 @@ def test_simulate_unknown_scenario_exits_2(capsys):
     "  - {kind: converge, at_hours: 1.0, a: 0, b: 1}\n",
     # a cost knob the model does not have
     "cost: {link_latency_seconds: 0.5}\n",
+    # a crash that writes a whole WAL record, not a torn tail
+    "faults:\n  - {kind: crash, at_hours: 1.0, node: 0, torn_bytes: 100}\n",
+    # a crash that writes nothing
+    "faults:\n  - {kind: crash, at_hours: 1.0, node: 0, torn_bytes: -5}\n",
+    # a crash fault kind that does not exist
+    "faults:\n  - {kind: crash, at_hours: 1.0, node: 0, fault_kind: bogus}\n",
 ])
 def test_simulate_bad_scenario_exits_2_with_one_error_line(tmp_path, capsys, text):
     path = tmp_path / "bad.yaml"

@@ -1,12 +1,14 @@
 import itertools
+import os
 import threading
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from metadr.identity import (
+    LCV_RESERVE,
     BadLength,
     CompositeId,
     LogicalClock,
@@ -41,6 +43,21 @@ def make_wal(request, tmp_path):
     return file_wal
 
 
+def reopen(wal):
+    """The WAL a restarted process sees: a file log is opened afresh, the
+    simulator's memory log survives as it is."""
+    return FileWal(wal.path) if isinstance(wal, FileWal) else wal
+
+
+R = LCV_RESERVE
+
+
+def ceiling_record(ceiling: int) -> bytes:
+    wal = MemoryWal()
+    wal.append_lcv(ceiling)
+    return wal.data()
+
+
 # -- node ids ----------------------------------------------------------------
 
 
@@ -55,7 +72,7 @@ def test_same_seed_reproduces_first_id():
 
 def test_ten_thousand_ids_pairwise_distinct():
     rng = Random(7)
-    ids = sorted(new_node_id(rng).value for _ in range(10_000))
+    ids = sorted(new_node_id(rng) for _ in range(10_000))
     for a, b in zip(ids, ids[1:]):  # sort-and-scan oracle
         assert a != b
 
@@ -63,6 +80,15 @@ def test_ten_thousand_ids_pairwise_distinct():
 def test_node_id_width_enforced():
     with pytest.raises(ValueError):
         NodeId(b"\x01" * 15)
+
+
+def test_node_id_is_its_bytes():
+    raw = bytes(range(16))
+    nid = NodeId(raw)
+    assert nid == raw and hash(nid) == hash(raw)
+    assert repr(nid) == str(nid) == f"{nid}" == "NodeId(00010203..)"
+    assert sorted([NodeId(b"\x02" * 16), nid]) == [nid, NodeId(b"\x02" * 16)]
+    assert type(encode_id(CompositeId(nid, 1))) is bytes
 
 
 # -- encoding ----------------------------------------------------------------
@@ -136,39 +162,61 @@ def test_ten_thousand_sequential_values_no_gaps():
     assert values == list(range(1, 10_001))
 
 
+def exhaust_first_range(clock: LogicalClock) -> None:
+    """Expose every value the first ceiling covers, so the next value
+    needs a log append."""
+    for _ in range(clock.reserve):
+        clock.next_id(NID)
+
+
 def test_append_failure_leaves_clock_unchanged(make_wal):
-    wal = make_wal()
+    for reserve in (R, 1):
+        wal = make_wal()
+        clock = LogicalClock(wal, reserve=reserve)
+        exhaust_first_range(clock)
+        logged = wal.data()
+        wal.fail_next_append = "lost"
+        with pytest.raises(WalAppendFailure):
+            clock.next_id(NID)
+        assert (clock.floor, clock.ceiling) == (reserve, reserve)
+        assert wal.data() == logged
+        assert clock.next_id(NID).lcv == reserve + 1
+
+
+def test_values_below_the_ceiling_need_no_append():
+    wal = MemoryWal()
     clock = LogicalClock(wal)
     clock.next_id(NID)
     logged = wal.data()
-    wal.fail_next_append = "lost"
-    with pytest.raises(WalAppendFailure):
-        clock.next_id(NID)
-    assert clock.last_committed == 1
+    wal.fail_next_append = "lost"  # would fire on the next append
+    assert [clock.next_id(NID).lcv for _ in range(R - 1)] == list(range(2, R + 1))
     assert wal.data() == logged
-    assert clock.next_id(NID).lcv > 1
 
 
 def test_torn_append_failure_then_success(make_wal):
-    wal = make_wal()
-    clock = LogicalClock(wal)
-    clock.next_id(NID)
-    wal.fail_next_append = ("torn", 7)
-    with pytest.raises(WalAppendFailure):
-        clock.next_id(NID)
-    assert read_wal(wal.data()) == ([1], 2)  # the torn prefix landed and burns lcv 2
-    follow_up = clock.next_id(NID)
-    assert follow_up.lcv == 2
-    # torn bytes were truncated before the successful append
-    assert read_wal(wal.data()) == ([1, 2], None)
+    for reserve in (R, 1):
+        wal = make_wal()
+        clock = LogicalClock(wal, reserve=reserve)
+        exhaust_first_range(clock)
+        wal.fail_next_append = ("torn", 7)
+        with pytest.raises(WalAppendFailure):
+            clock.next_id(NID)
+        # the torn prefix landed and burns the value after the ceiling
+        assert read_wal(wal.data()) == ([reserve], reserve + 1)
+        follow_up = clock.next_id(NID)
+        assert follow_up.lcv == reserve + 1
+        # torn bytes were truncated before the successful append
+        assert read_wal(wal.data()) == ([reserve, 2 * reserve], None)
 
 
 def test_exposure_only_after_durable_append():
     wal = MemoryWal()
     clock = LogicalClock(wal)
-    cid = clock.next_id(NID)
-    lcvs, _ = read_wal(wal.data())
-    assert lcvs[-1] == cid.lcv
+    for _ in range(2 * R + 1):
+        cid = clock.next_id(NID)
+        lcvs, _ = read_wal(wal.data())
+        assert cid.lcv <= lcvs[-1]  # a logged ceiling covers every exposed value
+    assert lcvs == [R, 2 * R, 3 * R]
 
 
 def test_concurrent_callers_get_distinct_values():
@@ -187,38 +235,64 @@ def test_concurrent_callers_get_distinct_values():
     for t in threads:
         t.join()
     assert len(out) == len(set(out)) == 4000
-    assert clock.last_committed == 4000
+    assert clock.floor == 4000
 
 
 # -- WAL format and recovery --------------------------------------------------
 
 
 def test_wal_record_layout_bit_exact():
-    wal = MemoryWal()
-    LogicalClock(wal).next_id(NID)
-    data = wal.data()
-    assert len(data) == WAL_RECORD_BYTES
-    assert data[:4] == (8).to_bytes(4, "big")
-    assert data[4:12] == (1).to_bytes(8, "big")
     from metadr.crc32c import crc32c
 
-    assert data[12:16] == crc32c(data[4:12]).to_bytes(4, "big")
+    for reserve in (R, 1):
+        wal = MemoryWal()
+        LogicalClock(wal, reserve=reserve).next_id(NID)
+        data = wal.data()
+        assert len(data) == WAL_RECORD_BYTES
+        assert data[:4] == (8).to_bytes(4, "big")
+        assert data[4:12] == reserve.to_bytes(8, "big")  # the first ceiling
+        assert data[12:16] == crc32c(data[4:12]).to_bytes(4, "big")
 
 
 def test_recover_empty_wal_is_genesis():
-    clock = recover_clock(MemoryWal())
-    assert clock.last_committed == 0
+    wal = MemoryWal()
+    clock = recover_clock(wal)
+    assert clock.floor == 0
+    assert wal.data() == b""
     assert clock.next_id(NID).lcv == 1
 
 
 def test_recover_resumes_after_complete_records():
     wal = MemoryWal()
     clock = LogicalClock(wal)
-    for _ in range(500):
+    for _ in range(2 * R + 500):
         clock.next_id(NID)
     recovered = recover_clock(MemoryWal(wal.data()))
-    assert recovered.last_committed == 500
-    assert recovered.next_id(NID).lcv == 501
+    assert recovered.floor == 3 * R  # the last complete record's ceiling
+    assert recovered.next_id(NID).lcv == 3 * R + 1
+
+
+@pytest.mark.parametrize("reserve", [R, 1])
+def test_recover_compacts_the_log_to_one_record(make_wal, reserve):
+    wal = make_wal()
+    clock = LogicalClock(wal, reserve=reserve)
+    for _ in range(3 * reserve):
+        clock.next_id(NID)
+    wal = reopen(wal)
+    recovered = recover_clock(wal, reserve=reserve)
+    assert wal.data() == ceiling_record(3 * reserve)
+    assert recovered.next_id(NID).lcv == 3 * reserve + 1
+    assert read_wal(wal.data()) == ([3 * reserve, 4 * reserve], None)
+
+
+def test_recover_of_a_compact_log_writes_nothing():
+    class NoRewriteWal(MemoryWal):
+        def _replace(self, data):
+            raise AssertionError("a compact log was rewritten")
+
+    wal = MemoryWal()
+    LogicalClock(wal).next_id(NID)
+    assert recover_clock(NoRewriteWal(wal.data())).next_id(NID).lcv == R + 1
 
 
 def test_torn_tail_burns_the_value():
@@ -226,33 +300,93 @@ def test_torn_tail_burns_the_value():
     clock = LogicalClock(wal)
     for _ in range(500):
         clock.next_id(NID)
-    torn = MemoryWal(wal.data() + (8).to_bytes(4, "big") + (501).to_bytes(8, "big"))
+    torn = MemoryWal(wal.data() + (8).to_bytes(4, "big") + (2 * R).to_bytes(8, "big"))
     recovered = recover_clock(torn)
-    assert recovered.last_committed == 500
+    assert recovered.floor == 2 * R  # the torn record's ceiling is burned
     nxt = recovered.next_id(NID)
-    assert nxt.lcv >= 501
-    assert nxt.lcv not in range(1, 501)
+    assert nxt.lcv == 2 * R + 1
+    assert read_wal(torn.data()) == ([2 * R, 3 * R], None)
 
 
 def test_crash_point_enumeration_never_reuses(make_wal):
-    # truncate the WAL at every byte offset, recover, assert no reuse
+    # truncate a log of 12 ceiling records at every byte offset, recover,
+    # and assert that no value exposed while the log was that long comes back
+    reserve = 2
     wal = make_wal()
-    clock = LogicalClock(wal)
-    for _ in range(12):
-        clock.next_id(NID)
+    clock = LogicalClock(wal, reserve=reserve)
+    exposed_at = []  # (log size when exposed, lcv)
+    for _ in range(12 * reserve):
+        lcv = clock.next_id(NID).lcv
+        exposed_at.append((len(wal.data()), lcv))
     data = wal.data()
+    assert len(data) == 12 * WAL_RECORD_BYTES
     for cut in range(len(data) + 1):
-        prefix = data[:cut]
-        committed = set(read_wal(prefix)[0])
-        recovered = recover_clock(make_wal(prefix))
-        assert recovered.next_id(NID).lcv not in committed
+        highest = max((lcv for size, lcv in exposed_at if size <= cut), default=0)
+        recovered = recover_clock(make_wal(data[:cut]), reserve=reserve)
+        resumed = recovered.floor
+        assert resumed >= highest
+        assert [recovered.next_id(NID).lcv for _ in range(2 * reserve)] == list(
+            range(resumed + 1, resumed + 2 * reserve + 1)
+        )
+
+
+_CLOCK_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("ids"), st.integers(1, 40)),
+        st.tuples(st.just("crash"), st.none() | st.integers(0, WAL_RECORD_BYTES - 1)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ops=_CLOCK_OPS, reserve=st.sampled_from([1, 3, 16, R]))
+def test_ids_strictly_increase_across_crashes(make_wal, ops, reserve):
+    # any interleaving of next_id and crash (with a torn tail at any
+    # byte, or none) then restart: ids strictly increase, none reused
+    wal = make_wal()
+    clock = recover_clock(wal, reserve=reserve)
+    issued: list[int] = []
+    for op, arg in ops:
+        if op == "ids":
+            issued += [clock.next_id(NID).lcv for _ in range(arg)]
+            continue
+        if arg is not None:  # the crash tears the next reservation
+            wal.fail_next_append = ("torn", arg)
+            with pytest.raises(WalAppendFailure):
+                clock.extend()
+        wal = reopen(wal)
+        clock = recover_clock(wal, reserve=reserve)
+        assert len(wal.data()) <= WAL_RECORD_BYTES  # restart leaves one record
+    assert all(a < b for a, b in zip(issued, issued[1:]))
+
+
+def test_file_wal_crash_before_rename_keeps_the_old_log(tmp_path, monkeypatch):
+    path = tmp_path / "node.wal"
+    clock = LogicalClock(FileWal(str(path)))
+    exposed = [clock.next_id(NID).lcv for _ in range(2 * R + 5)]
+    old_log = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("crashed between the temp file and the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="crashed"):
+        recover_clock(FileWal(str(path)))
+    monkeypatch.undo()
+    assert path.read_bytes() == old_log  # the temp file never replaced it
+    recovered = recover_clock(FileWal(str(path)))
+    assert recovered.next_id(NID).lcv > max(exposed)
+    assert path.read_bytes() == ceiling_record(3 * R) + ceiling_record(4 * R)
 
 
 def test_mid_stream_corruption_is_unrecoverable():
     wal = MemoryWal()
     clock = LogicalClock(wal)
-    for _ in range(10):
+    for _ in range(10 * R):  # ten ceiling records
         clock.next_id(NID)
+    assert len(wal.data()) == 10 * WAL_RECORD_BYTES
     data = bytearray(wal.data())
     data[20] ^= 0xFF  # inside the second record, far from the tail
     with pytest.raises(WalCorruption):
@@ -263,11 +397,12 @@ def test_file_wal_roundtrip(tmp_path):
     path = tmp_path / "node.wal"
     wal = FileWal(str(path))
     clock = LogicalClock(wal)
-    for _ in range(25):
+    for _ in range(R + 25):
         clock.next_id(NID)
     recovered = recover_clock(FileWal(str(path)))
-    assert recovered.last_committed == 25
-    assert recovered.next_id(NID).lcv == 26
+    assert recovered.floor == 2 * R
+    assert recovered.next_id(NID).lcv == 2 * R + 1
+    assert read_wal(path.read_bytes()) == ([2 * R, 3 * R], None)
 
 
 def test_default_wal_replay_cost_is_18_seconds():

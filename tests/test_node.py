@@ -6,7 +6,7 @@ import pytest
 
 from metadr.crc32c import crc32c
 from metadr.hashline import InconsistentIndex, hash_delta, pipeline_tick
-from metadr.identity import MemoryWal, NodeId, new_node_id
+from metadr.identity import LCV_RESERVE, MemoryWal, NodeId, new_node_id, read_wal
 from metadr.index import ConflictingEntry
 from metadr.node import (
     CorruptionDetected,
@@ -200,6 +200,15 @@ def test_torn_crash_burns_value_and_never_reuses():
     nxt = node.ingest(b"next")
     assert nxt.lcv not in exposed
     assert nxt.lcv > max(exposed)
+
+
+def test_torn_crash_tears_the_next_reservation():
+    node = fresh_node()
+    exposed = [node.ingest(f"d{i}".encode()).lcv for i in range(5)]
+    node.crash(torn_wal_bytes=12)  # the torn record's ceiling field lands
+    assert read_wal(node.wal.data()) == ([LCV_RESERVE], 2 * LCV_RESERVE)
+    node.restart("none", wal_replay_seconds=0.0)
+    assert node.ingest(b"next").lcv == 2 * LCV_RESERVE + 1 > max(exposed)
 
 
 def test_crash_passes_on_a_wal_error_other_than_the_torn_append():

@@ -310,6 +310,10 @@ def test_validation_rejects_bad_ordinals():
     ([{"kind": "partition", "at_hours": 1.0, "until_hours": 3.0,
        "side_a": [0], "side_b": [1, 2]},
       {"kind": "converge", "at_hours": 2.0, "a": 2, "b": 0}], "partitioned"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0, "fault_kind": "bogus"}], "fault_kind"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0, "fault_kind": "index_loss"}], "fault_kind"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0, "torn_bytes": 16}], "torn_bytes"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0, "torn_bytes": -5}], "torn_bytes"),
 ])
 def test_validation_replays_node_lifecycle(faults, message):
     bad = dict(PARTITION_SCENARIO, cluster={"nodes": 3, "replica_factor": 3}, faults=faults)

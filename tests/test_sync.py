@@ -400,7 +400,7 @@ def test_lcv_tie_broken_by_greater_nid():
         b.ingest(b"B", user_key="k")
 
     a, b, *_ = nodes = converged_twins(write)
-    expected = b"A" if a.nid.value > b.nid.value else b"B"
+    expected = b"A" if a.nid > b.nid else b"B"
     assert [node.read("k") for node in nodes] == [expected] * 4
 
 
