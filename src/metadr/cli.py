@@ -14,36 +14,19 @@ never truncated or ignored.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from . import evalmodel, simnet, verify
+from .costs import PAPER_VOLUMETRICS, CostModel, Volumetrics, whole
 from .report import FORMATS, ReportDocument, render
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
-
-
-def _whole(name: str, value: str | float) -> int:
-    """`value`, a number or its text, as an int; raises ValueError for a
-    fraction or a non-number."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    try:
-        number = float(value)
-    except ValueError:
-        number = math.nan
-    if not number.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(number)
 
 
 def _emit(doc: ReportDocument, fmt: str, out_dir: str | None, filename: str) -> None:
@@ -67,17 +50,15 @@ def _bundled_scenario_path(name: str) -> str | None:
 
 def cmd_rto(args) -> int:
     try:
-        params = evalmodel.RtoParams(
-            data_bytes=args.D,
-            delta_bytes=args.delta,
+        vol = Volumetrics(data_bytes=args.D, blocks=whole("--N", args.N), delta_bytes=args.delta)
+        model = CostModel(
             hash_throughput=args.H,
-            cores=_whole("--C", args.C),
+            cores=whole("--C", args.C),
             bandwidth=args.B,
-            entry_bytes=_whole("--S", args.S),
-            blocks=_whole("--N", args.N),
+            index_entry_bytes=whole("--S", args.S),
         )
-        bd = evalmodel.rto_breakdown(params)
-    except (ValueError, evalmodel.DomainError) as exc:
+        bd = evalmodel.rto_breakdown(model, vol)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     doc = ReportDocument(
@@ -95,7 +76,7 @@ def cmd_rto(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    rows = evalmodel.table2()
+    rows = evalmodel.table2(CostModel(), PAPER_VOLUMETRICS)
     doc = ReportDocument(
         title="Analytical RTO vs capacity (delta fixed at 1 TB, C=16, 10 GbE)",
         columns=[
@@ -133,8 +114,8 @@ def cmd_table2(args) -> int:
 def cmd_tco(args) -> int:
     try:
         params = evalmodel.TcoParams(
-            events_per_week=_whole("--events", args.events),
-            node_cores=_whole("--cores", args.cores),
+            events_per_week=whole("--events", args.events),
+            node_cores=whole("--cores", args.cores),
             meta_core_fraction=args.meta_core_fraction,
             rto_hash_seconds=args.rto_hash,
             rto_meta_seconds=args.rto_meta,
@@ -144,7 +125,7 @@ def cmd_tco(args) -> int:
             price_per_gb_month=args.price_gb_month,
         )
         result = evalmodel.tco(params)
-    except (ValueError, evalmodel.DomainError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     doc = ReportDocument(
@@ -171,8 +152,8 @@ def cmd_sensitivity(args) -> int:
         values = [float(v) for v in values_raw.split(",") if v]
         if not values:
             raise ValueError("empty sweep value list")
-        points = evalmodel.sensitivity(evalmodel.EXAMPLE_100TB, parameter.strip(), values)
-    except (ValueError, evalmodel.DomainError) as exc:
+        points = evalmodel.sensitivity(CostModel(), PAPER_VOLUMETRICS, parameter.strip(), values)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     doc = ReportDocument(
@@ -319,10 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rto", help="recovery-time decomposition for given parameters")
     p.add_argument("--D", type=float, required=True, help="total data bytes")
     p.add_argument("--delta", type=float, required=True, help="delta bytes")
-    p.add_argument("--H", type=float, default=5.0e8, help="hash bytes/s per core")
-    p.add_argument("--C", type=float, default=16, help="cores")
-    p.add_argument("--B", type=float, default=1.25e9, help="bandwidth bytes/s")
-    p.add_argument("--S", type=float, default=32, help="index entry bytes")
+    p.add_argument("--H", type=float, default=CostModel.hash_throughput,
+                   help="hash bytes/s per core")
+    p.add_argument("--C", type=float, default=CostModel.cores, help="cores")
+    p.add_argument("--B", type=float, default=CostModel.bandwidth, help="bandwidth bytes/s")
+    p.add_argument("--S", type=float, default=CostModel.index_entry_bytes, help="index entry bytes")
     p.add_argument("--N", type=float, required=True, help="block count")
     add_common(p)
     p.set_defaults(func=cmd_rto)
@@ -332,15 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("tco", help="total-cost-of-ownership arithmetic")
-    p.add_argument("--events", type=float, default=17)
-    p.add_argument("--cores", type=float, default=40)
-    p.add_argument("--meta-core-fraction", dest="meta_core_fraction", type=float, default=0.032)
-    p.add_argument("--rto-hash", dest="rto_hash", type=float, default=14549.0)
-    p.add_argument("--rto-meta", dest="rto_meta", type=float, default=826.0)
-    p.add_argument("--price-core-hour", dest="price_core_hour", type=float, default=0.048)
-    p.add_argument("--capacity", type=float, default=2.0e15, help="bytes, decimal")
-    p.add_argument("--dedup-rate", dest="dedup_rate", type=float, default=0.10)
-    p.add_argument("--price-gb-month", dest="price_gb_month", type=float, default=0.023)
+    tco = evalmodel.TcoParams
+    p.add_argument("--events", type=float, default=tco.events_per_week)
+    p.add_argument("--cores", type=float, default=tco.node_cores)
+    p.add_argument("--meta-core-fraction", type=float, default=tco.meta_core_fraction)
+    p.add_argument("--rto-hash", type=float, default=tco.rto_hash_seconds)
+    p.add_argument("--rto-meta", type=float, default=tco.rto_meta_seconds)
+    p.add_argument("--price-core-hour", type=float, default=tco.price_per_core_hour)
+    p.add_argument("--capacity", type=float, default=tco.capacity_bytes, help="bytes, decimal")
+    p.add_argument("--dedup-rate", type=float, default=tco.dedup_rate)
+    p.add_argument("--price-gb-month", type=float, default=tco.price_per_gb_month)
     add_common(p)
     p.set_defaults(func=cmd_tco)
 
@@ -379,7 +362,7 @@ def main(argv=None) -> int:
             name, raw_seed = "METADR_SEED", os.environ.get("METADR_SEED") or None
         if raw_seed is not None:
             try:
-                args.seed = _whole(name, raw_seed)
+                args.seed = whole(name, raw_seed)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE

@@ -1,9 +1,12 @@
-"""Virtual cost accounting: the knobs and meters behind simulated time.
+"""The RTO model's parameters, and the meters that charge them.
 
-CostModel carries the parameters of the analytical model (hash
-throughput H, cores C, bandwidth B, entry size S, WAL replay latency,
-jitter, fragmentation). CostMeter accumulates virtual seconds into DR
-phases plus operation counters, so petabyte-scale recovery costs can be
+CostModel holds hash throughput H, cores C, bandwidth B and entry size S
+(plus WAL replay latency, jitter and fragmentation); Volumetrics holds one
+DR event's data bytes D, blocks N and delta bytes. Each checks its domain
+where it is built, and `whole` is the rule for a count given from outside.
+`evalmodel` evaluates the closed form over the two, and the soak charges
+its per-event phases from them. CostMeter accumulates virtual seconds into
+DR phases plus operation counters, so petabyte-scale recovery costs can be
 charged without moving petabytes.
 
 Phase conventions:
@@ -19,7 +22,25 @@ as network bytes, not as content reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def whole(name: str, value: str | float) -> int:
+    """`value`, a number or its text, as an int; raises ValueError for a
+    fraction or a non-number."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 @dataclass
@@ -45,6 +66,29 @@ class CostModel:
 
     def transfer_seconds(self, nbytes: float) -> float:
         return nbytes / self.bandwidth
+
+
+@dataclass(frozen=True)
+class Volumetrics:
+    """One DR event's inventory: D, N and delta of the RTO model."""
+
+    data_bytes: float  # D
+    blocks: int  # N
+    delta_bytes: float  # delta
+
+    def __post_init__(self) -> None:
+        if self.data_bytes <= 0:
+            raise ValueError("data_bytes must be strictly positive")
+        for name in ("delta_bytes", "blocks"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.delta_bytes > self.data_bytes:
+            raise ValueError("delta_bytes cannot exceed data_bytes")
+
+
+# The published 100 TB example; with CostModel's defaults (16 cores, 10 GbE)
+# its RTO is 13,750 + 25.6 + 800 s.
+PAPER_VOLUMETRICS = Volumetrics(data_bytes=1.1e14, blocks=1_000_000_000, delta_bytes=1.0e12)
 
 
 @dataclass

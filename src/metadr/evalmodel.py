@@ -1,4 +1,6 @@
-"""Closed-form recovery-time and cost models.
+"""Closed-form recovery-time and cost models, evaluated over the
+parameters `costs` owns: a CostModel for H, C, B and S, and a
+Volumetrics for D, N and delta.
 
 RTO decomposition:
 
@@ -27,42 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .costs import CostModel, Volumetrics, whole
+
 
 class DomainError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RtoParams:
-    data_bytes: float  # D
-    delta_bytes: float  # delta
-    hash_throughput: float = 5.0e8  # H, bytes/s/core
-    cores: int = 16  # C
-    bandwidth: float = 1.25e9  # B, bytes/s
-    entry_bytes: int = 32  # S
-    blocks: float = 1.0e9  # N
-
-    def __post_init__(self) -> None:
-        for name in ("data_bytes", "hash_throughput", "cores", "bandwidth", "entry_bytes"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive")
-        for name in ("delta_bytes", "blocks"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
-        if self.delta_bytes > self.data_bytes:
-            raise DomainError("delta_bytes cannot exceed data_bytes")
-
-
-# The published 100 TB / 16-core / 10 GbE example.
-EXAMPLE_100TB = RtoParams(
-    data_bytes=1.1e14,
-    delta_bytes=1.0e12,
-    hash_throughput=5.0e8,
-    cores=16,
-    bandwidth=1.25e9,
-    entry_bytes=32,
-    blocks=1.0e9,
-)
 
 
 @dataclass(frozen=True)
@@ -86,12 +57,12 @@ class RtoBreakdown:
         return self.rto_hash / self.rto_meta
 
 
-def rto_breakdown(p: RtoParams) -> RtoBreakdown:
+def rto_breakdown(model: CostModel, vol: Volumetrics) -> RtoBreakdown:
     """Exact formula evaluation; no rounding until presentation."""
     return RtoBreakdown(
-        t_hash=p.data_bytes / (p.hash_throughput * p.cores),
-        t_index=(p.blocks * p.entry_bytes) / p.bandwidth,
-        t_delta=p.delta_bytes / p.bandwidth,
+        t_hash=model.hash_seconds(vol.data_bytes),
+        t_index=model.transfer_seconds(vol.blocks * model.index_entry_bytes),
+        t_delta=model.transfer_seconds(vol.delta_bytes),
     )
 
 
@@ -124,7 +95,8 @@ class Table2Row:
     annotation: str = ""
 
 
-def table2(base: RtoParams = EXAMPLE_100TB, scales=(0.1, 1.0, 5.0, 10.0)) -> list[Table2Row]:
+def table2(model: CostModel, vol: Volumetrics,
+           scales=(0.1, 1.0, 5.0, 10.0)) -> list[Table2Row]:
     """Capacity-scaling table: D and N scale, delta stays fixed.
 
     Each row carries the direct-formula breakdown plus the published
@@ -132,12 +104,12 @@ def table2(base: RtoParams = EXAMPLE_100TB, scales=(0.1, 1.0, 5.0, 10.0)) -> lis
     hours linearly; meta column holds the base value). Divergences from
     printed values are annotated per row.
     """
-    base_direct = rto_breakdown(base)
+    base_direct = rto_breakdown(model, vol)
     base_hours_rounded = round(base_direct.rto_hash / 3600.0, 2)
     rows = []
     for scale in scales:
-        p = replace(base, data_bytes=base.data_bytes * scale, blocks=base.blocks * scale)
-        direct = rto_breakdown(p)
+        scaled = replace(vol, data_bytes=vol.data_bytes * scale, blocks=vol.blocks * scale)
+        direct = rto_breakdown(model, scaled)
         conv_hash_s = base_hours_rounded * scale * 3600.0
         conv_meta_s = base_direct.rto_meta
         conv_factor = conv_hash_s / conv_meta_s
@@ -183,6 +155,7 @@ def table2(base: RtoParams = EXAMPLE_100TB, scales=(0.1, 1.0, 5.0, 10.0)) -> lis
     return rows
 
 
+# sweep alias -> field, of Volumetrics (D, delta, N) or of CostModel (H, C, B)
 _SWEEPABLE = {
     "data_bytes": "data_bytes",
     "D": "data_bytes",
@@ -197,6 +170,7 @@ _SWEEPABLE = {
     "N": "blocks",
     "blocks": "blocks",
 }
+_COUNTS = ("cores", "blocks")
 
 
 @dataclass
@@ -209,21 +183,26 @@ class SensitivityPoint:
         return self.breakdown.improvement_factor
 
 
-def sensitivity(base: RtoParams, parameter: str, values) -> list[SensitivityPoint]:
+def sensitivity(model: CostModel, vol: Volumetrics, parameter: str,
+                values) -> list[SensitivityPoint]:
     """Improvement factor as a function of one swept parameter.
 
     The factor decreases monotonically as delta grows toward D (the
     transfer term dominates both frameworks) and as core count grows
     (the rehash term shrinks); it diverges as bandwidth grows (hashing
-    is all that is left).
+    is all that is left). A count (C, N) must be a whole number.
     """
     field_name = _SWEEPABLE.get(parameter)
     if field_name is None:
         raise DomainError(f"unknown sweep parameter {parameter!r}")
     points = []
     for value in values:
-        kwargs = {field_name: int(value) if field_name == "cores" else value}
-        points.append(SensitivityPoint(value=value, breakdown=rto_breakdown(replace(base, **kwargs))))
+        swept = {field_name: whole(parameter, value) if field_name in _COUNTS else value}
+        if hasattr(vol, field_name):
+            breakdown = rto_breakdown(model, replace(vol, **swept))
+        else:
+            breakdown = rto_breakdown(replace(model, **swept), vol)
+        points.append(SensitivityPoint(value=value, breakdown=breakdown))
     return points
 
 
@@ -242,8 +221,13 @@ class TcoParams:
     def __post_init__(self) -> None:
         if self.node_cores <= 0 or self.events_per_week < 0:
             raise DomainError("invalid TCO parameters")
-        if not 0 <= self.dedup_rate <= 1:
-            raise DomainError("dedup_rate must be within [0, 1]")
+        for name in ("meta_core_fraction", "dedup_rate"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise DomainError(f"{name} must be within [0, 1]")
+        for name in ("rto_hash_seconds", "rto_meta_seconds", "price_per_core_hour",
+                     "capacity_bytes", "price_per_gb_month"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0")
 
 
 @dataclass

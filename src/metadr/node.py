@@ -278,7 +278,8 @@ class StorageNode:
                 pass
         self.status = NodeStatus.CRASHED
 
-    def restart(self, fault_kind: str = "none", wal_replay_seconds: float = 18.0) -> float:
+    def restart(self, fault_kind: str = "none",
+                wal_replay_seconds: float = CostModel.wal_replay_seconds) -> float:
         """Replay the WAL and come back up with `fault_kind`'s damage (see
         `inject_fault`). Returns the replay latency charged to the
         virtual clock.

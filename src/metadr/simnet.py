@@ -37,14 +37,14 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .costs import CostMeter, CostModel
+from .costs import PAPER_VOLUMETRICS, CostMeter, CostModel, Volumetrics
 from .discovery import DnsRecordSet, rebind_cname, resolve
+from .evalmodel import rto_breakdown
 from .identity import WAL_RECORD_BYTES, new_node_id
 from .node import RESTART_FAULT_KINDS, NodeStatus, StorageNode
 from .sync import (
     Cluster,
     DrReport,
-    Volumetrics,
     converge,
     execute_failback,
     execute_failover,
@@ -645,11 +645,7 @@ class SoakConfig:
     cost: CostModel = field(
         default_factory=lambda: CostModel(fragmentation_factor=0.011)
     )
-    volumetrics: Volumetrics = field(
-        default_factory=lambda: Volumetrics(
-            data_bytes=1.1e14, blocks=1_000_000_000, delta_bytes=1.0e12
-        )
-    )
+    volumetrics: Volumetrics = PAPER_VOLUMETRICS
     crash_rehash_extra: tuple[float, float] = (0.025, 0.029)
     modeled_assign_latency_us: float = 1.2
 
@@ -846,9 +842,7 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
                 w = model.wal_replay_seconds * _clipped_normal(rng_replay, model.rto_jitter_cv)
                 g = rng_rehash.uniform(*cfg.crash_rehash_extra)
                 meta_r = volumetric_report("failback", "meta", model, vol, wal_replay_s=w)
-                hash_r = volumetric_report(
-                    "failback", "hash", model, replace(vol, extra_rehash_fraction=g)
-                )
+                hash_r = volumetric_report("failback", "hash", model, vol, extra_rehash=g)
             dr_reports += [meta_r, hash_r]
             event_rows.append(SoakEventRow(
                 event_no=len(event_rows) + 1,
@@ -945,9 +939,8 @@ def _resource_rows(model: CostModel, vol: Volumetrics,
     rehash_pct = 100.0 * _REHASH_ENGAGED_CORES / _CPU_BASIS_CORES
     meta_pct = 100.0 * _SYNC_ENGAGED_CORES_META / _CPU_BASIS_CORES
     hash_sync_pct = 100.0 * _SYNC_ENGAGED_CORES_HASH / _CPU_BASIS_CORES
-    index_delta_bytes = vol.blocks * model.index_entry_bytes + vol.delta_bytes
-    xfer_preset = index_delta_bytes / model.bandwidth
-    xfer_100gbe = index_delta_bytes / 1.25e10
+    xfer_preset = rto_breakdown(model, vol).rto_meta
+    xfer_100gbe = rto_breakdown(replace(model, bandwidth=1.25e10), vol).rto_meta
     return [
         SoakResourceRow(
             "CPU - rehash phase",

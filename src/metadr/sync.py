@@ -38,14 +38,15 @@ only in how a pair plans and moves its delta.
 
 A DR event's report is live: its costs come from the bytes the session
 actually moved at desk scale. `volumetric_report` charges the same kind
-of event from declared production-scale parameters instead.
+of event from a `costs.Volumetrics`, the declared production-scale
+inventory, instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .costs import CostMeter, CostModel
+from .costs import CostMeter, CostModel, Volumetrics
 from .hashline import hash_delta, settle
 from .identity import CompositeId, NodeId
 from .index import (
@@ -114,16 +115,6 @@ class DrReport:
             t_delta=self.t_delta * factor,
             t_wal_replay=self.t_wal_replay * factor,
         )
-
-
-@dataclass
-class Volumetrics:
-    """Paper-scale per-event parameters for virtual cost accounting."""
-
-    data_bytes: float
-    blocks: int
-    delta_bytes: float
-    extra_rehash_fraction: float = 0.0  # condition-2 re-enqueued work
 
 
 def ring_successors(node: int, nodes: int, count: int) -> list[int]:
@@ -471,6 +462,7 @@ def volumetric_report(
     model: CostModel,
     vol: Volumetrics,
     wal_replay_s: float = 0.0,
+    extra_rehash: float = 0.0,
 ) -> DrReport:
     """Account one DR event at declared production-scale volumetrics.
 
@@ -480,14 +472,14 @@ def volumetric_report(
     is reproduced without moving petabytes. Index wire bytes are
     identical across frameworks by construction (same envelope, 32-byte
     entries), so network parity holds to the byte. WAL replay is a
-    metadata-side phase; the baseline's crash penalty is the
-    extra_rehash_fraction of re-enqueued hashing work.
+    metadata-side phase; the baseline's crash penalty is `extra_rehash`,
+    the fraction of D re-enqueued for hashing.
     """
     meter = CostMeter(model)
     blocks = int(vol.blocks)
     index_wire = WIRE_HEADER_BYTES + model.index_entry_bytes * blocks
     if framework == "hash":
-        rehash_bytes = vol.data_bytes * (1.0 + vol.extra_rehash_fraction)
+        rehash_bytes = vol.data_bytes * (1.0 + extra_rehash)
         meter.charge_hash(rehash_bytes, ops=blocks + max(0, blocks - 1))
         meter.add_content_reads(blocks)
     meter.charge_index_transfer(index_wire)

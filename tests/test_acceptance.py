@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 from metadr import cli, hashline, identity
-from metadr.costs import CostMeter, CostModel
+from metadr.costs import PAPER_VOLUMETRICS, CostMeter, CostModel
 from metadr.crc32c import crc32c
 from metadr.evalmodel import TcoParams, table2, tco
 from metadr.index import IdentifierIndex, IndexEntry, set_difference
@@ -71,7 +71,7 @@ def test_criterion_1_rto_reproduction(capsys):
 
 
 def test_criterion_2_table2_reproduction(capsys):
-    rows = {r.label: r for r in table2()}
+    rows = {r.label: r for r in table2(CostModel(), PAPER_VOLUMETRICS)}
 
     anchor = rows["100 TB"]
     assert anchor.direct.t_hash == 13_750.0

@@ -95,6 +95,22 @@ def test_sensitivity_sweep_monotone(capsys):
     assert factors == sorted(factors, reverse=True)
 
 
+@pytest.mark.parametrize("flags", [
+    ("--meta-core-fraction", "-1"),
+    ("--meta-core-fraction", "1.5"),
+    ("--rto-hash", "-5"),
+    ("--rto-meta", "-1"),
+    ("--price-core-hour", "-1"),
+    ("--capacity", "-1"),
+    ("--price-gb-month", "-0.5"),
+])
+def test_tco_out_of_domain_input_exits_2_with_one_error_line(capsys, flags):
+    code, out, err = run_cli(capsys, "tco", *flags)
+    assert code == 2 and not out
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_sensitivity_bad_sweep_exits_2(capsys):
     code, _, err = run_cli(capsys, "sensitivity", "--sweep", "Q=1,2")
     assert code == 2
@@ -111,6 +127,8 @@ RTO_EXAMPLE = ("rto", "--D", "1.1e14", "--delta", "1e12", "--N", "1e9")
     ("tco", "--events", "17.5"),
     ("tco", "--cores", "40.5"),
     ("rto", "--D", "1.1e14", "--delta", "1e12", "--N", "1000000000.5"),
+    ("sensitivity", "--sweep", "C=16,16.5,17"),
+    ("sensitivity", "--sweep", "N=1e9,1.5"),
 ])
 def test_fractional_count_flag_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -141,6 +159,9 @@ def test_integral_floats_count_as_whole_numbers(capsys, monkeypatch):
     )
     assert run_cli(capsys, "tco", "--events", "1.7e1", "--cores", "40.0") == run_cli(
         capsys, "tco"
+    )
+    assert run_cli(capsys, "sensitivity", "--sweep", "C=1.6e1,32.0") == run_cli(
+        capsys, "sensitivity", "--sweep", "C=16,32"
     )
     expected = run_cli(capsys, "verify", "--suite", "baseline", "--seed", "7")
     assert run_cli(capsys, "verify", "--suite", "baseline", "--seed", "7.0") == expected
@@ -304,6 +325,15 @@ def test_soak_bad_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "soak", "--config", str(tmp_path / "missing.yaml"))
     assert code == 2
     assert err.startswith("error: ")
+    for volumetrics, message in (
+        ("{data_bytes: -1.0e+14}", "data_bytes must be strictly positive"),
+        ("{data_bytes: 1.0e+9, delta_bytes: 5.0e+12}", "delta_bytes cannot exceed data_bytes"),
+    ):
+        path.write_text(f"volumetrics: {volumetrics}\n")
+        code, out, err = run_cli(capsys, "soak", "--config", str(path))
+        assert code == 2 and not out
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and message in line
 
 
 def test_soak_config_without_a_planned_event_exits_2_with_one_error_line(tmp_path, capsys):

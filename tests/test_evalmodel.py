@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from metadr.costs import PAPER_VOLUMETRICS, CostModel, Volumetrics
 from metadr.evalmodel import (
-    EXAMPLE_100TB,
     DomainError,
-    RtoParams,
     TcoParams,
     rto_breakdown,
     sensitivity,
@@ -18,7 +18,7 @@ from metadr.evalmodel import (
 
 
 def test_reference_example_exact_arithmetic():
-    bd = rto_breakdown(EXAMPLE_100TB)
+    bd = rto_breakdown(CostModel(), PAPER_VOLUMETRICS)
     assert bd.t_hash == 13_750.0
     assert bd.t_index == 25.6
     assert bd.t_delta == 800.0
@@ -28,15 +28,13 @@ def test_reference_example_exact_arithmetic():
 
 
 def test_zero_delta_zero_blocks_gives_infinite_factor():
-    p = RtoParams(data_bytes=1e12, delta_bytes=0.0, blocks=0.0)
-    bd = rto_breakdown(p)
+    bd = rto_breakdown(CostModel(), Volumetrics(data_bytes=1e12, blocks=0, delta_bytes=0.0))
     assert bd.rto_meta == 0.0
     assert bd.improvement_factor == math.inf
 
 
 def test_high_core_count_shrinks_the_gap():
-    p = RtoParams(data_bytes=1.1e14, delta_bytes=1.0e12, cores=128)
-    bd = rto_breakdown(p)
+    bd = rto_breakdown(CostModel(cores=128), PAPER_VOLUMETRICS)
     assert bd.t_hash == pytest.approx(1_718.75)
     # direct formula gives ~3.08; the published ~2.7 figure follows a
     # different rounding path and is annotated, not asserted
@@ -44,26 +42,24 @@ def test_high_core_count_shrinks_the_gap():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        RtoParams(data_bytes=0, delta_bytes=0)
-    with pytest.raises(DomainError):
-        RtoParams(data_bytes=1e6, delta_bytes=2e6)
-    with pytest.raises(DomainError):
-        RtoParams(data_bytes=1e6, delta_bytes=1e3, cores=0)
+    with pytest.raises(ValueError, match="data_bytes must be strictly positive"):
+        Volumetrics(data_bytes=0, blocks=0, delta_bytes=0)
+    with pytest.raises(ValueError, match="delta_bytes cannot exceed data_bytes"):
+        Volumetrics(data_bytes=1e6, blocks=0, delta_bytes=2e6)
+    with pytest.raises(ValueError, match="cores must be strictly positive"):
+        CostModel(cores=0)
 
 
 def test_meta_rto_independent_of_data_volume():
-    small = rto_breakdown(RtoParams(data_bytes=1e13, delta_bytes=1e12))
-    large = rto_breakdown(RtoParams(data_bytes=1e15, delta_bytes=1e12))
+    small = rto_breakdown(CostModel(), replace(PAPER_VOLUMETRICS, data_bytes=1e13))
+    large = rto_breakdown(CostModel(), replace(PAPER_VOLUMETRICS, data_bytes=1e15))
     assert small.rto_meta == large.rto_meta
 
 
 def test_scaling_data_by_k_grows_hash_rto_sublinearly():
-    base = rto_breakdown(EXAMPLE_100TB)
+    base = rto_breakdown(CostModel(), PAPER_VOLUMETRICS)
     k = 8
-    scaled = rto_breakdown(
-        RtoParams(data_bytes=1.1e14 * k, delta_bytes=1.0e12, blocks=1.0e9)
-    )
+    scaled = rto_breakdown(CostModel(), replace(PAPER_VOLUMETRICS, data_bytes=1.1e14 * k))
     assert scaled.rto_hash < k * base.rto_hash  # additive transfer terms
 
 
@@ -71,19 +67,19 @@ def test_scaling_data_by_k_grows_hash_rto_sublinearly():
 
 
 def test_table2_has_four_canonical_rows():
-    rows = table2()
+    rows = table2(CostModel(), PAPER_VOLUMETRICS)
     assert [r.label for r in rows] == ["10 TB", "100 TB", "500 TB", "1 PB"]
 
 
 def test_table2_100tb_row_matches_reference_exactly():
-    row = next(r for r in table2() if r.label == "100 TB")
+    row = next(r for r in table2(CostModel(), PAPER_VOLUMETRICS) if r.label == "100 TB")
     assert row.direct.rto_hash == 14_575.6
     assert row.direct.rto_meta == 825.6
     assert row.annotation == ""  # no divergence on the anchor row
 
 
 def test_table2_scaling_rows_match_published_convention_within_5pct():
-    rows = {r.label: r for r in table2()}
+    rows = {r.label: r for r in table2(CostModel(), PAPER_VOLUMETRICS)}
     for label in ("500 TB", "1 PB"):
         row = rows[label]
         assert row.conv_hash_s / 3600.0 == pytest.approx(row.published_hash, rel=0.05)
@@ -93,14 +89,14 @@ def test_table2_scaling_rows_match_published_convention_within_5pct():
 
 
 def test_table2_10tb_row_reproduces_factor_and_flags_bad_cell():
-    row = next(r for r in table2() if r.label == "10 TB")
+    row = next(r for r in table2(CostModel(), PAPER_VOLUMETRICS) if r.label == "10 TB")
     assert row.conv_factor == pytest.approx(1.8, abs=0.1)
     assert "0.23 min" in row.annotation
     assert "inconsistent" in row.annotation
 
 
 def test_table2_1pb_meta_follows_constant_meta_convention():
-    row = next(r for r in table2() if r.label == "1 PB")
+    row = next(r for r in table2(CostModel(), PAPER_VOLUMETRICS) if r.label == "1 PB")
     assert row.conv_meta_s / 60.0 == pytest.approx(14.0, rel=0.05)
 
 
@@ -109,20 +105,20 @@ def test_table2_1pb_meta_follows_constant_meta_convention():
 
 def test_factor_decreases_as_delta_approaches_data():
     values = [1e12, 1e13, 5e13, 1.1e14]
-    points = sensitivity(EXAMPLE_100TB, "delta", values)
+    points = sensitivity(CostModel(), PAPER_VOLUMETRICS, "delta", values)
     factors = [p.factor for p in points]
     assert factors == sorted(factors, reverse=True)
 
 
 def test_delta_equals_data_limit_formula():
-    point = sensitivity(EXAMPLE_100TB, "delta", [1.1e14])[0]
+    point = sensitivity(CostModel(), PAPER_VOLUMETRICS, "delta", [1.1e14])[0]
     bd = point.breakdown
     expected = 1 + bd.t_hash / (bd.t_index + 1.1e14 / 1.25e9)
     assert point.factor == pytest.approx(expected)
 
 
 def test_factor_decreases_with_core_count():
-    points = sensitivity(EXAMPLE_100TB, "C", [16, 32, 64, 128])
+    points = sensitivity(CostModel(), PAPER_VOLUMETRICS, "C", [16, 32, 64, 128])
     factors = [p.factor for p in points]
     assert factors == sorted(factors, reverse=True)
     assert factors[0] == pytest.approx(17.65, abs=0.01)
@@ -130,7 +126,7 @@ def test_factor_decreases_with_core_count():
 
 
 def test_factor_diverges_with_bandwidth():
-    points = sensitivity(EXAMPLE_100TB, "B", [1.25e9, 1.25e11, 1.25e13])
+    points = sensitivity(CostModel(), PAPER_VOLUMETRICS, "B", [1.25e9, 1.25e11, 1.25e13])
     factors = [p.factor for p in points]
     assert factors == sorted(factors)
     assert factors[-1] > 1000
@@ -138,7 +134,7 @@ def test_factor_diverges_with_bandwidth():
 
 def test_unknown_sweep_parameter():
     with pytest.raises(DomainError):
-        sensitivity(EXAMPLE_100TB, "Q", [1])
+        sensitivity(CostModel(), PAPER_VOLUMETRICS, "Q", [1])
 
 
 # -- tco ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Pinned outputs: the SHA-256 of the repr of fixed-seed runs.
+"""Pinned outputs: the SHA-256 of the repr of fixed-seed runs, and of the
+printed output of the analytic verbs.
 
 A refactor that must not change results (every virtual-seconds float
 included) keeps these digests. A deliberate change to the model updates
@@ -10,6 +11,7 @@ from importlib import resources
 
 import pytest
 
+from metadr import cli
 from metadr.simnet import SoakConfig, load_scenario, run_scenario, soak
 
 # One hash-framework run that restarts nodes with index_loss after
@@ -101,3 +103,34 @@ def test_virtual_hash_restarts_are_pinned():
     assert [r.hash_ops for r in hash_reports] == [280, 310, 60, 439]
     assert [r.content_reads for r in hash_reports] == [0, 0, 0, 190]
     assert digest(metrics) == "b100aa3c71359951fa18e0cb0a83a67c921d78c3caa02723fe353afc2aa46283"
+
+
+RTO_EXAMPLE = ("rto", "--D", "1.1e14", "--delta", "1e12", "--N", "1e9")
+
+_ANALYTIC_PINS = [
+    ("rto-csv", (*RTO_EXAMPLE, "--format", "csv"),
+     "08f02ae94103a5cf7d6b133c1136014768ccc647dbe1001c0d9f942a6348c57f"),
+    ("rto-md", (*RTO_EXAMPLE, "--format", "md"),
+     "a4a3d1e63420ffdaefa86438ebafc9f528f93d875af9e035541aa5b966cf5074"),
+    ("table2-csv", ("table2", "--format", "csv"),
+     "ff37ce3978fc3190585227b6b9b378f628a1c04dfc52ff74f085d4cb2c7cba42"),
+    ("table2-md", ("table2", "--format", "md"),
+     "ee2e24bd145eea9c892a8c67623358a187219f8b7594ae593e538c50b8e3061d"),
+    ("tco-csv", ("tco", "--format", "csv"),
+     "160d06f8f88bb5dc27b99457beeadc60455e3a066336786541e790dadecebc00"),
+    ("sweep-C", ("sensitivity", "--sweep", "C=16,32,64,128", "--format", "csv"),
+     "ec75f62231a4f0a5f128dda4561ad713b76a8ee9699522ec3f02f5211edec7bf"),
+    ("sweep-delta", ("sensitivity", "--sweep", "delta=1e11,1e12,1e13", "--format", "csv"),
+     "9c7d9dab764087c86013c63d64e83b3c2d6102e0c5762ace6210e1b11f6577c4"),
+    ("sweep-N", ("sensitivity", "--sweep", "N=1e8,1e9,1e10", "--format", "csv"),
+     "c36be4a33694f62d19597c2b23aa267e326b6f7d9d77f6d677cafb7645514a44"),
+    ("sweep-B", ("sensitivity", "--sweep", "B=1.25e9,1.25e10", "--format", "csv"),
+     "094b3cbf435540377ce44d67d1b8ad88231179bff6bdfb988df0fa05faaceece"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", [pin[1:] for pin in _ANALYTIC_PINS],
+                         ids=[pin[0] for pin in _ANALYTIC_PINS])
+def test_analytic_verb_output_is_pinned(capsys, argv, expected):
+    assert cli.main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected

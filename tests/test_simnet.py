@@ -79,8 +79,12 @@ def test_loader_rejects_unknown_keys():
     ):
         with pytest.raises(ScenarioValidation, match="unknown key"):
             load_scenario(bad)
-    with pytest.raises(ScenarioValidation, match="unknown key"):
-        load_soak_config({"cost": {"fragmentation": 0.02}})
+    for bad in (
+        {"cost": {"fragmentation": 0.02}},
+        {"volumetrics": {"extra_rehash_fraction": 0.1}},  # drawn per crash event
+    ):
+        with pytest.raises(ScenarioValidation, match="unknown key"):
+            load_soak_config(bad)
 
 
 def test_loader_checks_field_types():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metadr.costs import CostMeter, CostModel
+from metadr.costs import CostMeter, CostModel, Volumetrics
 from metadr.hashline import payload_digest, pipeline_tick
 from metadr.identity import lww_key, new_node_id
 from metadr.index import set_difference
@@ -13,7 +13,6 @@ from metadr.sync import (
     Cluster,
     NodeStatusError,
     NoSurvivingReplica,
-    Volumetrics,
     compute_delta_hash,
     compute_delta_meta,
     converge,
