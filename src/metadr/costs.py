@@ -3,7 +3,8 @@
 CostModel holds hash throughput H, cores C, bandwidth B and entry size S
 (plus WAL replay latency, jitter and fragmentation); Volumetrics holds one
 DR event's data bytes D, blocks N and delta bytes. Each checks its domain
-where it is built, and `whole` is the rule for a count given from outside.
+where it is built, and a NaN or an infinity is outside every domain;
+`whole` is the rule for a count given from outside.
 `evalmodel` evaluates the closed form over the two, and the soak charges
 its per-event phases from them. CostMeter accumulates virtual seconds into
 DR phases plus operation counters, so petabyte-scale recovery costs can be
@@ -54,12 +55,13 @@ class CostModel:
     fragmentation_factor: float = 0.0
 
     def __post_init__(self) -> None:
+        # chained comparisons: NaN fails each of them, and inf the upper bound
         for name in ("hash_throughput", "cores", "bandwidth", "index_entry_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
         for name in ("wal_replay_seconds", "rto_jitter_cv", "fragmentation_factor"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
 
     def hash_seconds(self, nbytes: float) -> float:
         return nbytes / (self.hash_throughput * self.cores)
@@ -77,11 +79,11 @@ class Volumetrics:
     delta_bytes: float  # delta
 
     def __post_init__(self) -> None:
-        if self.data_bytes <= 0:
-            raise ValueError("data_bytes must be strictly positive")
+        if not 0 < self.data_bytes < math.inf:
+            raise ValueError("data_bytes must be strictly positive and finite")
         for name in ("delta_bytes", "blocks"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         if self.delta_bytes > self.data_bytes:
             raise ValueError("delta_bytes cannot exceed data_bytes")
 

@@ -226,8 +226,8 @@ class TcoParams:
                 raise DomainError(f"{name} must be within [0, 1]")
         for name in ("rto_hash_seconds", "rto_meta_seconds", "price_per_core_hour",
                      "capacity_bytes", "price_per_gb_month"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be >= 0 and finite")
 
 
 @dataclass

@@ -17,10 +17,11 @@ Scenario files are YAML whose sections mirror the `Scenario`
 dataclasses; one loader builds both scenarios and soak configs. The
 runtime's `sync.Cluster` holds the ring placement: where each write is
 replicated and what every DR session syncs. Validation reads the same
-ring rule (`ring_successors`) on node ordinals. The soak
-runs on the same `SimRuntime` and reproduces the seven-day cadence:
-planned failover/failback cycles every 12 hours plus crash injections
-on configured days.
+ring rule (`ring_successors`) on node ordinals. `SimRuntime.run()` is
+the one timeline: hourly writes, then the faults at that hour. The soak
+is a scenario on it: its seven-day cadence (planned failover/failback
+cycles every 12 hours plus crash injections on configured days) is a
+list of four faults per DR event, checked by `validate_scenario`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class ClusterSpec:
 
 @dataclass
 class WorkloadSpec:
-    blocks_per_hour_per_node: int = 0
+    blocks_per_hour_per_node: float = 0.0
     duplicate_ratio: float = 0.0
     sequential_fraction: float = 0.7
     keyed_fraction: float = 1.0
@@ -230,6 +231,8 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioValidation("horizon_hours must be positive")
     if not 0 < s.inventory.block_bytes_min <= s.inventory.block_bytes_max:
         raise ScenarioValidation("inventory needs 0 < block_bytes_min <= block_bytes_max")
+    if not 0 <= s.workload.blocks_per_hour_per_node < math.inf:
+        raise ScenarioValidation("workload.blocks_per_hour_per_node must be finite and >= 0")
     try:
         records = DnsRecordSet.from_zone_lines(s.discovery.zone)
     except ValueError as exc:
@@ -362,7 +365,8 @@ class Metrics:
     ingests: int = 0
     total_entries: int = 0
     physical_index_bytes: float = 0.0
-    index_series: list[tuple[float, int, float]] = field(default_factory=list)
+    # (at_hours, ingests, total_entries, physical_index_bytes, lcv_reuse)
+    samples: list[tuple[float, int, int, float, int]] = field(default_factory=list)
     violations: Violations = field(default_factory=Violations)
     notes: list[str] = field(default_factory=list)
 
@@ -547,18 +551,24 @@ class SimRuntime:
                 self.ingest_batch(node, s.inventory.blocks_per_node)
         self._sample(0.0)
 
-        # each hour's workload runs ahead of the faults at that hour
-        rate = s.workload.blocks_per_hour_per_node
-        hours = int(math.floor(s.horizon_hours)) if rate > 0 else 0
-        schedule = [(float(h), -1, "workload", None) for h in range(1, hours + 1)]
+        # the workload spreads `total` blocks over the (hour, node) slots in
+        # hour-then-node order: slot j takes floor((j+1)T/S) - floor(jT/S),
+        # which is the rate itself when the rate is whole. Each hour's
+        # workload runs ahead of the faults at that hour.
+        n = len(self.sim_nodes)
+        hours = math.floor(s.horizon_hours)
+        total = round(s.workload.blocks_per_hour_per_node * hours * n)
+        slots = hours * n
+        schedule = [(float(h), -1, "workload", None) for h in range(1, hours + 1)] if total else []
         schedule.extend(_fault_schedule(s.faults))
         schedule.sort(key=lambda item: item[:2])
 
         for at, _seq, kind, f in schedule:
             if kind == "workload":
-                for node in self.sim_nodes:
+                for i, node in enumerate(self.sim_nodes):
+                    j = (int(at) - 1) * n + i
                     if node.status is NodeStatus.UP:
-                        self.ingest_batch(node, rate)
+                        self.ingest_batch(node, (j + 1) * total // slots - j * total // slots)
                 self._sample(at)
             elif kind == "heal":
                 sides = (frozenset(self.sim_nodes[i].nid for i in f.side_a),
@@ -574,7 +584,10 @@ class SimRuntime:
     def _sample(self, at_hours: float) -> None:
         total_entries = sum(n.id_index.entry_count for n in self.sim_nodes)
         physical = 32 * total_entries * (1.0 + self.scenario.cost.fragmentation_factor)
-        self.metrics.index_series.append((at_hours, total_entries, physical))
+        lcv_reuse = sum(n.counters.lcv_order_violations for n in self.sim_nodes)
+        self.metrics.samples.append(
+            (at_hours, self.metrics.ingests, total_entries, physical, lcv_reuse)
+        )
 
     def _finalize(self) -> None:
         violations = self.metrics.violations
@@ -585,8 +598,8 @@ class SimRuntime:
                 report = node.scrub(min(node.physical_block_count, _SCRUB_BUDGET_BLOCKS))
                 violations.corruption += len(report.findings)
         self._sample(self.scenario.horizon_hours)
-        _, self.metrics.total_entries, self.metrics.physical_index_bytes = (
-            self.metrics.index_series[-1]
+        _, _, self.metrics.total_entries, self.metrics.physical_index_bytes, _ = (
+            self.metrics.samples[-1]
         )
 
 
@@ -636,7 +649,6 @@ class SoakConfig:
     nodes: int = 12
     replica_factor: int = 3
     total_ingest_blocks: int = 1_050_000
-    intervals_per_day: int = 144
     block_bytes_min: int = 4096
     block_bytes_max: int = 65536
     duplicate_ratio: float = 0.0
@@ -647,33 +659,82 @@ class SoakConfig:
     )
     volumetrics: Volumetrics = PAPER_VOLUMETRICS
     crash_rehash_extra: tuple[float, float] = (0.025, 0.029)
-    modeled_assign_latency_us: float = 1.2
+
+
+# the drift table's per-id assignment latency: a modeled figure, not a measurement
+_MODELED_ASSIGN_LATENCY_US = 1.2
 
 
 def load_soak_config(source) -> SoakConfig:
-    """SoakConfig from a dict, YAML text or a YAML file path (`os.PathLike`);
-    see the bundled paper-soak.yaml."""
+    """SoakConfig from a dict, YAML text or a YAML file path (`os.PathLike`),
+    checked by building its scenario; see the bundled paper-soak.yaml."""
     cfg = _build(SoakConfig, _read_mapping(source), SoakConfig())
-    if not 2 <= cfg.replica_factor < cfg.nodes:
-        raise ScenarioValidation(
-            "soak needs 2 <= replica_factor < nodes: each failover takes a "
-            "substitute outside the failed node's replica set and a surviving replica"
-        )
-    if cfg.days < 1 or cfg.intervals_per_day < 1:
-        raise ScenarioValidation("soak needs days >= 1 and intervals_per_day >= 1")
+    _soak_scenario(cfg)
+    return cfg
+
+
+def _soak_scenario(cfg: SoakConfig) -> Scenario:
+    """The soak as one validated virtual meta scenario: `days` x 24 hours of
+    writes that add up to `total_ingest_blocks`, and four faults per DR
+    event at its hour: crash (torn for a crash event), failover to the
+    first node past the replica set, restart, failback. Planned events
+    rotate through the nodes; the i-th crash event hits node
+    (i + 1) x replica_factor. Only the soak's own settings are checked
+    here; `validate_scenario` holds the rules of the ring and the horizon.
+    """
+    if cfg.days < 1:
+        raise ScenarioValidation("soak needs days >= 1")
     if not 0 < cfg.planned_every_hours <= 24.0 * cfg.days:
         raise ScenarioValidation(
             "soak needs 0 < planned_every_hours <= 24 x days: at least one planned event"
         )
-    if not all(1 <= d <= cfg.days for d in cfg.crash_days):
-        raise ScenarioValidation(f"soak needs crash_days within [1, days] = [1, {cfg.days}]")
     if not 0 <= cfg.crash_hour_offset < 24:
         raise ScenarioValidation("soak needs 0 <= crash_hour_offset < 24")
-    if cfg.total_ingest_blocks < 0:
-        raise ScenarioValidation("soak needs total_ingest_blocks >= 0")
-    if not 0 < cfg.block_bytes_min <= cfg.block_bytes_max:
-        raise ScenarioValidation("soak needs 0 < block_bytes_min <= block_bytes_max")
-    return cfg
+    if cfg.total_ingest_blocks < 1:
+        raise ScenarioValidation(
+            "soak needs total_ingest_blocks >= 1: a soak without writes samples nothing"
+        )
+    lo, hi = cfg.crash_rehash_extra
+    if not 0 <= lo <= hi <= 1:
+        raise ScenarioValidation(
+            "soak needs 0 <= crash_rehash_extra[0] <= crash_rehash_extra[1] <= 1"
+        )
+    scenario = Scenario(
+        name=cfg.name,
+        seed=cfg.seed,
+        fidelity="virtual",
+        framework="meta",
+        horizon_hours=24.0 * cfg.days,
+        cluster=ClusterSpec(nodes=cfg.nodes, replica_factor=cfg.replica_factor),
+        inventory=InventorySpec(
+            block_bytes_min=cfg.block_bytes_min, block_bytes_max=cfg.block_bytes_max
+        ),
+        workload=WorkloadSpec(
+            duplicate_ratio=cfg.duplicate_ratio,
+            sequential_fraction=cfg.sequential_fraction,
+            keyed_fraction=cfg.keyed_fraction,
+        ),
+        cost=cfg.cost,
+    )
+    validate_scenario(scenario)  # the ring must be sound before the cadence is laid on it
+    n, rf, horizon = cfg.nodes, cfg.replica_factor, scenario.horizon_hours
+    scenario.workload.blocks_per_hour_per_node = cfg.total_ingest_blocks / (horizon * n)
+    every = cfg.planned_every_hours
+    # k x every may land a rounding error either side of the horizon
+    planned = [min(k * every, horizon) for k in range(1, int(horizon / every + 1e-9) + 1)]
+    crashes = sorted((d - 1) * 24.0 + cfg.crash_hour_offset for d in cfg.crash_days)
+    for at, kind, f in sorted(
+        [(t, "Planned", i % n) for i, t in enumerate(planned)]
+        + [(t, "Crash", (i + 1) * rf % n) for i, t in enumerate(crashes)]
+    ):
+        scenario.faults += [
+            FaultSpec("crash", at, node=f, fault_kind="torn" if kind == "Crash" else "none"),
+            FaultSpec("failover", at, failed=f, substitute=ring_successors(f, n, rf)[-1]),
+            FaultSpec("restart", at, node=f),
+            FaultSpec("failback", at, node=f),
+        ]
+    validate_scenario(scenario)
+    return scenario
 
 
 @dataclass
@@ -749,131 +810,73 @@ def soak(config: SoakConfig | None = None) -> SoakReport:
     """Run the scaled soak: live ingestion with violation monitoring,
     DR cadence with per-event volumetric RTO accounting.
 
-    The live cluster is one virtual, metadata-framework SimRuntime, fed
-    one (interval, node) slot at a time through `ingest_batch`. Each DR
-    event is four faults applied to that runtime, as a scenario's would
-    be: crash a node, fail it over to the first node past its replica
-    set, restart it, fail it back. The cluster's ring placement scopes
-    each session, and the failover and failback rebind the node's
-    service name to the substitute and back.
+    The live cluster runs `_soak_scenario(config)` once through
+    `SimRuntime.run()`, under the same rules as any scenario. Day d of the
+    drift table is the run's last sample at hour 24 x d, so the last day
+    is the end state after the final event.
 
-    Planned events share one multiplicative jitter draw across both
-    frameworks (both reports describe the same event, so event-local
-    variation is common-mode); the draws are mean-normalized
-    so aggregate means are seed-stable. Crash events carry explicit
-    noise terms instead: a WAL-replay draw on the metadata side and a
-    re-enqueued-rehash fraction on the baseline side.
+    Each event's row is charged from the declared volumetrics. Planned
+    events share one multiplicative jitter draw across both frameworks
+    (both reports describe the same event, so event-local variation is
+    common-mode); the draws are mean-normalized so aggregate means are
+    seed-stable. Crash events carry explicit noise terms instead: a
+    WAL-replay draw on the metadata side and a re-enqueued-rehash
+    fraction on the baseline side.
     """
     cfg = config or SoakConfig()
     model = cfg.cost
     vol = cfg.volumetrics
-    n, rf = cfg.nodes, cfg.replica_factor
+    rt = SimRuntime(_soak_scenario(cfg))
+    metrics = rt.run()
+
     rng_jitter = Random(f"{cfg.seed}:jitter")
     rng_replay = Random(f"{cfg.seed}:replay")
     rng_rehash = Random(f"{cfg.seed}:rehash")
-
-    rt = SimRuntime(Scenario(
-        name=cfg.name,
-        seed=cfg.seed,
-        fidelity="virtual",
-        framework="meta",
-        horizon_hours=cfg.days * 24.0,
-        cluster=ClusterSpec(nodes=n, replica_factor=rf),
-        inventory=InventorySpec(
-            block_bytes_min=cfg.block_bytes_min, block_bytes_max=cfg.block_bytes_max
-        ),
-        workload=WorkloadSpec(
-            duplicate_ratio=cfg.duplicate_ratio,
-            sequential_fraction=cfg.sequential_fraction,
-            keyed_fraction=cfg.keyed_fraction,
-        ),
-        cost=model,
-    ))
-    nodes = rt.sim_nodes
-
-    # DR cadence: planned events rotate through the nodes; the i-th crash
-    # hits node (i + 1) * replica_factor
-    horizon = cfg.days * 24.0
-    planned_times = []
-    t = cfg.planned_every_hours
-    while t <= horizon + 1e-9:
-        planned_times.append(t)
-        t += cfg.planned_every_hours
-    crash_times = sorted((d - 1) * 24.0 + cfg.crash_hour_offset for d in cfg.crash_days)
-    events = sorted(
-        [(t, "Planned", i % n) for i, t in enumerate(planned_times)]
-        + [(t, "Crash", (i + 1) * rf % n) for i, t in enumerate(crash_times)]
-    )
-
+    # an event's crash fault carries its hour and kind: a crash event tears the WAL
+    events = [(f.at_hours, "Crash" if f.fault_kind == "torn" else "Planned")
+              for f in rt.scenario.faults if f.kind == "crash"]
     # mean-normalized common-mode jitter for planned events
-    raw = [_clipped_normal(rng_jitter, model.rto_jitter_cv) for _ in planned_times]
-    mean_raw = sum(raw) / len(raw) if raw else 1.0
+    raw = [_clipped_normal(rng_jitter, model.rto_jitter_cv)
+           for _, kind in events if kind == "Planned"]
+    mean_raw = sum(raw) / len(raw)
     planned_jitter = iter([j / mean_raw for j in raw])
-
-    # workload slots: exact total, spread across (interval, node) slots
-    intervals = cfg.days * cfg.intervals_per_day
-    base_per_slot, remainder = divmod(cfg.total_ingest_blocks, intervals * n)
-    interval_hours = 24.0 / cfg.intervals_per_day
-
-    # merged timeline: ingest intervals and DR events in time order
     dr_reports: list[DrReport] = []
     event_rows: list[SoakEventRow] = []
-    drift_rows: list[SoakDriftRow] = []
-    pending = iter(events)
-    next_event = next(pending, None)
-    prev_day_physical = 0.0
-    for interval_idx in range(intervals):
-        t_end = (interval_idx + 1) * interval_hours
-        while next_event is not None and next_event[0] <= t_end + 1e-9:
-            at, kind, f = next_event
-            # crash, fail over to the first node past f's replica set, restart, fail back
-            for fault in (
-                FaultSpec("crash", at, node=f, fault_kind="torn" if kind == "Crash" else "none"),
-                FaultSpec("failover", at, failed=f, substitute=ring_successors(f, n, rf)[-1]),
-                FaultSpec("restart", at, node=f),
-                FaultSpec("failback", at, node=f),
-            ):
-                rt.apply_fault(fault)
-            if kind == "Planned":
-                jitter = next(planned_jitter)
-                meta_r = volumetric_report("failover", "meta", model, vol).scaled(jitter)
-                hash_r = volumetric_report("failover", "hash", model, vol).scaled(jitter)
-            else:
-                w = model.wal_replay_seconds * _clipped_normal(rng_replay, model.rto_jitter_cv)
-                g = rng_rehash.uniform(*cfg.crash_rehash_extra)
-                meta_r = volumetric_report("failback", "meta", model, vol, wal_replay_s=w)
-                hash_r = volumetric_report("failback", "hash", model, vol, extra_rehash=g)
-            dr_reports += [meta_r, hash_r]
-            event_rows.append(SoakEventRow(
-                event_no=len(event_rows) + 1,
-                day=int(math.ceil(at / 24.0)),
-                kind=kind,
-                meta_seconds=meta_r.virtual_rto_seconds,
-                hash_seconds=hash_r.virtual_rto_seconds,
-            ))
-            next_event = next(pending, None)
-        for node_idx, node in enumerate(nodes):
-            slot = interval_idx * n + node_idx
-            rt.ingest_batch(node, base_per_slot + (1 if slot < remainder else 0))
-        if (interval_idx + 1) % cfg.intervals_per_day == 0:
-            day = (interval_idx + 1) // cfg.intervals_per_day
-            rt._sample(day * 24.0)
-            _, entries, physical = rt.metrics.index_series[-1]
-            drift_rows.append(
-                SoakDriftRow(
-                    day=day,
-                    entries=entries,
-                    physical_gb=physical / 1e9,
-                    growth_gb_per_hour=(physical - prev_day_physical) / 1e9 / 24.0,
-                    assign_rate_per_s=rt.metrics.ingests / (day * 24.0 * 3600.0),
-                    lcv_violations=sum(node.counters.lcv_order_violations for node in nodes),
-                    modeled_assign_latency_us=cfg.modeled_assign_latency_us,
-                )
-            )
-            prev_day_physical = physical
+    for at, kind in events:
+        if kind == "Planned":
+            jitter = next(planned_jitter)
+            meta_r = volumetric_report("failover", "meta", model, vol).scaled(jitter)
+            hash_r = volumetric_report("failover", "hash", model, vol).scaled(jitter)
+        else:
+            w = model.wal_replay_seconds * _clipped_normal(rng_replay, model.rto_jitter_cv)
+            g = rng_rehash.uniform(*cfg.crash_rehash_extra)
+            meta_r = volumetric_report("failback", "meta", model, vol, wal_replay_s=w)
+            hash_r = volumetric_report("failback", "hash", model, vol, extra_rehash=g)
+        dr_reports += [meta_r, hash_r]
+        event_rows.append(SoakEventRow(
+            event_no=len(event_rows) + 1,
+            day=int(math.ceil(at / 24.0)),
+            kind=kind,
+            meta_seconds=meta_r.virtual_rto_seconds,
+            hash_seconds=hash_r.virtual_rto_seconds,
+        ))
 
-    rt._finalize()
-    metrics = rt.metrics
+    last_at = {sample[0]: sample for sample in metrics.samples}  # the last sample per hour
+    drift_rows: list[SoakDriftRow] = []
+    prev_physical = 0.0
+    for day in range(1, cfg.days + 1):
+        _, ingests, entries, physical, lcv_reuse = last_at[day * 24.0]
+        drift_rows.append(SoakDriftRow(
+            day=day,
+            entries=entries,
+            physical_gb=physical / 1e9,
+            growth_gb_per_hour=(physical - prev_physical) / 1e9 / 24.0,
+            assign_rate_per_s=ingests / (day * 24.0 * 3600.0),
+            lcv_violations=lcv_reuse,
+            modeled_assign_latency_us=_MODELED_ASSIGN_LATENCY_US,
+        ))
+        prev_physical = physical
+
     metas = [r.meta_seconds for r in event_rows]
     hashes = [r.hash_seconds for r in event_rows]
     planned_metas = [r.meta_seconds for r in event_rows if r.kind == "Planned"]

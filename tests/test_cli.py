@@ -49,6 +49,13 @@ def test_rto_domain_error_exits_2(capsys):
     )
     assert code == 2
     assert "error" in err
+    # a NaN or an infinity is outside the model's domain
+    for argv in (("rto", "--D", "nan", "--delta", "1e12", "--N", "1e9"),
+                 (*RTO_EXAMPLE, "--H", "inf")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "finite" in line
 
 
 def test_rto_csv_has_header_first():
@@ -103,6 +110,7 @@ def test_sensitivity_sweep_monotone(capsys):
     ("--price-core-hour", "-1"),
     ("--capacity", "-1"),
     ("--price-gb-month", "-0.5"),
+    ("--rto-hash", "nan"),
 ])
 def test_tco_out_of_domain_input_exits_2_with_one_error_line(capsys, flags):
     code, out, err = run_cli(capsys, "tco", *flags)
@@ -114,6 +122,10 @@ def test_tco_out_of_domain_input_exits_2_with_one_error_line(capsys, flags):
 def test_sensitivity_bad_sweep_exits_2(capsys):
     code, _, err = run_cli(capsys, "sensitivity", "--sweep", "Q=1,2")
     assert code == 2
+    code, out, err = run_cli(capsys, "sensitivity", "--sweep", "B=nan")
+    assert code == 2 and not out
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "finite" in line
 
 
 # -- whole-number inputs ------------------------------------------------------------
@@ -225,6 +237,8 @@ def test_simulate_unknown_scenario_exits_2(capsys):
     "faults:\n  - {kind: crash, at_hours: 1.0, node: 0, torn_bytes: -5}\n",
     # a crash fault kind that does not exist
     "faults:\n  - {kind: crash, at_hours: 1.0, node: 0, fault_kind: bogus}\n",
+    # a negative write rate
+    "workload: {blocks_per_hour_per_node: -5}\n",
 ])
 def test_simulate_bad_scenario_exits_2_with_one_error_line(tmp_path, capsys, text):
     path = tmp_path / "bad.yaml"
@@ -325,11 +339,13 @@ def test_soak_bad_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "soak", "--config", str(tmp_path / "missing.yaml"))
     assert code == 2
     assert err.startswith("error: ")
-    for volumetrics, message in (
-        ("{data_bytes: -1.0e+14}", "data_bytes must be strictly positive"),
-        ("{data_bytes: 1.0e+9, delta_bytes: 5.0e+12}", "delta_bytes cannot exceed data_bytes"),
+    for text, message in (
+        ("volumetrics: {data_bytes: -1.0e+14}", "data_bytes must be strictly positive"),
+        ("volumetrics: {data_bytes: 1.0e+9, delta_bytes: 5.0e+12}",
+         "delta_bytes cannot exceed data_bytes"),
+        ("crash_rehash_extra: [-2.0, -1.5]", "crash_rehash_extra"),
     ):
-        path.write_text(f"volumetrics: {volumetrics}\n")
+        path.write_text(f"{text}\n")
         code, out, err = run_cli(capsys, "soak", "--config", str(path))
         assert code == 2 and not out
         (line,) = err.splitlines()

@@ -69,18 +69,18 @@ def bundled(name: str):
 
 def test_soak_output_is_pinned():
     report = soak(SoakConfig(total_ingest_blocks=13_125, seed=101))
-    assert digest(report) == "c6a0722ac963a73edf5700a5568285bf4c8e1fa20c649aab1ce0beb179c4fd81"
+    assert digest(report) == "077ddf005d04704d1c3fd2e51c48a493d024c58d8918af0005ced8a0e94f34ac"
 
 
 _BUNDLED_PINS = [
     ("condition3-failover", 0,
-     "8557d7c17413b765bd8faa7b0a3f51b58fa852787ff6a3a73eb336edce9d77d9"),
+     "a36a01fede3f0a6766acd75cc607436c8f68d99bd1d97bf441c7a9b98ca7c278"),
     ("condition3-failover", 7,
-     "bf7fbbf27a3a5d2039a5d73167b5006f9ba1474769b13c15fc47ebe1c41557cd"),
+     "aadc7b6de9586de51776557f3a9c04ac46a0a60c5d089c1e6bb6e83974870455"),
     ("partition-converge", 0,
-     "890b5c4d8df1112aacb25750e19d88226eccb58c745b4dd44eec7ba47c2ed877"),
+     "b5082f70b5c68413962fb073e28e8964d458087b2e4ad2f7eada72fed3d57633"),
     ("partition-converge", 7,
-     "6dff3218b654ec4532e659e9c7c5b6ebb1355e267a460e1f111ac22fa6abc3ea"),
+     "6d648e7cdd28e1f68f536b8413907a31d76cd5cfda281cc86b3514fe109e88b7"),
 ]
 
 
@@ -94,7 +94,7 @@ def test_bundled_scenario_metrics_are_pinned(name, seed, expected):
 def test_hash_restart_after_transfers_is_pinned():
     metrics = run_scenario(load_scenario(HASH_RESTART_SCENARIO))
     assert [r.content_reads for e in metrics.events for r in e.reports] == [0, 96, 176]
-    assert digest(metrics) == "bf9931c3713efd42950ff3c9968099be2835834cd615cc155e8f43e6ef02f83f"
+    assert digest(metrics) == "e3273b35b48e143067a9819adaea67e3668a847c5234b9a866986155acd81013"
 
 
 def test_virtual_hash_restarts_are_pinned():
@@ -102,7 +102,7 @@ def test_virtual_hash_restarts_are_pinned():
     hash_reports = [r for e in metrics.events for r in e.reports if r.framework == "hash"]
     assert [r.hash_ops for r in hash_reports] == [280, 310, 60, 439]
     assert [r.content_reads for r in hash_reports] == [0, 0, 0, 190]
-    assert digest(metrics) == "b100aa3c71359951fa18e0cb0a83a67c921d78c3caa02723fe353afc2aa46283"
+    assert digest(metrics) == "c54deb81171f8670612f1cca233ac174b111b28103433845e14228e170e106ec"
 
 
 RTO_EXAMPLE = ("rto", "--D", "1.1e14", "--delta", "1e12", "--N", "1e9")

@@ -82,6 +82,7 @@ def test_loader_rejects_unknown_keys():
     for bad in (
         {"cost": {"fragmentation": 0.02}},
         {"volumetrics": {"extra_rehash_fraction": 0.1}},  # drawn per crash event
+        {"intervals_per_day": 144},  # the soak writes hourly, as every scenario does
     ):
         with pytest.raises(ScenarioValidation, match="unknown key"):
             load_soak_config(bad)
@@ -569,7 +570,7 @@ def small_soak_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simnet, "SimRuntime", Recorded)
-        report = soak(SoakConfig(total_ingest_blocks=24_000, intervals_per_day=24))
+        report = soak(SoakConfig(total_ingest_blocks=24_000))
     (runtime,) = runtimes
     return report, runtime
 
@@ -610,6 +611,19 @@ def test_soak_dr_events_rebind_the_service_name(small_soak_run):
         assert resolve(rt.records, f"service-{i}").endpoint == f"10.0.0.{10 + i}:7000"
 
 
+def test_soak_is_one_scenario_run(small_soak_run):
+    report, rt = small_soak_run
+    assert len(rt.scenario.faults) == 4 * 17
+    assert [row.day for row in report.drift] == list(range(1, 8))
+    assert report.drift[-1].entries == report.summary.total_entries
+    # the last sample of each day: the writes spread evenly over the week
+    last_at = {sample[0]: sample for sample in rt.metrics.samples}
+    ingests = [last_at[24.0 * day][1] for day in range(8)]
+    per_day = [b - a for a, b in zip(ingests, ingests[1:])]
+    assert sum(per_day) == report.summary.ingests == 24_000
+    assert max(per_day) - min(per_day) <= 1
+
+
 def test_soak_emits_seventeen_events(small_soak):
     assert len(small_soak.events) == 17
     kinds = [r.kind for r in small_soak.events]
@@ -638,8 +652,8 @@ def test_soak_drift_is_exactly_the_fragmentation_model(small_soak):
 
 
 def test_soak_is_deterministic():
-    a = soak(SoakConfig(total_ingest_blocks=6_000, intervals_per_day=12))
-    b = soak(SoakConfig(total_ingest_blocks=6_000, intervals_per_day=12))
+    a = soak(SoakConfig(total_ingest_blocks=6_000))
+    b = soak(SoakConfig(total_ingest_blocks=6_000))
     assert a.events == b.events
     assert a.summary == b.summary
     assert a.drift == b.drift
@@ -663,7 +677,7 @@ def test_soak_config_from_yaml(tmp_path):
     path = tmp_path / "mini.yaml"
     path.write_text(
         "name: mini\nseed: 9\ndays: 7\ntotal_ingest_blocks: 5000\n"
-        "intervals_per_day: 12\ncost: {fragmentation_factor: 0.011}\n"
+        "cost: {fragmentation_factor: 0.011}\n"
     )
     cfg = load_soak_config(path)
     assert cfg.name == "mini" and cfg.seed == 9
@@ -674,7 +688,7 @@ def test_soak_config_from_yaml(tmp_path):
 def test_soak_accepts_ragged_ring_and_rejects_configs_without_a_substitute():
     # ring placement needs no whole replica groups
     report = soak(load_soak_config({
-        "nodes": 10, "replica_factor": 3, "total_ingest_blocks": 3_000, "intervals_per_day": 6,
+        "nodes": 10, "replica_factor": 3, "total_ingest_blocks": 3_000,
     }))
     assert len(report.events) == 17
     assert report.summary.violations.total == 0
@@ -773,6 +787,16 @@ def test_hash_only_framework_actually_transfers():
     assert report.framework == "hash"
     assert report.t_delta > 0  # blocks really moved
     assert report.t_hash > 0  # condition payment (stale pipelines)
+
+
+def test_fractional_write_rate_ingests_the_rounded_total():
+    scenario = load_scenario({
+        "horizon_hours": 3.0, "cluster": {"nodes": 2, "replica_factor": 2},
+        "workload": {"blocks_per_hour_per_node": 0.5},
+    })
+    metrics = run_scenario(scenario)
+    assert metrics.ingests == round(0.5 * 3 * 2) == 3
+    assert [sample[1] for sample in metrics.samples] == [0, 1, 2, 3, 3]
 
 
 def test_virtual_fidelity_scenario_runs_clean():
