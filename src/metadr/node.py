@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .costs import CostMeter, CostModel
-from .crc32c import crc32c
+from .crc32c import crc32c, crc32c_many
 from .hashline import HashIndex, crash_interrupt, payload_digest
 from .identity import CompositeId, MemoryWal, NodeId, WalAppendFailure, lww_key, recover_clock
 from .index import IdentifierIndex, IndexEntry
@@ -245,20 +245,27 @@ class StorageNode:
         self.block_store[key] = bytes(mutated)
 
     def scrub(self, budget_blocks: int) -> CorruptionReport:
-        """Verify up to budget blocks round-robin; never mutates data."""
+        """CRC-check up to `budget_blocks` stored blocks round-robin, from
+        where the last scrub stopped; never mutates data.
+
+        The window's CRCs come from one `crc32c_many` call; each is then
+        compared with its index entry in window order, so a finding is
+        (key, expected, found) in store order from the cursor.
+        """
         report = CorruptionReport()
         if budget_blocks <= 0 or not self.block_store:
             return report
         keys = list(self.block_store)
         n = len(keys)
         start = self._scrub_cursor % n
-        for i in range(min(budget_blocks, n)):
-            key = keys[(start + i) % n]
+        count = min(budget_blocks, n)
+        window = keys[start : start + count] + keys[: max(start + count - n, 0)]
+        found_crcs = crc32c_many([self.block_store[key] for key in window])
+        for key, found in zip(window, found_crcs):
             expected_crc = self.id_index.get(key).crc
-            found = crc32c(self.block_store[key])
             if found != expected_crc:
                 report.findings.append((key, expected_crc, found))
-        self._scrub_cursor = (start + min(budget_blocks, n)) % n
+        self._scrub_cursor = (start + count) % n
         return report
 
     # -- lifecycle -----------------------------------------------------

@@ -17,7 +17,7 @@ from random import Random
 
 from . import hashline, identity
 from .costs import CostMeter, CostModel
-from .crc32c import crc32c
+from .crc32c import crc32c, crc32c_many
 from .index import Checkpoint
 from .node import StorageNode
 from .sync import (
@@ -291,6 +291,17 @@ def suite_baseline(seed: int = 0) -> list[Check]:
         for payload in (rng.randbytes(rng.randrange(0, 64)) for _ in range(300))
     )
     checks.append(("crc32c_table_matches_bitwise_reference", ok, "300 random payloads"))
+    rng = Random(f"verify-crc-many:{seed}")
+    descriptors = [rng.randbytes(16) for _ in range(200)]
+    mixed = [rng.randbytes(rng.choice((0, 1, 15, 16, 17, 33, 100))) for _ in range(300)]
+    ok = all(
+        crc32c_many(batch) == [_crc32c_bitwise(block) for block in batch]
+        for batch in (descriptors, mixed)
+    )
+    checks.append(
+        ("crc32c_many_matches_bitwise_reference", ok,
+         f"{len(descriptors)} 16-byte descriptors, {len(mixed)} mixed-length blocks")
+    )
 
     ok, detail = _merkle_diff_case(Random(f"verify-merkle:{seed}"), trees=60, max_leaves=64)
     checks.append(("merkle_diff_matches_exhaustive_compare", ok, detail))

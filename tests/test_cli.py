@@ -379,6 +379,7 @@ def test_verify_baseline_suite_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "baseline")
     assert code == 0
     assert "PASS baseline.sha256_standard_vectors" in out
+    assert "PASS baseline.crc32c_many_matches_bitwise_reference" in out
     assert "FAIL" not in out
 
 

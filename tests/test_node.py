@@ -178,6 +178,39 @@ def test_scrub_round_robin_covers_store_across_calls():
     assert len(findings) == 1
 
 
+def test_scrub_at_width_matches_per_block_reference():
+    # wide enough that each window reaches the lane-parallel CRC kernel
+    node = fresh_node()
+    ids = [node.ingest((4096, i)) for i in range(2500)]
+    ids += [node.ingest(bytes([i]) * 64) for i in range(40)]
+    ids += [node.ingest((4096, i)) for i in range(2500, 5000)]
+    n = len(ids)
+    # first, last, and both sides of the cursor after the first wrap
+    # (4 x 1,500 = 6,000 = n + 960)
+    corrupted = {ids[0], ids[-1], ids[959], ids[960], ids[2520]}
+    for cid in corrupted:
+        node.corrupt_block(cid)
+
+    cursor = 0
+    scanned = 0
+    found_keys = set()
+    while scanned < 2 * n:
+        expected = []
+        for i in range(1500):
+            key = ids[(cursor + i) % n]
+            crc = node.id_index.get(key).crc
+            found = crc32c(node.block_store[key])
+            if found != crc:
+                expected.append((key, crc, found))
+        cursor = (cursor + 1500) % n
+        scanned += 1500
+        report = node.scrub(1500)
+        assert report.findings == expected
+        assert node._scrub_cursor == cursor
+        found_keys.update(key for key, _, _ in report.findings)
+    assert found_keys == corrupted
+
+
 # -- crash / restart lifecycle ------------------------------------------------------
 
 
