@@ -156,18 +156,23 @@ class HashIndex:
     that hashes into it, its Merkle tree and its failure conditions.
 
     A locator is the block's key in the node's store, its composite id;
-    by_locator keeps the order blocks were hashed in. Stored blocks wait
-    in `pending` until `pipeline_tick` hashes them; a queue that is not
-    empty is a stale index (condition 1). Work hashed or adopted since
-    the last checkpoint sits in `hashed_since_checkpoint`, which a crash
-    rolls back into the queue (condition 2). `lost` marks a destroyed
-    index store (condition 3). consistent_flag gates delta service; it is
-    true only when the queue is empty and the store has not been lost.
+    by_locator keeps the order blocks were hashed in. A by_digest value
+    is the one locator that holds its digest, or a set of two or more
+    locators when blocks share content (the baseline's dedup case), so
+    unique content costs no set per block. `holder()` is the one way to
+    read a value: a locator is a tuple, so `min()` or iteration over a
+    lone one would see its fields. Stored blocks wait in `pending` until
+    `pipeline_tick` hashes them; a queue that is not empty is a stale
+    index (condition 1). Work hashed or adopted since the last
+    checkpoint sits in `hashed_since_checkpoint`, which a crash rolls
+    back into the queue (condition 2). `lost` marks a destroyed index
+    store (condition 3). consistent_flag gates delta service; it is true
+    only when the queue is empty and the store has not been lost.
     `merkle` is the tree of the last rebuild (None before one).
     """
 
     def __init__(self) -> None:
-        self.by_digest: dict[bytes, set[CompositeId]] = {}
+        self.by_digest: dict[bytes, CompositeId | set[CompositeId]] = {}
         self.by_locator: dict[CompositeId, bytes] = {}
         # by_locator split by source nid, so a session scoped to some
         # nids lists only theirs
@@ -201,7 +206,13 @@ class HashIndex:
         return inventory_bytes if self.lost else self.lag_bytes
 
     def add(self, locator: CompositeId, digest: bytes) -> None:
-        self.by_digest.setdefault(digest, set()).add(locator)
+        held = self.by_digest.get(digest)
+        if held is None:
+            self.by_digest[digest] = locator
+        elif type(held) is set:
+            held.add(locator)
+        elif held != locator:
+            self.by_digest[digest] = {held, locator}
         self.by_locator[locator] = digest
         self.by_nid.setdefault(locator.nid, {})[locator] = digest
 
@@ -231,11 +242,18 @@ class HashIndex:
         if digest is None:
             return
         del self.by_nid[locator.nid][locator]
-        locators = self.by_digest.get(digest)
-        if locators is not None:
-            locators.discard(locator)
-            if not locators:
-                del self.by_digest[digest]
+        held = self.by_digest.get(digest)
+        if type(held) is set:
+            held.discard(locator)
+            if len(held) == 1:
+                self.by_digest[digest] = held.pop()
+        elif held == locator:
+            del self.by_digest[digest]
+
+    def holder(self, digest: bytes) -> CompositeId | None:
+        """The least locator holding the digest, or None."""
+        held = self.by_digest.get(digest)
+        return min(held) if type(held) is set else held
 
     def mark_lost(self) -> None:
         self.by_digest.clear()

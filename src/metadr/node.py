@@ -133,16 +133,17 @@ class StorageNode:
         """
         if self.status is not NodeStatus.UP:
             raise NodeDown(f"node {self.nid} is {self.status.value}")
+        virtual = not isinstance(payload, (bytes, bytearray))
+        byte_len, seed = payload if virtual else (len(payload), None)
+        # checked before an id is drawn or the store is written, so a
+        # rejected block leaves no trace
+        if byte_len <= 0:
+            raise ValueError(f"byte_len must be positive, got {byte_len}")
+        content = _DESCRIPTOR.pack(byte_len, seed) if virtual else bytes(payload)
         cid = self.clock.next_id(self.nid, nst)
         if cid.lcv <= self._max_exposed_lcv:
             self.counters.lcv_order_violations += 1
         self._max_exposed_lcv = cid.lcv
-        if isinstance(payload, (bytes, bytearray)):
-            content = bytes(payload)
-            byte_len = len(content)
-        else:
-            byte_len, seed = payload
-            content = _DESCRIPTOR.pack(byte_len, seed)
         self.bind_block(cid, content)
         self._admit(IndexEntry(cid, byte_len, crc32c(content), user_key))
         if self.baseline is not None:

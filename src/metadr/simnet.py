@@ -444,7 +444,7 @@ class SimRuntime:
                 if lo >= hi
                 else int(math.exp(self.rng_sizes.uniform(math.log(lo), math.log(hi))))
             )
-            if len(self._dup_pool) < 10000:
+            if work.duplicate_ratio > 0 and len(self._dup_pool) < 10000:
                 self._dup_pool.append((seed, size))
         if self.scenario.fidelity == "concrete":
             return _content_bytes(seed, size), size

@@ -327,9 +327,9 @@ def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[Composite
     for cid in ids:
         digest = source.baseline.by_locator[cid]
         entry = source.id_index.get(cid)
-        held = index.by_digest.get(digest)
-        if held:
-            puller.bind_alias(entry, min(held))
+        kept = index.holder(digest)
+        if kept is not None:
+            puller.bind_alias(entry, kept)
             index.add(cid, digest)  # the digest travelled; nothing is hashed
             continue
         puller.replicate_in(entry, source.stored_block(cid), digest)  # adopted, not rehashed

@@ -1,8 +1,11 @@
 import hashlib
 import struct
+import sys
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metadr.costs import CostMeter, CostModel
 from metadr.hashline import (
@@ -367,3 +370,84 @@ def test_hash_delta_matches_content_comparison_oracle():
         values_b = set(contents_b.values())
         assert {contents_a[loc] for loc in missing_b} == values_a - values_b
         assert {contents_b[loc] for loc in missing_a} == values_b - values_a
+
+
+# -- the digest map ------------------------------------------------------------
+
+
+def digest_holders(index: HashIndex) -> dict[bytes, set[CompositeId]]:
+    """Reference digest map: every locator holding each digest, rebuilt
+    from by_locator."""
+    holders: dict[bytes, set[CompositeId]] = {}
+    for loc, digest in index.by_locator.items():
+        holders.setdefault(digest, set()).add(loc)
+    return holders
+
+
+def assert_digest_map_matches_reference(index: HashIndex) -> None:
+    ref = digest_holders(index)
+    assert index.by_digest.keys() == ref.keys()
+    for digest, held in ref.items():
+        assert index.holder(digest) == min(held)
+        value = index.by_digest[digest]
+        if len(held) == 1:
+            assert value == next(iter(held))
+        else:
+            assert isinstance(value, set) and value == held
+    assert index.holder(b"\xff" * 32) is None
+    flat = {loc: d for listed in index.by_nid.values() for loc, d in listed.items()}
+    assert flat == index.by_locator
+
+
+_LOCATOR = st.tuples(st.integers(1, 3), st.integers(1, 30)).map(
+    lambda t: CompositeId(NodeId(bytes([t[0]]) * 16), t[1]))
+_CONTENT = st.integers(0, 3)  # four contents, so digests are shared
+_STEP = st.one_of(
+    st.tuples(st.sampled_from(["add", "adopt", "enqueue"]), _LOCATOR, _CONTENT),
+    st.tuples(st.just("tick"), st.integers(0, 5)),
+    st.tuples(st.sampled_from(["checkpoint", "crash", "mark_lost"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(_STEP, max_size=60))
+def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
+    # every step draws a fresh locator, as a node's store does; a locator
+    # drawn twice is skipped
+    index = HashIndex()
+    used: set[CompositeId] = set()
+    for step in steps:
+        kind = step[0]
+        if kind in ("add", "adopt", "enqueue"):
+            _, loc, seed = step
+            if loc in used:
+                continue
+            used.add(loc)
+            content = descriptor(64, seed)
+            if kind == "add":
+                index.add(loc, payload_digest(content, 64))
+            elif kind == "adopt":
+                index.adopt(loc, content, 64, payload_digest(content, 64))
+            else:
+                index.enqueue(loc, content, 64)
+        elif kind == "tick":
+            pipeline_tick(index, 64 * step[1])
+        elif kind == "checkpoint":
+            commit_checkpoint(index)
+        elif kind == "crash":
+            crash_interrupt(index)
+        else:
+            index.mark_lost()
+        assert_digest_map_matches_reference(index)
+
+
+def test_unique_digests_take_no_set_each():
+    index = HashIndex()
+    for i in range(10_000):
+        index.add(cid(i), payload_digest(descriptor(64, i), 64))
+    assert not any(isinstance(v, set) for v in index.by_digest.values())
+    # the map's own bytes: its table and any sets it holds (locators and
+    # digests are shared with by_locator)
+    own = sys.getsizeof(index.by_digest) + sum(
+        sys.getsizeof(v) for v in index.by_digest.values() if isinstance(v, set))
+    assert own <= 1.5 * sys.getsizeof(index.by_locator)

@@ -53,6 +53,21 @@ def test_ingest_rejected_when_down():
         node.ingest(b"x")
 
 
+@pytest.mark.parametrize("payload", [b"", (0, 7)], ids=["empty-bytes", "zero-length-virtual"])
+def test_zero_length_ingest_is_rejected_and_leaves_no_trace(payload):
+    node = fresh_node(baseline=True)
+    node.ingest(b"kept", user_key="k")
+    floor, wal = node.clock.floor, node.wal.data()
+    with pytest.raises(ValueError):
+        node.ingest(payload, user_key="k2")
+    assert list(node.block_store) == [node.by_user_key["k"]]
+    assert node.id_index.entry_count == 1
+    assert node.by_user_key == {"k": node.by_user_key["k"]}
+    assert node.baseline.lag_blocks == 1
+    assert (node.clock.floor, node.wal.data()) == (floor, wal)
+    assert node.scrub(10).clean and node.physical_bytes == 4
+
+
 def test_virtual_ingest_charges_zero_hash_seconds():
     node = fresh_node()
     node.ingest((4096, 1))
