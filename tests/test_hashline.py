@@ -375,17 +375,11 @@ def test_hash_delta_matches_content_comparison_oracle():
 # -- the digest map ------------------------------------------------------------
 
 
-def digest_holders(index: HashIndex) -> dict[bytes, set[CompositeId]]:
-    """Reference digest map: every locator holding each digest, rebuilt
-    from by_locator."""
-    holders: dict[bytes, set[CompositeId]] = {}
-    for loc, digest in index.by_locator.items():
-        holders.setdefault(digest, set()).add(loc)
-    return holders
-
-
 def assert_digest_map_matches_reference(index: HashIndex) -> None:
-    ref = digest_holders(index)
+    # the reference: every locator holding each digest, from by_locator
+    ref: dict[bytes, set[CompositeId]] = {}
+    for loc, digest in index.by_locator.items():
+        ref.setdefault(digest, set()).add(loc)
     assert index.by_digest.keys() == ref.keys()
     for digest, held in ref.items():
         assert index.holder(digest) == min(held)
