@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .identity import CompositeId, NodeId
 
@@ -75,6 +76,15 @@ class MerkleTree:
             count += len(lower) // 2
             assert len(upper) == (len(lower) + 1) // 2
         return count
+
+
+class MerkleSummary(NamedTuple):
+    """What an index keeps of its last rebuild's tree: the root and the
+    node counts, not the levels."""
+
+    root: bytes
+    leaf_count: int
+    internal_node_count: int
 
 
 def merkle_build(leaves: list[bytes], meter=None) -> MerkleTree:
@@ -168,7 +178,7 @@ class HashIndex:
     back into the queue (condition 2). `lost` marks a destroyed index
     store (condition 3). consistent_flag gates delta service; it is true
     only when the queue is empty and the store has not been lost.
-    `merkle` is the tree of the last rebuild (None before one).
+    `merkle` summarizes the tree of the last rebuild (None before one).
     """
 
     def __init__(self) -> None:
@@ -179,7 +189,7 @@ class HashIndex:
         self.by_nid: dict[NodeId, dict[CompositeId, bytes]] = {}
         self.pending: deque[PendingBlock] = deque()
         self.hashed_since_checkpoint: list[PendingBlock] = []
-        self.merkle: MerkleTree | None = None
+        self.merkle: MerkleSummary | None = None
         self.lost = False
 
     @property
@@ -310,7 +320,8 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
     `blocks` is an iterable of (locator, content, byte_len) in store
     order. The meter is charged every block's byte_len (virtual seconds =
     bytes/(H*C)) plus one hash op per block and per internal tree node,
-    and one content read per block. The index holds the tree it returns.
+    and one content read per block. The index keeps the returned tree's
+    `MerkleSummary`, not its levels.
     """
     index = HashIndex()
     leaves: list[bytes] = []
@@ -320,8 +331,9 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
             meter.add_content_reads(1)
         index.add(locator, digest)
         leaves.append(digest)
-    index.merkle = merkle_build(leaves, meter)
-    return index, index.merkle
+    tree = merkle_build(leaves, meter)
+    index.merkle = MerkleSummary(tree.root, tree.leaf_count, tree.internal_node_count)
+    return index, tree
 
 
 def settle(index: HashIndex, blocks, aliases, meter=None) -> tuple[HashIndex, int]:

@@ -9,9 +9,10 @@ numeric lcv order. In memory an id is a tuple (nid, lcv, nst).
 
 The clock is durable by ceiling, as a timestamp oracle is: before it
 exposes any value above its logged ceiling c, it appends the new ceiling
-c + R to a write-ahead log, and it hands out the values up to that
-ceiling from memory. So one record covers R values (R = LCV_RESERVE,
-1,024), and no value is exposed that a logged ceiling does not cover.
+c + R (at most 2**64 - 1) to a write-ahead log, and it hands out the
+values up to that ceiling from memory. So one record covers R values
+(R = LCV_RESERVE, 1,024), and no value is exposed that a logged ceiling
+does not cover.
 Recovery reads the log back, discards a torn trailing record and burns
 the value it may have carried, and resumes above the highest ceiling:
 the unexposed rest of the last range, up to R - 1 values, is skipped,
@@ -291,7 +292,9 @@ class LogicalClock:
     `floor` is the highest value exposed or burned, so the next value is
     floor + 1; `ceiling` is the highest value the log covers. Before
     next_id exposes a value above the ceiling c it appends the ceiling
-    c + `reserve`; values up to a logged ceiling come from memory.
+    min(c + `reserve`, 2**64 - 1); values up to a logged ceiling come
+    from memory. The 64-bit lcv range is checked once per ceiling, in
+    `extend`, so next_id builds its id without re-checking it.
 
     Thread-safe: concurrent next_id callers each receive a distinct
     value, and each value's ceiling is in the log before it is returned.
@@ -308,22 +311,29 @@ class LogicalClock:
         """Expose the next clock value, first logging a new ceiling when
         the value is above the logged one.
 
-        Raises WalAppendFailure (clock unchanged, id not exposed) when
-        that append does not complete.
+        Raises ValueError for an nst outside 64 bits, and WalAppendFailure
+        or, once 2**64 - 1 is exposed, ValueError from `extend`; in each
+        case the clock is unchanged and no id is exposed.
         """
+        if not 0 <= nst <= MAX_U64:
+            raise ValueError(f"nst out of 64-bit range: {nst}")
         with self._lock:
             candidate = self.floor + 1
             if candidate > self.ceiling:
                 self.extend()  # may raise; nothing exposed then
             self.floor = candidate
-            return CompositeId(nid, candidate, nst)
+            # every field is in range: extend bounds the lcv, nst is checked above
+            return tuple.__new__(CompositeId, (nid, candidate, nst))
 
     def extend(self) -> None:
-        """Log the next ceiling, c + reserve. next_id calls it once the
-        logged range is used up; a crash hook calls it to tear that
-        append."""
+        """Log the next ceiling, min(c + reserve, 2**64 - 1). next_id
+        calls it once the logged range is used up; a crash hook calls it
+        to tear that append. Raises ValueError, logging nothing, when the
+        ceiling already is 2**64 - 1: every lcv has been reserved."""
         with self._lock:
-            ceiling = self.ceiling + self.reserve
+            if self.ceiling >= MAX_U64:
+                raise ValueError("lcv space exhausted: the ceiling is 2**64 - 1")
+            ceiling = min(self.ceiling + self.reserve, MAX_U64)
             self.wal.append_lcv(ceiling)  # may raise; ceiling unchanged then
             self.ceiling = ceiling
 

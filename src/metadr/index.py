@@ -16,15 +16,22 @@ accounting directly.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import NamedTuple
 
-from .identity import ENCODED_ID_BYTES, CompositeId, NodeId, decode_id, encode_id
+from .identity import ENCODED_ID_BYTES, NODE_ID_BYTES, CompositeId, NodeId, decode_id
 
 WIRE_MAGIC = b"MDRI"
 WIRE_VERSION = 1
 WIRE_HEADER_BYTES = 16
 _HEADER = struct.Struct(">4sIQ")
+# a token is nid(16) || lcv(8, BE) || nst(8, BE)
+_LCV_AT = NODE_ID_BYTES
+_NST_AT = NODE_ID_BYTES + 8
+_TOKEN_TAIL = bytes(ENCODED_ID_BYTES - NODE_ID_BYTES)
 
 
 class ConflictingEntry(ValueError):
@@ -44,25 +51,32 @@ class TruncatedStream(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class IndexEntry:
+class _EntryFields(NamedTuple):
+    id: CompositeId
+    byte_len: int
+    crc: int
+    user_key: str | None = None
+
+
+class IndexEntry(_EntryFields):
     """A block's record: its id, modeled byte_len, the CRC-32C of its
     content and its user key. 32 logical bytes on the wire.
 
     It is the only metadata a node keeps per block: the store holds the
     content bytes under the id, and nothing else. The id is the block's
     key in every node's store, so an entry means the same thing on every
-    replica and travels unchanged.
+    replica and travels unchanged. A tuple, so building one runs no
+    Python code beyond the byte_len check.
     """
 
-    id: CompositeId
-    byte_len: int
-    crc: int
-    user_key: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.byte_len <= 0:
-            raise ValueError(f"byte_len must be positive, got {self.byte_len}")
+    def __new__(
+        cls, id: CompositeId, byte_len: int, crc: int, user_key: str | None = None
+    ) -> "IndexEntry":
+        if byte_len <= 0:
+            raise ValueError(f"byte_len must be positive, got {byte_len}")
+        return tuple.__new__(cls, (id, byte_len, crc, user_key))
 
 
 class _NidRun:
@@ -96,13 +110,12 @@ class IdentifierIndex:
         """Insert an entry, keeping per-nid lcv order; returns whether it
         was added.
 
-        Re-inserting the same id is a no-op (False) when the content
-        identity (crc, byte_len) matches; a mismatch raises
+        Re-inserting an equal entry is a no-op (False); the same id with
+        any other metadata (crc, byte_len or user key) raises
         ConflictingEntry, signaling corruption or an immutability
         violation.
         """
-        nid = entry.id.nid
-        lcv = entry.id.lcv
+        nid, lcv, _nst = entry.id
         run = self._runs.get(nid)
         if run is None:
             run = self._runs[nid] = _NidRun()
@@ -114,9 +127,8 @@ class IdentifierIndex:
             return True
         pos = bisect_right(lcvs, lcv) - 1
         if pos >= 0 and lcvs[pos] == lcv:
-            existing = run.entries[pos]
-            if existing.crc != entry.crc or existing.byte_len != entry.byte_len:
-                raise ConflictingEntry(f"id {entry.id} already present with different content")
+            if run.entries[pos] != entry:
+                raise ConflictingEntry(f"id {entry.id} already present with different metadata")
             return False  # idempotent duplicate
         pos = bisect_right(lcvs, lcv)
         lcvs.insert(pos, lcv)
@@ -147,6 +159,24 @@ class IdentifierIndex:
             return []
         start = bisect_right(run.lcvs, watermark_lcv)
         return run.entries[start:]
+
+    def cycle_from(self, nid: NodeId, lcv: int) -> Iterator[IndexEntry]:
+        """Every entry once, in (nid, lcv) order from the first key above
+        (nid, lcv), wrapping around to end at it.
+
+        The position is a key, not an offset, so it stays put when
+        entries are inserted on either side of it. The walk reads the
+        runs in place and copies only the sorted nid list; the index
+        must not change while it is read.
+        """
+        order = sorted(self._runs)
+        run = self._runs.get(nid, _EMPTY_RUN)
+        cut = bisect_right(run.lcvs, lcv)
+        segments = [islice(run.entries, cut, None)]
+        for other in order[bisect_right(order, nid) :] + order[: bisect_left(order, nid)]:
+            segments.append(self._runs[other].entries)
+        segments.append(islice(run.entries, cut))
+        return chain.from_iterable(segments)
 
     def entries(self) -> list[IndexEntry]:
         """All entries in global (nid, lcv) order."""
@@ -247,19 +277,31 @@ def serialize_index(
     """Serialize ids to the wire stream, optionally only above-watermark
     and optionally restricted to the given source nids.
 
-    Stream length is exactly 16 + 32 * entries_emitted.
+    Stream length is exactly 16 + 32 * entries_emitted. Each run's
+    window is packed in bulk: its tokens start as the run's nid followed
+    by 16 zero bytes, then the big-endian lcv and nst planes, one
+    `struct` pack each, are interleaved into bytes 16-23 and 24-31 of
+    every token by strided slice assignment. The bytes equal
+    `encode_id` of each id in turn.
     """
     chunks: list[bytes] = []
     count = 0
     selected = index.nids() if nids is None else sorted(n for n in nids if n in index._runs)
     for nid in selected:
-        if since is None:
-            run_entries = index._runs[nid].entries
-        else:
-            run_entries = index.entries_above(nid, since.watermark(nid))
-        for entry in run_entries:
-            chunks.append(encode_id(entry.id))
-            count += 1
+        run = index._runs[nid]
+        start = 0 if since is None else bisect_right(run.lcvs, since.watermark(nid))
+        n = len(run.lcvs) - start
+        if n == 0:
+            continue
+        planes = struct.Struct(f">{n}Q")
+        lcvs = planes.pack(*islice(run.lcvs, start, None))
+        nsts = planes.pack(*[entry.id.nst for entry in islice(run.entries, start, None)])
+        tokens = bytearray((nid + _TOKEN_TAIL) * n)
+        for k in range(8):
+            tokens[_LCV_AT + k :: ENCODED_ID_BYTES] = lcvs[k::8]
+            tokens[_NST_AT + k :: ENCODED_ID_BYTES] = nsts[k::8]
+        chunks.append(tokens)
+        count += n
     return _HEADER.pack(WIRE_MAGIC, WIRE_VERSION, count) + b"".join(chunks)
 
 

@@ -39,6 +39,8 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
+from operator import attrgetter
 
 from .costs import CostMeter, CostModel
 from .crc32c import crc32c, crc32c_many
@@ -81,6 +83,8 @@ class CorruptionReport:
         return not self.findings
 
 
+_ENTRY_ID = attrgetter("id")
+
 # a virtual block's content: its (byte_len, seed) descriptor
 _DESCRIPTOR = struct.Struct(">QQ")
 
@@ -117,7 +121,7 @@ class StorageNode:
         self.dr_active = False
         self.dedup_deferrals = 0
         self.pending_wal_replay_s = 0.0
-        self._scrub_cursor = 0
+        self._scrub_cursor: tuple[bytes, int] = (b"", 0)  # before every (nid, lcv)
         self._dedup_cursor = 0
         self._dedup_seen: dict[bytes, CompositeId] = {}
         self._max_exposed_lcv = 0
@@ -151,12 +155,15 @@ class StorageNode:
         return cid
 
     def bind_block(self, cid: CompositeId, content: bytes) -> None:
-        """Low-level store write; rebinding an id already bound is the
-        in-place-overwrite misuse path."""
-        if cid in self.block_store:
+        """Low-level store write, one store probe; rebinding an id already
+        bound is the in-place-overwrite misuse path and leaves the bound
+        block as it was."""
+        blocks = self.block_store
+        held = len(blocks)
+        blocks.setdefault(cid, content)
+        if len(blocks) == held:
             self.counters.immutability_violations += 1
             raise ImmutabilityViolation(f"id {cid} already bound")
-        self.block_store[cid] = content
 
     def replicate_in(self, entry: IndexEntry, content: bytes, digest: bytes | None = None) -> None:
         """Accept a foreign block's entry and content during replication
@@ -249,24 +256,38 @@ class StorageNode:
         """CRC-check up to `budget_blocks` stored blocks round-robin, from
         where the last scrub stopped; never mutates data.
 
-        The window's CRCs come from one `crc32c_many` call; each is then
-        compared with its index entry in window order, so a finding is
-        (key, expected, found) in store order from the cursor.
+        The walk follows the index in (nid, lcv) order from a cursor, the
+        key of the last block checked, so blocks inserted on either side
+        of it neither shift the walk nor get checked twice in one round.
+        Each entry carries its expected CRC, and its content costs one
+        store probe; an entry with no stored block (an indirection
+        alias) is passed over and not counted against the budget. The
+        window's CRCs come from one `crc32c_many` call, and a finding is
+        (key, expected, found) in walk order.
         """
         report = CorruptionReport()
         if budget_blocks <= 0 or not self.block_store:
             return report
-        keys = list(self.block_store)
-        n = len(keys)
-        start = self._scrub_cursor % n
-        count = min(budget_blocks, n)
-        window = keys[start : start + count] + keys[: max(start + count - n, 0)]
-        found_crcs = crc32c_many([self.block_store[key] for key in window])
-        for key, found in zip(window, found_crcs):
-            expected_crc = self.id_index.get(key).crc
-            if found != expected_crc:
-                report.findings.append((key, expected_crc, found))
-        self._scrub_cursor = (start + count) % n
+        budget = min(budget_blocks, len(self.block_store))
+        walk = self.id_index.cycle_from(*self._scrub_cursor)
+        window: list[IndexEntry] = []
+        contents: list[bytes] = []
+        while len(window) < budget:
+            entries = list(islice(walk, budget - len(window)))
+            if not entries:
+                break
+            blocks = list(map(self.block_store.get, map(_ENTRY_ID, entries)))
+            if None in blocks:  # an alias stores no block
+                entries = [entry for entry, block in zip(entries, blocks) if block is not None]
+                blocks = [block for block in blocks if block is not None]
+            window += entries
+            contents += blocks
+        for entry, found in zip(window, crc32c_many(contents)):
+            if found != entry.crc:
+                report.findings.append((entry.id, entry.crc, found))
+        if window:
+            last = window[-1].id
+            self._scrub_cursor = (last.nid, last.lcv)
         return report
 
     # -- lifecycle -----------------------------------------------------

@@ -465,20 +465,24 @@ class SimRuntime:
     def ingest_batch(self, node: StorageNode, count: int) -> None:
         """Ingest `count` blocks on `node`, then push to its ring replicas
         (`Cluster.replicas`) that are up and reachable."""
+        ingest, next_payload = node.ingest, self._next_payload
+        next_user_key = self._next_user_key
         for _ in range(count):
-            payload, _size = self._next_payload()
-            node.ingest(payload, user_key=self._next_user_key())
-            self.metrics.ingests += 1
+            payload, _size = next_payload()
+            ingest(payload, user_key=next_user_key())
+        self.metrics.ingests += count
         # replicate everything above the pair watermark, not just this
         # batch: a peer that was down or partitioned catches up here
+        stored_block = node.stored_block
         for peer in self.cluster.replicas[node.nid]:
             if peer.status is not NodeStatus.UP:
                 continue
             if not reachable(self.cluster.partitions, node.nid, peer.nid):
                 continue
             ckpt = self.cluster.checkpoint(node.nid, peer.nid)
+            replicate_in = peer.replicate_in
             for entry in node.id_index.entries_above(node.nid, ckpt.watermark(node.nid)):
-                peer.replicate_in(entry, node.stored_block(entry.id))
+                replicate_in(entry, stored_block(entry.id))
             ckpt.advance(node.nid, node.id_index.max_lcv(node.nid))
 
     # -- fault handlers --------------------------------------------------

@@ -236,7 +236,8 @@ def test_criterion_8_condition_instrumentation(paper_soak, capsys):
     meter = CostMeter(CostModel())
     ensure_baseline_consistent(node, meter)
     assert meter.hashed_bytes == inventory_bytes
-    tree = node.baseline.merkle
+    _, tree = hashline.rebuild_index(node.inventory())
+    assert node.baseline.merkle == (tree.root, tree.leaf_count, tree.internal_node_count)
     assert meter.hash_ops == tree.leaf_count + tree.internal_node_count
     assert meter.content_reads == 1_024
 

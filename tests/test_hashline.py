@@ -297,7 +297,10 @@ def test_settle_rebuilds_a_lost_index_and_its_aliases():
     rebuilt, hashed = settle(state, blocks, [(cid(9), cid(1))])
     assert rebuilt is not state and hashed == 300 and rebuilt.consistent_flag
     assert rebuilt.by_locator[cid(9)] == rebuilt.by_locator[cid(1)]  # no rehash for an alias
-    assert rebuilt.merkle.leaf_count == 3
+    _, tree = rebuild_index(blocks)
+    assert tree.leaf_count == 3
+    # the index keeps the tree's root and counts, not its levels
+    assert rebuilt.merkle == (tree.root, tree.leaf_count, tree.internal_node_count)
 
 
 # -- rebuild and delta -----------------------------------------------------------

@@ -193,6 +193,38 @@ def test_values_below_the_ceiling_need_no_append():
     assert wal.data() == logged
 
 
+@pytest.mark.parametrize("nst", [-1, 2**64])
+def test_out_of_range_nst_leaves_clock_unchanged(make_wal, nst):
+    for issued in (0, R, R + 3):  # fresh, range used up, mid-range
+        wal = make_wal()
+        clock = LogicalClock(wal)
+        for _ in range(issued):
+            clock.next_id(NID)
+        before = (clock.floor, clock.ceiling, wal.data())
+        with pytest.raises(ValueError):
+            clock.next_id(NID, nst)
+        assert (clock.floor, clock.ceiling, wal.data()) == before
+        assert clock.next_id(NID, 2**64 - 1) == CompositeId(NID, issued + 1, 2**64 - 1)
+
+
+@pytest.mark.parametrize("reserve", [R, 1])
+def test_clock_issues_every_value_up_to_max_then_refuses(make_wal, reserve):
+    top = 2**64 - 1
+    wal = make_wal()
+    clock = LogicalClock(wal, floor=top - 3, reserve=reserve)
+    ids = [clock.next_id(NID, 7) for _ in range(3)]
+    assert ids == [CompositeId(NID, lcv, 7) for lcv in (top - 2, top - 1, top)]
+    assert all(type(cid) is CompositeId for cid in ids)
+    assert read_wal(wal.data())[0][-1] == top  # the last ceiling is clamped to 2**64 - 1
+    for _ in range(2):
+        before = (clock.floor, clock.ceiling, wal.data())
+        with pytest.raises(ValueError, match="exhausted"):
+            clock.next_id(NID)
+        assert (clock.floor, clock.ceiling, wal.data()) == before == (top, top, wal.data())
+    with pytest.raises(ValueError, match="exhausted"):
+        recover_clock(reopen(wal)).next_id(NID)
+
+
 def test_torn_append_failure_then_success(make_wal):
     for reserve in (R, 1):
         wal = make_wal()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metadr.costs import CostMeter, CostModel
-from metadr.identity import CompositeId, NodeId
+from metadr.identity import CompositeId, NodeId, encode_id
 from metadr.index import (
     BadMagic,
     BadVersion,
@@ -261,6 +261,34 @@ def test_checkpointed_serialization_filters_by_watermark():
     ckpt = Checkpoint(watermarks={N1: 8})
     ids = deserialize_index(serialize_index(idx, since=ckpt))
     assert {(c.nid, c.lcv) for c in ids} == {(N1, 9), (N1, 10)} | {(N2, i) for i in range(1, 6)}
+
+
+N4 = NodeId(b"\x04" * 16)  # never holds a run
+_U64 = st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=300)
+@given(
+    runs=st.dictionaries(st.sampled_from(_NIDS), st.dictionaries(_U64, _U64, max_size=20)),
+    watermarks=st.none() | st.dictionaries(st.sampled_from(_NIDS), _U64),
+    nids=st.none() | st.lists(st.sampled_from(_NIDS + (N4,)), unique=True, max_size=4),
+)
+def test_bulk_serialization_equals_per_id_encoding(runs, watermarks, nids):
+    idx = IdentifierIndex()
+    for nid, nst_of in runs.items():
+        for lcv, nst in nst_of.items():
+            idx.insert(IndexEntry(CompositeId(nid, lcv, nst), 100, 0))
+    since = None if watermarks is None else Checkpoint(watermarks=watermarks)
+    stream = serialize_index(idx, since=since, nids=nids)
+    selected = idx.nids() if nids is None else sorted(n for n in nids if n in runs)
+    ids = [
+        e.id
+        for nid in selected
+        for e in idx.entries_above(nid, -1 if since is None else since.watermark(nid))
+    ]
+    header = b"MDRI" + (1).to_bytes(4, "big") + len(ids).to_bytes(8, "big")
+    assert stream == header + b"".join(encode_id(cid) for cid in ids)
+    assert deserialize_index(stream) == ids
 
 
 def test_deserialize_rejects_bad_magic():

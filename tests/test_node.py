@@ -1,5 +1,5 @@
 import struct
-from dataclasses import replace
+from bisect import bisect_right
 from random import Random
 
 import pytest
@@ -116,13 +116,27 @@ def test_replicating_a_known_id_with_other_metadata_conflicts():
     entry = source.id_index.get(cid)
     replica.replicate_in(entry, b"original")
     replica.replicate_in(entry, b"original")  # the same entry again: a no-op
-    forged = replace(entry, crc=entry.crc ^ 1)
+    forged = entry._replace(crc=entry.crc ^ 1)
     with pytest.raises(ConflictingEntry):
         replica.replicate_in(forged, b"forged!!")
     with pytest.raises(ConflictingEntry):
         replica.bind_alias(forged, cid)
     assert replica.id_index.entry_count == 1
     assert replica.read_verify(cid) == b"original"
+
+
+def test_replicating_a_known_id_with_another_user_key_conflicts():
+    source, replica = fresh_node(1), fresh_node(2)
+    cid = source.ingest(b"original", user_key="k1")
+    entry = source.id_index.get(cid)
+    replica.replicate_in(entry, b"original")
+    forged = entry._replace(user_key="k2")  # same id, crc and byte_len
+    with pytest.raises(ConflictingEntry):
+        replica.replicate_in(forged, b"original")
+    with pytest.raises(ConflictingEntry):
+        replica.bind_alias(forged, cid)
+    assert replica.by_user_key == {"k1": cid}
+    assert replica.id_index.get(cid) is entry
 
 
 # -- reads, integrity, scrubbing ---------------------------------------------------
@@ -199,6 +213,8 @@ def test_scrub_at_width_matches_per_block_reference():
     ids = [node.ingest((4096, i)) for i in range(2500)]
     ids += [node.ingest(bytes([i]) * 64) for i in range(40)]
     ids += [node.ingest((4096, i)) for i in range(2500, 5000)]
+    # one nid, so index order is ingest order
+    assert [entry.id for entry in node.id_index.entries()] == ids
     n = len(ids)
     # first, last, and both sides of the cursor after the first wrap
     # (4 x 1,500 = 6,000 = n + 960)
@@ -206,24 +222,87 @@ def test_scrub_at_width_matches_per_block_reference():
     for cid in corrupted:
         node.corrupt_block(cid)
 
-    cursor = 0
+    position = 0
     scanned = 0
     found_keys = set()
     while scanned < 2 * n:
         expected = []
         for i in range(1500):
-            key = ids[(cursor + i) % n]
+            key = ids[(position + i) % n]
             crc = node.id_index.get(key).crc
             found = crc32c(node.block_store[key])
             if found != crc:
                 expected.append((key, crc, found))
-        cursor = (cursor + 1500) % n
+        last = ids[(position + 1499) % n]
+        position = (position + 1500) % n
         scanned += 1500
         report = node.scrub(1500)
         assert report.findings == expected
-        assert node._scrub_cursor == cursor
+        assert node._scrub_cursor == (last.nid, last.lcv)
         found_keys.update(key for key, _, _ in report.findings)
     assert found_keys == corrupted
+
+
+def test_scrub_walks_index_order_across_inserts_and_aliases():
+    node, low, high = (fresh_node(seed) for seed in (1, 2, 3))
+    assert low.nid < node.nid < high.nid  # foreign runs on both sides of its own
+    foreign_ids = {
+        f: [f.ingest(f"{f.nid.hex()}:{i}".encode()) for i in range(40)] for f in (low, high)
+    }
+    own = [node.ingest(f"own:{i}".encode()) for i in range(20)]
+
+    def replicate(source, cid):
+        node.replicate_in(source.id_index.get(cid), source.stored_block(cid))
+
+    def alias(source, cid):
+        node.bind_alias(source.id_index.get(cid), own[0])
+
+    # even lcvs now; the odd ones arrive later, between scrubs
+    for f, cids in foreign_ids.items():
+        for cid in cids[::2]:
+            (alias if cid.lcv % 10 == 0 else replicate)(f, cid)
+    pending = [(f, cid) for f, cids in foreign_ids.items() for cid in cids[1::2]]
+    Random(5).shuffle(pending)
+
+    def corrupt_all_new():
+        for key in list(node.block_store):
+            if key not in corrupted:
+                node.corrupt_block(key)
+                corrupted.add(key)
+
+    corrupted = set()
+    corrupt_all_new()  # so every checked block is a finding
+    cursor = (b"", 0)
+    rounds = [[]]
+    round_start = [set(node.block_store)]
+    for step in range(60):
+        budget = 1 + step % 13
+        # per-entry reference: the next `budget` stored blocks after the
+        # cursor in (nid, lcv) order, wrapping around
+        order = [e for e in node.id_index.entries() if e.id in node.block_store]
+        keys = [(e.id.nid, e.id.lcv) for e in order]
+        start = bisect_right(keys, cursor)
+        window = [order[(start + i) % len(order)] for i in range(min(budget, len(order)))]
+        expected = [(e.id, e.crc, crc32c(node.block_store[e.id])) for e in window]
+        report = node.scrub(budget)
+        assert report.findings == expected
+        for i, entry in enumerate(window):
+            if (start + i) % len(order) == 0 and (i or cursor != (b"", 0)):
+                rounds.append([])
+                round_start.append(set(node.block_store))
+            rounds[-1].append(entry.id)
+        cursor = (window[-1].id.nid, window[-1].id.lcv)
+        assert node._scrub_cursor == cursor
+        # inserts between calls land before and after the cursor
+        for f, cid in pending[step * 2 : step * 2 + 2]:
+            replicate(f, cid)
+        node.ingest(f"own:late:{step}".encode())
+        corrupt_all_new()
+    assert len(rounds) >= 3
+    for checked, stored in zip(rounds[:-1], round_start):
+        assert len(checked) == len(set(checked))  # exactly once per round
+        assert stored <= set(checked)
+    assert not any(key in node.indirection_table for checked in rounds for key in checked)
 
 
 # -- crash / restart lifecycle ------------------------------------------------------
