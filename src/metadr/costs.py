@@ -108,12 +108,22 @@ class CostMeter:
     comparisons: int = 0
     network_bytes: int = 0
 
-    def charge_hash(self, nbytes: float, ops: int = 0) -> float:
-        seconds = self.model.hash_seconds(nbytes)
-        self.t_hash += seconds
-        self.hashed_bytes += int(nbytes)
+    def charge_hash(self, *nbytes: float, ops: int = 0) -> float:
+        """Charge each length's `hash_seconds` to t_hash, one addition per
+        length in the given order, so one call over a run of blocks
+        leaves t_hash bit-identical to one call per block. Returns the
+        seconds charged, summed in the same order."""
+        rate = self.model.hash_throughput * self.model.cores  # as hash_seconds divides
+        t_hash = self.t_hash
+        charged = 0.0
+        for n in nbytes:
+            seconds = n / rate
+            t_hash += seconds
+            charged += seconds
+        self.t_hash = t_hash
+        self.hashed_bytes += sum(map(int, nbytes))
         self.hash_ops += ops
-        return seconds
+        return charged
 
     def charge_index_transfer(self, nbytes: float) -> float:
         seconds = self.model.transfer_seconds(nbytes)

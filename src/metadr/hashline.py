@@ -11,7 +11,9 @@ lost outright (condition 3: full inventory rehash before any delta can
 be computed). `HashIndex.owed_bytes` says what the conditions cost and
 `settle` pays it: a rebuild or a drain, after which the checkpoint is
 committed. All hashing is charged to a cost meter so the rebuild cost
-shows up in virtual recovery time.
+shows up in virtual recovery time: a drain or a rebuild hashes its run
+of blocks and then charges the meter once, each block's length summed
+in run order.
 
 A block is hashed as its content bytes and charged as its byte_len.
 At virtual fidelity the content is the block's 16-byte descriptor, so
@@ -24,6 +26,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .identity import CompositeId, NodeId
@@ -96,10 +99,9 @@ def merkle_build(leaves: list[bytes], meter=None) -> MerkleTree:
     ops = 0
     while len(levels[-1]) > 1:
         lower = levels[-1]
-        upper = []
-        for i in range(0, len(lower) - 1, 2):
-            upper.append(sha(lower[i] + lower[i + 1]).digest())
-            ops += 1
+        pairs = iter(lower)
+        upper = [sha(left + right).digest() for left, right in zip(pairs, pairs)]
+        ops += len(upper)
         if len(lower) % 2:
             upper.append(lower[-1])  # promote the odd node
         levels.append(upper)
@@ -161,6 +163,13 @@ class PendingBlock:
     content: bytes
 
 
+_LOCATOR = attrgetter("locator")
+_BYTE_LEN = attrgetter("byte_len")
+# the columns of a (locator, content, byte_len) inventory row
+_ROW_LOCATOR = itemgetter(0)
+_ROW_BYTE_LEN = itemgetter(2)
+
+
 class HashIndex:
     """One node's hash baseline: digest -> block locators, the pipeline
     that hashes into it, its Merkle tree and its failure conditions.
@@ -216,15 +225,28 @@ class HashIndex:
         return inventory_bytes if self.lost else self.lag_bytes
 
     def add(self, locator: CompositeId, digest: bytes) -> None:
-        held = self.by_digest.get(digest)
-        if held is None:
-            self.by_digest[digest] = locator
-        elif type(held) is set:
-            held.add(locator)
-        elif held != locator:
-            self.by_digest[digest] = {held, locator}
-        self.by_locator[locator] = digest
-        self.by_nid.setdefault(locator.nid, {})[locator] = digest
+        self.add_run((locator,), (digest,))
+
+    def add_run(self, locators, digests) -> None:
+        """Index each locator under its digest, pair by pair in order."""
+        by_digest, by_locator, by_nid = self.by_digest, self.by_locator, self.by_nid
+        held_by = by_digest.get
+        nid = listed = None
+        for locator, digest in zip(locators, digests):
+            held = held_by(digest)
+            if held is None:
+                by_digest[digest] = locator
+            elif type(held) is set:
+                held.add(locator)
+            elif held != locator:
+                by_digest[digest] = {held, locator}
+            by_locator[locator] = digest
+            if locator.nid != nid:  # runs mostly keep to one source nid
+                nid = locator.nid
+                listed = by_nid.get(nid)
+                if listed is None:
+                    listed = by_nid[nid] = {}
+            listed[locator] = digest
 
     def enqueue(self, locator: CompositeId, content: bytes, byte_len: int) -> None:
         """Queue a stored block for hashing."""
@@ -275,21 +297,33 @@ class HashIndex:
 def pipeline_tick(index: HashIndex, hash_budget_bytes: int, meter=None) -> int:
     """Hash queued blocks until the byte budget is exhausted.
 
-    Returns the number of blocks hashed this tick. Lag grows whenever
-    ingestion outruns the budget.
+    The run hashed is the longest prefix of the queue whose byte_lens fit
+    the budget: the tick stops at the first block that does not fit.
+    Each block is hashed by `payload_digest`, and the meter is charged
+    once for the run: every block's byte_len, summed in queue order, and
+    one hash op per block. Returns the number of blocks hashed this
+    tick. Lag grows whenever ingestion outruns the budget.
     """
     if hash_budget_bytes < 0:
         raise ValueError("hash budget must be >= 0")
+    pending = index.pending
     remaining = hash_budget_bytes
-    done = 0
-    while index.pending and index.pending[0].byte_len <= remaining:
-        block = index.pending.popleft()
-        digest = payload_digest(block.content, block.byte_len, meter)
-        index.add(block.locator, digest)
-        index.hashed_since_checkpoint.append(block)
+    cut = 0
+    for block in pending:
         remaining -= block.byte_len
-        done += 1
-    return done
+        if remaining < 0:
+            break
+        cut += 1
+    if not cut:
+        return 0
+    popleft = pending.popleft
+    run = [popleft() for _ in range(cut)]
+    digests = [payload_digest(block.content, block.byte_len) for block in run]
+    if meter is not None:
+        meter.charge_hash(*map(_BYTE_LEN, run), ops=cut)
+    index.add_run(map(_LOCATOR, run), digests)
+    index.hashed_since_checkpoint += run
+    return cut
 
 
 def commit_checkpoint(index: HashIndex) -> None:
@@ -318,20 +352,21 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
     """Condition 3 recovery: full hash scan of the inventory.
 
     `blocks` is an iterable of (locator, content, byte_len) in store
-    order. The meter is charged every block's byte_len (virtual seconds =
-    bytes/(H*C)) plus one hash op per block and per internal tree node,
-    and one content read per block. The index keeps the returned tree's
-    `MerkleSummary`, not its levels.
+    order. Each block is hashed by `payload_digest`, and the meter is
+    charged once for the scan: every block's byte_len, summed in store
+    order (virtual seconds = bytes/(H*C)), one hash op and one content
+    read per block, then one hash op per internal tree node. The index
+    keeps the returned tree's `MerkleSummary`, not its levels.
     """
+    if not isinstance(blocks, list):  # read three times below
+        blocks = list(blocks)
+    digests = [payload_digest(content, byte_len) for _, content, byte_len in blocks]
+    if meter is not None:
+        meter.charge_hash(*map(_ROW_BYTE_LEN, blocks), ops=len(blocks))
+        meter.add_content_reads(len(blocks))
     index = HashIndex()
-    leaves: list[bytes] = []
-    for locator, content, byte_len in blocks:
-        digest = payload_digest(content, byte_len, meter)
-        if meter is not None:
-            meter.add_content_reads(1)
-        index.add(locator, digest)
-        leaves.append(digest)
-    tree = merkle_build(leaves, meter)
+    index.add_run(map(_ROW_LOCATOR, blocks), digests)
+    tree = merkle_build(digests, meter)
     index.merkle = MerkleSummary(tree.root, tree.leaf_count, tree.internal_node_count)
     return index, tree
 

@@ -104,6 +104,11 @@ class CompositeId(_IdFields):
             raise ValueError(f"nst out of 64-bit range: {nst}")
         return super().__new__(cls, nid, lcv, nst)
 
+    @classmethod
+    def _make(cls, iterable) -> "CompositeId":
+        # the NamedTuple's own _make, and so _replace, skip __new__'s checks
+        return cls(*iterable)
+
 
 def lww_key(cid: CompositeId) -> tuple[int, bytes]:
     """Last-writer-wins order among one user key's versions: the highest

@@ -78,6 +78,11 @@ class IndexEntry(_EntryFields):
             raise ValueError(f"byte_len must be positive, got {byte_len}")
         return tuple.__new__(cls, (id, byte_len, crc, user_key))
 
+    @classmethod
+    def _make(cls, iterable) -> "IndexEntry":
+        # the NamedTuple's own _make, and so _replace, skip __new__'s check
+        return cls(*iterable)
+
 
 class _NidRun:
     """One nid's entries with a parallel lcv array for binary search."""

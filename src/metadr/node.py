@@ -296,7 +296,9 @@ class StorageNode:
         """Freeze the node. Optionally leave a torn record tail in the
         WAL, as a crash mid-append would: the log is appended to only
         when the clock reserves its next lcv range, so the torn write is
-        that reservation's ceiling record."""
+        that reservation's ceiling record. Once the ceiling is 2**64 - 1
+        there is no reservation left to tear, and the node crashes with
+        its log as it was. The hook never outlives the crash."""
         if self.status is not NodeStatus.UP:
             raise RuntimeError(f"crash on node in state {self.status.value}")
         if torn_wal_bytes is not None:
@@ -304,7 +306,11 @@ class StorageNode:
             try:
                 self.clock.extend()
             except WalAppendFailure:
-                pass
+                pass  # the torn tail is in the log
+            except ValueError:
+                pass  # lcv space exhausted: extend appended nothing
+            finally:
+                self.wal.fail_next_append = None
         self.status = NodeStatus.CRASHED
 
     def restart(self, fault_kind: str = "none",

@@ -403,6 +403,10 @@ class SimRuntime:
         self.metrics = Metrics(scenario=scenario.name, seed=self.seed)
         self._content_counter = 0
         self._dup_pool: list[tuple[int, int]] = []
+        # block sizes are log-uniform between the inventory's bounds
+        sizes = scenario.inventory
+        self._size_range = (sizes.block_bytes_min, sizes.block_bytes_max)
+        self._log_size_range = tuple(map(math.log, self._size_range))
         self._key_counter = 0
         self._keys: list[str] = []
 
@@ -430,7 +434,6 @@ class SimRuntime:
 
     def _next_payload(self) -> tuple[object, int]:
         work = self.scenario.workload
-        sizes = self.scenario.inventory
         if work.duplicate_ratio > 0 and self._dup_pool and (
             self.rng_work.random() < work.duplicate_ratio
         ):
@@ -438,12 +441,8 @@ class SimRuntime:
         else:
             seed = self._content_counter
             self._content_counter += 1
-            lo, hi = sizes.block_bytes_min, sizes.block_bytes_max
-            size = (
-                lo
-                if lo >= hi
-                else int(math.exp(self.rng_sizes.uniform(math.log(lo), math.log(hi))))
-            )
+            lo, hi = self._size_range
+            size = lo if lo >= hi else int(math.exp(self.rng_sizes.uniform(*self._log_size_range)))
             if work.duplicate_ratio > 0 and len(self._dup_pool) < 10000:
                 self._dup_pool.append((seed, size))
         if self.scenario.fidelity == "concrete":

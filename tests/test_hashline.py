@@ -12,6 +12,7 @@ from metadr.hashline import (
     EMPTY_TREE_ROOT,
     HashIndex,
     InconsistentIndex,
+    PendingBlock,
     commit_checkpoint,
     crash_interrupt,
     hash_delta,
@@ -448,3 +449,140 @@ def test_unique_digests_take_no_set_each():
     own = sys.getsizeof(index.by_digest) + sum(
         sys.getsizeof(v) for v in index.by_digest.values() if isinstance(v, set))
     assert own <= 1.5 * sys.getsizeof(index.by_locator)
+
+
+# -- run kernels against per-block references --------------------------------------
+
+
+def reference_add(index: HashIndex, locator: CompositeId, digest: bytes) -> None:
+    """The digest-map rule written out for one block."""
+    held = index.by_digest.get(digest)
+    if held is None:
+        index.by_digest[digest] = locator
+    elif isinstance(held, set):
+        held.add(locator)
+    elif held != locator:
+        index.by_digest[digest] = {held, locator}
+    index.by_locator[locator] = digest
+    index.by_nid.setdefault(locator.nid, {})[locator] = digest
+
+
+def reference_merkle(leaves: list[bytes]) -> tuple[bytes, int]:
+    """(root, internal node count), one pair at a time."""
+    if not leaves:
+        return EMPTY_TREE_ROOT, 0
+    level, internal = list(leaves), 0
+    while len(level) > 1:
+        upper = []
+        for i in range(0, len(level) - 1, 2):
+            upper.append(hashlib.sha256(level[i] + level[i + 1]).digest())
+            internal += 1
+        if len(level) % 2:
+            upper.append(level[-1])
+        level = upper
+    return level[0], internal
+
+
+def assert_same_maps(index: HashIndex, ref: HashIndex) -> None:
+    assert index.by_digest == ref.by_digest
+    assert list(index.by_locator.items()) == list(ref.by_locator.items())
+    assert ({nid: list(listed.items()) for nid, listed in index.by_nid.items()}
+            == {nid: list(listed.items()) for nid, listed in ref.by_nid.items()})
+
+
+def assert_same_meter(meter: CostMeter, ref: CostMeter) -> None:
+    assert meter.t_hash == ref.t_hash  # bit-identical, not approximately equal
+    assert meter.hashed_bytes == ref.hashed_bytes
+    assert meter.hash_ops == ref.hash_ops
+    assert meter.content_reads == ref.content_reads
+
+
+# (nid, content seed, byte_len): three nids, and four contents so digests
+# repeat within a run and across runs; lengths whose quotients by H*C round
+_BLOCK = st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(1, 10**7))
+
+
+def store_blocks(drawn, first: int = 0) -> list[tuple[CompositeId, bytes, int]]:
+    """Drawn blocks as (locator, content, byte_len) rows, each locator new."""
+    return [(CompositeId(NodeId(bytes([nid]) * 16), first + i + 1), descriptor(n, seed), n)
+            for i, (nid, seed, n) in enumerate(drawn)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(indexed=st.lists(_BLOCK, max_size=20), queued=st.lists(_BLOCK, max_size=40),
+       extra=st.integers(0, 2 * 10**7), share=st.floats(0, 1.2), prior=st.floats(0, 1))
+def test_pipeline_tick_matches_a_per_block_loop(indexed, queued, extra, share, prior):
+    model = CostModel()
+    rows = store_blocks(queued, first=len(indexed))
+    backlog = sum(n for _, _, n in rows)
+    budget = int(share * backlog) + extra  # from 0 to past the backlog
+    index, ref = HashIndex(), HashIndex()
+    for state in (index, ref):
+        for locator, content, n in store_blocks(indexed):  # hashed before this tick
+            reference_add(state, locator, payload_digest(content, n))
+            state.hashed_since_checkpoint.append(PendingBlock(locator, n, content))
+        for locator, content, n in rows:
+            state.enqueue(locator, content, n)
+    meter, ref_meter = CostMeter(model, t_hash=prior), CostMeter(model, t_hash=prior)
+
+    done = pipeline_tick(index, budget, meter)
+
+    ref_done, remaining = 0, budget
+    while ref.pending and ref.pending[0].byte_len <= remaining:
+        block = ref.pending.popleft()
+        reference_add(ref, block.locator, payload_digest(block.content, block.byte_len))
+        ref.hashed_since_checkpoint.append(block)
+        ref_meter.t_hash += model.hash_seconds(block.byte_len)
+        ref_meter.hashed_bytes += block.byte_len
+        ref_meter.hash_ops += 1
+        remaining -= block.byte_len
+        ref_done += 1
+    assert done == ref_done
+    assert list(index.pending) == list(ref.pending)
+    assert index.hashed_since_checkpoint == ref.hashed_since_checkpoint
+    assert_same_maps(index, ref)
+    assert_same_meter(meter, ref_meter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.lists(_BLOCK, max_size=40), prior=st.floats(0, 1))
+def test_rebuild_index_matches_a_per_block_loop(drawn, prior):
+    model = CostModel()
+    rows = store_blocks(drawn)
+    meter, ref_meter = CostMeter(model, t_hash=prior), CostMeter(model, t_hash=prior)
+
+    index, tree = rebuild_index(iter(rows), meter)
+
+    ref, leaves = HashIndex(), []
+    for locator, content, n in rows:
+        digest = payload_digest(content, n)
+        reference_add(ref, locator, digest)
+        leaves.append(digest)
+        ref_meter.t_hash += model.hash_seconds(n)
+        ref_meter.hashed_bytes += n
+        ref_meter.hash_ops += 1
+        ref_meter.content_reads += 1
+    root, internal = reference_merkle(leaves)
+    ref_meter.hash_ops += internal
+    assert_same_maps(index, ref)
+    assert_same_meter(meter, ref_meter)
+    assert (tree.root, tree.leaf_count, tree.internal_node_count) == (root, len(rows), internal)
+    assert index.merkle == (root, len(rows), internal)
+    assert index.consistent_flag
+
+
+def test_one_charge_over_a_run_equals_one_charge_per_length():
+    rng = Random(7)
+    lengths = [rng.randrange(1, 10**9) for _ in range(1000)]
+    model = CostModel()
+    run, single = CostMeter(model, t_hash=0.25), CostMeter(model, t_hash=0.25)
+    charged = run.charge_hash(*lengths, ops=len(lengths))
+    singles = 0.0
+    for n in lengths:
+        singles += single.charge_hash(n, ops=1)
+    assert run.t_hash == single.t_hash and charged == singles
+    assert run.hashed_bytes == single.hashed_bytes == sum(lengths)
+    assert run.hash_ops == single.hash_ops == len(lengths)
+    # the lengths tell the rule from one division of their sum
+    assert 0.25 + sum(lengths) / (model.hash_throughput * model.cores) != run.t_hash
+    assert run.charge_hash(ops=2) == 0.0 and run.hash_ops == len(lengths) + 2

@@ -141,6 +141,18 @@ def test_fuzzed_tokens_decode_and_reencode_identically():
         assert encode_id(decode_id(token)) == token
 
 
+def test_replace_and_make_keep_the_range_checks():
+    cid = CompositeId(NID, 1)
+    with pytest.raises(ValueError):
+        cid._replace(lcv=-5)
+    with pytest.raises(ValueError):
+        cid._replace(nst=2**64)
+    with pytest.raises(ValueError):
+        CompositeId._make((NID, 2**64, 0))
+    assert cid._replace(lcv=2) == CompositeId(NID, 2)
+    assert type(cid._replace(nst=3)) is CompositeId
+
+
 def test_ordering_ignores_namespace_tag():
     a = CompositeId(NID, 5, nst=9)
     b = CompositeId(NID, 6, nst=0)

@@ -78,6 +78,16 @@ def test_byte_len_must_be_positive():
         IndexEntry(CompositeId(N1, 1), 0, 0)
 
 
+def test_replace_and_make_keep_the_byte_len_check():
+    entry = IndexEntry(CompositeId(N1, 1), 10, 0)
+    with pytest.raises(ValueError):
+        entry._replace(byte_len=0)
+    with pytest.raises(ValueError):
+        IndexEntry._make((entry.id, -1, 0, None))
+    assert entry._replace(crc=7) == IndexEntry(entry.id, 10, 7)
+    assert type(entry._replace(user_key="k")) is IndexEntry
+
+
 # -- entries_above --------------------------------------------------------------
 
 

@@ -6,12 +6,21 @@ import pytest
 
 from metadr.crc32c import crc32c
 from metadr.hashline import InconsistentIndex, hash_delta, pipeline_tick
-from metadr.identity import LCV_RESERVE, MemoryWal, NodeId, new_node_id, read_wal
+from metadr.identity import (
+    LCV_RESERVE,
+    MAX_U64,
+    LogicalClock,
+    MemoryWal,
+    NodeId,
+    new_node_id,
+    read_wal,
+)
 from metadr.index import ConflictingEntry
 from metadr.node import (
     CorruptionDetected,
     ImmutabilityViolation,
     NodeDown,
+    NodeStatus,
     NotFound,
     StorageNode,
 )
@@ -336,6 +345,19 @@ def test_torn_crash_tears_the_next_reservation():
     assert read_wal(node.wal.data()) == ([LCV_RESERVE], 2 * LCV_RESERVE)
     node.restart("none", wal_replay_seconds=0.0)
     assert node.ingest(b"next").lcv == 2 * LCV_RESERVE + 1 > max(exposed)
+
+
+def test_torn_crash_with_every_lcv_reserved_leaves_the_log_as_it_was():
+    node = fresh_node()
+    node.clock = LogicalClock(node.wal, floor=MAX_U64 - 1)
+    assert node.ingest(b"last").lcv == MAX_U64  # logs the ceiling 2**64 - 1
+    logged = node.wal.data()
+    node.crash(torn_wal_bytes=9)  # no reservation is left to tear
+    assert node.status is NodeStatus.CRASHED
+    assert node.wal.fail_next_append is None
+    assert node.wal.data() == logged
+    node.restart("none", wal_replay_seconds=0.0)
+    assert node.clock.floor == MAX_U64
 
 
 def test_crash_passes_on_a_wal_error_other_than_the_torn_append():
