@@ -17,7 +17,8 @@ laid out two ways:
   the blocks by length and runs the same 16-byte step on every block of
   a group at once: one lane per block, the lane registers kept as four
   byte planes and XORed as ``int.from_bytes`` integers. A group of fewer
-  than ``MIN_LANES`` (32) blocks goes through the scalar path. A lane
+  than ``MIN_LANES`` (32) blocks goes through the scalar path, and so
+  does a whole input that short, without being grouped at all. A lane
   batch holds at most ``LANE_BATCH_BYTES`` (64 KiB) of content, which
   bounds the temporary memory, so blocks longer than 2 KiB (64 KiB over
   ``MIN_LANES``) go scalar too. Both constants are fixed.
@@ -78,6 +79,8 @@ def crc32c(data: bytes) -> int:
 def crc32c_many(blocks: Sequence[bytes]) -> list[int]:
     """Return ``[crc32c(b) for b in blocks]``, computing each group of
     equal-length blocks lane-parallel (see the module docstring)."""
+    if len(blocks) < MIN_LANES:  # no group could fill the lanes
+        return list(map(crc32c, blocks))
     crcs = [0] * len(blocks)
     by_length: dict[int, list[int]] = {}
     for i, block in enumerate(blocks):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -156,13 +157,14 @@ def merkle_diff(a: MerkleTree, b: MerkleTree) -> MerkleDiff:
     return MerkleDiff(positions, visits)
 
 
-@dataclass(slots=True)
-class PendingBlock:
+class PendingBlock(NamedTuple):
     locator: CompositeId
     byte_len: int
     content: bytes
 
 
+# builds a PendingBlock from a (locator, byte_len, content) row
+_pending = partial(tuple.__new__, PendingBlock)
 _LOCATOR = attrgetter("locator")
 _BYTE_LEN = attrgetter("byte_len")
 # the columns of a (locator, content, byte_len) inventory row
@@ -182,11 +184,13 @@ class HashIndex:
     read a value: a locator is a tuple, so `min()` or iteration over a
     lone one would see its fields. Stored blocks wait in `pending` until
     `pipeline_tick` hashes them; a queue that is not empty is a stale
-    index (condition 1). Work hashed or adopted since the last
-    checkpoint sits in `hashed_since_checkpoint`, which a crash rolls
-    back into the queue (condition 2). `lost` marks a destroyed index
-    store (condition 3). consistent_flag gates delta service; it is true
-    only when the queue is empty and the store has not been lost.
+    index (condition 1). `lag_bytes` is the queue's byte_len total, kept
+    as blocks are queued, drained and rolled back. Work hashed or adopted
+    since the last checkpoint sits in `hashed_since_checkpoint`, which a
+    crash rolls back into the queue (condition 2). `lost` marks a
+    destroyed index store (condition 3). consistent_flag gates delta
+    service; it is true only when the queue is empty and the store has
+    not been lost.
     `merkle` summarizes the tree of the last rebuild (None before one).
     """
 
@@ -197,6 +201,7 @@ class HashIndex:
         # nids lists only theirs
         self.by_nid: dict[NodeId, dict[CompositeId, bytes]] = {}
         self.pending: deque[PendingBlock] = deque()
+        self.lag_bytes = 0
         self.hashed_since_checkpoint: list[PendingBlock] = []
         self.merkle: MerkleSummary | None = None
         self.lost = False
@@ -213,10 +218,6 @@ class HashIndex:
     @property
     def lag_blocks(self) -> int:
         return len(self.pending)
-
-    @property
-    def lag_bytes(self) -> int:
-        return sum(p.byte_len for p in self.pending)
 
     def owed_bytes(self, inventory_bytes: int) -> int:
         """Bytes to hash before the index can be trusted: the whole
@@ -248,16 +249,18 @@ class HashIndex:
                     listed = by_nid[nid] = {}
             listed[locator] = digest
 
-    def enqueue(self, locator: CompositeId, content: bytes, byte_len: int) -> None:
-        """Queue a stored block for hashing."""
-        self.pending.append(PendingBlock(locator, byte_len, content))
+    def enqueue(self, locators, contents, byte_lens) -> None:
+        """Queue a run of stored blocks for hashing, in order; the three
+        sequences are the run's columns."""
+        self.pending.extend(map(_pending, zip(locators, byte_lens, contents)))
+        self.lag_bytes += sum(byte_lens)
 
-    def adopt(self, locator: CompositeId, content: bytes, byte_len: int, digest: bytes) -> None:
-        """Index a stored block under the digest that travelled with it:
-        nothing is hashed, and a crash before the next checkpoint rolls
-        it back like hashed work."""
-        self.add(locator, digest)
-        self.hashed_since_checkpoint.append(PendingBlock(locator, byte_len, content))
+    def adopt(self, locators, contents, byte_lens, digests) -> None:
+        """Index a run of stored blocks under the digests that travelled
+        with them: nothing is hashed, and a crash before the next
+        checkpoint rolls them back like hashed work."""
+        self.add_run(locators, digests)
+        self.hashed_since_checkpoint += map(_pending, zip(locators, byte_lens, contents))
 
     def locators(self, nids=None) -> dict[CompositeId, bytes]:
         """by_locator, or only its locators from the given source nids,
@@ -299,6 +302,8 @@ def pipeline_tick(index: HashIndex, hash_budget_bytes: int, meter=None) -> int:
 
     The run hashed is the longest prefix of the queue whose byte_lens fit
     the budget: the tick stops at the first block that does not fit.
+    A budget that covers `lag_bytes` takes the whole queue without
+    scanning it for the cut, so a drain walks the queue once.
     Each block is hashed by `payload_digest`, and the meter is charged
     once for the run: every block's byte_len, summed in queue order, and
     one hash op per block. Returns the number of blocks hashed this
@@ -307,23 +312,29 @@ def pipeline_tick(index: HashIndex, hash_budget_bytes: int, meter=None) -> int:
     if hash_budget_bytes < 0:
         raise ValueError("hash budget must be >= 0")
     pending = index.pending
-    remaining = hash_budget_bytes
-    cut = 0
-    for block in pending:
-        remaining -= block.byte_len
-        if remaining < 0:
-            break
-        cut += 1
-    if not cut:
+    if hash_budget_bytes >= index.lag_bytes:
+        run = list(pending)
+        pending.clear()
+    else:
+        remaining = hash_budget_bytes
+        cut = 0
+        for block in pending:
+            remaining -= block.byte_len
+            if remaining < 0:
+                break
+            cut += 1
+        popleft = pending.popleft
+        run = [popleft() for _ in range(cut)]
+    if not run:
         return 0
-    popleft = pending.popleft
-    run = [popleft() for _ in range(cut)]
     digests = [payload_digest(block.content, block.byte_len) for block in run]
+    nbytes = list(map(_BYTE_LEN, run))
+    index.lag_bytes -= sum(nbytes)
     if meter is not None:
-        meter.charge_hash(*map(_BYTE_LEN, run), ops=cut)
+        meter.charge_hash(*nbytes, ops=len(run))
     index.add_run(map(_LOCATOR, run), digests)
     index.hashed_since_checkpoint += run
-    return cut
+    return len(run)
 
 
 def commit_checkpoint(index: HashIndex) -> None:
@@ -344,6 +355,7 @@ def crash_interrupt(index: HashIndex) -> int:
     for block in rolled:
         index.remove(block.locator)
     index.pending.extendleft(reversed(rolled))
+    index.lag_bytes += sum(map(_BYTE_LEN, rolled))
     index.hashed_since_checkpoint = []
     return len(rolled)
 

@@ -1,8 +1,9 @@
 """Per-node identifier index: the artifact exchanged during DR.
 
-Entries are kept in per-nid sequences sorted by lcv. Local ingests are
-appends (amortized O(1)); entries arriving via replication insert into
-foreign-nid sequences with binary search. Incremental range queries and
+Entries are kept in per-nid sequences sorted by lcv and inserted in
+runs. An entry above its nid's highest lcv, as every local ingest and
+most replication pushes are, is an append (amortized O(1)); any other is
+placed by binary search. Incremental range queries and
 the sorted set-difference delta computation both ride on that order: a
 sync window (the entries above a checkpoint) is a suffix of each run,
 found by bisection and diffed in place.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import NamedTuple
@@ -36,7 +37,12 @@ _TOKEN_TAIL = bytes(ENCODED_ID_BYTES - NODE_ID_BYTES)
 
 class ConflictingEntry(ValueError):
     """Same id inserted with different metadata: corruption or an
-    immutability violation upstream."""
+    immutability violation upstream. `added` holds the run positions of
+    the entries the insert added before it met the conflicting one."""
+
+    def __init__(self, message: str, added: Sequence[int] = ()) -> None:
+        super().__init__(message)
+        self.added = added
 
 
 class BadMagic(ValueError):
@@ -111,35 +117,50 @@ class IdentifierIndex:
         run = self._runs.get(nid)
         return run.lcvs[-1] if run is not None and run.lcvs else 0
 
-    def insert(self, entry: IndexEntry) -> bool:
-        """Insert an entry, keeping per-nid lcv order; returns whether it
-        was added.
+    def insert(self, entries: Sequence[IndexEntry]) -> list[int]:
+        """Insert a run of entries in order, keeping per-nid lcv order;
+        returns the run positions of the entries added, in order.
 
-        Re-inserting an equal entry is a no-op (False); the same id with
-        any other metadata (crc, byte_len or user key) raises
-        ConflictingEntry, signaling corruption or an immutability
-        violation.
+        An entry above its nid's highest lcv is appended, as every entry
+        of a local ingest or a replication push is; any other is placed
+        by binary search. An entry equal to one already held is skipped;
+        the same id with any other metadata (crc, byte_len or user key)
+        raises ConflictingEntry, signaling corruption or an immutability
+        violation, after the entries before it are inserted (the error's
+        `added`) and before any after it.
         """
-        nid, lcv, _nst = entry.id
-        run = self._runs.get(nid)
-        if run is None:
-            run = self._runs[nid] = _NidRun()
-        lcvs = run.lcvs
-        if not lcvs or lcv > lcvs[-1]:  # append discipline for local ingests
-            lcvs.append(lcv)
-            run.entries.append(entry)
-            self.entry_count += 1
-            return True
-        pos = bisect_right(lcvs, lcv) - 1
-        if pos >= 0 and lcvs[pos] == lcv:
-            if run.entries[pos] != entry:
-                raise ConflictingEntry(f"id {entry.id} already present with different metadata")
-            return False  # idempotent duplicate
-        pos = bisect_right(lcvs, lcv)
-        lcvs.insert(pos, lcv)
-        run.entries.insert(pos, entry)
-        self.entry_count += 1
-        return True
+        added: list[int] = []
+        runs = self._runs
+        nid = lcvs = held = None
+        top = -1  # the current nid's highest lcv; -1 while it has none
+        for position, entry in enumerate(entries):
+            cid = entry[0]
+            if cid[0] != nid:  # runs mostly keep to one nid
+                nid = cid[0]
+                run = runs.get(nid)
+                if run is None:
+                    run = runs[nid] = _NidRun()
+                lcvs, held = run.lcvs, run.entries
+                top = lcvs[-1] if lcvs else -1
+            lcv = cid[1]
+            if lcv > top:
+                lcvs.append(lcv)
+                held.append(entry)
+                top = lcv
+            else:
+                pos = bisect_right(lcvs, lcv)
+                if pos and lcvs[pos - 1] == lcv:
+                    if held[pos - 1] != entry:
+                        self.entry_count += len(added)
+                        raise ConflictingEntry(
+                            f"id {cid} already present with different metadata", added
+                        )
+                    continue  # idempotent duplicate
+                lcvs.insert(pos, lcv)
+                held.insert(pos, entry)
+            added.append(position)
+        self.entry_count += len(added)
+        return added
 
     def get(self, cid: CompositeId) -> IndexEntry | None:
         run = self._runs.get(cid.nid)

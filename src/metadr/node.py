@@ -19,10 +19,12 @@ raises `ConflictingEntry` for different metadata. Integrity is a
 separate concern from identity: the entry's CRC-32C is verified at read
 time and by background scrubbing.
 
-Ingest accepts bytes or a virtual (byte_len, seed) pair; it stores a
-pair's 16-byte packed descriptor as the content, with the entry's
-byte_len the modeled length, so no layer below ingest tells the two
-fidelities apart.
+Ingest and replication take runs: one call stores a batch of blocks,
+CRCs them together and indexes them in order, with the same result as
+one call per block. A payload is bytes or a virtual (byte_len, seed)
+pair; ingest stores a pair's 16-byte packed descriptor as the content,
+with the entry's byte_len the modeled length, so no layer below ingest
+tells the two fidelities apart.
 
 Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
@@ -39,14 +41,14 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import islice, repeat
 from operator import attrgetter
 
 from .costs import CostMeter, CostModel
 from .crc32c import crc32c, crc32c_many
 from .hashline import HashIndex, crash_interrupt, payload_digest
 from .identity import CompositeId, MemoryWal, NodeId, WalAppendFailure, lww_key, recover_clock
-from .index import IdentifierIndex, IndexEntry
+from .index import ConflictingEntry, IdentifierIndex, IndexEntry
 
 
 class NodeDown(RuntimeError):
@@ -84,9 +86,37 @@ class CorruptionReport:
 
 
 _ENTRY_ID = attrgetter("id")
+_ENTRY_BYTE_LEN = attrgetter("byte_len")
 
 # a virtual block's content: its (byte_len, seed) descriptor
 _DESCRIPTOR = struct.Struct(">QQ")
+
+
+def _contents(payloads) -> tuple[list[bytes], list[int]]:
+    """Each payload's stored content and byte_len, in order: bytes are
+    stored as they are, a virtual (byte_len, seed) pair as its packed
+    descriptor. Raises ValueError for a byte_len that is not positive
+    and for a descriptor field outside 0..2**64 - 1."""
+    contents: list[bytes] = []
+    byte_lens: list[int] = []
+    pack = _DESCRIPTOR.pack
+    for payload in payloads:
+        if isinstance(payload, (bytes, bytearray)):
+            content = bytes(payload)
+            byte_len = len(content)
+        else:
+            byte_len, seed = payload
+            try:
+                content = pack(byte_len, seed)
+            except struct.error as exc:
+                raise ValueError(
+                    f"virtual descriptor ({byte_len}, {seed}) is outside 0..2**64 - 1"
+                ) from exc
+        if byte_len <= 0:
+            raise ValueError(f"byte_len must be positive, got {byte_len}")
+        contents.append(content)
+        byte_lens.append(byte_len)
+    return contents, byte_lens
 
 
 @dataclass
@@ -128,81 +158,126 @@ class StorageNode:
 
     # -- ingestion -----------------------------------------------------
 
-    def ingest(self, payload, user_key: str | None = None, nst: int = 0) -> CompositeId:
-        """Store a new block under a fresh composite identifier.
+    def ingest(self, payloads, user_keys=None, nst: int = 0) -> list[CompositeId]:
+        """Store a run of new blocks, each under a fresh composite
+        identifier; returns the ids in run order.
 
-        Identity is assigned before any content analysis; no hashing
-        happens here (the baseline's pipeline hashes asynchronously on
-        its own meter).
+        Each payload is bytes or a virtual (byte_len, seed) pair, and
+        `user_keys`, if given, holds one key or None per payload. Every
+        payload is checked before the first id is drawn, so a rejected
+        run leaves no trace. Then the clock draws one id per block, so
+        each WAL ceiling record lands where a block-at-a-time ingest
+        would put it. If a draw fails, the blocks drawn before it are
+        ingested and the error propagates. Identity is assigned before
+        any content analysis: the run's CRCs come from one `crc32c_many`
+        call, and no hashing happens here (the baseline's pipeline hashes
+        asynchronously on its own meter).
         """
         if self.status is not NodeStatus.UP:
             raise NodeDown(f"node {self.nid} is {self.status.value}")
-        virtual = not isinstance(payload, (bytes, bytearray))
-        byte_len, seed = payload if virtual else (len(payload), None)
-        # checked before an id is drawn or the store is written, so a
-        # rejected block leaves no trace
-        if byte_len <= 0:
-            raise ValueError(f"byte_len must be positive, got {byte_len}")
-        content = _DESCRIPTOR.pack(byte_len, seed) if virtual else bytes(payload)
-        cid = self.clock.next_id(self.nid, nst)
-        if cid.lcv <= self._max_exposed_lcv:
-            self.counters.lcv_order_violations += 1
-        self._max_exposed_lcv = cid.lcv
-        self.bind_block(cid, content)
-        self._admit(IndexEntry(cid, byte_len, crc32c(content), user_key))
+        contents, byte_lens = _contents(payloads)
+        if user_keys is not None and len(user_keys) != len(contents):
+            raise ValueError(f"{len(user_keys)} user keys for {len(contents)} payloads")
+        ids: list[CompositeId] = []
+        draw, nid, issued = self.clock.next_id, self.nid, ids.append
+        try:
+            for _ in contents:
+                issued(draw(nid, nst))
+        finally:
+            drawn = len(ids)
+            if drawn < len(contents):  # a draw failed: keep what was drawn
+                del contents[drawn:], byte_lens[drawn:]
+                if user_keys is not None:
+                    user_keys = user_keys[:drawn]
+            if drawn:
+                self._store_local(ids, contents, byte_lens, user_keys)
+        return ids
+
+    def _store_local(self, ids, contents, byte_lens, keys) -> None:
+        """Bind, index and queue a run of freshly drawn ids; `keys` is
+        None or one user key (or None) per id."""
+        counters = self.counters
+        exposed = self._max_exposed_lcv
+        for cid in ids:
+            if cid.lcv <= exposed:
+                counters.lcv_order_violations += 1
+            exposed = cid.lcv
+        self._max_exposed_lcv = exposed
+        self.bind_blocks(ids, contents)
+        rows = zip(ids, byte_lens, crc32c_many(contents), repeat(None) if keys is None else keys)
+        new = tuple.__new__  # each byte_len was checked positive
+        entries = [new(IndexEntry, row) for row in rows]
+        self.id_index.insert(entries)
+        if keys is not None:
+            self._resolve_keys(entries)
         if self.baseline is not None:
-            self.baseline.enqueue(cid, content, byte_len)
-        return cid
+            self.baseline.enqueue(ids, contents, byte_lens)
 
-    def bind_block(self, cid: CompositeId, content: bytes) -> None:
-        """Low-level store write, one store probe; rebinding an id already
-        bound is the in-place-overwrite misuse path and leaves the bound
-        block as it was."""
+    def bind_blocks(self, ids, contents) -> None:
+        """Low-level store write of a run, after checking that none of its
+        ids is bound; rebinding a bound id is the in-place-overwrite
+        misuse path, and it leaves the store as it was."""
         blocks = self.block_store
-        held = len(blocks)
-        blocks.setdefault(cid, content)
-        if len(blocks) == held:
+        if not blocks.keys().isdisjoint(ids):
             self.counters.immutability_violations += 1
-            raise ImmutabilityViolation(f"id {cid} already bound")
+            bound = next(cid for cid in ids if cid in blocks)
+            raise ImmutabilityViolation(f"id {bound} already bound")
+        blocks.update(zip(ids, contents))
 
-    def replicate_in(self, entry: IndexEntry, content: bytes, digest: bytes | None = None) -> None:
-        """Accept a foreign block's entry and content during replication
-        or sync.
+    def replicate_in(self, entries, contents, digests=None) -> None:
+        """Accept a run of foreign blocks' entries and contents during
+        replication or sync; `digests`, if given, holds each block's
+        digest.
 
-        The entry is the source's own: it carries the id and the block's
-        integrity metadata, so it is inserted as it arrives and the
-        content is stored under its id. The baseline queues the block
-        for hashing, or adopts the digest that travelled with it.
-        Re-replication of a known id is a no-op.
+        The entries are the source's own: each carries the id and the
+        block's integrity metadata, so it is inserted as it arrives and
+        its content is stored under its id. The baseline queues the new
+        blocks for hashing, or adopts the digests that travelled with
+        them. Re-replication of a known id is a no-op. A
+        `ConflictingEntry` at entry k propagates after entries 0..k-1
+        are replicated; the rest are untouched.
         """
-        if not self._admit(entry):
-            return
-        self.block_store[entry.id] = content
-        if self.baseline is None:
-            return
-        if digest is None:
-            self.baseline.enqueue(entry.id, content, entry.byte_len)
-        else:
-            self.baseline.adopt(entry.id, content, entry.byte_len, digest)
+        conflict = None
+        try:
+            added = self.id_index.insert(entries)
+        except ConflictingEntry as exc:
+            added, conflict = exc.added, exc
+        if len(added) < len(entries):
+            entries = [entries[i] for i in added]
+            contents = [contents[i] for i in added]
+            if digests is not None:
+                digests = [digests[i] for i in added]
+        if entries:
+            ids = list(map(_ENTRY_ID, entries))
+            self._resolve_keys(entries)
+            self.block_store.update(zip(ids, contents))
+            if self.baseline is not None:
+                byte_lens = list(map(_ENTRY_BYTE_LEN, entries))
+                if digests is None:
+                    self.baseline.enqueue(ids, contents, byte_lens)
+                else:
+                    self.baseline.adopt(ids, contents, byte_lens, digests)
+        if conflict is not None:
+            raise conflict
 
     def bind_alias(self, entry: IndexEntry, kept: CompositeId) -> None:
         """Accept a foreign id whose content this node already stores
         under `kept`: the id reads through the indirection table and no
         block is stored. A known id is a no-op."""
-        if self._admit(entry):
+        if self.id_index.insert([entry]):
+            self._resolve_keys([entry])
             self.indirection_table[entry.id] = self.indirection_table.get(kept, kept)
 
-    def _admit(self, entry: IndexEntry) -> bool:
-        """Index the entry; its key, if any, resolves by `lww_key`.
-        Returns whether the entry is new (see `IdentifierIndex.insert`)."""
-        if not self.id_index.insert(entry):
-            return False
-        key = entry.user_key
-        if key is not None:
-            current = self.by_user_key.get(key)
-            if current is None or lww_key(entry.id) > lww_key(current):
-                self.by_user_key[key] = entry.id
-        return True
+    def _resolve_keys(self, entries) -> None:
+        """Point each new entry's user key, if any, at the version
+        `lww_key` orders last, entry by entry in run order."""
+        by_user_key = self.by_user_key
+        for entry in entries:
+            key = entry.user_key
+            if key is not None:
+                current = by_user_key.get(key)
+                if current is None or lww_key(entry.id) > lww_key(current):
+                    by_user_key[key] = entry.id
 
     # -- reads and integrity -------------------------------------------
 

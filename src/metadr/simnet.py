@@ -464,24 +464,29 @@ class SimRuntime:
     def ingest_batch(self, node: StorageNode, count: int) -> None:
         """Ingest `count` blocks on `node`, then push to its ring replicas
         (`Cluster.replicas`) that are up and reachable."""
-        ingest, next_payload = node.ingest, self._next_payload
-        next_user_key = self._next_user_key
-        for _ in range(count):
-            payload, _size = next_payload()
-            ingest(payload, user_key=next_user_key())
+        next_payload, next_user_key = self._next_payload, self._next_user_key
+        payloads, keys = [], []
+        for _ in range(count):  # each block draws its payload, then its key
+            payloads.append(next_payload()[0])
+            keys.append(next_user_key())
+        node.ingest(payloads, keys)
         self.metrics.ingests += count
         # replicate everything above the pair watermark, not just this
-        # batch: a peer that was down or partitioned catches up here
-        stored_block = node.stored_block
+        # batch: a peer that was down or partitioned catches up here.
+        # Peers at the same watermark get the same run, read once.
+        window = (None, [], [])  # (watermark, entries above it, their contents)
         for peer in self.cluster.replicas[node.nid]:
             if peer.status is not NodeStatus.UP:
                 continue
             if not reachable(self.cluster.partitions, node.nid, peer.nid):
                 continue
             ckpt = self.cluster.checkpoint(node.nid, peer.nid)
-            replicate_in = peer.replicate_in
-            for entry in node.id_index.entries_above(node.nid, ckpt.watermark(node.nid)):
-                replicate_in(entry, stored_block(entry.id))
+            watermark = ckpt.watermark(node.nid)
+            if watermark != window[0]:
+                entries = node.id_index.entries_above(node.nid, watermark)
+                window = (watermark, entries, [node.stored_block(entry.id) for entry in entries])
+            if window[1]:
+                peer.replicate_in(window[1], window[2])
             ckpt.advance(node.nid, node.id_index.max_lcv(node.nid))
 
     # -- fault handlers --------------------------------------------------

@@ -24,7 +24,7 @@ A split brain needs no merge of its own. Ids of different nids never
 collide, so a converge after the partition heals unions the two sides'
 ids; a user key written on both sides resolves, on every node that
 admits its versions, to the one `identity.lww_key` orders last
-(`StorageNode._admit`). That is the merge `verify` checks.
+(`StorageNode._resolve_keys`). That is the merge `verify` checks.
 
 Under the metadata framework the identification step touches ids only:
 no content is read and nothing is hashed, and the per-event report's
@@ -252,13 +252,13 @@ def _held_elsewhere(listed: dict, puller) -> list[CompositeId]:
 
 
 def _transfer_meta(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
-    """Move the identified blocks; returns content bytes transferred."""
-    moved = 0
-    for cid in ids:
-        entry = source.id_index.get(cid)
-        puller.replicate_in(entry, source.stored_block(cid))
-        moved += entry.byte_len
-    return moved
+    """Move the identified blocks as one run; returns content bytes
+    transferred."""
+    if not ids:
+        return 0
+    entries = list(map(source.id_index.get, ids))
+    puller.replicate_in(entries, list(map(source.stored_block, ids)))
+    return sum(entry.byte_len for entry in entries)
 
 
 def _advance_pair_checkpoint(
@@ -321,7 +321,8 @@ def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None
 def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
     """Move the identified blocks with their digests; an id whose content
     the puller already holds is bound to that copy instead. Returns
-    content bytes transferred."""
+    content bytes transferred. One id at a time, not one run: whether an
+    id becomes an alias depends on the blocks adopted before it."""
     index = puller.baseline
     moved = 0
     for cid in ids:
@@ -332,7 +333,8 @@ def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[Composite
             puller.bind_alias(entry, kept)
             index.add(cid, digest)  # the digest travelled; nothing is hashed
             continue
-        puller.replicate_in(entry, source.stored_block(cid), digest)  # adopted, not rehashed
+        # adopted, not rehashed
+        puller.replicate_in([entry], [source.stored_block(cid)], [digest])
         moved += entry.byte_len
     return moved
 

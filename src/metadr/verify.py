@@ -59,7 +59,7 @@ def _chaos_uniqueness(
         if rng.random() < 0.05:
             node.crash(torn_wal_bytes=rng.randrange(0, identity.WAL_RECORD_BYTES))
             continue
-        cid = node.ingest((byte_len, rng.randrange(1 << 30)))
+        (cid,) = node.ingest([(byte_len, rng.randrange(1 << 30))])
         key = (cid.nid, cid.lcv)
         if key in seen:
             return False, f"duplicate id {cid}"
@@ -132,9 +132,9 @@ def _two_node_partition_case(rng: Random, max_blocks: int, byte_len: int) -> tup
     a = StorageNode(identity.new_node_id(rng))
     b = StorageNode(identity.new_node_id(rng))
     for _ in range(rng.randrange(1, max_blocks)):
-        a.ingest((byte_len, rng.randrange(1 << 30)))
+        a.ingest([(byte_len, rng.randrange(1 << 30))])
     for _ in range(rng.randrange(1, max_blocks)):
-        b.ingest((byte_len, rng.randrange(1 << 30)))
+        b.ingest([(byte_len, rng.randrange(1 << 30))])
     rounds = converge(Cluster([a, b]), a, b, "meta")
     if rounds != 1:
         return False, f"convergence took {rounds} rounds"
@@ -156,7 +156,7 @@ def _framework_equivalence_case(rng: Random, max_blocks: int) -> tuple[bool, str
     b = StorageNode(identity.new_node_id(rng), baseline=True)
     for i in range(rng.randrange(2, max_blocks)):
         payload = i.to_bytes(4, "big") + rng.randbytes(rng.randrange(12, 196))
-        (a if rng.random() < 0.5 else b).ingest(payload)
+        (a if rng.random() < 0.5 else b).ingest([payload])
     for node in (a, b):
         ensure_baseline_consistent(node)
     hash_plan = compute_delta_hash(a.baseline, b.baseline)
@@ -182,9 +182,9 @@ def _dual_write(seed: str) -> tuple[StorageNode, StorageNode]:
     b = StorageNode(identity.new_node_id(rng))
     for key in [f"k{i}" for i in range(rng.randrange(1, 10))]:
         if rng.random() < 0.8:
-            a.ingest((64, rng.randrange(1 << 20)), user_key=key)
+            a.ingest([(64, rng.randrange(1 << 20))], [key])
         if rng.random() < 0.8:
-            b.ingest((64, rng.randrange(1 << 20)), user_key=key)
+            b.ingest([(64, rng.randrange(1 << 20))], [key])
     return a, b
 
 
@@ -308,8 +308,8 @@ def suite_baseline(seed: int = 0) -> list[Check]:
 
     index = hashline.HashIndex()
     nid = identity.NodeId(b"\x01" * 16)
-    for i in range(100):
-        index.enqueue(identity.CompositeId(nid, i + 1), i.to_bytes(16, "big"), 100)
+    index.enqueue([identity.CompositeId(nid, i + 1) for i in range(100)],
+                  [i.to_bytes(16, "big") for i in range(100)], [100] * 100)
     hashline.pipeline_tick(index, 100 * 50)
     grew = index.lag_blocks == 50
     hashline.commit_checkpoint(index)

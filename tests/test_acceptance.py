@@ -191,7 +191,7 @@ def test_criterion_7_oracle_equivalences(capsys):
         def build(pairs):
             idx = IdentifierIndex()
             for nid, lcv in pairs:
-                idx.insert(IndexEntry(identity.CompositeId(nid, lcv), 64, 0))
+                idx.insert([IndexEntry(identity.CompositeId(nid, lcv), 64, 0)])
             return idx
 
         a, b = build(pairs_a), build(pairs_b)
@@ -228,7 +228,7 @@ def test_criterion_8_condition_instrumentation(paper_soak, capsys):
     inventory_bytes = 0
     for i in range(1_024):
         size = rng.randrange(64, 256)
-        node.ingest((size, i))
+        node.ingest([(size, i)])
         inventory_bytes += size
     ensure_baseline_consistent(node)
     node.baseline.mark_lost()
@@ -249,7 +249,7 @@ def test_criterion_8_condition_instrumentation(paper_soak, capsys):
     nodes = [StorageNode(identity.new_node_id(cluster_rng)) for _ in range(3)]
     cluster = Cluster(nodes)
     for i in range(50):
-        nodes[0].ingest((64, i))
+        nodes[0].ingest([(64, i)])
     sync_pair_meta(cluster, nodes[0], nodes[1])
     nodes[0].crash()
     live = execute_failover(cluster, nodes[0].nid, nodes[2].nid, "meta")
@@ -263,9 +263,9 @@ def test_criterion_8_condition_instrumentation(paper_soak, capsys):
         b = IdentifierIndex()
         for lcv in range(1, n_blocks + 1):
             entry = IndexEntry(identity.CompositeId(nid, lcv), 64, 0)
-            a.insert(entry)
+            a.insert([entry])
             if lcv <= n_blocks - 16:  # fixed delta of 16
-                b.insert(entry)
+                b.insert([entry])
         meter_n = CostMeter(CostModel())
         set_difference(a, b, meter_n)
         return meter_n.comparisons

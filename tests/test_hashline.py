@@ -213,7 +213,7 @@ def test_diff_pads_unequal_leaf_counts():
 def make_pipeline(blocks=0, size=100):
     state = HashIndex()
     for i in range(blocks):
-        state.enqueue(cid(i), descriptor(size, i), size)
+        state.enqueue([cid(i)], [descriptor(size, i)], [size])
     return state
 
 
@@ -228,7 +228,7 @@ def test_zero_budget_starves():
     state = make_pipeline(10)
     pipeline_tick(state, 0)
     assert state.lag_blocks == 10
-    state.enqueue(cid(99), descriptor(100, 99), 100)
+    state.enqueue([cid(99)], [descriptor(100, 99)], [100])
     assert state.lag_blocks == 11  # strictly grows under starvation
     assert not state.consistent_flag
 
@@ -239,7 +239,7 @@ def test_sustained_ingest_at_twice_budget_halves_coverage():
     locator = 0
     for _tick in range(40):
         for _ in range(2):
-            state.enqueue(cid(locator), descriptor(100, locator), 100)
+            state.enqueue([cid(locator)], [descriptor(100, locator)], [100])
             locator += 1
         pipeline_tick(state, 100)
     assert len(state.by_locator) == 40  # hashed half of the 80 ingested
@@ -425,9 +425,9 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
             if kind == "add":
                 index.add(loc, payload_digest(content, 64))
             elif kind == "adopt":
-                index.adopt(loc, content, 64, payload_digest(content, 64))
+                index.adopt([loc], [content], [64], [payload_digest(content, 64)])
             else:
-                index.enqueue(loc, content, 64)
+                index.enqueue([loc], [content], [64])
         elif kind == "tick":
             pipeline_tick(index, 64 * step[1])
         elif kind == "checkpoint":
@@ -522,7 +522,7 @@ def test_pipeline_tick_matches_a_per_block_loop(indexed, queued, extra, share, p
             reference_add(state, locator, payload_digest(content, n))
             state.hashed_since_checkpoint.append(PendingBlock(locator, n, content))
         for locator, content, n in rows:
-            state.enqueue(locator, content, n)
+            state.enqueue([locator], [content], [n])
     meter, ref_meter = CostMeter(model, t_hash=prior), CostMeter(model, t_hash=prior)
 
     done = pipeline_tick(index, budget, meter)

@@ -29,8 +29,7 @@ def entry(nid, lcv, crc=0, user_key=None):
 
 def build_index(pairs):
     idx = IdentifierIndex()
-    for nid, lcv in pairs:
-        idx.insert(entry(nid, lcv))
+    idx.insert([entry(nid, lcv) for nid, lcv in pairs])
     return idx
 
 
@@ -39,37 +38,48 @@ def build_index(pairs):
 
 def test_insert_into_empty_index():
     idx = IdentifierIndex()
-    idx.insert(entry(N1, 1))
+    idx.insert([entry(N1, 1)])
     assert idx.entry_count == 1
 
 
 def test_reinsert_identical_entry_is_idempotent():
     idx = IdentifierIndex()
-    idx.insert(entry(N1, 1))
-    idx.insert(entry(N1, 1))
+    idx.insert([entry(N1, 1)])
+    idx.insert([entry(N1, 1)])
     assert idx.entry_count == 1
 
 
 def test_insert_reports_whether_it_added_the_entry():
     idx = IdentifierIndex()
-    assert idx.insert(entry(N1, 5)) is True  # append
-    assert idx.insert(entry(N1, 2)) is True  # foreign, inserted in order
-    assert idx.insert(entry(N1, 5)) is False
-    assert idx.insert(entry(N1, 2)) is False
+    assert idx.insert([entry(N1, 5)]) == [0]  # append
+    assert idx.insert([entry(N1, 2)]) == [0]  # foreign, inserted in order
+    assert idx.insert([entry(N1, 5)]) == []
+    assert idx.insert([entry(N1, 2)]) == []
     assert idx.entry_count == 2
+
+
+def test_a_run_insert_reports_the_positions_it_added():
+    idx = build_index([(N1, 3)])
+    run = [entry(N1, 4), entry(N1, 3), entry(N2, 1), entry(N1, 2), entry(N1, 4)]
+    assert idx.insert(run) == [0, 2, 3]
+    with pytest.raises(ConflictingEntry) as conflict:
+        idx.insert([entry(N1, 9), entry(N1, 3, crc=7), entry(N1, 10)])
+    assert conflict.value.added == [0]  # inserted before the conflict; 10 never is
+    assert [e.id.lcv for e in idx.entries_above(N1, 0)] == [2, 3, 4, 9]
+    assert idx.entry_count == 5 and idx.insert([]) == []
 
 
 def test_same_id_different_crc_conflicts():
     idx = IdentifierIndex()
-    idx.insert(entry(N1, 1, crc=5))
+    idx.insert([entry(N1, 1, crc=5)])
     with pytest.raises(ConflictingEntry):
-        idx.insert(entry(N1, 1, crc=6))
+        idx.insert([entry(N1, 1, crc=6)])
 
 
 def test_foreign_insert_keeps_order():
     idx = IdentifierIndex()
     for lcv in (5, 1, 3, 2, 4):
-        idx.insert(entry(N1, lcv))
+        idx.insert([entry(N1, lcv)])
     assert [e.id.lcv for e in idx.entries_above(N1, 0)] == [1, 2, 3, 4, 5]
 
 
@@ -117,7 +127,7 @@ def test_entries_above_matches_linear_filter_oracle():
             continue
         seen.add((nid, lcv))
         e = entry(nid, lcv)
-        idx.insert(e)
+        idx.insert([e])
         all_entries.append(e)
     for _ in range(50):
         watermark = rng.randrange(0, 50_000)
@@ -205,8 +215,7 @@ def window_difference_oracle(a, b, meter, since, nids):
         selected = idx.nids() if nids is None else [n for n in nids if n in idx._runs]
         for nid in selected:
             floor = since.watermark(nid) if since is not None else 0
-            for e in idx.entries_above(nid, floor):
-                copy.insert(e)
+            copy.insert(idx.entries_above(nid, floor))
         return copy
 
     return set_difference(window(a), window(b), meter)
@@ -286,8 +295,7 @@ _U64 = st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1]) | st.integers
 def test_bulk_serialization_equals_per_id_encoding(runs, watermarks, nids):
     idx = IdentifierIndex()
     for nid, nst_of in runs.items():
-        for lcv, nst in nst_of.items():
-            idx.insert(IndexEntry(CompositeId(nid, lcv, nst), 100, 0))
+        idx.insert([IndexEntry(CompositeId(nid, lcv, nst), 100, 0) for lcv, nst in nst_of.items()])
     since = None if watermarks is None else Checkpoint(watermarks=watermarks)
     stream = serialize_index(idx, since=since, nids=nids)
     selected = idx.nids() if nids is None else sorted(n for n in nids if n in runs)

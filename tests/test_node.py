@@ -3,15 +3,18 @@ from bisect import bisect_right
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metadr.crc32c import crc32c
-from metadr.hashline import InconsistentIndex, hash_delta, pipeline_tick
+from metadr.hashline import InconsistentIndex, hash_delta, payload_digest, pipeline_tick
 from metadr.identity import (
     LCV_RESERVE,
     MAX_U64,
     LogicalClock,
     MemoryWal,
     NodeId,
+    WalAppendFailure,
     new_node_id,
     read_wal,
 )
@@ -36,7 +39,7 @@ def fresh_node(seed=1, **kwargs):
 
 def test_first_ingest_on_fresh_node():
     node = fresh_node()
-    cid = node.ingest(b"hello world", user_key="k0")
+    cid = node.ingest([b"hello world"], ["k0"])[0]
     assert cid.lcv == 1
     assert node.id_index.entry_count == 1
 
@@ -44,10 +47,11 @@ def test_first_ingest_on_fresh_node():
 def test_many_ingests_distinct_ids_and_zero_hash_ops():
     node = fresh_node(baseline=True)
     seen = set()
-    for i in range(100_000):
-        cid = node.ingest((256, i))
-        assert (cid.nid, cid.lcv) not in seen
-        seen.add((cid.nid, cid.lcv))
+    for start in range(0, 100_000, 1_000):
+        for cid in node.ingest([(256, i) for i in range(start, start + 1_000)]):
+            assert (cid.nid, cid.lcv) not in seen
+            seen.add((cid.nid, cid.lcv))
+    assert len(seen) == 100_000
     # identification never hashes: the only permissible hashing lives in
     # the baseline pipeline and the background dedup meter
     assert node.background_meter.hash_ops == 0
@@ -59,16 +63,16 @@ def test_ingest_rejected_when_down():
     node = fresh_node()
     node.crash()
     with pytest.raises(NodeDown):
-        node.ingest(b"x")
+        node.ingest([b"x"])
 
 
 @pytest.mark.parametrize("payload", [b"", (0, 7)], ids=["empty-bytes", "zero-length-virtual"])
 def test_zero_length_ingest_is_rejected_and_leaves_no_trace(payload):
     node = fresh_node(baseline=True)
-    node.ingest(b"kept", user_key="k")
+    node.ingest([b"kept"], ["k"])
     floor, wal = node.clock.floor, node.wal.data()
     with pytest.raises(ValueError):
-        node.ingest(payload, user_key="k2")
+        node.ingest([payload], ["k2"])
     assert list(node.block_store) == [node.by_user_key["k"]]
     assert node.id_index.entry_count == 1
     assert node.by_user_key == {"k": node.by_user_key["k"]}
@@ -79,8 +83,132 @@ def test_zero_length_ingest_is_rejected_and_leaves_no_trace(payload):
 
 def test_virtual_ingest_charges_zero_hash_seconds():
     node = fresh_node()
-    node.ingest((4096, 1))
+    node.ingest([(4096, 1)])
     assert node.background_meter.hash_ops == 0
+
+
+# -- runs ----------------------------------------------------------------------------
+
+
+def node_state(node):
+    """What an ingest or replicate_in run can change on a node, in an
+    order-sensitive, comparable form."""
+    baseline = node.baseline
+    return (
+        node.clock.floor,
+        node.clock.ceiling,
+        node.wal.data(),
+        list(node.block_store.items()),
+        node.id_index.entries(),
+        node.by_user_key,
+        list(baseline.pending),
+        baseline.lag_bytes,
+        baseline.hashed_since_checkpoint,
+        list(baseline.by_locator.items()),
+        node.counters.lcv_order_violations,
+        node.counters.immutability_violations,
+    )
+
+
+def twins(nid_byte):
+    return [StorageNode(NodeId(bytes([nid_byte]) * 16), baseline=True) for _ in range(2)]
+
+
+# bytes and virtual payloads, with equal contents and repeated keys likely
+_PAYLOAD = st.one_of(
+    st.binary(min_size=1, max_size=40),
+    st.tuples(st.integers(1, 64) | st.just(MAX_U64), st.integers(0, 3) | st.just(MAX_U64)),
+)
+_KEY = st.none() | st.sampled_from("abc")
+_BLOCKS = st.lists(st.tuples(_PAYLOAD, _KEY), max_size=40)
+
+
+@pytest.mark.parametrize(
+    "bad", [(2**64, 7), (-1, 7), (64, 2**64), (64, -1), (64, 1.5), (0, 7), b""],
+    ids=["len-2**64", "len-negative", "seed-2**64", "seed-negative", "seed-float",
+         "len-zero", "empty-bytes"],
+)
+def test_a_run_with_one_bad_payload_is_rejected_and_leaves_no_trace(bad):
+    node = fresh_node(baseline=True)
+    node.ingest([b"kept"], ["k"])
+    before = node_state(node)
+    with pytest.raises(ValueError):
+        node.ingest([(64, 1), bad, b"after"], ["k", "k2", None])
+    assert node_state(node) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lead=st.integers(0, 8) | st.integers(LCV_RESERVE - 40, LCV_RESERVE),
+    blocks=_BLOCKS,
+    failure=st.none() | st.just("lost") | st.tuples(st.just("torn"), st.integers(0, 15)),
+)
+def test_an_ingest_run_equals_the_same_blocks_in_runs_of_one(lead, blocks, failure):
+    # a lead near LCV_RESERVE makes the run cross into the next
+    # reservation, where a failing WAL append stops it part way
+    run, single = twins(5)
+    for node in (run, single):
+        node.ingest([(64, i) for i in range(lead)])
+        node.wal.fail_next_append = failure
+    singles, single_error = [], None
+    for payload, key in blocks:
+        try:
+            singles += single.ingest([payload], [key])
+        except WalAppendFailure as exc:
+            single_error = exc
+            break
+    try:
+        ids = run.ingest([payload for payload, _ in blocks], [key for _, key in blocks])
+    except WalAppendFailure as exc:
+        assert single_error is not None, f"the run failed alone: {exc}"
+    else:
+        assert single_error is None and ids == singles
+    assert node_state(run) == node_state(single)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    blocks=_BLOCKS.filter(bool),
+    held=st.sets(st.integers(0, 39)),
+    picks=st.lists(st.integers(0, 39), min_size=1, max_size=40),
+    conflict=st.none() | st.integers(0, 39),
+    adopt=st.booleans(),
+)
+def test_a_replicate_in_run_equals_the_same_entries_in_runs_of_one(
+    blocks, held, picks, conflict, adopt
+):
+    source = StorageNode(NodeId(b"\x01" * 16))
+    source.ingest([payload for payload, _ in blocks], [key for _, key in blocks])
+    entries = source.id_index.entries()
+    n = len(entries)
+    # any order, repeats allowed, and some ids already held
+    entries_run = [entries[i % n] for i in picks]
+    held = {i % n for i in held}
+    if conflict is not None:  # same id as an entry held, other metadata
+        k = conflict % len(entries_run)
+        entries_run[k] = entries_run[k]._replace(crc=entries_run[k].crc ^ 1)
+        held.add(picks[k] % n)
+    contents = [source.stored_block(entry.id) for entry in entries_run]
+    digests = [payload_digest(c, e.byte_len) for c, e in zip(contents, entries_run)]
+    digests = digests if adopt else None
+    run, single = twins(2)
+    for node in (run, single):
+        prior = [entries[i] for i in sorted(held)]
+        node.replicate_in(prior, [source.stored_block(entry.id) for entry in prior])
+    single_error = None
+    for i, entry in enumerate(entries_run):
+        try:
+            single.replicate_in([entry], [contents[i]], digests and [digests[i]])
+        except ConflictingEntry as exc:
+            single_error = exc
+            break
+    try:
+        run.replicate_in(entries_run, contents, digests)
+    except ConflictingEntry:
+        assert single_error is not None
+    else:
+        assert single_error is None
+    assert node_state(run) == node_state(single)
 
 
 # -- mutation and immutability ---------------------------------------------------
@@ -88,8 +216,8 @@ def test_virtual_ingest_charges_zero_hash_seconds():
 
 def test_mutate_assigns_fresh_higher_id():
     node = fresh_node()
-    first = node.ingest(b"v1", user_key="key")
-    second = node.ingest(b"v2", user_key="key")
+    first = node.ingest([b"v1"], ["key"])[0]
+    second = node.ingest([b"v2"], ["key"])[0]
     assert second.lcv > first.lcv
     assert node.read("key") == b"v2"
     assert node.read_verify(first) == b"v1"  # prior block untouched
@@ -101,33 +229,33 @@ def test_key_written_on_two_nodes_reads_the_same_on_both():
     a = StorageNode(NodeId(b"\x01" * 16))
     b = StorageNode(NodeId(b"\x02" * 16))
     for i in range(4):
-        a.ingest(f"filler {i}".encode())
-    a.ingest(b"from a", user_key="k")
+        a.ingest([f"filler {i}".encode()])
+    a.ingest([b"from a"], ["k"])
     for entry in a.id_index.entries_above(a.nid, 0):
-        b.replicate_in(entry, a.stored_block(entry.id))
-    b.ingest(b"from b", user_key="k")
+        b.replicate_in([entry], [a.stored_block(entry.id)])
+    b.ingest([b"from b"], ["k"])
     for entry in b.id_index.entries_above(b.nid, 0):
-        a.replicate_in(entry, b.stored_block(entry.id))
+        a.replicate_in([entry], [b.stored_block(entry.id)])
     assert a.read("k") == b.read("k") == b"from a"
 
 
 def test_in_place_overwrite_raises():
     node = fresh_node()
-    cid = node.ingest(b"original")
+    cid = node.ingest([b"original"])[0]
     with pytest.raises(ImmutabilityViolation):
-        node.bind_block(cid, b"evil!")
+        node.bind_blocks([cid], [b"evil!"])
     assert node.counters.immutability_violations == 1
 
 
 def test_replicating_a_known_id_with_other_metadata_conflicts():
     source, replica = fresh_node(1), fresh_node(2)
-    cid = source.ingest(b"original")
+    cid = source.ingest([b"original"])[0]
     entry = source.id_index.get(cid)
-    replica.replicate_in(entry, b"original")
-    replica.replicate_in(entry, b"original")  # the same entry again: a no-op
+    replica.replicate_in([entry], [b"original"])
+    replica.replicate_in([entry], [b"original"])  # the same entry again: a no-op
     forged = entry._replace(crc=entry.crc ^ 1)
     with pytest.raises(ConflictingEntry):
-        replica.replicate_in(forged, b"forged!!")
+        replica.replicate_in([forged], [b"forged!!"])
     with pytest.raises(ConflictingEntry):
         replica.bind_alias(forged, cid)
     assert replica.id_index.entry_count == 1
@@ -136,12 +264,12 @@ def test_replicating_a_known_id_with_other_metadata_conflicts():
 
 def test_replicating_a_known_id_with_another_user_key_conflicts():
     source, replica = fresh_node(1), fresh_node(2)
-    cid = source.ingest(b"original", user_key="k1")
+    cid = source.ingest([b"original"], ["k1"])[0]
     entry = source.id_index.get(cid)
-    replica.replicate_in(entry, b"original")
+    replica.replicate_in([entry], [b"original"])
     forged = entry._replace(user_key="k2")  # same id, crc and byte_len
     with pytest.raises(ConflictingEntry):
-        replica.replicate_in(forged, b"original")
+        replica.replicate_in([forged], [b"original"])
     with pytest.raises(ConflictingEntry):
         replica.bind_alias(forged, cid)
     assert replica.by_user_key == {"k1": cid}
@@ -153,17 +281,17 @@ def test_replicating_a_known_id_with_another_user_key_conflicts():
 
 def test_read_verify_roundtrip():
     node = fresh_node()
-    cid = node.ingest(b"some payload bytes")
+    cid = node.ingest([b"some payload bytes"])[0]
     assert node.read_verify(cid) == b"some payload bytes"
     # a virtual block reads back as its packed descriptor
-    cid = node.ingest((4096, 17))
+    cid = node.ingest([(4096, 17)])[0]
     assert node.read_verify(cid) == struct.pack(">QQ", 4096, 17)
 
 
 def test_corruption_detected_on_read():
     node = fresh_node()
     for payload in (b"precious data", (4096, 17)):
-        cid = node.ingest(payload)
+        cid = node.ingest([payload])[0]
         node.corrupt_block(cid)
         with pytest.raises(CorruptionDetected):
             node.read_verify(cid)
@@ -171,27 +299,27 @@ def test_corruption_detected_on_read():
 
 def test_crc_vector_used_for_blocks():
     node = fresh_node()
-    cid = node.ingest(b"123456789")
+    cid = node.ingest([b"123456789"])[0]
     assert node.id_index.get(cid).crc == 0xE3069283 == crc32c(b"123456789")
 
 
 def test_read_unknown_id():
     node = fresh_node()
     with pytest.raises(NotFound):
-        node.read_verify(type(node.ingest(b"x"))(node.nid, 999, 0))
+        node.read_verify(type(node.ingest([b"x"])[0])(node.nid, 999, 0))
 
 
 def test_scrub_clean_store():
     node = fresh_node()
     for i in range(20):
-        node.ingest(f"block {i}".encode())
+        node.ingest([f"block {i}".encode()])
     assert node.scrub(100).clean
 
 
 def test_scrub_finds_injected_corruptions():
     node = fresh_node()
-    ids = [node.ingest(f"block {i}".encode()) for i in range(50)]
-    ids += [node.ingest((4096, i)) for i in range(50)]
+    ids = node.ingest([f"block {i}".encode() for i in range(50)])
+    ids += node.ingest([(4096, i) for i in range(50)])
     for cid in (ids[3], ids[17], ids[42], ids[61], ids[88]):
         node.corrupt_block(cid)
     report = node.scrub(1000)
@@ -200,7 +328,7 @@ def test_scrub_finds_injected_corruptions():
 
 def test_scrub_zero_budget():
     node = fresh_node()
-    node.ingest(b"x")
+    node.ingest([b"x"])
     before = node._scrub_cursor
     report = node.scrub(0)
     assert report.clean and node._scrub_cursor == before
@@ -208,7 +336,7 @@ def test_scrub_zero_budget():
 
 def test_scrub_round_robin_covers_store_across_calls():
     node = fresh_node()
-    ids = [node.ingest(f"b{i}".encode()) for i in range(10)]
+    ids = node.ingest([f"b{i}".encode() for i in range(10)])
     node.corrupt_block(ids[7])
     findings = []
     for _ in range(5):
@@ -219,9 +347,9 @@ def test_scrub_round_robin_covers_store_across_calls():
 def test_scrub_at_width_matches_per_block_reference():
     # wide enough that each window reaches the lane-parallel CRC kernel
     node = fresh_node()
-    ids = [node.ingest((4096, i)) for i in range(2500)]
-    ids += [node.ingest(bytes([i]) * 64) for i in range(40)]
-    ids += [node.ingest((4096, i)) for i in range(2500, 5000)]
+    ids = node.ingest([(4096, i) for i in range(2500)])
+    ids += node.ingest([bytes([i]) * 64 for i in range(40)])
+    ids += node.ingest([(4096, i) for i in range(2500, 5000)])
     # one nid, so index order is ingest order
     assert [entry.id for entry in node.id_index.entries()] == ids
     n = len(ids)
@@ -256,12 +384,12 @@ def test_scrub_walks_index_order_across_inserts_and_aliases():
     node, low, high = (fresh_node(seed) for seed in (1, 2, 3))
     assert low.nid < node.nid < high.nid  # foreign runs on both sides of its own
     foreign_ids = {
-        f: [f.ingest(f"{f.nid.hex()}:{i}".encode()) for i in range(40)] for f in (low, high)
+        f: f.ingest([f"{f.nid.hex()}:{i}".encode() for i in range(40)]) for f in (low, high)
     }
-    own = [node.ingest(f"own:{i}".encode()) for i in range(20)]
+    own = node.ingest([f"own:{i}".encode() for i in range(20)])
 
     def replicate(source, cid):
-        node.replicate_in(source.id_index.get(cid), source.stored_block(cid))
+        node.replicate_in([source.id_index.get(cid)], [source.stored_block(cid)])
 
     def alias(source, cid):
         node.bind_alias(source.id_index.get(cid), own[0])
@@ -305,7 +433,7 @@ def test_scrub_walks_index_order_across_inserts_and_aliases():
         # inserts between calls land before and after the cursor
         for f, cid in pending[step * 2 : step * 2 + 2]:
             replicate(f, cid)
-        node.ingest(f"own:late:{step}".encode())
+        node.ingest([f"own:late:{step}".encode()])
         corrupt_all_new()
     assert len(rounds) >= 3
     for checked, stored in zip(rounds[:-1], round_start):
@@ -319,38 +447,38 @@ def test_scrub_walks_index_order_across_inserts_and_aliases():
 
 def test_crash_restart_preserves_index_and_monotonicity():
     node = fresh_node()
-    ids = [node.ingest(f"d{i}".encode()) for i in range(10)]
+    ids = node.ingest([f"d{i}".encode() for i in range(10)])
     node.crash()
     replay = node.restart("none")
     assert replay == 18.0  # default virtual replay charge
     assert node.id_index.entry_count == 10
-    nxt = node.ingest(b"after restart")
+    nxt = node.ingest([b"after restart"])[0]
     assert nxt.lcv > max(c.lcv for c in ids)
 
 
 def test_torn_crash_burns_value_and_never_reuses():
     node = fresh_node()
-    exposed = [node.ingest(f"d{i}".encode()).lcv for i in range(5)]
+    exposed = [node.ingest([f"d{i}".encode()])[0].lcv for i in range(5)]
     node.crash(torn_wal_bytes=9)
     node.restart("none", wal_replay_seconds=0.0)
-    nxt = node.ingest(b"next")
+    nxt = node.ingest([b"next"])[0]
     assert nxt.lcv not in exposed
     assert nxt.lcv > max(exposed)
 
 
 def test_torn_crash_tears_the_next_reservation():
     node = fresh_node()
-    exposed = [node.ingest(f"d{i}".encode()).lcv for i in range(5)]
+    exposed = [node.ingest([f"d{i}".encode()])[0].lcv for i in range(5)]
     node.crash(torn_wal_bytes=12)  # the torn record's ceiling field lands
     assert read_wal(node.wal.data()) == ([LCV_RESERVE], 2 * LCV_RESERVE)
     node.restart("none", wal_replay_seconds=0.0)
-    assert node.ingest(b"next").lcv == 2 * LCV_RESERVE + 1 > max(exposed)
+    assert node.ingest([b"next"])[0].lcv == 2 * LCV_RESERVE + 1 > max(exposed)
 
 
 def test_torn_crash_with_every_lcv_reserved_leaves_the_log_as_it_was():
     node = fresh_node()
     node.clock = LogicalClock(node.wal, floor=MAX_U64 - 1)
-    assert node.ingest(b"last").lcv == MAX_U64  # logs the ceiling 2**64 - 1
+    assert node.ingest([b"last"])[0].lcv == MAX_U64  # logs the ceiling 2**64 - 1
     logged = node.wal.data()
     node.crash(torn_wal_bytes=9)  # no reservation is left to tear
     assert node.status is NodeStatus.CRASHED
@@ -375,7 +503,7 @@ def test_index_loss_gates_baseline_until_rebuild():
     b = fresh_node(seed=2, baseline=True)
     for node in (a, b):
         for i in range(10):
-            node.ingest((64, i))
+            node.ingest([(64, i)])
         ensure_baseline_consistent(node)
     hash_delta(a.baseline, b.baseline)  # serviceable
     a.crash()
@@ -389,10 +517,10 @@ def test_index_loss_gates_baseline_until_rebuild():
 def test_pipeline_crash_fault_reenqueues():
     node = fresh_node(baseline=True)
     for i in range(30):
-        node.ingest((64, i))
+        node.ingest([(64, i)])
     ensure_baseline_consistent(node)  # the drain commits the checkpoint
     for i in range(30, 35):
-        node.ingest((64, i))
+        node.ingest([(64, i)])
     pipeline_tick(node.baseline, 5 * 64)  # hashed past the checkpoint
     node.crash()
     node.restart("pipeline_crash", wal_replay_seconds=0.0)
@@ -416,8 +544,8 @@ def test_invalid_lifecycle_transitions():
 
 def test_dedup_consolidates_identical_content():
     node = fresh_node()
-    a = node.ingest(b"same bytes")
-    b = node.ingest(b"same bytes")
+    a = node.ingest([b"same bytes"])[0]
+    b = node.ingest([b"same bytes"])[0]
     before = node.physical_block_count
     consolidated = node.dedup_pass(100)
     assert consolidated == 1
@@ -428,7 +556,7 @@ def test_dedup_consolidates_identical_content():
 def test_dedup_on_distinct_content_does_nothing():
     node = fresh_node()
     for i in range(20):
-        node.ingest(f"unique {i}".encode())
+        node.ingest([f"unique {i}".encode()])
     assert node.dedup_pass(100) == 0
 
 
@@ -442,7 +570,7 @@ def test_dedup_recovers_duplicate_share():
         else:
             payload = f"content {uniques}".encode()
             uniques += 1
-        node.ingest(payload)
+        node.ingest([payload])
     before = node.physical_block_count
     node.dedup_pass(10_000)
     recovered = (before - node.physical_block_count) / before
@@ -451,8 +579,8 @@ def test_dedup_recovers_duplicate_share():
 
 def test_dedup_refuses_during_dr():
     node = fresh_node()
-    node.ingest(b"dup")
-    node.ingest(b"dup")
+    node.ingest([b"dup"])
+    node.ingest([b"dup"])
     node.dr_active = True
     assert node.dedup_pass(10) == 0
     assert node.dedup_deferrals == 1
@@ -463,7 +591,7 @@ def test_dedup_refuses_during_dr():
 
 def test_dedup_transparent_to_reads():
     node = fresh_node()
-    ids = [node.ingest(b"payload") for _ in range(5)]
+    ids = node.ingest([b"payload" for _ in range(5)])
     contents_before = [node.read_verify(c) for c in ids]
     node.dedup_pass(100)
     assert [node.read_verify(c) for c in ids] == contents_before
@@ -471,21 +599,21 @@ def test_dedup_transparent_to_reads():
 
 def test_deduplicated_id_replicates_under_its_own_id():
     a, b = fresh_node(seed=1), fresh_node(seed=2)
-    first = a.ingest(b"same bytes")
-    second = a.ingest(b"same bytes")
+    first = a.ingest([b"same bytes"])[0]
+    second = a.ingest([b"same bytes"])[0]
     assert a.dedup_pass(10) == 1
     for entry in a.id_index.entries_above(a.nid, 0):
-        b.replicate_in(entry, a.stored_block(entry.id))
+        b.replicate_in([entry], [a.stored_block(entry.id)])
     assert list(b.inventory()) == [(first, b"same bytes", 10), (second, b"same bytes", 10)]
     assert b.read_verify(second) == b"same bytes"
 
 
 def test_dedup_keeps_a_hash_sync_alias_on_a_stored_block():
     low, node, peer = (StorageNode(NodeId(bytes([k]) * 16), baseline=True) for k in (1, 2, 3))
-    node.ingest(b"same bytes")
-    replica = low.id_index.get(low.ingest(b"same bytes"))
-    node.replicate_in(replica, b"same bytes")
-    alias = peer.ingest(b"same bytes")
+    node.ingest([b"same bytes"])
+    replica = low.id_index.get(low.ingest([b"same bytes"])[0])
+    node.replicate_in([replica], [b"same bytes"])
+    alias = peer.ingest([b"same bytes"])[0]
     # the hash sync binds peer's id to the lowest id holding the digest: low's
     sync_pair_hash(Cluster([node, peer]), node, peer)
     assert node.indirection_table == {alias: replica.id}
@@ -500,8 +628,8 @@ def test_dedup_keeps_a_hash_sync_alias_on_a_stored_block():
 
 def test_dedup_work_charged_to_background_meter():
     node = fresh_node()
-    node.ingest(b"one")
-    node.ingest(b"one")
+    node.ingest([b"one"])
+    node.ingest([b"one"])
     node.dedup_pass(10)
     assert node.background_meter.hash_ops > 0
 
@@ -511,8 +639,8 @@ def test_storage_amplification_without_dedup():
     # identification, one logical digest under the baseline
     a = fresh_node(seed=1, baseline=True)
     b = fresh_node(seed=2, baseline=True)
-    a.ingest(b"shared content")
-    b.ingest(b"shared content")
+    a.ingest([b"shared content"])
+    b.ingest([b"shared content"])
     ensure_baseline_consistent(a)
     ensure_baseline_consistent(b)
     assert a.id_index.ids() != b.id_index.ids()  # distinct identities

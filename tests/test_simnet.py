@@ -736,7 +736,7 @@ def test_genesis_pair_exchange_has_byte_identical_envelopes():
     a = StorageNode(new_node_id(rng), baseline=True)
     b = StorageNode(new_node_id(rng), baseline=True)
     for i in range(25):
-        (a if i % 2 else b).ingest(f"content {i}".encode())
+        (a if i % 2 else b).ingest([f"content {i}".encode()])
     ensure_baseline_consistent(a)
     ensure_baseline_consistent(b)
     meta_plan = compute_delta_meta(a.id_index, Checkpoint(), b.id_index)

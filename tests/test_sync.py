@@ -41,8 +41,7 @@ def make_nodes(count, *, baseline=False, seed=0):
 
 
 def fill(node, n, tag=0):
-    for i in range(n):
-        node.ingest((128, tag * 1_000_000 + i))
+    node.ingest([(128, tag * 1_000_000 + i) for i in range(n)])
 
 
 # -- compute_delta_meta ----------------------------------------------------------
@@ -370,8 +369,8 @@ def converged_twins(write, seed=0):
 
 def test_no_shared_keys_means_no_conflicts():
     def write(a, b):
-        a.ingest(b"1", user_key="left")
-        b.ingest(b"2", user_key="right")
+        a.ingest([b"1"], ["left"])
+        b.ingest([b"2"], ["right"])
 
     for node in converged_twins(write):
         assert node.id_index.entry_count == 2
@@ -381,11 +380,11 @@ def test_no_shared_keys_means_no_conflicts():
 def test_lww_by_lcv_picks_higher_value():
     def write(a, b):
         for _ in range(16):
-            a.ingest(b"filler")  # advance a's clock to 17
-        a.ingest(b"a-write", user_key="shared")  # lcv 17
+            a.ingest([b"filler"])  # advance a's clock to 17
+        a.ingest([b"a-write"], ["shared"])  # lcv 17
         for _ in range(39):
-            b.ingest(b"filler")
-        b.ingest(b"b-write", user_key="shared")  # lcv 40
+            b.ingest([b"filler"])
+        b.ingest([b"b-write"], ["shared"])  # lcv 40
 
     for node in converged_twins(write):
         assert node.read("shared") == b"b-write"
@@ -395,8 +394,8 @@ def test_lww_by_lcv_picks_higher_value():
 
 def test_lcv_tie_broken_by_greater_nid():
     def write(a, b):
-        a.ingest(b"A", user_key="k")  # lcv 1 on both sides
-        b.ingest(b"B", user_key="k")
+        a.ingest([b"A"], ["k"])  # lcv 1 on both sides
+        b.ingest([b"B"], ["k"])
 
     a, b, *_ = nodes = converged_twins(write)
     expected = b"A" if a.nid > b.nid else b"B"
@@ -409,7 +408,7 @@ def test_reconcile_deterministic_across_argument_order():
             rng = Random(seed)
             for i in range(rng.randrange(1, 15)):
                 key = f"k{rng.randrange(6)}"
-                (a if rng.random() < 0.5 else b).ingest((64, i), user_key=key)
+                (a if rng.random() < 0.5 else b).ingest([(64, i)], [key])
 
         a, b, twin_a, twin_b = converged_twins(write, seed=seed)
         assert a.id_index.ids() == twin_b.id_index.ids()
@@ -425,7 +424,7 @@ def test_merge_never_loses_ids_and_conflicts_have_two_sources():
             for i in range(rng.randrange(2, 25)):
                 key = f"k{rng.randrange(4)}"
                 node = a if rng.random() < 0.5 else b
-                written[node.ingest((64, i), user_key=key)] = key
+                written[node.ingest([(64, i)], [key])[0]] = key
 
         nodes = converged_twins(write, seed=seed + 500)
         for node in nodes:
@@ -450,9 +449,9 @@ def test_frameworks_transfer_identical_block_sets():
 def test_hash_exchange_binds_ids_whose_content_the_puller_holds():
     a, b = make_nodes(2, baseline=True)
     cluster = Cluster([a, b])
-    shared_a = a.ingest(b"same bytes")
-    shared_b = b.ingest(b"same bytes")
-    a.ingest(b"only on a")
+    shared_a = a.ingest([b"same bytes"])[0]
+    shared_b = b.ingest([b"same bytes"])[0]
+    a.ingest([b"only on a"])
     meter = CostMeter(CostModel())
     plan = sync_pair_hash(cluster, a, b, meter)
     assert plan.content_bytes_to_transfer == len(b"only on a")
@@ -465,11 +464,25 @@ def test_hash_exchange_binds_ids_whose_content_the_puller_holds():
     assert shared_b in a.baseline.by_locator
 
 
+def test_hash_pull_of_two_ids_with_equal_content_stores_one_block():
+    # the ids move one at a time: the first is adopted with its content,
+    # and the second, whose digest the puller then holds, is its alias
+    a, b = make_nodes(2, baseline=True)
+    first, second = b.ingest([b"same bytes", b"same bytes"])
+    plan = sync_pair_hash(Cluster([a, b]), a, b)
+    assert plan.ids_to_pull == [first, second]
+    assert plan.content_bytes_to_transfer == len(b"same bytes")
+    assert list(a.block_store) == [first]
+    assert a.indirection_table == {second: first}
+    assert a.read_verify(second) == a.read_verify(first) == b"same bytes"
+    assert a.baseline.by_locator[second] == a.baseline.by_locator[first]
+
+
 def test_pipeline_crash_rolls_back_only_a_digest_adopted_after_the_drain():
     a, b = make_nodes(2, baseline=True)
     cluster = Cluster([a, b])
     fill(a, 10, tag=1)
-    only_b = b.ingest((128, 7))
+    only_b = b.ingest([(128, 7)])[0]
     sync_pair_hash(cluster, a, b)  # drains both, then a adopts only_b's digest
     a.crash()
     a.restart("pipeline_crash", wal_replay_seconds=0.0)
@@ -490,12 +503,12 @@ def test_baseline_owes_what_its_drain_pays(steps):
     node, source = make_nodes(2, baseline=True)
     for op, n in steps:
         if op == "ingest":
-            node.ingest((64 + n, n))
+            node.ingest([(64 + n, n)])
         elif op in ("replicate_in", "adopt"):
-            cid = source.ingest((64 + n, n))
+            cid = source.ingest([(64 + n, n)])[0]
             entry, content = source.id_index.get(cid), source.stored_block(cid)
             digest = payload_digest(content, entry.byte_len) if op == "adopt" else None
-            node.replicate_in(entry, content, digest)
+            node.replicate_in([entry], [content], None if digest is None else [digest])
         elif op == "tick":
             pipeline_tick(node.baseline, n)
         elif op in ("pipeline_crash", "index_loss"):
@@ -506,6 +519,7 @@ def test_baseline_owes_what_its_drain_pays(steps):
             assert ensure_baseline_consistent(node) == owed
             assert node.baseline.owed_bytes(node.physical_bytes) == 0
         index = node.baseline
+        assert index.lag_bytes == sum(p.byte_len for p in index.pending)
         assert index.consistent_flag == (not index.lost and index.lag_blocks == 0)
         if not index.lost:  # every id is indexed or queued, never both
             queued = [p.locator for p in index.pending]
@@ -524,7 +538,7 @@ def test_k_node_gossip_converges_within_tournament_bound():
             ingested = 0
             for tag, node in enumerate(nodes):
                 for i in range(rng.randrange(1, 25)):
-                    node.ingest((64, tag * 10_000 + i))
+                    node.ingest([(64, tag * 10_000 + i)])
                     ingested += 1
             cluster = Cluster(nodes)
             pairs = list(zip(nodes, nodes[1:]))
