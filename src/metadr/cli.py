@@ -41,10 +41,12 @@ def _emit(doc: ReportDocument, fmt: str, out_dir: str | None, filename: str) -> 
         sys.stdout.write("\n")
 
 
-def _bundled_scenario_path(name: str) -> str | None:
+def _bundled_scenario(name: str) -> str | None:
+    """A bundled scenario's YAML text, read as package data, so it loads
+    from a zipped install too; None if there is no such scenario."""
     candidate = resources.files("metadr").joinpath("scenarios", f"{name}.yaml")
     if candidate.is_file():
-        return str(candidate)
+        return candidate.read_text(encoding="utf-8")
     return None
 
 
@@ -199,15 +201,14 @@ def _metrics_docs(metrics) -> list[tuple[str, ReportDocument]]:
 
 
 def cmd_simulate(args) -> int:
-    path = args.scenario
-    if not os.path.exists(path):
-        bundled = _bundled_scenario_path(path)
-        if bundled is None:
-            print(f"error: scenario {path!r} not found", file=sys.stderr)
+    source = Path(args.scenario)
+    if not source.exists():
+        source = _bundled_scenario(args.scenario)
+        if source is None:
+            print(f"error: scenario {args.scenario!r} not found", file=sys.stderr)
             return EXIT_USAGE
-        path = bundled
     try:
-        scenario = simnet.load_scenario(Path(path))
+        scenario = simnet.load_scenario(source)
     except simnet.ScenarioValidation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -223,12 +224,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_soak(args) -> int:
-    path = args.config or _bundled_scenario_path(args.preset)
-    if path is None:
+    source = Path(args.config) if args.config else _bundled_scenario(args.preset)
+    if source is None:
         print(f"error: unknown preset {args.preset!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        config = simnet.load_soak_config(Path(path))
+        config = simnet.load_soak_config(source)
     except simnet.ScenarioValidation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,10 +24,11 @@ meter charges the modeled byte length.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter, itemgetter
+from bisect import bisect_right
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .identity import CompositeId, NodeId
@@ -157,37 +158,83 @@ def merkle_diff(a: MerkleTree, b: MerkleTree) -> MerkleDiff:
     return MerkleDiff(positions, visits)
 
 
-class PendingBlock(NamedTuple):
-    locator: CompositeId
-    byte_len: int
-    content: bytes
+@dataclass(slots=True)
+class BlockColumns:
+    """A run of stored blocks as three parallel columns, in run order:
+    the hash pipeline's queue and its rollback list."""
+
+    locators: list[CompositeId] = field(default_factory=list)
+    contents: list[bytes] = field(default_factory=list)
+    byte_lens: list[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.locators)
+
+    def extend(self, locators, contents, byte_lens) -> None:
+        self.locators += locators
+        self.contents += contents
+        self.byte_lens += byte_lens
+
+    def prepend(self, run: "BlockColumns") -> None:
+        self.locators[:0] = run.locators
+        self.contents[:0] = run.contents
+        self.byte_lens[:0] = run.byte_lens
+
+    def take(self, cut: int) -> "BlockColumns":
+        """Split off the first `cut` blocks; a cut past the end takes
+        the columns whole."""
+        if cut >= len(self.locators):
+            head = BlockColumns(self.locators, self.contents, self.byte_lens)
+            self.locators, self.contents, self.byte_lens = [], [], []
+            return head
+        head = BlockColumns(self.locators[:cut], self.contents[:cut], self.byte_lens[:cut])
+        del self.locators[:cut], self.contents[:cut], self.byte_lens[:cut]
+        return head
 
 
-# builds a PendingBlock from a (locator, byte_len, content) row
-_pending = partial(tuple.__new__, PendingBlock)
-_LOCATOR = attrgetter("locator")
-_BYTE_LEN = attrgetter("byte_len")
 # the columns of a (locator, content, byte_len) inventory row
 _ROW_LOCATOR = itemgetter(0)
 _ROW_BYTE_LEN = itemgetter(2)
+
+
+class LocatorView(Mapping):
+    """Every locator -> digest pair of a `HashIndex`, read-only, over its
+    per-nid maps: nid by nid, each in hashing order."""
+
+    __slots__ = ("_by_nid",)
+
+    def __init__(self, by_nid: dict[NodeId, dict[CompositeId, bytes]]) -> None:
+        self._by_nid = by_nid
+
+    def __getitem__(self, locator: CompositeId) -> bytes:
+        return self._by_nid[locator.nid][locator]
+
+    def __iter__(self):
+        return chain.from_iterable(self._by_nid.values())
+
+    def __len__(self) -> int:
+        return sum(map(len, self._by_nid.values()))
 
 
 class HashIndex:
     """One node's hash baseline: digest -> block locators, the pipeline
     that hashes into it, its Merkle tree and its failure conditions.
 
-    A locator is the block's key in the node's store, its composite id;
-    by_locator keeps the order blocks were hashed in. A by_digest value
-    is the one locator that holds its digest, or a set of two or more
-    locators when blocks share content (the baseline's dedup case), so
-    unique content costs no set per block. `holder()` is the one way to
-    read a value: a locator is a tuple, so `min()` or iteration over a
-    lone one would see its fields. Stored blocks wait in `pending` until
-    `pipeline_tick` hashes them; a queue that is not empty is a stale
-    index (condition 1). `lag_bytes` is the queue's byte_len total, kept
-    as blocks are queued, drained and rolled back. Work hashed or adopted
-    since the last checkpoint sits in `hashed_since_checkpoint`, which a
-    crash rolls back into the queue (condition 2). `lost` marks a
+    A locator is the block's key in the node's store, its composite id.
+    `by_nid` is the one locator map: locator -> digest, split by source
+    nid so a session scoped to some nids walks only theirs, each in the
+    order its blocks were hashed; `by_locator` is a read-only view of
+    all of it. A by_digest value is the one locator that holds its
+    digest, or a set of two or more locators when blocks share content
+    (the baseline's dedup case), so unique content costs no set per
+    block. `holder()` is the one way to read a value: a locator is a
+    tuple, so `min()` or iteration over a lone one would see its fields.
+    Stored blocks wait in the `pending` columns until `pipeline_tick`
+    hashes them; a queue that is not empty is a stale index (condition
+    1). `lag_bytes` is the queue's byte_len total, kept as blocks are
+    queued, drained and rolled back. Work hashed or adopted since the
+    last checkpoint sits in the `hashed_since_checkpoint` columns, which
+    a crash rolls back into the queue (condition 2). `lost` marks a
     destroyed index store (condition 3). consistent_flag gates delta
     service; it is true only when the queue is empty and the store has
     not been lost.
@@ -196,13 +243,11 @@ class HashIndex:
 
     def __init__(self) -> None:
         self.by_digest: dict[bytes, CompositeId | set[CompositeId]] = {}
-        self.by_locator: dict[CompositeId, bytes] = {}
-        # by_locator split by source nid, so a session scoped to some
-        # nids lists only theirs
         self.by_nid: dict[NodeId, dict[CompositeId, bytes]] = {}
-        self.pending: deque[PendingBlock] = deque()
+        self.by_locator = LocatorView(self.by_nid)
+        self.pending = BlockColumns()
         self.lag_bytes = 0
-        self.hashed_since_checkpoint: list[PendingBlock] = []
+        self.hashed_since_checkpoint = BlockColumns()
         self.merkle: MerkleSummary | None = None
         self.lost = False
 
@@ -230,7 +275,7 @@ class HashIndex:
 
     def add_run(self, locators, digests) -> None:
         """Index each locator under its digest, pair by pair in order."""
-        by_digest, by_locator, by_nid = self.by_digest, self.by_locator, self.by_nid
+        by_digest, by_nid = self.by_digest, self.by_nid
         held_by = by_digest.get
         nid = listed = None
         for locator, digest in zip(locators, digests):
@@ -241,7 +286,6 @@ class HashIndex:
                 held.add(locator)
             elif held != locator:
                 by_digest[digest] = {held, locator}
-            by_locator[locator] = digest
             if locator.nid != nid:  # runs mostly keep to one source nid
                 nid = locator.nid
                 listed = by_nid.get(nid)
@@ -252,7 +296,7 @@ class HashIndex:
     def enqueue(self, locators, contents, byte_lens) -> None:
         """Queue a run of stored blocks for hashing, in order; the three
         sequences are the run's columns."""
-        self.pending.extend(map(_pending, zip(locators, byte_lens, contents)))
+        self.pending.extend(locators, contents, byte_lens)
         self.lag_bytes += sum(byte_lens)
 
     def adopt(self, locators, contents, byte_lens, digests) -> None:
@@ -260,23 +304,21 @@ class HashIndex:
         with them: nothing is hashed, and a crash before the next
         checkpoint rolls them back like hashed work."""
         self.add_run(locators, digests)
-        self.hashed_since_checkpoint += map(_pending, zip(locators, byte_lens, contents))
+        self.hashed_since_checkpoint.extend(locators, contents, byte_lens)
 
-    def locators(self, nids=None) -> dict[CompositeId, bytes]:
-        """by_locator, or only its locators from the given source nids,
-        nid by nid."""
+    def locators(self, nids=None) -> dict[NodeId, dict[CompositeId, bytes]]:
+        """The per-nid locator maps of the given source nids, in the
+        given order (every nid's when None), walked in place."""
         if nids is None:
-            return self.by_locator
-        listed: dict[CompositeId, bytes] = {}
-        for nid in nids:
-            listed.update(self.by_nid.get(nid, {}))
-        return listed
+            return self.by_nid
+        by_nid = self.by_nid
+        return {nid: by_nid[nid] for nid in nids if nid in by_nid}
 
     def remove(self, locator: CompositeId) -> None:
-        digest = self.by_locator.pop(locator, None)
+        listed = self.by_nid.get(locator.nid)
+        digest = None if listed is None else listed.pop(locator, None)
         if digest is None:
             return
-        del self.by_nid[locator.nid][locator]
         held = self.by_digest.get(digest)
         if type(held) is set:
             held.discard(locator)
@@ -292,7 +334,6 @@ class HashIndex:
 
     def mark_lost(self) -> None:
         self.by_digest.clear()
-        self.by_locator.clear()
         self.by_nid.clear()
         self.lost = True
 
@@ -301,9 +342,9 @@ def pipeline_tick(index: HashIndex, hash_budget_bytes: int, meter=None) -> int:
     """Hash queued blocks until the byte budget is exhausted.
 
     The run hashed is the longest prefix of the queue whose byte_lens fit
-    the budget: the tick stops at the first block that does not fit.
-    A budget that covers `lag_bytes` takes the whole queue without
-    scanning it for the cut, so a drain walks the queue once.
+    the budget: the tick stops at the first block that does not fit,
+    found by bisecting the queue's prefix sums. A budget that covers
+    `lag_bytes` takes the queue's columns whole, with no cut to find.
     Each block is hashed by `payload_digest`, and the meter is charged
     once for the run: every block's byte_len, summed in queue order, and
     one hash op per block. Returns the number of blocks hashed this
@@ -313,50 +354,41 @@ def pipeline_tick(index: HashIndex, hash_budget_bytes: int, meter=None) -> int:
         raise ValueError("hash budget must be >= 0")
     pending = index.pending
     if hash_budget_bytes >= index.lag_bytes:
-        run = list(pending)
-        pending.clear()
+        cut = len(pending)
     else:
-        remaining = hash_budget_bytes
-        cut = 0
-        for block in pending:
-            remaining -= block.byte_len
-            if remaining < 0:
-                break
-            cut += 1
-        popleft = pending.popleft
-        run = [popleft() for _ in range(cut)]
-    if not run:
+        cut = bisect_right(list(accumulate(pending.byte_lens)), hash_budget_bytes)
+    if not cut:
         return 0
-    digests = [payload_digest(block.content, block.byte_len) for block in run]
-    nbytes = list(map(_BYTE_LEN, run))
-    index.lag_bytes -= sum(nbytes)
+    run = pending.take(cut)
+    digests = list(map(payload_digest, run.contents, run.byte_lens))
+    index.lag_bytes -= sum(run.byte_lens)
     if meter is not None:
-        meter.charge_hash(*nbytes, ops=len(run))
-    index.add_run(map(_LOCATOR, run), digests)
-    index.hashed_since_checkpoint += run
-    return len(run)
+        meter.charge_hash(*run.byte_lens, ops=cut)
+    index.add_run(run.locators, digests)
+    index.hashed_since_checkpoint.extend(run.locators, run.contents, run.byte_lens)
+    return cut
 
 
 def commit_checkpoint(index: HashIndex) -> None:
     """Mark everything hashed or adopted so far as durably consistent."""
-    index.hashed_since_checkpoint.clear()
+    index.hashed_since_checkpoint = BlockColumns()
 
 
 def crash_interrupt(index: HashIndex) -> int:
     """Condition 2: discard the incomplete index region.
 
     Blocks hashed or adopted since the last checkpoint are removed from
-    the index and re-enqueued (in order) for rehash.
-    Returns the number of re-enqueued blocks.
+    the index and put back (in order) at the head of the queue for
+    rehash. Returns the number of re-enqueued blocks.
     """
     rolled = index.hashed_since_checkpoint
     if not rolled:
         return 0
-    for block in rolled:
-        index.remove(block.locator)
-    index.pending.extendleft(reversed(rolled))
-    index.lag_bytes += sum(map(_BYTE_LEN, rolled))
-    index.hashed_since_checkpoint = []
+    for locator in rolled.locators:
+        index.remove(locator)
+    index.pending.prepend(rolled)
+    index.lag_bytes += sum(rolled.byte_lens)
+    index.hashed_since_checkpoint = BlockColumns()
     return len(rolled)
 
 
@@ -396,7 +428,7 @@ def settle(index: HashIndex, blocks, aliases, meter=None) -> tuple[HashIndex, in
         blocks = list(blocks)
         rebuilt, _tree = rebuild_index(blocks, meter)
         for alias, kept in aliases:
-            rebuilt.add(alias, rebuilt.by_locator[kept])
+            rebuilt.add(alias, rebuilt.by_nid[kept.nid][kept])
         return rebuilt, sum(byte_len for _, _, byte_len in blocks)
     backlog = index.lag_bytes
     if index.pending:
@@ -412,16 +444,18 @@ def hash_delta(
 
     Returns (missing_remote, missing_local): local locators whose digest
     the remote lacks, and remote locators whose digest the local lacks,
-    each in the order its index hashed them. `ours`/`theirs` are the
-    locators each side lists (e.g. `locators(nids)` for a scoped
-    session); by default its whole index. Raises InconsistentIndex
-    unless both indexes are trustworthy; paying the rebuild/drain cost
-    first is exactly the bottleneck under test.
+    nid by nid, each in the order its index hashed them. `ours`/`theirs`
+    are the per-nid locator maps each side lists (e.g. `locators(nids)`
+    for a scoped session); by default its whole index. Raises
+    InconsistentIndex unless both indexes are trustworthy; paying the
+    rebuild/drain cost first is exactly the bottleneck under test.
     """
     if not local.consistent_flag or not remote.consistent_flag:
         raise InconsistentIndex("hash index stale, interrupted, or lost; rehash required")
-    ours = local.by_locator if ours is None else ours
-    theirs = remote.by_locator if theirs is None else theirs
-    missing_remote = [loc for loc, d in ours.items() if d not in remote.by_digest]
-    missing_local = [loc for loc, d in theirs.items() if d not in local.by_digest]
+    ours = local.by_nid if ours is None else ours
+    theirs = remote.by_nid if theirs is None else theirs
+    missing_remote = [loc for locs in ours.values() for loc, d in locs.items()
+                      if d not in remote.by_digest]
+    missing_local = [loc for locs in theirs.values() for loc, d in locs.items()
+                     if d not in local.by_digest]
     return missing_remote, missing_local

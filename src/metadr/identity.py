@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from itertools import product, repeat
 from random import Random
 from typing import NamedTuple
 
@@ -298,11 +299,12 @@ class LogicalClock:
     floor + 1; `ceiling` is the highest value the log covers. Before
     next_id exposes a value above the ceiling c it appends the ceiling
     min(c + `reserve`, 2**64 - 1); values up to a logged ceiling come
-    from memory. The 64-bit lcv range is checked once per ceiling, in
-    `extend`, so next_id builds its id without re-checking it.
+    from memory, a whole run of them in one step. The 64-bit lcv range
+    is checked once per ceiling, in `extend`, so next_id builds its ids
+    without re-checking them.
 
-    Thread-safe: concurrent next_id callers each receive a distinct
-    value, and each value's ceiling is in the log before it is returned.
+    Thread-safe: concurrent next_id callers each receive distinct
+    values, and each value's ceiling is in the log before it is returned.
     """
 
     def __init__(self, wal: Wal, floor: int = GENESIS_LCV, reserve: int = LCV_RESERVE) -> None:
@@ -312,23 +314,38 @@ class LogicalClock:
         self.reserve = reserve
         self._lock = threading.RLock()
 
-    def next_id(self, nid: NodeId, nst: int = 0) -> CompositeId:
-        """Expose the next clock value, first logging a new ceiling when
-        the value is above the logged one.
+    def next_id(self, nid: NodeId, nst: int = 0, count: int = 1,
+                into: list[CompositeId] | None = None) -> CompositeId | None:
+        """Expose the next `count` clock values as ids, in order, first
+        logging a new ceiling each time a value is above the logged one;
+        returns the last id (None when count is 0). A run of `count`
+        draws leaves the ids, the log and the clock exactly as `count`
+        one-id draws would, under one lock and one nst check. With
+        `into`, each id is appended to that list as it is drawn.
 
-        Raises ValueError for an nst outside 64 bits, and WalAppendFailure
-        or, once 2**64 - 1 is exposed, ValueError from `extend`; in each
-        case the clock is unchanged and no id is exposed.
+        Raises ValueError for an nst outside 64 bits before anything is
+        drawn. A failed ceiling append raises WalAppendFailure, or, once
+        2**64 - 1 is exposed, ValueError from `extend`: the ids drawn
+        before it stay exposed (and in `into`), and none is exposed after.
         """
         if not 0 <= nst <= MAX_U64:
             raise ValueError(f"nst out of 64-bit range: {nst}")
+        run = [] if into is None else into
         with self._lock:
-            candidate = self.floor + 1
-            if candidate > self.ceiling:
-                self.extend()  # may raise; nothing exposed then
-            self.floor = candidate
-            # every field is in range: extend bounds the lcv, nst is checked above
-            return tuple.__new__(CompositeId, (nid, candidate, nst))
+            floor = self.floor
+            end = floor + count
+            while floor < end:
+                if floor >= self.ceiling:
+                    self.extend()  # may raise; the drawn prefix stays
+                stop = end if end <= self.ceiling else self.ceiling
+                # every field is in range: extend bounds the lcv, nst is checked above
+                if stop == floor + 1:  # one id: not worth setting up the iterators
+                    run.append(tuple.__new__(CompositeId, (nid, stop, nst)))
+                else:
+                    lcvs = range(floor + 1, stop + 1)
+                    run += map(tuple.__new__, repeat(CompositeId), product((nid,), lcvs, (nst,)))
+                self.floor = floor = stop
+        return run[-1] if count > 0 else None
 
     def extend(self) -> None:
         """Log the next ceiling, min(c + reserve, 2**64 - 1). next_id

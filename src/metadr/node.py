@@ -165,7 +165,7 @@ class StorageNode:
         Each payload is bytes or a virtual (byte_len, seed) pair, and
         `user_keys`, if given, holds one key or None per payload. Every
         payload is checked before the first id is drawn, so a rejected
-        run leaves no trace. Then the clock draws one id per block, so
+        run leaves no trace. Then one clock call draws the run's ids, so
         each WAL ceiling record lands where a block-at-a-time ingest
         would put it. If a draw fails, the blocks drawn before it are
         ingested and the error propagates. Identity is assigned before
@@ -179,10 +179,8 @@ class StorageNode:
         if user_keys is not None and len(user_keys) != len(contents):
             raise ValueError(f"{len(user_keys)} user keys for {len(contents)} payloads")
         ids: list[CompositeId] = []
-        draw, nid, issued = self.clock.next_id, self.nid, ids.append
         try:
-            for _ in contents:
-                issued(draw(nid, nst))
+            self.clock.next_id(self.nid, nst, len(contents), ids)
         finally:
             drawn = len(ids)
             if drawn < len(contents):  # a draw failed: keep what was drawn

@@ -432,43 +432,61 @@ class SimRuntime:
 
     # -- workload ------------------------------------------------------
 
-    def _next_payload(self) -> tuple[object, int]:
-        work = self.scenario.workload
-        if work.duplicate_ratio > 0 and self._dup_pool and (
-            self.rng_work.random() < work.duplicate_ratio
-        ):
-            seed, size = self._dup_pool[self.rng_work.randrange(len(self._dup_pool))]
-        else:
-            seed = self._content_counter
-            self._content_counter += 1
-            lo, hi = self._size_range
-            size = lo if lo >= hi else int(math.exp(self.rng_sizes.uniform(*self._log_size_range)))
-            if work.duplicate_ratio > 0 and len(self._dup_pool) < 10000:
-                self._dup_pool.append((seed, size))
-        if self.scenario.fidelity == "concrete":
-            return _content_bytes(seed, size), size
-        return (size, seed), size
+    def _draw_run(self, count: int) -> tuple[list, list | None]:
+        """The next `count` blocks' payloads and user keys, in one pass.
 
-    def _next_user_key(self) -> str | None:
+        Each block draws its payload, then its key. A payload repeats a
+        pooled one with chance `duplicate_ratio`, else it is new content
+        with a log-uniform size from `rng_sizes`; it is a concrete
+        block's bytes or a virtual (byte_len, seed) pair. A key is drawn
+        with chance `keyed_fraction`: a new key with chance
+        `sequential_fraction`, else a known one. The keys come back as
+        None when `keyed_fraction` draws none at all.
+        """
         work = self.scenario.workload
-        if work.keyed_fraction <= 0 or self.rng_work.random() >= work.keyed_fraction:
-            return None
-        if self._keys and self.rng_work.random() >= work.sequential_fraction:
-            return self._keys[self.rng_work.randrange(len(self._keys))]
-        key = f"k{self._key_counter}"
-        self._key_counter += 1
-        if len(self._keys) < 50000:
-            self._keys.append(key)
-        return key
+        dup_ratio, keyed, sequential = (
+            work.duplicate_ratio, work.keyed_fraction, work.sequential_fraction)
+        random, randrange, size_random = (
+            self.rng_work.random, self.rng_work.randrange, self.rng_sizes.random)
+        concrete = self.scenario.fidelity == "concrete"
+        lo, hi = self._size_range
+        log_lo, log_hi = self._log_size_range
+        log_span = log_hi - log_lo  # uniform(log_lo, log_hi), inlined
+        exp = math.exp
+        pool, known = self._dup_pool, self._keys
+        seed, key_counter = self._content_counter, self._key_counter
+        payloads: list = []
+        keys: list | None = [] if keyed > 0 else None
+        for _ in range(count):
+            if dup_ratio > 0 and pool and random() < dup_ratio:
+                block_seed, size = pool[randrange(len(pool))]
+            else:
+                block_seed = seed
+                seed += 1
+                size = lo if lo >= hi else int(exp(log_lo + log_span * size_random()))
+                if dup_ratio > 0 and len(pool) < 10000:
+                    pool.append((block_seed, size))
+            payloads.append(
+                _content_bytes(block_seed, size) if concrete else (size, block_seed))
+            if keys is None:
+                continue
+            if random() >= keyed:
+                key = None
+            elif known and random() >= sequential:
+                key = known[randrange(len(known))]
+            else:
+                key = f"k{key_counter}"
+                key_counter += 1
+                if len(known) < 50000:
+                    known.append(key)
+            keys.append(key)
+        self._content_counter, self._key_counter = seed, key_counter
+        return payloads, keys
 
     def ingest_batch(self, node: StorageNode, count: int) -> None:
         """Ingest `count` blocks on `node`, then push to its ring replicas
         (`Cluster.replicas`) that are up and reachable."""
-        next_payload, next_user_key = self._next_payload, self._next_user_key
-        payloads, keys = [], []
-        for _ in range(count):  # each block draws its payload, then its key
-            payloads.append(next_payload()[0])
-            keys.append(next_user_key())
+        payloads, keys = self._draw_run(count)
         node.ingest(payloads, keys)
         self.metrics.ingests += count
         # replicate everything above the pair watermark, not just this

@@ -234,21 +234,28 @@ def compute_delta_hash(local, peer, meter: CostMeter | None = None, scope_nids=N
     """
     ours, theirs = local.locators(scope_nids), peer.locators(scope_nids)
     missing_remote, missing_local = hash_delta(local, peer, ours, theirs)
+    listed = sum(map(len, ours.values())) + sum(map(len, theirs.values()))
     if meter is not None:
         # digest-set membership checks, one per listed locator on each side
-        meter.add_comparisons(len(ours) + len(theirs))
+        meter.add_comparisons(listed)
     return DeltaPlan(
         ids_to_pull=missing_local + _held_elsewhere(theirs, local),
         ids_to_push=missing_remote + _held_elsewhere(ours, peer),
-        index_bytes_exchanged=2 * WIRE_HEADER_BYTES + 32 * (len(ours) + len(theirs)),
+        index_bytes_exchanged=2 * WIRE_HEADER_BYTES + 32 * listed,
     )
 
 
 def _held_elsewhere(listed: dict, puller) -> list[CompositeId]:
-    """Listed locators the puller lacks although it holds their digest,
-    in id order. (The set difference reuses the dicts' stored hashes.)"""
-    lacking = set(listed).difference(puller.by_locator)
-    return sorted(loc for loc in lacking if listed[loc] in puller.by_digest)
+    """Listed locators (per-nid maps) the puller lacks although it holds
+    their digest, in id order. (Each set difference reuses the dicts'
+    stored hashes.)"""
+    held, puller_by_nid = puller.by_digest, puller.by_nid
+    return sorted(
+        loc
+        for nid, locs in listed.items()
+        for loc in set(locs).difference(puller_by_nid.get(nid, {}))
+        if locs[loc] in held
+    )
 
 
 def _transfer_meta(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
@@ -323,10 +330,10 @@ def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[Composite
     the puller already holds is bound to that copy instead. Returns
     content bytes transferred. One id at a time, not one run: whether an
     id becomes an alias depends on the blocks adopted before it."""
-    index = puller.baseline
+    index, by_nid = puller.baseline, source.baseline.by_nid
     moved = 0
     for cid in ids:
-        digest = source.baseline.by_locator[cid]
+        digest = by_nid[cid.nid][cid]
         entry = source.id_index.get(cid)
         kept = index.holder(digest)
         if kept is not None:

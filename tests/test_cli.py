@@ -1,6 +1,10 @@
 import csv
 import io
 import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,25 @@ def test_simulate_bundled_partition_converge(capsys):
     code, out, _ = run_cli(capsys, "simulate", "partition-converge", "--format", "csv")
     assert code == 0
     assert "rounds=1" in out
+
+
+def test_bundled_scenarios_load_from_a_zipped_install(capsys, tmp_path):
+    # a zipped install has no file path to its package data: the scenario
+    # text is read as a resource
+    archive = tmp_path / "metadr.zip"
+    package = Path(cli.__file__).parent
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if path.suffix in (".py", ".yaml"):
+                zf.write(path, path.relative_to(package.parent).as_posix())
+    env = {**os.environ, "PYTHONPATH": str(archive)}
+    zipped = subprocess.run(
+        [sys.executable, "-m", "metadr.cli", "simulate", "partition-converge", "--format", "csv"],
+        cwd=tmp_path, env=env, capture_output=True, check=False,
+    )
+    assert zipped.returncode == 0, zipped.stderr.decode()
+    _, out, _ = run_cli(capsys, "simulate", "partition-converge", "--format", "csv")
+    assert zipped.stdout.decode() == out
 
 
 def test_simulate_bundled_condition3(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import sys
+from collections import deque
 from random import Random
 
 import pytest
@@ -12,7 +13,6 @@ from metadr.hashline import (
     EMPTY_TREE_ROOT,
     HashIndex,
     InconsistentIndex,
-    PendingBlock,
     commit_checkpoint,
     crash_interrupt,
     hash_delta,
@@ -278,7 +278,7 @@ def test_crash_rollback_preserves_order():
     state = make_pipeline(8)
     pipeline_tick(state, 800)
     crash_interrupt(state)
-    assert [p.locator for p in state.pending] == [cid(i) for i in range(8)]
+    assert state.pending.locators == [cid(i) for i in range(8)]
 
 
 def test_settle_drains_and_commits_the_checkpoint():
@@ -380,7 +380,7 @@ def test_hash_delta_matches_content_comparison_oracle():
 
 
 def assert_digest_map_matches_reference(index: HashIndex) -> None:
-    # the reference: every locator holding each digest, from by_locator
+    # the reference: every locator holding each digest, from the by_locator view
     ref: dict[bytes, set[CompositeId]] = {}
     for loc, digest in index.by_locator.items():
         ref.setdefault(digest, set()).add(loc)
@@ -394,7 +394,9 @@ def assert_digest_map_matches_reference(index: HashIndex) -> None:
             assert isinstance(value, set) and value == held
     assert index.holder(b"\xff" * 32) is None
     flat = {loc: d for listed in index.by_nid.values() for loc, d in listed.items()}
-    assert flat == index.by_locator
+    assert dict(index.by_locator) == flat and len(index.by_locator) == len(flat)
+    assert all(loc in index.by_locator for loc in flat)
+    assert CompositeId(NodeId(b"\x09" * 16), 1) not in index.by_locator  # an unknown nid
 
 
 _LOCATOR = st.tuples(st.integers(1, 3), st.integers(1, 30)).map(
@@ -411,9 +413,12 @@ _STEP = st.one_of(
 @given(steps=st.lists(_STEP, max_size=60))
 def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
     # every step draws a fresh locator, as a node's store does; a locator
-    # drawn twice is skipped
+    # drawn twice is skipped. The queue and the rollback list are checked
+    # against a per-block reference: a deque of (locator, byte_len,
+    # content) blocks, and a list
     index = HashIndex()
     used: set[CompositeId] = set()
+    ref_pending, ref_hashed = deque(), []
     for step in steps:
         kind = step[0]
         if kind in ("add", "adopt", "enqueue"):
@@ -426,17 +431,27 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
                 index.add(loc, payload_digest(content, 64))
             elif kind == "adopt":
                 index.adopt([loc], [content], [64], [payload_digest(content, 64)])
+                ref_hashed.append((loc, 64, content))
             else:
                 index.enqueue([loc], [content], [64])
+                ref_pending.append((loc, 64, content))
         elif kind == "tick":
             pipeline_tick(index, 64 * step[1])
+            for _ in range(min(step[1], len(ref_pending))):
+                ref_hashed.append(ref_pending.popleft())
         elif kind == "checkpoint":
             commit_checkpoint(index)
+            ref_hashed.clear()
         elif kind == "crash":
             crash_interrupt(index)
+            ref_pending.extendleft(reversed(ref_hashed))
+            ref_hashed.clear()
         else:
             index.mark_lost()
         assert_digest_map_matches_reference(index)
+        assert rows_of(index.pending) == list(ref_pending)
+        assert rows_of(index.hashed_since_checkpoint) == ref_hashed
+        assert index.lag_bytes == 64 * len(ref_pending)
 
 
 def test_unique_digests_take_no_set_each():
@@ -445,10 +460,10 @@ def test_unique_digests_take_no_set_each():
         index.add(cid(i), payload_digest(descriptor(64, i), 64))
     assert not any(isinstance(v, set) for v in index.by_digest.values())
     # the map's own bytes: its table and any sets it holds (locators and
-    # digests are shared with by_locator)
+    # digests are shared with the by_nid maps)
     own = sys.getsizeof(index.by_digest) + sum(
         sys.getsizeof(v) for v in index.by_digest.values() if isinstance(v, set))
-    assert own <= 1.5 * sys.getsizeof(index.by_locator)
+    assert own <= 1.5 * sum(map(sys.getsizeof, index.by_nid.values()))
 
 
 # -- run kernels against per-block references --------------------------------------
@@ -463,7 +478,6 @@ def reference_add(index: HashIndex, locator: CompositeId, digest: bytes) -> None
         held.add(locator)
     elif held != locator:
         index.by_digest[digest] = {held, locator}
-    index.by_locator[locator] = digest
     index.by_nid.setdefault(locator.nid, {})[locator] = digest
 
 
@@ -485,9 +499,13 @@ def reference_merkle(leaves: list[bytes]) -> tuple[bytes, int]:
 
 def assert_same_maps(index: HashIndex, ref: HashIndex) -> None:
     assert index.by_digest == ref.by_digest
-    assert list(index.by_locator.items()) == list(ref.by_locator.items())
     assert ({nid: list(listed.items()) for nid, listed in index.by_nid.items()}
             == {nid: list(listed.items()) for nid, listed in ref.by_nid.items()})
+
+
+def rows_of(columns) -> list[tuple[CompositeId, int, bytes]]:
+    """A column run as (locator, byte_len, content) blocks."""
+    return list(zip(columns.locators, columns.byte_lens, columns.contents))
 
 
 def assert_same_meter(meter: CostMeter, ref: CostMeter) -> None:
@@ -516,30 +534,37 @@ def test_pipeline_tick_matches_a_per_block_loop(indexed, queued, extra, share, p
     rows = store_blocks(queued, first=len(indexed))
     backlog = sum(n for _, _, n in rows)
     budget = int(share * backlog) + extra  # from 0 to past the backlog
+    # the reference keeps its queue and rollback list as (locator, byte_len,
+    # content) blocks: a deque it pops one block at a time, and a list
     index, ref = HashIndex(), HashIndex()
-    for state in (index, ref):
-        for locator, content, n in store_blocks(indexed):  # hashed before this tick
+    ref_pending, ref_hashed = deque(), []
+    for locator, content, n in store_blocks(indexed):  # hashed before this tick
+        for state in (index, ref):
             reference_add(state, locator, payload_digest(content, n))
-            state.hashed_since_checkpoint.append(PendingBlock(locator, n, content))
-        for locator, content, n in rows:
-            state.enqueue([locator], [content], [n])
+        index.hashed_since_checkpoint.extend([locator], [content], [n])
+        ref_hashed.append((locator, n, content))
+    for locator, content, n in rows:
+        index.enqueue([locator], [content], [n])
+        ref_pending.append((locator, n, content))
     meter, ref_meter = CostMeter(model, t_hash=prior), CostMeter(model, t_hash=prior)
 
     done = pipeline_tick(index, budget, meter)
 
     ref_done, remaining = 0, budget
-    while ref.pending and ref.pending[0].byte_len <= remaining:
-        block = ref.pending.popleft()
-        reference_add(ref, block.locator, payload_digest(block.content, block.byte_len))
-        ref.hashed_since_checkpoint.append(block)
-        ref_meter.t_hash += model.hash_seconds(block.byte_len)
-        ref_meter.hashed_bytes += block.byte_len
+    while ref_pending and ref_pending[0][1] <= remaining:
+        block = ref_pending.popleft()
+        locator, n, content = block
+        reference_add(ref, locator, payload_digest(content, n))
+        ref_hashed.append(block)
+        ref_meter.t_hash += model.hash_seconds(n)
+        ref_meter.hashed_bytes += n
         ref_meter.hash_ops += 1
-        remaining -= block.byte_len
+        remaining -= n
         ref_done += 1
     assert done == ref_done
-    assert list(index.pending) == list(ref.pending)
-    assert index.hashed_since_checkpoint == ref.hashed_since_checkpoint
+    assert rows_of(index.pending) == list(ref_pending)
+    assert index.lag_bytes == sum(n for _, n, _ in ref_pending)
+    assert rows_of(index.hashed_since_checkpoint) == ref_hashed
     assert_same_maps(index, ref)
     assert_same_meter(meter, ref_meter)
 

@@ -237,6 +237,110 @@ def test_clock_issues_every_value_up_to_max_then_refuses(make_wal, reserve):
         recover_clock(reopen(wal)).next_id(NID)
 
 
+# -- run draws ---------------------------------------------------------------
+
+
+def draw_one_by_one(clock: LogicalClock, count: int, nst: int, ids: list) -> None:
+    """The reference: `count` one-id draws, appending each id as it comes."""
+    for _ in range(count):
+        ids.append(clock.next_id(NID, nst))
+
+
+def arm(wal, failure, at: int) -> None:
+    """Make the wal's `at`-th append from now fail with `failure`."""
+    append, calls = wal.append_lcv, itertools.count(1)
+
+    def armed(lcv: int) -> None:
+        if next(calls) == at:
+            wal.fail_next_append = failure
+        append(lcv)
+
+    wal.append_lcv = armed
+
+
+@settings(max_examples=300, deadline=None)
+@given(reserve=st.sampled_from([1, 2, 3, 4, 5, 1024]), before=st.integers(0, 12),
+       crossings=st.integers(0, 3), fill=st.integers(0, 1024),
+       nst=st.sampled_from([0, 7, 2**64 - 1]),
+       failure=st.sampled_from([None, "lost", ("torn", 0), ("torn", 5), ("torn", 13)]),
+       fail_at=st.integers(1, 3))
+def test_a_run_draw_equals_one_id_draws(reserve, before, crossings, fill, nst, failure,
+                                        fail_at):
+    # two clocks with the same history: one draws a run, the other one id at a time
+    clocks = [LogicalClock(MemoryWal(), reserve=reserve) for _ in range(2)]
+    for clock in clocks:
+        draw_one_by_one(clock, before, 0, [])
+    headroom = clocks[0].ceiling - clocks[0].floor  # ids drawn with no append
+    fill = min(fill, reserve)
+    if crossings == 0:
+        count = min(fill, headroom)
+    else:  # the run needs exactly `crossings` ceiling appends
+        count = headroom + (crossings - 1) * reserve + max(1, fill)
+    run_draw = lambda c, k, n, ids: c.next_id(NID, n, k, ids)  # noqa: E731
+    outcomes, drawn = [], []
+    for clock, draw in zip(clocks, (run_draw, draw_one_by_one)):
+        arm(clock.wal, failure, fail_at)
+        ids = ["earlier"]  # a run appends to what the list holds
+        try:
+            last = draw(clock, count, nst, ids)
+            outcomes.append(("ok", None))
+        except WalAppendFailure as exc:
+            last = None
+            outcomes.append(("failed", str(exc)))
+        drawn.append(ids)
+        if clock is clocks[0] and last is not None:
+            assert last == ids[-1]
+    run, reference = clocks
+    assert outcomes[0] == outcomes[1]
+    assert drawn[0] == drawn[1]
+    assert all(type(cid) is CompositeId for cid in drawn[0][1:])
+    assert run.wal.data() == reference.wal.data()
+    assert (run.floor, run.ceiling) == (reference.floor, reference.ceiling)
+    if failure is not None and fail_at <= crossings:
+        # exactly the ids the appends before the failed one covered came out
+        assert outcomes[0][0] == "failed"
+        assert len(drawn[0]) == 1 + headroom + (fail_at - 1) * reserve
+    else:
+        assert outcomes[0][0] == "ok" and len(drawn[0]) == 1 + count
+        drawn_total = before + count  # one ceiling per `reserve` ids
+        assert len(read_wal(run.wal.data())[0]) == -(-drawn_total // reserve)
+
+
+@pytest.mark.parametrize("nst", [-1, 2**64])
+def test_a_run_with_an_out_of_range_nst_draws_nothing(make_wal, nst):
+    wal = make_wal()
+    clock = LogicalClock(wal, reserve=4)
+    clock.next_id(NID, count=6)
+    before = (clock.floor, clock.ceiling, wal.data())
+    ids: list[CompositeId] = []
+    with pytest.raises(ValueError, match="nst"):
+        clock.next_id(NID, nst, 10, ids)
+    assert ids == [] and (clock.floor, clock.ceiling, wal.data()) == before
+
+
+@pytest.mark.parametrize("reserve", [R, 1, 2])
+def test_a_run_that_exhausts_the_lcv_space_keeps_its_prefix(reserve):
+    top = 2**64 - 1
+    clocks = [LogicalClock(MemoryWal(), floor=top - 4, reserve=reserve) for _ in range(2)]
+    drawn = []
+    for clock, draw in zip(clocks, (lambda c, k, ids: c.next_id(NID, 0, k, ids),
+                                    lambda c, k, ids: draw_one_by_one(c, k, 0, ids))):
+        ids: list[CompositeId] = []
+        with pytest.raises(ValueError, match="exhausted"):
+            draw(clock, 9, ids)
+        drawn.append(ids)
+    assert drawn[0] == drawn[1] == [CompositeId(NID, lcv) for lcv in range(top - 3, top + 1)]
+    assert clocks[0].wal.data() == clocks[1].wal.data()
+    assert clocks[0].floor == clocks[1].floor == top
+
+
+def test_a_run_of_zero_draws_nothing():
+    clock = LogicalClock(MemoryWal())
+    ids: list[CompositeId] = []
+    assert clock.next_id(NID, 0, 0, ids) is None
+    assert ids == [] and (clock.floor, clock.ceiling, clock.wal.data()) == (0, 0, b"")
+
+
 def test_torn_append_failure_then_success(make_wal):
     for reserve in (R, 1):
         wal = make_wal()

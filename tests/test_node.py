@@ -101,10 +101,10 @@ def node_state(node):
         list(node.block_store.items()),
         node.id_index.entries(),
         node.by_user_key,
-        list(baseline.pending),
+        baseline.pending,
         baseline.lag_bytes,
         baseline.hashed_since_checkpoint,
-        list(baseline.by_locator.items()),
+        {nid: list(listed.items()) for nid, listed in baseline.by_nid.items()},
         node.counters.lcv_order_violations,
         node.counters.immutability_violations,
     )

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,78 @@ PARTITION_SCENARIO = {
         {"kind": "converge", "at_hours": 3.5, "a": 0, "b": 1},
     ],
 }
+
+
+# -- the workload generator ------------------------------------------------------
+
+
+def oracle_payload(rt: SimRuntime) -> tuple[object, int]:
+    """One block's payload, drawn as the generator did block by block."""
+    work = rt.scenario.workload
+    if work.duplicate_ratio > 0 and rt._dup_pool and (
+        rt.rng_work.random() < work.duplicate_ratio
+    ):
+        seed, size = rt._dup_pool[rt.rng_work.randrange(len(rt._dup_pool))]
+    else:
+        seed = rt._content_counter
+        rt._content_counter += 1
+        lo, hi = rt._size_range
+        size = lo if lo >= hi else int(math.exp(rt.rng_sizes.uniform(*rt._log_size_range)))
+        if work.duplicate_ratio > 0 and len(rt._dup_pool) < 10000:
+            rt._dup_pool.append((seed, size))
+    if rt.scenario.fidelity == "concrete":
+        return simnet._content_bytes(seed, size), size
+    return (size, seed), size
+
+
+def oracle_user_key(rt: SimRuntime) -> str | None:
+    """One block's user key, drawn as the generator did block by block."""
+    work = rt.scenario.workload
+    if work.keyed_fraction <= 0 or rt.rng_work.random() >= work.keyed_fraction:
+        return None
+    if rt._keys and rt.rng_work.random() >= work.sequential_fraction:
+        return rt._keys[rt.rng_work.randrange(len(rt._keys))]
+    key = f"k{rt._key_counter}"
+    rt._key_counter += 1
+    if len(rt._keys) < 50000:
+        rt._keys.append(key)
+    return key
+
+
+def generator_state(rt: SimRuntime):
+    return (rt._content_counter, rt._key_counter, rt._dup_pool, rt._keys,
+            rt.rng_work.getstate(), rt.rng_sizes.getstate())
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplicate_ratio=st.sampled_from([0.0, 0.2, 1.0]),
+       keyed_fraction=st.sampled_from([0.0, 0.25, 1.0]),
+       sequential_fraction=st.sampled_from([0.0, 0.7, 1.0]),
+       fidelity=st.sampled_from(["concrete", "virtual"]),
+       sizes=st.sampled_from([(64, 64), (16, 300), (4096, 65536)]),
+       seed=st.integers(0, 2**16), runs=st.lists(st.integers(0, 40), max_size=6))
+def test_run_generator_matches_the_per_block_draws(duplicate_ratio, keyed_fraction,
+                                                   sequential_fraction, fidelity, sizes,
+                                                   seed, runs):
+    scenario = load_scenario({
+        "seed": seed, "fidelity": fidelity,
+        "inventory": {"block_bytes_min": sizes[0], "block_bytes_max": sizes[1]},
+        "workload": {"duplicate_ratio": duplicate_ratio, "keyed_fraction": keyed_fraction,
+                     "sequential_fraction": sequential_fraction},
+    })
+    rt, ref = SimRuntime(scenario), SimRuntime(scenario)
+    for count in runs:
+        payloads, keys = rt._draw_run(count)
+        ref_payloads, ref_keys = [], []
+        for _ in range(count):  # each block draws its payload, then its key
+            ref_payloads.append(oracle_payload(ref)[0])
+            ref_keys.append(oracle_user_key(ref))
+        assert payloads == ref_payloads
+        if keyed_fraction <= 0:  # no key is ever drawn
+            assert keys is None and ref_keys == [None] * count
+        else:
+            assert keys == ref_keys
+        assert generator_state(rt) == generator_state(ref)
 
 
 # -- cost accounting ---------------------------------------------------------------

@@ -519,10 +519,10 @@ def test_baseline_owes_what_its_drain_pays(steps):
             assert ensure_baseline_consistent(node) == owed
             assert node.baseline.owed_bytes(node.physical_bytes) == 0
         index = node.baseline
-        assert index.lag_bytes == sum(p.byte_len for p in index.pending)
+        assert index.lag_bytes == sum(index.pending.byte_lens)
         assert index.consistent_flag == (not index.lost and index.lag_blocks == 0)
         if not index.lost:  # every id is indexed or queued, never both
-            queued = [p.locator for p in index.pending]
+            queued = index.pending.locators
             assert set(index.by_locator).isdisjoint(queued)
             assert set(index.by_locator) | set(queued) == set(node.id_index.ids())
 
