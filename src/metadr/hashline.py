@@ -24,11 +24,11 @@ meter charges the modeled byte length.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from operator import itemgetter
+from functools import partial
+from itertools import accumulate, chain, takewhile
+from operator import ge, itemgetter
 from typing import NamedTuple
 
 from .identity import CompositeId, NodeId
@@ -343,8 +343,9 @@ def pipeline_tick(index: HashIndex, hash_budget_bytes: int, meter=None) -> int:
 
     The run hashed is the longest prefix of the queue whose byte_lens fit
     the budget: the tick stops at the first block that does not fit,
-    found by bisecting the queue's prefix sums. A budget that covers
-    `lag_bytes` takes the queue's columns whole, with no cut to find.
+    and sums no byte_len past it. A budget that covers `lag_bytes` takes
+    the queue's columns whole, with no cut to find; a smaller one also
+    shifts the rest of the queue down its columns (one C memmove each).
     Each block is hashed by `payload_digest`, and the meter is charged
     once for the run: every block's byte_len, summed in queue order, and
     one hash op per block. Returns the number of blocks hashed this
@@ -356,7 +357,8 @@ def pipeline_tick(index: HashIndex, hash_budget_bytes: int, meter=None) -> int:
     if hash_budget_bytes >= index.lag_bytes:
         cut = len(pending)
     else:
-        cut = bisect_right(list(accumulate(pending.byte_lens)), hash_budget_bytes)
+        fits = partial(ge, hash_budget_bytes)  # fits(total): total <= budget
+        cut = len(list(takewhile(fits, accumulate(pending.byte_lens))))
     if not cut:
         return 0
     run = pending.take(cut)

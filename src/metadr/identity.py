@@ -321,16 +321,21 @@ class LogicalClock:
         returns the last id (None when count is 0). A run of `count`
         draws leaves the ids, the log and the clock exactly as `count`
         one-id draws would, under one lock and one nst check. With
-        `into`, each id is appended to that list as it is drawn.
+        `into`, each id is appended to that list as it is drawn; a run
+        of more than one id needs it.
 
-        Raises ValueError for an nst outside 64 bits before anything is
-        drawn. A failed ceiling append raises WalAppendFailure, or, once
-        2**64 - 1 is exposed, ValueError from `extend`: the ids drawn
-        before it stay exposed (and in `into`), and none is exposed after.
+        Raises ValueError for an nst outside 64 bits, or a run with no
+        `into`, before anything is drawn. A failed ceiling append raises
+        WalAppendFailure, or, once 2**64 - 1 is exposed, ValueError from
+        `extend`: the ids drawn before it stay exposed (and in `into`),
+        and none is exposed after.
         """
         if not 0 <= nst <= MAX_U64:
             raise ValueError(f"nst out of 64-bit range: {nst}")
-        run = [] if into is None else into
+        if into is None:
+            if count > 1:
+                raise ValueError("a run of more than one id needs a list to draw into")
+            into = []
         with self._lock:
             floor = self.floor
             end = floor + count
@@ -340,12 +345,12 @@ class LogicalClock:
                 stop = end if end <= self.ceiling else self.ceiling
                 # every field is in range: extend bounds the lcv, nst is checked above
                 if stop == floor + 1:  # one id: not worth setting up the iterators
-                    run.append(tuple.__new__(CompositeId, (nid, stop, nst)))
+                    into.append(tuple.__new__(CompositeId, (nid, stop, nst)))
                 else:
                     lcvs = range(floor + 1, stop + 1)
-                    run += map(tuple.__new__, repeat(CompositeId), product((nid,), lcvs, (nst,)))
+                    into += map(tuple.__new__, repeat(CompositeId), product((nid,), lcvs, (nst,)))
                 self.floor = floor = stop
-        return run[-1] if count > 0 else None
+        return into[-1] if count > 0 else None
 
     def extend(self) -> None:
         """Log the next ceiling, min(c + reserve, 2**64 - 1). next_id

@@ -306,16 +306,19 @@ def test_a_run_draw_equals_one_id_draws(reserve, before, crossings, fill, nst, f
         assert len(read_wal(run.wal.data())[0]) == -(-drawn_total // reserve)
 
 
-@pytest.mark.parametrize("nst", [-1, 2**64])
-def test_a_run_with_an_out_of_range_nst_draws_nothing(make_wal, nst):
+@pytest.mark.parametrize(
+    "nst, into, match",
+    [(-1, [], "nst"), (2**64, [], "nst"), (0, None, "list to draw into")],
+    ids=["nst-negative", "nst-2**64", "no-list"],
+)
+def test_a_refused_run_draws_nothing(make_wal, nst, into, match):
     wal = make_wal()
     clock = LogicalClock(wal, reserve=4)
-    clock.next_id(NID, count=6)
+    clock.next_id(NID, 0, 6, [])
     before = (clock.floor, clock.ceiling, wal.data())
-    ids: list[CompositeId] = []
-    with pytest.raises(ValueError, match="nst"):
-        clock.next_id(NID, nst, 10, ids)
-    assert ids == [] and (clock.floor, clock.ceiling, wal.data()) == before
+    with pytest.raises(ValueError, match=match):
+        clock.next_id(NID, nst, 10, into)
+    assert not into and (clock.floor, clock.ceiling, wal.data()) == before
 
 
 @pytest.mark.parametrize("reserve", [R, 1, 2])

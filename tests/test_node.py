@@ -90,6 +90,11 @@ def test_virtual_ingest_charges_zero_hash_seconds():
 # -- runs ----------------------------------------------------------------------------
 
 
+def columns(run):
+    """A copy of a `BlockColumns` run: its columns grow in place."""
+    return list(run.locators), list(run.contents), list(run.byte_lens)
+
+
 def node_state(node):
     """What an ingest or replicate_in run can change on a node, in an
     order-sensitive, comparable form."""
@@ -101,9 +106,9 @@ def node_state(node):
         list(node.block_store.items()),
         node.id_index.entries(),
         node.by_user_key,
-        baseline.pending,
+        columns(baseline.pending),
         baseline.lag_bytes,
-        baseline.hashed_since_checkpoint,
+        columns(baseline.hashed_since_checkpoint),
         {nid: list(listed.items()) for nid, listed in baseline.by_nid.items()},
         node.counters.lcv_order_violations,
         node.counters.immutability_violations,
