@@ -19,11 +19,14 @@ A block is hashed as its content bytes and charged as its byte_len.
 At virtual fidelity the content is the block's 16-byte descriptor, so
 equal descriptors collide exactly as equal payloads would, while the
 meter charges the modeled byte length.
+
+SHA-256 comes from `hashlib`, which maps OpenSSL's libcrypto. It is
+bound on a process's first hash, not at import, so a run that never
+hashes (every metadata-only run) never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -35,7 +38,22 @@ from .identity import CompositeId, NodeId
 
 DIGEST_BYTES = 32
 EMPTY_LEAF = b"\x00" * DIGEST_BYTES  # pad sentinel for unequal leaf counts
-EMPTY_TREE_ROOT = hashlib.sha256(b"").digest()
+EMPTY_TREE_ROOT = bytes.fromhex(  # SHA-256 of b""
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+)
+
+
+def _bind_sha256(data: bytes):
+    """The process's first hash: bind `_sha256` to `hashlib.sha256`,
+    then hash `data` with it. Every later hash looks up the bound one."""
+    global _sha256
+    import hashlib
+
+    _sha256 = hashlib.sha256
+    return _sha256(data)
+
+
+_sha256 = _bind_sha256  # the SHA-256 constructor, once a hash has bound it
 
 
 class InconsistentIndex(RuntimeError):
@@ -49,7 +67,7 @@ def payload_digest(content: bytes, byte_len: int, meter=None) -> bytes:
     bytes), and one hash op."""
     if meter is not None:
         meter.charge_hash(byte_len, ops=1)
-    return hashlib.sha256(content).digest()
+    return _sha256(content).digest()
 
 
 class MerkleTree:
@@ -97,12 +115,11 @@ def merkle_build(leaves: list[bytes], meter=None) -> MerkleTree:
     if not leaves:
         return MerkleTree([])
     levels = [list(leaves)]
-    sha = hashlib.sha256
     ops = 0
     while len(levels[-1]) > 1:
         lower = levels[-1]
         pairs = iter(lower)
-        upper = [sha(left + right).digest() for left, right in zip(pairs, pairs)]
+        upper = [_sha256(left + right).digest() for left, right in zip(pairs, pairs)]
         ops += len(upper)
         if len(lower) % 2:
             upper.append(lower[-1])  # promote the odd node

@@ -283,9 +283,21 @@ class StorageNode:
         """The content an id reads: its own, or the copy the indirection
         table binds it to."""
         content = self.block_store.get(cid)
-        if content is None:
-            content = self.block_store[self.indirection_table[cid]]
-        return content
+        return self._aliased_block(cid) if content is None else content
+
+    def stored_blocks(self, ids: list[CompositeId]) -> list[bytes]:
+        """`stored_block` of each id, in order: one store probe per id,
+        and only the ids the store misses read through the indirection
+        table."""
+        contents = list(map(self.block_store.get, ids))
+        if None in contents:
+            contents = [self._aliased_block(cid) if content is None else content
+                        for cid, content in zip(ids, contents)]
+        return contents
+
+    def _aliased_block(self, cid: CompositeId) -> bytes:
+        """The copy an alias reads; KeyError if `cid` is no alias."""
+        return self.block_store[self.indirection_table[cid]]
 
     def inventory(self) -> Iterator[tuple[CompositeId, bytes, int]]:
         """(id, content, byte_len) of every stored block, in store order."""

@@ -36,8 +36,6 @@ from random import Random
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-import yaml
-
 from .costs import PAPER_VOLUMETRICS, CostMeter, CostModel, Volumetrics
 from .discovery import DnsRecordSet, rebind_cname, resolve
 from .evalmodel import rto_breakdown
@@ -142,11 +140,17 @@ _FAULT_FIELDS = {
 
 def _read_mapping(source):
     """The raw config behind `source`: YAML text, a YAML file path
-    (`os.PathLike`), or else `source` itself, which should be a dict."""
+    (`os.PathLike`), or else `source` itself, which should be a dict.
+    PyYAML is imported only to read text or a file, so a config built
+    in code never loads it."""
+    if not isinstance(source, (str, os.PathLike)):
+        return source
+    import yaml
+
     try:
         if isinstance(source, os.PathLike):
             source = Path(source).read_text(encoding="utf-8")
-        return yaml.safe_load(source) if isinstance(source, str) else source
+        return yaml.safe_load(source)
     except (OSError, yaml.YAMLError) as exc:
         raise ScenarioValidation(str(exc)) from exc
 
@@ -233,6 +237,9 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioValidation("inventory needs 0 < block_bytes_min <= block_bytes_max")
     if not 0 <= s.workload.blocks_per_hour_per_node < math.inf:
         raise ScenarioValidation("workload.blocks_per_hour_per_node must be finite and >= 0")
+    for name in ("duplicate_ratio", "sequential_fraction", "keyed_fraction"):
+        if not 0 <= getattr(s.workload, name) <= 1:  # NaN fails too
+            raise ScenarioValidation(f"workload.{name} must be within [0, 1]")
     try:
         records = DnsRecordSet.from_zone_lines(s.discovery.zone)
     except ValueError as exc:
@@ -502,7 +509,8 @@ class SimRuntime:
             watermark = ckpt.watermark(node.nid)
             if watermark != window[0]:
                 entries = node.id_index.entries_above(node.nid, watermark)
-                window = (watermark, entries, [node.stored_block(entry.id) for entry in entries])
+                contents = node.stored_blocks([entry.id for entry in entries])
+                window = (watermark, entries, contents)
             if window[1]:
                 peer.replicate_in(window[1], window[2])
             ckpt.advance(node.nid, node.id_index.max_lcv(node.nid))

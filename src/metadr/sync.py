@@ -264,7 +264,7 @@ def _transfer_meta(puller: StorageNode, source: StorageNode, ids: list[Composite
     if not ids:
         return 0
     entries = list(map(source.id_index.get, ids))
-    puller.replicate_in(entries, list(map(source.stored_block, ids)))
+    puller.replicate_in(entries, source.stored_blocks(ids))
     return sum(entry.byte_len for entry in entries)
 
 

@@ -12,7 +12,6 @@ Merkle/pipeline machinery to brute-force oracles.
 
 from __future__ import annotations
 
-import hashlib
 from random import Random
 
 from . import hashline, identity
@@ -266,6 +265,10 @@ def _merkle_diff_case(rng: Random, trees: int, max_leaves: int) -> tuple[bool, s
 
 
 def suite_baseline(seed: int = 0) -> list[Check]:
+    # hashlib is the independent reference for `payload_digest`; imported
+    # here, so only a process that runs this suite loads it for the check
+    import hashlib
+
     checks: list[Check] = []
     vectors = [
         (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -262,6 +262,11 @@ def test_simulate_unknown_scenario_exits_2(capsys):
     "faults:\n  - {kind: crash, at_hours: 1.0, node: 0, fault_kind: bogus}\n",
     # a negative write rate
     "workload: {blocks_per_hour_per_node: -5}\n",
+    # workload fractions outside [0, 1], or NaN
+    *(f"fidelity: virtual\ncluster: {{nodes: 3}}\nworkload: {{{field}}}\n" for field in (
+        "duplicate_ratio: 1.5", "duplicate_ratio: -1", "keyed_fraction: .nan",
+        "keyed_fraction: -0.5", "sequential_fraction: 7",
+    )),
 ])
 def test_simulate_bad_scenario_exits_2_with_one_error_line(tmp_path, capsys, text):
     path = tmp_path / "bad.yaml"
@@ -367,6 +372,7 @@ def test_soak_bad_config_exits_2(tmp_path, capsys):
         ("volumetrics: {data_bytes: 1.0e+9, delta_bytes: 5.0e+12}",
          "delta_bytes cannot exceed data_bytes"),
         ("crash_rehash_extra: [-2.0, -1.5]", "crash_rehash_extra"),
+        ("keyed_fraction: 2", "keyed_fraction must be within [0, 1]"),
     ):
         path.write_text(f"{text}\n")
         code, out, err = run_cli(capsys, "soak", "--config", str(path))

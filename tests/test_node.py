@@ -293,6 +293,23 @@ def test_read_verify_roundtrip():
     assert node.read_verify(cid) == struct.pack(">QQ", 4096, 17)
 
 
+def test_bulk_read_matches_one_read_per_id():
+    node, peer = fresh_node(seed=1, baseline=True), fresh_node(seed=2)
+    own = node.ingest([f"own:{i}".encode() for i in range(6)])
+    foreign = peer.ingest([f"own:{i % 3}".encode() for i in range(5)])
+    for cid in foreign[:4]:  # the first three alias own blocks, the fourth an alias
+        node.bind_alias(peer.id_index.get(cid), foreign[0] if cid.lcv == 4 else own[cid.lcv % 3])
+    assert len(node.indirection_table) == 4
+    ids = own + foreign[:4]
+    for order in range(4):
+        Random(order).shuffle(ids)
+        for run in (ids, [cid for cid in ids if cid in own], ids[:1], []):
+            assert node.stored_blocks(run) == [node.stored_block(cid) for cid in run]
+    for read in (node.stored_block, lambda cid: node.stored_blocks([own[0], cid])):
+        with pytest.raises(KeyError):
+            read(foreign[4])  # neither stored nor an alias
+
+
 def test_corruption_detected_on_read():
     node = fresh_node()
     for payload in (b"precious data", (4096, 17)):
