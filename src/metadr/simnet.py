@@ -16,12 +16,13 @@ windows are reproduced in milliseconds of wall time.
 Scenario files are YAML whose sections mirror the `Scenario`
 dataclasses; one loader builds both scenarios and soak configs. The
 runtime's `sync.Cluster` holds the ring placement: where each write is
-replicated and what every DR session syncs. Validation reads the same
-ring rule (`ring_successors`) on node ordinals. `SimRuntime.run()` is
-the one timeline: hourly writes, then the faults at that hour. The soak
-is a scenario on it: its seven-day cadence (planned failover/failback
-cycles every 12 hours plus crash injections on configured days) is a
-list of four faults per DR event, checked by `validate_scenario`.
+replicated and what every DR session syncs. One `Lifecycle` over node
+ordinals, on the same ring rule (`ring_successors`), says which fault
+may run in which state: validation steps it dry, the runtime checks each
+fault with it. `SimRuntime.run()` is the one timeline: hourly writes,
+then the faults at that hour. The soak is a scenario on it: its seven-day
+cadence (planned failover/failback cycles every 12 hours plus crash
+injections on configured days) is a list of four faults per DR event.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, field, is_dataclass, replace
+from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from random import Random
@@ -102,6 +103,11 @@ class FaultSpec:
     fault_kind: str = "none"
     torn_bytes: int | None = None
 
+    @property
+    def event(self) -> str:
+        """The fault as refusal messages name it, e.g. "crash at 1.0h"."""
+        return f"{self.kind} at {self.at_hours}h"
+
 
 @dataclass
 class Scenario:
@@ -121,17 +127,105 @@ class Scenario:
 # a crash's fault_kind: "torn" tears the WAL tail at a drawn byte
 CRASH_FAULT_KINDS = ("none", "torn")
 
-# fields each fault kind must set
+# the fields each fault kind reads besides kind and at_hours: (must set,
+# may set); it refuses any other field set away from its FaultSpec default
 _FAULT_FIELDS = {
-    "crash": ("node",),
-    "restart": ("node",),
-    "index_loss": ("node",),
-    "pipeline_crash": ("node",),
-    "partition": ("until_hours",),
-    "failover": ("failed", "substitute"),
-    "failback": ("node",),
-    "converge": ("a", "b"),
+    "crash": (("node",), ("fault_kind", "torn_bytes")),
+    "restart": (("node",), ("fault_kind",)),
+    "index_loss": (("node",), ()),
+    "pipeline_crash": (("node",), ()),
+    "partition": (("until_hours",), ("side_a", "side_b")),
+    "failover": (("failed", "substitute"), ()),
+    "failback": (("node",), ()),
+    "converge": (("a", "b"), ()),
 }
+# each kind's fields past kind and at_hours that it does not read, with their defaults
+_UNREAD_FIELDS = {
+    kind: [(f.name, f.default) for f in fields(FaultSpec)[2:] if f.name not in needs + may]
+    for kind, (needs, may) in _FAULT_FIELDS.items()
+}
+
+
+class Lifecycle:
+    """Which fault may run in which state, over node ordinals: `down` holds
+    the nodes that are down, `partitions` the open (side_a, side_b) pairs.
+    `check` holds every rule about one fault, those of its `shape` and
+    those of the `state`; `step` applies one fault or heals one partition."""
+
+    def __init__(self, nodes: int, replica_factor: int) -> None:
+        self.nodes, self.replica_factor = nodes, replica_factor
+        self.down: set[int] = set()
+        self.partitions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def shape(self, f: FaultSpec) -> str | None:
+        """The first rule fault `f` breaks in any state, or None."""
+        if f.kind not in _FAULT_FIELDS:
+            return f"unknown fault kind {f.kind!r}"
+        if missing := [name for name in _FAULT_FIELDS[f.kind][0] if getattr(f, name) is None]:
+            return f"{f.event} needs {', '.join(missing)}"
+        if unread := [name for name, default in _UNREAD_FIELDS[f.kind]
+                      if getattr(f, name) != default]:
+            return f"{f.event} does not read {', '.join(unread)}"
+        for ordinal in (f.node, f.failed, f.substitute, f.a, f.b, *f.side_a, *f.side_b):
+            if ordinal is not None and not 0 <= ordinal < self.nodes:
+                return f"node ordinal {ordinal} out of range"
+        # a crash and a restart read fault_kind; every other kind keeps "none"
+        kinds = CRASH_FAULT_KINDS if f.kind == "crash" else RESTART_FAULT_KINDS
+        if f.fault_kind not in kinds:
+            return f"{f.event}: fault_kind must be one of {'|'.join(kinds)}"
+        if f.torn_bytes is not None and not 0 <= f.torn_bytes < WAL_RECORD_BYTES:
+            return f"{f.event}: torn_bytes must be within [0, {WAL_RECORD_BYTES})"
+        if f.kind == "partition" and f.until_hours <= f.at_hours:
+            return "partition needs until_hours > at_hours"
+        if f.kind == "partition" and not (f.side_a and f.side_b and
+                                          set(f.side_a).isdisjoint(f.side_b)):
+            return "partition sides must be disjoint and non-empty"
+        if f.kind == "failover" and f.failed == f.substitute:
+            return "failover substitute must differ from failed node"
+        if f.kind == "converge" and f.a == f.b:
+            return f"{f.event}: node {f.a} cannot converge with itself"
+        return None
+
+    def check(self, f: FaultSpec) -> str | None:
+        """The first rule fault `f` breaks in this state, or None."""
+        return self.shape(f) or self.state(f)
+
+    def state(self, f: FaultSpec) -> str | None:
+        """The first state rule fault `f`, whose `shape` is sound, breaks
+        in this state, or None."""
+        down = self.down
+        if f.kind == "crash" and f.node in down:
+            return f"{f.event}: node {f.node} is already down"
+        if f.kind == "restart" and f.node not in down:
+            return f"{f.event}: node {f.node} is not down"
+        if f.kind == "failback" and f.node in down:
+            return f"{f.event}: node {f.node} is down"
+        if f.kind == "failover" and f.failed not in down:
+            return f"{f.event}: node {f.failed} is not down"
+        if f.kind == "failover" and f.substitute in down:
+            return f"{f.event}: substitute {f.substitute} is down"
+        if f.kind == "failover" and not any(
+                reachable(self.partitions, f.substitute, r)
+                for r in ring_successors(f.failed, self.nodes, self.replica_factor - 1)
+                if r not in down and r != f.substitute):
+            return (f"{f.event}: no up replica of node {f.failed} that substitute "
+                    f"{f.substitute} can reach")
+        if f.kind == "converge" and {f.a, f.b} & down:
+            return f"{f.event}: node {f.a if f.a in down else f.b} is down"
+        if f.kind == "converge" and not reachable(self.partitions, f.a, f.b):
+            return f"{f.event}: nodes {f.a} and {f.b} are partitioned"
+        return None
+
+    def step(self, f: FaultSpec, heal: bool = False) -> None:
+        """Apply fault `f`, which `check` passed; with `heal`, end partition `f`."""
+        if f.kind == "partition" and heal:
+            self.partitions.remove((tuple(f.side_a), tuple(f.side_b)))
+        elif f.kind == "partition":
+            self.partitions.append((tuple(f.side_a), tuple(f.side_b)))
+        elif f.kind == "crash":
+            self.down.add(f.node)
+        elif f.kind == "restart":
+            self.down.remove(f.node)
 
 
 # ---------------------------------------------------------------------------
@@ -249,83 +343,23 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioValidation(
                 f"discovery.zone: host-{i} is node {i}'s endpoint name, not a CNAME"
             )
+    lifecycle = Lifecycle(nodes, s.cluster.replica_factor)
     windows: list[tuple[float, float, frozenset]] = []
-    for f in s.faults:
-        if f.kind not in _FAULT_FIELDS:
-            raise ScenarioValidation(f"unknown fault kind {f.kind!r}")
-        event = f"{f.kind} at {f.at_hours}h"
-        missing = [name for name in _FAULT_FIELDS[f.kind] if getattr(f, name) is None]
-        if missing:
-            raise ScenarioValidation(f"{event} needs {', '.join(missing)}")
+    for f in s.faults:  # in list order: a partition without until_hours cannot be scheduled
+        if problem := lifecycle.shape(f):
+            raise ScenarioValidation(problem)
         if not 0 <= f.at_hours <= s.horizon_hours:
             raise ScenarioValidation(f"fault at {f.at_hours}h outside horizon")
-        for ordinal in (f.node, f.failed, f.substitute, f.a, f.b, *f.side_a, *f.side_b):
-            if ordinal is not None and not 0 <= ordinal < nodes:
-                raise ScenarioValidation(f"node ordinal {ordinal} out of range")
         if f.kind == "partition":
-            if f.until_hours <= f.at_hours:
-                raise ScenarioValidation("partition needs until_hours > at_hours")
             members = frozenset(f.side_a) | frozenset(f.side_b)
-            if not f.side_a or not f.side_b or frozenset(f.side_a) & frozenset(f.side_b):
-                raise ScenarioValidation("partition sides must be disjoint and non-empty")
             for start, end, other in windows:
                 if f.at_hours < end and start < f.until_hours and members & other:
                     raise ScenarioValidation("overlapping partitions share nodes")
             windows.append((f.at_hours, f.until_hours, members))
-        elif f.kind == "crash":
-            if f.fault_kind not in CRASH_FAULT_KINDS:
-                raise ScenarioValidation(
-                    f"{event}: fault_kind must be one of {'|'.join(CRASH_FAULT_KINDS)}"
-                )
-            if f.torn_bytes is not None and not 0 <= f.torn_bytes < WAL_RECORD_BYTES:
-                raise ScenarioValidation(
-                    f"{event}: torn_bytes must be within [0, {WAL_RECORD_BYTES})"
-                )
-    # replay in run order: each node's up/crashed state, the open partitions
-    crashed: set[int] = set()  # every other node is up
-    partitions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for _at, _seq, kind, f in _fault_schedule(s.faults):
-        event = f"{f.kind} at {f.at_hours}h"
-        if kind == "heal":
-            partitions.remove((f.side_a, f.side_b))
-        elif f.kind == "partition":
-            partitions.append((f.side_a, f.side_b))
-        elif f.kind == "crash":
-            if f.node in crashed:
-                raise ScenarioValidation(f"{event}: node {f.node} is already down")
-            crashed.add(f.node)
-        elif f.kind == "restart":
-            if f.node not in crashed:
-                raise ScenarioValidation(f"{event}: node {f.node} is not down")
-            if f.fault_kind not in RESTART_FAULT_KINDS:
-                raise ScenarioValidation(
-                    f"{event}: fault_kind must be one of {'|'.join(RESTART_FAULT_KINDS)}"
-                )
-            crashed.remove(f.node)
-        elif f.kind == "failover":
-            if f.failed == f.substitute:
-                raise ScenarioValidation("failover substitute must differ from failed node")
-            if f.failed not in crashed:
-                raise ScenarioValidation(f"{event}: node {f.failed} is not down")
-            if f.substitute in crashed:
-                raise ScenarioValidation(f"{event}: substitute {f.substitute} is down")
-            replicas = set(ring_successors(f.failed, nodes, s.cluster.replica_factor - 1))
-            if not any(
-                reachable(partitions, f.substitute, r)
-                for r in replicas - crashed - {f.substitute}
-            ):
-                raise ScenarioValidation(
-                    f"{event}: no up replica of node {f.failed} that substitute "
-                    f"{f.substitute} can reach"
-                )
-        elif f.kind == "failback" and f.node in crashed:
-            raise ScenarioValidation(f"{event}: node {f.node} is down")
-        elif f.kind == "converge" and f.a == f.b:
-            raise ScenarioValidation(f"{event}: node {f.a} cannot converge with itself")
-        elif f.kind == "converge" and {f.a, f.b} & crashed:
-            raise ScenarioValidation(f"{event}: node {f.a if f.a in crashed else f.b} is down")
-        elif f.kind == "converge" and not reachable(partitions, f.a, f.b):
-            raise ScenarioValidation(f"{event}: nodes {f.a} and {f.b} are partitioned")
+    for _at, _seq, kind, f in _fault_schedule(s.faults):  # a dry run, in run order
+        if kind == "fault" and (problem := lifecycle.state(f)):
+            raise ScenarioValidation(problem)
+        lifecycle.step(f, heal=kind == "heal")
 
 
 def _fault_schedule(faults: list[FaultSpec]) -> list[tuple[float, int, str, FaultSpec]]:
@@ -424,6 +458,7 @@ class SimRuntime:
             StorageNode(new_node_id(rng_ids), baseline=baseline) for _ in range(n)
         ]
         self.cluster = Cluster(self.sim_nodes, scenario.cost, scenario.cluster.replica_factor)
+        self.lifecycle = Lifecycle(n, scenario.cluster.replica_factor)
 
         self.records = DnsRecordSet.from_zone_lines(scenario.discovery.zone)
         # node i answers at host-i (a failover rebinds service-i to the
@@ -518,7 +553,11 @@ class SimRuntime:
     # -- fault handlers --------------------------------------------------
 
     def apply_fault(self, f: FaultSpec) -> None:
-        nodes = self.sim_nodes
+        """Apply fault `f` now. A fault the lifecycle refuses raises
+        ScenarioValidation with validation's message and changes nothing."""
+        if problem := self.lifecycle.check(f):
+            raise ScenarioValidation(problem)
+        nodes, framework = self.sim_nodes, self.scenario.framework
         if f.kind == "crash":
             torn = f.torn_bytes
             if torn is None and f.fault_kind == "torn":
@@ -533,47 +572,37 @@ class SimRuntime:
             )
         elif f.kind in ("index_loss", "pipeline_crash"):
             nodes[f.node].inject_fault(f.kind)
-        elif f.kind == "partition":
-            side_a = frozenset(nodes[i].nid for i in f.side_a)
-            side_b = frozenset(nodes[i].nid for i in f.side_b)
-            self.cluster.partitions.append((side_a, side_b))
         elif f.kind == "failover":
-            self._dr_failover(f)
+            label, service = f"failover {f.failed}->{f.substitute}", f"service-{f.failed}"
+            if service in self.records.cname_records:
+                rebind_cname(self.records, service, f"host-{f.substitute}")
+                label += f" via {resolve(self.records, service).endpoint}"
+            report = execute_failover(
+                self.cluster, nodes[f.failed].nid, nodes[f.substitute].nid, framework)
+            self.metrics.events.append(DrEvent(f.at_hours, label, [report]))
         elif f.kind == "failback":
-            self._dr_failback(f)
+            if f"service-{f.node}" in self.records.cname_records:
+                rebind_cname(self.records, f"service-{f.node}", f"host-{f.node}")
+            report = execute_failback(self.cluster, nodes[f.node].nid, framework)
+            self.metrics.events.append(DrEvent(f.at_hours, f"failback {f.node}", [report]))
         elif f.kind == "converge":
             meter = CostMeter(self.scenario.cost)
-            framework = self.scenario.framework
             rounds = converge(self.cluster, nodes[f.a], nodes[f.b], framework, meter)
             self.metrics.converge_rounds.append(rounds)
             report = report_from_meter("converge", framework, meter)
             report.note = f"rounds={rounds}"
             self.metrics.events.append(DrEvent(f.at_hours, f"converge {f.a}<->{f.b}", [report]))
+        self._step(f)
 
-    def _dr_failover(self, f: FaultSpec) -> None:
-        event = DrEvent(at_hours=f.at_hours, label=f"failover {f.failed}->{f.substitute}")
-        failed = self.sim_nodes[f.failed]
-        substitute = self.sim_nodes[f.substitute]
-        service = f"service-{f.failed}"
-        if service in self.records.cname_records:
-            rebind_cname(self.records, service, f"host-{f.substitute}")
-            resolved = resolve(self.records, service).endpoint
-            event.label += f" via {resolved}"
-        event.reports.append(execute_failover(
-            self.cluster, failed.nid, substitute.nid, self.scenario.framework
-        ))
-        self.metrics.events.append(event)
-
-    def _dr_failback(self, f: FaultSpec) -> None:
-        event = DrEvent(at_hours=f.at_hours, label=f"failback {f.node}")
-        node = self.sim_nodes[f.node]
-        service = f"service-{f.node}"
-        if service in self.records.cname_records:
-            rebind_cname(self.records, service, f"host-{f.node}")
-        event.reports.append(
-            execute_failback(self.cluster, node.nid, self.scenario.framework)
-        )
-        self.metrics.events.append(event)
+    def _step(self, f: FaultSpec, heal: bool = False) -> None:
+        """`Lifecycle.step`, then `cluster.partitions` as the nid image of its partitions."""
+        self.lifecycle.step(f, heal)
+        if f.kind == "partition":
+            nids = [node.nid for node in self.sim_nodes]
+            self.cluster.partitions = [
+                tuple(frozenset(nids[i] for i in side) for side in sides)
+                for sides in self.lifecycle.partitions
+            ]
 
     # -- main loop -------------------------------------------------------
 
@@ -604,13 +633,10 @@ class SimRuntime:
                     if node.status is NodeStatus.UP:
                         self.ingest_batch(node, (j + 1) * total // slots - j * total // slots)
                 self._sample(at)
-            elif kind == "heal":
-                sides = (frozenset(self.sim_nodes[i].nid for i in f.side_a),
-                         frozenset(self.sim_nodes[i].nid for i in f.side_b))
-                if sides in self.cluster.partitions:
-                    self.cluster.partitions.remove(sides)
-            else:
+            elif kind == "fault":
                 self.apply_fault(f)
+            else:
+                self._step(f, heal=True)
 
         self._finalize()
         return self.metrics

@@ -267,6 +267,19 @@ def test_simulate_unknown_scenario_exits_2(capsys):
         "duplicate_ratio: 1.5", "duplicate_ratio: -1", "keyed_fraction: .nan",
         "keyed_fraction: -0.5", "sequential_fraction: 7",
     )),
+    # a hash DR cycle with one field its fault's kind does not read
+    *("framework: hash\ncluster: {nodes: 3, replica_factor: 2}\nfaults:\n" + "".join(
+        f"  - {{{fault}{', ' + extra if i == bad else ''}}}\n"
+        for i, fault in enumerate([
+            "kind: crash, at_hours: 1.0, node: 0",
+            "kind: failover, at_hours: 2.0, failed: 0, substitute: 2",
+            "kind: restart, at_hours: 3.0, node: 0",
+            "kind: failback, at_hours: 4.0, node: 0",
+        ]))
+      for bad, extra in enumerate([
+          "substitute: 2", "fault_kind: index_loss", "torn_bytes: 5",
+          "fault_kind: pipeline_crash, until_hours: 9.0",
+      ])),
 ])
 def test_simulate_bad_scenario_exits_2_with_one_error_line(tmp_path, capsys, text):
     path = tmp_path / "bad.yaml"

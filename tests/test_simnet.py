@@ -1,4 +1,7 @@
+import copy
 import math
+from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from metadr import simnet
 from metadr.costs import CostMeter, CostModel
 from metadr.discovery import resolve
+from metadr.node import NodeStatus
 from metadr.simnet import (
     FaultSpec,
     ScenarioValidation,
@@ -367,7 +371,9 @@ def test_validation_rejects_bad_ordinals():
         load_scenario(bad)
 
 
-@pytest.mark.parametrize("faults, message", [
+# faults on the 3-node, RF=3 partition scenario, each refused by its last
+# fault in run order, with the message validation gives
+LIFECYCLE_CASES = [
     ([{"kind": "failover", "at_hours": 1.0, "failed": 0, "substitute": 1}], "not down"),
     ([{"kind": "crash", "at_hours": 1.0, "node": 0},
       {"kind": "crash", "at_hours": 2.0, "node": 0}], "already down"),
@@ -393,11 +399,161 @@ def test_validation_rejects_bad_ordinals():
     ([{"kind": "crash", "at_hours": 1.0, "node": 0, "fault_kind": "index_loss"}], "fault_kind"),
     ([{"kind": "crash", "at_hours": 1.0, "node": 0, "torn_bytes": 16}], "torn_bytes"),
     ([{"kind": "crash", "at_hours": 1.0, "node": 0, "torn_bytes": -5}], "torn_bytes"),
-])
+    ([{"kind": "meteor", "at_hours": 1.0}], "unknown fault kind"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 3}], "ordinal 3 out of range"),
+    ([{"kind": "partition", "at_hours": 1.0, "until_hours": 3.0,
+       "side_a": [0, 1], "side_b": [1, 2]}], "disjoint"),
+    ([{"kind": "partition", "at_hours": 1.0, "until_hours": 3.0, "side_a": [0]}], "non-empty"),
+    ([{"kind": "partition", "at_hours": 2.0, "until_hours": 1.0,
+       "side_a": [0], "side_b": [1]}], "until_hours > at_hours"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0, "substitute": 2}],
+     "crash at 1.0h does not read substitute"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0},
+      {"kind": "failover", "at_hours": 2.0, "failed": 0, "substitute": 2,
+       "fault_kind": "index_loss"}], "does not read fault_kind"),
+    ([{"kind": "crash", "at_hours": 1.0, "node": 0},
+      {"kind": "restart", "at_hours": 2.0, "node": 0, "torn_bytes": 5}],
+     "does not read torn_bytes"),
+    ([{"kind": "failback", "at_hours": 1.0, "node": 0, "fault_kind": "pipeline_crash",
+       "until_hours": 9.0}], "does not read until_hours, fault_kind"),
+]
+
+
+@pytest.mark.parametrize("faults, message", LIFECYCLE_CASES)
 def test_validation_replays_node_lifecycle(faults, message):
     bad = dict(PARTITION_SCENARIO, cluster={"nodes": 3, "replica_factor": 3}, faults=faults)
     with pytest.raises(ScenarioValidation, match=message):
         load_scenario(bad)
+
+
+def _lifecycle_state(rt: SimRuntime):
+    """What a refused fault must leave as it was."""
+    return ([node.status for node in rt.sim_nodes], set(rt.lifecycle.down),
+            list(rt.lifecycle.partitions), list(rt.cluster.partitions),
+            copy.deepcopy(rt.metrics.events), rt.rng_faults.getstate())
+
+
+@pytest.mark.parametrize("faults, message", LIFECYCLE_CASES)
+def test_runtime_refuses_what_validation_refuses(faults, message):
+    scenario = dict(PARTITION_SCENARIO, cluster={"nodes": 3, "replica_factor": 3})
+    with pytest.raises(ScenarioValidation, match=message) as refused:
+        load_scenario(dict(scenario, faults=faults))
+    rt = SimRuntime(load_scenario(dict(scenario, faults=[])))
+    specs = [simnet._build(FaultSpec, raw) for raw in faults]
+    *before, last = [f for _, _, kind, f in simnet._fault_schedule(specs) if kind == "fault"]
+    for f in before:
+        rt.apply_fault(f)
+    state = _lifecycle_state(rt)
+    with pytest.raises(ScenarioValidation) as raised:
+        rt.apply_fault(last)
+    assert str(raised.value) == str(refused.value)
+    assert _lifecycle_state(rt) == state
+
+
+def _assert_lifecycle_agrees(rt: SimRuntime) -> None:
+    """The lifecycle's down nodes are the nodes that are not up, and the
+    cluster's partitions are the nid image of the lifecycle's."""
+    assert rt.lifecycle.down == {
+        i for i, node in enumerate(rt.sim_nodes) if node.status is not NodeStatus.UP}
+    nids = [node.nid for node in rt.sim_nodes]
+    assert rt.cluster.partitions == [
+        tuple(frozenset(nids[i] for i in side) for side in sides)
+        for sides in rt.lifecycle.partitions]
+
+
+def _fault_grammar(nodes: int):
+    """Single faults of every kind, valid or not: ordinals one past either
+    end of the cluster, refused fault kinds and torn bytes, self-failovers
+    and self-converges, and now and then a field the kind does not read."""
+    node = st.sampled_from([*range(nodes)] * 3 + [-1, nodes])
+    sides = st.lists(st.integers(0, nodes - 1), min_size=1, max_size=2, unique=True).map(tuple)
+
+    def kind(name, **fields):
+        return st.builds(FaultSpec, st.just(name), st.just(1.0), **fields)
+
+    fault = st.one_of(
+        kind("crash", node=node, fault_kind=st.sampled_from(["none", "torn", "bogus"]),
+             torn_bytes=st.none() | st.integers(-1, 16)),
+        kind("restart", node=node,
+             fault_kind=st.sampled_from(["none", "index_loss", "pipeline_crash", "torn"])),
+        kind("index_loss", node=node),
+        kind("pipeline_crash", node=node),
+        kind("failback", node=node),
+        kind("partition", until_hours=st.just(2.0), side_a=sides, side_b=sides),
+        kind("failover", failed=node, substitute=node),
+        kind("converge", a=node, b=node),
+        kind("crash") | kind("meteor"),
+    )
+    unread = st.sampled_from([{}] * 10 + [{"substitute": 1}, {"fault_kind": "index_loss"}])
+    return st.builds(lambda f, extra: replace(f, **extra), fault, unread)
+
+
+@st.composite
+def _direct_run(draw):
+    """A small runtime and a list of steps: faults, heals and writes. A
+    drawn DR cycle (crash, failover, restart, failback) and a drawn split
+    of the cluster reach the failovers, restarts and partitions that
+    single faults drawn at random seldom do."""
+    nodes = draw(st.integers(2, 4))
+    scenario = load_scenario({
+        "framework": draw(st.sampled_from(["meta", "hash"])), "fidelity": "virtual",
+        "cluster": {"nodes": nodes, "replica_factor": draw(st.integers(1, nodes))},
+        "inventory": {"blocks_per_node": 3},
+    })
+    cycle = st.builds(lambda n, m, restart: [
+        FaultSpec("crash", 1.0, node=n), FaultSpec("failover", 1.0, failed=n, substitute=m),
+        FaultSpec("restart", 1.0, node=n, fault_kind=restart), FaultSpec("failback", 1.0, node=n),
+    ], st.integers(0, nodes - 1), st.integers(0, nodes - 1),
+        st.sampled_from(["none", "index_loss", "pipeline_crash"]))
+    split = st.permutations(range(nodes)).flatmap(lambda perm: st.integers(1, nodes - 1).map(
+        lambda i: [FaultSpec("partition", 1.0, until_hours=2.0,
+                             side_a=tuple(perm[:i]), side_b=tuple(perm[i:]))]))
+    step = st.one_of(_fault_grammar(nodes).map(lambda f: [f]), cycle, split,
+                     st.sampled_from(["heal", *range(nodes)]).map(lambda s: [s]))
+    return scenario, [s for group in draw(st.lists(step, max_size=8)) for s in group]
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=_direct_run())
+def test_direct_faults_are_applied_or_refused(run):
+    scenario, steps = run
+    rt = SimRuntime(scenario)
+    for node in rt.sim_nodes:
+        rt.ingest_batch(node, scenario.inventory.blocks_per_node)
+    opened = []  # partitions applied and not yet healed, oldest first
+    for step in steps:
+        if step == "heal":
+            if opened:
+                rt._step(opened.pop(0), heal=True)
+        elif isinstance(step, int):
+            if rt.sim_nodes[step].status is NodeStatus.UP:
+                rt.ingest_batch(rt.sim_nodes[step], 2)
+        else:
+            try:
+                rt.apply_fault(step)
+            except ScenarioValidation:
+                pass
+            else:
+                if step.kind == "partition":
+                    opened.append(step)
+        _assert_lifecycle_agrees(rt)
+
+
+def test_scenario_runs_keep_the_lifecycle_in_agreement(monkeypatch):
+    checked = []
+
+    class Agreeing(SimRuntime):
+        def apply_fault(self, f):
+            super().apply_fault(f)
+            _assert_lifecycle_agrees(self)
+            checked.append(f.kind)
+
+    monkeypatch.setattr(simnet, "SimRuntime", Agreeing)
+    for name in ("condition3-failover", "partition-converge"):
+        text = resources.files("metadr").joinpath("scenarios", f"{name}.yaml").read_text()
+        run_scenario(load_scenario(text))
+    soak(SoakConfig(total_ingest_blocks=13_125))
+    assert {"crash", "failover", "restart", "failback", "partition", "converge"} <= set(checked)
 
 
 def test_validation_follows_run_order_not_list_order():
