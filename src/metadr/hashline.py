@@ -316,12 +316,13 @@ class HashIndex:
         self.pending.extend(locators, contents, byte_lens)
         self.lag_bytes += sum(byte_lens)
 
-    def adopt(self, locators, contents, byte_lens, digests) -> None:
-        """Index a run of stored blocks under the digests that travelled
-        with them: nothing is hashed, and a crash before the next
-        checkpoint rolls them back like hashed work."""
+    def adopt(self, locators, digests, stored: BlockColumns) -> None:
+        """Index a run of locators under the digests that travelled with
+        them: nothing is hashed. `stored` holds the run's blocks that were
+        stored, not bound as aliases, in run order; a crash before the
+        next checkpoint rolls those back like hashed work."""
         self.add_run(locators, digests)
-        self.hashed_since_checkpoint.extend(locators, contents, byte_lens)
+        self.hashed_since_checkpoint.extend(stored.locators, stored.contents, stored.byte_lens)
 
     def locators(self, nids=None) -> dict[NodeId, dict[CompositeId, bytes]]:
         """The per-nid locator maps of the given source nids, in the

@@ -30,9 +30,9 @@ Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
 structurally barred from running while a DR event is active, and its
 hashing is charged to the node's own background `CostMeter` so DR
-critical-path counters stay clean. The hash baseline's sync binds a
+critical-path counters stay clean. A hash-baseline sync run binds each
 foreign id whose content the node already holds through the same table
-(`bind_alias`).
+(`replicate_in` with digests). `stored_blocks` is its one block read.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from operator import attrgetter
 
 from .costs import CostMeter, CostModel
 from .crc32c import crc32c, crc32c_many
-from .hashline import HashIndex, crash_interrupt, payload_digest
+from .hashline import BlockColumns, HashIndex, crash_interrupt, payload_digest
 from .identity import CompositeId, MemoryWal, NodeId, WalAppendFailure, lww_key, recover_clock
 from .index import ConflictingEntry, IdentifierIndex, IndexEntry
 
@@ -222,18 +222,20 @@ class StorageNode:
             raise ImmutabilityViolation(f"id {bound} already bound")
         blocks.update(zip(ids, contents))
 
-    def replicate_in(self, entries, contents, digests=None) -> None:
+    def replicate_in(self, entries, contents, digests=None) -> dict[CompositeId, CompositeId]:
         """Accept a run of foreign blocks' entries and contents during
-        replication or sync; `digests`, if given, holds each block's
-        digest.
+        replication or sync; returns the aliases bound (`_aliases`).
 
         The entries are the source's own: each carries the id and the
         block's integrity metadata, so it is inserted as it arrives and
-        its content is stored under its id. The baseline queues the new
-        blocks for hashing, or adopts the digests that travelled with
-        them. Re-replication of a known id is a no-op. A
-        `ConflictingEntry` at entry k propagates after entries 0..k-1
+        its content is stored under its id, and the baseline queues the
+        new blocks for hashing. Re-replication of a known id is a no-op.
+        A `ConflictingEntry` at entry k propagates after entries 0..k-1
         are replicated; the rest are untouched.
+
+        `digests`, given only to a baseline node, holds each block's
+        digest: the run is indexed under them, not hashed, and each entry
+        `_aliases` picks is bound as an alias, storing no content.
         """
         conflict = None
         try:
@@ -245,26 +247,40 @@ class StorageNode:
             contents = [contents[i] for i in added]
             if digests is not None:
                 digests = [digests[i] for i in added]
-        if entries:
-            ids = list(map(_ENTRY_ID, entries))
-            self._resolve_keys(entries)
-            self.block_store.update(zip(ids, contents))
-            if self.baseline is not None:
-                byte_lens = list(map(_ENTRY_BYTE_LEN, entries))
-                if digests is None:
-                    self.baseline.enqueue(ids, contents, byte_lens)
-                else:
-                    self.baseline.adopt(ids, contents, byte_lens, digests)
+        self._resolve_keys(entries)
+        ids = list(map(_ENTRY_ID, entries))
+        aliases = {}
+        if digests is not None:
+            run, byte_lens = ids, list(map(_ENTRY_BYTE_LEN, entries))
+            if aliases := self._aliases(ids, digests):
+                self.indirection_table.update(aliases)
+                kept = [i for i, cid in enumerate(ids) if cid not in aliases]
+                ids, contents, byte_lens = (
+                    [column[i] for i in kept] for column in (ids, contents, byte_lens))
+            self.baseline.adopt(run, digests, BlockColumns(ids, contents, byte_lens))
+        elif self.baseline is not None:
+            self.baseline.enqueue(ids, contents, list(map(_ENTRY_BYTE_LEN, entries)))
+        self.block_store.update(zip(ids, contents))
         if conflict is not None:
             raise conflict
+        return aliases
 
-    def bind_alias(self, entry: IndexEntry, kept: CompositeId) -> None:
-        """Accept a foreign id whose content this node already stores
-        under `kept`: the id reads through the indirection table and no
-        block is stored. A known id is a no-op."""
-        if self.id_index.insert([entry]):
-            self._resolve_keys([entry])
-            self.indirection_table[entry.id] = self.indirection_table.get(kept, kept)
+    def _aliases(self, ids, digests) -> dict[CompositeId, CompositeId]:
+        """The ids of a run to bind as aliases, each with the stored id it
+        reads: an id whose digest the node held before the run reads the
+        copy the digest's `holder` reads, and one whose digest an earlier
+        id of the run brought reads that id's block."""
+        holder, table = self.baseline.holder, self.indirection_table
+        aliases: dict[CompositeId, CompositeId] = {}
+        read: dict[bytes, CompositeId] = {}  # digest -> the stored id its run ids read
+        for cid, digest in zip(ids, digests):
+            if digest in read:
+                aliases[cid] = read[digest]
+            elif (kept := holder(digest)) is not None:
+                aliases[cid] = read[digest] = table.get(kept, kept)
+            else:
+                read[digest] = cid
+        return aliases
 
     def _resolve_keys(self, entries) -> None:
         """Point each new entry's user key, if any, at the version
@@ -279,25 +295,17 @@ class StorageNode:
 
     # -- reads and integrity -------------------------------------------
 
-    def stored_block(self, cid: CompositeId) -> bytes:
-        """The content an id reads: its own, or the copy the indirection
-        table binds it to."""
-        content = self.block_store.get(cid)
-        return self._aliased_block(cid) if content is None else content
-
     def stored_blocks(self, ids: list[CompositeId]) -> list[bytes]:
-        """`stored_block` of each id, in order: one store probe per id,
-        and only the ids the store misses read through the indirection
-        table."""
+        """The content each id reads, in order: its own, or the copy the
+        indirection table binds it to. One store probe per id, and only
+        the ids the store misses read through the table; KeyError for an
+        id that is neither stored nor an alias."""
         contents = list(map(self.block_store.get, ids))
         if None in contents:
-            contents = [self._aliased_block(cid) if content is None else content
+            store, table = self.block_store, self.indirection_table
+            contents = [store[table[cid]] if content is None else content
                         for cid, content in zip(ids, contents)]
         return contents
-
-    def _aliased_block(self, cid: CompositeId) -> bytes:
-        """The copy an alias reads; KeyError if `cid` is no alias."""
-        return self.block_store[self.indirection_table[cid]]
 
     def inventory(self) -> Iterator[tuple[CompositeId, bytes, int]]:
         """(id, content, byte_len) of every stored block, in store order."""
@@ -312,14 +320,14 @@ class StorageNode:
             raise NotFound(f"id {cid} not present")
         # Layer-2 indirection is transparent to readers and is never
         # consulted during DR identification (which uses ids only)
-        key = self.indirection_table.get(cid, cid)
-        content = self.block_store.get(key)
-        if content is None:
-            raise NotFound(f"block for id {cid} missing from store")
+        try:
+            content, = self.stored_blocks([cid])
+        except KeyError:
+            raise NotFound(f"block for id {cid} missing from store") from None
         found = crc32c(content)
         if found != entry.crc:
             raise CorruptionDetected(
-                f"crc mismatch at {key}: expected {entry.crc:#010x}, found {found:#010x}"
+                f"crc mismatch reading {cid}: expected {entry.crc:#010x}, found {found:#010x}"
             )
         return content
 

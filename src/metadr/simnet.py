@@ -41,7 +41,7 @@ from .costs import PAPER_VOLUMETRICS, CostMeter, CostModel, Volumetrics
 from .discovery import DnsRecordSet, rebind_cname, resolve
 from .evalmodel import rto_breakdown
 from .identity import WAL_RECORD_BYTES, new_node_id
-from .node import RESTART_FAULT_KINDS, NodeStatus, StorageNode
+from .node import RESTART_FAULT_KINDS, NodeDown, NodeStatus, StorageNode
 from .sync import (
     Cluster,
     DrReport,
@@ -214,6 +214,9 @@ class Lifecycle:
             return f"{f.event}: node {f.a if f.a in down else f.b} is down"
         if f.kind == "converge" and not reachable(self.partitions, f.a, f.b):
             return f"{f.event}: nodes {f.a} and {f.b} are partitioned"
+        if f.kind == "partition" and any(
+                {*f.side_a, *f.side_b} & {*side_a, *side_b} for side_a, side_b in self.partitions):
+            return "overlapping partitions share nodes"
         return None
 
     def step(self, f: FaultSpec, heal: bool = False) -> None:
@@ -344,18 +347,11 @@ def validate_scenario(s: Scenario) -> None:
                 f"discovery.zone: host-{i} is node {i}'s endpoint name, not a CNAME"
             )
     lifecycle = Lifecycle(nodes, s.cluster.replica_factor)
-    windows: list[tuple[float, float, frozenset]] = []
     for f in s.faults:  # in list order: a partition without until_hours cannot be scheduled
         if problem := lifecycle.shape(f):
             raise ScenarioValidation(problem)
         if not 0 <= f.at_hours <= s.horizon_hours:
             raise ScenarioValidation(f"fault at {f.at_hours}h outside horizon")
-        if f.kind == "partition":
-            members = frozenset(f.side_a) | frozenset(f.side_b)
-            for start, end, other in windows:
-                if f.at_hours < end and start < f.until_hours and members & other:
-                    raise ScenarioValidation("overlapping partitions share nodes")
-            windows.append((f.at_hours, f.until_hours, members))
     for _at, _seq, kind, f in _fault_schedule(s.faults):  # a dry run, in run order
         if kind == "fault" and (problem := lifecycle.state(f)):
             raise ScenarioValidation(problem)
@@ -364,13 +360,15 @@ def validate_scenario(s: Scenario) -> None:
 
 def _fault_schedule(faults: list[FaultSpec]) -> list[tuple[float, int, str, FaultSpec]]:
     """(at_hours, seq, "fault" | "heal", fault) for each fault and each
-    partition's end, in run order: by time, then by list position, with a
-    partition's heal ordered right after the partition itself."""
+    partition's end, in run order: by time, then the heals before the
+    faults, each by list position, so a fault at a partition's end sees
+    it healed. Every seq is at least 0: an hour's writes (seq -1) run
+    first."""
     schedule = []
     for seq, f in enumerate(faults):
-        schedule.append((f.at_hours, 2 * seq, "fault", f))
+        schedule.append((f.at_hours, len(faults) + seq, "fault", f))
         if f.kind == "partition":
-            schedule.append((f.until_hours, 2 * seq + 1, "heal", f))
+            schedule.append((f.until_hours, seq, "heal", f))
     schedule.sort(key=lambda item: item[:2])
     return schedule
 
@@ -527,7 +525,11 @@ class SimRuntime:
 
     def ingest_batch(self, node: StorageNode, count: int) -> None:
         """Ingest `count` blocks on `node`, then push to its ring replicas
-        (`Cluster.replicas`) that are up and reachable."""
+        (`Cluster.replicas`) that are up and reachable. A node that is
+        down raises NodeDown, as `StorageNode.ingest` would, before any
+        workload stream is drawn."""
+        if node.status is not NodeStatus.UP:
+            raise NodeDown(f"node {node.nid} is {node.status.value}")
         payloads, keys = self._draw_run(count)
         node.ingest(payloads, keys)
         self.metrics.ingests += count

@@ -31,10 +31,10 @@ no content is read and nothing is hashed, and the per-event report's
 counters prove it. Under the hash baseline, any active failure
 condition (stale, interrupted, or lost hash index) must be paid for in
 rehash time before a delta can even be computed. `hashline` holds the
-rule for what a node's index owes and how it pays; a transferred
-block's digest travels with it into the puller's index. Both frameworks
-share one pair exchange, one scope and one DR session loop; they differ
-only in how a pair plans and moves its delta.
+rule for what a node's index owes and how it pays. Both frameworks
+share one pair exchange, one scope, one DR session loop and one
+transfer, which moves each side's delta as one run; they differ in how
+a pair plans its delta, and the baseline's digests travel with the run.
 
 A DR event's report is live: its costs come from the bytes the session
 actually moved at desk scale. `volumetric_report` charges the same kind
@@ -45,6 +45,7 @@ inventory, instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .costs import CostMeter, CostModel, Volumetrics
 from .hashline import hash_delta, settle
@@ -258,14 +259,21 @@ def _held_elsewhere(listed: dict, puller) -> list[CompositeId]:
     )
 
 
-def _transfer_meta(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
-    """Move the identified blocks as one run; returns content bytes
-    transferred."""
+def _transfer(puller: StorageNode, source: StorageNode, ids: list[CompositeId],
+              digests: bool) -> int:
+    """Move the identified blocks as one run, their entries and contents
+    read once; returns the content bytes moved. With `digests` (the hash
+    baseline) each block's digest travels with it, and the puller binds
+    an id whose content it already holds as an alias, which moves no
+    content (`StorageNode.replicate_in`)."""
     if not ids:
         return 0
     entries = list(map(source.id_index.get, ids))
-    puller.replicate_in(entries, source.stored_blocks(ids))
-    return sum(entry.byte_len for entry in entries)
+    travelled = list(map(source.baseline.by_locator.__getitem__, ids)) if digests else None
+    aliases = puller.replicate_in(entries, source.stored_blocks(ids), travelled)
+    if aliases:  # an alias moves no content
+        entries = [entry for entry in entries if entry.id not in aliases]
+    return sum(map(attrgetter("byte_len"), entries))
 
 
 def _advance_pair_checkpoint(
@@ -281,15 +289,15 @@ def _advance_pair_checkpoint(
         ckpt.advance(nid, shared)
 
 
-def _exchange(a: StorageNode, b: StorageNode, plan: DeltaPlan, transfer,
-              meter: CostMeter | None) -> int:
+def _exchange(a: StorageNode, b: StorageNode, plan: DeltaPlan, meter: CostMeter | None,
+              digests: bool = False) -> int:
     """Carry out one pair plan under either framework: charge the index
-    exchange, move the blocks each side lacks with `transfer`, charge
+    exchange, move the blocks each side lacks with `_transfer`, charge
     the delta. Returns the content bytes moved."""
     if meter is not None:
         meter.charge_index_transfer(plan.index_bytes_exchanged)
-    moved = transfer(a, b, plan.ids_to_pull)
-    moved += transfer(b, a, plan.ids_to_push)
+    moved = _transfer(a, b, plan.ids_to_pull, digests)
+    moved += _transfer(b, a, plan.ids_to_push, digests)
     if meter is not None and moved:
         meter.charge_delta_transfer(moved)
     return moved
@@ -305,7 +313,7 @@ def sync_pair_meta(
     """One bidirectional incremental exchange between two nodes."""
     ckpt = cluster.checkpoint(a.nid, b.nid)
     plan = compute_delta_meta(a.id_index, ckpt, b.id_index, meter, scope_nids)
-    plan.content_bytes_to_transfer = _exchange(a, b, plan, _transfer_meta, meter)
+    plan.content_bytes_to_transfer = _exchange(a, b, plan, meter)
     _advance_pair_checkpoint(ckpt, a, b, scope_nids)
     return plan
 
@@ -325,34 +333,13 @@ def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None
     return hashed
 
 
-def _transfer_hash(puller: StorageNode, source: StorageNode, ids: list[CompositeId]) -> int:
-    """Move the identified blocks with their digests; an id whose content
-    the puller already holds is bound to that copy instead. Returns
-    content bytes transferred. One id at a time, not one run: whether an
-    id becomes an alias depends on the blocks adopted before it."""
-    index, by_nid = puller.baseline, source.baseline.by_nid
-    moved = 0
-    for cid in ids:
-        digest = by_nid[cid.nid][cid]
-        entry = source.id_index.get(cid)
-        kept = index.holder(digest)
-        if kept is not None:
-            puller.bind_alias(entry, kept)
-            index.add(cid, digest)  # the digest travelled; nothing is hashed
-            continue
-        # adopted, not rehashed
-        puller.replicate_in([entry], [source.stored_block(cid)], [digest])
-        moved += entry.byte_len
-    return moved
-
-
 def sync_pair_hash(cluster: Cluster, a: StorageNode, b: StorageNode,
                    meter: CostMeter | None = None, scope_nids=None) -> DeltaPlan:
     """Baseline exchange: pay conditions first, then digest-set difference."""
     for participant in (a, b):
         ensure_baseline_consistent(participant, meter)
     plan = compute_delta_hash(a.baseline, b.baseline, meter, scope_nids)
-    plan.content_bytes_to_transfer = _exchange(a, b, plan, _transfer_hash, meter)
+    plan.content_bytes_to_transfer = _exchange(a, b, plan, meter, digests=True)
     _advance_pair_checkpoint(cluster.checkpoint(a.nid, b.nid), a, b, scope_nids)
     return plan
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from metadr.costs import CostMeter, CostModel
 from metadr.hashline import (
     EMPTY_TREE_ROOT,
+    BlockColumns,
     HashIndex,
     InconsistentIndex,
     commit_checkpoint,
@@ -430,7 +431,8 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
             if kind == "add":
                 index.add(loc, payload_digest(content, 64))
             elif kind == "adopt":
-                index.adopt([loc], [content], [64], [payload_digest(content, 64)])
+                stored = BlockColumns([loc], [content], [64])
+                index.adopt([loc], [payload_digest(content, 64)], stored)
                 ref_hashed.append((loc, 64, content))
             else:
                 index.enqueue([loc], [content], [64])

@@ -104,12 +104,14 @@ def node_state(node):
         node.clock.ceiling,
         node.wal.data(),
         list(node.block_store.items()),
+        list(node.indirection_table.items()),
         node.id_index.entries(),
         node.by_user_key,
         columns(baseline.pending),
         baseline.lag_bytes,
         columns(baseline.hashed_since_checkpoint),
         {nid: list(listed.items()) for nid, listed in baseline.by_nid.items()},
+        baseline.by_digest,
         node.counters.lcv_order_violations,
         node.counters.immutability_violations,
     )
@@ -193,13 +195,13 @@ def test_a_replicate_in_run_equals_the_same_entries_in_runs_of_one(
         k = conflict % len(entries_run)
         entries_run[k] = entries_run[k]._replace(crc=entries_run[k].crc ^ 1)
         held.add(picks[k] % n)
-    contents = [source.stored_block(entry.id) for entry in entries_run]
+    contents = source.stored_blocks([entry.id for entry in entries_run])
     digests = [payload_digest(c, e.byte_len) for c, e in zip(contents, entries_run)]
     digests = digests if adopt else None
     run, single = twins(2)
     for node in (run, single):
         prior = [entries[i] for i in sorted(held)]
-        node.replicate_in(prior, [source.stored_block(entry.id) for entry in prior])
+        node.replicate_in(prior, source.stored_blocks([entry.id for entry in prior]))
     single_error = None
     for i, entry in enumerate(entries_run):
         try:
@@ -237,10 +239,10 @@ def test_key_written_on_two_nodes_reads_the_same_on_both():
         a.ingest([f"filler {i}".encode()])
     a.ingest([b"from a"], ["k"])
     for entry in a.id_index.entries_above(a.nid, 0):
-        b.replicate_in([entry], [a.stored_block(entry.id)])
+        b.replicate_in([entry], a.stored_blocks([entry.id]))
     b.ingest([b"from b"], ["k"])
     for entry in b.id_index.entries_above(b.nid, 0):
-        a.replicate_in([entry], [b.stored_block(entry.id)])
+        a.replicate_in([entry], b.stored_blocks([entry.id]))
     assert a.read("k") == b.read("k") == b"from a"
 
 
@@ -253,7 +255,7 @@ def test_in_place_overwrite_raises():
 
 
 def test_replicating_a_known_id_with_other_metadata_conflicts():
-    source, replica = fresh_node(1), fresh_node(2)
+    source, replica = fresh_node(1), fresh_node(2, baseline=True)
     cid = source.ingest([b"original"])[0]
     entry = source.id_index.get(cid)
     replica.replicate_in([entry], [b"original"])
@@ -261,14 +263,14 @@ def test_replicating_a_known_id_with_other_metadata_conflicts():
     forged = entry._replace(crc=entry.crc ^ 1)
     with pytest.raises(ConflictingEntry):
         replica.replicate_in([forged], [b"forged!!"])
-    with pytest.raises(ConflictingEntry):
-        replica.bind_alias(forged, cid)
+    with pytest.raises(ConflictingEntry):  # with its digest, as a hash sync sends it
+        replica.replicate_in([forged], [b"original"], [payload_digest(b"original", 8)])
     assert replica.id_index.entry_count == 1
     assert replica.read_verify(cid) == b"original"
 
 
 def test_replicating_a_known_id_with_another_user_key_conflicts():
-    source, replica = fresh_node(1), fresh_node(2)
+    source, replica = fresh_node(1), fresh_node(2, baseline=True)
     cid = source.ingest([b"original"], ["k1"])[0]
     entry = source.id_index.get(cid)
     replica.replicate_in([entry], [b"original"])
@@ -276,7 +278,7 @@ def test_replicating_a_known_id_with_another_user_key_conflicts():
     with pytest.raises(ConflictingEntry):
         replica.replicate_in([forged], [b"original"])
     with pytest.raises(ConflictingEntry):
-        replica.bind_alias(forged, cid)
+        replica.replicate_in([forged], [b"original"], [payload_digest(b"original", 8)])
     assert replica.by_user_key == {"k1": cid}
     assert replica.id_index.get(cid) is entry
 
@@ -293,21 +295,31 @@ def test_read_verify_roundtrip():
     assert node.read_verify(cid) == struct.pack(">QQ", 4096, 17)
 
 
-def test_bulk_read_matches_one_read_per_id():
-    node, peer = fresh_node(seed=1, baseline=True), fresh_node(seed=2)
+def test_stored_blocks_read_aliases_and_aliases_of_aliases():
+    # peer's ids sort below node's, so an alias is the least holder of its digest
+    node = StorageNode(NodeId(b"\x02" * 16), baseline=True)
+    peer = StorageNode(NodeId(b"\x01" * 16), baseline=True)
     own = node.ingest([f"own:{i}".encode() for i in range(6)])
     foreign = peer.ingest([f"own:{i % 3}".encode() for i in range(5)])
-    for cid in foreign[:4]:  # the first three alias own blocks, the fourth an alias
-        node.bind_alias(peer.id_index.get(cid), foreign[0] if cid.lcv == 4 else own[cid.lcv % 3])
-    assert len(node.indirection_table) == 4
+    for n in (node, peer):
+        ensure_baseline_consistent(n)
+    # the first three alias own blocks; the fourth, sent in a later run,
+    # finds its digest's least holder is the alias foreign[0]
+    for run in (foreign[:3], foreign[3:4]):
+        node.replicate_in(list(map(peer.id_index.get, run)), peer.stored_blocks(run),
+                          list(map(peer.baseline.by_locator.__getitem__, run)))
+    assert node.indirection_table == {
+        foreign[0]: own[0], foreign[1]: own[1], foreign[2]: own[2], foreign[3]: own[0]}
+    content = dict(zip(own + foreign, node.stored_blocks(own) + peer.stored_blocks(foreign)))
     ids = own + foreign[:4]
     for order in range(4):
         Random(order).shuffle(ids)
         for run in (ids, [cid for cid in ids if cid in own], ids[:1], []):
-            assert node.stored_blocks(run) == [node.stored_block(cid) for cid in run]
-    for read in (node.stored_block, lambda cid: node.stored_blocks([own[0], cid])):
+            assert node.stored_blocks(run) == [content[cid] for cid in run]
+    assert node.read_verify(foreign[3]) == b"own:0"
+    for run in ([foreign[4]], [own[0], foreign[4]]):
         with pytest.raises(KeyError):
-            read(foreign[4])  # neither stored nor an alias
+            node.stored_blocks(run)  # neither stored nor an alias
 
 
 def test_corruption_detected_on_read():
@@ -403,18 +415,20 @@ def test_scrub_at_width_matches_per_block_reference():
 
 
 def test_scrub_walks_index_order_across_inserts_and_aliases():
-    node, low, high = (fresh_node(seed) for seed in (1, 2, 3))
+    node, low, high = (fresh_node(seed, baseline=seed == 1) for seed in (1, 2, 3))
     assert low.nid < node.nid < high.nid  # foreign runs on both sides of its own
     foreign_ids = {
         f: f.ingest([f"{f.nid.hex()}:{i}".encode() for i in range(40)]) for f in (low, high)
     }
     own = node.ingest([f"own:{i}".encode() for i in range(20)])
+    ensure_baseline_consistent(node)
+    own_digest = node.baseline.by_locator[own[0]]
 
     def replicate(source, cid):
-        node.replicate_in([source.id_index.get(cid)], [source.stored_block(cid)])
+        node.replicate_in([source.id_index.get(cid)], source.stored_blocks([cid]))
 
-    def alias(source, cid):
-        node.bind_alias(source.id_index.get(cid), own[0])
+    def alias(source, cid):  # sent with own[0]'s digest, it binds to own[0]
+        node.replicate_in([source.id_index.get(cid)], source.stored_blocks([cid]), [own_digest])
 
     # even lcvs now; the odd ones arrive later, between scrubs
     for f, cids in foreign_ids.items():
@@ -625,7 +639,7 @@ def test_deduplicated_id_replicates_under_its_own_id():
     second = a.ingest([b"same bytes"])[0]
     assert a.dedup_pass(10) == 1
     for entry in a.id_index.entries_above(a.nid, 0):
-        b.replicate_in([entry], [a.stored_block(entry.id)])
+        b.replicate_in([entry], a.stored_blocks([entry.id]))
     assert list(b.inventory()) == [(first, b"same bytes", 10), (second, b"same bytes", 10)]
     assert b.read_verify(second) == b"same bytes"
 

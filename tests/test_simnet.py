@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from metadr import simnet
 from metadr.costs import CostMeter, CostModel
 from metadr.discovery import resolve
-from metadr.node import NodeStatus
+from metadr.node import NodeDown, NodeStatus
 from metadr.simnet import (
     FaultSpec,
     ScenarioValidation,
@@ -416,6 +416,17 @@ LIFECYCLE_CASES = [
      "does not read torn_bytes"),
     ([{"kind": "failback", "at_hours": 1.0, "node": 0, "fault_kind": "pipeline_crash",
        "until_hours": 9.0}], "does not read until_hours, fault_kind"),
+    ([{"kind": "partition", "at_hours": 1.0, "until_hours": 3.0,
+       "side_a": [0], "side_b": [1]},
+      {"kind": "partition", "at_hours": 2.0, "until_hours": 4.0,
+       "side_a": [1], "side_b": [2]}], "overlapping partitions share nodes"),
+    ([{"kind": "partition", "at_hours": 2.0, "until_hours": 4.0,
+       "side_a": [1], "side_b": [2]},
+      {"kind": "partition", "at_hours": 1.0, "until_hours": 3.0,
+       "side_a": [0], "side_b": [1]}], "overlapping partitions share nodes"),
+    ([{"kind": "converge", "at_hours": 2.0, "a": 2, "b": 0},
+      {"kind": "partition", "at_hours": 1.0, "until_hours": 3.0,
+       "side_a": [0], "side_b": [1, 2]}], "partitioned"),
 ]
 
 
@@ -562,6 +573,29 @@ def test_validation_follows_run_order_not_list_order():
         {"kind": "crash", "at_hours": 1.0, "node": 0, "fault_kind": "torn"},
     ]))
     assert [f.kind for f in scenario.faults] == ["restart", "crash"]
+
+
+def test_a_fault_at_a_partitions_end_sees_it_healed_in_either_list_order():
+    partition = {"kind": "partition", "at_hours": 1.0, "until_hours": 2.0,
+                 "side_a": [0], "side_b": [1]}
+    for fault in ({"kind": "converge", "at_hours": 2.0, "a": 0, "b": 1},
+                  dict(partition, at_hours=2.0, until_hours=3.0, side_a=[1], side_b=[0])):
+        first, second = (run_scenario(load_scenario(dict(PARTITION_SCENARIO, faults=faults)))
+                         for faults in ([partition, fault], [fault, partition]))
+        assert first == second
+        assert first.converge_rounds == ([1] if fault["kind"] == "converge" else [])
+
+
+def test_a_refused_ingest_batch_leaves_no_trace():
+    rt = SimRuntime(load_scenario(dict(
+        PARTITION_SCENARIO, faults=[],
+        workload={"duplicate_ratio": 0.5, "keyed_fraction": 0.5, "sequential_fraction": 0.5})))
+    rt.ingest_batch(rt.sim_nodes[0], 5)  # so the pools and counters hold something
+    rt.apply_fault(FaultSpec("crash", 1.0, node=0))
+    before = copy.deepcopy((generator_state(rt), rt.metrics.ingests))
+    with pytest.raises(NodeDown):
+        rt.ingest_batch(rt.sim_nodes[0], 5)
+    assert (generator_state(rt), rt.metrics.ingests) == before
 
 
 def test_validation_rejects_self_failover():

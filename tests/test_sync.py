@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from metadr.costs import CostMeter, CostModel, Volumetrics
 from metadr.hashline import payload_digest, pipeline_tick
-from metadr.identity import lww_key, new_node_id
+from metadr.identity import NodeId, lww_key, new_node_id
 from metadr.index import set_difference
 from metadr.node import StorageNode
 from metadr.sync import (
     Cluster,
     NodeStatusError,
     NoSurvivingReplica,
+    _transfer,
     compute_delta_hash,
     compute_delta_meta,
     converge,
@@ -465,8 +466,8 @@ def test_hash_exchange_binds_ids_whose_content_the_puller_holds():
 
 
 def test_hash_pull_of_two_ids_with_equal_content_stores_one_block():
-    # the ids move one at a time: the first is adopted with its content,
-    # and the second, whose digest the puller then holds, is its alias
+    # the ids move as one run: the first is adopted with its content, and
+    # the second, whose digest the first brought, is its alias
     a, b = make_nodes(2, baseline=True)
     first, second = b.ingest([b"same bytes", b"same bytes"])
     plan = sync_pair_hash(Cluster([a, b]), a, b)
@@ -492,6 +493,94 @@ def test_pipeline_crash_rolls_back_only_a_digest_adopted_after_the_drain():
     assert only_b in a.baseline.by_locator
 
 
+# -- the run transfer ------------------------------------------------------------
+
+
+def _per_id_transfer(puller, source, ids):
+    """The reference hash transfer, one id at a time: an id whose digest
+    the puller holds at its turn reads the copy the digest's holder
+    reads, and any other is adopted with its content. Returns the
+    content bytes moved."""
+    index, by_nid = puller.baseline, source.baseline.by_nid
+    moved = 0
+    for cid in ids:
+        digest = by_nid[cid.nid][cid]
+        entry = source.id_index.get(cid)
+        kept = index.holder(digest)
+        if kept is not None:
+            if puller.id_index.insert([entry]):
+                puller._resolve_keys([entry])
+                puller.indirection_table[cid] = puller.indirection_table.get(kept, kept)
+            index.add(cid, digest)
+            continue
+        puller.replicate_in([entry], source.stored_blocks([cid]), [digest])
+        moved += entry.byte_len
+    return moved
+
+
+# six contents, so digests repeat within a run and across the nodes
+_BLOCKS = st.lists(st.tuples(st.integers(0, 5), st.none() | st.sampled_from("ab")), max_size=12)
+
+
+@st.composite
+def _transfer_recipes(draw):
+    """How to build a baseline puller and source: three node ids in a
+    drawn order, each node's own blocks, the runs of a third node's
+    blocks that the puller and the source took in with digests (a digest
+    a node already holds binds an alias, and an alias of an alias when
+    its least holder is an alias), and a shuffle of the transferred ids."""
+    nids = draw(st.permutations([1, 2, 3]))
+    blocks = [draw(_BLOCKS) for _ in range(3)]
+    picks = st.lists(st.lists(st.integers(0, 11), max_size=4), max_size=3)
+    return nids, blocks, draw(picks), draw(picks), draw(st.none() | st.integers(0, 2**16))
+
+
+def _baseline_pair(recipe):
+    """The drained puller and source a recipe builds, and the ids of the
+    source that the puller lacks, in the recipe's order."""
+    nids, blocks, puller_runs, source_runs, order = recipe
+    puller, source, third = (StorageNode(NodeId(bytes([k]) * 16), baseline=True) for k in nids)
+    for node, run in zip((puller, source, third), blocks):
+        node.ingest([b"content %d" % c * (c + 1) for c, _ in run], [key for _, key in run])
+        ensure_baseline_consistent(node)
+    third_ids = third.id_index.ids()
+    for node, runs in ((puller, puller_runs), (source, source_runs)):
+        for picks in runs:
+            run = [third_ids[i] for i in picks if i < len(third_ids)]
+            node.replicate_in(list(map(third.id_index.get, run)), third.stored_blocks(run),
+                              list(map(third.baseline.by_locator.__getitem__, run)))
+    held = set(puller.id_index.ids())
+    ids = [cid for cid in source.id_index.ids() if cid not in held]
+    if order is not None:
+        Random(order).shuffle(ids)
+    return puller, source, ids
+
+
+def _transfer_state(node):
+    """What a hash transfer can change on the puller, order-sensitive."""
+    index = node.baseline
+    rollback = index.hashed_since_checkpoint
+    return (
+        list(node.indirection_table.items()),
+        list(node.block_store),
+        {nid: list(listed.items()) for nid, listed in index.by_nid.items()},
+        index.by_digest,
+        (rollback.locators, rollback.contents, rollback.byte_lens),
+        node.id_index.entries(),
+        node.by_user_key,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipe=_transfer_recipes())
+def test_a_hash_transfer_run_equals_the_per_id_transfer(recipe):
+    run_puller, run_source, ids = _baseline_pair(recipe)
+    puller, source, _ = _baseline_pair(recipe)
+    assert _transfer(run_puller, run_source, ids, digests=True) == (
+        _per_id_transfer(puller, source, ids))
+    assert _transfer_state(run_puller) == _transfer_state(puller)
+
+
 _BASELINE_OPS = ("ingest", "replicate_in", "tick", "adopt", "pipeline_crash",
                  "index_loss", "drain")
 
@@ -506,7 +595,7 @@ def test_baseline_owes_what_its_drain_pays(steps):
             node.ingest([(64 + n, n)])
         elif op in ("replicate_in", "adopt"):
             cid = source.ingest([(64 + n, n)])[0]
-            entry, content = source.id_index.get(cid), source.stored_block(cid)
+            entry, (content,) = source.id_index.get(cid), source.stored_blocks([cid])
             digest = payload_digest(content, entry.byte_len) if op == "adopt" else None
             node.replicate_in([entry], [content], None if digest is None else [digest])
         elif op == "tick":
