@@ -305,6 +305,7 @@ class LogicalClock:
 
     Thread-safe: concurrent next_id callers each receive distinct
     values, and each value's ceiling is in the log before it is returned.
+    A copy (`copy.deepcopy`, pickle) gets a lock of its own.
     """
 
     def __init__(self, wal: Wal, floor: int = GENESIS_LCV, reserve: int = LCV_RESERVE) -> None:
@@ -312,6 +313,15 @@ class LogicalClock:
         self.floor = floor
         self.ceiling = floor
         self.reserve = reserve
+        self._lock = threading.RLock()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
         self._lock = threading.RLock()
 
     def next_id(self, nid: NodeId, nst: int = 0, count: int = 1,

@@ -26,6 +26,14 @@ pair; ingest stores a pair's 16-byte packed descriptor as the content,
 with the entry's byte_len the modeled length, so no layer below ingest
 tells the two fidelities apart.
 
+A node is up or crashed. `crash` freezes it, optionally tearing its
+WAL's tail; `restart` replays the WAL and applies the restart's fault,
+and only when both succeed is the node up again. A restart that fails
+leaves it crashed and unchanged, so it can be restarted once the cause
+is mended. A node's framework is fixed when it is built: with
+`baseline` it carries a `HashIndex`, and a `sync.Cluster` runs the
+framework its nodes carry.
+
 Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
 structurally barred from running while a DR event is active, and its
@@ -73,7 +81,6 @@ RESTART_FAULT_KINDS = ("none", "index_loss", "pipeline_crash")
 class NodeStatus(Enum):
     UP = "up"
     CRASHED = "crashed"
-    RECOVERING = "recovering"
 
 
 @dataclass
@@ -410,13 +417,15 @@ class StorageNode:
                 wal_replay_seconds: float = CostModel.wal_replay_seconds) -> float:
         """Replay the WAL and come back up with `fault_kind`'s damage (see
         `inject_fault`). Returns the replay latency charged to the
-        virtual clock.
+        virtual clock. The node is up only once both have succeeded: a
+        replay that raises (`WalCorruption` for damage before the log's
+        tail) leaves it crashed, with its clock and log as they were, so
+        it can be restarted again once its log is mended.
         """
         if self.status is not NodeStatus.CRASHED:
             raise RuntimeError(f"restart on node in state {self.status.value}")
         if fault_kind not in RESTART_FAULT_KINDS:
             raise ValueError(f"unknown fault_kind {fault_kind!r}")
-        self.status = NodeStatus.RECOVERING
         self.clock = recover_clock(self.wal)
         self.inject_fault(fault_kind)
         self.pending_wal_replay_s += wal_replay_seconds

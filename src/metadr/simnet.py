@@ -559,7 +559,7 @@ class SimRuntime:
         ScenarioValidation with validation's message and changes nothing."""
         if problem := self.lifecycle.check(f):
             raise ScenarioValidation(problem)
-        nodes, framework = self.sim_nodes, self.scenario.framework
+        nodes = self.sim_nodes
         if f.kind == "crash":
             torn = f.torn_bytes
             if torn is None and f.fault_kind == "torn":
@@ -579,19 +579,18 @@ class SimRuntime:
             if service in self.records.cname_records:
                 rebind_cname(self.records, service, f"host-{f.substitute}")
                 label += f" via {resolve(self.records, service).endpoint}"
-            report = execute_failover(
-                self.cluster, nodes[f.failed].nid, nodes[f.substitute].nid, framework)
+            report = execute_failover(self.cluster, nodes[f.failed].nid, nodes[f.substitute].nid)
             self.metrics.events.append(DrEvent(f.at_hours, label, [report]))
         elif f.kind == "failback":
             if f"service-{f.node}" in self.records.cname_records:
                 rebind_cname(self.records, f"service-{f.node}", f"host-{f.node}")
-            report = execute_failback(self.cluster, nodes[f.node].nid, framework)
+            report = execute_failback(self.cluster, nodes[f.node].nid)
             self.metrics.events.append(DrEvent(f.at_hours, f"failback {f.node}", [report]))
         elif f.kind == "converge":
             meter = CostMeter(self.scenario.cost)
-            rounds = converge(self.cluster, nodes[f.a], nodes[f.b], framework, meter)
+            rounds = converge(self.cluster, nodes[f.a], nodes[f.b], meter)
             self.metrics.converge_rounds.append(rounds)
-            report = report_from_meter("converge", framework, meter)
+            report = report_from_meter("converge", self.cluster.framework, meter)
             report.note = f"rounds={rounds}"
             self.metrics.events.append(DrEvent(f.at_hours, f"converge {f.a}<->{f.b}", [report]))
         self._step(f)

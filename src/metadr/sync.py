@@ -18,7 +18,8 @@ nid from its surviving replicas, a failback the nids the recovered node
 shares with each node of its replica sets, and a converge the nids its
 two nodes both host. Every exchange, converge included, is incremental
 from the pair's checkpoint. `reachable` is the one partition rule, for
-the live cluster and for scenario validation alike.
+the live cluster and for scenario validation alike: no session, converge
+included, crosses an open partition.
 
 A split brain needs no merge of its own. Ids of different nids never
 collide, so a converge after the partition heals unions the two sides'
@@ -31,7 +32,10 @@ no content is read and nothing is hashed, and the per-event report's
 counters prove it. Under the hash baseline, any active failure
 condition (stale, interrupted, or lost hash index) must be paid for in
 rehash time before a delta can even be computed. `hashline` holds the
-rule for what a node's index owes and how it pays. Both frameworks
+rule for what a node's index owes and how it pays. A cluster runs one
+framework, its nodes': `Cluster.framework` is "hash" when every node
+carries a `HashIndex` and "meta" when none does, and a failover, a
+failback or a converge runs and reports that one. Both frameworks
 share one pair exchange, one scope, one DR session loop and one
 transfer, which moves each side's delta as one run; they differ in how
 a pair plans its delta, and the baseline's digests travel with the run.
@@ -134,11 +138,14 @@ def reachable(partitions, a, b) -> bool:
 
 
 class Cluster:
-    """The DR engine's view of a cluster: nodes, cost model, pair state,
-    and ring placement over the node list. `replicas[nid]` lists the
-    nodes a write on `nid` goes to, in ring order; `hosted[nid]` is the
-    set of nids that node holds. Without a replica factor every node
-    replicates to every other and hosts every nid."""
+    """The DR engine's view of a cluster: nodes, framework, cost model,
+    pair state, and ring placement over the node list. `framework` is
+    its nodes': "hash" when every node carries a `HashIndex`, "meta"
+    when none does; a node list that mixes the two raises ValueError.
+    `replicas[nid]` lists the nodes a write on `nid` goes to, in ring
+    order; `hosted[nid]` is the set of nids that node holds. Without a
+    replica factor every node replicates to every other and hosts every
+    nid."""
 
     def __init__(
         self,
@@ -149,6 +156,10 @@ class Cluster:
         self.nodes: dict[NodeId, StorageNode] = {n.nid: n for n in nodes}
         if len(self.nodes) != len(nodes):
             raise ValueError("duplicate node ids in cluster")
+        hashed = {node.baseline is not None for node in nodes}
+        if len(hashed) > 1:
+            raise ValueError("cluster mixes hash-baseline and metadata nodes")
+        self.framework = "hash" if hashed == {True} else "meta"
         self.model = model if model is not None else CostModel()
         if replica_factor is None:
             replica_factor = len(nodes)
@@ -363,14 +374,13 @@ def _session(
     cluster: Cluster,
     node: StorageNode,
     peers: list[tuple[StorageNode, list[NodeId]]],
-    framework: str,
     meter: CostMeter | None,
 ) -> None:
-    """Sync `node` with each peer in turn, within its scope, under one
-    framework. Layer-2 dedup is barred on every participant until the
-    session ends."""
+    """Sync `node` with each peer in turn, within its scope, under the
+    cluster's framework. Layer-2 dedup is barred on every participant
+    until the session ends."""
     participants = [node] + [peer for peer, _ in peers]
-    sync_pair = sync_pair_meta if framework == "meta" else sync_pair_hash
+    sync_pair = sync_pair_hash if cluster.framework == "hash" else sync_pair_meta
     for n in participants:
         n.dr_active = True
     try:
@@ -381,8 +391,7 @@ def _session(
             n.dr_active = False
 
 
-def execute_failover(cluster: Cluster, failed: NodeId, substitute: NodeId,
-                     framework: str) -> DrReport:
+def execute_failover(cluster: Cluster, failed: NodeId, substitute: NodeId) -> DrReport:
     """Bring the substitute to a consistent superset of the failed
     node's data on its surviving replicas: it syncs with each up replica
     it can reach, in cluster (ordinal) order, scoped to the failed
@@ -397,12 +406,12 @@ def execute_failover(cluster: Cluster, failed: NodeId, substitute: NodeId,
     if not peers:
         raise NoSurvivingReplica(f"no surviving replica for {failed}")
     meter = CostMeter(cluster.model)
-    _session(cluster, sub, peers, framework, meter)
+    _session(cluster, sub, peers, meter)
     verify_superset(sub, [peer for peer, _ in peers], [failed])
-    return report_from_meter("failover", framework, meter)
+    return report_from_meter("failover", cluster.framework, meter)
 
 
-def execute_failback(cluster: Cluster, recovered: NodeId, framework: str) -> DrReport:
+def execute_failback(cluster: Cluster, recovered: NodeId) -> DrReport:
     """Re-integrate a restarted node: acquire everything written during
     its absence, including the WAL replay cost of its own recovery. It
     syncs with each up, reachable node it shares placement with, in
@@ -415,22 +424,26 @@ def execute_failback(cluster: Cluster, recovered: NodeId, framework: str) -> DrR
     if replay:
         meter.charge_wal_replay(replay)
     peers = cluster.placement_peers(recovered, cluster.hosted[recovered])
-    _session(cluster, node, peers, framework, meter)
-    return report_from_meter("failback", framework, meter)
+    _session(cluster, node, peers, meter)
+    return report_from_meter("failback", cluster.framework, meter)
 
 
-def converge(cluster: Cluster, a: StorageNode, b: StorageNode, framework: str,
+def converge(cluster: Cluster, a: StorageNode, b: StorageNode,
              meter: CostMeter | None = None) -> int:
     """One DR session between two healed nodes, scoped to the nids both
-    host; a pair sharing none exchanges two empty index headers. Returns
-    the rounds used: always one, since the session leaves no window a
-    second round could exchange, so a pair whose scoped id sets still
-    differ raises."""
+    host; a pair sharing none exchanges two empty index headers. Both
+    nodes must be up and no open partition may separate them, as
+    `placement_peers` requires of a failover's and a failback's peers;
+    a refused converge raises before any exchange. Returns the rounds
+    used: always one, since the session leaves no window a second round
+    could exchange, so a pair whose scoped id sets still differ raises."""
     for node in (a, b):
         if node.status is not NodeStatus.UP:
             raise NodeStatusError(node)
+    if not reachable(cluster.partitions, a.nid, b.nid):
+        raise RuntimeError(f"converge across an open partition: {a.nid} and {b.nid}")
     scope = cluster.scope(b.nid, cluster.hosted[a.nid])
-    _session(cluster, a, [(b, scope)], framework, meter)
+    _session(cluster, a, [(b, scope)], meter)
     if not a.id_index.same_ids(b.id_index, scope):
         raise RuntimeError(f"converge left {a.nid} and {b.nid} unequal")
     return 1

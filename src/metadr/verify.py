@@ -134,14 +134,14 @@ def _two_node_partition_case(rng: Random, max_blocks: int, byte_len: int) -> tup
         a.ingest([(byte_len, rng.randrange(1 << 30))])
     for _ in range(rng.randrange(1, max_blocks)):
         b.ingest([(byte_len, rng.randrange(1 << 30))])
-    rounds = converge(Cluster([a, b]), a, b, "meta")
+    rounds = converge(Cluster([a, b]), a, b)
     if rounds != 1:
         return False, f"convergence took {rounds} rounds"
     if not a.id_index.same_ids(b.id_index):
         return False, "indexes differ after convergence"
     before = a.id_index.entry_count
     meter = CostMeter(CostModel())
-    rounds2 = converge(Cluster([a, b]), a, b, "meta", meter)  # a full exchange again
+    rounds2 = converge(Cluster([a, b]), a, b, meter)  # a full exchange again
     if rounds2 != 1 or a.id_index.entry_count != before or meter.t_delta != 0.0:
         return False, "repeat convergence was not idempotent"
     return True, "union reached in 1 round, idempotent"
@@ -195,8 +195,8 @@ def _split_brain_case(
     union of ids, and each user key must resolve, on all four nodes, to
     its version with the greatest `lww_key`, and read the same bytes."""
     entries = [e for node in pair for e in node.id_index.entries()]
-    converge(Cluster(list(pair)), pair[0], pair[1], "meta")
-    converge(Cluster(list(twin)), twin[1], twin[0], "meta")
+    converge(Cluster(list(pair)), pair[0], pair[1])
+    converge(Cluster(list(twin)), twin[1], twin[0])
     nodes = (*pair, *twin)
     union = {e.id for e in entries}
     if any(set(node.id_index.ids()) != union for node in nodes):

@@ -252,7 +252,7 @@ def test_criterion_8_condition_instrumentation(paper_soak, capsys):
         nodes[0].ingest([(64, i)])
     sync_pair_meta(cluster, nodes[0], nodes[1])
     nodes[0].crash()
-    live = execute_failover(cluster, nodes[0].nid, nodes[2].nid, "meta")
+    live = execute_failover(cluster, nodes[0].nid, nodes[2].nid)
     assert live.hash_ops == 0 and live.content_reads == 0
 
     # doubling N at fixed delta at most doubles meta comparisons

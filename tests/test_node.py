@@ -15,6 +15,7 @@ from metadr.identity import (
     MemoryWal,
     NodeId,
     WalAppendFailure,
+    WalCorruption,
     new_node_id,
     read_wal,
 )
@@ -562,6 +563,27 @@ def test_pipeline_crash_fault_reenqueues():
     node.restart("pipeline_crash", wal_replay_seconds=0.0)
     assert node.baseline.lag_blocks == 5  # only the work since the drain
     assert len(node.baseline.by_locator) == 30
+
+
+def test_a_failed_restart_leaves_the_node_crashed_and_restartable():
+    node = fresh_node()
+    node.ingest([(64, i) for i in range(2 * LCV_RESERVE + 1)])  # three ceiling records
+    node.crash()
+    sound = node.wal.data()
+    damaged = bytearray(sound)
+    damaged[8] ^= 0x01  # inside the first record's ceiling, far from the tail
+    node.wal.rewrite(bytes(damaged))
+    clock, floor, ceiling = node.clock, node.clock.floor, node.clock.ceiling
+    with pytest.raises(WalCorruption):
+        node.restart("none")
+    assert node.status is NodeStatus.CRASHED
+    assert node.clock is clock and (clock.floor, clock.ceiling) == (floor, ceiling)
+    assert node.wal.data() == bytes(damaged)
+    assert node.take_pending_wal_replay() == 0.0
+    node.wal.rewrite(sound)
+    assert node.restart("none") == 18.0
+    assert node.status is NodeStatus.UP
+    assert node.ingest([b"after"])[0].lcv == 3 * LCV_RESERVE + 1
 
 
 def test_invalid_lifecycle_transitions():

@@ -598,6 +598,33 @@ def test_a_refused_ingest_batch_leaves_no_trace():
     assert (generator_state(rt), rt.metrics.ingests) == before
 
 
+def test_a_deep_copied_runtime_runs_forward_as_its_original():
+    rt = SimRuntime(load_scenario({
+        "name": "copy", "seed": 3, "fidelity": "concrete", "framework": "hash",
+        "horizon_hours": 4.0, "cluster": {"nodes": 3, "replica_factor": 2},
+        "inventory": {"blocks_per_node": 20, "block_bytes_min": 64, "block_bytes_max": 256},
+        "workload": {"duplicate_ratio": 0.3, "keyed_fraction": 0.5},
+        "faults": [],
+    }))
+    for node in rt.sim_nodes:
+        rt.ingest_batch(node, 20)
+    rt.apply_fault(FaultSpec("crash", 1.0, node=0))
+    twin = copy.deepcopy(rt)
+    for original, copied in zip(rt.sim_nodes, twin.sim_nodes):
+        for part in ("clock", "wal", "block_store", "baseline"):
+            assert getattr(original, part) is not getattr(copied, part)
+        assert original.wal._buf is not copied.wal._buf
+        assert original.clock._lock is not copied.clock._lock
+        assert copied.clock.wal is copied.wal
+    for runtime in (rt, twin):
+        runtime.apply_fault(FaultSpec("failover", 1.5, failed=0, substitute=2))
+        runtime.apply_fault(FaultSpec("restart", 2.0, node=0, fault_kind="index_loss"))
+        runtime.apply_fault(FaultSpec("failback", 2.5, node=0))
+        runtime.ingest_batch(runtime.sim_nodes[1], 5)
+    assert repr(twin.metrics) == repr(rt.metrics)
+    assert [event.reports[0].kind for event in rt.metrics.events] == ["failover", "failback"]
+
+
 def test_validation_rejects_self_failover():
     bad = dict(
         PARTITION_SCENARIO,

@@ -152,6 +152,44 @@ def test_ring_placement_matches_the_ring_formula(n):
         Cluster(nodes, replica_factor=n + 1)
 
 
+# -- framework --------------------------------------------------------------------
+
+FRAMEWORKS = [(False, "meta"), (True, "hash")]
+
+
+@pytest.mark.parametrize("baseline, framework", FRAMEWORKS)
+def test_a_cluster_runs_its_nodes_framework(baseline, framework):
+    nodes = make_nodes(4, baseline=baseline)
+    assert Cluster(nodes[:2]).framework == framework
+    assert Cluster(nodes, replica_factor=2).framework == framework
+
+
+def test_a_mixed_node_list_builds_no_cluster():
+    meta, hashed = make_nodes(2), make_nodes(2, baseline=True, seed=1)
+    for nodes in ([meta[0], hashed[0]], [hashed[0], meta[0], hashed[1]]):
+        with pytest.raises(ValueError, match="mixes"):
+            Cluster(nodes)
+
+
+@pytest.mark.parametrize("baseline, framework", FRAMEWORKS)
+def test_dr_events_run_and_report_the_clusters_framework(baseline, framework):
+    cluster, (a, b, c) = make_cluster(baseline=baseline)
+    fill(a, 10, tag=1)
+    replicate_all(cluster, [a, b, c])
+    a.crash()
+    fill(b, 5, tag=2)
+    failover = execute_failover(cluster, a.nid, c.nid)
+    a.restart("none", wal_replay_seconds=0.0)
+    failback = execute_failback(cluster, a.nid)
+    fill(a, 5, tag=3)
+    meter = CostMeter(CostModel())
+    assert converge(cluster, a, b, meter) == 1
+    assert failover.framework == failback.framework == framework
+    # only a hash session pays the baseline's owed rehash
+    for hash_ops in (failover.hash_ops, failback.hash_ops, meter.hash_ops):
+        assert (hash_ops > 0) == baseline
+
+
 # -- failover ---------------------------------------------------------------------
 
 
@@ -173,7 +211,7 @@ def test_failover_produces_superset_and_phase_breakdown():
     replicate_all(cluster, [a, b, c])
     fill(b, 15, tag=3)  # written after the last sync; only b has these
     b.crash()
-    report = execute_failover(cluster, b.nid, c.nid, "meta")
+    report = execute_failover(cluster, b.nid, c.nid)
     assert report.kind == "failover" and report.framework == "meta"
     assert report.t_hash == 0.0 and report.hash_ops == 0 and report.content_reads == 0
     assert report.virtual_rto_seconds == pytest.approx(
@@ -187,7 +225,7 @@ def test_failover_produces_superset_and_phase_breakdown():
 def test_failover_requires_crashed_node():
     cluster, (a, b, c) = make_cluster()
     with pytest.raises(RuntimeError):
-        execute_failover(cluster, b.nid, c.nid, "meta")
+        execute_failover(cluster, b.nid, c.nid)
 
 
 def test_failover_without_survivors():
@@ -195,22 +233,22 @@ def test_failover_without_survivors():
     fill(a, 5)
     a.crash()
     with pytest.raises(NoSurvivingReplica):
-        execute_failover(cluster, a.nid, b.nid, "meta")
+        execute_failover(cluster, a.nid, b.nid)
 
 
 def test_paper_scale_failover_rtos():
-    cluster, (a, b, c) = make_cluster(baseline=True)
-    fill(a, 10)
-    replicate_all(cluster, [a, b, c])
-    for node in (a, b, c):
-        ensure_baseline_consistent(node)
-    a.crash()
-    hash_report = at_reference_scale(execute_failover(cluster, a.nid, c.nid, "hash"))
+    reports = {}
+    for baseline in (True, False):  # a hash twin and a meta twin of one filled cluster
+        cluster, (a, b, c) = make_cluster(baseline=baseline)
+        fill(a, 10)
+        replicate_all(cluster, [a, b, c])
+        for node in (a, b, c):
+            ensure_baseline_consistent(node)
+        a.crash()
+        live = execute_failover(cluster, a.nid, c.nid)
+        reports[live.framework] = at_reference_scale(live)
+    hash_report, meta_report = reports["hash"], reports["meta"]
     assert hash_report.virtual_rto_seconds == pytest.approx(14_575.6, abs=0.5)
-    a.restart("none", wal_replay_seconds=0.0)
-    replicate_all(cluster, [a, b, c])
-    a.crash()
-    meta_report = at_reference_scale(execute_failover(cluster, a.nid, c.nid, "meta"))
     assert meta_report.virtual_rto_seconds == pytest.approx(825.6, abs=0.5)
     assert meta_report.t_hash == 0.0
     factor = hash_report.virtual_rto_seconds / meta_report.virtual_rto_seconds
@@ -242,7 +280,7 @@ def test_failback_with_no_absence_writes():
     replicate_all(cluster, [a, b, c])
     a.crash()
     a.restart("none")  # charges 18 s replay
-    report = execute_failback(cluster, a.nid, "meta")
+    report = execute_failback(cluster, a.nid)
     assert report.t_wal_replay == 18.0
     assert report.t_delta == 0.0
     assert report.virtual_rto_seconds == pytest.approx(report.t_index + 18.0)
@@ -266,7 +304,7 @@ def test_failback_acquires_absence_writes_union_oracle():
             | {e.id for e in b.id_index.entries()}
             | {e.id for e in c.id_index.entries()}
         )
-        execute_failback(cluster, a.nid, "meta")
+        execute_failback(cluster, a.nid)
         assert {e.id for e in a.id_index.entries()} == union_before
 
 
@@ -276,7 +314,7 @@ def test_crash_failback_includes_replay_in_report():
     replicate_all(cluster, [a, b, c])
     a.crash(torn_wal_bytes=5)
     a.restart("none")
-    report = at_reference_scale(execute_failback(cluster, a.nid, "meta"))
+    report = at_reference_scale(execute_failback(cluster, a.nid))
     assert report.t_wal_replay == 18.0
     assert report.virtual_rto_seconds > 825.0
 
@@ -288,7 +326,7 @@ def test_disjoint_partition_writes_converge_in_one_round():
     a, b = make_nodes(2)
     fill(a, 40, tag=1)
     fill(b, 25, tag=2)
-    assert converge(Cluster([a, b]), a, b, "meta") == 1
+    assert converge(Cluster([a, b]), a, b) == 1
     assert a.id_index.same_ids(b.id_index)
     assert a.id_index.entry_count == 65
 
@@ -297,12 +335,12 @@ def test_identical_indexes_converge_idempotently():
     a, b = make_nodes(2)
     fill(a, 10)
     cluster = Cluster([a, b])
-    converge(cluster, a, b, "meta")
+    converge(cluster, a, b)
     meter = CostMeter(CostModel())
-    assert converge(cluster, a, b, "meta", meter) == 1
+    assert converge(cluster, a, b, meter) == 1
     assert meter.network_bytes == 2 * 16  # incremental repeat: empty windows
     meter = CostMeter(CostModel())
-    assert converge(Cluster([a, b]), a, b, "meta", meter) == 1
+    assert converge(Cluster([a, b]), a, b, meter) == 1
     assert meter.network_bytes > 2 * 16  # fresh pair: the whole indexes compared
     assert meter.t_delta == 0.0  # and nothing moves
 
@@ -313,9 +351,9 @@ def test_converge_is_commutative_and_idempotent_across_seeds():
         a, b = make_nodes(2, seed=seed)
         fill(a, rng.randrange(1, 50), tag=1)
         fill(b, rng.randrange(1, 50), tag=2)
-        assert converge(Cluster([a, b]), a, b, "meta") == 1
+        assert converge(Cluster([a, b]), a, b) == 1
         before = (a.id_index.entry_count, b.id_index.entry_count)
-        assert converge(Cluster([a, b]), b, a, "meta") == 1  # full exchange again
+        assert converge(Cluster([a, b]), b, a) == 1  # full exchange again
         assert (a.id_index.entry_count, b.id_index.entry_count) == before
         assert a.id_index.same_ids(b.id_index)
 
@@ -327,11 +365,11 @@ def test_converge_moves_only_the_nids_both_nodes_host(framework):
     cluster = Cluster([a, b, c, d], replica_factor=2)
     for tag, node in enumerate((a, b, c, d)):
         fill(node, 10, tag=tag)
-    assert converge(cluster, a, b, framework) == 1
+    assert converge(cluster, a, b) == 1
     assert {cid.nid for cid in b.id_index.ids()} == {a.nid, b.nid}
     assert {cid.nid for cid in a.id_index.ids()} == {a.nid}
     meter = CostMeter(CostModel())
-    assert converge(cluster, a, c, framework, meter) == 1
+    assert converge(cluster, a, c, meter) == 1
     assert meter.network_bytes == 2 * 16  # one empty index header per side
     assert a.id_index.entry_count == c.id_index.entry_count == 10
 
@@ -341,14 +379,36 @@ def test_converge_raises_when_the_pair_still_differs(monkeypatch):
     fill(a, 5)
     monkeypatch.setattr("metadr.sync._session", lambda *args: None)
     with pytest.raises(RuntimeError, match="unequal"):
-        converge(Cluster([a, b]), a, b, "meta")
+        converge(Cluster([a, b]), a, b)
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_converge_refuses_an_open_partition_and_moves_nothing(baseline):
+    a, b = make_nodes(2, baseline=baseline)
+    fill(a, 5, tag=1)
+    fill(b, 3, tag=2)
+    cluster = Cluster([a, b])
+    cluster.partitions = [(frozenset({a.nid}), frozenset({b.nid}))]
+
+    def state():
+        return [(n.id_index.entries(), list(n.block_store.items()), n.dr_active,
+                 n.baseline and n.baseline.lag_blocks) for n in (a, b)]
+
+    before = state()
+    with pytest.raises(RuntimeError, match="open partition"):
+        converge(cluster, a, b)
+    assert state() == before
+    assert cluster.checkpoint(a.nid, b.nid).watermarks == {}
+    cluster.partitions = []
+    assert converge(cluster, a, b) == 1
+    assert a.id_index.same_ids(b.id_index) and a.id_index.entry_count == 8
 
 
 def test_converge_needs_both_nodes_up():
     a, b = make_nodes(2)
     b.crash()
     with pytest.raises(NodeStatusError, match="crashed"):
-        converge(Cluster([a, b]), a, b, "meta")
+        converge(Cluster([a, b]), a, b)
 
 
 # -- split brain ---------------------------------------------------------------------
@@ -635,7 +695,7 @@ def test_k_node_gossip_converges_within_tournament_bound():
             while not all(n.id_index.same_ids(nodes[0].id_index) for n in nodes[1:]):
                 assert rounds < k - 1
                 for a, b in pairs if rounds % 2 == 0 else reversed(pairs):
-                    converge(cluster, a, b, "meta")
+                    converge(cluster, a, b)
                 rounds += 1
             assert rounds == 2
             assert nodes[0].id_index.entry_count == ingested
