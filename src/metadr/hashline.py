@@ -3,8 +3,8 @@ three failure conditions that force re-hashing.
 
 The baseline identifies blocks by content digest. One `HashIndex` per
 node holds all of its state: the digest maps, the asynchronous pipeline
-that hashes stored blocks into them, the rollback list, the Merkle tree
-and the lost flag. The pipeline lags ingestion (condition 1: stale
+that hashes stored blocks into them, the rollback list and the lost
+flag. The pipeline lags ingestion (condition 1: stale
 index), is not atomic across crashes (condition 2: work since the last
 checkpoint is discarded and re-hashed), and lives in a store that can be
 lost outright (condition 3: full inventory rehash before any delta can
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, takewhile
 from operator import ge, itemgetter
-from typing import NamedTuple
 
 from .identity import CompositeId, NodeId
 
@@ -99,15 +98,6 @@ class MerkleTree:
             count += len(lower) // 2
             assert len(upper) == (len(lower) + 1) // 2
         return count
-
-
-class MerkleSummary(NamedTuple):
-    """What an index keeps of its last rebuild's tree: the root and the
-    node counts, not the levels."""
-
-    root: bytes
-    leaf_count: int
-    internal_node_count: int
 
 
 def merkle_build(leaves: list[bytes], meter=None) -> MerkleTree:
@@ -235,7 +225,7 @@ class LocatorView(Mapping):
 
 class HashIndex:
     """One node's hash baseline: digest -> block locators, the pipeline
-    that hashes into it, its Merkle tree and its failure conditions.
+    that hashes into it and its failure conditions.
 
     A locator is the block's key in the node's store, its composite id.
     `by_nid` is the one locator map: locator -> digest, split by source
@@ -255,7 +245,6 @@ class HashIndex:
     destroyed index store (condition 3). consistent_flag gates delta
     service; it is true only when the queue is empty and the store has
     not been lost.
-    `merkle` summarizes the tree of the last rebuild (None before one).
     """
 
     def __init__(self) -> None:
@@ -265,7 +254,6 @@ class HashIndex:
         self.pending = BlockColumns()
         self.lag_bytes = 0
         self.hashed_since_checkpoint = BlockColumns()
-        self.merkle: MerkleSummary | None = None
         self.lost = False
 
     @property
@@ -419,8 +407,8 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
     order. Each block is hashed by `payload_digest`, and the meter is
     charged once for the scan: every block's byte_len, summed in store
     order (virtual seconds = bytes/(H*C)), one hash op and one content
-    read per block, then one hash op per internal tree node. The index
-    keeps the returned tree's `MerkleSummary`, not its levels.
+    read per block, then one hash op per internal tree node. Returns the
+    index and the tree over its digests, which the index does not keep.
     """
     if not isinstance(blocks, list):  # read three times below
         blocks = list(blocks)
@@ -431,7 +419,6 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
     index = HashIndex()
     index.add_run(map(_ROW_LOCATOR, blocks), digests)
     tree = merkle_build(digests, meter)
-    index.merkle = MerkleSummary(tree.root, tree.leaf_count, tree.internal_node_count)
     return index, tree
 
 

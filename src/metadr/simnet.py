@@ -16,13 +16,15 @@ windows are reproduced in milliseconds of wall time.
 Scenario files are YAML whose sections mirror the `Scenario`
 dataclasses; one loader builds both scenarios and soak configs. The
 runtime's `sync.Cluster` holds the ring placement: where each write is
-replicated and what every DR session syncs. One `Lifecycle` over node
-ordinals, on the same ring rule (`ring_successors`), says which fault
-may run in which state: validation steps it dry, the runtime checks each
-fault with it. `SimRuntime.run()` is the one timeline: hourly writes,
-then the faults at that hour. The soak is a scenario on it: its seven-day
-cadence (planned failover/failback cycles every 12 hours plus crash
-injections on configured days) is a list of four faults per DR event.
+replicated and what every DR session syncs. The runtime draws and
+ingests each write; `sync.replicate` pushes it to its replicas. One
+`Lifecycle` over node ordinals, on the same ring rule
+(`ring_successors`), says which fault may run in which state:
+validation steps it dry, the runtime checks each fault with it.
+`SimRuntime.run()` is the one timeline: hourly writes, then the faults
+at that hour. The soak is a scenario on it: its seven-day cadence
+(planned failover/failback cycles every 12 hours plus crash injections
+on configured days) is a list of four faults per DR event.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .sync import (
     execute_failback,
     execute_failover,
     reachable,
+    replicate,
     report_from_meter,
     ring_successors,
     volumetric_report,
@@ -525,32 +528,14 @@ class SimRuntime:
 
     def ingest_batch(self, node: StorageNode, count: int) -> None:
         """Ingest `count` blocks on `node`, then push to its ring replicas
-        (`Cluster.replicas`) that are up and reachable. A node that is
-        down raises NodeDown, as `StorageNode.ingest` would, before any
-        workload stream is drawn."""
+        with `sync.replicate`. A node that is down raises NodeDown, as
+        `StorageNode.ingest` would, before any workload stream is drawn."""
         if node.status is not NodeStatus.UP:
             raise NodeDown(f"node {node.nid} is {node.status.value}")
         payloads, keys = self._draw_run(count)
         node.ingest(payloads, keys)
         self.metrics.ingests += count
-        # replicate everything above the pair watermark, not just this
-        # batch: a peer that was down or partitioned catches up here.
-        # Peers at the same watermark get the same run, read once.
-        window = (None, [], [])  # (watermark, entries above it, their contents)
-        for peer in self.cluster.replicas[node.nid]:
-            if peer.status is not NodeStatus.UP:
-                continue
-            if not reachable(self.cluster.partitions, node.nid, peer.nid):
-                continue
-            ckpt = self.cluster.checkpoint(node.nid, peer.nid)
-            watermark = ckpt.watermark(node.nid)
-            if watermark != window[0]:
-                entries = node.id_index.entries_above(node.nid, watermark)
-                contents = node.stored_blocks([entry.id for entry in entries])
-                window = (watermark, entries, contents)
-            if window[1]:
-                peer.replicate_in(window[1], window[2])
-            ckpt.advance(node.nid, node.id_index.max_lcv(node.nid))
+        replicate(self.cluster, node)
 
     # -- fault handlers --------------------------------------------------
 
@@ -740,8 +725,9 @@ def _soak_scenario(cfg: SoakConfig) -> Scenario:
     event at its hour: crash (torn for a crash event), failover to the
     first node past the replica set, restart, failback. Planned events
     rotate through the nodes; the i-th crash event hits node
-    (i + 1) x replica_factor. Only the soak's own settings are checked
-    here; `validate_scenario` holds the rules of the ring and the horizon.
+    (i + 1) x replica_factor. The soak's own settings are checked here,
+    each by name, before any fault is built; `validate_scenario` holds
+    the rules of the ring and the horizon.
     """
     if cfg.days < 1:
         raise ScenarioValidation("soak needs days >= 1")
@@ -751,6 +737,15 @@ def _soak_scenario(cfg: SoakConfig) -> Scenario:
         )
     if not 0 <= cfg.crash_hour_offset < 24:
         raise ScenarioValidation("soak needs 0 <= crash_hour_offset < 24")
+    if outside := [d for d in cfg.crash_days if not 1 <= d <= cfg.days]:
+        raise ScenarioValidation(
+            f"soak needs every crash_days entry within [1, days], got {outside[0]}"
+        )
+    if not 2 <= cfg.replica_factor < cfg.nodes:
+        raise ScenarioValidation(
+            "soak needs 2 <= replica_factor < nodes: a failover copies from a surviving "
+            "replica to the first node past the replica set"
+        )
     if cfg.total_ingest_blocks < 1:
         raise ScenarioValidation(
             "soak needs total_ingest_blocks >= 1: a soak without writes samples nothing"

@@ -1,4 +1,6 @@
-"""DR protocol engine: failover, failback and convergence.
+"""DR protocol engine: write replication, failover, failback and
+convergence. It is the one module that moves blocks between nodes and
+reads or advances a pair checkpoint.
 
 Synchronization is an incremental index exchange. Each node pair shares
 a checkpoint (per-source-nid watermarks of the highest mutually
@@ -7,16 +9,21 @@ checkpoint, diffs them with a single merge pass, transfers the missing
 blocks in both directions, and advances the checkpoint. A window is the
 suffix of each per-nid run above its watermark: the wire stream of each
 side is serialized for its size, and the diff bisects both indexes to
-their windows in place. Because every
-pull takes the peer's whole window, per-source holdings remain prefixes
-of the source's emission order, which keeps max-based watermarks sound.
+their windows in place. Because every pull takes the peer's whole
+window, and every push the source's whole run above the watermark,
+per-source holdings remain prefixes of the source's emission order,
+which keeps max-based watermarks sound.
 
 Ring placement lives in `Cluster` and nowhere else: it decides where
 each write is replicated (`Cluster.replicas`) and every DR session's
-peers and scope (`Cluster.hosted`). A failover syncs the failed node's
-nid from its surviving replicas, a failback the nids the recovered node
-shares with each node of its replica sets, and a converge the nids its
-two nodes both host. Every exchange, converge included, is incremental
+peers and scope (`Cluster.hosted`). `replicate` pushes a node's new
+writes to its replicas, everything above each pair's watermark, and
+advances the pair checkpoint by the rule a session uses
+(`_advance_pair_checkpoint`); every session, and the push, names the
+nids it covers. A failover syncs the failed node's nid from its
+surviving replicas, a failback the nids the recovered node shares with
+each node of its replica sets, and a converge the nids its two nodes
+both host. Every exchange, converge included, is incremental
 from the pair's checkpoint. `reachable` is the one partition rule, for
 the live cluster and for scenario validation alike: no session, converge
 included, crosses an open partition.
@@ -288,16 +295,34 @@ def _transfer(puller: StorageNode, source: StorageNode, ids: list[CompositeId],
 
 
 def _advance_pair_checkpoint(
-    ckpt: Checkpoint, a: StorageNode, b: StorageNode, scope_nids=None
+    ckpt: Checkpoint, a: StorageNode, b: StorageNode, scope_nids
 ) -> None:
-    nids = (
-        set(a.id_index.nids()) | set(b.id_index.nids())
-        if scope_nids is None
-        else set(scope_nids)
-    )
-    for nid in nids:
-        shared = min(a.id_index.max_lcv(nid), b.id_index.max_lcv(nid))
-        ckpt.advance(nid, shared)
+    """Raise each scoped nid's watermark to the highest lcv both nodes
+    hold of it: the one rule by which a session or a push advances."""
+    for nid in scope_nids:
+        ckpt.advance(nid, min(a.id_index.max_lcv(nid), b.id_index.max_lcv(nid)))
+
+
+def replicate(cluster: Cluster, node: StorageNode) -> None:
+    """Push `node`'s own run to its ring replicas (`Cluster.replicas`)
+    that are up and reachable: everything above each pair's watermark,
+    not just the last write, so a peer that was down or partitioned
+    catches up here. Peers at the same watermark get the same run, read
+    once. Each pair then advances by the sessions' rule."""
+    window = (None, [], [])  # (watermark, entries above it, their contents)
+    for peer in cluster.replicas[node.nid]:
+        if peer.status is not NodeStatus.UP:
+            continue
+        if not reachable(cluster.partitions, node.nid, peer.nid):
+            continue
+        ckpt = cluster.checkpoint(node.nid, peer.nid)
+        watermark = ckpt.watermark(node.nid)
+        if watermark != window[0]:
+            entries = node.id_index.entries_above(node.nid, watermark)
+            window = (watermark, entries, node.stored_blocks([entry.id for entry in entries]))
+        if window[1]:
+            peer.replicate_in(window[1], window[2])
+        _advance_pair_checkpoint(ckpt, node, peer, [node.nid])
 
 
 def _exchange(a: StorageNode, b: StorageNode, plan: DeltaPlan, meter: CostMeter | None,
@@ -319,9 +344,11 @@ def sync_pair_meta(
     a: StorageNode,
     b: StorageNode,
     meter: CostMeter | None = None,
-    scope_nids=None,
+    *,
+    scope_nids,
 ) -> DeltaPlan:
-    """One bidirectional incremental exchange between two nodes."""
+    """One bidirectional incremental exchange between two nodes, over
+    the source nids `scope_nids`."""
     ckpt = cluster.checkpoint(a.nid, b.nid)
     plan = compute_delta_meta(a.id_index, ckpt, b.id_index, meter, scope_nids)
     plan.content_bytes_to_transfer = _exchange(a, b, plan, meter)
@@ -345,8 +372,9 @@ def ensure_baseline_consistent(node: StorageNode, meter: CostMeter | None = None
 
 
 def sync_pair_hash(cluster: Cluster, a: StorageNode, b: StorageNode,
-                   meter: CostMeter | None = None, scope_nids=None) -> DeltaPlan:
-    """Baseline exchange: pay conditions first, then digest-set difference."""
+                   meter: CostMeter | None = None, *, scope_nids) -> DeltaPlan:
+    """Baseline exchange over the source nids `scope_nids`: pay
+    conditions first, then digest-set difference."""
     for participant in (a, b):
         ensure_baseline_consistent(participant, meter)
     plan = compute_delta_hash(a.baseline, b.baseline, meter, scope_nids)
@@ -385,7 +413,7 @@ def _session(
         n.dr_active = True
     try:
         for peer, scope in peers:
-            sync_pair(cluster, node, peer, meter, scope)
+            sync_pair(cluster, node, peer, meter, scope_nids=scope)
     finally:
         for n in participants:
             n.dr_active = False

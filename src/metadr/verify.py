@@ -164,7 +164,8 @@ def _framework_equivalence_case(rng: Random, max_blocks: int) -> tuple[bool, str
                          (hash_plan.ids_to_push, meta_plan.ids_to_push)):
         if set(hashed) != set(meta):
             return False, "frameworks disagree on the delta block sets"
-    sync_pair_meta(Cluster([a, b]), a, b)
+    cluster = Cluster([a, b])
+    sync_pair_meta(cluster, a, b, scope_nids=cluster.scope(b.nid, cluster.hosted[a.nid]))
     if not a.id_index.same_ids(b.id_index):
         return False, "post-sync indexes differ"
     contents_a, contents_b = (sorted(c for _, c, _ in n.inventory()) for n in (a, b))

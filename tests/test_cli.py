@@ -403,6 +403,22 @@ def test_soak_config_without_a_planned_event_exits_2_with_one_error_line(tmp_pat
     assert line.startswith("error: ") and "planned event" in line
 
 
+def test_soak_config_errors_name_the_soak_setting(tmp_path, capsys):
+    # each config would otherwise be refused for a fault the user never wrote
+    path = tmp_path / "soak.yaml"
+    for text, setting in (
+        ("days: 2", "crash_days"),  # the default crash days 4 and 6 lie past day 2
+        ("crash_days: [0]", "crash_days"),
+        ("nodes: 3\nreplica_factor: 3", "replica_factor"),
+        ("replica_factor: 1", "replica_factor"),
+    ):
+        path.write_text(f"{text}\n")
+        code, out, err = run_cli(capsys, "soak", "--config", str(path))
+        assert code == 2 and not out
+        (line,) = err.splitlines()
+        assert line.startswith("error: soak needs") and setting in line, (text, line)
+
+
 def test_simulate_repeated_seed_writes_identical_files(tmp_path, capsys):
     for d in ("a", "b"):
         code, _, _ = run_cli(

@@ -300,9 +300,8 @@ def test_settle_rebuilds_a_lost_index_and_its_aliases():
     assert rebuilt is not state and hashed == 300 and rebuilt.consistent_flag
     assert rebuilt.by_locator[cid(9)] == rebuilt.by_locator[cid(1)]  # no rehash for an alias
     _, tree = rebuild_index(blocks)
-    assert tree.leaf_count == 3
-    # the index keeps the tree's root and counts, not its levels
-    assert rebuilt.merkle == (tree.root, tree.leaf_count, tree.internal_node_count)
+    # the rebuild's tree is over the settled index's digests, in store order
+    assert tree.levels[0] == [rebuilt.by_locator[cid(i)] for i in range(3)]
 
 
 # -- rebuild and delta -----------------------------------------------------------
@@ -594,7 +593,6 @@ def test_rebuild_index_matches_a_per_block_loop(drawn, prior):
     assert_same_maps(index, ref)
     assert_same_meter(meter, ref_meter)
     assert (tree.root, tree.leaf_count, tree.internal_node_count) == (root, len(rows), internal)
-    assert index.merkle == (root, len(rows), internal)
     assert index.consistent_flag
 
 

@@ -172,8 +172,8 @@ def test_randomized_difference_matches_brute_force_oracle():
         size_a, size_b = rng.randrange(0, 10_000), rng.randrange(0, 10_000)
         pairs_a = {(rng.choice(nids), rng.randrange(1, 20_000)) for _ in range(size_a)}
         pairs_b = {(rng.choice(nids), rng.randrange(1, 20_000)) for _ in range(size_b)}
-        a = build_index(pairs_a)
-        b = build_index(pairs_b)
+        a = build_index(sorted(pairs_a))  # one sorted run: each insert appends
+        b = build_index(sorted(pairs_b))
         meter = CostMeter(CostModel())
         missing_in_b, missing_in_a = set_difference(a, b, meter)
         assert {(c.nid, c.lcv) for c in missing_in_b} == pairs_a - pairs_b

@@ -673,7 +673,9 @@ def test_dedup_keeps_a_hash_sync_alias_on_a_stored_block():
     node.replicate_in([replica], [b"same bytes"])
     alias = peer.ingest([b"same bytes"])[0]
     # the hash sync binds peer's id to the lowest id holding the digest: low's
-    sync_pair_hash(Cluster([node, peer]), node, peer)
+    cluster = Cluster([node, peer])
+    sync_pair_hash(cluster, node, peer,
+                   scope_nids=cluster.scope(peer.nid, cluster.hosted[node.nid]))
     assert node.indirection_table == {alias: replica.id}
     assert node.dedup_pass(10) == 1  # low's copy goes behind node's own
     assert node.read_verify(alias) == b"same bytes"

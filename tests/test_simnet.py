@@ -23,6 +23,7 @@ from metadr.simnet import (
     validate_scenario,
 )
 from metadr.sync import report_from_meter
+from test_pinned_outputs import HASH_RESTART_SCENARIO, VIRTUAL_HASH_SCENARIO
 
 PARTITION_SCENARIO = {
     "name": "partition-test",
@@ -844,6 +845,99 @@ def test_partitioned_nodes_do_not_replicate():
     ]))
     metrics = run_scenario(scenario)
     assert metrics.total_entries < 2 * metrics.ingests
+
+
+def assert_prefix_property(nodes, event) -> int:
+    """Assert that every node's run of a nid is a prefix of that nid's
+    own run, in the order its source emitted it; returns the runs
+    checked."""
+    own = {node.nid: node.id_index for node in nodes}
+    checked = 0
+    for holder in nodes:
+        for nid in holder.id_index.nids():
+            held = holder.id_index.entries_above(nid, 0)
+            assert own[nid].entries_above(nid, 0)[: len(held)] == held, (event, holder.nid, nid)
+            checked += 1
+    return checked
+
+
+# A node stays down over the writes of hours 2 and 3, and a partition
+# cuts it off from its substitute over those of hours 3 and 4.
+DOWN_AND_PARTITIONED_SCENARIO = {
+    "name": "down-and-partitioned", "seed": 3, "fidelity": "concrete",
+    "framework": "both", "horizon_hours": 6.0,
+    "cluster": {"nodes": 4, "replica_factor": 3},
+    "inventory": {"blocks_per_node": 30, "block_bytes_min": 64, "block_bytes_max": 512},
+    "workload": {"blocks_per_hour_per_node": 12, "keyed_fraction": 0.5},
+    "faults": [
+        {"kind": "crash", "at_hours": 1.5, "node": 1, "fault_kind": "torn"},
+        {"kind": "failover", "at_hours": 1.75, "failed": 1, "substitute": 0},
+        {"kind": "partition", "at_hours": 2.5, "until_hours": 4.5,
+         "side_a": [0], "side_b": [2, 3]},
+        {"kind": "restart", "at_hours": 3.5, "node": 1},
+        {"kind": "failback", "at_hours": 3.75, "node": 1},
+        {"kind": "converge", "at_hours": 5.5, "a": 0, "b": 2},
+    ],
+}
+
+
+def _dr_cycles_scenario():
+    """A small scenario shaped as the benchmark's dr-cycles: each of 12
+    cycles crashes one of 6 nodes, fails it over to the next, restarts
+    it (with index loss every third cycle), fails it back and converges
+    it with the node three along."""
+    nodes, cycles, faults = 6, 12, []
+    for c in range(cycles):
+        failed, at = c * 5 % nodes, float(c)
+        faults += [
+            {"kind": "crash", "at_hours": at + 0.1, "node": failed,
+             "fault_kind": "torn" if c % 2 else "none"},
+            {"kind": "failover", "at_hours": at + 0.2, "failed": failed,
+             "substitute": (failed + 1) % nodes},
+            {"kind": "restart", "at_hours": at + 0.3, "node": failed,
+             "fault_kind": "index_loss" if c % 3 == 2 else "none"},
+            {"kind": "failback", "at_hours": at + 0.4, "node": failed},
+            {"kind": "converge", "at_hours": at + 0.5, "a": failed, "b": (failed + 3) % nodes},
+        ]
+    return {
+        "name": "dr-cycles-shaped", "seed": 4, "fidelity": "virtual", "framework": "both",
+        "horizon_hours": float(cycles), "cluster": {"nodes": nodes, "replica_factor": 3},
+        "inventory": {"blocks_per_node": 40, "block_bytes_min": 4096,
+                      "block_bytes_max": 65536},
+        "workload": {"blocks_per_hour_per_node": 10, "keyed_fraction": 0.25},
+        "faults": faults,
+    }
+
+
+def test_every_run_a_node_holds_is_a_prefix_of_its_sources_run(monkeypatch):
+    # the pair watermarks are max lcvs, sound only while every holding is
+    # a prefix of its source's emission order: checked after every write
+    # and every fault, and at each DR event of the 1/80 soak
+    seen = []
+
+    class Checked(SimRuntime):
+        check_writes = True
+
+        def ingest_batch(self, node, count):
+            super().ingest_batch(node, count)
+            if self.check_writes:
+                seen.append(assert_prefix_property(self.sim_nodes, f"{self.scenario.name} write"))
+
+        def apply_fault(self, f):
+            super().apply_fault(f)
+            seen.append(assert_prefix_property(self.sim_nodes, f"{self.scenario.name} {f.event}"))
+
+    monkeypatch.setattr(simnet, "SimRuntime", Checked)
+    for raw in (DOWN_AND_PARTITIONED_SCENARIO, HASH_RESTART_SCENARIO, VIRTUAL_HASH_SCENARIO,
+                _dr_cycles_scenario()):
+        run_scenario(load_scenario(raw))
+    for name in ("condition3-failover", "partition-converge"):
+        text = resources.files("metadr").joinpath("scenarios", f"{name}.yaml").read_text()
+        for seed in (0, 7):
+            run_scenario(load_scenario(text), seed)
+    monkeypatch.setattr(Checked, "check_writes", False)
+    soak(SoakConfig(total_ingest_blocks=13_125))
+    assert len(seen) > 500 and sum(seen) > 9_000  # checks made, runs checked
 
 
 # -- soak ---------------------------------------------------------------------------------

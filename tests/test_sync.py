@@ -45,6 +45,11 @@ def fill(node, n, tag=0):
     node.ingest([(128, tag * 1_000_000 + i) for i in range(n)])
 
 
+def shared(cluster, a, b):
+    """The nids both nodes host: a pair session's scope, as `converge` takes it."""
+    return cluster.scope(b.nid, cluster.hosted[a.nid])
+
+
 # -- compute_delta_meta ----------------------------------------------------------
 
 
@@ -52,7 +57,7 @@ def test_synchronized_peer_yields_empty_plan_with_header_only_streams():
     a, b = make_nodes(2)
     cluster = Cluster([a, b])
     fill(a, 10)
-    sync_pair_meta(cluster, a, b)
+    sync_pair_meta(cluster, a, b, scope_nids=shared(cluster, a, b))
     ckpt = cluster.checkpoint(a.nid, b.nid)
     plan = compute_delta_meta(a.id_index, ckpt, b.id_index)
     assert plan.ids_to_pull == [] and plan.ids_to_push == []
@@ -63,7 +68,7 @@ def test_peer_missing_delta_blocks():
     a, b = make_nodes(2)
     cluster = Cluster([a, b])
     fill(a, 20)
-    sync_pair_meta(cluster, a, b)
+    sync_pair_meta(cluster, a, b, scope_nids=shared(cluster, a, b))
     fill(a, 7)  # the delta
     ckpt = cluster.checkpoint(a.nid, b.nid)
     plan = compute_delta_meta(a.id_index, ckpt, b.id_index)
@@ -76,7 +81,7 @@ def test_routine_replication_transmits_delta_not_inventory():
     a, b = make_nodes(2)
     cluster = Cluster([a, b])
     fill(a, 1000)
-    sync_pair_meta(cluster, a, b)
+    sync_pair_meta(cluster, a, b, scope_nids=shared(cluster, a, b))
     fill(a, 5)
     ckpt = cluster.checkpoint(a.nid, b.nid)
     plan = compute_delta_meta(a.id_index, ckpt, b.id_index)
@@ -201,7 +206,7 @@ def make_cluster(n=3, *, baseline=False, seed=0):
 def replicate_all(cluster, nodes):
     for i, a in enumerate(nodes):
         for b in nodes[i + 1 :]:
-            sync_pair_meta(cluster, a, b)
+            sync_pair_meta(cluster, a, b, scope_nids=shared(cluster, a, b))
 
 
 def test_failover_produces_superset_and_phase_breakdown():
@@ -296,7 +301,7 @@ def test_failback_acquires_absence_writes_union_oracle():
         a.crash()
         for node, tag in ((b, 2), (c, 3)):
             fill(node, rng.randrange(1, 30), tag=tag)
-        sync_pair_meta(cluster, b, c)
+        sync_pair_meta(cluster, b, c, scope_nids=shared(cluster, b, c))
         a.restart("none", wal_replay_seconds=0.0)
         # oracle: snapshot the union of everything anyone holds pre-failback
         union_before = (
@@ -514,14 +519,15 @@ def test_hash_exchange_binds_ids_whose_content_the_puller_holds():
     shared_b = b.ingest([b"same bytes"])[0]
     a.ingest([b"only on a"])
     meter = CostMeter(CostModel())
-    plan = sync_pair_hash(cluster, a, b, meter)
+    plan = sync_pair_hash(cluster, a, b, meter, scope_nids=shared(cluster, a, b))
     assert plan.content_bytes_to_transfer == len(b"only on a")
     assert a.id_index.same_ids(b.id_index) and a.id_index.entry_count == 3
     assert a.physical_block_count == 2 and b.physical_block_count == 2
     assert a.read_verify(shared_b) == b.read_verify(shared_a) == b"same bytes"
     # a rebuilt index still lists the bound id: nothing is owed or moved
     a.baseline.mark_lost()
-    assert sync_pair_hash(cluster, a, b).content_bytes_to_transfer == 0
+    plan = sync_pair_hash(cluster, a, b, scope_nids=shared(cluster, a, b))
+    assert plan.content_bytes_to_transfer == 0
     assert shared_b in a.baseline.by_locator
 
 
@@ -530,7 +536,8 @@ def test_hash_pull_of_two_ids_with_equal_content_stores_one_block():
     # the second, whose digest the first brought, is its alias
     a, b = make_nodes(2, baseline=True)
     first, second = b.ingest([b"same bytes", b"same bytes"])
-    plan = sync_pair_hash(Cluster([a, b]), a, b)
+    cluster = Cluster([a, b])
+    plan = sync_pair_hash(cluster, a, b, scope_nids=shared(cluster, a, b))
     assert plan.ids_to_pull == [first, second]
     assert plan.content_bytes_to_transfer == len(b"same bytes")
     assert list(a.block_store) == [first]
@@ -544,7 +551,8 @@ def test_pipeline_crash_rolls_back_only_a_digest_adopted_after_the_drain():
     cluster = Cluster([a, b])
     fill(a, 10, tag=1)
     only_b = b.ingest([(128, 7)])[0]
-    sync_pair_hash(cluster, a, b)  # drains both, then a adopts only_b's digest
+    # drains both, then a adopts only_b's digest
+    sync_pair_hash(cluster, a, b, scope_nids=shared(cluster, a, b))
     a.crash()
     a.restart("pipeline_crash", wal_replay_seconds=0.0)
     assert a.baseline.lag_blocks == 1 and only_b not in a.baseline.by_locator
