@@ -236,8 +236,11 @@ class HashIndex:
     (the baseline's dedup case), so unique content costs no set per
     block. `holder()` is the one way to read a value: a locator is a
     tuple, so `min()` or iteration over a lone one would see its fields.
-    Stored blocks wait in the `pending` columns until `pipeline_tick`
-    hashes them; a queue that is not empty is a stale index (condition
+    Every `by_nid` pair's digest is a by_digest key with that locator
+    among its holders; a DR session relies on it to skip a nid whose two
+    locator maps are equal (`sync.compute_delta_hash`). Stored blocks
+    wait in the `pending` columns until `pipeline_tick` hashes them; a
+    queue that is not empty is a stale index (condition
     1). `lag_bytes` is the queue's byte_len total, kept as blocks are
     queued, drained and rolled back. Work hashed or adopted since the
     last checkpoint sits in the `hashed_since_checkpoint` columns, which
@@ -452,8 +455,10 @@ def hash_delta(
     Returns (missing_remote, missing_local): local locators whose digest
     the remote lacks, and remote locators whose digest the local lacks,
     nid by nid, each in the order its index hashed them. `ours`/`theirs`
-    are the per-nid locator maps each side lists (e.g. `locators(nids)`
-    for a scoped session); by default its whole index. Raises
+    are the per-nid locator maps each side scans; by default its whole
+    index. `sync.compute_delta_hash` passes only the nids whose two maps
+    differ, and charges its meter for every listed locator itself, one
+    membership check each. Raises
     InconsistentIndex unless both indexes are trustworthy; paying the
     rebuild/drain cost first is exactly the bottleneck under test.
     """

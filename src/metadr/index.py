@@ -258,6 +258,12 @@ def set_difference(
     every step advances at least one cursor, so the count is at most
     the two window sizes summed, and at fixed delta it scales linearly
     with window size.
+
+    Each nid's two windows are first compared up to the shorter one's
+    length with one list `==` on their lcvs. When one is a prefix of the
+    other, both cursors skip the shared part, counted one step per
+    entry as the merge counts it, and the longer window's tail is
+    drained; only windows that differ inside that length are merged.
     """
     missing_in_b: list[CompositeId] = []
     missing_in_a: list[CompositeId] = []
@@ -275,6 +281,13 @@ def set_difference(
             i = bisect_right(la, floor)
             j = bisect_right(lb, floor)
         na, nb = len(la), len(lb)
+        short = min(na - i, nb - j)
+        if la[i : i + short] == lb[j : j + short]:
+            # one window is a prefix of the other: the merge would take one
+            # equal step per shared entry, then drain the longer one's tail
+            comparisons += short
+            i += short
+            j += short
         while i < na and j < nb:
             comparisons += 1
             va, vb = la[i], lb[j]

@@ -250,16 +250,25 @@ def compute_delta_hash(local, peer, meter: CostMeter | None = None, scope_nids=N
     those source nids; digests match against the whole other index.
     Callers pay the owed rehash first
     (`ensure_baseline_consistent`); `hash_delta` refuses stale indexes.
+
+    Each nid's two locator maps are first compared whole (one dict
+    `==`), and only the nids whose maps differ are scanned: every digest
+    of a `by_nid` map is a `by_digest` key of its index (the invariant
+    `HashIndex` keeps), so equal maps hold nothing either side lacks.
+    `hash_delta` still runs on every session, and the meter and the
+    index bytes still count every listed locator.
     """
     ours, theirs = local.locators(scope_nids), peer.locators(scope_nids)
-    missing_remote, missing_local = hash_delta(local, peer, ours, theirs)
+    differ_ours = {nid: locs for nid, locs in ours.items() if theirs.get(nid) != locs}
+    differ_theirs = {nid: locs for nid, locs in theirs.items() if ours.get(nid) != locs}
+    missing_remote, missing_local = hash_delta(local, peer, differ_ours, differ_theirs)
     listed = sum(map(len, ours.values())) + sum(map(len, theirs.values()))
     if meter is not None:
         # digest-set membership checks, one per listed locator on each side
         meter.add_comparisons(listed)
     return DeltaPlan(
-        ids_to_pull=missing_local + _held_elsewhere(theirs, local),
-        ids_to_push=missing_remote + _held_elsewhere(ours, peer),
+        ids_to_pull=missing_local + _held_elsewhere(differ_theirs, local),
+        ids_to_push=missing_remote + _held_elsewhere(differ_ours, peer),
         index_bytes_exchanged=2 * WIRE_HEADER_BYTES + 32 * listed,
     )
 

@@ -380,7 +380,10 @@ def test_hash_delta_matches_content_comparison_oracle():
 
 
 def assert_digest_map_matches_reference(index: HashIndex) -> None:
-    # the reference: every locator holding each digest, from the by_locator view
+    # the reference: every locator holding each digest, from the by_locator view.
+    # Matching it includes the premise of a DR session's skip of equal locator
+    # maps (`sync.compute_delta_hash`): every by_nid pair's digest is a
+    # by_digest key with that locator among its holders
     ref: dict[bytes, set[CompositeId]] = {}
     for loc, digest in index.by_locator.items():
         ref.setdefault(digest, set()).add(loc)
@@ -405,7 +408,8 @@ _CONTENT = st.integers(0, 3)  # four contents, so digests are shared
 _STEP = st.one_of(
     st.tuples(st.sampled_from(["add", "adopt", "enqueue"]), _LOCATOR, _CONTENT),
     st.tuples(st.just("tick"), st.integers(0, 5)),
-    st.tuples(st.sampled_from(["checkpoint", "crash", "mark_lost"])),
+    st.tuples(st.just("remove"), _LOCATOR),
+    st.tuples(st.sampled_from(["checkpoint", "crash", "mark_lost", "settle"])),
 )
 
 
@@ -415,9 +419,12 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
     # every step draws a fresh locator, as a node's store does; a locator
     # drawn twice is skipped. The queue and the rollback list are checked
     # against a per-block reference: a deque of (locator, byte_len,
-    # content) blocks, and a list
+    # content) blocks, and a list. `settle` rebuilds a lost index from
+    # the store as a node does: a locator whose content an earlier one
+    # holds is an alias of it
     index = HashIndex()
     used: set[CompositeId] = set()
+    store: dict[bytes, list[CompositeId]] = {}  # content -> its locators, in store order
     ref_pending, ref_hashed = deque(), []
     for step in steps:
         kind = step[0]
@@ -427,6 +434,7 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
                 continue
             used.add(loc)
             content = descriptor(64, seed)
+            store.setdefault(content, []).append(loc)
             if kind == "add":
                 index.add(loc, payload_digest(content, 64))
             elif kind == "adopt":
@@ -446,6 +454,14 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
         elif kind == "crash":
             crash_interrupt(index)
             ref_pending.extendleft(reversed(ref_hashed))
+            ref_hashed.clear()
+        elif kind == "remove":
+            index.remove(step[1])
+        elif kind == "settle":
+            blocks = [(locs[0], content, 64) for content, locs in store.items()]
+            aliases = [(alias, locs[0]) for locs in store.values() for alias in locs[1:]]
+            index, _ = settle(index, blocks, aliases)
+            ref_pending.clear()
             ref_hashed.clear()
         else:
             index.mark_lost()

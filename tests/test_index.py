@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from random import Random
 
 import pytest
@@ -30,6 +31,16 @@ def entry(nid, lcv, crc=0, user_key=None):
 def build_index(pairs):
     idx = IdentifierIndex()
     idx.insert([entry(nid, lcv) for nid, lcv in pairs])
+    return idx
+
+
+def build_index_unchecked(pairs):
+    """`build_index` for (nid, lcv) pairs drawn in range: each id and
+    entry is built as `LogicalClock.next_id` builds a run's ids, without
+    re-validating it."""
+    idx = IdentifierIndex()
+    idx.insert([tuple.__new__(IndexEntry, (tuple.__new__(CompositeId, (nid, lcv, 0)), 100, 0, None))
+                for nid, lcv in pairs])
     return idx
 
 
@@ -172,8 +183,8 @@ def test_randomized_difference_matches_brute_force_oracle():
         size_a, size_b = rng.randrange(0, 10_000), rng.randrange(0, 10_000)
         pairs_a = {(rng.choice(nids), rng.randrange(1, 20_000)) for _ in range(size_a)}
         pairs_b = {(rng.choice(nids), rng.randrange(1, 20_000)) for _ in range(size_b)}
-        a = build_index(sorted(pairs_a))  # one sorted run: each insert appends
-        b = build_index(sorted(pairs_b))
+        a = build_index_unchecked(sorted(pairs_a))  # one sorted run: each insert appends
+        b = build_index_unchecked(sorted(pairs_b))
         meter = CostMeter(CostModel())
         missing_in_b, missing_in_a = set_difference(a, b, meter)
         assert {(c.nid, c.lcv) for c in missing_in_b} == pairs_a - pairs_b
@@ -224,22 +235,72 @@ def window_difference_oracle(a, b, meter, since, nids):
 _LCV_SETS = st.dictionaries(st.sampled_from(_NIDS), st.sets(st.integers(1, 60), max_size=25))
 
 
-@settings(max_examples=300)
+def merge_difference(a, b, since=None, nids=None):
+    """`set_difference` as one merge pass over every window, comparing no
+    window whole first: (missing_in_b, missing_in_a, comparisons)."""
+    missing_in_b, missing_in_a, comparisons = [], [], 0
+    selected = set(a._runs) | set(b._runs) if nids is None else set(nids)
+    for nid in sorted(selected):
+        run_a, run_b = a._runs.get(nid), b._runs.get(nid)
+        la, ea = (run_a.lcvs, run_a.entries) if run_a else ([], [])
+        lb, eb = (run_b.lcvs, run_b.entries) if run_b else ([], [])
+        floor = 0 if since is None else since.watermark(nid)
+        i, j = bisect_right(la, floor), bisect_right(lb, floor)
+        while i < len(la) and j < len(lb):
+            comparisons += 1
+            if la[i] == lb[j]:
+                i, j = i + 1, j + 1
+            elif la[i] < lb[j]:
+                missing_in_b.append(ea[i].id)
+                i += 1
+            else:
+                missing_in_a.append(eb[j].id)
+                j += 1
+        comparisons += (len(la) - i) + (len(lb) - j)
+        missing_in_b += [e.id for e in ea[i:]]
+        missing_in_a += [e.id for e in eb[j:]]
+    return missing_in_b, missing_in_a, comparisons
+
+
+@st.composite
+def _near_runs(draw):
+    """Two indexes' runs, each nid's pair cut from one drawn lcv sequence:
+    one run a prefix of the other, or the whole sequence against it
+    without the lcv at one drawn position; either side may take either."""
+    runs_a, runs_b = {}, {}
+    for nid in draw(st.lists(st.sampled_from(_NIDS), unique=True)):
+        lcvs = sorted(draw(st.sets(st.integers(1, 60), max_size=25)))
+        if lcvs and draw(st.booleans()):
+            at = draw(st.integers(0, len(lcvs) - 1))
+            ours, theirs = lcvs, lcvs[:at] + lcvs[at + 1 :]
+        else:
+            ours, theirs = lcvs, lcvs[: draw(st.integers(0, len(lcvs)))]
+        if draw(st.booleans()):
+            ours, theirs = theirs, ours
+        runs_a[nid], runs_b[nid] = ours, theirs
+    return runs_a, runs_b
+
+
+@settings(max_examples=400)
 @given(
-    runs_a=_LCV_SETS,
-    runs_b=_LCV_SETS,
+    runs=st.tuples(_LCV_SETS, _LCV_SETS) | _near_runs(),
     watermarks=st.none() | st.dictionaries(st.sampled_from(_NIDS), st.integers(0, 70)),
     nids=st.none() | st.lists(st.sampled_from(_NIDS), max_size=4),
 )
-def test_windowed_difference_matches_window_copies(runs_a, runs_b, watermarks, nids):
-    a = build_index([(nid, lcv) for nid, lcvs in runs_a.items() for lcv in lcvs])
-    b = build_index([(nid, lcv) for nid, lcvs in runs_b.items() for lcv in lcvs])
+def test_windowed_difference_matches_window_copies(runs, watermarks, nids):
+    # independent runs, and run pairs whose windows agree up to the shorter
+    # one's length (which skip the merge) or but for one position: the same
+    # delta as the window copies give, and the same count as the merge pass
+    a, b = (build_index([(nid, lcv) for nid, lcvs in side.items() for lcv in lcvs])
+            for side in runs)
     since = None if watermarks is None else Checkpoint(watermarks=watermarks)
     meter = CostMeter(CostModel())
     oracle_meter = CostMeter(CostModel())
     got = set_difference(a, b, meter, since=since, nids=nids)
     assert got == window_difference_oracle(a, b, oracle_meter, since, nids)
-    assert meter.comparisons == oracle_meter.comparisons
+    missing_in_b, missing_in_a, comparisons = merge_difference(a, b, since, nids)
+    assert got == (missing_in_b, missing_in_a)
+    assert meter.comparisons == oracle_meter.comparisons == comparisons
 
 
 def test_partitioned_writes_split_cleanly_by_direction():

@@ -1,3 +1,4 @@
+from operator import itemgetter
 from random import Random
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metadr.costs import CostMeter, CostModel, Volumetrics
-from metadr.hashline import payload_digest, pipeline_tick
-from metadr.identity import NodeId, lww_key, new_node_id
+from metadr.hashline import HashIndex, InconsistentIndex, payload_digest, pipeline_tick
+from metadr.identity import CompositeId, NodeId, lww_key, new_node_id
 from metadr.index import set_difference
 from metadr.node import StorageNode
 from metadr.sync import (
@@ -115,6 +116,109 @@ def test_fresh_indexes_plan_equals_content_truth():
     plan = compute_delta_hash(a.baseline, b.baseline)
     assert len(plan.ids_to_pull) == 9
     assert len(plan.ids_to_push) == 12
+
+
+_PLAN_NIDS = [NodeId(bytes([k]) * 16) for k in (1, 2, 3)]
+_UNHELD_NID = NodeId(b"\x09" * 16)
+
+
+def _digest(content: int) -> bytes:
+    return bytes([content]) * 32
+
+
+@st.composite
+def _hash_index_pairs(draw):
+    """Two consistent hash indexes over three source nids, each nid's two
+    locator maps drawn equal, partly equal, on one side only, or
+    disjoint, and a session scope. Four contents, so digests repeat
+    within and across nids (set-valued by_digest: the baseline's
+    aliases); maybe one locator both sides hold under different digests
+    (a corrupted copy, whose content no other block has); each side
+    indexes its locators in a drawn order."""
+    sides = ([], [])  # (locator, content) pairs, one list per side
+    for nid in _PLAN_NIDS:
+        relation = draw(st.sampled_from(["equal", "partly", "local", "peer", "disjoint"]))
+        drawn = draw(st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=8))
+        pairs = [(CompositeId(nid, lcv), content) for lcv, content in sorted(drawn.items())]
+        if relation == "equal":
+            local, peer = pairs, pairs
+        elif relation == "partly":
+            local = [p for p in pairs if draw(st.booleans())]
+            peer = [p for p in pairs if draw(st.booleans())]
+        elif relation == "local":
+            local, peer = pairs, []
+        elif relation == "peer":
+            local, peer = [], pairs
+        else:
+            others = draw(st.dictionaries(st.integers(13, 24), st.integers(0, 3), max_size=8))
+            local = pairs
+            peer = [(CompositeId(nid, lcv), content) for lcv, content in sorted(others.items())]
+        sides[0].extend(local)
+        sides[1].extend(peer)
+    common = sorted(set(map(itemgetter(0), sides[0])) & set(map(itemgetter(0), sides[1])))
+    if common and draw(st.booleans()):  # its digest is one no other block has
+        corrupted = draw(st.sampled_from(common))
+        at = list(map(itemgetter(0), sides[1])).index(corrupted)
+        sides[1][at] = (corrupted, 4)
+    indexes = []
+    for side in sides:
+        order = draw(st.permutations(side))
+        index = HashIndex()
+        index.add_run([loc for loc, _ in order], [_digest(content) for _, content in order])
+        indexes.append(index)
+    scope = draw(st.none() | st.lists(st.sampled_from(_PLAN_NIDS + [_UNHELD_NID]), unique=True))
+    return indexes[0], indexes[1], scope
+
+
+def _full_scan_plan(local, peer, scope_nids):
+    """The hash plan from one scan of every listed locator on each side,
+    skipping no nid: (ids to pull, ids to push, index bytes, meter
+    comparisons)."""
+    def listing(index):
+        nids = index.by_nid if scope_nids is None else scope_nids
+        return [(loc, digest) for nid in nids for loc, digest in index.by_nid.get(nid, {}).items()]
+
+    def lacking(listed, puller):
+        return [loc for loc, digest in listed if digest not in puller.by_digest]
+
+    def held_elsewhere(listed, puller):
+        return sorted(loc for loc, digest in listed
+                      if digest in puller.by_digest and loc not in puller.by_locator)
+
+    ours, theirs = listing(local), listing(peer)
+    listed = len(ours) + len(theirs)
+    return (lacking(theirs, local) + held_elsewhere(theirs, local),
+            lacking(ours, peer) + held_elsewhere(ours, peer),
+            2 * 16 + 32 * listed, listed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_hash_index_pairs())
+def test_skipping_equal_locator_maps_keeps_the_full_scan_plan(pair):
+    local, peer, scope = pair
+    meter = CostMeter(CostModel())
+    plan = compute_delta_hash(local, peer, meter, scope)
+    got = (plan.ids_to_pull, plan.ids_to_push, plan.index_bytes_exchanged, meter.comparisons)
+    assert got == _full_scan_plan(local, peer, scope)
+
+
+@pytest.mark.parametrize("fault", ["stale", "lost"])
+def test_equal_listings_still_refuse_an_untrusted_index(fault):
+    # every listed map is equal, so no locator is scanned; the session
+    # must still refuse an index that is stale or lost
+    local, peer = HashIndex(), HashIndex()
+    locators = [CompositeId(_PLAN_NIDS[0], lcv) for lcv in (1, 2, 3)]
+    for index in (local, peer):
+        index.add_run(locators, [_digest(0), _digest(1), _digest(0)])
+    if fault == "stale":  # a queued block of another nid: the listed maps stay equal
+        peer.enqueue([CompositeId(_PLAN_NIDS[1], 1)], [b"queued"], [64])
+        scope = _PLAN_NIDS[:1]
+    else:  # a lost index lists nothing, nor does an empty one
+        peer.mark_lost()
+        local, scope = HashIndex(), None
+    assert local.locators(scope) == peer.locators(scope)
+    with pytest.raises(InconsistentIndex):
+        compute_delta_hash(local, peer, CostMeter(CostModel()), scope)
 
 
 def test_condition1_lag_cost_is_sum_of_lagged_blocks():
