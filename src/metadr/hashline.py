@@ -278,9 +278,6 @@ class HashIndex:
         backlog (conditions 1 and 2; zero when consistent)."""
         return inventory_bytes if self.lost else self.lag_bytes
 
-    def add(self, locator: CompositeId, digest: bytes) -> None:
-        self.add_run((locator,), (digest,))
-
     def add_run(self, locators, digests) -> None:
         """Index each locator under its digest, pair by pair in order."""
         by_digest, by_nid = self.by_digest, self.by_nid
@@ -437,9 +434,10 @@ def settle(index: HashIndex, blocks, aliases, meter=None) -> tuple[HashIndex, in
     if index.lost:
         blocks = list(blocks)
         rebuilt, _tree = rebuild_index(blocks, meter)
-        for alias, kept in aliases:
-            rebuilt.add(alias, rebuilt.by_nid[kept.nid][kept])
-        return rebuilt, sum(byte_len for _, _, byte_len in blocks)
+        by_nid = rebuilt.by_nid
+        rebuilt.add_run([alias for alias, _ in aliases],
+                        [by_nid[kept.nid][kept] for _, kept in aliases])
+        return rebuilt, sum(map(_ROW_BYTE_LEN, blocks))
     backlog = index.lag_bytes
     if index.pending:
         pipeline_tick(index, backlog, meter)

@@ -20,7 +20,8 @@ replicated and what every DR session syncs. The runtime draws and
 ingests each write; `sync.replicate` pushes it to its replicas. One
 `Lifecycle` over node ordinals, on the same ring rule
 (`ring_successors`), says which fault may run in which state:
-validation steps it dry, the runtime checks each fault with it.
+validation dry-runs a state of its own, the runtime checks each fault
+on the nodes' status and steps `Cluster.partitions` in place.
 `SimRuntime.run()` is the one timeline: hourly writes, then the faults
 at that hour. The soak is a scenario on it: its seven-day cadence
 (planned failover/failback cycles every 12 hours plus crash injections
@@ -151,14 +152,17 @@ _UNREAD_FIELDS = {
 
 class Lifecycle:
     """Which fault may run in which state, over node ordinals: `down` holds
-    the nodes that are down, `partitions` the open (side_a, side_b) pairs.
-    `check` holds every rule about one fault, those of its `shape` and
-    those of the `state`; `step` applies one fault or heals one partition."""
+    the nodes that are down, `partitions` the open (side_a, side_b) pairs,
+    as `sync.Cluster.partitions` holds them. It rules on the state it is
+    given, or on a fresh one: no node down, no partition open. `check`
+    holds every rule about one fault, those of its `shape` and those of
+    the `state`; `step` applies one fault or heals one partition, in place."""
 
-    def __init__(self, nodes: int, replica_factor: int) -> None:
+    def __init__(self, nodes: int, replica_factor: int, down: set[int] | None = None,
+                 partitions: list | None = None) -> None:
         self.nodes, self.replica_factor = nodes, replica_factor
-        self.down: set[int] = set()
-        self.partitions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.down = set() if down is None else down
+        self.partitions = [] if partitions is None else partitions
 
     def shape(self, f: FaultSpec) -> str | None:
         """The first rule fault `f` breaks in any state, or None."""
@@ -459,7 +463,6 @@ class SimRuntime:
             StorageNode(new_node_id(rng_ids), baseline=baseline) for _ in range(n)
         ]
         self.cluster = Cluster(self.sim_nodes, scenario.cost, scenario.cluster.replica_factor)
-        self.lifecycle = Lifecycle(n, scenario.cluster.replica_factor)
 
         self.records = DnsRecordSet.from_zone_lines(scenario.discovery.zone)
         # node i answers at host-i (a failover rebinds service-i to the
@@ -542,7 +545,8 @@ class SimRuntime:
     def apply_fault(self, f: FaultSpec) -> None:
         """Apply fault `f` now. A fault the lifecycle refuses raises
         ScenarioValidation with validation's message and changes nothing."""
-        if problem := self.lifecycle.check(f):
+        lifecycle = self._lifecycle()
+        if problem := lifecycle.check(f):
             raise ScenarioValidation(problem)
         nodes = self.sim_nodes
         if f.kind == "crash":
@@ -578,17 +582,14 @@ class SimRuntime:
             report = report_from_meter("converge", self.cluster.framework, meter)
             report.note = f"rounds={rounds}"
             self.metrics.events.append(DrEvent(f.at_hours, f"converge {f.a}<->{f.b}", [report]))
-        self._step(f)
+        lifecycle.step(f)
 
-    def _step(self, f: FaultSpec, heal: bool = False) -> None:
-        """`Lifecycle.step`, then `cluster.partitions` as the nid image of its partitions."""
-        self.lifecycle.step(f, heal)
-        if f.kind == "partition":
-            nids = [node.nid for node in self.sim_nodes]
-            self.cluster.partitions = [
-                tuple(frozenset(nids[i] for i in side) for side in sides)
-                for sides in self.lifecycle.partitions
-            ]
+    def _lifecycle(self) -> Lifecycle:
+        """The live cluster's lifecycle: `down` is the nodes that are not
+        up, and `partitions` is `cluster.partitions`, which `step` changes."""
+        down = {i for i, node in enumerate(self.sim_nodes) if node.status is not NodeStatus.UP}
+        return Lifecycle(len(self.sim_nodes), self.scenario.cluster.replica_factor,
+                         down, self.cluster.partitions)
 
     # -- main loop -------------------------------------------------------
 
@@ -622,7 +623,7 @@ class SimRuntime:
             elif kind == "fault":
                 self.apply_fault(f)
             else:
-                self._step(f, heal=True)
+                self._lifecycle().step(f, heal=True)
 
         self._finalize()
         return self.metrics

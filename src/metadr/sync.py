@@ -24,9 +24,9 @@ nids it covers. A failover syncs the failed node's nid from its
 surviving replicas, a failback the nids the recovered node shares with
 each node of its replica sets, and a converge the nids its two nodes
 both host. Every exchange, converge included, is incremental
-from the pair's checkpoint. `reachable` is the one partition rule, for
-the live cluster and for scenario validation alike: no session, converge
-included, crosses an open partition.
+from the pair's checkpoint. `reachable` is the one partition rule, over
+node ordinals, for `Cluster.reachable` and `simnet.Lifecycle` alike: no
+session, converge included, crosses an open partition.
 
 A split brain needs no merge of its own. Ids of different nids never
 collide, so a converge after the partition heals unions the two sides'
@@ -137,7 +137,7 @@ def ring_successors(node: int, nodes: int, count: int) -> list[int]:
 
 def reachable(partitions, a, b) -> bool:
     """Whether no partition in `partitions`, (side_a, side_b) pairs of
-    node keys, puts `a` and `b` on opposite sides."""
+    node ordinals, puts ordinals `a` and `b` on opposite sides."""
     return not any(
         (a in side_a and b in side_b) or (a in side_b and b in side_a)
         for side_a, side_b in partitions
@@ -152,7 +152,8 @@ class Cluster:
     `replicas[nid]` lists the nodes a write on `nid` goes to, in ring
     order; `hosted[nid]` is the set of nids that node holds. Without a
     replica factor every node replicates to every other and hosts every
-    nid."""
+    nid. `partitions` holds each open partition as a (side_a, side_b)
+    pair of node ordinals, the ring's own keys; `reachable` reads it."""
 
     def __init__(
         self,
@@ -181,10 +182,16 @@ class Cluster:
             for peer in peers:
                 self.hosted[peer.nid].add(source)
         self._checkpoints: dict[frozenset, Checkpoint] = {}
-        self.partitions: list[tuple[frozenset, frozenset]] = []
+        self._ordinals = {node.nid: i for i, node in enumerate(nodes)}
+        self.partitions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def node(self, nid: NodeId) -> StorageNode:
         return self.nodes[nid]
+
+    def reachable(self, a: NodeId, b: NodeId) -> bool:
+        """Whether no open partition puts nodes `a` and `b` on opposite sides."""
+        return not self.partitions or reachable(
+            self.partitions, self._ordinals[a], self._ordinals[b])
 
     def checkpoint(self, a: NodeId, b: NodeId) -> Checkpoint:
         key = frozenset((a, b))
@@ -203,7 +210,7 @@ class Cluster:
         peers = []
         for n in self.nodes.values():
             if (n.nid == nid or n.status is not NodeStatus.UP
-                    or not reachable(self.partitions, nid, n.nid)):
+                    or not self.reachable(nid, n.nid)):
                 continue
             scope = self.scope(n.nid, nids)
             if scope:
@@ -320,9 +327,7 @@ def replicate(cluster: Cluster, node: StorageNode) -> None:
     once. Each pair then advances by the sessions' rule."""
     window = (None, [], [])  # (watermark, entries above it, their contents)
     for peer in cluster.replicas[node.nid]:
-        if peer.status is not NodeStatus.UP:
-            continue
-        if not reachable(cluster.partitions, node.nid, peer.nid):
+        if peer.status is not NodeStatus.UP or not cluster.reachable(node.nid, peer.nid):
             continue
         ckpt = cluster.checkpoint(node.nid, peer.nid)
         watermark = ckpt.watermark(node.nid)
@@ -393,7 +398,7 @@ def sync_pair_hash(cluster: Cluster, a: StorageNode, b: StorageNode,
 
 
 def verify_superset(
-    substitute: StorageNode, survivors: list[StorageNode], scope_nids=None
+    substitute: StorageNode, survivors: list[StorageNode], *, scope_nids
 ) -> None:
     """Identity-level superset check: nothing any survivor holds (within
     scope) may be missing from the substitute. No content comparison."""
@@ -444,7 +449,7 @@ def execute_failover(cluster: Cluster, failed: NodeId, substitute: NodeId) -> Dr
         raise NoSurvivingReplica(f"no surviving replica for {failed}")
     meter = CostMeter(cluster.model)
     _session(cluster, sub, peers, meter)
-    verify_superset(sub, [peer for peer, _ in peers], [failed])
+    verify_superset(sub, [peer for peer, _ in peers], scope_nids=[failed])
     return report_from_meter("failover", cluster.framework, meter)
 
 
@@ -477,7 +482,7 @@ def converge(cluster: Cluster, a: StorageNode, b: StorageNode,
     for node in (a, b):
         if node.status is not NodeStatus.UP:
             raise NodeStatusError(node)
-    if not reachable(cluster.partitions, a.nid, b.nid):
+    if not cluster.reachable(a.nid, b.nid):
         raise RuntimeError(f"converge across an open partition: {a.nid} and {b.nid}")
     scope = cluster.scope(b.nid, cluster.hosted[a.nid])
     _session(cluster, a, [(b, scope)], meter)

@@ -436,7 +436,7 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
             content = descriptor(64, seed)
             store.setdefault(content, []).append(loc)
             if kind == "add":
-                index.add(loc, payload_digest(content, 64))
+                index.add_run([loc], [payload_digest(content, 64)])
             elif kind == "adopt":
                 stored = BlockColumns([loc], [content], [64])
                 index.adopt([loc], [payload_digest(content, 64)], stored)
@@ -473,8 +473,8 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
 
 def test_unique_digests_take_no_set_each():
     index = HashIndex()
-    for i in range(10_000):
-        index.add(cid(i), payload_digest(descriptor(64, i), 64))
+    index.add_run(map(cid, range(10_000)),
+                  [payload_digest(descriptor(64, i), 64) for i in range(10_000)])
     assert not any(isinstance(v, set) for v in index.by_digest.values())
     # the map's own bytes: its table and any sets it holds (locators and
     # digests are shared with the by_nid maps)

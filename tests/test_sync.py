@@ -21,6 +21,7 @@ from metadr.sync import (
     ensure_baseline_consistent,
     execute_failback,
     execute_failover,
+    replicate,
     sync_pair_hash,
     sync_pair_meta,
     volumetric_report,
@@ -497,7 +498,7 @@ def test_converge_refuses_an_open_partition_and_moves_nothing(baseline):
     fill(a, 5, tag=1)
     fill(b, 3, tag=2)
     cluster = Cluster([a, b])
-    cluster.partitions = [(frozenset({a.nid}), frozenset({b.nid}))]
+    cluster.partitions = [((0,), (1,))]
 
     def state():
         return [(n.id_index.entries(), list(n.block_store.items()), n.dr_active,
@@ -511,6 +512,22 @@ def test_converge_refuses_an_open_partition_and_moves_nothing(baseline):
     cluster.partitions = []
     assert converge(cluster, a, b) == 1
     assert a.id_index.same_ids(b.id_index) and a.id_index.entry_count == 8
+
+
+def test_an_open_partition_cuts_placement_and_the_push_until_it_heals():
+    a, b, c = make_nodes(3)
+    cluster = Cluster([a, b, c])
+    cluster.partitions = [((0,), (2,))]
+    assert [peer for peer, _ in cluster.placement_peers(a.nid, [a.nid])] == [b]
+    fill(a, 4)
+    replicate(cluster, a)
+    assert (b.id_index.entry_count, c.id_index.entry_count) == (4, 0)
+    cluster.partitions.clear()
+    assert [peer for peer, _ in cluster.placement_peers(a.nid, [a.nid])] == [b, c]
+    fill(a, 1)
+    replicate(cluster, a)  # the next push catches the cut-off peer up
+    assert b.id_index.same_ids(a.id_index) and c.id_index.same_ids(a.id_index)
+    assert a.id_index.entry_count == 5
 
 
 def test_converge_needs_both_nodes_up():
@@ -683,7 +700,7 @@ def _per_id_transfer(puller, source, ids):
             if puller.id_index.insert([entry]):
                 puller._resolve_keys([entry])
                 puller.indirection_table[cid] = puller.indirection_table.get(kept, kept)
-            index.add(cid, digest)
+            index.add_run([cid], [digest])
             continue
         puller.replicate_in([entry], source.stored_blocks([cid]), [digest])
         moved += entry.byte_len
