@@ -30,9 +30,10 @@ A node is up or crashed. `crash` freezes it, optionally tearing its
 WAL's tail; `restart` replays the WAL and applies the restart's fault,
 and only when both succeed is the node up again. A restart that fails
 leaves it crashed and unchanged, so it can be restarted once the cause
-is mended. A node's framework is fixed when it is built: with
-`baseline` it carries a `HashIndex`, and a `sync.Cluster` runs the
-framework its nodes carry.
+is mended. A restart prices nothing: the node owes one more WAL
+replay, which its next failback charges. A node's framework is fixed
+when it is built: with `baseline` it carries a `HashIndex`, and a
+`sync.Cluster` runs the framework its nodes carry.
 
 Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
@@ -157,7 +158,7 @@ class StorageNode:
         self.baseline: HashIndex | None = HashIndex() if baseline else None
         self.dr_active = False
         self.dedup_deferrals = 0
-        self.pending_wal_replay_s = 0.0
+        self.pending_wal_replays = 0
         self._scrub_cursor: tuple[bytes, int] = (b"", 0)  # before every (nid, lcv)
         self._dedup_cursor = 0
         self._dedup_seen: dict[bytes, CompositeId] = {}
@@ -413,14 +414,13 @@ class StorageNode:
                 self.wal.fail_next_append = None
         self.status = NodeStatus.CRASHED
 
-    def restart(self, fault_kind: str = "none",
-                wal_replay_seconds: float = CostModel.wal_replay_seconds) -> float:
+    def restart(self, fault_kind: str = "none") -> None:
         """Replay the WAL and come back up with `fault_kind`'s damage (see
-        `inject_fault`). Returns the replay latency charged to the
-        virtual clock. The node is up only once both have succeeded: a
+        `inject_fault`), owing one more WAL replay, which its next
+        failback charges. The node is up only once both have succeeded: a
         replay that raises (`WalCorruption` for damage before the log's
-        tail) leaves it crashed, with its clock and log as they were, so
-        it can be restarted again once its log is mended.
+        tail) leaves it crashed, with its clock, log and owed replays as
+        they were, so it can be restarted again once its log is mended.
         """
         if self.status is not NodeStatus.CRASHED:
             raise RuntimeError(f"restart on node in state {self.status.value}")
@@ -428,9 +428,8 @@ class StorageNode:
             raise ValueError(f"unknown fault_kind {fault_kind!r}")
         self.clock = recover_clock(self.wal)
         self.inject_fault(fault_kind)
-        self.pending_wal_replay_s += wal_replay_seconds
+        self.pending_wal_replays += 1
         self.status = NodeStatus.UP
-        return wal_replay_seconds
 
     def inject_fault(self, fault_kind: str) -> None:
         """Apply a fault kind's damage in place. "index_loss" destroys the
@@ -442,10 +441,11 @@ class StorageNode:
         elif fault_kind == "pipeline_crash" and self.baseline is not None:
             crash_interrupt(self.baseline)
 
-    def take_pending_wal_replay(self) -> float:
-        seconds = self.pending_wal_replay_s
-        self.pending_wal_replay_s = 0.0
-        return seconds
+    def take_pending_wal_replays(self) -> int:
+        """The WAL replays owed since the last take, which clears them."""
+        count = self.pending_wal_replays
+        self.pending_wal_replays = 0
+        return count
 
     # -- Layer 2: background deduplication -------------------------------
 

@@ -16,9 +16,10 @@ windows are reproduced in milliseconds of wall time.
 Scenario files are YAML whose sections mirror the `Scenario`
 dataclasses; one loader builds both scenarios and soak configs. The
 runtime's `sync.Cluster` holds the ring placement: where each write is
-replicated and what every DR session syncs. The runtime draws and
-ingests each write; `sync.replicate` pushes it to its replicas. One
-`Lifecycle` over node ordinals, on the same ring rule
+replicated, what every DR session syncs, and the cost model `sync`
+prices each DR event's report on; the runtime records the report. It
+draws and ingests each write; `sync.replicate` pushes it to its
+replicas. One `Lifecycle` over node ordinals, on the same ring rule
 (`ring_successors`), says which fault may run in which state:
 validation dry-runs a state of its own, the runtime checks each fault
 on the nodes' status and steps `Cluster.partitions` in place.
@@ -40,7 +41,7 @@ from random import Random
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .costs import PAPER_VOLUMETRICS, CostMeter, CostModel, Volumetrics
+from .costs import PAPER_VOLUMETRICS, CostModel, Volumetrics
 from .discovery import DnsRecordSet, rebind_cname, resolve
 from .evalmodel import rto_breakdown
 from .identity import WAL_RECORD_BYTES, new_node_id
@@ -53,7 +54,6 @@ from .sync import (
     execute_failover,
     reachable,
     replicate,
-    report_from_meter,
     ring_successors,
     volumetric_report,
 )
@@ -555,12 +555,10 @@ class SimRuntime:
                 torn = self.rng_faults.randrange(1, WAL_RECORD_BYTES)
             nodes[f.node].crash(torn_wal_bytes=torn)
         elif f.kind == "restart":
-            seconds = nodes[f.node].restart(
-                f.fault_kind, wal_replay_seconds=self.scenario.cost.wal_replay_seconds
-            )
+            nodes[f.node].restart(f.fault_kind)
+            replay = self.cluster.model.wal_replay_seconds
             self.metrics.notes.append(
-                f"restart node {f.node} at {f.at_hours}h: wal replay {seconds:g}s"
-            )
+                f"restart node {f.node} at {f.at_hours}h: wal replay {replay:g}s")
         elif f.kind in ("index_loss", "pipeline_crash"):
             nodes[f.node].inject_fault(f.kind)
         elif f.kind == "failover":
@@ -576,11 +574,8 @@ class SimRuntime:
             report = execute_failback(self.cluster, nodes[f.node].nid)
             self.metrics.events.append(DrEvent(f.at_hours, f"failback {f.node}", [report]))
         elif f.kind == "converge":
-            meter = CostMeter(self.scenario.cost)
-            rounds = converge(self.cluster, nodes[f.a], nodes[f.b], meter)
-            self.metrics.converge_rounds.append(rounds)
-            report = report_from_meter("converge", self.cluster.framework, meter)
-            report.note = f"rounds={rounds}"
+            report = converge(self.cluster, nodes[f.a].nid, nodes[f.b].nid)
+            self.metrics.converge_rounds.append(1)
             self.metrics.events.append(DrEvent(f.at_hours, f"converge {f.a}<->{f.b}", [report]))
         lifecycle.step(f)
 

@@ -47,10 +47,12 @@ share one pair exchange, one scope, one DR session loop and one
 transfer, which moves each side's delta as one run; they differ in how
 a pair plans its delta, and the baseline's digests travel with the run.
 
-A DR event's report is live: its costs come from the bytes the session
-actually moved at desk scale. `volumetric_report` charges the same kind
-of event from a `costs.Volumetrics`, the declared production-scale
-inventory, instead.
+It is also the one module that prices a DR event: a session charges
+the event's one `CostMeter`, on `Cluster.model`, and a failback adds
+the WAL replays its node owes. The report is live: its costs come from
+the bytes the session actually moved at desk scale. `volumetric_report`
+charges the same kind of event from a `costs.Volumetrics`, the declared
+production-scale inventory, instead.
 """
 
 from __future__ import annotations
@@ -416,11 +418,11 @@ def _session(
     cluster: Cluster,
     node: StorageNode,
     peers: list[tuple[StorageNode, list[NodeId]]],
-    meter: CostMeter | None,
-) -> None:
+) -> CostMeter:
     """Sync `node` with each peer in turn, within its scope, under the
-    cluster's framework. Layer-2 dedup is barred on every participant
-    until the session ends."""
+    cluster's framework; returns the event's meter, which they charged.
+    Layer-2 dedup is barred on every participant until the session ends."""
+    meter = CostMeter(cluster.model)
     participants = [node] + [peer for peer, _ in peers]
     sync_pair = sync_pair_hash if cluster.framework == "hash" else sync_pair_meta
     for n in participants:
@@ -431,6 +433,7 @@ def _session(
     finally:
         for n in participants:
             n.dr_active = False
+    return meter
 
 
 def execute_failover(cluster: Cluster, failed: NodeId, substitute: NodeId) -> DrReport:
@@ -447,48 +450,48 @@ def execute_failover(cluster: Cluster, failed: NodeId, substitute: NodeId) -> Dr
     peers = cluster.placement_peers(substitute, [failed])
     if not peers:
         raise NoSurvivingReplica(f"no surviving replica for {failed}")
-    meter = CostMeter(cluster.model)
-    _session(cluster, sub, peers, meter)
+    meter = _session(cluster, sub, peers)
     verify_superset(sub, [peer for peer, _ in peers], scope_nids=[failed])
     return report_from_meter("failover", cluster.framework, meter)
 
 
 def execute_failback(cluster: Cluster, recovered: NodeId) -> DrReport:
     """Re-integrate a restarted node: acquire everything written during
-    its absence, including the WAL replay cost of its own recovery. It
-    syncs with each up, reachable node it shares placement with, in
-    cluster (ordinal) order, scoped to the nids the two host in common."""
+    its absence, then charge each WAL replay it owes (a session that
+    raises leaves them owed). It syncs with each up, reachable node it
+    shares placement with, in cluster (ordinal) order, scoped to the
+    nids the two host in common."""
     node = cluster.node(recovered)
     if node.status is not NodeStatus.UP:
         raise NodeStatusError(node)
-    meter = CostMeter(cluster.model)
-    replay = node.take_pending_wal_replay()
-    if replay:
-        meter.charge_wal_replay(replay)
     peers = cluster.placement_peers(recovered, cluster.hosted[recovered])
-    _session(cluster, node, peers, meter)
+    meter = _session(cluster, node, peers)
+    for _ in range(node.take_pending_wal_replays()):
+        meter.charge_wal_replay()
     return report_from_meter("failback", cluster.framework, meter)
 
 
-def converge(cluster: Cluster, a: StorageNode, b: StorageNode,
-             meter: CostMeter | None = None) -> int:
+def converge(cluster: Cluster, a: NodeId, b: NodeId) -> DrReport:
     """One DR session between two healed nodes, scoped to the nids both
     host; a pair sharing none exchanges two empty index headers. Both
     nodes must be up and no open partition may separate them, as
     `placement_peers` requires of a failover's and a failback's peers;
-    a refused converge raises before any exchange. Returns the rounds
-    used: always one, since the session leaves no window a second round
-    could exchange, so a pair whose scoped id sets still differ raises."""
-    for node in (a, b):
+    a refused converge raises before any exchange. Its report notes
+    `rounds=1`: the session leaves no window a second round could
+    exchange, so a pair whose scoped id sets still differ raises."""
+    node_a, node_b = cluster.node(a), cluster.node(b)
+    for node in (node_a, node_b):
         if node.status is not NodeStatus.UP:
             raise NodeStatusError(node)
-    if not cluster.reachable(a.nid, b.nid):
-        raise RuntimeError(f"converge across an open partition: {a.nid} and {b.nid}")
-    scope = cluster.scope(b.nid, cluster.hosted[a.nid])
-    _session(cluster, a, [(b, scope)], meter)
-    if not a.id_index.same_ids(b.id_index, scope):
-        raise RuntimeError(f"converge left {a.nid} and {b.nid} unequal")
-    return 1
+    if not cluster.reachable(a, b):
+        raise RuntimeError(f"converge across an open partition: {a} and {b}")
+    scope = cluster.scope(b, cluster.hosted[a])
+    meter = _session(cluster, node_a, [(node_b, scope)])
+    if not node_a.id_index.same_ids(node_b.id_index, scope):
+        raise RuntimeError(f"converge left {a} and {b} unequal")
+    report = report_from_meter("converge", cluster.framework, meter)
+    report.note = "rounds=1"
+    return report
 
 
 def report_from_meter(kind: str, framework: str, meter: CostMeter) -> DrReport:

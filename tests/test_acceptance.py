@@ -147,11 +147,11 @@ def test_criterion_9_resource_and_network_parity(paper_soak, capsys):
 def test_criterion_5_uniqueness_property_suite(capsys):
     total_exposed = 0
     for seed in range(100):
-        ok5, detail = _chaos_uniqueness(
+        ok5, detail, exposed = _chaos_uniqueness(
             Random(f"accept5:{seed}"), nodes=8, target_exposed=1_050, byte_len=256
         )
         assert ok5, f"{detail} at seed {seed}"
-        total_exposed += int(detail.split()[0])
+        total_exposed += exposed
     assert total_exposed >= 100_000
 
     ok5, truncation = _truncation_enumeration(identity.NodeId(b"\x05" * 16))

@@ -486,8 +486,8 @@ def test_crash_restart_preserves_index_and_monotonicity():
     node = fresh_node()
     ids = node.ingest([f"d{i}".encode() for i in range(10)])
     node.crash()
-    replay = node.restart("none")
-    assert replay == 18.0  # default virtual replay charge
+    node.restart("none")
+    assert node.pending_wal_replays == 1  # a failback charges it
     assert node.id_index.entry_count == 10
     nxt = node.ingest([b"after restart"])[0]
     assert nxt.lcv > max(c.lcv for c in ids)
@@ -497,7 +497,7 @@ def test_torn_crash_burns_value_and_never_reuses():
     node = fresh_node()
     exposed = [node.ingest([f"d{i}".encode()])[0].lcv for i in range(5)]
     node.crash(torn_wal_bytes=9)
-    node.restart("none", wal_replay_seconds=0.0)
+    node.restart("none")
     nxt = node.ingest([b"next"])[0]
     assert nxt.lcv not in exposed
     assert nxt.lcv > max(exposed)
@@ -508,7 +508,7 @@ def test_torn_crash_tears_the_next_reservation():
     exposed = [node.ingest([f"d{i}".encode()])[0].lcv for i in range(5)]
     node.crash(torn_wal_bytes=12)  # the torn record's ceiling field lands
     assert read_wal(node.wal.data()) == ([LCV_RESERVE], 2 * LCV_RESERVE)
-    node.restart("none", wal_replay_seconds=0.0)
+    node.restart("none")
     assert node.ingest([b"next"])[0].lcv == 2 * LCV_RESERVE + 1 > max(exposed)
 
 
@@ -521,7 +521,7 @@ def test_torn_crash_with_every_lcv_reserved_leaves_the_log_as_it_was():
     assert node.status is NodeStatus.CRASHED
     assert node.wal.fail_next_append is None
     assert node.wal.data() == logged
-    node.restart("none", wal_replay_seconds=0.0)
+    node.restart("none")
     assert node.clock.floor == MAX_U64
 
 
@@ -544,7 +544,7 @@ def test_index_loss_gates_baseline_until_rebuild():
         ensure_baseline_consistent(node)
     hash_delta(a.baseline, b.baseline)  # serviceable
     a.crash()
-    a.restart("index_loss", wal_replay_seconds=0.0)
+    a.restart("index_loss")
     with pytest.raises(InconsistentIndex):
         hash_delta(a.baseline, b.baseline)
     ensure_baseline_consistent(a)
@@ -560,7 +560,7 @@ def test_pipeline_crash_fault_reenqueues():
         node.ingest([(64, i)])
     pipeline_tick(node.baseline, 5 * 64)  # hashed past the checkpoint
     node.crash()
-    node.restart("pipeline_crash", wal_replay_seconds=0.0)
+    node.restart("pipeline_crash")
     assert node.baseline.lag_blocks == 5  # only the work since the drain
     assert len(node.baseline.by_locator) == 30
 
@@ -579,10 +579,10 @@ def test_a_failed_restart_leaves_the_node_crashed_and_restartable():
     assert node.status is NodeStatus.CRASHED
     assert node.clock is clock and (clock.floor, clock.ceiling) == (floor, ceiling)
     assert node.wal.data() == bytes(damaged)
-    assert node.take_pending_wal_replay() == 0.0
+    assert node.pending_wal_replays == 0
     node.wal.rewrite(sound)
-    assert node.restart("none") == 18.0
-    assert node.status is NodeStatus.UP
+    node.restart("none")
+    assert node.status is NodeStatus.UP and node.pending_wal_replays == 1
     assert node.ingest([b"after"])[0].lcv == 3 * LCV_RESERVE + 1
 
 
@@ -681,7 +681,7 @@ def test_dedup_keeps_a_hash_sync_alias_on_a_stored_block():
     assert node.read_verify(alias) == b"same bytes"
     assert set(node.indirection_table.values()) <= set(node.block_store)
     node.crash()
-    node.restart("index_loss", wal_replay_seconds=0.0)
+    node.restart("index_loss")
     ensure_baseline_consistent(node)
     assert node.baseline.by_locator[alias] == node.baseline.by_locator[replica.id]
 

@@ -289,15 +289,16 @@ def test_dr_events_run_and_report_the_clusters_framework(baseline, framework):
     a.crash()
     fill(b, 5, tag=2)
     failover = execute_failover(cluster, a.nid, c.nid)
-    a.restart("none", wal_replay_seconds=0.0)
+    a.restart("none")
     failback = execute_failback(cluster, a.nid)
     fill(a, 5, tag=3)
-    meter = CostMeter(CostModel())
-    assert converge(cluster, a, b, meter) == 1
-    assert failover.framework == failback.framework == framework
+    converged = converge(cluster, a.nid, b.nid)
+    assert converged.kind == "converge" and converged.note == "rounds=1"
+    reports = (failover, failback, converged)
+    assert {report.framework for report in reports} == {framework}
     # only a hash session pays the baseline's owed rehash
-    for hash_ops in (failover.hash_ops, failback.hash_ops, meter.hash_ops):
-        assert (hash_ops > 0) == baseline
+    for report in reports:
+        assert (report.hash_ops > 0) == baseline
 
 
 # -- failover ---------------------------------------------------------------------
@@ -389,7 +390,7 @@ def test_failback_with_no_absence_writes():
     fill(a, 10)
     replicate_all(cluster, [a, b, c])
     a.crash()
-    a.restart("none")  # charges 18 s replay
+    a.restart("none")  # owes one replay: 18 s on the default model
     report = execute_failback(cluster, a.nid)
     assert report.t_wal_replay == 18.0
     assert report.t_delta == 0.0
@@ -407,7 +408,7 @@ def test_failback_acquires_absence_writes_union_oracle():
         for node, tag in ((b, 2), (c, 3)):
             fill(node, rng.randrange(1, 30), tag=tag)
         sync_pair_meta(cluster, b, c, scope_nids=shared(cluster, b, c))
-        a.restart("none", wal_replay_seconds=0.0)
+        a.restart("none")
         # oracle: snapshot the union of everything anyone holds pre-failback
         union_before = (
             {e.id for e in a.id_index.entries()}
@@ -429,6 +430,34 @@ def test_crash_failback_includes_replay_in_report():
     assert report.virtual_rto_seconds > 825.0
 
 
+def test_a_failback_charges_each_replay_its_node_owes_on_the_clusters_model():
+    for model, charged in ((None, 36.0), (CostModel(wal_replay_seconds=0.0), 0.0)):
+        a, b = make_nodes(2)
+        cluster = Cluster([a, b], model)
+        for _ in range(2):
+            a.crash()
+            a.restart("none")
+        assert a.pending_wal_replays == 2
+        assert execute_failback(cluster, a.nid).t_wal_replay == charged
+        assert a.pending_wal_replays == 0
+        assert execute_failback(cluster, a.nid).t_wal_replay == 0.0
+
+
+def test_a_failback_whose_session_raises_leaves_its_replays_owed(monkeypatch):
+    a, b = make_nodes(2)
+    cluster = Cluster([a, b])
+    a.crash()
+    a.restart("none")
+
+    def broken(*args):
+        raise RuntimeError("session failed")
+
+    monkeypatch.setattr("metadr.sync._session", broken)
+    with pytest.raises(RuntimeError, match="session failed"):
+        execute_failback(cluster, a.nid)
+    assert a.pending_wal_replays == 1
+
+
 # -- converge -----------------------------------------------------------------------
 
 
@@ -436,7 +465,7 @@ def test_disjoint_partition_writes_converge_in_one_round():
     a, b = make_nodes(2)
     fill(a, 40, tag=1)
     fill(b, 25, tag=2)
-    assert converge(Cluster([a, b]), a, b) == 1
+    converge(Cluster([a, b]), a.nid, b.nid)
     assert a.id_index.same_ids(b.id_index)
     assert a.id_index.entry_count == 65
 
@@ -445,14 +474,12 @@ def test_identical_indexes_converge_idempotently():
     a, b = make_nodes(2)
     fill(a, 10)
     cluster = Cluster([a, b])
-    converge(cluster, a, b)
-    meter = CostMeter(CostModel())
-    assert converge(cluster, a, b, meter) == 1
-    assert meter.network_bytes == 2 * 16  # incremental repeat: empty windows
-    meter = CostMeter(CostModel())
-    assert converge(Cluster([a, b]), a, b, meter) == 1
-    assert meter.network_bytes > 2 * 16  # fresh pair: the whole indexes compared
-    assert meter.t_delta == 0.0  # and nothing moves
+    converge(cluster, a.nid, b.nid)
+    report = converge(cluster, a.nid, b.nid)
+    assert report.network_bytes == 2 * 16  # incremental repeat: empty windows
+    report = converge(Cluster([a, b]), a.nid, b.nid)
+    assert report.network_bytes > 2 * 16  # fresh pair: the whole indexes compared
+    assert report.t_delta == 0.0  # and nothing moves
 
 
 def test_converge_is_commutative_and_idempotent_across_seeds():
@@ -461,9 +488,9 @@ def test_converge_is_commutative_and_idempotent_across_seeds():
         a, b = make_nodes(2, seed=seed)
         fill(a, rng.randrange(1, 50), tag=1)
         fill(b, rng.randrange(1, 50), tag=2)
-        assert converge(Cluster([a, b]), a, b) == 1
+        converge(Cluster([a, b]), a.nid, b.nid)
         before = (a.id_index.entry_count, b.id_index.entry_count)
-        assert converge(Cluster([a, b]), b, a) == 1  # full exchange again
+        converge(Cluster([a, b]), b.nid, a.nid)  # full exchange again
         assert (a.id_index.entry_count, b.id_index.entry_count) == before
         assert a.id_index.same_ids(b.id_index)
 
@@ -475,12 +502,11 @@ def test_converge_moves_only_the_nids_both_nodes_host(framework):
     cluster = Cluster([a, b, c, d], replica_factor=2)
     for tag, node in enumerate((a, b, c, d)):
         fill(node, 10, tag=tag)
-    assert converge(cluster, a, b) == 1
+    converge(cluster, a.nid, b.nid)
     assert {cid.nid for cid in b.id_index.ids()} == {a.nid, b.nid}
     assert {cid.nid for cid in a.id_index.ids()} == {a.nid}
-    meter = CostMeter(CostModel())
-    assert converge(cluster, a, c, meter) == 1
-    assert meter.network_bytes == 2 * 16  # one empty index header per side
+    report = converge(cluster, a.nid, c.nid)
+    assert report.network_bytes == 2 * 16  # one empty index header per side
     assert a.id_index.entry_count == c.id_index.entry_count == 10
 
 
@@ -489,7 +515,7 @@ def test_converge_raises_when_the_pair_still_differs(monkeypatch):
     fill(a, 5)
     monkeypatch.setattr("metadr.sync._session", lambda *args: None)
     with pytest.raises(RuntimeError, match="unequal"):
-        converge(Cluster([a, b]), a, b)
+        converge(Cluster([a, b]), a.nid, b.nid)
 
 
 @pytest.mark.parametrize("baseline", [False, True])
@@ -506,11 +532,11 @@ def test_converge_refuses_an_open_partition_and_moves_nothing(baseline):
 
     before = state()
     with pytest.raises(RuntimeError, match="open partition"):
-        converge(cluster, a, b)
+        converge(cluster, a.nid, b.nid)
     assert state() == before
     assert cluster.checkpoint(a.nid, b.nid).watermarks == {}
     cluster.partitions = []
-    assert converge(cluster, a, b) == 1
+    converge(cluster, a.nid, b.nid)
     assert a.id_index.same_ids(b.id_index) and a.id_index.entry_count == 8
 
 
@@ -534,7 +560,7 @@ def test_converge_needs_both_nodes_up():
     a, b = make_nodes(2)
     b.crash()
     with pytest.raises(NodeStatusError, match="crashed"):
-        converge(Cluster([a, b]), a, b)
+        converge(Cluster([a, b]), a.nid, b.nid)
 
 
 # -- split brain ---------------------------------------------------------------------
@@ -675,7 +701,7 @@ def test_pipeline_crash_rolls_back_only_a_digest_adopted_after_the_drain():
     # drains both, then a adopts only_b's digest
     sync_pair_hash(cluster, a, b, scope_nids=shared(cluster, a, b))
     a.crash()
-    a.restart("pipeline_crash", wal_replay_seconds=0.0)
+    a.restart("pipeline_crash")
     assert a.baseline.lag_blocks == 1 and only_b not in a.baseline.by_locator
     assert len(a.baseline.by_locator) == 10  # the drained digests survive
     assert ensure_baseline_consistent(a) == 128  # rehash of the one rolled back
@@ -791,7 +817,7 @@ def test_baseline_owes_what_its_drain_pays(steps):
             pipeline_tick(node.baseline, n)
         elif op in ("pipeline_crash", "index_loss"):
             node.crash()
-            node.restart(op, wal_replay_seconds=0.0)
+            node.restart(op)
         else:
             owed = node.baseline.owed_bytes(node.physical_bytes)
             assert ensure_baseline_consistent(node) == owed
@@ -824,7 +850,7 @@ def test_k_node_gossip_converges_within_tournament_bound():
             while not all(n.id_index.same_ids(nodes[0].id_index) for n in nodes[1:]):
                 assert rounds < k - 1
                 for a, b in pairs if rounds % 2 == 0 else reversed(pairs):
-                    converge(cluster, a, b)
+                    converge(cluster, a.nid, b.nid)
                 rounds += 1
             assert rounds == 2
             assert nodes[0].id_index.entry_count == ingested
