@@ -38,10 +38,11 @@ when it is built: with `baseline` it carries a `HashIndex`, and a
 Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
 structurally barred from running while a DR event is active, and its
-hashing is charged to the node's own background `CostMeter` so DR
-critical-path counters stay clean. A hash-baseline sync run binds each
-foreign id whose content the node already holds through the same table
-(`replicate_in` with digests). `stored_blocks` is its one block read.
+hashing is charged to its caller's meter so DR critical-path counters
+stay clean; it walks the store as the scrub does. A hash-baseline sync
+run binds each foreign id whose content the node already holds through
+the same table (`replicate_in` with digests). `stored_blocks` is its one
+block read.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from enum import Enum
 from itertools import islice, repeat
 from operator import attrgetter
 
-from .costs import CostMeter, CostModel
 from .crc32c import crc32c, crc32c_many
 from .hashline import BlockColumns, HashIndex, crash_interrupt, payload_digest
 from .identity import CompositeId, MemoryWal, NodeId, WalAppendFailure, lww_key, recover_clock
@@ -154,13 +154,12 @@ class StorageNode:
         self.indirection_table: dict[CompositeId, CompositeId] = {}
         self.by_user_key: dict[str, CompositeId] = {}
         self.counters = PathCounters()
-        self.background_meter = CostMeter(CostModel())  # Layer-2 hashing
         self.baseline: HashIndex | None = HashIndex() if baseline else None
         self.dr_active = False
         self.dedup_deferrals = 0
         self.pending_wal_replays = 0
         self._scrub_cursor: tuple[bytes, int] = (b"", 0)  # before every (nid, lcv)
-        self._dedup_cursor = 0
+        self._dedup_cursor: tuple[bytes, int] = (b"", 0)
         self._dedup_seen: dict[bytes, CompositeId] = {}
         self._max_exposed_lcv = 0
 
@@ -353,24 +352,16 @@ class StorageNode:
         mutated[0] ^= 0xFF
         self.block_store[key] = bytes(mutated)
 
-    def scrub(self, budget_blocks: int) -> CorruptionReport:
-        """CRC-check up to `budget_blocks` stored blocks round-robin, from
-        where the last scrub stopped; never mutates data.
-
-        The walk follows the index in (nid, lcv) order from a cursor, the
-        key of the last block checked, so blocks inserted on either side
-        of it neither shift the walk nor get checked twice in one round.
-        Each entry carries its expected CRC, and its content costs one
-        store probe; an entry with no stored block (an indirection
-        alias) is passed over and not counted against the budget. The
-        window's CRCs come from one `crc32c_many` call, and a finding is
-        (key, expected, found) in walk order.
-        """
-        report = CorruptionReport()
-        if budget_blocks <= 0 or not self.block_store:
-            return report
+    def _stored_window(self, cursor, budget_blocks: int):
+        """The next window of a round-robin walk over the stored blocks:
+        the entries and contents of up to `budget_blocks` of them (at most
+        every one), in (nid, lcv) order from the first key above `cursor`,
+        and the window's last key, the next cursor. A key does not shift
+        when blocks are inserted on either side of it. An entry with no
+        stored block (an indirection alias) is passed over and not counted
+        against the budget."""
         budget = min(budget_blocks, len(self.block_store))
-        walk = self.id_index.cycle_from(*self._scrub_cursor)
+        walk = self.id_index.cycle_from(*cursor)
         window: list[IndexEntry] = []
         contents: list[bytes] = []
         while len(window) < budget:
@@ -383,12 +374,21 @@ class StorageNode:
                 blocks = [block for block in blocks if block is not None]
             window += entries
             contents += blocks
+        if window:
+            last = window[-1].id
+            cursor = (last.nid, last.lcv)
+        return window, contents, cursor
+
+    def scrub(self, budget_blocks: int) -> CorruptionReport:
+        """CRC-check the walk's next `budget_blocks` stored blocks
+        (`_stored_window`) with one `crc32c_many` call; never mutates
+        data. A finding is (key, expected, found) in walk order."""
+        report = CorruptionReport()
+        window, contents, self._scrub_cursor = self._stored_window(
+            self._scrub_cursor, budget_blocks)
         for entry, found in zip(window, crc32c_many(contents)):
             if found != entry.crc:
                 report.findings.append((entry.id, entry.crc, found))
-        if window:
-            last = window[-1].id
-            self._scrub_cursor = (last.nid, last.lcv)
         return report
 
     # -- lifecycle -----------------------------------------------------
@@ -449,44 +449,39 @@ class StorageNode:
 
     # -- Layer 2: background deduplication -------------------------------
 
-    def dedup_pass(self, budget_blocks: int) -> int:
-        """Consolidate content-equal blocks behind the indirection table.
+    def dedup_pass(self, budget_blocks: int, meter=None) -> int:
+        """Consolidate content-equal blocks behind the indirection table;
+        returns how many moved.
 
         Refuses to run (returns 0, counts a deferral) while a DR event
         is active: Layer 2 is structurally off the DR critical path.
+        It hashes the walk's next `budget_blocks` stored blocks
+        (`_stored_window`) on `meter`, if given; a block whose content an
+        earlier one holds goes behind that kept copy, which never moves,
+        so one table rewrite per pass repoints the moved blocks' aliases.
         Every composite id remains readable with identical bytes, and
         every indirection-table value is a stored key.
         """
         if self.dr_active:
             self.dedup_deferrals += 1
             return 0
-        if budget_blocks <= 0 or not self.block_store:
-            return 0
-        consolidated = 0
-        keys = list(self.block_store)
-        n = len(keys)
-        scanned = 0
-        i = self._dedup_cursor % n
-        while scanned < min(budget_blocks, n):
-            key = keys[i % n]
-            i += 1
-            scanned += 1
-            content = self.block_store[key]
-            byte_len = self.id_index.get(key).byte_len
-            digest = payload_digest(content, byte_len, self.background_meter)
-            canonical = self._dedup_seen.get(digest)
-            if canonical is None or canonical == key or canonical not in self.block_store:
-                self._dedup_seen[digest] = key
-                continue
-            # every table value stays a stored key: aliases of `key` move on
-            for alias, target in self.indirection_table.items():
-                if target == key:
-                    self.indirection_table[alias] = canonical
-            self.indirection_table[key] = canonical
-            del self.block_store[key]
-            consolidated += 1
-        self._dedup_cursor = i % n if self.block_store else 0
-        return consolidated
+        window, contents, self._dedup_cursor = self._stored_window(
+            self._dedup_cursor, budget_blocks)
+        digests = map(payload_digest, contents, map(_ENTRY_BYTE_LEN, window), repeat(meter))
+        seen = self._dedup_seen
+        moved: dict[CompositeId, CompositeId] = {}  # id -> the kept copy it reads
+        for entry, digest in zip(window, digests):
+            kept = seen.setdefault(digest, entry.id)
+            if kept != entry.id:
+                moved[entry.id] = kept
+        if moved:
+            table = self.indirection_table
+            table.update({alias: moved[target] for alias, target in table.items()
+                          if target in moved})
+            table.update(moved)
+            for cid in moved:
+                del self.block_store[cid]
+        return len(moved)
 
     @property
     def physical_block_count(self) -> int:

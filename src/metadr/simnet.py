@@ -637,7 +637,7 @@ class SimRuntime:
             violations.lcv_reuse += node.counters.lcv_order_violations
             violations.immutability += node.counters.immutability_violations
             if node.status is NodeStatus.UP:
-                report = node.scrub(min(node.physical_block_count, _SCRUB_BUDGET_BLOCKS))
+                report = node.scrub(_SCRUB_BUDGET_BLOCKS)
                 violations.corruption += len(report.findings)
         self._sample(self.scenario.horizon_hours)
         _, _, self.metrics.total_entries, self.metrics.physical_index_bytes, _ = (

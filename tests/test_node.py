@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from bisect import bisect_right
 from random import Random
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metadr import hashline
+from metadr.costs import CostMeter, CostModel
 from metadr.crc32c import crc32c
 from metadr.hashline import InconsistentIndex, hash_delta, payload_digest, pipeline_tick
 from metadr.identity import (
@@ -35,6 +38,20 @@ def fresh_node(seed=1, **kwargs):
     return StorageNode(new_node_id(Random(seed)), **kwargs)
 
 
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """The lengths hashed through `hashline._sha256`, the one SHA-256
+    entry point, while the test runs."""
+    calls = []
+
+    def counting(data=b""):
+        calls.append(len(data))
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(hashline, "_sha256", counting)
+    return calls
+
+
 # -- ingestion ----------------------------------------------------------------
 
 
@@ -45,7 +62,7 @@ def test_first_ingest_on_fresh_node():
     assert node.id_index.entry_count == 1
 
 
-def test_many_ingests_distinct_ids_and_zero_hash_ops():
+def test_many_ingests_distinct_ids_and_zero_hash_ops(sha256_calls):
     node = fresh_node(baseline=True)
     seen = set()
     for start in range(0, 100_000, 1_000):
@@ -54,8 +71,8 @@ def test_many_ingests_distinct_ids_and_zero_hash_ops():
             seen.add((cid.nid, cid.lcv))
     assert len(seen) == 100_000
     # identification never hashes: the only permissible hashing lives in
-    # the baseline pipeline and the background dedup meter
-    assert node.background_meter.hash_ops == 0
+    # the baseline pipeline and in Layer-2 dedup
+    assert sha256_calls == []
     assert node.baseline.lag_blocks == 100_000  # nothing drained yet
     assert node.counters.lcv_order_violations == 0
 
@@ -82,10 +99,10 @@ def test_zero_length_ingest_is_rejected_and_leaves_no_trace(payload):
     assert node.scrub(10).clean and node.physical_bytes == 4
 
 
-def test_virtual_ingest_charges_zero_hash_seconds():
+def test_virtual_ingest_charges_zero_hash_seconds(sha256_calls):
     node = fresh_node()
     node.ingest([(4096, 1)])
-    assert node.background_meter.hash_ops == 0
+    assert sha256_calls == []
 
 
 # -- runs ----------------------------------------------------------------------------
@@ -669,6 +686,7 @@ def test_deduplicated_id_replicates_under_its_own_id():
 def test_dedup_keeps_a_hash_sync_alias_on_a_stored_block():
     low, node, peer = (StorageNode(NodeId(bytes([k]) * 16), baseline=True) for k in (1, 2, 3))
     node.ingest([b"same bytes"])
+    assert node.dedup_pass(10) == 0  # node's own copy is the one kept
     replica = low.id_index.get(low.ingest([b"same bytes"])[0])
     node.replicate_in([replica], [b"same bytes"])
     alias = peer.ingest([b"same bytes"])[0]
@@ -686,12 +704,87 @@ def test_dedup_keeps_a_hash_sync_alias_on_a_stored_block():
     assert node.baseline.by_locator[alias] == node.baseline.by_locator[replica.id]
 
 
-def test_dedup_work_charged_to_background_meter():
+def test_dedup_work_charged_to_the_callers_meter():
+    # on the meter's own model: 500 + 1,500 modeled bytes at 1e6 B/s on
+    # each of 16 cores
     node = fresh_node()
-    node.ingest([b"one"])
-    node.ingest([b"one"])
-    node.dedup_pass(10)
-    assert node.background_meter.hash_ops > 0
+    node.ingest([b"x" * 500, (1500, 7)])
+    node.ingest([b"x" * 500])
+    meter = CostMeter(CostModel(hash_throughput=1e6))
+    assert node.dedup_pass(2, meter) == 0
+    assert (meter.hash_ops, meter.hashed_bytes) == (2, 2000)
+    assert meter.t_hash == pytest.approx(1.25e-04)
+    assert node.dedup_pass(1) == 1  # no meter, nothing charged
+    assert meter.hash_ops == 2
+
+
+def test_dedup_walk_follows_the_index_as_the_store_shrinks():
+    # 30 blocks over 10 contents: each pass of 10 walks the next 10
+    # blocks, however many the last pass consolidated
+    node = fresh_node()
+    ids = node.ingest([f"content {i % 10}".encode() for i in range(30)])
+    assert [node.dedup_pass(10) for _ in range(3)] == [0, 10, 10]
+    assert node.physical_block_count == 10
+    assert [node.read_verify(cid) for cid in ids] == [
+        f"content {i % 10}".encode() for i in range(30)]
+
+
+_DUP_PAYLOAD = st.sampled_from([b"a", b"bb", b"ccc", (64, 1), (4096, 1)])
+_DEDUP_STEP = st.one_of(
+    st.tuples(st.just("ingest"), st.lists(_DUP_PAYLOAD, min_size=1, max_size=5)),
+    st.tuples(st.just("replicate"), st.sampled_from([1, 3]),
+              st.lists(_DUP_PAYLOAD, min_size=1, max_size=5), st.booleans()),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("dedup"), st.integers(0, 4)),
+)
+
+
+def _content(payload):
+    return payload if isinstance(payload, bytes) else struct.pack(">QQ", *payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(_DEDUP_STEP, max_size=25), budget=st.integers(1, 4))
+def test_dedup_keeps_every_id_reading_its_bytes(steps, budget):
+    # peers sort on either side of the node, so replicated ids land before
+    # and after its own in the walk, and a hash-sync run aliases digests
+    node = StorageNode(NodeId(b"\x02" * 16), baseline=True)
+    peers = {k: StorageNode(NodeId(bytes([k]) * 16)) for k in (1, 3)}
+    original = {}
+
+    def check():
+        ids = node.id_index.ids()
+        assert node.stored_blocks(ids) == [original[cid] for cid in ids]
+        assert all(node.read_verify(cid) == original[cid] for cid in ids)
+        assert set(node.indirection_table.values()) <= set(node.block_store)
+
+    for step in steps:
+        if step[0] == "ingest":
+            ids = node.ingest(step[1])
+            original.update(zip(ids, map(_content, step[1])))
+        elif step[0] == "replicate":
+            _, k, payloads, with_digests = step
+            ids = peers[k].ingest(payloads)
+            entries = list(map(peers[k].id_index.get, ids))
+            contents = peers[k].stored_blocks(ids)
+            digests = None
+            if with_digests:
+                digests = [payload_digest(c, e.byte_len) for c, e in zip(contents, entries)]
+            node.replicate_in(entries, contents, digests)
+            original.update(zip(ids, contents))
+        elif step[0] == "drain":
+            ensure_baseline_consistent(node)
+        else:
+            node.dedup_pass(step[1])
+        check()
+    # one full round of small passes leaves one stored copy per content
+    walked, stored = 0, node.physical_block_count
+    while walked < stored:
+        walked += min(budget, node.physical_block_count)
+        node.dedup_pass(budget)
+        check()
+    contents = list(node.block_store.values())
+    assert len(set(contents)) == len(contents)
 
 
 def test_storage_amplification_without_dedup():

@@ -1041,6 +1041,13 @@ def test_soak_config_from_yaml(tmp_path):
     assert len(report.events) == 17
 
 
+def test_bundled_paper_soak_preset_is_the_default_soak_config():
+    # the acceptance soak runs SoakConfig(); `metadr soak` and the benchmark
+    # run the bundled preset
+    preset = resources.files("metadr") / "scenarios" / "paper-soak.yaml"
+    assert load_soak_config(preset.read_text(encoding="utf-8")) == SoakConfig()
+
+
 def test_soak_accepts_ragged_ring_and_rejects_configs_without_a_substitute():
     # ring placement needs no whole replica groups
     report = soak(load_soak_config({
