@@ -23,8 +23,9 @@ once; `MemoryWal` (the simulator's) and `FileWal` (fsynced) supply only
 the medium.
 
 WAL on-disk format (bit-exact): repeated records of
-``[len: u32 BE][lcv: u64 BE][crc32c of lcv bytes: u32 BE]`` where len is
-the payload length (always 8) and lcv is a ceiling, strictly increasing.
+``[len: u32 BE][lcv: u64 BE][crc: u32 BE]`` where len is the payload
+length (always 8), lcv is a ceiling, strictly increasing, and crc is the
+CRC-32 (zlib's, through `crc32c`) of the 8 lcv bytes.
 """
 
 from __future__ import annotations

@@ -65,8 +65,8 @@ class _EntryFields(NamedTuple):
 
 
 class IndexEntry(_EntryFields):
-    """A block's record: its id, modeled byte_len, the CRC-32C of its
-    content and its user key. 32 logical bytes on the wire.
+    """A block's record: its id, modeled byte_len, the CRC-32 of its
+    content (`crc32c`) and its user key. 32 logical bytes on the wire.
 
     It is the only metadata a node keeps per block: the store holds the
     content bytes under the id, and nothing else. The id is the block's

@@ -10,13 +10,13 @@ checkable.
 The block store maps the block's composite id, the same key the index
 and the DR delta use, to its content bytes; dict order is the order
 blocks arrived. The index entry is the block's only metadata record: its
-byte_len and CRC-32C travel with the id, and the store holds nothing
-else. Blocks are immutable once an id is bound; mutation means a fresh
-ingestion under the same user key, with reads resolving to the highest
-lcv (ties to the greater nid) on every replica. An id arrives once: a
+byte_len and CRC-32 (`crc32c`) travel with the id, and the store holds
+nothing else. Blocks are immutable once an id is bound; mutation means a
+fresh ingestion under the same user key, with reads resolving to the
+highest lcv (ties to the greater nid) on every replica. An id arrives once: a
 replica that already indexes it ignores the same entry again and
 raises `ConflictingEntry` for different metadata. Integrity is a
-separate concern from identity: the entry's CRC-32C is verified at read
+separate concern from identity: the entry's CRC is verified at read
 time and by background scrubbing.
 
 Ingest and replication take runs: one call stores a batch of blocks,
@@ -39,7 +39,8 @@ Layer 2 deduplication consolidates content-equal blocks behind a
 transparent indirection table (id -> id of the kept copy). It is
 structurally barred from running while a DR event is active, and its
 hashing is charged to its caller's meter so DR critical-path counters
-stay clean; it walks the store as the scrub does. A hash-baseline sync
+stay clean; it walks the store as the scrub does, and it never aliases
+a block to a kept copy that fails its CRC. A hash-baseline sync
 run binds each foreign id whose content the node already holds through
 the same table (`replicate_in` with digests). `stored_blocks` is its one
 block read.
@@ -54,7 +55,7 @@ from enum import Enum
 from itertools import islice, repeat
 from operator import attrgetter
 
-from .crc32c import crc32c, crc32c_many
+from .crc32c import crc32c
 from .hashline import BlockColumns, HashIndex, crash_interrupt, payload_digest
 from .identity import CompositeId, MemoryWal, NodeId, WalAppendFailure, lww_key, recover_clock
 from .index import ConflictingEntry, IdentifierIndex, IndexEntry
@@ -176,8 +177,8 @@ class StorageNode:
         each WAL ceiling record lands where a block-at-a-time ingest
         would put it. If a draw fails, the blocks drawn before it are
         ingested and the error propagates. Identity is assigned before
-        any content analysis: the run's CRCs come from one `crc32c_many`
-        call, and no hashing happens here (the baseline's pipeline hashes
+        any content analysis: the run's CRCs are taken once its ids are
+        drawn, and no hashing happens here (the baseline's pipeline hashes
         asynchronously on its own meter).
         """
         if self.status is not NodeStatus.UP:
@@ -209,7 +210,7 @@ class StorageNode:
             exposed = cid.lcv
         self._max_exposed_lcv = exposed
         self.bind_blocks(ids, contents)
-        rows = zip(ids, byte_lens, crc32c_many(contents), repeat(None) if keys is None else keys)
+        rows = zip(ids, byte_lens, map(crc32c, contents), repeat(None) if keys is None else keys)
         new = tuple.__new__  # each byte_len was checked positive
         entries = [new(IndexEntry, row) for row in rows]
         self.id_index.insert(entries)
@@ -320,7 +321,7 @@ class StorageNode:
             yield cid, content, self.id_index.get(cid).byte_len
 
     def read_verify(self, cid: CompositeId) -> bytes:
-        """Return the block's content after CRC-32C verification; a
+        """Return the block's content after CRC verification; a
         virtual block's content is its packed descriptor."""
         entry = self.id_index.get(cid)
         if entry is None:
@@ -381,12 +382,12 @@ class StorageNode:
 
     def scrub(self, budget_blocks: int) -> CorruptionReport:
         """CRC-check the walk's next `budget_blocks` stored blocks
-        (`_stored_window`) with one `crc32c_many` call; never mutates
-        data. A finding is (key, expected, found) in walk order."""
+        (`_stored_window`) against their entries; never mutates data. A
+        finding is (key, expected, found) in walk order."""
         report = CorruptionReport()
         window, contents, self._scrub_cursor = self._stored_window(
             self._scrub_cursor, budget_blocks)
-        for entry, found in zip(window, crc32c_many(contents)):
+        for entry, found in zip(window, map(crc32c, contents)):
             if found != entry.crc:
                 report.findings.append((entry.id, entry.crc, found))
         return report
@@ -459,7 +460,11 @@ class StorageNode:
         (`_stored_window`) on `meter`, if given; a block whose content an
         earlier one holds goes behind that kept copy, which never moves,
         so one table rewrite per pass repoints the moved blocks' aliases.
-        Every composite id remains readable with identical bytes, and
+        Each kept copy is CRC-checked against its entry once per pass
+        before anything goes behind it: one that fails is replaced by the
+        duplicate, which stays where it is, and a duplicate whose entry
+        CRC differs from the kept copy's (its own bytes are corrupt) stays
+        too. Every composite id remains readable with identical bytes, and
         every indirection-table value is a stored key.
         """
         if self.dr_active:
@@ -469,10 +474,18 @@ class StorageNode:
             self._dedup_cursor, budget_blocks)
         digests = map(payload_digest, contents, map(_ENTRY_BYTE_LEN, window), repeat(meter))
         seen = self._dedup_seen
+        kept_crcs: dict[CompositeId, int | None] = {}  # kept copy -> its CRC, None if corrupt
         moved: dict[CompositeId, CompositeId] = {}  # id -> the kept copy it reads
         for entry, digest in zip(window, digests):
             kept = seen.setdefault(digest, entry.id)
-            if kept != entry.id:
+            if kept == entry.id:
+                continue
+            if kept not in kept_crcs:
+                crc = self.id_index.get(kept).crc
+                kept_crcs[kept] = crc if crc32c(self.block_store[kept]) == crc else None
+            if kept_crcs[kept] is None:  # never alias a block to a corrupt copy
+                seen[digest] = entry.id
+            elif kept_crcs[kept] == entry.crc:  # nor a corrupt block to a good one
                 moved[entry.id] = kept
         if moved:
             table = self.indirection_table

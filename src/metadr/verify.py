@@ -5,9 +5,9 @@ covers global id uniqueness under crash/restart chaos and WAL
 truncation at every byte offset; the sync suite covers partition
 convergence, idempotence, framework equivalence, and the split-brain
 merge the simulator runs (`converge` plus the nodes' last-writer-wins
-rule), in both argument orders; the baseline suite pins the
-cryptographic primitives to independent references and the
-Merkle/pipeline machinery to brute-force oracles.
+rule), in both argument orders; the baseline suite pins SHA-256 and
+the block and WAL checksum (zlib's CRC-32) to independent references
+and the Merkle/pipeline machinery to brute-force oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from random import Random
 
 from . import hashline, identity
-from .crc32c import crc32c, crc32c_many
+from .crc32c import crc32c
 from .index import Checkpoint
 from .node import StorageNode
 from .sync import (
@@ -30,13 +30,14 @@ from .sync import (
 Check = tuple[str, bool, str]
 
 
-def _crc32c_bitwise(data: bytes) -> int:
-    """Independent bit-at-a-time CRC-32C (no table), for cross-checking."""
+def _crc32_bitwise(data: bytes) -> int:
+    """Independent bit-at-a-time CRC-32 (reflected polynomial 0xEDB88320,
+    no table), for cross-checking `crc32c`."""
     crc = 0xFFFFFFFF
     for byte in data:
         crc ^= byte
         for _ in range(8):
-            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
     return crc ^ 0xFFFFFFFF
 
 
@@ -280,28 +281,18 @@ def suite_baseline(seed: int = 0) -> list[Check]:
     checks.append(("sha256_standard_vectors", ok, "empty and 'abc'"))
 
     check_value = crc32c(b"123456789")
-    bitwise = _crc32c_bitwise(b"123456789")
-    ok = check_value == 0xE3069283 == bitwise
+    bitwise = _crc32_bitwise(b"123456789")
+    ok = check_value == 0xCBF43926 == bitwise
     checks.append(
-        ("crc32c_castagnoli_check_value", ok,
-         f"table {check_value:#010x}, bitwise {bitwise:#010x}")
+        ("crc32_check_value", ok, f"zlib {check_value:#010x}, bitwise {bitwise:#010x}")
     )
     rng = Random(f"verify-crc:{seed}")
-    ok = all(
-        crc32c(payload) == _crc32c_bitwise(payload)
-        for payload in (rng.randbytes(rng.randrange(0, 64)) for _ in range(300))
-    )
-    checks.append(("crc32c_table_matches_bitwise_reference", ok, "300 random payloads"))
-    rng = Random(f"verify-crc-many:{seed}")
-    descriptors = [rng.randbytes(16) for _ in range(200)]
-    mixed = [rng.randbytes(rng.choice((0, 1, 15, 16, 17, 33, 100))) for _ in range(300)]
-    ok = all(
-        crc32c_many(batch) == [_crc32c_bitwise(block) for block in batch]
-        for batch in (descriptors, mixed)
-    )
+    payloads = [rng.randbytes(rng.randrange(0, 101)) for _ in range(300)]
+    payloads += [rng.randbytes(16) for _ in range(200)]  # virtual descriptors
+    ok = all(crc32c(payload) == _crc32_bitwise(payload) for payload in payloads)
     checks.append(
-        ("crc32c_many_matches_bitwise_reference", ok,
-         f"{len(descriptors)} 16-byte descriptors, {len(mixed)} mixed-length blocks")
+        ("crc32_matches_bitwise_reference", ok,
+         "300 random payloads of 0-100 bytes, 200 16-byte descriptors")
     )
 
     ok, detail = _merkle_diff_case(Random(f"verify-merkle:{seed}"), trees=60, max_leaves=64)

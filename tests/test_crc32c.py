@@ -1,77 +1,85 @@
+import struct
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metadr.crc32c import LANE_BATCH_BYTES, MIN_LANES, crc32c, crc32c_many
-from metadr.verify import _crc32c_bitwise as crc32c_bitwise
+from metadr.crc32c import crc32c
+from metadr.identity import WAL_RECORD_BYTES, new_node_id
+from metadr.node import CorruptionDetected, StorageNode
+from metadr.verify import _crc32_bitwise as crc32_bitwise
 
-# lengths on both sides of the 16-byte step and of its 4-byte head
-_LENGTHS = (0, 1, 15, 16, 17, 31, 32, 33, 100)
 
-
-def test_castagnoli_check_value():
-    assert crc32c(b"123456789") == 0xE3069283
+def test_crc32_check_value():
+    assert crc32c(b"123456789") == 0xCBF43926
 
 
 def test_check_value_against_bitwise_reference():
-    assert crc32c_bitwise(b"123456789") == 0xE3069283
+    assert crc32_bitwise(b"123456789") == 0xCBF43926
 
 
 def test_empty_input():
-    assert crc32c(b"") == 0
-    assert crc32c_many([]) == []
-    assert crc32c_many([b""] * MIN_LANES) == [0] * MIN_LANES
+    assert crc32c(b"") == 0 == crc32_bitwise(b"")
 
 
 def test_table_matches_bitwise_reference_on_random_payloads():
     rng = Random(1)
     for _ in range(500):
         payload = rng.randbytes(rng.randrange(0, 100))
-        assert crc32c(payload) == crc32c_bitwise(payload)
+        assert crc32c(payload) == crc32_bitwise(payload)
 
 
 @given(payload=st.binary(max_size=200))
 def test_sliced_crc_matches_bitwise_reference(payload):
-    assert crc32c(payload) == crc32c_bitwise(payload)
+    assert crc32c(payload) == crc32_bitwise(payload)
 
 
-@st.composite
-def _block_lists(draw):
-    """0-80 blocks whose lengths come from a drawn subset of _LENGTHS, so
-    one length often repeats past MIN_LANES and others stay below it."""
-    lengths = draw(st.lists(st.sampled_from(_LENGTHS), min_size=1, max_size=3, unique=True))
-    count = draw(st.integers(0, 80))
-    return draw(st.lists(
-        st.sampled_from(lengths).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
-        min_size=count, max_size=count,
-    ))
+# concrete blocks of 1-70,000 bytes (the block's bytes drawn from a seed,
+# so a long one costs hypothesis no buffer) and virtual descriptors
+_PAYLOAD = st.one_of(
+    st.builds(lambda n, seed: Random(seed).randbytes(n), st.integers(1, 70_000), st.integers()),
+    st.binary(min_size=1, max_size=64),
+    st.tuples(st.integers(1, 2**64 - 1), st.integers(0, 2**64 - 1)),
+)
 
 
-@settings(deadline=None)
-@given(blocks=_block_lists())
-def test_crc32c_many_matches_scalar_and_bitwise(blocks):
-    assert crc32c_many(blocks) == [crc32c(b) for b in blocks] == [
-        crc32c_bitwise(b) for b in blocks
-    ]
+@settings(max_examples=25, deadline=None)
+@given(payloads=st.lists(_PAYLOAD, min_size=1, max_size=4), data=st.data())
+def test_every_checksum_path_matches_bitwise_oracle(payloads, data):
+    # ingest's entries, the WAL's records, reads and the scrub's findings
+    node = StorageNode(new_node_id(Random(1)))
+    ids = node.ingest(payloads)
+    contents = [p if isinstance(p, bytes) else struct.pack(">QQ", *p) for p in payloads]
+    for cid, content in zip(ids, contents):
+        assert node.id_index.get(cid).crc == crc32_bitwise(content)
+        assert node.read_verify(cid) == content
+    wal = node.wal.data()
+    assert wal and len(wal) % WAL_RECORD_BYTES == 0
+    for offset in range(0, len(wal), WAL_RECORD_BYTES):
+        record = wal[offset : offset + WAL_RECORD_BYTES]
+        assert record[12:] == crc32_bitwise(record[4:12]).to_bytes(4, "big")
+
+    k = data.draw(st.integers(0, len(ids) - 1))
+    node.corrupt_block(ids[k])
+    corrupt = node.block_store[ids[k]]
+    report = node.scrub(len(ids))
+    assert report.findings == [(ids[k], crc32_bitwise(contents[k]), crc32_bitwise(corrupt))]
+    with pytest.raises(CorruptionDetected):
+        node.read_verify(ids[k])
 
 
-def test_crc32c_many_at_the_lane_cutoff():
-    rng = Random(3)
-    for count in (MIN_LANES - 1, MIN_LANES, MIN_LANES + 1):
-        for length in _LENGTHS:
-            blocks = [rng.randbytes(length) for _ in range(count)]
-            assert crc32c_many(blocks) == [crc32c_bitwise(b) for b in blocks]
-
-
-def test_crc32c_many_splits_groups_into_capped_batches():
-    rng = Random(4)
-    # 16-byte blocks: two full lane batches, then a remainder below the
-    # cut-off; 1,000-byte blocks: three batches, the last one still lanes
-    short = [rng.randbytes(16) for _ in range(2 * (LANE_BATCH_BYTES // 16) + 5)]
-    long = [rng.randbytes(1000) for _ in range(3 * (LANE_BATCH_BYTES // 1000) - 20)]
-    blocks = [b for pair in zip(short, long) for b in pair] + short[len(long):]
-    assert crc32c_many(blocks) == [crc32c(b) for b in blocks]
+@given(payload=st.binary(min_size=4, max_size=2000), data=st.data())
+def test_every_burst_of_up_to_32_bits_changes_crc(payload, data):
+    # the reflected CRC reads each byte low bit first, so bit i of the
+    # little-endian integer is the i-th bit it reads; a burst flips its
+    # first and last bit and any between them
+    length = data.draw(st.integers(1, 32))
+    start = data.draw(st.integers(0, 8 * len(payload) - length))
+    inner = data.draw(st.integers(0, 2**32 - 1)) & ((1 << length) - 1)
+    burst = (1 | 1 << (length - 1) | inner) << start
+    flipped = (int.from_bytes(payload, "little") ^ burst).to_bytes(len(payload), "little")
+    assert crc32c(flipped) != crc32c(payload)
 
 
 def test_single_bit_flip_changes_crc():

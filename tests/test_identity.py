@@ -405,6 +405,16 @@ def test_wal_record_layout_bit_exact():
         assert data[12:16] == crc32c(data[4:12]).to_bytes(4, "big")
 
 
+def test_a_log_checksummed_with_crc32c_fails_its_checks():
+    # ceilings 1,024 and 2,048 as the format wrote them when its checksum
+    # was CRC-32C (Castagnoli): the first record reads as corrupt, and a
+    # last record alone as a torn tail, whose value is burned
+    old = bytes.fromhex("000000080000000000000400c2a2d356" "000000080000000000000800113c7132")
+    with pytest.raises(WalCorruption, match="checksum mismatch at offset 0"):
+        read_wal(old)
+    assert read_wal(old[WAL_RECORD_BYTES:]) == ([], 2 * R)
+
+
 def test_recover_empty_wal_is_genesis():
     wal = MemoryWal()
     clock = recover_clock(wal)

@@ -352,7 +352,7 @@ def test_corruption_detected_on_read():
 def test_crc_vector_used_for_blocks():
     node = fresh_node()
     cid = node.ingest([b"123456789"])[0]
-    assert node.id_index.get(cid).crc == 0xE3069283 == crc32c(b"123456789")
+    assert node.id_index.get(cid).crc == 0xCBF43926 == crc32c(b"123456789")
 
 
 def test_read_unknown_id():
@@ -716,6 +716,39 @@ def test_dedup_work_charged_to_the_callers_meter():
     assert meter.t_hash == pytest.approx(1.25e-04)
     assert node.dedup_pass(1) == 1  # no meter, nothing charged
     assert meter.hash_ops == 2
+
+
+def test_dedup_never_aliases_a_block_to_a_corrupt_kept_copy():
+    node = fresh_node()
+    first = node.ingest([b"same bytes"])[0]
+    assert node.dedup_pass(10) == 0
+    node.corrupt_block(first)
+    second = node.ingest([b"same bytes"])[0]
+    assert node.dedup_pass(10) == 0  # the corrupt copy is not kept
+    assert node.read_verify(second) == b"same bytes"
+    with pytest.raises(CorruptionDetected):
+        node.read_verify(first)
+    third = node.ingest([b"same bytes"])[0]
+    assert node.dedup_pass(10) == 1  # behind the good copy that replaced it
+    assert node.indirection_table == {third: second}
+    assert node.read_verify(third) == b"same bytes"
+
+
+def test_dedup_moves_no_corrupt_block_behind_a_good_copy():
+    # corruption turns the kept copy of b"\x00x" into b"\xffx", the bytes
+    # of another kept copy: it stays stored, and so does a later b"\x00x"
+    node = fresh_node()
+    first, other = node.ingest([b"\x00x", b"\xffx"])
+    assert node.dedup_pass(10) == 0
+    node.corrupt_block(first)
+    assert node.dedup_pass(10) == 0
+    again = node.ingest([b"\x00x"])[0]
+    assert node.dedup_pass(10) == 0
+    assert node.indirection_table == {}
+    assert node.read_verify(again) == b"\x00x"
+    assert node.read_verify(other) == b"\xffx"
+    with pytest.raises(CorruptionDetected):
+        node.read_verify(first)
 
 
 def test_dedup_walk_follows_the_index_as_the_store_shrinks():
