@@ -95,7 +95,8 @@ PAPER_VOLUMETRICS = Volumetrics(data_bytes=1.1e14, blocks=1_000_000_000, delta_b
 
 @dataclass
 class CostMeter:
-    """Accumulates one DR event's virtual phase costs and counters."""
+    """Accumulates one DR event's virtual phase costs and counters; the
+    `charge_*` methods return nothing, so a caller reads the fields."""
 
     model: CostModel
     t_hash: float = 0.0
@@ -108,42 +109,29 @@ class CostMeter:
     comparisons: int = 0
     network_bytes: int = 0
 
-    def charge_hash(self, *nbytes: float, ops: int = 0) -> float:
+    def charge_hash(self, *nbytes: float, ops: int = 0) -> None:
         """Charge each length's `hash_seconds` to t_hash, one addition per
         length in the given order, so one call over a run of blocks
-        leaves t_hash bit-identical to one call per block. Returns the
-        seconds charged, summed in the same order."""
+        leaves t_hash bit-identical to one call per block; `ops` counts
+        the run's SHA-256 calls."""
         rate = self.model.hash_throughput * self.model.cores  # as hash_seconds divides
         t_hash = self.t_hash
-        charged = 0.0
         for n in nbytes:
-            seconds = n / rate
-            t_hash += seconds
-            charged += seconds
+            t_hash += n / rate
         self.t_hash = t_hash
         self.hashed_bytes += sum(map(int, nbytes))
         self.hash_ops += ops
-        return charged
 
-    def charge_index_transfer(self, nbytes: float) -> float:
-        seconds = self.model.transfer_seconds(nbytes)
-        self.t_index += seconds
+    def charge_index_transfer(self, nbytes: float) -> None:
+        self.t_index += self.model.transfer_seconds(nbytes)
         self.network_bytes += int(nbytes)
-        return seconds
 
-    def charge_delta_transfer(self, nbytes: float) -> float:
-        seconds = self.model.transfer_seconds(nbytes)
-        self.t_delta += seconds
+    def charge_delta_transfer(self, nbytes: float) -> None:
+        self.t_delta += self.model.transfer_seconds(nbytes)
         self.network_bytes += int(nbytes)
-        return seconds
 
-    def charge_wal_replay(self, seconds: float | None = None) -> float:
-        seconds = self.model.wal_replay_seconds if seconds is None else seconds
-        self.t_wal_replay += seconds
-        return seconds
-
-    def add_hash_ops(self, n: int) -> None:
-        self.hash_ops += n
+    def charge_wal_replay(self, seconds: float | None = None) -> None:
+        self.t_wal_replay += self.model.wal_replay_seconds if seconds is None else seconds
 
     def add_content_reads(self, n: int) -> None:
         self.content_reads += n

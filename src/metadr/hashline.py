@@ -10,10 +10,10 @@ checkpoint is discarded and re-hashed), and lives in a store that can be
 lost outright (condition 3: full inventory rehash before any delta can
 be computed). `HashIndex.owed_bytes` says what the conditions cost and
 `settle` pays it: a rebuild or a drain, after which the checkpoint is
-committed. All hashing is charged to a cost meter so the rebuild cost
-shows up in virtual recovery time: a drain or a rebuild hashes its run
-of blocks and then charges the meter once, each block's length summed
-in run order.
+committed. `payload_digest` and `merkle_build` price nothing: the code
+that hashes a run (a drain, a rebuild, a Layer-2 pass) charges the meter
+once for it, each block's length in run order plus one op per SHA-256
+call, so the rebuild cost shows up in virtual recovery time.
 
 A block is hashed as its content bytes and charged as its byte_len.
 At virtual fidelity the content is the block's 16-byte descriptor, so
@@ -60,12 +60,9 @@ class InconsistentIndex(RuntimeError):
     pipeline drains or the index is rebuilt."""
 
 
-def payload_digest(content: bytes, byte_len: int, meter=None) -> bytes:
-    """SHA-256 of a block's content; the meter is charged byte_len, the
-    block's modeled length (for a virtual block, not its 16 descriptor
-    bytes), and one hash op."""
-    if meter is not None:
-        meter.charge_hash(byte_len, ops=1)
+def payload_digest(content: bytes) -> bytes:
+    """SHA-256 of a block's content; it prices nothing, and its caller
+    charges the block's byte_len (a virtual block's modeled length)."""
     return _sha256(content).digest()
 
 
@@ -100,22 +97,18 @@ class MerkleTree:
         return count
 
 
-def merkle_build(leaves: list[bytes], meter=None) -> MerkleTree:
-    """Build the tree; one hash op is charged per internal node."""
+def merkle_build(leaves: list[bytes]) -> MerkleTree:
+    """Build the tree, one SHA-256 call per internal node; it prices nothing."""
     if not leaves:
         return MerkleTree([])
     levels = [list(leaves)]
-    ops = 0
     while len(levels[-1]) > 1:
         lower = levels[-1]
         pairs = iter(lower)
         upper = [_sha256(left + right).digest() for left, right in zip(pairs, pairs)]
-        ops += len(upper)
         if len(lower) % 2:
             upper.append(lower[-1])  # promote the odd node
         levels.append(upper)
-    if meter is not None:
-        meter.add_hash_ops(ops)
     return MerkleTree(levels)
 
 
@@ -368,7 +361,7 @@ def pipeline_tick(index: HashIndex, hash_budget_bytes: int, meter=None) -> int:
     if not cut:
         return 0
     run = pending.take(cut)
-    digests = list(map(payload_digest, run.contents, run.byte_lens))
+    digests = list(map(payload_digest, run.contents))
     index.lag_bytes -= sum(run.byte_lens)
     if meter is not None:
         meter.charge_hash(*run.byte_lens, ops=cut)
@@ -404,21 +397,22 @@ def rebuild_index(blocks, meter=None) -> tuple[HashIndex, MerkleTree]:
     """Condition 3 recovery: full hash scan of the inventory.
 
     `blocks` is an iterable of (locator, content, byte_len) in store
-    order. Each block is hashed by `payload_digest`, and the meter is
-    charged once for the scan: every block's byte_len, summed in store
-    order (virtual seconds = bytes/(H*C)), one hash op and one content
-    read per block, then one hash op per internal tree node. Returns the
-    index and the tree over its digests, which the index does not keep.
+    order. Each block is hashed by `payload_digest`, and once the index
+    and the tree over its digests are built the meter is charged once:
+    every block's byte_len, summed in store order (virtual seconds =
+    bytes/(H*C)), one hash op per block and per internal tree node, and
+    one content read per block. Returns the index and the tree, which
+    the index does not keep.
     """
     if not isinstance(blocks, list):  # read three times below
         blocks = list(blocks)
-    digests = [payload_digest(content, byte_len) for _, content, byte_len in blocks]
-    if meter is not None:
-        meter.charge_hash(*map(_ROW_BYTE_LEN, blocks), ops=len(blocks))
-        meter.add_content_reads(len(blocks))
+    digests = [payload_digest(content) for _, content, _ in blocks]
     index = HashIndex()
     index.add_run(map(_ROW_LOCATOR, blocks), digests)
-    tree = merkle_build(digests, meter)
+    tree = merkle_build(digests)
+    if meter is not None:
+        meter.charge_hash(*map(_ROW_BYTE_LEN, blocks), ops=len(blocks) + tree.internal_node_count)
+        meter.add_content_reads(len(blocks))
     return index, tree
 
 

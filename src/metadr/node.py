@@ -383,13 +383,18 @@ class StorageNode:
     def scrub(self, budget_blocks: int) -> CorruptionReport:
         """CRC-check the walk's next `budget_blocks` stored blocks
         (`_stored_window`) against their entries; never mutates data. A
-        finding is (key, expected, found) in walk order."""
+        finding is (id, expected, found): each corrupt stored block in walk
+        order, then each indirection alias that reads one, in table order."""
         report = CorruptionReport()
         window, contents, self._scrub_cursor = self._stored_window(
             self._scrub_cursor, budget_blocks)
         for entry, found in zip(window, map(crc32c, contents)):
             if found != entry.crc:
                 report.findings.append((entry.id, entry.crc, found))
+        if report.findings:  # an alias reads its kept copy's bad bytes
+            bad = {cid: found for cid, _, found in report.findings}
+            report.findings += [(alias, self.id_index.get(alias).crc, bad[kept])
+                                for alias, kept in self.indirection_table.items() if kept in bad]
         return report
 
     # -- lifecycle -----------------------------------------------------
@@ -457,9 +462,10 @@ class StorageNode:
         Refuses to run (returns 0, counts a deferral) while a DR event
         is active: Layer 2 is structurally off the DR critical path.
         It hashes the walk's next `budget_blocks` stored blocks
-        (`_stored_window`) on `meter`, if given; a block whose content an
-        earlier one holds goes behind that kept copy, which never moves,
-        so one table rewrite per pass repoints the moved blocks' aliases.
+        (`_stored_window`) and charges `meter`, if given, once for them; a
+        block whose content an earlier one holds goes behind that kept
+        copy, which never moves, so one table rewrite per pass repoints
+        the moved blocks' aliases.
         Each kept copy is CRC-checked against its entry once per pass
         before anything goes behind it: one that fails is replaced by the
         duplicate, which stays where it is, and a duplicate whose entry
@@ -472,7 +478,9 @@ class StorageNode:
             return 0
         window, contents, self._dedup_cursor = self._stored_window(
             self._dedup_cursor, budget_blocks)
-        digests = map(payload_digest, contents, map(_ENTRY_BYTE_LEN, window), repeat(meter))
+        digests = map(payload_digest, contents)
+        if meter is not None:
+            meter.charge_hash(*map(_ENTRY_BYTE_LEN, window), ops=len(window))
         seen = self._dedup_seen
         kept_crcs: dict[CompositeId, int | None] = {}  # kept copy -> its CRC, None if corrupt
         moved: dict[CompositeId, CompositeId] = {}  # id -> the kept copy it reads

@@ -269,7 +269,8 @@ def compute_delta_hash(local, peer, meter: CostMeter | None = None, scope_nids=N
     """
     ours, theirs = local.locators(scope_nids), peer.locators(scope_nids)
     differ_ours = {nid: locs for nid, locs in ours.items() if theirs.get(nid) != locs}
-    differ_theirs = {nid: locs for nid, locs in theirs.items() if ours.get(nid) != locs}
+    differ_theirs = {nid: locs for nid, locs in theirs.items()
+                     if nid in differ_ours or nid not in ours}  # each map compared once
     missing_remote, missing_local = hash_delta(local, peer, differ_ours, differ_theirs)
     listed = sum(map(len, ours.values())) + sum(map(len, theirs.values()))
     if meter is not None:

@@ -25,6 +25,7 @@ from metadr.hashline import (
     settle,
 )
 from metadr.identity import CompositeId, NodeId
+from metadr.node import StorageNode
 
 
 def cid(i: int) -> CompositeId:
@@ -98,37 +99,25 @@ def test_reference_implementation_matches_standard_vectors():
 
 
 def test_fingerprint_standard_vectors():
-    assert payload_digest(b"", 0).hex() == EMPTY_SHA
-    assert payload_digest(b"abc", 3).hex() == ABC_SHA
+    assert payload_digest(b"").hex() == EMPTY_SHA
+    assert payload_digest(b"abc").hex() == ABC_SHA
 
 
 def test_fingerprint_matches_reference_on_random_inputs():
     rng = Random(13)
     for _ in range(200):
         payload = rng.randbytes(rng.randrange(0, 300))
-        assert payload_digest(payload, len(payload)) == sha256_reference(payload)
+        assert payload_digest(payload) == sha256_reference(payload)
 
 
 def test_fingerprint_deterministic():
-    assert payload_digest(b"same content", 12) == payload_digest(b"same content", 12)
-
-
-def test_fingerprint_charges_meter():
-    meter = CostMeter(CostModel())
-    payload_digest(b"x" * 1000, 1000, meter)
-    assert meter.hashed_bytes == 1000
-    assert meter.hash_ops == 1
-    assert meter.t_hash == pytest.approx(1000 / (5e8 * 16))
+    assert payload_digest(b"same content") == payload_digest(b"same content")
 
 
 def test_descriptor_digest_models_virtual_blocks():
-    meter = CostMeter(CostModel())
-    d1 = payload_digest(descriptor(4096, 17), 4096, meter)
-    d2 = payload_digest(descriptor(4096, 17), 4096)
-    d3 = payload_digest(descriptor(4096, 18), 4096)
-    assert d1 == d2 != d3
-    assert d1 == sha256_reference(descriptor(4096, 17))
-    assert meter.hashed_bytes == 4096  # charged the modeled length
+    digest = payload_digest(descriptor(4096, 17))
+    assert digest != payload_digest(descriptor(4096, 18))
+    assert digest == sha256_reference(descriptor(4096, 17))
 
 
 # -- merkle -------------------------------------------------------------------
@@ -148,11 +137,9 @@ def test_four_leaves_match_manual_three_hash_oracle():
     left = hashlib.sha256(leaves[0] + leaves[1]).digest()
     right = hashlib.sha256(leaves[2] + leaves[3]).digest()
     expected_root = hashlib.sha256(left + right).digest()
-    meter = CostMeter(CostModel())
-    tree = merkle_build(leaves, meter)
+    tree = merkle_build(leaves)
     assert tree.root == expected_root
     assert tree.internal_node_count == 3
-    assert meter.hash_ops == 3
 
 
 def test_odd_leaf_is_promoted_not_rehashed():
@@ -436,10 +423,10 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
             content = descriptor(64, seed)
             store.setdefault(content, []).append(loc)
             if kind == "add":
-                index.add_run([loc], [payload_digest(content, 64)])
+                index.add_run([loc], [payload_digest(content)])
             elif kind == "adopt":
                 stored = BlockColumns([loc], [content], [64])
-                index.adopt([loc], [payload_digest(content, 64)], stored)
+                index.adopt([loc], [payload_digest(content)], stored)
                 ref_hashed.append((loc, 64, content))
             else:
                 index.enqueue([loc], [content], [64])
@@ -474,7 +461,7 @@ def test_digest_map_matches_a_reference_rebuilt_from_by_locator(steps):
 def test_unique_digests_take_no_set_each():
     index = HashIndex()
     index.add_run(map(cid, range(10_000)),
-                  [payload_digest(descriptor(64, i), 64) for i in range(10_000)])
+                  [payload_digest(descriptor(64, i)) for i in range(10_000)])
     assert not any(isinstance(v, set) for v in index.by_digest.values())
     # the map's own bytes: its table and any sets it holds (locators and
     # digests are shared with the by_nid maps)
@@ -557,7 +544,7 @@ def test_pipeline_tick_matches_a_per_block_loop(indexed, queued, extra, share, p
     ref_pending, ref_hashed = deque(), []
     for locator, content, n in store_blocks(indexed):  # hashed before this tick
         for state in (index, ref):
-            reference_add(state, locator, payload_digest(content, n))
+            reference_add(state, locator, payload_digest(content))
         index.hashed_since_checkpoint.extend([locator], [content], [n])
         ref_hashed.append((locator, n, content))
     for locator, content, n in rows:
@@ -571,7 +558,7 @@ def test_pipeline_tick_matches_a_per_block_loop(indexed, queued, extra, share, p
     while ref_pending and ref_pending[0][1] <= remaining:
         block = ref_pending.popleft()
         locator, n, content = block
-        reference_add(ref, locator, payload_digest(content, n))
+        reference_add(ref, locator, payload_digest(content))
         ref_hashed.append(block)
         ref_meter.t_hash += model.hash_seconds(n)
         ref_meter.hashed_bytes += n
@@ -597,7 +584,7 @@ def test_rebuild_index_matches_a_per_block_loop(drawn, prior):
 
     ref, leaves = HashIndex(), []
     for locator, content, n in rows:
-        digest = payload_digest(content, n)
+        digest = payload_digest(content)
         reference_add(ref, locator, digest)
         leaves.append(digest)
         ref_meter.t_hash += model.hash_seconds(n)
@@ -612,18 +599,37 @@ def test_rebuild_index_matches_a_per_block_loop(drawn, prior):
     assert index.consistent_flag
 
 
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.lists(_BLOCK, max_size=40), budget=st.integers(0, 50), prior=st.floats(0, 1))
+def test_dedup_pass_charges_as_a_per_block_loop_over_its_window(drawn, budget, prior):
+    model = CostModel()
+    node = StorageNode(NodeId(b"\x01" * 16))
+    byte_lens = [n for _, _, n in drawn]
+    node.ingest([(n, seed) for _, seed, n in drawn])
+    meter, ref_meter = CostMeter(model, t_hash=prior), CostMeter(model, t_hash=prior)
+
+    node.dedup_pass(budget, meter)
+
+    for n in byte_lens[:budget]:  # a fresh node's first window: its first blocks
+        ref_meter.t_hash += model.hash_seconds(n)
+        ref_meter.hashed_bytes += n
+        ref_meter.hash_ops += 1
+    assert_same_meter(meter, ref_meter)
+
+
 def test_one_charge_over_a_run_equals_one_charge_per_length():
     rng = Random(7)
     lengths = [rng.randrange(1, 10**9) for _ in range(1000)]
     model = CostModel()
     run, single = CostMeter(model, t_hash=0.25), CostMeter(model, t_hash=0.25)
-    charged = run.charge_hash(*lengths, ops=len(lengths))
-    singles = 0.0
+    run.charge_hash(*lengths, ops=len(lengths))
     for n in lengths:
-        singles += single.charge_hash(n, ops=1)
-    assert run.t_hash == single.t_hash and charged == singles
+        single.charge_hash(n, ops=1)
+    assert run.t_hash == single.t_hash
     assert run.hashed_bytes == single.hashed_bytes == sum(lengths)
     assert run.hash_ops == single.hash_ops == len(lengths)
     # the lengths tell the rule from one division of their sum
     assert 0.25 + sum(lengths) / (model.hash_throughput * model.cores) != run.t_hash
-    assert run.charge_hash(ops=2) == 0.0 and run.hash_ops == len(lengths) + 2
+    t_hash = run.t_hash
+    run.charge_hash(ops=2)
+    assert run.t_hash == t_hash and run.hash_ops == len(lengths) + 2

@@ -1,4 +1,3 @@
-import hashlib
 import struct
 from bisect import bisect_right
 from random import Random
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metadr import hashline
 from metadr.costs import CostMeter, CostModel
 from metadr.crc32c import crc32c
 from metadr.hashline import InconsistentIndex, hash_delta, payload_digest, pipeline_tick
@@ -31,25 +29,11 @@ from metadr.node import (
     NotFound,
     StorageNode,
 )
-from metadr.sync import Cluster, ensure_baseline_consistent, sync_pair_hash
+from metadr.sync import Cluster, converge, ensure_baseline_consistent, sync_pair_hash
 
 
 def fresh_node(seed=1, **kwargs):
     return StorageNode(new_node_id(Random(seed)), **kwargs)
-
-
-@pytest.fixture
-def sha256_calls(monkeypatch):
-    """The lengths hashed through `hashline._sha256`, the one SHA-256
-    entry point, while the test runs."""
-    calls = []
-
-    def counting(data=b""):
-        calls.append(len(data))
-        return hashlib.sha256(data)
-
-    monkeypatch.setattr(hashline, "_sha256", counting)
-    return calls
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -214,7 +198,7 @@ def test_a_replicate_in_run_equals_the_same_entries_in_runs_of_one(
         entries_run[k] = entries_run[k]._replace(crc=entries_run[k].crc ^ 1)
         held.add(picks[k] % n)
     contents = source.stored_blocks([entry.id for entry in entries_run])
-    digests = [payload_digest(c, e.byte_len) for c, e in zip(contents, entries_run)]
+    digests = list(map(payload_digest, contents))
     digests = digests if adopt else None
     run, single = twins(2)
     for node in (run, single):
@@ -282,7 +266,7 @@ def test_replicating_a_known_id_with_other_metadata_conflicts():
     with pytest.raises(ConflictingEntry):
         replica.replicate_in([forged], [b"forged!!"])
     with pytest.raises(ConflictingEntry):  # with its digest, as a hash sync sends it
-        replica.replicate_in([forged], [b"original"], [payload_digest(b"original", 8)])
+        replica.replicate_in([forged], [b"original"], [payload_digest(b"original")])
     assert replica.id_index.entry_count == 1
     assert replica.read_verify(cid) == b"original"
 
@@ -296,7 +280,7 @@ def test_replicating_a_known_id_with_another_user_key_conflicts():
     with pytest.raises(ConflictingEntry):
         replica.replicate_in([forged], [b"original"])
     with pytest.raises(ConflictingEntry):
-        replica.replicate_in([forged], [b"original"], [payload_digest(b"original", 8)])
+        replica.replicate_in([forged], [b"original"], [payload_digest(b"original")])
     assert replica.by_user_key == {"k1": cid}
     assert replica.id_index.get(cid) is entry
 
@@ -376,6 +360,28 @@ def test_scrub_finds_injected_corruptions():
         node.corrupt_block(cid)
     report = node.scrub(1000)
     assert [key for key, _, _ in report.findings] == [ids[3], ids[17], ids[42], ids[61], ids[88]]
+
+
+@pytest.mark.parametrize("bound_by", ["layer2", "hash_sync"])
+def test_scrub_reports_every_id_that_reads_a_corrupt_block(bound_by):
+    # each id the indirection table binds to a corrupt stored block reads
+    # its bad bytes, so each is a finding, after the stored block's own
+    if bound_by == "layer2":
+        node = fresh_node()
+        ids = node.ingest([b"same bytes"] * 3)
+        assert node.dedup_pass(10) == 2
+    else:
+        node, peer = (StorageNode(NodeId(bytes([k]) * 16), baseline=True) for k in (1, 2))
+        ids = [n.ingest([bytes(64)])[0] for n in (node, peer)]
+        converge(Cluster([node, peer]), node.nid, peer.nid)
+        assert node.indirection_table == {ids[1]: ids[0]}
+    node.corrupt_block(ids[0])
+    found = crc32c(node.block_store[ids[0]])
+    expected = [(cid, node.id_index.get(cid).crc, found) for cid in ids]
+    assert node.scrub(10).findings == expected
+    for cid in ids:
+        with pytest.raises(CorruptionDetected):
+            node.read_verify(cid)
 
 
 def test_scrub_zero_budget():
@@ -718,6 +724,29 @@ def test_dedup_work_charged_to_the_callers_meter():
     assert meter.hash_ops == 2
 
 
+@pytest.mark.parametrize("hasher", ["drain", "rebuild", "dedup"])
+def test_charged_hash_ops_equal_the_sha256_calls_made(hasher, sha256_calls):
+    # every hasher charges its meter one op per SHA-256 call it makes,
+    # and the byte_len of each block it hashed
+    node = fresh_node(baseline=True)
+    byte_lens = [64 + i % 7 for i in range(37)]
+    node.ingest([(n, i % 5) for i, n in enumerate(byte_lens)])
+    if hasher != "drain":
+        ensure_baseline_consistent(node)
+    if hasher == "rebuild":
+        node.baseline.mark_lost()
+    sha256_calls.clear()
+    meter = CostMeter(CostModel())
+    if hasher == "dedup":
+        node.dedup_pass(20, meter)
+        byte_lens = byte_lens[:20]
+    else:
+        ensure_baseline_consistent(node, meter)
+    hashed = {"drain": 37, "rebuild": 37 + 36, "dedup": 20}[hasher]
+    assert meter.hash_ops == len(sha256_calls) == hashed
+    assert meter.hashed_bytes == sum(byte_lens)
+
+
 def test_dedup_never_aliases_a_block_to_a_corrupt_kept_copy():
     node = fresh_node()
     first = node.ingest([b"same bytes"])[0]
@@ -802,7 +831,7 @@ def test_dedup_keeps_every_id_reading_its_bytes(steps, budget):
             contents = peers[k].stored_blocks(ids)
             digests = None
             if with_digests:
-                digests = [payload_digest(c, e.byte_len) for c, e in zip(contents, entries)]
+                digests = list(map(payload_digest, contents))
             node.replicate_in(entries, contents, digests)
             original.update(zip(ids, contents))
         elif step[0] == "drain":

@@ -811,7 +811,7 @@ def test_baseline_owes_what_its_drain_pays(steps):
         elif op in ("replicate_in", "adopt"):
             cid = source.ingest([(64 + n, n)])[0]
             entry, (content,) = source.id_index.get(cid), source.stored_blocks([cid])
-            digest = payload_digest(content, entry.byte_len) if op == "adopt" else None
+            digest = payload_digest(content) if op == "adopt" else None
             node.replicate_in([entry], [content], None if digest is None else [digest])
         elif op == "tick":
             pipeline_tick(node.baseline, n)
